@@ -560,13 +560,6 @@ impl SurrogateBackend {
         }
     }
 
-    /// Overrides the cross-validation trust threshold (mean absolute
-    /// log-space error; lower = stricter).
-    pub fn with_trust_threshold(mut self, threshold: f64) -> Self {
-        self.trust_threshold = threshold.max(0.0);
-        self
-    }
-
     /// Switches to the from-scratch reference refit path (see the
     /// `full_refit` field). Results are bit-identical either way; only
     /// the refit cost differs. Not part of the fingerprint for exactly

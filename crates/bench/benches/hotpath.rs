@@ -23,7 +23,7 @@ use criterion::{black_box, Criterion};
 use accel_model::arch::AcceleratorConfig;
 use accel_model::plan::{ExecutionPlan, TensorTraffic};
 use accel_model::sim::{program_from_plan, TraceSimulator};
-use dse::gp::{GaussianProcess, IncrementalGp, Posterior, PredictScratch};
+use dse::gp::{GaussianProcess, IncrementalGp, PredictScratch};
 use runtime::{MemoCache, WorkerPool};
 use tensor_ir::intrinsics::IntrinsicKind;
 
@@ -75,20 +75,6 @@ fn bench_gp(c: &mut Criterion) {
     let probe: Vec<f64> = (0..8).map(|i| i as f64 / 7.0).collect();
     c.bench_function("gp/predict/n200", |b| {
         b.iter(|| black_box(gp.predict_with(black_box(&probe), &mut scratch)))
-    });
-    let batch: Vec<Vec<f64>> = (0..64)
-        .map(|i| {
-            (0..8)
-                .map(|d| ((i * 13 + d * 7) % 97) as f64 / 96.0)
-                .collect()
-        })
-        .collect();
-    let mut out: Vec<Posterior> = Vec::new();
-    c.bench_function("gp/predict_many_64/n200", |b| {
-        b.iter(|| {
-            gp.predict_many(black_box(&batch), &mut out);
-            black_box(out.len())
-        })
     });
 }
 

@@ -10,7 +10,6 @@
 //! software mappings for the hardware parameters".
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -139,11 +138,6 @@ pub struct CoDesignOptions {
     /// Technology parameters every backend tier is built with (the
     /// `--tech-sweep` scenario axis; part of every memo fingerprint).
     pub tech: TechParams,
-    /// Persistent cross-run evaluation cache: loaded (warm start) before
-    /// the hardware DSE and saved afterwards — merged newest-wins into
-    /// whatever the file already holds, so runs sharing a cache file
-    /// accumulate warmth. `None` keeps the cache in-memory only.
-    pub cache_path: Option<PathBuf>,
     /// The hardware-DSE optimizer (MOBO by default; the baselines let
     /// convergence studies drive the whole pipeline under every method).
     pub optimizer: OptimizerKind,
@@ -179,7 +173,6 @@ impl CoDesignOptions {
             refine_top_k: 0,
             adaptive_refinement: false,
             tech: TechParams::default(),
-            cache_path: None,
             optimizer: OptimizerKind::Mobo,
             surrogate_full_refit: false,
         }
@@ -212,7 +205,6 @@ impl CoDesignOptions {
             refine_top_k: 0,
             adaptive_refinement: false,
             tech: TechParams::default(),
-            cache_path: None,
             optimizer: OptimizerKind::Mobo,
             surrogate_full_refit: false,
         }
@@ -262,12 +254,6 @@ impl CoDesignOptions {
     /// Builds every backend tier with the given technology parameters.
     pub fn with_tech(mut self, tech: TechParams) -> Self {
         self.tech = tech;
-        self
-    }
-
-    /// Persists the evaluation cache at `path` across runs.
-    pub fn with_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache_path = Some(path.into());
         self
     }
 
@@ -1519,11 +1505,11 @@ fn finalize_solution(
 
 /// The co-design driver — the paper's one-shot entry point, now a thin
 /// wrapper over the resident [`Engine`]: [`CoDesigner::run`] spins up a
-/// single-slot engine configured from the options (including the
-/// persistent-cache path), submits one request, waits for it, and
-/// persists the engine's cache store. Behavior is unchanged from the
-/// pre-engine API; long-lived callers serving many requests should hold
-/// an [`Engine`] instead and keep its warm state across submissions.
+/// single-slot in-memory engine configured from the options, submits one
+/// request, and waits for it. Long-lived callers serving many requests,
+/// or persisting warm state across runs
+/// ([`EngineConfig::with_cache_path`]), should hold an [`Engine`]
+/// instead.
 #[derive(Debug, Clone)]
 pub struct CoDesigner {
     opts: CoDesignOptions,
@@ -1555,11 +1541,7 @@ impl CoDesigner {
         let handle = engine.submit_quiet(
             CoDesignRequest::new(input.clone(), self.opts.clone()).with_label("one-shot"),
         )?;
-        let solution = handle.wait()?;
-        // Persist the evaluation cache for the next run (best effort: a
-        // failed save costs future warmth, never correctness).
-        let _ = engine.persist();
-        Ok(solution)
+        handle.wait()
     }
 
     /// Optimizes the software thoroughly for a fixed accelerator and
@@ -1821,16 +1803,28 @@ mod tests {
         assert!(hi / lo < 10.0, "{per_backend:?}");
     }
 
+    /// One request on a fresh one-shot engine persisting its store at
+    /// `path` — the warm-restart path every persisted run takes.
+    fn run_persisted(opts: &CoDesignOptions, path: &std::path::Path) -> Solution {
+        let engine = Engine::new(EngineConfig::one_shot(opts).with_cache_path(path));
+        let solution = engine
+            .submit_quiet(CoDesignRequest::new(toy_input(), opts.clone()))
+            .unwrap()
+            .wait()
+            .unwrap();
+        engine.persist().unwrap();
+        solution
+    }
+
     #[test]
     fn persistent_cache_warms_repeat_runs() {
-        let input = toy_input();
         let path = temp_cache("warm");
         std::fs::remove_file(&path).ok();
-        let opts = CoDesignOptions::quick(5).with_cache_path(&path);
-        let cold = CoDesigner::new(opts.clone()).run(&input).unwrap();
+        let opts = CoDesignOptions::quick(5);
+        let cold = run_persisted(&opts, &path);
         assert_eq!(cold.stats.warm_cache_entries, 0);
         assert!(path.exists(), "cache file must be written");
-        let warm = CoDesigner::new(opts).run(&input).unwrap();
+        let warm = run_persisted(&opts, &path);
         assert!(warm.stats.warm_cache_entries > 0);
         // Identical run, warm cache: same solution, strictly fewer
         // explorer executions (= cache misses).
@@ -1847,15 +1841,15 @@ mod tests {
 
     #[test]
     fn corrupted_persistent_cache_is_a_clean_cold_start() {
-        let input = toy_input();
         let path = temp_cache("corrupt");
-        let opts = CoDesignOptions::quick(6).with_cache_path(&path);
-        let reference = CoDesigner::new(opts.clone()).run(&input).unwrap();
+        std::fs::remove_file(&path).ok();
+        let opts = CoDesignOptions::quick(6);
+        let reference = run_persisted(&opts, &path);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let recovered = CoDesigner::new(opts).run(&input).unwrap();
+        let recovered = run_persisted(&opts, &path);
         assert_eq!(recovered.stats.warm_cache_entries, 0);
         assert_eq!(reference.accelerator, recovered.accelerator);
         assert_eq!(reference.hw_history, recovered.hw_history);

@@ -133,18 +133,14 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The single-slot configuration [`CoDesigner::run`](crate::CoDesigner::run)
-    /// wraps one request in: cache capacity and persistence path come
-    /// from the run options, so one-shot behavior is unchanged.
+    /// The single-slot, in-memory configuration
+    /// [`CoDesigner::run`](crate::CoDesigner::run) wraps one request in,
+    /// with the cache capacity the run options ask for.
     pub fn one_shot(opts: &CoDesignOptions) -> Self {
         EngineConfig {
             job_slots: 1,
             cache_capacity: opts.cache_capacity,
-            cache_path: opts.cache_path.clone(),
-            cache_max_age: None,
-            surrogate_store: None,
-            metrics: Telemetry::disabled(),
-            remote: None,
+            ..EngineConfig::default()
         }
     }
 
@@ -210,10 +206,6 @@ impl EngineConfig {
 /// One co-design request: the input description plus the run options,
 /// under a caller-chosen label (used in events, campaign reports, and
 /// dedup attribution).
-///
-/// The options' own `cache_path` is ignored by the engine — warm state
-/// flows through the engine's shared store instead, so jobs never race on
-/// a file.
 #[derive(Debug, Clone)]
 pub struct CoDesignRequest {
     /// The application, generation method, and constraints.
@@ -243,9 +235,8 @@ impl CoDesignRequest {
 
     /// Stable 128-bit identity of everything that can change the
     /// produced [`Solution`] or its statistics — the campaign dedup key.
-    /// The label and the (engine-ignored) options `cache_path` are
-    /// excluded. Public so transport layers can assert that a request
-    /// survived serialization bit-for-bit.
+    /// The label is excluded. Public so transport layers can assert that a
+    /// request survived serialization bit-for-bit.
     pub fn fingerprint(&self) -> (u64, u64) {
         let mut lo = Fingerprinter::new();
         let mut hi = Fingerprinter::new();
@@ -600,8 +591,7 @@ pub struct Engine {
 impl Engine {
     /// Builds an engine, loading the persisted memo store and surrogate
     /// registry when the configuration names them (a missing or corrupt
-    /// image is a cold start, exactly like the one-shot cache path —
-    /// never an error).
+    /// image is a cold start, never an error).
     pub fn new(config: EngineConfig) -> Self {
         let store = MemoCache::new(config.cache_capacity);
         if let Some(path) = &config.cache_path {

@@ -63,8 +63,8 @@ impl RemoteEvalRequest {
 /// The trait object the engine dispatches remote-eligible batches
 /// through: any [`BatchEvaluator`] over [`RemoteEvalRequest`]s. The
 /// network crate's `RemoteEvaluator` (sharding across worker processes)
-/// is the production implementation; tests can plug in
-/// [`runtime::FnEvaluator`].
+/// is the production implementation; tests can plug in any other
+/// [`BatchEvaluator`].
 pub type PairEvaluator =
     dyn BatchEvaluator<Request = RemoteEvalRequest, Response = Option<Metrics>> + Send + Sync;
 

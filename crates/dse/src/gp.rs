@@ -238,8 +238,7 @@ impl GaussianProcess {
     ///
     /// Convenience wrapper over [`GaussianProcess::predict_with`] that
     /// allocates fresh scratch; hot paths should hold a
-    /// [`PredictScratch`] and call `predict_with` (or
-    /// [`GaussianProcess::predict_many`]) instead.
+    /// [`PredictScratch`] and call `predict_with` instead.
     pub fn predict(&self, x: &[f64]) -> Posterior {
         self.predict_with(x, &mut PredictScratch::default())
     }
@@ -258,17 +257,6 @@ impl GaussianProcess {
             x,
             scratch,
         )
-    }
-
-    /// Batched posterior prediction: clears `out` and pushes one
-    /// [`Posterior`] per input point, sharing one scratch allocation
-    /// across the whole batch. Each entry is bit-identical to a
-    /// standalone [`GaussianProcess::predict`] at the same point.
-    pub fn predict_many(&self, points: &[Vec<f64>], out: &mut Vec<Posterior>) {
-        let mut scratch = PredictScratch::default();
-        out.clear();
-        out.reserve(points.len());
-        out.extend(points.iter().map(|x| self.predict_with(x, &mut scratch)));
     }
 }
 
@@ -660,22 +648,6 @@ mod tests {
             let reused = gp.predict_with(x, &mut scratch);
             assert_eq!(fresh.mean.to_bits(), reused.mean.to_bits());
             assert_eq!(fresh.std.to_bits(), reused.std.to_bits());
-        }
-    }
-
-    #[test]
-    fn predict_many_matches_individual_predictions() {
-        let xs = grid_1d(6);
-        let ys: Vec<f64> = xs.iter().map(|x| 1.0 - x[0]).collect();
-        let gp = GaussianProcess::fit(&xs, &ys).unwrap();
-        let points: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0]).collect();
-        let mut batch = Vec::new();
-        gp.predict_many(&points, &mut batch);
-        assert_eq!(batch.len(), points.len());
-        for (x, b) in points.iter().zip(&batch) {
-            let single = gp.predict(x);
-            assert_eq!(single.mean.to_bits(), b.mean.to_bits());
-            assert_eq!(single.std.to_bits(), b.std.to_bits());
         }
     }
 

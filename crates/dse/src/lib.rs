@@ -47,13 +47,9 @@ pub mod progress;
 pub mod random;
 pub mod staged;
 
-pub use problem::{Evaluation, EvaluatorProblem, OptimizerResult, Point, Problem, SearchSpace};
+pub use problem::{Evaluation, OptimizerResult, Point, Problem, SearchSpace};
 pub use progress::{BatchUpdate, NoProgress, Progress};
-pub use staged::{rank_top_k, FidelityStaged, StagedStats};
-// The batch-evaluation seam: optimizers hand candidate batches to
-// `Problem::evaluate_batch`; `EvaluatorProblem` adapts any standalone
-// `BatchEvaluator` engine into that interface.
-pub use runtime::{BatchEvaluator, WorkerPool};
+pub use staged::rank_top_k;
 
 /// A budgeted multi-objective optimizer over a discrete space.
 pub trait Optimizer {
@@ -168,23 +164,6 @@ mod batch_seam_tests {
         };
         let _ = Annealer::new(3).with_probe_batch(4).run(&mut b, 20);
         assert!(b.largest_batch > 1, "annealer probes were not batched");
-    }
-
-    #[test]
-    fn optimizers_accept_a_batch_evaluator_engine() {
-        // The runtime seam end to end: a bare `BatchEvaluator` engine,
-        // adapted through `EvaluatorProblem`, drives an optimizer to the
-        // exact history the hand-written serial problem produces.
-        use crate::problem::EvaluatorProblem;
-        use runtime::batch::FnEvaluator;
-
-        let engine = FnEvaluator::new(|p: &Point| objectives(p));
-        let mut adapted = EvaluatorProblem::new(space(), 2, engine);
-        let mut serial = Serial(space());
-        assert_eq!(
-            Mobo::new(5).with_prior_samples(5).run(&mut adapted, 15),
-            Mobo::new(5).with_prior_samples(5).run(&mut serial, 15),
-        );
     }
 
     #[test]

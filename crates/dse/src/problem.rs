@@ -117,53 +117,6 @@ pub trait Problem {
     }
 }
 
-/// Adapts any order-preserving [`runtime::BatchEvaluator`] over points
-/// into a [`Problem`], so every optimizer in this crate can drive an
-/// evaluation engine (worker pools, caches, future remote backends)
-/// directly — the inverse bridge to [`Problem::evaluate_batch`].
-pub struct EvaluatorProblem<E> {
-    space: SearchSpace,
-    objectives: usize,
-    /// The wrapped engine.
-    pub engine: E,
-}
-
-impl<E> EvaluatorProblem<E>
-where
-    E: runtime::BatchEvaluator<Request = Point, Response = Option<Vec<f64>>>,
-{
-    /// Wraps an engine evaluating points of `space` into `objectives`
-    /// minimization objectives.
-    pub fn new(space: SearchSpace, objectives: usize, engine: E) -> Self {
-        EvaluatorProblem {
-            space,
-            objectives,
-            engine,
-        }
-    }
-}
-
-impl<E> Problem for EvaluatorProblem<E>
-where
-    E: runtime::BatchEvaluator<Request = Point, Response = Option<Vec<f64>>>,
-{
-    fn space(&self) -> &SearchSpace {
-        &self.space
-    }
-
-    fn num_objectives(&self) -> usize {
-        self.objectives
-    }
-
-    fn evaluate(&mut self, point: &Point) -> Option<Vec<f64>> {
-        self.engine.evaluate_one(point.clone())
-    }
-
-    fn evaluate_batch(&mut self, points: &[Point]) -> Vec<Option<Vec<f64>>> {
-        self.engine.evaluate_batch(points)
-    }
-}
-
 /// One recorded evaluation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Evaluation {

@@ -1,24 +1,19 @@
-//! Fidelity-staged batch evaluation: screen everything cheaply, refine
-//! only the survivors.
+//! Fidelity-staging policy: screen everything cheaply, refine only the
+//! survivors.
 //!
 //! The co-design loop's high-fidelity evaluations (trace simulation) cost
 //! orders of magnitude more than the analytic screen, yet only the
 //! candidates that might enter the Pareto front or the GP training set
-//! deserve them. [`FidelityStaged`] composes two [`BatchEvaluator`]s into
-//! that policy: the screen engine prices the full batch, a deterministic
-//! ranking ([`rank_top_k`]) picks the `top_k` most promising responses,
-//! and only those are re-evaluated by the refine engine — the rest keep
-//! their screened values.
+//! deserve them. The co-design `HwProblem` (crate `hasco`) applies that
+//! policy with the pieces here: a deterministic ranking ([`rank_top_k`])
+//! picks the `top_k` most promising screened responses for re-evaluation,
+//! and [`AdaptiveTopK`] resizes `top_k` per batch from the observed
+//! screen-vs-refine rank disagreement ([`rank_disagreement`]).
 //!
 //! Determinism: survivor selection depends only on the batch's screened
 //! responses (ties broken by submission index), never on thread count or
 //! completion order, so staging composes with the parallel runtime
 //! without weakening the "thread count never changes results" invariant.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use runtime::BatchEvaluator;
 
 /// Indices of the `k` best-scoring items, deterministic under ties.
 ///
@@ -83,24 +78,18 @@ pub fn rank_disagreement(a: &[f64], b: &[f64]) -> f64 {
 /// accumulate in a bounded sliding window spanning recent batches — so
 /// the controller keeps learning even in optimizer regimes that evaluate
 /// one point at a time (MOBO acquisitions) — and the window's rank
-/// disagreement steers the budget: agreement below `shrink_below` means
-/// the screen tier ranks like the refiner and the budget shrinks
-/// (possibly to zero, skipping refinement entirely); disagreement above
-/// `grow_above` grows it toward `max_k`. While the budget sits at zero,
-/// every `audit_every`-th batch still refines one survivor so fresh
-/// evidence keeps flowing and a drifting screen tier is caught. All
-/// decisions are pure functions of the batch sequence, so adaptive
-/// trajectories are identical at any thread count and stealing mode.
+/// disagreement steers the budget: agreement below 10% means the screen
+/// tier ranks like the refiner and the budget shrinks (possibly to zero,
+/// skipping refinement entirely); disagreement above 30% grows it toward
+/// `4 * initial`. While the budget sits at zero, every 4th batch still
+/// refines one survivor so fresh evidence keeps flowing and a drifting
+/// screen tier is caught. All decisions are pure functions of the batch
+/// sequence, so adaptive trajectories are identical at any thread count
+/// and stealing mode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveTopK {
     k: usize,
-    min_k: usize,
     max_k: usize,
-    shrink_below: f64,
-    grow_above: f64,
-    /// While the budget is 0, refine one survivor every this many
-    /// batches anyway (evidence audit).
-    audit_every: usize,
     /// Batches begun so far (drives the audit cadence).
     batches: usize,
     /// Sliding `(screen, refine)` score window across recent batches.
@@ -116,43 +105,28 @@ const EVIDENCE_WINDOW: usize = 8;
 /// Minimum window fill before the controller acts on its estimate.
 const EVIDENCE_MIN: usize = 3;
 
+/// Window disagreement below which the refine budget shrinks by one.
+const SHRINK_BELOW: f64 = 0.10;
+
+/// Window disagreement above which the refine budget grows by one.
+const GROW_ABOVE: f64 = 0.30;
+
+/// While the budget is 0, refine one survivor every this many batches
+/// anyway (evidence audit).
+const AUDIT_EVERY: usize = 4;
+
 impl AdaptiveTopK {
     /// Creates a controller starting at `initial` survivors per batch,
-    /// bounded to `[0, 4 * initial]`, shrinking below 10% window
-    /// disagreement and growing above 30%, with an audit refinement
-    /// every 4th batch while the budget is zero.
+    /// bounded to `[0, 4 * initial]`.
     pub fn new(initial: usize) -> Self {
         let initial = initial.max(1);
         AdaptiveTopK {
             k: initial,
-            min_k: 0,
             max_k: initial.saturating_mul(4),
-            shrink_below: 0.10,
-            grow_above: 0.30,
-            audit_every: 4,
             batches: 0,
             window: std::collections::VecDeque::new(),
             trajectory: Vec::new(),
         }
-    }
-
-    /// Overrides the budget bounds (`max_k >= min_k` is enforced; the
-    /// current budget is re-clamped into the new band). A `min_k` of 0
-    /// (the default) lets a fully-trusted screen tier skip refinement,
-    /// modulo the audit cadence.
-    pub fn with_bounds(mut self, min_k: usize, max_k: usize) -> Self {
-        self.min_k = min_k;
-        self.max_k = max_k.max(self.min_k);
-        self.k = self.k.clamp(self.min_k, self.max_k);
-        self
-    }
-
-    /// Overrides the disagreement thresholds (`shrink_below <=
-    /// grow_above` is enforced by clamping).
-    pub fn with_thresholds(mut self, shrink_below: f64, grow_above: f64) -> Self {
-        self.shrink_below = shrink_below;
-        self.grow_above = grow_above.max(shrink_below);
-        self
     }
 
     /// The refine budget the next batch will use (0 = refinement off
@@ -166,8 +140,7 @@ impl AdaptiveTopK {
     /// cadence fires), records it in the trajectory, and returns it.
     pub fn begin_batch(&mut self) -> usize {
         self.batches += 1;
-        let effective = if self.k == 0 && (self.batches - 1).is_multiple_of(self.audit_every.max(1))
-        {
+        let effective = if self.k == 0 && (self.batches - 1).is_multiple_of(AUDIT_EVERY) {
             1
         } else {
             self.k
@@ -193,11 +166,10 @@ impl AdaptiveTopK {
         }
         let (screen, refine): (Vec<f64>, Vec<f64>) = self.window.iter().copied().unzip();
         let d = rank_disagreement(&screen, &refine);
-        if d > self.grow_above {
-            // Re-arm from 0 before clamping, so max_k stays a hard bound.
-            self.k = (self.k + 1).max(1).min(self.max_k);
-        } else if d < self.shrink_below {
-            self.k = self.k.saturating_sub(1).max(self.min_k);
+        if d > GROW_ABOVE {
+            self.k = (self.k + 1).min(self.max_k);
+        } else if d < SHRINK_BELOW {
+            self.k = self.k.saturating_sub(1);
         }
     }
 
@@ -221,134 +193,9 @@ impl AdaptiveTopK {
     }
 }
 
-/// Point-in-time counters of a staged evaluator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StagedStats {
-    /// Requests priced by the screen engine.
-    pub screened: u64,
-    /// Survivors re-priced by the refine engine.
-    pub refined: u64,
-}
-
-/// Two-tier evaluator: screen the batch, refine the top-k survivors.
-///
-/// `score` maps a screened response to a ranking key (`None` =
-/// unrankable/infeasible, lower = better). With `top_k == 0` the refine
-/// engine is never consulted and this is exactly the screen engine.
-/// [`FidelityStaged::with_adaptive`] replaces the fixed `top_k` with an
-/// [`AdaptiveTopK`] controller that resizes the refine budget per batch
-/// from the observed screen-vs-refine rank disagreement.
-pub struct FidelityStaged<S, R, F> {
-    /// The cheap full-batch engine.
-    pub screen: S,
-    /// The expensive survivor engine.
-    pub refine: R,
-    /// Survivors per batch re-evaluated at high fidelity (ignored while
-    /// an adaptive controller is installed).
-    pub top_k: usize,
-    score: F,
-    adaptive: Option<Mutex<AdaptiveTopK>>,
-    screened: AtomicU64,
-    refined: AtomicU64,
-}
-
-impl<S, R, F> FidelityStaged<S, R, F> {
-    /// Composes the two engines.
-    pub fn new(screen: S, refine: R, top_k: usize, score: F) -> Self {
-        FidelityStaged {
-            screen,
-            refine,
-            top_k,
-            score,
-            adaptive: None,
-            screened: AtomicU64::new(0),
-            refined: AtomicU64::new(0),
-        }
-    }
-
-    /// Installs an adaptive refine-budget controller; every batch then
-    /// draws its `top_k` from the controller instead of the fixed field.
-    pub fn with_adaptive(mut self, controller: AdaptiveTopK) -> Self {
-        self.adaptive = Some(Mutex::new(controller));
-        self
-    }
-
-    /// The refine budget each batch used so far (empty when the fixed
-    /// policy is active).
-    pub fn topk_trajectory(&self) -> Vec<usize> {
-        self.adaptive
-            .as_ref()
-            .map(|c| c.lock().expect("controller poisoned").trajectory().to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Snapshot of the per-tier evaluation counters.
-    pub fn stats(&self) -> StagedStats {
-        StagedStats {
-            screened: self.screened.load(Ordering::Relaxed),
-            refined: self.refined.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl<Q, P, S, R, F> BatchEvaluator for FidelityStaged<S, R, F>
-where
-    Q: Clone,
-    S: BatchEvaluator<Request = Q, Response = P>,
-    R: BatchEvaluator<Request = Q, Response = P>,
-    F: Fn(&P) -> Option<f64>,
-{
-    type Request = Q;
-    type Response = P;
-
-    fn evaluate_batch(&self, batch: &[Q]) -> Vec<P> {
-        let mut responses = self.screen.evaluate_batch(batch);
-        self.screened
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let top_k = match &self.adaptive {
-            Some(c) => c.lock().expect("controller poisoned").begin_batch(),
-            None => self.top_k,
-        };
-        if top_k == 0 {
-            return responses;
-        }
-        let survivors = rank_top_k(&responses, top_k, &self.score);
-        if survivors.is_empty() {
-            return responses;
-        }
-        let requests: Vec<Q> = survivors.iter().map(|&i| batch[i].clone()).collect();
-        let refined = self.refine.evaluate_batch(&requests);
-        self.refined
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let screen_scores: Vec<f64> = survivors
-            .iter()
-            .filter_map(|&i| (self.score)(&responses[i]))
-            .collect();
-        for (&i, r) in survivors.iter().zip(refined) {
-            responses[i] = r;
-        }
-        if let Some(c) = &self.adaptive {
-            // Survivor scores at both tiers, aligned by survivor; an
-            // unrankable response at either tier voids the comparison
-            // (lengths no longer align), leaving the budget unchanged.
-            let refine_scores: Vec<f64> = survivors
-                .iter()
-                .filter_map(|&i| (self.score)(&responses[i]))
-                .collect();
-            if screen_scores.len() == survivors.len() && refine_scores.len() == survivors.len() {
-                c.lock()
-                    .expect("controller poisoned")
-                    .observe(&screen_scores, &refine_scores);
-            }
-        }
-        responses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::batch::FnEvaluator;
 
     #[test]
     fn rank_top_k_is_deterministic_and_tie_stable() {
@@ -365,34 +212,6 @@ mod tests {
     fn rank_top_k_skips_unrankable_items() {
         let items = [Some(5.0), None, Some(1.0)];
         assert_eq!(rank_top_k(&items, 2, |x| *x), vec![0, 2]);
-    }
-
-    #[test]
-    fn staged_refines_only_survivors() {
-        let staged = FidelityStaged::new(
-            FnEvaluator::new(|&x: &u64| x as f64),
-            FnEvaluator::new(|&x: &u64| x as f64 + 1000.0),
-            2,
-            |&p: &f64| Some(p),
-        );
-        let out = staged.evaluate_batch(&[5, 1, 9, 3]);
-        // The two smallest screened values (1 and 3) get refined.
-        assert_eq!(out, vec![5.0, 1001.0, 9.0, 1003.0]);
-        let s = staged.stats();
-        assert_eq!(s.screened, 4);
-        assert_eq!(s.refined, 2);
-    }
-
-    #[test]
-    fn top_k_zero_is_the_screen_engine() {
-        let staged = FidelityStaged::new(
-            FnEvaluator::new(|&x: &u64| x * 2),
-            FnEvaluator::new(|_: &u64| unreachable!("refine must not run")),
-            0,
-            |&p: &u64| Some(p as f64),
-        );
-        assert_eq!(staged.evaluate_batch(&[1, 2, 3]), vec![2, 4, 6]);
-        assert_eq!(staged.stats().refined, 0);
     }
 
     #[test]
@@ -456,46 +275,17 @@ mod tests {
 
     #[test]
     fn adaptive_topk_respects_bounds() {
-        let mut c = AdaptiveTopK::new(2).with_bounds(2, 3);
-        for i in 0..6 {
-            // Agreement: try to shrink below min_k.
+        // The budget lives in [0, 4 * initial].
+        let mut c = AdaptiveTopK::new(2);
+        for i in 0..12 {
+            // Agreement: try to shrink below zero.
             c.observe(&[i as f64], &[i as f64 + 100.0]);
         }
-        assert_eq!(c.current(), 2, "never below min_k");
+        assert_eq!(c.current(), 0, "never below zero");
         let (s, r) = reversed_window();
-        for _ in 0..5 {
-            c.observe(&s, &r); // disagreement: try to grow past max_k
+        for _ in 0..12 {
+            c.observe(&s, &r); // disagreement: try to grow past 4 * initial
         }
-        assert_eq!(c.current(), 3, "never above max_k");
-    }
-
-    #[test]
-    fn adaptive_staged_shrinks_refinement_when_tiers_agree() {
-        // Screen and refine rank identically (refine = screen + 1000), so
-        // the controller walks the budget down to zero and the fourth
-        // batch skips refinement entirely (no audit due yet).
-        let staged = FidelityStaged::new(
-            FnEvaluator::new(|&x: &u64| x as f64),
-            FnEvaluator::new(|&x: &u64| x as f64 + 1000.0),
-            0, // ignored: adaptive controller installed below
-            |&p: &f64| Some(p % 1000.0),
-        )
-        .with_adaptive(AdaptiveTopK::new(3));
-        for _ in 0..4 {
-            let _ = staged.evaluate_batch(&[5, 1, 9, 3, 7]);
-        }
-        assert_eq!(staged.topk_trajectory(), vec![3, 2, 1, 0]);
-        assert_eq!(staged.stats().refined, 3 + 2 + 1);
-    }
-
-    #[test]
-    fn all_unrankable_batches_skip_refinement() {
-        let staged = FidelityStaged::new(
-            FnEvaluator::new(|&x: &u64| x),
-            FnEvaluator::new(|_: &u64| unreachable!("refine must not run")),
-            3,
-            |_: &u64| None,
-        );
-        assert_eq!(staged.evaluate_batch(&[1, 2]), vec![1, 2]);
+        assert_eq!(c.current(), 8, "never above 4 * initial");
     }
 }

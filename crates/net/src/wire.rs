@@ -83,7 +83,9 @@ impl Wire for u32 {
         out.extend_from_slice(&self.to_le_bytes());
     }
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        r.take(4).and_then(|b| b.try_into().ok()).map(u32::from_le_bytes)
+        r.take(4)
+            .and_then(|b| b.try_into().ok())
+            .map(u32::from_le_bytes)
     }
 }
 
@@ -92,7 +94,9 @@ impl Wire for u64 {
         out.extend_from_slice(&self.to_le_bytes());
     }
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        r.take(8).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes)
+        r.take(8)
+            .and_then(|b| b.try_into().ok())
+            .map(u64::from_le_bytes)
     }
 }
 
@@ -433,11 +437,6 @@ impl Wire for CoDesignOptions {
         self.tech.encode(out);
         self.optimizer.encode(out);
         self.surrogate_full_refit.encode(out);
-        // `cache_path` is deliberately not on the wire: the engine
-        // ignores it (warm state is the serving engine's, configured
-        // server-side) and it is excluded from request fingerprints, so
-        // shipping a client-local path would only leak filesystem
-        // details.
     }
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         // Start from a constructed options value (the struct is not
@@ -459,7 +458,6 @@ impl Wire for CoDesignOptions {
         opts.tech = Wire::decode(r)?;
         opts.optimizer = Wire::decode(r)?;
         opts.surrogate_full_refit = Wire::decode(r)?;
-        opts.cache_path = None;
         Some(opts)
     }
 }

@@ -35,42 +35,3 @@ pub trait BatchEvaluator {
             .expect("batch of one yields one response")
     }
 }
-
-/// A [`BatchEvaluator`] from a plain function, evaluated serially — the
-/// reference implementation parallel engines must agree with, and a handy
-/// test double.
-pub struct FnEvaluator<Q, S, F: Fn(&Q) -> S> {
-    f: F,
-    _marker: std::marker::PhantomData<fn(&Q) -> S>,
-}
-
-impl<Q, S, F: Fn(&Q) -> S> FnEvaluator<Q, S, F> {
-    /// Wraps a function.
-    pub fn new(f: F) -> Self {
-        FnEvaluator {
-            f,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<Q, S, F: Fn(&Q) -> S> BatchEvaluator for FnEvaluator<Q, S, F> {
-    type Request = Q;
-    type Response = S;
-
-    fn evaluate_batch(&self, batch: &[Q]) -> Vec<S> {
-        batch.iter().map(&self.f).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fn_evaluator_maps_in_order() {
-        let eval = FnEvaluator::new(|&x: &u64| x + 1);
-        assert_eq!(eval.evaluate_batch(&[1, 5, 3]), vec![2, 6, 4]);
-        assert_eq!(eval.evaluate_one(9), 10);
-    }
-}

@@ -10,10 +10,10 @@
 //! * a bounded capacity with oldest-first (FIFO) eviction per shard;
 //! * [`CacheStats`] counters (hits / misses / inserts / evictions) cheap
 //!   enough to leave on in production and surfaced by `core::report`;
-//! * cross-run persistence ([`MemoCache::save_to_file`] /
-//!   [`MemoCache::load_from_file`]): a checksummed binary image keyed by
-//!   stable fingerprints, so repeated runs start warm; any corruption
-//!   degrades to a clean cold start, never a wrong answer;
+//! * cross-run persistence ([`MemoCache::save_merged_with_max_age`] /
+//!   [`MemoCache::load_from_file`]): a [`crate::persist`]-framed image
+//!   keyed by stable fingerprints, so repeated runs start warm; any
+//!   corruption degrades to a clean cold start, never a wrong answer;
 //! * entry ages: every entry carries the Unix timestamp of its insertion,
 //!   persisted with the image, so long-lived shared cache files can be
 //!   garbage-collected by age ([`MemoCache::compact`], the `max_age`
@@ -38,11 +38,10 @@ use std::time::Duration;
 
 const SHARDS: usize = 16;
 
-/// File magic + format version for persisted caches. Version 2 added a
-/// per-entry insertion timestamp (for age-based GC); version-1 images are
-/// still readable — their entries are treated as freshly inserted.
-const PERSIST_MAGIC: &[u8; 8] = b"HASCOMC2";
-const PERSIST_MAGIC_V1: &[u8; 8] = b"HASCOMC1";
+/// Frame magic + format version for persisted caches. The frame payload
+/// is a sequence of entries, each `len: u32 ++ stamp: u64 ++ entry`
+/// (little-endian). Images of earlier versions load as a cold start.
+const PERSIST_MAGIC: &[u8; 8] = b"HASCOMC3";
 
 /// Seconds since the Unix epoch (0 if the clock is before the epoch).
 ///
@@ -254,18 +253,6 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         }
     }
 
-    /// Returns the cached value for `key`, computing and inserting it on a
-    /// miss. `compute` runs without holding the shard lock; it must be
-    /// pure, since racing threads may each compute the value once.
-    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.get(&key) {
-            return v;
-        }
-        let v = compute();
-        self.insert(key, v.clone());
-        v
-    }
-
     /// Drops every entry older than `max_age` (by insertion timestamp) and
     /// returns how many were removed. This is the explicit-compaction half
     /// of the cache-lifecycle story: long-lived engines call it (or let
@@ -301,8 +288,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         removed
     }
 
-    /// Clones every entry, shard by shard in insertion order — the basis
-    /// of [`MemoCache::save_to_file`].
+    /// Clones every entry, shard by shard in insertion order.
     pub fn snapshot(&self) -> Vec<(K, V)> {
         self.snapshot_stamped()
             .into_iter()
@@ -326,90 +312,25 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         out
     }
 
-    /// Serializes entries into the checksummed persisted-image layout.
-    fn build_image(
-        entries: &[(K, V, u64)],
-        encode: &mut impl FnMut(&K, &V, &mut Vec<u8>),
-    ) -> Vec<u8> {
-        let mut payload = Vec::new();
-        for (k, v, stamp) in entries {
-            let mut entry = Vec::new();
-            encode(k, v, &mut entry);
-            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&stamp.to_le_bytes());
-            payload.extend_from_slice(&entry);
-        }
-        let mut file = Vec::with_capacity(payload.len() + 32);
-        file.extend_from_slice(PERSIST_MAGIC);
-        file.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        file.extend_from_slice(&payload);
-        let mut fp = crate::Fingerprinter::new();
-        fp.write_bytes(&payload);
-        file.extend_from_slice(&fp.finish().0.to_le_bytes());
-        file
-    }
-
-    /// Writes `image` to `path` atomically via the shared
-    /// [`crate::persist::write_atomic`] machinery (same-directory temp
-    /// file + rename), so a crash mid-write or a concurrent saver never
-    /// leaves a torn image.
-    fn write_image_atomically(path: &std::path::Path, image: &[u8]) -> std::io::Result<()> {
-        crate::persist::write_atomic(path, image)
-    }
-
     /// Persists the cache to `path` so a later run can start warm
-    /// ([`MemoCache::load_from_file`]). `encode` appends one entry's bytes
-    /// to the buffer; keys are expected to be derived from
-    /// [`crate::StableFingerprint`]s, which are stable across processes.
-    /// Returns the number of entries written.
-    ///
-    /// The image replaces whatever the file held (see
-    /// [`MemoCache::save_merged_to_file`] for accumulate-across-runs
-    /// semantics), but the replacement is atomic: a temp file in the same
-    /// directory is renamed into place, so a crash mid-save or a
-    /// concurrent saver can never leave a truncated image behind.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from writing the temp file or renaming it
-    /// into place.
-    pub fn save_to_file(
-        &self,
-        path: &std::path::Path,
-        mut encode: impl FnMut(&K, &V, &mut Vec<u8>),
-    ) -> std::io::Result<u64> {
-        let entries = self.snapshot_stamped();
-        Self::write_image_atomically(path, &Self::build_image(&entries, &mut encode))?;
-        Ok(entries.len() as u64)
-    }
-
-    /// Persists the cache to `path`, first merging in whatever a previous
-    /// run (or a concurrent bench binary) already saved there: the
-    /// existing file's entries are loaded and this cache's entries win on
-    /// key collisions (newest-wins), so shared cache files accumulate
+    /// ([`MemoCache::load_from_file`]), first merging in whatever a
+    /// previous run (or a concurrent bench binary) already saved there:
+    /// the existing file's entries are loaded and this cache's entries win
+    /// on key collisions (newest-wins), so shared cache files accumulate
     /// warmth across runs instead of thrashing. An unreadable or corrupt
     /// existing file contributes nothing (the merge degrades to a plain
-    /// save). The merge is eviction-aware: when the union exceeds this
-    /// cache's [`MemoCache::capacity`], the oldest surviving entries are
-    /// dropped first, exactly as the in-memory FIFO bound would. Returns
-    /// the number of entries written; the write is atomic like
-    /// [`MemoCache::save_to_file`].
+    /// save). With `max_age` set, every merged entry older than it (by
+    /// insertion timestamp) is dropped — the time-based GC for long-lived
+    /// shared cache files. The merge is eviction-aware: when the union
+    /// exceeds this cache's [`MemoCache::capacity`], the oldest surviving
+    /// entries are dropped first, exactly as the in-memory FIFO bound
+    /// would. Returns the number of entries written.
     ///
-    /// # Errors
-    /// Propagates I/O errors from writing the temp file or renaming it
-    /// into place.
-    pub fn save_merged_to_file(
-        &self,
-        path: &std::path::Path,
-        encode: impl FnMut(&K, &V, &mut Vec<u8>),
-        decode: impl FnMut(&[u8]) -> Option<(K, V)>,
-    ) -> std::io::Result<u64> {
-        self.save_merged_with_max_age(path, encode, decode, None)
-    }
-
-    /// Like [`MemoCache::save_merged_to_file`], but additionally drops
-    /// every merged entry older than `max_age` (by insertion timestamp)
-    /// before writing — the time-based GC for long-lived shared cache
-    /// files. With `max_age = None` this is exactly the plain merge.
+    /// `encode` appends one entry's bytes to the buffer; keys are expected
+    /// to be derived from [`crate::StableFingerprint`]s, which are stable
+    /// across processes. The write is atomic
+    /// ([`crate::persist::write_atomic`]): a crash mid-save or a
+    /// concurrent saver never leaves a torn image behind.
     ///
     /// # Errors
     /// Propagates I/O errors from writing the temp file or renaming it
@@ -423,7 +344,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     ) -> std::io::Result<u64> {
         let existing: Vec<(K, V, u64)> = std::fs::read(path)
             .ok()
-            .and_then(|bytes| Self::parse_persisted(&bytes, &mut decode))
+            .and_then(|bytes| Self::parse_image(&bytes, &mut decode))
             .unwrap_or_default();
         // Newest-wins, order-preserving merge: a refreshed key moves to
         // the back (it is the newest), so capacity truncation below drops
@@ -459,22 +380,31 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         if entries.len() > cap {
             entries.drain(..entries.len() - cap);
         }
-        Self::write_image_atomically(path, &Self::build_image(&entries, &mut encode))?;
+        let mut payload = Vec::new();
+        let mut entry = Vec::new();
+        for (k, v, stamp) in &entries {
+            entry.clear();
+            encode(k, v, &mut entry);
+            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
+            payload.extend_from_slice(&stamp.to_le_bytes());
+            payload.extend_from_slice(&entry);
+        }
+        crate::persist::save_frame(path, PERSIST_MAGIC, &payload)?;
         Ok(entries.len() as u64)
     }
 
-    /// Loads entries saved by [`MemoCache::save_to_file`] into this cache.
-    /// `decode` parses one entry's bytes back into a `(key, value)` pair,
-    /// returning `None` for unrecognized layouts. Entry timestamps are
-    /// restored (version-1 images, which predate timestamps, load as
-    /// freshly inserted).
+    /// Loads entries saved by [`MemoCache::save_merged_with_max_age`] into
+    /// this cache, restoring their insertion timestamps. `decode` parses
+    /// one entry's bytes back into a `(key, value)` pair, returning `None`
+    /// for unrecognized layouts.
     ///
-    /// Any anomaly in the image itself — missing file, bad magic,
-    /// truncation, checksum mismatch, or an entry the decoder rejects —
-    /// yields a clean cold start: `Ok(0)` with the cache left untouched.
-    /// Returns the number of entries inserted (the capacity bound still
-    /// applies, so a cache smaller than the file keeps only the newest
-    /// shard-capacity's worth).
+    /// Any anomaly in the image itself — missing file, bad magic (which
+    /// includes every earlier format version), truncation, checksum
+    /// mismatch, or an entry the decoder rejects — yields a clean cold
+    /// start: `Ok(0)` with the cache left untouched. Returns the number of
+    /// entries inserted (the capacity bound still applies, so a cache
+    /// smaller than the file keeps only the newest shard-capacity's
+    /// worth).
     ///
     /// # Errors
     /// Propagates I/O errors from reading an *existing* file (permission
@@ -491,7 +421,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(e),
         };
-        let Some(entries) = Self::parse_persisted(&bytes, &mut decode) else {
+        let Some(entries) = Self::parse_image(&bytes, &mut decode) else {
             return Ok(0);
         };
         let count = entries.len() as u64;
@@ -501,59 +431,21 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         Ok(count)
     }
 
-    /// Validates and decodes a persisted cache image; `None` on any
-    /// corruption. Understands both the current (timestamped) layout and
-    /// the timestamp-free version-1 layout.
-    fn parse_persisted(
+    /// Validates and decodes a persisted image in place; `None` on any
+    /// corruption or a decoder rejection.
+    fn parse_image(
         bytes: &[u8],
         decode: &mut impl FnMut(&[u8]) -> Option<(K, V)>,
     ) -> Option<Vec<(K, V, u64)>> {
-        let magic_len = PERSIST_MAGIC.len();
-        let header = magic_len + 8;
-        if bytes.len() < header + 8 {
-            return None;
-        }
-        let stamped = match &bytes[..magic_len] {
-            m if m == PERSIST_MAGIC => true,
-            m if m == PERSIST_MAGIC_V1 => false,
-            _ => return None,
-        };
-        let count = u64::from_le_bytes(bytes[magic_len..header].try_into().ok()?);
-        let payload = &bytes[header..bytes.len() - 8];
-        let stored_sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().ok()?);
-        let mut fp = crate::Fingerprinter::new();
-        fp.write_bytes(payload);
-        if fp.finish().0 != stored_sum {
-            return None;
-        }
+        let mut rest = crate::persist::parse_frame(PERSIST_MAGIC, bytes)?;
         let mut entries = Vec::new();
-        let mut rest = payload;
-        let fallback_stamp = now_secs();
-        for _ in 0..count {
-            if rest.len() < 4 {
-                return None;
-            }
-            let len = u32::from_le_bytes(rest[..4].try_into().ok()?) as usize;
-            rest = &rest[4..];
-            let stamp = if stamped {
-                if rest.len() < 8 {
-                    return None;
-                }
-                let s = u64::from_le_bytes(rest[..8].try_into().ok()?);
-                rest = &rest[8..];
-                s
-            } else {
-                fallback_stamp
-            };
-            if rest.len() < len {
-                return None;
-            }
-            let (k, v) = decode(&rest[..len])?;
+        while !rest.is_empty() {
+            let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
+            let stamp = u64::from_le_bytes(rest.get(4..12)?.try_into().ok()?);
+            let end = 12usize.checked_add(len)?;
+            let (k, v) = decode(rest.get(12..end)?)?;
             entries.push((k, v, stamp));
-            rest = &rest[len..];
-        }
-        if !rest.is_empty() {
-            return None;
+            rest = &rest[end..];
         }
         Some(entries)
     }
@@ -576,15 +468,6 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     pub fn shard_stats(&self) -> Vec<CacheStats> {
         self.counters.iter().map(ShardCounters::stats).collect()
     }
-
-    /// Drops every entry (counters are preserved).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("shard poisoned");
-            s.map.clear();
-            s.order.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -594,9 +477,11 @@ mod tests {
     #[test]
     fn hit_and_miss_accounting() {
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
-        assert_eq!(cache.get_or_insert_with(1, || 10), 10); // miss + insert
-        assert_eq!(cache.get_or_insert_with(1, || 99), 10); // hit; compute skipped
-        assert_eq!(cache.get_or_insert_with(2, || 20), 20); // miss + insert
+        assert_eq!(cache.get(&1), None); // miss
+        cache.insert(1, 10);
+        assert_eq!(cache.get(&1), Some(10)); // hit
+        assert_eq!(cache.get(&2), None); // miss
+        cache.insert(2, 20);
         let s = cache.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
@@ -674,15 +559,6 @@ mod tests {
         assert_eq!(cache.get(&1), Some(2));
     }
 
-    #[test]
-    fn clear_preserves_counters() {
-        let cache: MemoCache<u64, u64> = MemoCache::new(8);
-        cache.get_or_insert_with(1, || 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 1);
-    }
-
     fn encode_u64_pair(k: &u64, v: &u64, out: &mut Vec<u8>) {
         out.extend_from_slice(&k.to_le_bytes());
         out.extend_from_slice(&v.to_le_bytes());
@@ -704,6 +580,13 @@ mod tests {
         p
     }
 
+    /// The one save entry point, without age GC.
+    fn save(cache: &MemoCache<u64, u64>, path: &std::path::Path) -> u64 {
+        cache
+            .save_merged_with_max_age(path, encode_u64_pair, decode_u64_pair, None)
+            .unwrap()
+    }
+
     #[test]
     fn persistence_round_trips() {
         let cache: MemoCache<u64, u64> = MemoCache::new(256);
@@ -711,7 +594,8 @@ mod tests {
             cache.insert(k, k * 7);
         }
         let path = temp_path("roundtrip");
-        assert_eq!(cache.save_to_file(&path, encode_u64_pair).unwrap(), 50);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(save(&cache, &path), 50);
         let warm: MemoCache<u64, u64> = MemoCache::new(256);
         assert_eq!(warm.load_from_file(&path, decode_u64_pair).unwrap(), 50);
         for k in 0..50u64 {
@@ -726,7 +610,8 @@ mod tests {
         cache.insert_stamped(1, 10, 12345);
         cache.insert_stamped(2, 20, 67890);
         let path = temp_path("stamps");
-        cache.save_to_file(&path, encode_u64_pair).unwrap();
+        std::fs::remove_file(&path).ok();
+        save(&cache, &path);
         let warm: MemoCache<u64, u64> = MemoCache::new(64);
         warm.load_from_file(&path, decode_u64_pair).unwrap();
         let mut stamps: Vec<(u64, u64)> = warm
@@ -740,33 +625,29 @@ mod tests {
     }
 
     #[test]
-    fn v1_images_load_as_fresh_entries() {
-        // Hand-build a version-1 (timestamp-free) image; it must load
-        // cleanly with every entry treated as freshly inserted.
+    fn v2_images_load_as_cold_starts() {
+        // Hand-build an image in the retired version-2 layout (magic,
+        // entry count, stamped entries, checksum trailer): it must load as
+        // a clean cold start, not as entries.
         let mut payload = Vec::new();
         for (k, v) in [(1u64, 10u64), (2, 20)] {
-            let mut entry = Vec::new();
-            encode_u64_pair(&k, &v, &mut entry);
-            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&entry);
+            payload.extend_from_slice(&16u32.to_le_bytes());
+            payload.extend_from_slice(&super::now_secs().to_le_bytes());
+            encode_u64_pair(&k, &v, &mut payload);
         }
         let mut image = Vec::new();
-        image.extend_from_slice(PERSIST_MAGIC_V1);
+        image.extend_from_slice(b"HASCOMC2");
         image.extend_from_slice(&2u64.to_le_bytes());
         image.extend_from_slice(&payload);
         let mut fp = crate::Fingerprinter::new();
         fp.write_bytes(&payload);
         image.extend_from_slice(&fp.finish().0.to_le_bytes());
 
-        let path = temp_path("v1");
+        let path = temp_path("v2");
         std::fs::write(&path, &image).unwrap();
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
-        assert_eq!(cache.load_from_file(&path, decode_u64_pair).unwrap(), 2);
-        assert_eq!(cache.get(&1), Some(10));
-        assert_eq!(cache.get(&2), Some(20));
-        // Fresh stamps: an aggressive compaction right after loading keeps
-        // them.
-        assert_eq!(cache.compact(Duration::from_secs(60)), 0);
+        assert_eq!(cache.load_from_file(&path, decode_u64_pair).unwrap(), 0);
+        assert!(cache.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -792,24 +673,16 @@ mod tests {
 
     #[test]
     fn future_stamps_are_clamped_on_load_and_merge() {
-        // Hand-build a v2 image whose entries claim timestamps far in the
+        // Hand-build an image whose entries claim timestamps far in the
         // future (an image written by a host with a skewed clock).
         let future = super::now_secs() + 1_000_000;
         let mut payload = Vec::new();
         for (k, v) in [(1u64, 10u64), (2, 20)] {
-            let mut entry = Vec::new();
-            encode_u64_pair(&k, &v, &mut entry);
-            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
+            payload.extend_from_slice(&16u32.to_le_bytes());
             payload.extend_from_slice(&future.to_le_bytes());
-            payload.extend_from_slice(&entry);
+            encode_u64_pair(&k, &v, &mut payload);
         }
-        let mut image = Vec::new();
-        image.extend_from_slice(PERSIST_MAGIC);
-        image.extend_from_slice(&2u64.to_le_bytes());
-        image.extend_from_slice(&payload);
-        let mut fp = crate::Fingerprinter::new();
-        fp.write_bytes(&payload);
-        image.extend_from_slice(&fp.finish().0.to_le_bytes());
+        let image = crate::persist::frame(PERSIST_MAGIC, &payload);
 
         let path = temp_path("future");
         std::fs::write(&path, &image).unwrap();
@@ -826,9 +699,7 @@ mod tests {
         std::fs::write(&path, &image).unwrap();
         let merger: MemoCache<u64, u64> = MemoCache::new(64);
         merger.insert(3, 30);
-        merger
-            .save_merged_to_file(&path, encode_u64_pair, decode_u64_pair)
-            .unwrap();
+        save(&merger, &path);
         let reloaded: MemoCache<u64, u64> = MemoCache::new(64);
         assert_eq!(reloaded.load_from_file(&path, decode_u64_pair).unwrap(), 3);
         for (_, _, stamp) in reloaded.snapshot_stamped() {
@@ -864,7 +735,7 @@ mod tests {
         let old: MemoCache<u64, u64> = MemoCache::new(64);
         old.insert_stamped(1, 10, now.saturating_sub(10_000));
         old.insert_stamped(2, 20, now.saturating_sub(9_000));
-        old.save_to_file(&path, encode_u64_pair).unwrap();
+        save(&old, &path);
         // A later run merges fresh entries with a one-hour max age: the
         // aged entries are dropped from the file, the fresh ones kept.
         let fresh: MemoCache<u64, u64> = MemoCache::new(64);
@@ -907,10 +778,8 @@ mod tests {
         let path = dir.join("cache.bin");
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
         cache.insert(1, 2);
-        cache.save_to_file(&path, encode_u64_pair).unwrap();
-        cache
-            .save_merged_to_file(&path, encode_u64_pair, decode_u64_pair)
-            .unwrap();
+        save(&cache, &path);
+        save(&cache, &path); // the second save merges over the first
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -926,16 +795,12 @@ mod tests {
         let first: MemoCache<u64, u64> = MemoCache::new(256);
         first.insert(1, 10);
         first.insert(2, 20);
-        first
-            .save_merged_to_file(&path, encode_u64_pair, decode_u64_pair)
-            .unwrap();
+        save(&first, &path);
         // A later run shares keys 2 and 3; its value for key 2 must win.
         let second: MemoCache<u64, u64> = MemoCache::new(256);
         second.insert(2, 22);
         second.insert(3, 30);
-        let written = second
-            .save_merged_to_file(&path, encode_u64_pair, decode_u64_pair)
-            .unwrap();
+        let written = save(&second, &path);
         assert_eq!(written, 3);
         let loaded: MemoCache<u64, u64> = MemoCache::new(256);
         assert_eq!(loaded.load_from_file(&path, decode_u64_pair).unwrap(), 3);
@@ -953,14 +818,12 @@ mod tests {
         for k in 0..100u64 {
             big.insert(k, k);
         }
-        big.save_to_file(&path, encode_u64_pair).unwrap();
+        save(&big, &path);
         // A tiny cache merging on top keeps only its capacity's worth,
         // and its own (newest) entries survive the truncation.
         let small: MemoCache<u64, u64> = MemoCache::new(16);
         small.insert(1000, 1);
-        let written = small
-            .save_merged_to_file(&path, encode_u64_pair, decode_u64_pair)
-            .unwrap();
+        let written = save(&small, &path);
         assert_eq!(written as usize, small.capacity());
         let loaded: MemoCache<u64, u64> = MemoCache::new(1024);
         loaded.load_from_file(&path, decode_u64_pair).unwrap();
@@ -972,15 +835,10 @@ mod tests {
     #[test]
     fn merged_save_over_a_corrupt_file_degrades_to_plain_save() {
         let path = temp_path("merge-corrupt");
-        std::fs::write(&path, b"HASCOMC2 but then garbage").unwrap();
+        std::fs::write(&path, b"HASCOMC3 but then garbage").unwrap();
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
         cache.insert(7, 70);
-        assert_eq!(
-            cache
-                .save_merged_to_file(&path, encode_u64_pair, decode_u64_pair)
-                .unwrap(),
-            1
-        );
+        assert_eq!(save(&cache, &path), 1);
         let loaded: MemoCache<u64, u64> = MemoCache::new(64);
         assert_eq!(loaded.load_from_file(&path, decode_u64_pair).unwrap(), 1);
         assert_eq!(loaded.get(&7), Some(70));
@@ -1019,7 +877,8 @@ mod tests {
             cache.insert(k, k);
         }
         let path = temp_path("corrupt");
-        cache.save_to_file(&path, encode_u64_pair).unwrap();
+        std::fs::remove_file(&path).ok();
+        save(&cache, &path);
         let good = std::fs::read(&path).unwrap();
 
         // Flip one payload byte (checksum mismatch), truncate, and garble
@@ -1049,7 +908,8 @@ mod tests {
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
         cache.insert(1, 2);
         let path = temp_path("reject");
-        cache.save_to_file(&path, encode_u64_pair).unwrap();
+        std::fs::remove_file(&path).ok();
+        save(&cache, &path);
         let fresh: MemoCache<u64, u64> = MemoCache::new(64);
         let loaded = fresh.load_from_file(&path, |_| None::<(u64, u64)>).unwrap();
         assert_eq!(loaded, 0);
@@ -1064,7 +924,8 @@ mod tests {
             big.insert(k, k);
         }
         let path = temp_path("capacity");
-        big.save_to_file(&path, encode_u64_pair).unwrap();
+        std::fs::remove_file(&path).ok();
+        save(&big, &path);
         let small: MemoCache<u64, u64> = MemoCache::new(1);
         let loaded = small.load_from_file(&path, decode_u64_pair).unwrap();
         assert_eq!(loaded, 200);
@@ -1081,13 +942,16 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..500u64 {
                         let k = (i + t * 13) % 100;
-                        assert_eq!(cache.get_or_insert_with(k, || k * 3), k * 3);
+                        if cache.get(&k).is_none() {
+                            cache.insert(k, k * 3);
+                        }
+                        assert_eq!(cache.get(&k), Some(k * 3));
                     }
                 });
             }
         });
         let s = cache.stats();
-        assert_eq!(s.hits + s.misses, 2000);
+        assert_eq!(s.hits + s.misses, 4000);
         assert!(cache.len() <= 100);
     }
 }

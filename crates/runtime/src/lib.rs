@@ -47,13 +47,24 @@
 //!     type Request = u64;
 //!     type Response = u64;
 //!     fn evaluate_batch(&self, batch: &[u64]) -> Vec<u64> {
-//!         self.pool.map(batch, |_, &x| self.cache.get_or_insert_with(x, || x * x))
+//!         self.pool.map(batch, |_, &x| {
+//!             self.cache.get(&x).unwrap_or_else(|| {
+//!                 let y = x * x;
+//!                 self.cache.insert(x, y);
+//!                 y
+//!             })
+//!         })
 //!     }
 //! }
 //!
 //! let sq = Squarer { pool: WorkerPool::new(4), cache: MemoCache::new(128) };
 //! assert_eq!(sq.evaluate_batch(&[3, 4, 3]), vec![9, 16, 9]);
-//! assert_eq!(sq.cache.stats().hits, 1);
+//! // Workers racing on the same key may both miss, so within a batch the
+//! // hit count depends on the interleaving; a second batch hits every key.
+//! let first = sq.cache.stats();
+//! assert_eq!(first.hits + first.misses, 3);
+//! assert_eq!(sq.evaluate_batch(&[4, 3]), vec![16, 9]);
+//! assert_eq!(sq.cache.stats().hits, first.hits + 2);
 //! ```
 
 pub mod batch;

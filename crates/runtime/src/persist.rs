@@ -1,9 +1,9 @@
 //! Shared persistence machinery for warm-state images and wire frames.
 //!
 //! Two kinds of warm state survive engine restarts: the memo cache
-//! ([`crate::MemoCache`]'s own format, which predates this module) and the
-//! surrogate-registry store. The network layer (`crates/net`) speaks the
-//! same framing over sockets. All of them want the same plumbing:
+//! ([`crate::MemoCache`]) and the surrogate-registry store. The network
+//! layer (`crates/net`) speaks the same framing over sockets. All of them
+//! want the same plumbing:
 //!
 //! * **atomic replacement** ([`write_atomic`]) — bytes land in a uniquely
 //!   named temp file in the target directory, then rename into place, so a

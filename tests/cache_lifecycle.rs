@@ -23,6 +23,13 @@ fn decode(bytes: &[u8]) -> Option<(u64, u64)> {
     ))
 }
 
+/// The one save entry point: a merged save without age GC.
+fn save(cache: &MemoCache<u64, u64>, path: &std::path::Path) -> u64 {
+    cache
+        .save_merged_with_max_age(path, encode, decode, None)
+        .unwrap()
+}
+
 /// A unique temp path per (test, case) so proptest cases never collide.
 fn temp_path(tag: &str, case: u64) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -64,11 +71,12 @@ proptest! {
         case in any::<u64>(),
     ) {
         let path = temp_path("roundtrip", case);
+        std::fs::remove_file(&path).ok();
         let cache: MemoCache<u64, u64> = MemoCache::new(256);
         for (&k, &v) in &entries {
             cache.insert(k, v);
         }
-        let saved = cache.save_to_file(&path, encode).unwrap();
+        let saved = save(&cache, &path);
         prop_assert_eq!(saved as usize, entries.len());
 
         let mut image = std::fs::read(&path).unwrap();
@@ -127,12 +135,12 @@ proptest! {
         for (&k, &v) in &first {
             a.insert(k, v);
         }
-        a.save_merged_to_file(&path, encode, decode).unwrap();
+        save(&a, &path);
         let b: MemoCache<u64, u64> = MemoCache::new(256);
         for (&k, &v) in &second {
             b.insert(k, v);
         }
-        let written = b.save_merged_to_file(&path, encode, decode).unwrap();
+        let written = save(&b, &path);
         let union: std::collections::BTreeSet<u64> =
             first.keys().chain(second.keys()).copied().collect();
         prop_assert_eq!(written as usize, union.len());
@@ -158,18 +166,19 @@ proptest! {
         case in any::<u64>(),
     ) {
         let path = temp_path("interrupt", case);
+        std::fs::remove_file(&path).ok();
         let writer: MemoCache<u64, u64> = MemoCache::new(256);
         for (&k, &v) in &entries {
             writer.insert(k, v);
         }
-        writer.save_to_file(&path, encode).unwrap();
+        save(&writer, &path);
         let full = std::fs::read(&path).unwrap();
         let cut = cut % full.len();
         std::fs::write(&path, &full[..cut]).unwrap();
 
         let survivor: MemoCache<u64, u64> = MemoCache::new(256);
         survivor.insert(u64::MAX, 1);
-        let written = survivor.save_merged_to_file(&path, encode, decode).unwrap();
+        let written = save(&survivor, &path);
         prop_assert!(written >= 1);
         let warm: MemoCache<u64, u64> = MemoCache::new(256);
         prop_assert_eq!(warm.load_from_file(&path, decode).unwrap(), written);
@@ -204,7 +213,7 @@ fn concurrent_merged_saves_leave_a_loadable_file() {
                     cache.insert(i, w);
                 }
                 for _ in 0..ROUNDS {
-                    cache.save_merged_to_file(&path, encode, decode).unwrap();
+                    save(&cache, &path);
                 }
             });
         }

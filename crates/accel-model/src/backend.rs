@@ -34,7 +34,6 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Instant;
 
 use dse::gp::{GaussianProcess, IncrementalGp, PredictScratch};
 use runtime::{Fingerprinter, StableFingerprint, Telemetry};
@@ -878,12 +877,13 @@ impl SurrogateBackend {
                         train_y.push(st.ys[i]);
                     }
                 }
-                let Ok(gp) = GaussianProcess::fit_reported(&train_x, &train_y, &telemetry) else {
+                let Ok(gp) = telemetry.time("gp/fit", || GaussianProcess::fit(&train_x, &train_y))
+                else {
                     return; // numerically degenerate fold: stay untrusted
                 };
                 gp
             } else {
-                let Ok(gp) = st.trainer.folds[fold].model_reported(&telemetry) else {
+                let Ok(gp) = telemetry.time("gp/fit", || st.trainer.folds[fold].model()) else {
                     return; // numerically degenerate fold: stay untrusted
                 };
                 gp
@@ -897,9 +897,9 @@ impl SurrogateBackend {
             return;
         }
         let fitted = if self.full_refit {
-            GaussianProcess::fit_reported(&st.xs, &st.ys, &telemetry)
+            telemetry.time("gp/fit", || GaussianProcess::fit(&st.xs, &st.ys))
         } else {
-            st.trainer.full.model_reported(&telemetry)
+            telemetry.time("gp/fit", || st.trainer.full.model())
         };
         let Ok(gp) = fitted else {
             return;
@@ -1102,14 +1102,8 @@ impl CostBackend for SurrogateBackend {
         // Timing is observation-only; the clock is read only when a
         // recorder is installed and enabled.
         let factor = match self.telemetry.get() {
-            Some(t) if t.is_enabled() => {
-                // detlint-allow(wall-clock): GP predict timing, recorded only when telemetry is enabled; the factor itself is clock-free
-                let start = Instant::now();
-                let factor = predict();
-                t.record_gp_predict(start.elapsed());
-                factor
-            }
-            _ => predict(),
+            Some(t) => t.time("gp/predict", predict),
+            None => predict(),
         };
         drop(state);
         let corrected = metrics.latency_cycles * factor;

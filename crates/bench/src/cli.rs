@@ -24,9 +24,9 @@
 //!   registry at `FILE`, so a repeat invocation prices with the previous
 //!   run's surrogate generation instead of re-paying the training
 //!   (pair with `--cache` for fully warm restarts);
-//! * `--metrics-out FILE` — write the run's telemetry snapshot (spans,
-//!   counters, per-shard cache stats, per-tier latency histograms) as
-//!   versioned JSON (`hasco-telemetry-v1`) at `FILE`;
+//! * `--metrics-out FILE` — write the run's telemetry snapshot (named
+//!   timing histograms, counters, gauges, per-shard cache stats) as
+//!   versioned JSON (`hasco-telemetry-v2`) at `FILE`;
 //! * `--connect ADDR` — run campaigns against the `hasco-serve`
 //!   front-end at `ADDR` instead of an in-process engine (results are
 //!   bit-identical; the warm state lives server-side);
@@ -93,8 +93,8 @@ fn usage(bin: &str, artifact: &str) -> String {
          \x20   --surrogate-store FILE  persist the trained surrogate registry at FILE so\n\
          \x20                     repeat runs start at the previous surrogate generation\n\
          \x20                     (campaign binaries: fig10, table3)\n\
-         \x20   --metrics-out FILE  write the telemetry snapshot (spans, counters, cache\n\
-         \x20                     shards, per-tier latency histograms) as JSON at FILE\n\
+         \x20   --metrics-out FILE  write the telemetry snapshot (timing histograms,\n\
+         \x20                     counters, gauges, cache shards) as JSON at FILE\n\
          \x20   --connect ADDR    run campaigns against the hasco-serve front-end at ADDR\n\
          \x20                     (bit-identical results; warm state lives server-side)\n\
          \x20   --serve ADDR      serve a network engine at ADDR instead of running the\n\

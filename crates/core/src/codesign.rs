@@ -27,8 +27,7 @@ use dse::Optimizer;
 use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
 use runtime::{
-    resolve_threads, Fingerprinter, MemoCache, StableFingerprint, Telemetry, TierRecorder,
-    WorkerPool,
+    resolve_threads, Fingerprinter, MemoCache, StableFingerprint, Telemetry, Timer, WorkerPool,
 };
 use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
 use tensor_ir::intrinsics::IntrinsicKind;
@@ -611,12 +610,12 @@ impl<'a> HwProblem<'a> {
         self
     }
 
-    /// Attaches the telemetry side channel: per-tier evaluation latency,
-    /// staging spans, and end-of-run cache counters flow into it. A
-    /// surrogate screen backend additionally reports its GP fit/predict
-    /// timings. Call after [`HwProblem::with_backend`] /
-    /// [`HwProblem::with_refinement`] so the installed backends are the
-    /// ones that run.
+    /// Attaches the telemetry side channel: per-tier software-exploration
+    /// timings (`sw_explore/<tier>`), staging spans, and end-of-run cache
+    /// counters flow into it. A surrogate screen backend additionally
+    /// reports its GP fit/predict timings. Call after
+    /// [`HwProblem::with_backend`] / [`HwProblem::with_refinement`] so the
+    /// installed backends are the ones that run.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         if let Some(surrogate) = self.explorer.backend().as_surrogate() {
             surrogate.install_telemetry(telemetry.clone());
@@ -827,7 +826,7 @@ impl<'a> HwProblem<'a> {
         workloads: &[Workload],
         sw_opts: &ExplorerOptions,
         configs: &[&AcceleratorConfig],
-        tier: &TierRecorder,
+        tier: &Timer,
         remote: Option<&RemoteTierHook>,
         seed: u64,
     ) -> Vec<Vec<Option<Metrics>>> {
@@ -858,8 +857,9 @@ impl<'a> HwProblem<'a> {
             }
         }
 
-        // Only real (non-memoized) evaluations are timed, so the tier's
-        // latency histogram measures the backend, not the cache.
+        // Only real (non-memoized) software explorations are timed, so the
+        // tier's `sw_explore/<tier>` timing measures the backend, not the
+        // cache.
         //
         // With a remote hook installed, the deduplicated fresh jobs ship
         // through the remote evaluator instead of the local pool. The
@@ -963,7 +963,10 @@ impl Problem for HwProblem<'_> {
             self.workloads,
             &self.sw_opts,
             &configs,
-            &self.telemetry.tier(self.explorer.backend().name()),
+            &self.telemetry.timer(format_args!(
+                "sw_explore/{}",
+                self.explorer.backend().name()
+            )),
             self.remote_screen.as_ref(),
             self.seed,
         );
@@ -1024,7 +1027,10 @@ impl Problem for HwProblem<'_> {
                     self.workloads,
                     &self.sw_opts,
                     &sub,
-                    &self.telemetry.tier(tier.explorer.backend().name()),
+                    &self.telemetry.timer(format_args!(
+                        "sw_explore/{}",
+                        tier.explorer.backend().name()
+                    )),
                     tier.remote.as_ref(),
                     self.seed,
                 );
@@ -1441,7 +1447,7 @@ fn finalize_solution(
     // observer forwards no events: these rounds run on worker threads,
     // where emission order would depend on scheduling).
     let backend = final_backend.build_with(opts.tech.clone());
-    let tier = telemetry.tier(backend.name());
+    let tier = telemetry.timer(format_args!("sw_explore/{}", backend.name()));
     let explorer = SoftwareExplorer::new(opts.seed)
         .with_backend(backend)
         .with_progress(Arc::new(RunObserver {

@@ -997,7 +997,7 @@ impl Engine {
     /// Snapshots the telemetry registry (`None` when metrics are
     /// disabled), refreshing the point-in-time gauges first: the shared
     /// store's per-shard counters (scope `"store"`), warm-entry count,
-    /// jobs executed, and registered surrogate backends.
+    /// and registered surrogate backends.
     pub fn metrics(&self) -> Option<TelemetrySnapshot> {
         let telemetry = &self.shared.telemetry;
         if !telemetry.is_enabled() {
@@ -1005,7 +1005,6 @@ impl Engine {
         }
         telemetry.set_cache_shards("store", &self.shared.store.shard_stats());
         telemetry.gauge_set("engine.warm_entries", self.warm_entries() as u64);
-        telemetry.gauge_set("engine.jobs_observed", self.jobs_executed());
         telemetry.gauge_set(
             "engine.surrogate_backends",
             self.surrogate_backends() as u64,

@@ -192,32 +192,6 @@ impl GaussianProcess {
         }
     }
 
-    /// Like [`GaussianProcess::fit`], additionally reporting the fit's
-    /// wall time to the telemetry side channel. Timing is
-    /// observation-only — the fitted model is bit-identical to what
-    /// [`GaussianProcess::fit`] returns, and a disabled handle skips the
-    /// clock entirely.
-    ///
-    /// # Errors
-    /// Same as [`GaussianProcess::fit`].
-    ///
-    /// # Panics
-    /// Same as [`GaussianProcess::fit`].
-    pub fn fit_reported(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        telemetry: &runtime::Telemetry,
-    ) -> Result<Self, LinalgError> {
-        if !telemetry.is_enabled() {
-            return Self::fit(xs, ys);
-        }
-        // detlint-allow(wall-clock): fit timing for the telemetry side channel; the enabled check above gates the read
-        let start = std::time::Instant::now();
-        let out = Self::fit(xs, ys);
-        telemetry.record_gp_fit(start.elapsed());
-        out
-    }
-
     /// The selected RBF length scale.
     pub fn length_scale(&self) -> f64 {
         self.length_scale
@@ -409,30 +383,6 @@ impl IncrementalGp {
         }
         let sel = self.selection.as_ref().expect("refresh succeeded");
         Ok(GaussianProcess::materialize(&self.xs, sel, &self.factors))
-    }
-
-    /// Like [`IncrementalGp::model`], reporting the selection's wall time
-    /// to the telemetry side channel as a GP fit (the incremental
-    /// counterpart of [`GaussianProcess::fit_reported`]). Timing is
-    /// observation-only; a disabled handle skips the clock entirely.
-    ///
-    /// # Errors
-    /// Same as [`IncrementalGp::model`].
-    ///
-    /// # Panics
-    /// Same as [`IncrementalGp::model`].
-    pub fn model_reported(
-        &mut self,
-        telemetry: &runtime::Telemetry,
-    ) -> Result<GaussianProcess, LinalgError> {
-        if !telemetry.is_enabled() {
-            return self.model();
-        }
-        // detlint-allow(wall-clock): fit timing for the telemetry side channel; the enabled check above gates the read
-        let start = std::time::Instant::now();
-        let out = self.model();
-        telemetry.record_gp_fit(start.elapsed());
-        out
     }
 }
 

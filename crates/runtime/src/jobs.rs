@@ -22,7 +22,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crate::telemetry::Telemetry;
 
@@ -79,7 +78,8 @@ impl JobScheduler {
     }
 
     /// Attaches a telemetry handle; every spawned job then records how
-    /// long it waited in the queue before an executor picked it up.
+    /// long it waited in the queue before an executor picked it up
+    /// (`scheduler/queue_wait`).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -94,20 +94,14 @@ impl JobScheduler {
     /// order relative to other queued jobs.
     pub fn spawn(&self, job: Job) {
         if let Some(tx) = &self.tx {
-            let job = if self.telemetry.is_enabled() {
-                let telemetry = self.telemetry.clone();
-                // detlint-allow(wall-clock): queue-wait telemetry; the duration feeds a histogram and never reaches job results
-                let queued_at = Instant::now();
-                Box::new(move || {
-                    telemetry.record_queue_wait(queued_at.elapsed());
-                    job();
-                }) as Job
-            } else {
-                job
-            };
+            // The wait closes when an executor starts the job.
+            let queued = self.telemetry.span("scheduler/queue_wait");
             // Send can only fail after the queue closed, which only
             // happens in Drop — unreachable from a live &self.
-            let _ = tx.send(job);
+            let _ = tx.send(Box::new(move || {
+                drop(queued);
+                job();
+            }));
         }
     }
 }
@@ -211,8 +205,10 @@ mod tests {
             }
         }
         let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.queue_wait_ns.count, 4);
+        let (name, wait) = &snap.timings[0];
+        assert_eq!(name, "scheduler/queue_wait");
+        assert_eq!(wait.count, 4);
         // Jobs behind a 1ms predecessor on one slot waited at least that.
-        assert!(snap.queue_wait_ns.max_ns >= 1_000_000);
+        assert!(wait.max_ns >= 1_000_000);
     }
 }

@@ -80,7 +80,7 @@ pub use cache::{CacheStats, MemoCache};
 pub use fingerprint::{Fingerprint, Fingerprinter, StableFingerprint};
 pub use jobs::JobScheduler;
 pub use pool::{PoolStats, WorkerPool};
-pub use telemetry::{Telemetry, TelemetrySnapshot, TierRecorder, TELEMETRY_SCHEMA};
+pub use telemetry::{Telemetry, TelemetrySnapshot, Timer, TELEMETRY_SCHEMA};
 
 /// A point in a discrete search space (one choice index per dimension) —
 /// mirrors `dse::problem::Point` so the batch seam does not depend on the

@@ -28,7 +28,6 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::telemetry::Telemetry;
 
@@ -99,9 +98,10 @@ impl WorkerPool {
     }
 
     /// Attaches a telemetry handle; every [`WorkerPool::map`] call then
-    /// records its batch size, wall time, and steal delta. Telemetry is a
-    /// wall-clock side channel — it observes scheduling and never
-    /// influences it.
+    /// records its wall time (`pool/batch`) and adds its item count and
+    /// steal delta to the counters `pool.items` and `pool.steals`.
+    /// Telemetry is a wall-clock side channel — it observes scheduling
+    /// and never influences it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -151,23 +151,15 @@ impl WorkerPool {
         self.stats
             .items
             .fetch_add(items.len() as u64, Ordering::Relaxed);
-        // Telemetry observes the batch from outside the dispatch: the
-        // clock is only read when a recorder is attached.
-        let observed = self
-            .telemetry
-            .is_enabled()
-            // detlint-allow(wall-clock): per-batch steal/latency telemetry, read only when a recorder is enabled; never reaches results
-            .then(|| (Instant::now(), self.stats.steals.load(Ordering::Relaxed)));
+        // Telemetry observes the batch from outside the dispatch.
+        let batch = self.telemetry.span("pool/batch");
+        let steals_before = self.stats.steals.load(Ordering::Relaxed);
         let out = self.dispatch(items, f);
-        if let Some((start, steals_before)) = observed {
-            let steals = self
-                .stats
-                .steals
-                .load(Ordering::Relaxed)
-                .saturating_sub(steals_before);
-            self.telemetry
-                .record_pool_batch(items.len() as u64, steals, start.elapsed());
-        }
+        drop(batch);
+        let steals = self.stats.steals.load(Ordering::Relaxed);
+        self.telemetry.counter_add("pool.items", items.len() as u64);
+        self.telemetry
+            .counter_add("pool.steals", steals.saturating_sub(steals_before));
         out
     }
 
@@ -468,9 +460,11 @@ mod tests {
         let f = |i: usize, x: &u64| (i as u64) * 10 + x;
         assert_eq!(plain.map(&items, f), observed.map(&items, f));
         let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.pool.batches, 1);
-        assert_eq!(snap.pool.items, 32);
-        assert_eq!(snap.pool.batch_ns.count, 1);
-        assert_eq!(snap.pool.batch_items.max_ns, 32);
+        let names: Vec<&str> = snap.timings.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["pool/batch"]);
+        assert_eq!(snap.timings[0].1.count, 1);
+        let items = snap.counters.iter().find(|(n, _)| n == "pool.items");
+        assert_eq!(items, Some(&("pool.items".to_string(), 32)));
+        assert!(snap.counters.iter().any(|(n, _)| n == "pool.steals"));
     }
 }

@@ -1,19 +1,22 @@
-//! Out-of-band wall-clock telemetry: spans, counters, gauges, and
-//! histograms for the whole engine stack.
+//! Out-of-band wall-clock telemetry: named timings, counters, gauges,
+//! and cache scopes for the whole engine stack.
 //!
 //! The co-design pipeline is instrumented at every layer — engine jobs,
-//! pipeline phases, evaluation batches, backend tiers, GP fits, the memo
-//! cache, the worker pool, and the job scheduler — through one shared
-//! [`Telemetry`] handle:
+//! pipeline phases, software explorations per backend tier, GP fits and
+//! predictions, the memo cache, the worker pool, and the job scheduler —
+//! through one shared [`Telemetry`] handle:
 //!
-//! * **spans** — hierarchical timed sections keyed by a `/`-separated
-//!   path (`"job/hw_dse/screen"`), aggregated per path (count, total,
-//!   min, max) so hot paths stay bounded-memory;
+//! * **timings** — every wall-clock measurement lands in one named,
+//!   power-of-two-bucketed nanosecond histogram. Names are
+//!   `/`-separated paths: pipeline spans (`"job/hw_dse/screen"`),
+//!   software explorations per tier (`"sw_explore/analytic"`), GP work
+//!   (`"gp/fit"`, `"gp/predict"`), pool batches (`"pool/batch"`), and
+//!   scheduler queue wait (`"scheduler/queue_wait"`). They are recorded
+//!   through [`Telemetry::span`] guards, [`Telemetry::time`] closures, or
+//!   cloneable [`Timer`]s for worker closures;
 //! * **counters / gauges** — named monotone sums and last-written values
-//!   (campaign dedup rates, jobs executed, adaptive top-k state);
-//! * **histograms** — power-of-two-bucketed nanosecond distributions
-//!   (per-tier evaluation latency, GP fit/predict time, pool batch time,
-//!   scheduler queue-wait);
+//!   (campaign dedup rates, jobs executed, pool items and steals,
+//!   adaptive top-k state);
 //! * **cache scopes** — per-shard [`CacheStats`] for the engine's shared
 //!   store (point-in-time) and the union of per-job caches (accumulated).
 //!
@@ -27,18 +30,18 @@
 //! bit. The determinism suite pins this
 //! (`telemetry_never_changes_results`), and `detlint` enforces it
 //! statically: this file is the one sanctioned clock owner in
-//! `detlint.toml`, so any `Instant::now`/`SystemTime::now` appearing
-//! elsewhere fails the lint unless its site carries a written
-//! rationale.
+//! `detlint.toml`, so every timed layer goes through it and any
+//! `Instant::now`/`SystemTime::now` elsewhere fails the lint unless its
+//! site carries a written rationale.
 //!
 //! # Cost model
 //!
 //! A disabled handle ([`Telemetry::disabled`], the default) holds no
-//! registry: every recording call is a branch on `None` and returns
-//! without reading the clock. An enabled handle records through relaxed
-//! atomics (histograms, tier cells, pool counters) or short-lived mutexes
-//! on cold paths (span table, counters), cheap enough to leave on for
-//! every bench run.
+//! registry: every recording call is a branch on `None` that neither
+//! reads the clock nor formats a name. An enabled handle resolves a name
+//! to its histogram under a short-lived mutex once per span, `time`
+//! call, or [`Timer`], then records through relaxed atomics — cheap
+//! enough to leave on for every bench run.
 //!
 //! # Example
 //!
@@ -50,12 +53,15 @@
 //!     let _span = t.span("job/hw_dse");
 //!     t.counter_add("batches", 1);
 //! }
+//! assert_eq!(t.time("gp/fit", || 2 + 2), 4);
 //! let snap = t.snapshot().unwrap();
-//! assert_eq!(snap.spans[0].path, "job/hw_dse");
-//! assert!(snap.to_json().contains("hasco-telemetry-v1"));
+//! let names: Vec<&str> = snap.timings.iter().map(|(n, _)| n.as_str()).collect();
+//! assert_eq!(names, ["gp/fit", "job/hw_dse"]);
+//! assert!(snap.to_json().contains("hasco-telemetry-v2"));
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -63,10 +69,11 @@ use std::time::{Duration, Instant};
 use crate::cache::CacheStats;
 
 /// Schema identifier stamped into every JSON document this module emits.
-pub const TELEMETRY_SCHEMA: &str = "hasco-telemetry-v1";
+pub const TELEMETRY_SCHEMA: &str = "hasco-telemetry-v2";
 
-/// Histogram bucket count: bucket `i` holds samples with
-/// `ns <= 2^i`, so 48 buckets span sub-nanosecond to ~78 hours.
+/// Histogram bucket count. Bucket 0 holds samples `ns <= 1`; bucket
+/// `0 < i < 47` holds `2^(i-1) < ns <= 2^i`; the top bucket 47 is
+/// open-ended and holds everything above `2^46` ns (≈ 19.5 hours).
 const HIST_BUCKETS: usize = 48;
 
 /// A lock-free nanosecond histogram with power-of-two buckets.
@@ -80,8 +87,8 @@ struct Histogram {
     buckets: Vec<AtomicU64>,
 }
 
-impl Histogram {
-    fn new() -> Self {
+impl Default for Histogram {
+    fn default() -> Self {
         Histogram {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -90,14 +97,23 @@ impl Histogram {
             buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
+}
 
+impl Histogram {
     fn record(&self, ns: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(ns, Ordering::Relaxed);
         self.min.fetch_min(ns, Ordering::Relaxed);
         self.max.fetch_max(ns, Ordering::Relaxed);
-        let idx = (64 - u64::leading_zeros(ns | 1) as usize).min(HIST_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        // The bit length of `ns - 1` is the smallest `i` with `ns <= 2^i`.
+        let idx = (u64::BITS - ns.saturating_sub(1).leading_zeros()) as usize;
+        self.buckets[idx.min(HIST_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn record_elapsed(&self, start: Instant) -> Duration {
+        let elapsed = start.elapsed();
+        self.record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+        elapsed
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -114,15 +130,15 @@ impl Histogram {
                 .enumerate()
                 .filter_map(|(i, b)| {
                     let n = b.load(Ordering::Relaxed);
-                    (n > 0).then(|| (1u64 << i.min(63), n))
+                    (n > 0).then(|| ((i < HIST_BUCKETS - 1).then(|| 1u64 << i), n))
                 })
                 .collect(),
         }
     }
 }
 
-/// Point-in-time image of a [`Histogram`]: summary statistics plus the
-/// non-empty power-of-two buckets as `(upper_bound_ns, count)` pairs.
+/// Point-in-time image of one named timing: summary statistics plus the
+/// non-empty power-of-two buckets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
@@ -133,9 +149,10 @@ pub struct HistogramSnapshot {
     pub min_ns: u64,
     /// Largest sample.
     pub max_ns: u64,
-    /// Non-empty buckets, ascending: each sample with `ns <= le_ns`
-    /// (and above the previous bucket's bound) counts here.
-    pub buckets: Vec<(u64, u64)>,
+    /// Non-empty buckets, ascending, as `(le_ns, count)`: each sample
+    /// with `ns <= le_ns` (and above the previous power of two) counts
+    /// here. `le_ns` is `None` for the open-ended top bucket.
+    pub buckets: Vec<(Option<u64>, u64)>,
 }
 
 impl HistogramSnapshot {
@@ -143,81 +160,15 @@ impl HistogramSnapshot {
     pub fn mean_ns(&self) -> u64 {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
-
-    fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .buckets
-            .iter()
-            .map(|(le, n)| format!("{{\"le_ns\":{le},\"count\":{n}}}"))
-            .collect();
-        format!(
-            "{{\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"buckets\":[{}]}}",
-            self.count,
-            self.sum_ns,
-            self.min_ns,
-            self.max_ns,
-            buckets.join(",")
-        )
-    }
-}
-
-/// Aggregated timing of one span path.
-#[derive(Debug, Clone, Copy, Default)]
-struct SpanCells {
-    count: u64,
-    total_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-/// Per-backend-tier evaluation cells (atomics: recorded from worker
-/// threads inside evaluation batches).
-#[derive(Debug)]
-struct TierCells {
-    evals: AtomicU64,
-    latency_ns: Histogram,
 }
 
 /// The shared metric store behind an enabled [`Telemetry`] handle.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Registry {
-    spans: Mutex<BTreeMap<String, SpanCells>>,
+    timings: Mutex<BTreeMap<String, Arc<Histogram>>>,
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, u64>>,
-    pool_batches: AtomicU64,
-    pool_items: AtomicU64,
-    pool_steals: AtomicU64,
-    pool_batch_items: Histogram,
-    pool_batch_ns: Histogram,
-    queue_wait_ns: Histogram,
-    tiers: Mutex<BTreeMap<String, Arc<TierCells>>>,
-    gp_fits: AtomicU64,
-    gp_fit_ns: Histogram,
-    gp_predicts: AtomicU64,
-    gp_predict_ns: Histogram,
     caches: Mutex<BTreeMap<String, Vec<CacheStats>>>,
-}
-
-impl Registry {
-    fn new() -> Self {
-        Registry {
-            spans: Mutex::new(BTreeMap::new()),
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            pool_batches: AtomicU64::new(0),
-            pool_items: AtomicU64::new(0),
-            pool_steals: AtomicU64::new(0),
-            pool_batch_items: Histogram::new(),
-            pool_batch_ns: Histogram::new(),
-            queue_wait_ns: Histogram::new(),
-            tiers: Mutex::new(BTreeMap::new()),
-            gp_fits: AtomicU64::new(0),
-            gp_fit_ns: Histogram::new(),
-            gp_predicts: AtomicU64::new(0),
-            gp_predict_ns: Histogram::new(),
-            caches: Mutex::new(BTreeMap::new()),
-        }
-    }
 }
 
 /// A cloneable recorder handle: either a shared registry (enabled) or a
@@ -233,7 +184,7 @@ impl Telemetry {
     /// A recording handle backed by a fresh registry.
     pub fn enabled() -> Self {
         Telemetry {
-            inner: Some(Arc::new(Registry::new())),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -248,33 +199,31 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Opens a timed span; it records into `path`'s aggregate when the
-    /// guard drops (or [`SpanGuard::finish`] is called). Disabled handles
-    /// return an inert guard without reading the clock.
-    pub fn span(&self, path: &str) -> SpanGuard {
-        SpanGuard {
-            inner: self
-                .inner
-                .as_ref()
-                .map(|_| (self.clone(), path.to_string(), Instant::now())),
+    /// A cloneable recorder into the named timing, for worker closures
+    /// that time many short sections under one name. Disabled handles
+    /// return an inert timer without formatting `name`.
+    pub fn timer(&self, name: impl fmt::Display) -> Timer {
+        Timer {
+            hist: self.inner.as_ref().map(|reg| {
+                let mut timings = reg.timings.lock().expect("timing table poisoned");
+                Arc::clone(timings.entry(name.to_string()).or_default())
+            }),
         }
     }
 
-    /// Folds one elapsed duration into `path`'s span aggregate.
-    pub fn record_span(&self, path: &str, elapsed: Duration) {
-        let Some(reg) = &self.inner else { return };
-        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let mut spans = reg.spans.lock().expect("span table poisoned");
-        let cells = spans.entry(path.to_string()).or_default();
-        if cells.count == 0 {
-            cells.min_ns = ns;
-            cells.max_ns = ns;
-        } else {
-            cells.min_ns = cells.min_ns.min(ns);
-            cells.max_ns = cells.max_ns.max(ns);
+    /// Opens a timed span; it records into the named timing when the
+    /// guard drops (or [`SpanGuard::finish`] is called). Disabled handles
+    /// return an inert guard without reading the clock.
+    pub fn span(&self, name: impl fmt::Display) -> SpanGuard {
+        SpanGuard {
+            inner: self.timer(name).hist.map(|hist| (hist, Instant::now())),
         }
-        cells.count += 1;
-        cells.total_ns += ns;
+    }
+
+    /// Runs `f`, recording its wall time into the named timing. Disabled
+    /// handles run `f` without reading the clock.
+    pub fn time<R>(&self, name: impl fmt::Display, f: impl FnOnce() -> R) -> R {
+        self.timer(name).time(f)
     }
 
     /// Adds `delta` to the named monotone counter.
@@ -289,57 +238,6 @@ impl Telemetry {
         let Some(reg) = &self.inner else { return };
         let mut gauges = reg.gauges.lock().expect("gauge table poisoned");
         gauges.insert(name.to_string(), value);
-    }
-
-    /// A cheap per-tier recorder for the named cost-backend tier, safe to
-    /// clone into worker closures (recording is atomic).
-    pub fn tier(&self, name: &str) -> TierRecorder {
-        TierRecorder {
-            cells: self.inner.as_ref().map(|reg| {
-                let mut tiers = reg.tiers.lock().expect("tier table poisoned");
-                Arc::clone(tiers.entry(name.to_string()).or_insert_with(|| {
-                    Arc::new(TierCells {
-                        evals: AtomicU64::new(0),
-                        latency_ns: Histogram::new(),
-                    })
-                }))
-            }),
-        }
-    }
-
-    /// Records one worker-pool batch: item count, steal operations it
-    /// caused, and wall time.
-    pub fn record_pool_batch(&self, items: u64, steals: u64, elapsed: Duration) {
-        let Some(reg) = &self.inner else { return };
-        reg.pool_batches.fetch_add(1, Ordering::Relaxed);
-        reg.pool_items.fetch_add(items, Ordering::Relaxed);
-        reg.pool_steals.fetch_add(steals, Ordering::Relaxed);
-        reg.pool_batch_items.record(items);
-        reg.pool_batch_ns.record(saturating_ns(elapsed));
-    }
-
-    /// Records how long a scheduled job waited in the queue before an
-    /// executor picked it up.
-    pub fn record_queue_wait(&self, waited: Duration) {
-        if let Some(reg) = &self.inner {
-            reg.queue_wait_ns.record(saturating_ns(waited));
-        }
-    }
-
-    /// Records one Gaussian-process fit.
-    pub fn record_gp_fit(&self, elapsed: Duration) {
-        if let Some(reg) = &self.inner {
-            reg.gp_fits.fetch_add(1, Ordering::Relaxed);
-            reg.gp_fit_ns.record(saturating_ns(elapsed));
-        }
-    }
-
-    /// Records one Gaussian-process posterior prediction pass.
-    pub fn record_gp_predict(&self, elapsed: Duration) {
-        if let Some(reg) = &self.inner {
-            reg.gp_predicts.fetch_add(1, Ordering::Relaxed);
-            reg.gp_predict_ns.record(saturating_ns(elapsed));
-        }
     }
 
     /// Accumulates per-shard cache counters into the named scope
@@ -371,43 +269,16 @@ impl Telemetry {
     /// disabled).
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
         let reg = self.inner.as_ref()?;
-        let spans = reg
-            .spans
+        let named = |table: &Mutex<BTreeMap<String, u64>>| {
+            let table = table.lock().expect("metric table poisoned");
+            table.iter().map(|(k, v)| (k.clone(), *v)).collect()
+        };
+        let timings = reg
+            .timings
             .lock()
-            .expect("span table poisoned")
+            .expect("timing table poisoned")
             .iter()
-            .map(|(path, c)| SpanStat {
-                path: path.clone(),
-                count: c.count,
-                total_ns: c.total_ns,
-                min_ns: c.min_ns,
-                max_ns: c.max_ns,
-            })
-            .collect();
-        let counters = reg
-            .counters
-            .lock()
-            .expect("counter table poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        let gauges = reg
-            .gauges
-            .lock()
-            .expect("gauge table poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        let tiers = reg
-            .tiers
-            .lock()
-            .expect("tier table poisoned")
-            .iter()
-            .map(|(name, cells)| TierStat {
-                name: name.clone(),
-                evals: cells.evals.load(Ordering::Relaxed),
-                latency_ns: cells.latency_ns.snapshot(),
-            })
+            .map(|(name, h)| (name.clone(), h.snapshot()))
             .collect();
         let caches = reg
             .caches
@@ -421,37 +292,36 @@ impl Telemetry {
             .collect();
         Some(TelemetrySnapshot {
             schema: TELEMETRY_SCHEMA.to_string(),
-            spans,
-            counters,
-            gauges,
-            pool: PoolTelemetry {
-                batches: reg.pool_batches.load(Ordering::Relaxed),
-                items: reg.pool_items.load(Ordering::Relaxed),
-                steals: reg.pool_steals.load(Ordering::Relaxed),
-                batch_items: reg.pool_batch_items.snapshot(),
-                batch_ns: reg.pool_batch_ns.snapshot(),
-            },
-            queue_wait_ns: reg.queue_wait_ns.snapshot(),
-            tiers,
-            gp: GpStat {
-                fits: reg.gp_fits.load(Ordering::Relaxed),
-                fit_ns: reg.gp_fit_ns.snapshot(),
-                predicts: reg.gp_predicts.load(Ordering::Relaxed),
-                predict_ns: reg.gp_predict_ns.snapshot(),
-            },
+            timings,
+            counters: named(&reg.counters),
+            gauges: named(&reg.gauges),
             caches,
         })
     }
 }
 
-fn saturating_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
+/// A cloneable recorder into one named timing (see [`Telemetry::timer`]).
+#[derive(Debug, Clone, Default)]
+pub struct Timer {
+    hist: Option<Arc<Histogram>>,
+}
+
+impl Timer {
+    /// Runs `f`, recording its wall time as one sample. Inert timers run
+    /// `f` without reading the clock.
+    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        let Some(hist) = &self.hist else { return f() };
+        let start = Instant::now();
+        let out = f();
+        hist.record_elapsed(start);
+        out
+    }
 }
 
 /// RAII guard of an open [`Telemetry::span`]; records on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
-    inner: Option<(Telemetry, String, Instant)>,
+    inner: Option<(Arc<Histogram>, Instant)>,
 }
 
 impl SpanGuard {
@@ -462,14 +332,9 @@ impl SpanGuard {
     }
 
     fn finish_inner(&mut self) -> Duration {
-        match self.inner.take() {
-            Some((t, path, start)) => {
-                let elapsed = start.elapsed();
-                t.record_span(&path, elapsed);
-                elapsed
-            }
-            None => Duration::ZERO,
-        }
+        self.inner
+            .take()
+            .map_or(Duration::ZERO, |(hist, start)| hist.record_elapsed(start))
     }
 }
 
@@ -477,88 +342,6 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         self.finish_inner();
     }
-}
-
-/// A cloneable per-tier evaluation recorder (see [`Telemetry::tier`]).
-#[derive(Debug, Clone, Default)]
-pub struct TierRecorder {
-    cells: Option<Arc<TierCells>>,
-}
-
-impl TierRecorder {
-    /// Records one evaluation of this tier.
-    pub fn record(&self, elapsed: Duration) {
-        if let Some(cells) = &self.cells {
-            cells.evals.fetch_add(1, Ordering::Relaxed);
-            cells.latency_ns.record(saturating_ns(elapsed));
-        }
-    }
-
-    /// Runs `f`, recording its wall time as one evaluation. Disabled
-    /// recorders run `f` without reading the clock.
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        if self.cells.is_none() {
-            return f();
-        }
-        let start = Instant::now();
-        let out = f();
-        self.record(start.elapsed());
-        out
-    }
-}
-
-/// Aggregate of one span path in a snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// `/`-separated hierarchical path, e.g. `"job/hw_dse/screen"`.
-    pub path: String,
-    /// Times the span was recorded.
-    pub count: u64,
-    /// Total nanoseconds across all recordings.
-    pub total_ns: u64,
-    /// Shortest recording.
-    pub min_ns: u64,
-    /// Longest recording.
-    pub max_ns: u64,
-}
-
-/// Per-backend-tier evaluation statistics in a snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TierStat {
-    /// Backend name as reported by `CostBackend::name`.
-    pub name: String,
-    /// Evaluations recorded against this tier.
-    pub evals: u64,
-    /// Latency distribution of those evaluations.
-    pub latency_ns: HistogramSnapshot,
-}
-
-/// Worker-pool scheduling statistics in a snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolTelemetry {
-    /// Batches dispatched.
-    pub batches: u64,
-    /// Items evaluated across batches.
-    pub items: u64,
-    /// Steal operations.
-    pub steals: u64,
-    /// Batch-size distribution (item counts, not nanoseconds).
-    pub batch_items: HistogramSnapshot,
-    /// Batch wall-time distribution.
-    pub batch_ns: HistogramSnapshot,
-}
-
-/// Gaussian-process timing statistics in a snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GpStat {
-    /// Full surrogate refits (each spans the CV folds plus final fit).
-    pub fits: u64,
-    /// Fit wall-time distribution.
-    pub fit_ns: HistogramSnapshot,
-    /// Posterior prediction passes.
-    pub predicts: u64,
-    /// Prediction wall-time distribution.
-    pub predict_ns: HistogramSnapshot,
 }
 
 /// Per-shard cache counters for one cache scope.
@@ -592,20 +375,12 @@ impl CacheScopeStat {
 pub struct TelemetrySnapshot {
     /// Schema identifier ([`TELEMETRY_SCHEMA`]).
     pub schema: String,
-    /// Span aggregates, sorted by path.
-    pub spans: Vec<SpanStat>,
+    /// Named nanosecond timings, sorted by name.
+    pub timings: Vec<(String, HistogramSnapshot)>,
     /// Monotone counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Last-written gauges, sorted by name.
     pub gauges: Vec<(String, u64)>,
-    /// Worker-pool activity.
-    pub pool: PoolTelemetry,
-    /// Scheduler queue-wait distribution.
-    pub queue_wait_ns: HistogramSnapshot,
-    /// Per-backend-tier evaluation statistics, sorted by tier name.
-    pub tiers: Vec<TierStat>,
-    /// Gaussian-process timing.
-    pub gp: GpStat,
     /// Per-shard cache counters, one entry per scope.
     pub caches: Vec<CacheScopeStat>,
 }
@@ -650,42 +425,31 @@ fn fmt_ns(ns: u64) -> String {
 
 impl TelemetrySnapshot {
     /// Serializes the snapshot as a versioned JSON document (schema
-    /// `hasco-telemetry-v1`; the layout is documented in the repository
+    /// `hasco-telemetry-v2`; the layout is documented in the repository
     /// README's Observability section).
     pub fn to_json(&self) -> String {
-        let spans: Vec<String> = self
-            .spans
+        let named =
+            |(k, v): &(String, u64)| format!("{{\"name\":\"{}\",\"value\":{v}}}", json_escape(k));
+        let timings: Vec<String> = self
+            .timings
             .iter()
-            .map(|s| {
+            .map(|(name, h)| {
+                let buckets: Vec<String> = h
+                    .buckets
+                    .iter()
+                    .map(|(le, n)| match le {
+                        Some(le) => format!("{{\"le_ns\":{le},\"count\":{n}}}"),
+                        None => format!("{{\"le_ns\":null,\"count\":{n}}}"),
+                    })
+                    .collect();
                 format!(
-                    "{{\"path\":\"{}\",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                    json_escape(&s.path),
-                    s.count,
-                    s.total_ns,
-                    s.min_ns,
-                    s.max_ns
-                )
-            })
-            .collect();
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("{{\"name\":\"{}\",\"value\":{v}}}", json_escape(k)))
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("{{\"name\":\"{}\",\"value\":{v}}}", json_escape(k)))
-            .collect();
-        let tiers: Vec<String> = self
-            .tiers
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"name\":\"{}\",\"evals\":{},\"latency_ns\":{}}}",
-                    json_escape(&t.name),
-                    t.evals,
-                    t.latency_ns.to_json()
+                    "{{\"name\":\"{}\",\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"buckets\":[{}]}}",
+                    json_escape(name),
+                    h.count,
+                    h.sum_ns,
+                    h.min_ns,
+                    h.max_ns,
+                    buckets.join(",")
                 )
             })
             .collect();
@@ -703,33 +467,11 @@ impl TelemetrySnapshot {
             })
             .collect();
         format!(
-            concat!(
-                "{{\"schema\":\"{}\",",
-                "\"spans\":[{}],",
-                "\"counters\":[{}],",
-                "\"gauges\":[{}],",
-                "\"pool\":{{\"batches\":{},\"items\":{},\"steals\":{},",
-                "\"batch_items\":{},\"batch_ns\":{}}},",
-                "\"jobs\":{{\"queue_wait_ns\":{}}},",
-                "\"tiers\":[{}],",
-                "\"gp\":{{\"fits\":{},\"fit_ns\":{},\"predicts\":{},\"predict_ns\":{}}},",
-                "\"caches\":[{}]}}"
-            ),
+            "{{\"schema\":\"{}\",\"timings\":[{}],\"counters\":[{}],\"gauges\":[{}],\"caches\":[{}]}}",
             json_escape(&self.schema),
-            spans.join(","),
-            counters.join(","),
-            gauges.join(","),
-            self.pool.batches,
-            self.pool.items,
-            self.pool.steals,
-            self.pool.batch_items.to_json(),
-            self.pool.batch_ns.to_json(),
-            self.queue_wait_ns.to_json(),
-            tiers.join(","),
-            self.gp.fits,
-            self.gp.fit_ns.to_json(),
-            self.gp.predicts,
-            self.gp.predict_ns.to_json(),
+            timings.join(","),
+            self.counters.iter().map(named).collect::<Vec<_>>().join(","),
+            self.gauges.iter().map(named).collect::<Vec<_>>().join(","),
             caches.join(",")
         )
     }
@@ -737,45 +479,14 @@ impl TelemetrySnapshot {
     /// Renders the snapshot as a compact human summary block.
     pub fn render(&self) -> String {
         let mut out = String::from("== telemetry ==\n");
-        for s in &self.spans {
+        for (name, h) in &self.timings {
             out.push_str(&format!(
-                "span  {:<28} {:>5}x  total {:>9}  mean {:>9}\n",
-                s.path,
-                s.count,
-                fmt_ns(s.total_ns),
-                fmt_ns(s.total_ns.checked_div(s.count).unwrap_or(0)),
-            ));
-        }
-        out.push_str(&format!(
-            "pool  {} batches / {} items / {} steals (mean batch {})\n",
-            self.pool.batches,
-            self.pool.items,
-            self.pool.steals,
-            fmt_ns(self.pool.batch_ns.mean_ns()),
-        ));
-        if self.queue_wait_ns.count > 0 {
-            out.push_str(&format!(
-                "jobs  {} queued (mean wait {}, max {})\n",
-                self.queue_wait_ns.count,
-                fmt_ns(self.queue_wait_ns.mean_ns()),
-                fmt_ns(self.queue_wait_ns.max_ns),
-            ));
-        }
-        for t in &self.tiers {
-            out.push_str(&format!(
-                "tier  {:<28} {:>7} evals  mean {:>9}\n",
-                t.name,
-                t.evals,
-                fmt_ns(t.latency_ns.mean_ns()),
-            ));
-        }
-        if self.gp.fits > 0 || self.gp.predicts > 0 {
-            out.push_str(&format!(
-                "gp    {} fits (mean {}) / {} predicts (mean {})\n",
-                self.gp.fits,
-                fmt_ns(self.gp.fit_ns.mean_ns()),
-                self.gp.predicts,
-                fmt_ns(self.gp.predict_ns.mean_ns()),
+                "time  {:<28} {:>7}x  total {:>9}  mean {:>9}  max {:>9}\n",
+                name,
+                h.count,
+                fmt_ns(h.sum_ns),
+                fmt_ns(h.mean_ns()),
+                fmt_ns(h.max_ns),
             ));
         }
         for c in &self.caches {
@@ -803,6 +514,11 @@ impl TelemetrySnapshot {
 mod tests {
     use super::*;
 
+    fn timing<'a>(snap: &'a TelemetrySnapshot, name: &str) -> &'a HistogramSnapshot {
+        let found = snap.timings.iter().find(|(n, _)| n == name);
+        &found.unwrap_or_else(|| panic!("no timing {name}")).1
+    }
+
     #[test]
     fn disabled_is_inert() {
         let t = Telemetry::disabled();
@@ -810,32 +526,62 @@ mod tests {
         {
             let _span = t.span("job");
         }
+        assert_eq!(t.time("gp/fit", || 3), 3);
+        assert_eq!(t.timer("sw_explore/analytic").time(|| 4), 4);
         t.counter_add("c", 1);
         t.gauge_set("g", 2);
-        t.tier("analytic").record(Duration::from_micros(5));
-        t.record_pool_batch(4, 1, Duration::from_micros(9));
-        t.record_queue_wait(Duration::from_micros(1));
-        t.record_gp_fit(Duration::from_micros(1));
-        t.record_gp_predict(Duration::from_micros(1));
         t.add_cache_shards("jobs", &[CacheStats::default()]);
         assert!(t.snapshot().is_none());
         assert_eq!(t.span("x").finish(), Duration::ZERO);
     }
 
     #[test]
+    fn disabled_handles_never_format_names() {
+        struct Tripwire;
+        impl fmt::Display for Tripwire {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("a disabled handle formatted a timing name")
+            }
+        }
+        let t = Telemetry::disabled();
+        drop(t.span(Tripwire));
+        t.time(Tripwire, || ());
+        t.timer(Tripwire).time(|| ());
+    }
+
+    #[test]
     fn spans_aggregate_per_path() {
         let t = Telemetry::enabled();
-        t.record_span("job", Duration::from_nanos(100));
-        t.record_span("job", Duration::from_nanos(300));
-        t.record_span("job/hw_dse", Duration::from_nanos(50));
+        for ns in [100, 300] {
+            t.timer("job").hist.unwrap().record(ns);
+        }
+        t.span("job/hw_dse").finish();
         let snap = t.snapshot().unwrap();
-        assert_eq!(snap.spans.len(), 2);
-        let job = &snap.spans[0];
-        assert_eq!(job.path, "job");
-        assert_eq!(job.count, 2);
-        assert_eq!(job.total_ns, 400);
-        assert_eq!(job.min_ns, 100);
-        assert_eq!(job.max_ns, 300);
+        assert_eq!(snap.timings.len(), 2);
+        let (path, job) = &snap.timings[0];
+        assert_eq!(path, "job");
+        assert_eq!((job.count, job.sum_ns), (2, 400));
+        assert_eq!((job.min_ns, job.max_ns), (100, 300));
+        t.span("job").finish();
+        assert_eq!(timing(&t.snapshot().unwrap(), "job").count, 3);
+    }
+
+    #[test]
+    fn timers_share_one_histogram_per_name() {
+        let t = Telemetry::enabled();
+        let a = t.timer("sw_explore/analytic");
+        let b = a.clone();
+        assert_eq!(a.time(|| 7), 7);
+        b.time(|| ());
+        t.time("sw_explore/analytic", || ());
+        t.timer("sw_explore/sim").time(|| ());
+        let snap = t.snapshot().unwrap();
+        let names: Vec<&str> = snap.timings.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["sw_explore/analytic", "sw_explore/sim"]);
+        let tier = timing(&snap, "sw_explore/analytic");
+        assert_eq!(tier.count, 3);
+        assert_eq!(tier.buckets.iter().map(|(_, n)| n).sum::<u64>(), 3);
+        assert_eq!(timing(&snap, "sw_explore/sim").count, 1);
     }
 
     #[test]
@@ -843,13 +589,13 @@ mod tests {
         let t = Telemetry::enabled();
         let elapsed = t.span("bench").finish();
         let snap = t.snapshot().unwrap();
-        assert_eq!(snap.spans[0].count, 1);
-        assert_eq!(snap.spans[0].total_ns, elapsed.as_nanos() as u64);
+        assert_eq!(timing(&snap, "bench").count, 1);
+        assert_eq!(timing(&snap, "bench").sum_ns, elapsed.as_nanos() as u64);
         // Dropping (not finishing) records too.
         {
             let _g = t.span("bench");
         }
-        assert_eq!(t.snapshot().unwrap().spans[0].count, 2);
+        assert_eq!(timing(&t.snapshot().unwrap(), "bench").count, 2);
     }
 
     #[test]
@@ -865,40 +611,26 @@ mod tests {
     }
 
     #[test]
-    fn tier_recorders_share_cells_per_name() {
-        let t = Telemetry::enabled();
-        let a = t.tier("analytic");
-        let b = t.tier("analytic");
-        a.record(Duration::from_nanos(10));
-        b.record(Duration::from_nanos(30));
-        let out = t.tier("sim").time(|| 7);
-        assert_eq!(out, 7);
-        let snap = t.snapshot().unwrap();
-        assert_eq!(snap.tiers.len(), 2);
-        assert_eq!(snap.tiers[0].name, "analytic");
-        assert_eq!(snap.tiers[0].evals, 2);
-        assert_eq!(snap.tiers[0].latency_ns.sum_ns, 40);
-        assert_eq!(snap.tiers[1].name, "sim");
-        assert_eq!(snap.tiers[1].evals, 1);
-    }
-
-    #[test]
     fn histogram_buckets_are_powers_of_two() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
+        let h = Histogram::default();
+        for ns in [0, 1, 2, 3, 4, u64::MAX] {
+            h.record(ns);
+        }
         let snap = h.snapshot();
-        assert_eq!(snap.count, 5);
+        assert_eq!(snap.count, 6);
         assert_eq!(snap.min_ns, 0);
-        assert_eq!(snap.max_ns, 1024);
-        // ns=0,1 -> le 2; ns=2 -> le 4 (bucket i holds ns<=2^i with
-        // i = bit length); ns=3 -> le 4; ns=1024 -> le 2048.
-        assert_eq!(snap.buckets, vec![(2, 2), (4, 2), (2048, 1)]);
-        let total: u64 = snap.buckets.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, snap.count);
+        assert_eq!(snap.max_ns, u64::MAX);
+        // 0 and 1 -> le 1 (bucket 0); 2 -> le 2; 3 and 4 -> le 4;
+        // u64::MAX -> the open-ended top bucket.
+        assert_eq!(
+            snap.buckets,
+            vec![(Some(1), 2), (Some(2), 1), (Some(4), 2), (None, 1)]
+        );
+        // The last finite bound is 2^46; anything above is open-ended.
+        let edge = Histogram::default();
+        edge.record(1 << 46);
+        edge.record((1 << 46) + 1);
+        assert_eq!(edge.snapshot().buckets, vec![(Some(1 << 46), 1), (None, 1)]);
     }
 
     #[test]
@@ -929,24 +661,17 @@ mod tests {
     fn json_document_has_schema_and_sections() {
         let t = Telemetry::enabled();
         t.span("job").finish();
+        t.time("sw_explore/analytic", || ());
         t.counter_add("c", 1);
         t.gauge_set("g", 9);
-        t.tier("analytic").record(Duration::from_micros(3));
-        t.record_pool_batch(8, 2, Duration::from_micros(40));
-        t.record_queue_wait(Duration::from_micros(7));
-        t.record_gp_fit(Duration::from_millis(1));
-        t.record_gp_predict(Duration::from_micros(2));
         t.set_cache_shards("store", &[CacheStats::default()]);
         let json = t.snapshot().unwrap().to_json();
         for key in [
-            "\"schema\":\"hasco-telemetry-v1\"",
-            "\"spans\":[",
+            "\"schema\":\"hasco-telemetry-v2\"",
+            "\"timings\":[{\"name\":\"job\",",
+            "{\"name\":\"sw_explore/analytic\",",
             "\"counters\":[",
             "\"gauges\":[",
-            "\"pool\":{",
-            "\"queue_wait_ns\":{",
-            "\"tiers\":[",
-            "\"gp\":{",
             "\"caches\":[",
             "\"le_ns\":",
             "\"shards\":[",
@@ -954,33 +679,49 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         // Balanced braces / brackets: cheap structural sanity.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces"
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn json_v2_keys_are_pinned() {
+        let t = Telemetry::enabled();
+        let h = t.timer("gp/fit");
+        h.hist.as_ref().unwrap().record(3);
+        h.hist.as_ref().unwrap().record(1 << 47);
+        t.counter_add("pool.steals", 2);
+        t.gauge_set("g", 9);
+        t.set_cache_shards("store", &[CacheStats::default()]);
+        let json = t.snapshot().unwrap().to_json();
+        let zero = "{\"hits\":0,\"misses\":0,\"inserts\":0,\"evictions\":0}";
+        let expected = format!(
+            concat!(
+                "{{\"schema\":\"hasco-telemetry-v2\",",
+                "\"timings\":[{{\"name\":\"gp/fit\",\"count\":2,\"sum_ns\":140737488355331,",
+                "\"min_ns\":3,\"max_ns\":140737488355328,",
+                "\"buckets\":[{{\"le_ns\":4,\"count\":1}},{{\"le_ns\":null,\"count\":1}}]}}],",
+                "\"counters\":[{{\"name\":\"pool.steals\",\"value\":2}}],",
+                "\"gauges\":[{{\"name\":\"g\",\"value\":9}}],",
+                "\"caches\":[{{\"scope\":\"store\",\"total\":{zero},\"shards\":[{zero}]}}]}}"
+            ),
+            zero = zero
+        );
+        assert_eq!(json, expected);
     }
 
     #[test]
     fn render_mentions_every_section() {
         let t = Telemetry::enabled();
         t.span("job").finish();
-        t.tier("analytic").record(Duration::from_micros(3));
-        t.record_pool_batch(8, 2, Duration::from_micros(40));
-        t.record_queue_wait(Duration::from_micros(7));
-        t.record_gp_fit(Duration::from_millis(1));
+        t.time("sw_explore/analytic", || ());
         t.add_cache_shards("jobs", &[CacheStats::default()]);
         t.counter_add("campaign.scenarios", 12);
         t.gauge_set("topk", 3);
         let text = t.snapshot().unwrap().render();
         for needle in [
             "== telemetry ==",
-            "span  job",
-            "pool  1 batches",
-            "jobs  1 queued",
-            "tier  analytic",
-            "gp    1 fits",
+            "time  job",
+            "time  sw_explore/analytic",
             "cache jobs",
             "count campaign.scenarios",
             "gauge topk",

@@ -599,20 +599,30 @@ mod engine_concurrency {
         };
         let assert_snapshot_nontrivial = |snapshot: &Option<TelemetrySnapshot>| {
             let snapshot = snapshot.as_ref().expect("metrics-on engine snapshots");
+            let count = |name: &str| {
+                let timing = snapshot.timings.iter().find(|(n, _)| n == name);
+                timing.map_or(0, |(_, h)| h.count)
+            };
             assert!(
-                snapshot.spans.iter().any(|s| s.path == "job"),
+                snapshot.timings.iter().any(|(n, _)| n == "job"),
                 "no job span recorded"
             );
             assert!(
-                snapshot.spans.iter().any(|s| s.path == "job/hw_dse/screen"),
+                snapshot
+                    .timings
+                    .iter()
+                    .any(|(n, _)| n == "job/hw_dse/screen"),
                 "no screen span recorded"
             );
             assert!(
-                snapshot.tiers.iter().any(|t| t.evals > 0),
+                snapshot
+                    .timings
+                    .iter()
+                    .any(|(n, h)| n.starts_with("sw_explore/") && h.count > 0),
                 "no tier evaluations recorded"
             );
-            assert!(snapshot.gp.fits > 0, "surrogate run recorded no GP fits");
-            assert!(snapshot.pool.batches > 0, "no pool batches recorded");
+            assert!(count("gp/fit") > 0, "surrogate run recorded no GP fits");
+            assert!(count("pool/batch") > 0, "no pool batches recorded");
             assert!(
                 snapshot.caches.iter().any(|c| c.total().misses > 0),
                 "no cache traffic recorded"

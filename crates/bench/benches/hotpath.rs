@@ -1,8 +1,9 @@
 //! Hot-path criterion benches: the paper's co-design loop leans on the
 //! surrogate being cheap, so this suite times exactly the paths the
-//! telemetry (PR 6) exposed as hot — GP fit/observe/predict, the
-//! trace-sim staged-plan recurrence, the memo cache under contention,
-//! and steal-heavy staged pool batches — and emits a versioned
+//! telemetry exposed as hot — GP fit/observe/predict, MOBO's EHVI
+//! acquisition and the hypervolume call inside it, the trace-sim
+//! staged-plan recurrence, the memo cache under contention, and
+//! steal-heavy staged pool batches — and emits a versioned
 //! `BENCH_hotpath.json` at the repo root so the perf trajectory
 //! accumulates alongside `BENCH_table3.json`.
 //!
@@ -23,21 +24,31 @@ use criterion::{black_box, Criterion};
 use accel_model::arch::AcceleratorConfig;
 use accel_model::plan::{ExecutionPlan, TensorTraffic};
 use accel_model::sim::{program_from_plan, TraceSimulator};
-use dse::gp::{GaussianProcess, IncrementalGp, PredictScratch};
+use dse::gp::{GaussianProcess, IncrementalGp, Posterior, PredictScratch};
+use dse::hypervolume::{hypervolume_flat, HvScratch};
+use dse::mobo::Ehvi;
+use dse::pareto::pareto_indices;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use runtime::{MemoCache, WorkerPool};
 use tensor_ir::intrinsics::IntrinsicKind;
 
-/// Deterministic training rows shaped like the surrogate's feature
-/// vectors (8 dims in [0, 1]) with a smooth log-ratio-like target.
-fn gp_rows(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+/// A deterministic stream of uniform draws in [0, 1).
+fn unit_stream() -> impl FnMut() -> f64 {
     let mut seed = 0x2545f4914f6cdd1du64;
-    let mut unit = move || {
+    move || {
         // xorshift64*: cheap, deterministic, good enough for bench data.
         seed ^= seed >> 12;
         seed ^= seed << 25;
         seed ^= seed >> 27;
         (seed.wrapping_mul(0x2545f4914f6cdd1d) >> 11) as f64 / (1u64 << 53) as f64
-    };
+    }
+}
+
+/// Deterministic training rows shaped like the surrogate's feature
+/// vectors (8 dims in [0, 1]) with a smooth log-ratio-like target.
+fn gp_rows(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let mut unit = unit_stream();
     let xs: Vec<Vec<f64>> = (0..n).map(|_| (0..8).map(|_| unit()).collect()).collect();
     let ys: Vec<f64> = xs
         .iter()
@@ -75,6 +86,63 @@ fn bench_gp(c: &mut Criterion) {
     let probe: Vec<f64> = (0..8).map(|i| i as f64 / 7.0).collect();
     c.bench_function("gp/predict/n200", |b| {
         b.iter(|| black_box(gp.predict_with(black_box(&probe), &mut scratch)))
+    });
+}
+
+/// MOBO's acquisition on a 3-objective problem: ten observed
+/// log-objective vectors whose Pareto front has four points (the front
+/// sizes co-design runs see), scored against 192 candidates × 24
+/// posterior samples — one `Mobo` acquisition minus the GP work — and
+/// the single hypervolume call (front plus one sample) inside it.
+fn bench_ehvi(c: &mut Criterion) {
+    let log_objs: Vec<Vec<f64>> = vec![
+        vec![0.0, 2.0, 1.5],
+        vec![1.0, 0.5, 2.0],
+        vec![2.0, 1.0, 0.2],
+        vec![0.5, 1.5, 1.8],
+        vec![1.2, 2.2, 2.1],
+        vec![2.5, 1.1, 0.9],
+        vec![0.8, 2.4, 1.9],
+        vec![1.9, 1.9, 2.4],
+        vec![2.6, 2.5, 0.4],
+        vec![1.4, 0.9, 2.3],
+    ];
+    let refs: Vec<&[f64]> = log_objs.iter().map(|v| v.as_slice()).collect();
+    let front = pareto_indices(&refs);
+    assert_eq!(front.len(), 4, "bench front must have four points");
+
+    let mut rows: Vec<f64> = front
+        .iter()
+        .flat_map(|&i| log_objs[i].iter().map(|x| x / 2.6))
+        .collect();
+    rows.extend([0.3, 0.45, 0.5]);
+    let reference = [1.1; 3];
+    let mut scratch = HvScratch::default();
+    c.bench_function("hypervolume/add_one_3d", |b| {
+        b.iter(|| black_box(hypervolume_flat(black_box(&rows), &reference, &mut scratch)))
+    });
+
+    let mut unit = unit_stream();
+    let posts: Vec<Vec<Posterior>> = (0..192)
+        .map(|_| {
+            (0..3)
+                .map(|_| Posterior {
+                    mean: 2.6 * unit(),
+                    std: 0.1 + 0.5 * unit(),
+                })
+                .collect()
+        })
+        .collect();
+    c.bench_function("dse/ehvi_acquire/3d", |b| {
+        b.iter(|| {
+            let mut rng = SmallRng::seed_from_u64(7);
+            let mut ehvi = Ehvi::new(&log_objs, &front);
+            let best = posts
+                .iter()
+                .map(|p| ehvi.improvement(p, 24, &mut rng))
+                .fold(0.0, f64::max);
+            black_box(best)
+        })
     });
 }
 
@@ -184,6 +252,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mut c = Criterion::default().sample_size(if quick { 3 } else { 15 });
     bench_gp(&mut c);
+    bench_ehvi(&mut c);
     bench_sim(&mut c);
     bench_cache(&mut c, quick);
     bench_pool(&mut c, quick);

@@ -62,8 +62,23 @@ impl OptimizerKind {
     /// Builds the optimizer. `prior` is MOBO's prior-sample count
     /// (ignored by the baselines).
     pub fn build(self, seed: u64, prior: usize) -> Box<dyn Optimizer> {
+        self.build_with_telemetry(seed, prior, &Telemetry::disabled())
+    }
+
+    /// [`OptimizerKind::build`] reporting into `telemetry`: MOBO times its
+    /// acquisitions (`job/hw_dse/acquire`) and GP fits (`dse/gp_fit`).
+    pub fn build_with_telemetry(
+        self,
+        seed: u64,
+        prior: usize,
+        telemetry: &Telemetry,
+    ) -> Box<dyn Optimizer> {
         match self {
-            OptimizerKind::Mobo => Box::new(Mobo::new(seed).with_prior_samples(prior)),
+            OptimizerKind::Mobo => Box::new(
+                Mobo::new(seed)
+                    .with_prior_samples(prior)
+                    .with_telemetry(telemetry.clone()),
+            ),
             OptimizerKind::Nsga2 => Box::new(Nsga2::new(seed)),
             OptimizerKind::Random => Box::new(RandomSearch::new(seed)),
             OptimizerKind::Anneal => Box::new(Annealer::new(seed)),
@@ -1279,7 +1294,9 @@ fn execute_inner(
         cancel: Arc::clone(&ctx.cancel),
         forward: true,
     };
-    let mut optimizer = opts.optimizer.build(opts.seed, opts.mobo_prior);
+    let mut optimizer =
+        opts.optimizer
+            .build_with_telemetry(opts.seed, opts.mobo_prior, &ctx.telemetry);
     let dse_span = ctx.telemetry.span("job/hw_dse");
     let mut history = optimizer.run_with_progress(&mut problem, opts.hw_trials, &observer);
     drop(dse_span);
@@ -1308,9 +1325,10 @@ fn execute_inner(
                 return Err(HascoError::Cancelled);
             }
             round += 1;
-            let mut retune = opts.optimizer.build(
+            let mut retune = opts.optimizer.build_with_telemetry(
                 opts.seed.wrapping_add(round as u64 * 0x9e37),
                 opts.mobo_prior,
+                &ctx.telemetry,
             );
             let tuning_span = ctx.telemetry.span("job/tuning");
             let extra = retune.run_with_progress(&mut problem, opts.hw_trials, &observer);

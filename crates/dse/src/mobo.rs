@@ -4,14 +4,15 @@
 //! power, and area all span orders of magnitude), and a hypervolume-based
 //! probability-of-improvement acquisition \[5\]: candidates are scored by the
 //! Monte-Carlo expected hypervolume improvement of their posterior over the
-//! current Pareto front.
+//! current Pareto front ([`Ehvi`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use runtime::{Telemetry, Timer};
 use std::collections::BTreeSet;
 
-use crate::gp::{GaussianProcess, PredictScratch};
-use crate::hypervolume::hypervolume;
+use crate::gp::{GaussianProcess, Posterior, PredictScratch};
+use crate::hypervolume::{adds_nothing, hypervolume_flat, HvScratch};
 use crate::pareto::pareto_indices;
 use crate::problem::{Evaluation, OptimizerResult, Point, Problem};
 use crate::progress::{BatchUpdate, Progress};
@@ -35,6 +36,7 @@ pub struct Mobo {
     /// around the prior's incumbents; interleaved exploration keeps
     /// feeding the surrogate distant regions (`0` disables).
     pub explore_every: usize,
+    telemetry: Telemetry,
 }
 
 impl Mobo {
@@ -47,6 +49,7 @@ impl Mobo {
             candidate_pool: 192,
             mc_samples: 24,
             explore_every: 3,
+            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -55,6 +58,88 @@ impl Mobo {
     pub fn with_prior_samples(mut self, n: usize) -> Self {
         self.prior_samples = n.max(2);
         self
+    }
+
+    /// Times each model-based acquisition (GP fits, candidate pool, EHVI
+    /// sweep) under `job/hw_dse/acquire` and each GP fit under
+    /// `dse/gp_fit`. Write-only: the trajectory is unchanged.
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// One model-based acquisition (Algorithm 1, lines 3–5): fit the
+    /// per-objective GPs, build the candidate pool, and return the EHVI
+    /// argmax — `Err(())` when a GP fit failed, `Ok(None)` when the space
+    /// is exhausted.
+    fn acquire(
+        &self,
+        problem: &dyn Problem,
+        evaluations: &[Evaluation],
+        seen: &BTreeSet<Point>,
+        fit_timer: &Timer,
+        rng: &mut SmallRng,
+    ) -> Result<Option<Point>, ()> {
+        // Fit one GP per objective on log-scaled metrics.
+        let xs: Vec<Vec<f64>> = evaluations
+            .iter()
+            .map(|e| problem.space().normalize(&e.point))
+            .collect();
+        let gps = (0..problem.num_objectives())
+            .map(|obj| {
+                let ys: Vec<f64> = evaluations
+                    .iter()
+                    .map(|e| e.objectives[obj].max(1e-12).ln())
+                    .collect();
+                fit_timer.time(|| GaussianProcess::fit(&xs, &ys))
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(drop)?;
+
+        let log_objs: Vec<Vec<f64>> = evaluations
+            .iter()
+            .map(|e| log_scale(&e.objectives))
+            .collect();
+        let refs: Vec<&[f64]> = log_objs.iter().map(|v| v.as_slice()).collect();
+        let front = pareto_indices(&refs);
+        let mut ehvi = Ehvi::new(&log_objs, &front);
+
+        // Candidate pool: random points plus neighbors of Pareto
+        // incumbents (local refinement).
+        let mut candidates: Vec<Point> = Vec::new();
+        let mut cand_set: BTreeSet<Point> = BTreeSet::new();
+        for &idx in &front {
+            for n in problem.space().neighbors(&evaluations[idx].point) {
+                if !seen.contains(&n) && cand_set.insert(n.clone()) {
+                    candidates.push(n);
+                }
+            }
+        }
+        let mut guard = 0;
+        while candidates.len() < self.candidate_pool && guard < self.candidate_pool * 20 {
+            guard += 1;
+            let p = problem.space().random_point(rng);
+            if !seen.contains(&p) && cand_set.insert(p.clone()) {
+                candidates.push(p);
+            }
+        }
+
+        // Acquisition: Monte-Carlo expected hypervolume improvement. One
+        // predict scratch, posterior buffer and EHVI state serve the whole
+        // candidate sweep — it is allocation-free inside the loop.
+        let mut best: Option<(f64, Point)> = None;
+        let mut scratch = PredictScratch::default();
+        let mut posts = Vec::with_capacity(gps.len());
+        for cand in candidates {
+            let x = problem.space().normalize(&cand);
+            posts.clear();
+            posts.extend(gps.iter().map(|gp| gp.predict_with(&x, &mut scratch)));
+            let improvement = ehvi.improvement(&posts, self.mc_samples, rng);
+            if best.as_ref().is_none_or(|(b, _)| improvement > *b) {
+                best = Some((improvement, cand));
+            }
+        }
+        Ok(best.map(|(_, chosen)| chosen))
     }
 }
 
@@ -67,6 +152,119 @@ fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 fn log_scale(objs: &[f64]) -> Vec<f64> {
     objs.iter().map(|&o| o.max(1e-12).ln()).collect()
+}
+
+/// Monte-Carlo expected hypervolume improvement over one Pareto front.
+///
+/// Each log-objective is rescaled to \[0, 1\] over its observed range
+/// before hypervolume computation: without this, the objective spanning
+/// the widest log range (often power or area) dominates the expected
+/// improvement and the acquisition ignores latency — the unit-cube
+/// normalization standard for EHVI keeps all objectives competitive. The
+/// reference point sits at 1.1 on every axis, a margin past the unit cube
+/// so boundary points contribute.
+///
+/// The state is built once per acquisition and reused for every
+/// candidate: the front and the current sample share one flat buffer,
+/// and one [`HvScratch`] serves every hypervolume call.
+#[derive(Debug, Clone)]
+pub struct Ehvi {
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    reference: Vec<f64>,
+    /// The in-box front rows, then one row for the posterior sample.
+    rows: Vec<f64>,
+    base_hv: f64,
+    scratch: HvScratch,
+}
+
+impl Ehvi {
+    /// EHVI over the front `front` (indices into `log_objs`), normalized
+    /// by the range of every observation in `log_objs`.
+    ///
+    /// # Panics
+    /// Panics if `log_objs` is empty.
+    pub fn new(log_objs: &[Vec<f64>], front: &[usize]) -> Self {
+        let m = log_objs[0].len();
+        let mut lo = vec![f64::INFINITY; m];
+        let mut hi = vec![f64::NEG_INFINITY; m];
+        for o in log_objs {
+            for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(o.iter()) {
+                *l = l.min(v);
+                *h = h.max(v);
+            }
+        }
+        let reference = vec![1.1; m];
+        let mut rows = Vec::with_capacity((front.len() + 1) * m);
+        for &i in front {
+            let start = rows.len();
+            rows.extend(
+                log_objs[i]
+                    .iter()
+                    .zip(lo.iter().zip(&hi))
+                    .map(|(&x, (&l, &h))| unit(x, l, h)),
+            );
+            // `hypervolume` clips out-of-box points before anything else,
+            // so dropping them here changes no bit.
+            if !rows[start..].iter().zip(&reference).all(|(x, r)| x < r) {
+                rows.truncate(start);
+            }
+        }
+        let mut scratch = HvScratch::default();
+        let base_hv = hypervolume_flat(&rows, &reference, &mut scratch);
+        rows.resize(rows.len() + m, 0.0);
+        Ehvi {
+            lo,
+            hi,
+            reference,
+            rows,
+            base_hv,
+            scratch,
+        }
+    }
+
+    /// The mean hypervolume improvement of `samples` draws from the
+    /// per-objective posteriors `posts` (in log space). Samples the front
+    /// already covers are skipped without slicing: [`adds_nothing`] holds
+    /// exactly when their improvement is `0.0`. Every draw is still taken,
+    /// so `rng` advances identically either way.
+    pub fn improvement<R: Rng + ?Sized>(
+        &mut self,
+        posts: &[Posterior],
+        samples: usize,
+        rng: &mut R,
+    ) -> f64 {
+        let split = self.rows.len() - self.reference.len();
+        let mut improvement = 0.0;
+        for _ in 0..samples {
+            // Posterior samples live in log space; bring them into the
+            // same normalized cube as the front.
+            let (front, sample) = self.rows.split_at_mut(split);
+            for ((s, p), (&l, &h)) in sample
+                .iter_mut()
+                .zip(posts)
+                .zip(self.lo.iter().zip(&self.hi))
+            {
+                *s = unit(p.mean + p.std * normal(rng), l, h);
+            }
+            if adds_nothing(front, sample, &self.reference) {
+                continue;
+            }
+            let hv = hypervolume_flat(&self.rows, &self.reference, &mut self.scratch);
+            improvement += (hv - self.base_hv).max(0.0);
+        }
+        improvement / samples as f64
+    }
+}
+
+/// `x` rescaled from `[l, h]` to the unit interval (0.5 for a degenerate
+/// range).
+fn unit(x: f64, l: f64, h: f64) -> f64 {
+    if h - l < 1e-12 {
+        0.5
+    } else {
+        (x - l) / (h - l)
+    }
 }
 
 impl Optimizer for Mobo {
@@ -83,7 +281,7 @@ impl Optimizer for Mobo {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut result = OptimizerResult::new(self.name());
         let mut seen: BTreeSet<Point> = BTreeSet::new();
-        let m = problem.num_objectives();
+        let fit_timer = self.telemetry.timer("dse/gp_fit");
 
         // Batches are reported from this (driver) thread in a fixed order
         // — a pure function of the run parameters — so observers see the
@@ -190,132 +388,24 @@ impl Optimizer for Mobo {
                 }
                 continue;
             }
-            // Fit one GP per objective on log-scaled metrics.
-            let xs: Vec<Vec<f64>> = result
-                .evaluations
-                .iter()
-                .map(|e| problem.space().normalize(&e.point))
-                .collect();
-            let mut gps: Vec<GaussianProcess> = Vec::with_capacity(m);
-            let mut fit_failed = false;
-            for obj in 0..m {
-                let ys: Vec<f64> = result
-                    .evaluations
-                    .iter()
-                    .map(|e| e.objectives[obj].max(1e-12).ln())
-                    .collect();
-                match GaussianProcess::fit(&xs, &ys) {
-                    Ok(gp) => gps.push(gp),
-                    Err(_) => {
-                        fit_failed = true;
-                        break;
-                    }
-                }
-            }
-            if fit_failed {
-                let p = problem.space().random_point(&mut rng);
-                if seen.insert(p.clone()) {
-                    let feasible = try_evaluate(&p, problem, &mut result, &mut trials);
-                    if !report("acquire", 1, feasible as usize) {
-                        return result;
-                    }
-                }
-                continue;
-            }
-
-            // Current front and reference point in *normalized* log space.
-            // Each log-objective is rescaled to [0, 1] over its observed
-            // range before hypervolume computation: without this, the
-            // objective spanning the widest log range (often power or
-            // area) dominates the expected improvement and the acquisition
-            // ignores latency — the unit-cube normalization standard for
-            // EHVI keeps all objectives competitive.
-            let log_objs: Vec<Vec<f64>> = result
-                .evaluations
-                .iter()
-                .map(|e| log_scale(&e.objectives))
-                .collect();
-            let mut lo = vec![f64::INFINITY; m];
-            let mut hi = vec![f64::NEG_INFINITY; m];
-            for o in &log_objs {
-                for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(o.iter()) {
-                    *l = l.min(v);
-                    *h = h.max(v);
-                }
-            }
-            let normalize = |v: &[f64]| -> Vec<f64> {
-                v.iter()
-                    .zip(lo.iter().zip(hi.iter()))
-                    .map(|(&x, (&l, &h))| {
-                        if h - l < 1e-12 {
-                            0.5
-                        } else {
-                            (x - l) / (h - l)
+            let acquire = self.telemetry.span("job/hw_dse/acquire");
+            let acquired =
+                self.acquire(&*problem, &result.evaluations, &seen, &fit_timer, &mut rng);
+            drop(acquire);
+            let chosen = match acquired {
+                Ok(Some(chosen)) => chosen,
+                Ok(None) => break, // space exhausted
+                Err(()) => {
+                    let p = problem.space().random_point(&mut rng);
+                    if seen.insert(p.clone()) {
+                        let feasible = try_evaluate(&p, problem, &mut result, &mut trials);
+                        if !report("acquire", 1, feasible as usize) {
+                            return result;
                         }
-                    })
-                    .collect()
-            };
-            let refs: Vec<&[f64]> = log_objs.iter().map(|v| v.as_slice()).collect();
-            let front: Vec<Vec<f64>> = pareto_indices(&refs)
-                .into_iter()
-                .map(|i| normalize(&log_objs[i]))
-                .collect();
-            // Margin past the unit cube so boundary points contribute.
-            let reference = vec![1.1; m];
-            let base_hv = hypervolume(&front, &reference);
-
-            // Candidate pool: random points plus neighbors of Pareto
-            // incumbents (local refinement).
-            let mut candidates: Vec<Point> = Vec::new();
-            let mut cand_set: BTreeSet<Point> = BTreeSet::new();
-            for idx in pareto_indices(&refs) {
-                for n in problem.space().neighbors(&result.evaluations[idx].point) {
-                    if !seen.contains(&n) && cand_set.insert(n.clone()) {
-                        candidates.push(n);
                     }
+                    continue;
                 }
-            }
-            let mut guard2 = 0;
-            while candidates.len() < self.candidate_pool && guard2 < self.candidate_pool * 20 {
-                guard2 += 1;
-                let p = problem.space().random_point(&mut rng);
-                if !seen.contains(&p) && cand_set.insert(p.clone()) {
-                    candidates.push(p);
-                }
-            }
-            if candidates.is_empty() {
-                break; // space exhausted
-            }
-
-            // Acquisition: Monte-Carlo expected hypervolume improvement.
-            // One scratch + posterior buffer serves the whole candidate
-            // sweep — prediction is allocation-free inside the loop.
-            let mut best: Option<(f64, Point)> = None;
-            let mut scratch = PredictScratch::default();
-            let mut posts = Vec::with_capacity(m);
-            for cand in candidates {
-                let x = problem.space().normalize(&cand);
-                posts.clear();
-                posts.extend(gps.iter().map(|gp| gp.predict_with(&x, &mut scratch)));
-                let mut improvement = 0.0;
-                for _ in 0..self.mc_samples {
-                    // Posterior samples live in log space; bring them into
-                    // the same normalized cube as the front.
-                    let sample: Vec<f64> = posts
-                        .iter()
-                        .map(|p| p.mean + p.std * normal(&mut rng))
-                        .collect();
-                    let mut augmented = front.clone();
-                    augmented.push(normalize(&sample));
-                    let hv = hypervolume(&augmented, &reference);
-                    improvement += (hv - base_hv).max(0.0);
-                }
-                improvement /= self.mc_samples as f64;
-                if best.as_ref().is_none_or(|(b, _)| improvement > *b) {
-                    best = Some((improvement, cand));
-                }
-            }
-            let (_, chosen) = best.expect("candidates were non-empty");
+            };
             seen.insert(chosen.clone());
             let feasible = try_evaluate(&chosen, problem, &mut result, &mut trials);
             if !report("acquire", 1, feasible as usize) {
@@ -442,6 +532,132 @@ mod tests {
         assert_eq!(run_with(3), run_with(3));
         // ...and actually changes the trajectory when enabled.
         assert_ne!(run_with(0), run_with(3));
+    }
+
+    /// Three conflicting objectives over a 12×12×12 grid: fronts of
+    /// several points in 3-D, so the acquisition runs the full HSO
+    /// recursion rather than only its 2-D base case.
+    struct Toy3 {
+        space: SearchSpace,
+    }
+
+    impl Problem for Toy3 {
+        fn space(&self) -> &SearchSpace {
+            &self.space
+        }
+        fn num_objectives(&self) -> usize {
+            3
+        }
+        fn evaluate(&mut self, p: &Point) -> Option<Vec<f64>> {
+            let [x, y, z] = [p[0], p[1], p[2]].map(|c| c as f64 / 11.0);
+            Some(vec![
+                (x - 0.2) * (x - 0.2) + 0.5 * y + 0.1,
+                (1.0 - x) + (z - 0.5) * (z - 0.5) + 0.1,
+                y * z + 0.3 * (1.0 - y) + 0.1 * x + 0.05,
+            ])
+        }
+    }
+
+    /// A fixed-seed 3-objective run pinned point by point and bit by bit.
+    /// `deterministic_per_seed` only compares two runs of the same code;
+    /// this literal catches any change to the trajectory — a different
+    /// RNG stream, EHVI score or argmax — across code changes.
+    #[test]
+    fn golden_trajectory_3d() {
+        const GOLDEN: [([usize; 3], [u64; 3]); 18] = [
+            (
+                [4, 9, 5],
+                [0x3fe125d429a3140f, 0x3fe7a1376e708e2d, 0x3fe068f058036298],
+            ),
+            (
+                [1, 10, 8],
+                [0x3fe22053f3799c4f, 0x3ff0f8ce7e188aca, 0x3fe7ebb073181e78],
+            ),
+            (
+                [0, 9, 6],
+                [0x3fe1922719227192, 0x3ff1a210144f8ce8, 0x3fe1a05ec8918f72],
+            ),
+            (
+                [8, 0, 11],
+                [0x3fd8316c3d454f78, 0x3fe3ed61bed61bed, 0x3fdb0df6b0df6b0e],
+            ),
+            (
+                [8, 6, 4],
+                [0x3fe4d2e4aa459076, 0x3fd90b6cbf426edc, 0x3fdd46aa1a3c1601],
+            ),
+            (
+                [11, 2, 3],
+                [0x3fea96cea96cea98, 0x3fc3695caaf2e1f6, 0x3fdc7b8e992d46a9],
+            ),
+            (
+                [9, 0, 9],
+                [0x3fdedb86795b5050, 0x3fd8840513e339f8, 0x3fdba2e8ba2e8ba3],
+            ),
+            (
+                [11, 8, 7],
+                [0x3ff1a87e9a87e9aa, 0x3fbe5c3e9ff275a2, 0x3fe63a64b51aa869],
+            ),
+            (
+                [11, 2, 10],
+                [0x3fea96cea96cea98, 0x3fd11c59b4ae5579, 0x3fe1f19cfc311595],
+            ),
+            (
+                [10, 0, 5],
+                [0x3fe34a380617dd77, 0x3fc8b3695caaf2e4, 0x3fdc37dac37dac37],
+            ),
+            (
+                [1, 0, 7],
+                [0x3fbca58855fb6e1a, 0x3ff07166d2b955e6, 0x3fd6fb586fb586fb],
+            ),
+            (
+                [3, 0, 2],
+                [0x3fbaf43c97fdf80c, 0x3fedb65fa1376e71, 0x3fd8253c8253c825],
+            ),
+            (
+                [7, 0, 0],
+                [0x3fd2962157edb868, 0x3fe6d61bed61bed6, 0x3fda7904a7904a79],
+            ),
+            (
+                [10, 0, 6],
+                [0x3fe34a380617dd77, 0x3fc8b3695caaf2e3, 0x3fdc37dac37dac37],
+            ),
+            (
+                [0, 0, 0],
+                [0x3fc1eb851eb851ec, 0x3ff599999999999a, 0x3fd6666666666666],
+            ),
+            (
+                [4, 6, 0],
+                [0x3fd99179c7a33f62, 0x3fef904a7904a790, 0x3fcc8253c8253c84],
+            ),
+            (
+                [2, 7, 8],
+                [0x3fdac8e838316c3e, 0x3fef08e2cda572ab, 0x3fe47b8e992d46ab],
+            ),
+            (
+                [6, 0, 6],
+                [0x3fcc134b92a91641, 0x3fe1cfc31159485c, 0x3fd9e4129e4129e4],
+            ),
+        ];
+        let mut prob = Toy3 {
+            space: SearchSpace::new(vec![12, 12, 12]),
+        };
+        let r = Mobo::new(11).with_prior_samples(5).run(&mut prob, 18);
+        assert_eq!(r.infeasible, 0);
+        let got: Vec<(Point, Vec<u64>)> = r
+            .evaluations
+            .iter()
+            .map(|e| {
+                (
+                    e.point.clone(),
+                    e.objectives.iter().map(|o| o.to_bits()).collect(),
+                )
+            })
+            .collect();
+        let want: Vec<(Point, Vec<u64>)> = GOLDEN
+            .iter()
+            .map(|(p, bits)| (p.to_vec(), bits.to_vec()))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! * **timings** — every wall-clock measurement lands in one named,
 //!   power-of-two-bucketed nanosecond histogram. Names are
 //!   `/`-separated paths: pipeline spans (`"job/hw_dse/screen"`),
-//!   software explorations per tier (`"sw_explore/analytic"`), GP work
-//!   (`"gp/fit"`, `"gp/predict"`), pool batches (`"pool/batch"`), and
+//!   MOBO acquisitions (`"job/hw_dse/acquire"`) and their GP fits
+//!   (`"dse/gp_fit"`), software explorations per tier
+//!   (`"sw_explore/analytic"`), the surrogate's GP work (`"gp/fit"`,
+//!   `"gp/predict"`), pool batches (`"pool/batch"`), and
 //!   scheduler queue wait (`"scheduler/queue_wait"`). They are recorded
 //!   through [`Telemetry::span`] guards, [`Telemetry::time`] closures, or
 //!   cloneable [`Timer`]s for worker closures;

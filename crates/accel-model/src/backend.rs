@@ -10,10 +10,10 @@
 //! `Arc<dyn CostBackend>`) and stay agnostic of the tier:
 //!
 //! * [`AnalyticBackend`] — [`CostModel::evaluate`], the fast path;
-//! * [`TraceSimBackend`] — synthesizes a staged instruction stream from
-//!   the plan ([`crate::sim::program_from_plan`]) and replays it through
-//!   the [`TraceSimulator`]'s two-buffer pipeline recurrence: stage-level
-//!   fidelity at roughly 50–100x the analytic cost;
+//! * [`TraceSimBackend`] — splits the plan into stages and streams them
+//!   through the [`TraceSimulator`]'s two-buffer pipeline recurrence
+//!   ([`TraceSimulator::run_plan_cycles`]): stage-level fidelity at
+//!   roughly 50–100x the analytic cost;
 //! * [`CalibratedBackend`] — the analytic model multiplied by per-regime
 //!   correction factors fitted, once per accelerator configuration, from
 //!   trace-sim runs on canonical calibration plans: analytic speed,
@@ -191,10 +191,10 @@ impl CostBackend for AnalyticBackend {
 
 /// Tier 3: stage-level trace simulation of the plan.
 ///
-/// The plan is expanded back into a staged load/compute/store stream and
-/// replayed through the [`TraceSimulator`]'s two-buffer pipeline
-/// recurrence, which models DMA-engine serialization and fill/drain
-/// effects the analytic overlap formula approximates. Rearrangement and
+/// The plan is split into staged load/compute/store work and streamed
+/// through the [`TraceSimulator`]'s two-buffer pipeline recurrence,
+/// which models DMA-engine serialization and fill/drain effects the
+/// analytic overlap formula approximates. Rearrangement and
 /// host-control cycles (not part of the instruction stream) are added
 /// serially, exactly as the analytic model charges them.
 #[derive(Debug, Clone, Default)]
@@ -202,8 +202,7 @@ pub struct TraceSimBackend {
     /// The wrapped simulator (shares the analytic model's tech constants
     /// for energy and area).
     pub sim: TraceSimulator,
-    /// Stage-count cap for synthesized programs (see
-    /// [`crate::sim::program_from_plan`]).
+    /// Stage-count cap (see [`TraceSimulator::run_plan_cycles`]).
     pub max_stages: usize,
 }
 
@@ -530,8 +529,8 @@ pub struct SurrogateBackend {
     trust_threshold: f64,
     /// Reference mode: refit every GP from scratch per observation
     /// (O(n³)) instead of extending maintained factors (O(n²)). The two
-    /// modes are pinned bit-identical; this exists so the determinism
-    /// suite can compare whole engine runs across them.
+    /// modes are pinned bit-identical; this exists so tests can compare
+    /// whole runs against the reference trainer.
     full_refit: bool,
     state: RwLock<SurrogateState>,
     /// Out-of-band GP fit/predict timing recorder
@@ -566,12 +565,6 @@ impl SurrogateBackend {
     pub fn with_full_refit(mut self) -> Self {
         self.full_refit = true;
         self
-    }
-
-    /// Whether this backend refits from scratch per observation
-    /// (reference mode) instead of extending maintained factors.
-    pub fn is_full_refit(&self) -> bool {
-        self.full_refit
     }
 
     /// Installs a telemetry handle so GP fits (in
@@ -1330,7 +1323,7 @@ mod tests {
         };
         let fast = build(false);
         let reference = build(true);
-        assert!(!fast.is_full_refit() && reference.is_full_refit());
+        assert!(!fast.full_refit && reference.full_refit);
         let (c, p) = (cfg(), traffic_plan());
         let mut slid = false;
         for step in 0..18u32 {

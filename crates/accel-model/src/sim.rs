@@ -10,8 +10,7 @@
 use crate::arch::AcceleratorConfig;
 use crate::cost::CostModel;
 use crate::isa::{Instr, Program};
-use crate::metrics::Metrics;
-use crate::plan::{ExecutionPlan, TensorTraffic};
+use crate::plan::ExecutionPlan;
 
 /// Cycle-accounting trace simulator.
 #[derive(Debug, Clone, Default)]
@@ -270,40 +269,11 @@ impl TraceSimulator {
         }
         end_max.max(total_dma).max(1.0)
     }
-
-    /// Runs a program and wraps the result in full [`Metrics`] (energy and
-    /// area from the analytical model, latency from the trace).
-    pub fn evaluate(
-        &self,
-        cfg: &AcceleratorConfig,
-        program: &Program,
-        double_buffered: bool,
-        useful_macs: u64,
-    ) -> Metrics {
-        let sim = self.run(cfg, program, double_buffered);
-        let plan = plan_from_program(program, double_buffered, useful_macs);
-        let mut metrics = self.model.evaluate(cfg, &plan);
-        // Replace the analytical latency with the simulated one and rescale
-        // time-derived metrics.
-        metrics.latency_cycles = sim.cycles;
-        metrics.latency_ms = cfg.cycles_to_ms(sim.cycles);
-        metrics.power_mw = if metrics.latency_ms > 0.0 {
-            metrics.energy_uj / metrics.latency_ms
-        } else {
-            0.0
-        };
-        metrics.throughput_mops = if metrics.latency_ms > 0.0 {
-            2.0 * useful_macs as f64 / (metrics.latency_ms * 1e3)
-        } else {
-            0.0
-        };
-        metrics
-    }
 }
 
-/// Synthesizes a staged instruction stream from a plan — the inverse of
-/// [`plan_from_program`], used by the trace-sim cost backend to replay an
-/// analytically lowered schedule through the pipeline recurrence.
+/// Synthesizes a staged instruction stream from a plan — the materialized
+/// oracle that [`TraceSimulator::run_plan_cycles`] is pinned against
+/// bit-for-bit.
 ///
 /// The plan's traffic and compute totals are spread evenly over
 /// `min(plan.stages, max_stages)` barrier-separated stages (integer
@@ -357,52 +327,10 @@ pub fn program_from_plan(plan: &ExecutionPlan, max_stages: usize) -> Program {
     program
 }
 
-/// Reconstructs an [`ExecutionPlan`] from a program (for energy accounting).
-pub fn plan_from_program(
-    program: &Program,
-    double_buffered: bool,
-    useful_macs: u64,
-) -> ExecutionPlan {
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    let mut spad = 0;
-    for i in &program.instrs {
-        match i {
-            Instr::Load {
-                tensor,
-                bytes,
-                contiguous_run,
-            } => {
-                reads.push(TensorTraffic::new(tensor.clone(), *bytes, *contiguous_run));
-            }
-            Instr::Store {
-                tensor,
-                bytes,
-                contiguous_run,
-            } => {
-                writes.push(TensorTraffic::new(tensor.clone(), *bytes, *contiguous_run));
-            }
-            Instr::Compute { spad_bytes, .. } => spad += spad_bytes,
-            Instr::Barrier => {}
-        }
-    }
-    ExecutionPlan {
-        intrinsic_calls: program.total_calls(),
-        macs_useful: useful_macs,
-        macs_padded: program.total_macs().max(useful_macs),
-        dram_reads: reads,
-        dram_writes: writes,
-        spad_traffic_bytes: spad,
-        rearrange_bytes: 0,
-        stages: program.stage_count() as u64,
-        double_buffered,
-        host_control_cycles: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::TensorTraffic;
     use tensor_ir::intrinsics::IntrinsicKind;
 
     fn cfg() -> AcceleratorConfig {
@@ -432,6 +360,20 @@ mod tests {
             p.push(Instr::Barrier);
         }
         p
+    }
+
+    /// The plan whose per-stage totals `program(stages, load, calls)`
+    /// spells out instruction by instruction.
+    fn plan(stages: u64, load: u64, calls: u64) -> ExecutionPlan {
+        let mut plan = ExecutionPlan::compute_only(100, stages * calls * 4096, stages * calls);
+        plan.dram_reads
+            .push(TensorTraffic::new("A", stages * load, 64));
+        plan.dram_writes
+            .push(TensorTraffic::new("C", stages * (load / 8), 64));
+        plan.spad_traffic_bytes = stages * load;
+        plan.stages = stages;
+        plan.double_buffered = true;
+        plan
     }
 
     #[test]
@@ -476,8 +418,7 @@ mod tests {
         let c = cfg();
         let p = program(30, 64 * 1024, 32);
         let traced = sim.run(&c, &p, true).cycles;
-        let plan = plan_from_program(&p, true, p.total_macs());
-        let analytical = sim.model.latency_cycles(&c, &plan);
+        let analytical = sim.model.latency_cycles(&c, &plan(30, 64 * 1024, 32));
         let ratio = traced / analytical;
         assert!((0.5..2.0).contains(&ratio), "ratio = {ratio}");
     }
@@ -491,18 +432,8 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_produces_full_metrics() {
-        let sim = TraceSimulator::default();
-        let p = program(10, 8192, 4);
-        let m = sim.evaluate(&cfg(), &p, true, p.total_macs());
-        assert!(m.latency_ms > 0.0 && m.power_mw > 0.0 && m.area_mm2 > 0.0);
-        assert!((m.energy_uj - m.power_mw * m.latency_ms).abs() < 1e-6);
-    }
-
-    #[test]
     fn program_from_plan_preserves_totals() {
-        let p = program(7, 10_000, 3);
-        let plan = plan_from_program(&p, true, 100);
+        let plan = plan(7, 10_000, 3);
         let back = program_from_plan(&plan, 64);
         assert_eq!(back.total_macs(), plan.macs_padded);
         assert_eq!(back.total_calls(), plan.intrinsic_calls);
@@ -513,8 +444,7 @@ mod tests {
 
     #[test]
     fn program_from_plan_caps_stage_count_without_losing_work() {
-        let mut plan = plan_from_program(&program(50, 4096, 2), true, 100);
-        plan.stages = 50;
+        let plan = plan(50, 4096, 2);
         let capped = program_from_plan(&plan, 8);
         assert_eq!(capped.stage_count(), 8);
         assert_eq!(capped.total_macs(), plan.macs_padded);
@@ -544,11 +474,7 @@ mod tests {
 
     #[test]
     fn run_plan_cycles_matches_materialized_program_bit_for_bit() {
-        assert_streaming_matches_program(&plan_from_program(
-            &program(20, 32 * 1024, 16),
-            true,
-            100,
-        ));
+        assert_streaming_matches_program(&plan(20, 32 * 1024, 16));
     }
 
     #[test]
@@ -586,16 +512,5 @@ mod tests {
         loads.dram_reads.push(TensorTraffic::new("B", 977, 8));
         loads.stages = 5;
         assert_streaming_matches_program(&loads);
-    }
-
-    #[test]
-    fn plan_from_program_roundtrips_totals() {
-        let p = program(5, 1024, 2);
-        let plan = plan_from_program(&p, true, 100);
-        assert_eq!(plan.intrinsic_calls, 10);
-        assert_eq!(plan.dram_reads.len(), 5);
-        assert_eq!(plan.dram_writes.len(), 5);
-        assert_eq!(plan.stages, 5);
-        assert_eq!(plan.macs_padded, p.total_macs());
     }
 }

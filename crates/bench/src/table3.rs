@@ -243,14 +243,14 @@ pub fn run(scale: Scale) -> Table3 {
 }
 
 /// The `BENCH_table3.json` document: headline geomean gains plus the
-/// dedup-aware campaign totals, schema `hasco-bench-table3-v1`.
+/// dedup-aware campaign totals, schema `hasco-bench-table3-v2`.
 fn bench_json(t: &Table3, rollup: &CampaignStats) -> String {
     format!(
-        "{{\n  \"schema\": \"hasco-bench-table3-v1\",\n  \"rows\": {},\n  \
+        "{{\n  \"schema\": \"hasco-bench-table3-v2\",\n  \"rows\": {},\n  \
          \"codesign_gain\": {:.6},\n  \"convcore_gain\": {:.6},\n  \"hls_gap\": {:.6},\n  \
          \"campaign\": {{\n    \"scenarios\": {},\n    \"executed\": {},\n    \
          \"deduplicated\": {},\n    \"hw_evaluations\": {},\n    \"sw_explorations\": {},\n    \
-         \"refine_explorations\": {},\n    \"steals\": {},\n    \"warm_cache_entries\": {},\n    \
+         \"refine_explorations\": {},\n    \"warm_cache_entries\": {},\n    \
          \"cache_hits\": {},\n    \"cache_misses\": {},\n    \"cache_evictions\": {}\n  }}\n}}\n",
         t.rows.len(),
         t.codesign_gain(),
@@ -262,7 +262,6 @@ fn bench_json(t: &Table3, rollup: &CampaignStats) -> String {
         rollup.hw_evaluations,
         rollup.sw_explorations,
         rollup.refine_explorations,
-        rollup.steals,
         rollup.warm_cache_entries,
         rollup.cache.hits,
         rollup.cache.misses,

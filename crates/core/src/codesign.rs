@@ -155,13 +155,6 @@ pub struct CoDesignOptions {
     /// The hardware-DSE optimizer (MOBO by default; the baselines let
     /// convergence studies drive the whole pipeline under every method).
     pub optimizer: OptimizerKind,
-    /// Forces a surrogate screen tier onto its from-scratch reference
-    /// refit path (O(n³) per observation) instead of the default
-    /// incremental factor extension (O(n²)). The two paths are pinned
-    /// bit-identical — this knob exists so the determinism suite can
-    /// compare whole runs across them, and as an escape hatch. Never part
-    /// of any fingerprint, because it cannot change results.
-    pub surrogate_full_refit: bool,
 }
 
 impl CoDesignOptions {
@@ -188,7 +181,6 @@ impl CoDesignOptions {
             adaptive_refinement: false,
             tech: TechParams::default(),
             optimizer: OptimizerKind::Mobo,
-            surrogate_full_refit: false,
         }
     }
 
@@ -220,7 +212,6 @@ impl CoDesignOptions {
             adaptive_refinement: false,
             tech: TechParams::default(),
             optimizer: OptimizerKind::Mobo,
-            surrogate_full_refit: false,
         }
     }
 
@@ -275,24 +266,6 @@ impl CoDesignOptions {
     pub fn with_optimizer(mut self, optimizer: OptimizerKind) -> Self {
         self.optimizer = optimizer;
         self
-    }
-
-    /// Forces a surrogate screen tier onto its from-scratch reference
-    /// refit path (see [`CoDesignOptions::surrogate_full_refit`]).
-    pub fn with_surrogate_full_refit(mut self, full_refit: bool) -> Self {
-        self.surrogate_full_refit = full_refit;
-        self
-    }
-
-    /// Builds the screen backend, honoring the surrogate refit-mode knob.
-    pub(crate) fn build_screen_backend(&self) -> Arc<dyn CostBackend> {
-        if self.surrogate_full_refit && self.backend == BackendKind::Surrogate {
-            let model = accel_model::CostModel::new(self.tech.clone());
-            let inner = Arc::new(accel_model::TraceSimBackend::new(model.clone()));
-            Arc::new(accel_model::SurrogateBackend::new(model, inner).with_full_refit())
-        } else {
-            self.backend.build_with(self.tech.clone())
-        }
     }
 
     /// Rejects option combinations that would silently degenerate instead
@@ -443,8 +416,6 @@ pub struct HwProblem<'a> {
     /// observation-only: nothing recorded here reaches memo fingerprints,
     /// [`RunStats`], or the event stream.
     telemetry: Telemetry,
-    /// Evaluated (point, metrics) pairs for later reuse.
-    pub evaluated: Vec<(Point, Metrics)>,
 }
 
 impl<'a> HwProblem<'a> {
@@ -480,7 +451,6 @@ impl<'a> HwProblem<'a> {
             staged_batches: 0,
             events: EventSink::disabled(),
             telemetry: Telemetry::disabled(),
-            evaluated: Vec::new(),
         }
     }
 
@@ -1090,10 +1060,7 @@ impl Problem for HwProblem<'_> {
         // Stage 4 (serial): record final metrics per point, in submission
         // order.
         for ((i, _), metrics) in fresh.iter().zip(fresh_metrics) {
-            let response = metrics.map(|metrics| {
-                self.evaluated.push((points[*i].clone(), metrics));
-                Self::objectives_of(&metrics)
-            });
+            let response = metrics.map(|metrics| Self::objectives_of(&metrics));
             self.cache.insert(points[*i].clone(), response);
         }
 
@@ -1255,7 +1222,7 @@ fn execute_inner(
     let screen = ctx
         .screen_backend
         .clone()
-        .unwrap_or_else(|| opts.build_screen_backend());
+        .unwrap_or_else(|| opts.backend.build_with(opts.tech.clone()));
     let refine_backend = opts.refine_backend.build_with(opts.tech.clone());
     let mut problem = HwProblem::new(
         generator.as_ref(),
@@ -1263,7 +1230,7 @@ fn execute_inner(
         opts.sw_inner.clone(),
         opts.seed,
     )
-    .with_workers(workers.clone())
+    .with_workers(workers)
     .with_cache_capacity(opts.cache_capacity)
     .with_backend(Arc::clone(&screen))
     .with_events(ctx.events.clone());
@@ -1398,7 +1365,6 @@ fn execute_inner(
     solution.hw_history = history;
     let (surrogate_samples, surrogate_trusted) = problem.surrogate_stats().unwrap_or((0, false));
     solution.stats = RunStats {
-        threads: workers.threads(),
         hw_evaluations: solution.hw_history.evaluations.len(),
         sw_explorations: problem.sw_requests(),
         refine_explorations: problem.refine_requests(),
@@ -1408,7 +1374,6 @@ fn execute_inner(
         surrogate_samples,
         surrogate_trusted,
         warm_cache_entries,
-        steals: workers.stats().steals,
         cache: problem.cache_stats(),
     };
     Ok(solution)
@@ -1520,7 +1485,6 @@ fn finalize_solution(
         total,
         hw_history,
         stats: RunStats {
-            threads: workers.threads(),
             backend: final_backend,
             ..RunStats::default()
         },
@@ -1696,10 +1660,11 @@ mod tests {
         );
         let point = vec![0; p.space().len()];
         let a = p.evaluate(&point);
-        let evals_after_first = p.evaluated.len();
+        let requests_after_first = p.sw_requests();
+        assert_eq!(requests_after_first, input.app.len());
         let b = p.evaluate(&point);
         assert_eq!(a, b);
-        assert_eq!(p.evaluated.len(), evals_after_first);
+        assert_eq!(p.sw_requests(), requests_after_first);
     }
 
     #[test]
@@ -1743,11 +1708,8 @@ mod tests {
         let a = serial.evaluate_batch(&points);
         let b = parallel.evaluate_batch(&points);
         assert_eq!(a, b);
-        assert_eq!(serial.evaluated.len(), parallel.evaluated.len());
-        for ((pa, ma), (pb, mb)) in serial.evaluated.iter().zip(&parallel.evaluated) {
-            assert_eq!(pa, pb);
-            assert_eq!(ma.latency_cycles, mb.latency_cycles);
-        }
+        assert_eq!(serial.sw_requests(), parallel.sw_requests());
+        assert_eq!(serial.cache_stats(), parallel.cache_stats());
     }
 
     fn temp_cache(name: &str) -> std::path::PathBuf {
@@ -1976,10 +1938,7 @@ mod tests {
         let parallel = CoDesigner::new(CoDesignOptions::quick(6).with_threads(4))
             .run(&input)
             .unwrap();
-        assert_eq!(serial.accelerator, parallel.accelerator);
-        assert_eq!(serial.total.latency_cycles, parallel.total.latency_cycles);
-        assert_eq!(serial.hw_history, parallel.hw_history);
-        assert_eq!(parallel.stats.threads, 4);
+        assert_eq!(serial, parallel);
         assert!(parallel.stats.hw_evaluations > 0);
     }
 

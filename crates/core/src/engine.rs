@@ -235,8 +235,9 @@ impl CoDesignRequest {
 
     /// Stable 128-bit identity of everything that can change the
     /// produced [`Solution`] or its statistics — the campaign dedup key.
-    /// The label is excluded. Public so transport layers can assert that a
-    /// request survived serialization bit-for-bit.
+    /// The label, thread count and work-stealing are excluded: none of
+    /// them changes a solution. Public so transport layers can assert
+    /// that a request survived serialization bit-for-bit.
     pub fn fingerprint(&self) -> (u64, u64) {
         let mut lo = Fingerprinter::new();
         let mut hi = Fingerprinter::new();
@@ -262,8 +263,6 @@ impl CoDesignRequest {
             o.sw_final.fingerprint_into(fp);
             fp.write_usize(o.tuning_rounds)
                 .write_u64(o.seed)
-                .write_usize(o.threads)
-                .write_bool(o.work_stealing)
                 .write_usize(o.cache_capacity);
             o.backend.fingerprint_into(fp);
             o.refine_backend.fingerprint_into(fp);

@@ -5,13 +5,13 @@
 use accel_model::BackendKind;
 use runtime::CacheStats;
 
-/// Execution statistics of one co-design run: how the parallel evaluation
-/// runtime, the cost backends, the staging policy, and the memoizing
-/// cost-model cache were used — where the time went.
+/// Execution statistics of one co-design run: how the cost backends, the
+/// staging policy, and the memoizing cost-model cache were used. Like the
+/// rest of a [`Solution`](crate::Solution), every field is independent of
+/// thread count and scheduling; wall-clock and steal counts live in
+/// telemetry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
-    /// Evaluation worker threads used.
-    pub threads: usize,
     /// Feasible hardware design points evaluated (full app metrics).
     pub hw_evaluations: usize,
     /// Software explorations requested through the screening backend,
@@ -35,8 +35,6 @@ pub struct RunStats {
     pub surrogate_trusted: bool,
     /// Entries loaded from the persistent cross-run cache at startup.
     pub warm_cache_entries: u64,
-    /// Work-stealing operations performed by the evaluation pool.
-    pub steals: u64,
     /// Memoizing evaluation-cache counters.
     pub cache: CacheStats,
 }
@@ -45,7 +43,6 @@ impl RunStats {
     /// Renders the stats as a report table.
     pub fn render(&self) -> String {
         let mut t = Table::new(&["runtime", "value"]);
-        t.row(vec!["threads".into(), self.threads.to_string()]);
         t.row(vec!["backend".into(), self.backend.to_string()]);
         t.row(vec![
             "hw evaluations".into(),
@@ -85,7 +82,6 @@ impl RunStats {
             "warm cache entries".into(),
             self.warm_cache_entries.to_string(),
         ]);
-        t.row(vec!["pool steals".into(), self.steals.to_string()]);
         t.row(vec!["cache hits".into(), self.cache.hits.to_string()]);
         t.row(vec!["cache misses".into(), self.cache.misses.to_string()]);
         t.row(vec![
@@ -124,8 +120,6 @@ pub struct CampaignStats {
     pub sw_explorations: usize,
     /// High-fidelity re-evaluations, summed over executed scenarios.
     pub refine_explorations: usize,
-    /// Work-stealing operations, summed over executed scenarios.
-    pub steals: u64,
     /// Warm cache entries seeded into executed scenarios.
     pub warm_cache_entries: u64,
     /// Memo-cache counters summed over executed scenarios.
@@ -146,7 +140,6 @@ impl CampaignStats {
         self.hw_evaluations += stats.hw_evaluations;
         self.sw_explorations += stats.sw_explorations;
         self.refine_explorations += stats.refine_explorations;
-        self.steals += stats.steals;
         self.warm_cache_entries += stats.warm_cache_entries;
         self.cache.hits += stats.cache.hits;
         self.cache.misses += stats.cache.misses;
@@ -185,9 +178,6 @@ impl CampaignStats {
             "warm cache entries".into(),
             self.warm_cache_entries.to_string(),
         ]);
-        // No steals row on purpose: steal counts vary with thread timing,
-        // and this table is part of the deterministic artifact output.
-        // They are reported via telemetry and the BENCH_*.json rollup.
         t.row(vec!["cache hits".into(), self.cache.hits.to_string()]);
         t.row(vec!["cache misses".into(), self.cache.misses.to_string()]);
         t.row(vec![
@@ -322,9 +312,8 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_render_shows_backends_and_steals() {
+    fn run_stats_render_shows_backends() {
         let stats = RunStats {
-            threads: 4,
             backend: BackendKind::Analytic,
             refine_backend: Some(BackendKind::TraceSim),
             refine_explorations: 6,
@@ -332,7 +321,6 @@ mod tests {
             surrogate_samples: 30,
             surrogate_trusted: true,
             warm_cache_entries: 12,
-            steals: 3,
             ..RunStats::default()
         };
         let s = stats.render();
@@ -342,7 +330,6 @@ mod tests {
         assert!(s.contains("4 -> 1 over 5 batches (min 1, max 4)"));
         assert!(s.contains("surrogate training") && s.contains("30 samples (trusted)"));
         assert!(s.contains("warm cache entries"));
-        assert!(s.contains("pool steals"));
         // Staging off: no refinement, adaptive, or surrogate rows.
         let off = RunStats::default().render();
         assert!(!off.contains("refined ("));
@@ -356,7 +343,6 @@ mod tests {
             hw_evaluations: 10,
             sw_explorations: 40,
             refine_explorations: 8,
-            steals: 3,
             warm_cache_entries: 5,
             cache: CacheStats {
                 hits: 20,
@@ -378,7 +364,6 @@ mod tests {
         assert_eq!(rollup.hw_evaluations, 20);
         assert_eq!(rollup.sw_explorations, 80);
         assert_eq!(rollup.refine_explorations, 16);
-        assert_eq!(rollup.steals, 6);
         assert_eq!(rollup.cache.hits, 40);
         assert!((rollup.dedup_rate() - 1.0 / 3.0).abs() < 1e-12);
         let s = rollup.render();

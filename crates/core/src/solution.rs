@@ -9,7 +9,7 @@ use sw_opt::schedule::Schedule;
 use crate::report::RunStats;
 
 /// The per-workload software half of a solution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSolution {
     /// The workload's name.
     pub workload: String,
@@ -21,8 +21,10 @@ pub struct WorkloadSolution {
     pub program: String,
 }
 
-/// A holistic HW/SW solution for an application.
-#[derive(Debug, Clone)]
+/// A holistic HW/SW solution for an application. Every field is a
+/// function of the request (and the warm state it starts from), never of
+/// thread count or scheduling, so two runs compare whole with `==`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// The shared accelerator.
     pub accelerator: AcceleratorConfig,
@@ -34,7 +36,7 @@ pub struct Solution {
     pub meets_constraints: bool,
     /// The hardware DSE history (for hypervolume/convergence reporting).
     pub hw_history: OptimizerResult,
-    /// Evaluation-runtime statistics (thread count, cache behavior).
+    /// Evaluation statistics (backends, staging, cache behavior).
     pub stats: RunStats,
 }
 

@@ -17,14 +17,15 @@
 //!    ([`dispatch::RemoteBatchEvaluator`]).
 //!
 //! **The determinism contract survives the network.** A served run is
-//! bit-identical to an in-process run of the same request — solutions,
-//! `RunStats`, and event streams — at any worker count, including
-//! workers dying mid-batch. The argument is short: remote work is
-//! restricted to items whose result is a pure function of the shipped
-//! request (fresh explorer, fresh RNG, backend rebuilt from its
-//! parameters — see [`hasco::remote`]), every item has a fixed
-//! reassembly slot, and anything the fleet fails to answer is evaluated
-//! in-process by the very same function. Sharding and worker death only
+//! bit-identical to an in-process run of the same request — the whole
+//! `Solution`, `RunStats` included (it holds no thread- or
+//! timing-dependent field), and the event stream — at any thread or
+//! worker count, including workers dying mid-batch. The argument is
+//! short: remote work is restricted to items whose result is a pure
+//! function of the shipped request (fresh explorer, fresh RNG, backend
+//! rebuilt from its parameters — see [`hasco::remote`]), every item has
+//! a fixed reassembly slot, and anything the fleet fails to answer is
+//! evaluated in-process by the very same function. Sharding and worker death only
 //! decide *where* each pure function runs.
 
 pub mod client;

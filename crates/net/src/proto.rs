@@ -29,7 +29,7 @@ pub const FRAME_MAGIC: &[u8; 8] = b"HASCONT1";
 
 /// Protocol version string exchanged in the hello handshake. Bump on any
 /// wire-format change — there is no cross-version negotiation.
-pub const PROTOCOL: &str = "HASCONET1";
+pub const PROTOCOL: &str = "HASCONET2";
 
 /// Upper bound on one frame's payload. Solutions and event frames are
 /// kilobytes; batch frames grow with the design-point batch but stay far

@@ -436,7 +436,6 @@ impl Wire for CoDesignOptions {
         self.adaptive_refinement.encode(out);
         self.tech.encode(out);
         self.optimizer.encode(out);
-        self.surrogate_full_refit.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         // Start from a constructed options value (the struct is not
@@ -457,7 +456,6 @@ impl Wire for CoDesignOptions {
         opts.adaptive_refinement = Wire::decode(r)?;
         opts.tech = Wire::decode(r)?;
         opts.optimizer = Wire::decode(r)?;
-        opts.surrogate_full_refit = Wire::decode(r)?;
         Some(opts)
     }
 }
@@ -474,7 +472,6 @@ wire_struct!(CacheStats {
     evictions,
 });
 wire_struct!(RunStats {
-    threads,
     hw_evaluations,
     sw_explorations,
     refine_explorations,
@@ -484,7 +481,6 @@ wire_struct!(RunStats {
     surrogate_samples,
     surrogate_trusted,
     warm_cache_entries,
-    steals,
     cache,
 });
 wire_struct!(WorkloadSolution {
@@ -776,15 +772,21 @@ mod tests {
             method: GenerationMethod::Chisel(IntrinsicKind::Gemm),
             constraints: Constraints::latency_power(4.0, 900.0),
         };
-        let mut opts = CoDesignOptions::quick(1234);
+        let mut opts = CoDesignOptions::quick(1234)
+            .with_threads(3)
+            .with_work_stealing(false);
         opts.refine_top_k = 2;
         opts.refine_backend = BackendKind::TraceSim;
         let request = CoDesignRequest::new(input, opts).with_label("wire-test");
         let back: CoDesignRequest = roundtrip(&request);
-        // The request fingerprint hashes everything evaluation sees, so
-        // fingerprint equality is the strongest round-trip check we have.
+        // The request fingerprint hashes everything that can change a
+        // solution, so fingerprint equality covers all of that at once.
         assert_eq!(request.fingerprint(), back.fingerprint());
         assert_eq!(request.label, back.label);
+        // Thread count and stealing are outside the fingerprint; they
+        // still travel, and a worker must honor the non-defaults.
+        assert_eq!(back.options.threads, 3);
+        assert!(!back.options.work_stealing);
     }
 
     #[test]

@@ -27,11 +27,4 @@ pub trait BatchEvaluator {
     /// Implementations must guarantee the result is independent of worker
     /// count and scheduling.
     fn evaluate_batch(&self, batch: &[Self::Request]) -> Vec<Self::Response>;
-
-    /// Evaluates one request (the batch-of-one degenerate case).
-    fn evaluate_one(&self, request: Self::Request) -> Self::Response {
-        self.evaluate_batch(std::slice::from_ref(&request))
-            .pop()
-            .expect("batch of one yields one response")
-    }
 }

@@ -17,9 +17,9 @@
 //!   ownership keeps the common case contention-free, and stealing keeps
 //!   every core busy when per-item cost is wildly uneven (a trace-sim
 //!   evaluation can cost 100x an analytic one);
-//! * **shared-counter** ([`WorkerPool::without_stealing`]) — all workers
-//!   pull single items off one atomic index, the PR 1 behavior, kept as
-//!   the reference scheduler.
+//! * **shared-counter** (`with_stealing(false)`) — all workers pull
+//!   single items off one atomic index, kept as the reference scheduler
+//!   the determinism suite compares against.
 //!
 //! Either way the result is `[f(0, &items[0]), f(1, &items[1]), ...]`:
 //! scheduling moves work between threads, never between result slots, so
@@ -82,16 +82,9 @@ impl WorkerPool {
         WorkerPool::new(1)
     }
 
-    /// Disables work-stealing: workers pull single items off a shared
-    /// atomic counter instead of owning chunks. Results are identical
-    /// either way; this exists as the reference scheduler and for
-    /// scheduling experiments.
-    pub fn without_stealing(mut self) -> Self {
-        self.stealing = false;
-        self
-    }
-
-    /// Sets the work-stealing flag explicitly.
+    /// Turns work-stealing on or off. Off, workers pull single items off
+    /// a shared atomic counter instead of owning chunks — the reference
+    /// scheduler. Results are identical either way.
     pub fn with_stealing(mut self, stealing: bool) -> Self {
         self.stealing = stealing;
         self
@@ -110,11 +103,6 @@ impl WorkerPool {
     /// The fixed worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// True when work-stealing is enabled.
-    pub fn stealing(&self) -> bool {
-        self.stealing
     }
 
     /// True when the pool executes inline on the calling thread.
@@ -205,7 +193,7 @@ impl WorkerPool {
             .collect()
     }
 
-    /// The PR 1 scheduler: one shared atomic work index.
+    /// The reference scheduler: one shared atomic work index.
     fn map_shared_counter<T, R, F>(
         items: &[T],
         f: &F,
@@ -340,7 +328,7 @@ mod tests {
 
     #[test]
     fn preserves_submission_order() {
-        for pool in [WorkerPool::new(4), WorkerPool::new(4).without_stealing()] {
+        for pool in [WorkerPool::new(4), WorkerPool::new(4).with_stealing(false)] {
             let items: Vec<u64> = (0..100).collect();
             // Uneven per-item work so completion order scrambles.
             let out = pool.map(&items, |_, &x| {
@@ -354,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_agree_with_and_without_stealing() {
+    fn serial_and_parallel_agree_with_stealing_on_and_off() {
         let items: Vec<u64> = (0..64).collect();
         let f = |i: usize, x: &u64| (i as u64).wrapping_mul(31).wrapping_add(*x);
         let serial = WorkerPool::serial().map(&items, f);
@@ -447,8 +435,8 @@ mod tests {
 
     #[test]
     fn stealing_flag_is_reported() {
-        assert!(WorkerPool::new(4).stealing());
-        assert!(!WorkerPool::new(4).without_stealing().stealing());
+        assert!(WorkerPool::new(4).stealing);
+        assert!(!WorkerPool::new(4).with_stealing(false).stealing);
     }
 
     #[test]

@@ -122,18 +122,15 @@ fn desynchronizing_a_real_wire_impl_fails_with_both_spans() {
     // decode never consumes.
     let found = lint_source(
         rel,
-        &drop_line("opts.surrogate_full_refit = Wire::decode(r)?;"),
+        &drop_line("opts.optimizer = Wire::decode(r)?;"),
         &config,
     );
     let drift = found
         .iter()
-        .find(|v| v.rule == "wire-drift" && v.message.contains("field `surrogate_full_refit`"))
+        .find(|v| v.rule == "wire-drift" && v.message.contains("field `optimizer`"))
         .unwrap_or_else(|| panic!("desynchronized decode went unnoticed: {found:#?}"));
     assert_eq!(drift.file, rel);
-    assert!(
-        drift.snippet.contains("self.surrogate_full_refit.encode"),
-        "{drift:?}"
-    );
+    assert!(drift.snippet.contains("self.optimizer.encode"), "{drift:?}");
     assert!(
         drift.message.contains(&format!("{rel}:")),
         "message lacks the decode half's span: {drift:?}"

@@ -196,6 +196,27 @@ fn campaign_dedups_identical_scenarios_and_warms_across_waves() {
 }
 
 #[test]
+fn campaign_dedups_requests_that_differ_only_in_threads_and_stealing() {
+    // Thread count and work-stealing never change a solution, so the
+    // request fingerprint leaves them out: a scenario that differs only
+    // there is a duplicate, and its cloned solution equals an
+    // independent run of its own options.
+    let engine = Engine::new(EngineConfig::default().with_job_slots(1));
+    let serial = CoDesignOptions::quick(13);
+    let parallel = serial.clone().with_threads(2).with_work_stealing(false);
+    let outcomes = engine
+        .campaign(vec![
+            CoDesignRequest::new(toy_input(), serial).with_label("serial"),
+            CoDesignRequest::new(toy_input(), parallel.clone()).with_label("parallel"),
+        ])
+        .unwrap();
+    assert_eq!(engine.jobs_executed(), 1);
+    assert_eq!(outcomes[1].shared_with.as_deref(), Some("serial"));
+    let independent = CoDesigner::new(parallel).run(&toy_input()).unwrap();
+    assert_eq!(outcomes[1].solution, independent);
+}
+
+#[test]
 fn campaign_results_do_not_depend_on_slot_count() {
     let matrix = || {
         (0..4)

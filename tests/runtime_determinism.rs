@@ -32,31 +32,15 @@ fn parallel_and_serial_codesign_are_bitwise_identical() {
         .run(&input)
         .unwrap();
 
-    // The chosen accelerator, every workload's optimized software, and the
-    // application totals must match exactly (not approximately).
-    assert_eq!(serial.accelerator, parallel.accelerator);
-    assert_eq!(serial.total.latency_cycles, parallel.total.latency_cycles);
-    assert_eq!(serial.total.power_mw, parallel.total.power_mw);
-    assert_eq!(serial.total.area_mm2, parallel.total.area_mm2);
-    assert_eq!(serial.meets_constraints, parallel.meets_constraints);
-    assert_eq!(serial.per_workload.len(), parallel.per_workload.len());
-    for (a, b) in serial.per_workload.iter().zip(&parallel.per_workload) {
-        assert_eq!(a.workload, b.workload);
-        assert_eq!(a.metrics.latency_cycles, b.metrics.latency_cycles);
-        assert_eq!(a.schedule.choice.var_map, b.schedule.choice.var_map);
-        assert_eq!(a.program, b.program);
-    }
-
-    // The whole exploration history — and therefore the Pareto front —
-    // must be identical, evaluation for evaluation.
-    assert_eq!(serial.hw_history, parallel.hw_history);
-    let front_a: Vec<_> = serial.hw_history.pareto_front();
-    let front_b: Vec<_> = parallel.hw_history.pareto_front();
-    assert_eq!(front_a, front_b);
-
-    // And the runs really used different runtime configurations.
-    assert_eq!(serial.stats.threads, 1);
-    assert_eq!(parallel.stats.threads, 4);
+    // The whole solution must match exactly (not approximately): the
+    // chosen accelerator, every workload's schedule, metrics and program,
+    // the totals, the exploration history evaluation for evaluation, and
+    // the run statistics.
+    assert_eq!(serial, parallel);
+    assert_eq!(
+        serial.total.latency_cycles.to_bits(),
+        parallel.total.latency_cycles.to_bits()
+    );
 }
 
 #[test]
@@ -70,8 +54,7 @@ fn auto_thread_selection_matches_serial_too() {
     let auto = CoDesigner::new(CoDesignOptions::quick(7).with_threads(0))
         .run(&input)
         .unwrap();
-    assert_eq!(serial.accelerator, auto.accelerator);
-    assert_eq!(serial.hw_history, auto.hw_history);
+    assert_eq!(serial, auto);
 }
 
 #[test]
@@ -91,18 +74,7 @@ fn work_stealing_and_thread_count_never_change_results() {
         )
         .run(&input)
         .unwrap();
-        assert_eq!(
-            reference.accelerator, solution.accelerator,
-            "threads={threads} stealing={stealing}"
-        );
-        assert_eq!(
-            reference.hw_history, solution.hw_history,
-            "threads={threads} stealing={stealing}"
-        );
-        assert_eq!(
-            reference.total.latency_cycles, solution.total.latency_cycles,
-            "threads={threads} stealing={stealing}"
-        );
+        assert_eq!(reference, solution, "threads={threads} stealing={stealing}");
     }
 }
 
@@ -120,13 +92,7 @@ fn fidelity_staged_runs_are_thread_count_independent() {
     };
     let serial = CoDesigner::new(opts(1, false)).run(&input).unwrap();
     let parallel = CoDesigner::new(opts(4, true)).run(&input).unwrap();
-    assert_eq!(serial.accelerator, parallel.accelerator);
-    assert_eq!(serial.hw_history, parallel.hw_history);
-    assert_eq!(serial.total.latency_cycles, parallel.total.latency_cycles);
-    assert_eq!(
-        serial.stats.refine_explorations,
-        parallel.stats.refine_explorations
-    );
+    assert_eq!(serial, parallel);
     assert!(serial.stats.refine_explorations > 0);
 }
 
@@ -154,28 +120,9 @@ fn adaptive_topk_trajectories_are_identical_across_threads_and_stealing() {
         let solution = CoDesigner::new(opts(threads, stealing))
             .run(&input)
             .unwrap();
-        assert_eq!(
-            reference.stats.refine_topk_trajectory, solution.stats.refine_topk_trajectory,
-            "trajectory diverged at threads={threads} stealing={stealing}"
-        );
-        assert_eq!(
-            reference.hw_history, solution.hw_history,
-            "threads={threads} stealing={stealing}"
-        );
-        assert_eq!(
-            reference.hw_history.pareto_front(),
-            solution.hw_history.pareto_front(),
-            "Pareto front diverged at threads={threads} stealing={stealing}"
-        );
-        assert_eq!(reference.accelerator, solution.accelerator);
-        assert_eq!(
-            reference.total.latency_cycles,
-            solution.total.latency_cycles
-        );
-        assert_eq!(
-            reference.stats.refine_explorations,
-            solution.stats.refine_explorations
-        );
+        // Whole-solution equality covers the trajectory (in `stats`), the
+        // history and therefore the Pareto front.
+        assert_eq!(reference, solution, "threads={threads} stealing={stealing}");
     }
 }
 
@@ -183,35 +130,51 @@ fn adaptive_topk_trajectories_are_identical_across_threads_and_stealing() {
 fn incremental_and_full_refit_surrogate_engines_are_bit_identical() {
     // The surrogate's default incremental-Cholesky trainer (O(n²) per
     // observation) against the from-scratch reference refit (O(n³)), on
-    // a surrogate-heavy staged run: the learning trajectory, the final
-    // accelerator, and every reported metric must agree to the bit —
-    // the speed campaign is not allowed to move a single result.
+    // a surrogate-heavy adaptive staged MOBO run at 2 threads: the
+    // learning trajectory, the whole hardware history, and every
+    // objective must agree to the bit.
+    use accel_model::{CostModel, SurrogateBackend, TraceSimBackend};
+    use hasco::codesign::HwProblem;
+    use hasco::OptimizerKind;
+    use std::sync::Arc;
+
     let input = mixed_input(2);
-    let opts = |full_refit: bool| {
-        CoDesignOptions::quick(31)
-            .with_backend(accel_model::BackendKind::Surrogate)
-            .with_adaptive_refinement(accel_model::BackendKind::TraceSim, 2)
-            .with_threads(2)
-            .with_surrogate_full_refit(full_refit)
+    let opts = CoDesignOptions::quick(31);
+    let generator = hw_gen::GemminiGenerator::new();
+    let run = |full_refit: bool| {
+        let model = CostModel::default();
+        let inner = Arc::new(TraceSimBackend::new(model.clone()));
+        let surrogate = SurrogateBackend::new(model.clone(), inner);
+        let screen = if full_refit {
+            surrogate.with_full_refit()
+        } else {
+            surrogate
+        };
+        let mut problem = HwProblem::new(
+            &generator,
+            &input.app.workloads,
+            opts.sw_inner.clone(),
+            opts.seed,
+        )
+        .with_workers(runtime::WorkerPool::new(2))
+        .with_backend(Arc::new(screen))
+        .with_adaptive_refinement(Arc::new(TraceSimBackend::new(model)), 2);
+        let history = OptimizerKind::Mobo
+            .build(opts.seed, opts.mobo_prior)
+            .run(&mut problem, opts.hw_trials);
+        (history, problem.surrogate_stats())
     };
-    let incremental = CoDesigner::new(opts(false)).run(&input).unwrap();
-    let reference = CoDesigner::new(opts(true)).run(&input).unwrap();
-    assert!(incremental.stats.surrogate_samples > 0);
-    assert_eq!(
-        incremental.stats.surrogate_samples,
-        reference.stats.surrogate_samples
-    );
-    assert_eq!(
-        incremental.stats.surrogate_trusted,
-        reference.stats.surrogate_trusted
-    );
-    assert_eq!(incremental.hw_history, reference.hw_history);
-    assert_eq!(incremental.accelerator, reference.accelerator);
-    assert_eq!(
-        incremental.total.latency_cycles.to_bits(),
-        reference.total.latency_cycles.to_bits()
-    );
-    assert_eq!(incremental.total, reference.total);
+    let (incremental, incremental_stats) = run(false);
+    let (reference, reference_stats) = run(true);
+    let (samples, _) = incremental_stats.expect("the screen tier is a surrogate");
+    assert!(samples > 0, "the surrogate never trained");
+    assert_eq!(incremental_stats, reference_stats);
+    assert_eq!(incremental, reference);
+    let bits = |history: &dse::problem::OptimizerResult| -> Vec<u64> {
+        let objectives = history.evaluations.iter().flat_map(|e| &e.objectives);
+        objectives.map(|o| o.to_bits()).collect()
+    };
+    assert_eq!(bits(&incremental), bits(&reference));
 }
 
 #[test]
@@ -229,17 +192,7 @@ fn surrogate_screen_tier_is_thread_count_independent() {
     let serial = CoDesigner::new(opts(1)).run(&input).unwrap();
     let parallel = CoDesigner::new(opts(4)).run(&input).unwrap();
     assert!(serial.stats.surrogate_samples > 0);
-    assert_eq!(
-        serial.stats.surrogate_samples,
-        parallel.stats.surrogate_samples
-    );
-    assert_eq!(
-        serial.stats.surrogate_trusted,
-        parallel.stats.surrogate_trusted
-    );
-    assert_eq!(serial.hw_history, parallel.hw_history);
-    assert_eq!(serial.accelerator, parallel.accelerator);
-    assert_eq!(serial.total.latency_cycles, parallel.total.latency_cycles);
+    assert_eq!(serial, parallel);
 }
 
 #[test]
@@ -343,18 +296,12 @@ mod engine_concurrency {
         vec![
             (mixed_input(2), CoDesignOptions::quick(42)),
             (mixed_input(1), CoDesignOptions::quick(7)),
-            // A staged job, and one with stealing disabled at 2 threads
-            // (steal counts are deterministically zero either way).
+            // A staged job, and one stealing across 2 threads.
             (
                 mixed_input(2),
                 CoDesignOptions::quick(23).with_refinement(accel_model::BackendKind::TraceSim, 2),
             ),
-            (
-                mixed_input(2),
-                CoDesignOptions::quick(19)
-                    .with_threads(2)
-                    .with_work_stealing(false),
-            ),
+            (mixed_input(2), CoDesignOptions::quick(19).with_threads(2)),
         ]
     }
 
@@ -380,20 +327,9 @@ mod engine_concurrency {
             .collect();
         for (handle, reference) in handles.iter().zip(&solo) {
             let concurrent = handle.wait().unwrap();
-            assert_eq!(reference.accelerator, concurrent.accelerator);
-            assert_eq!(reference.hw_history, concurrent.hw_history);
-            assert_eq!(
-                reference.total.latency_cycles,
-                concurrent.total.latency_cycles
-            );
-            assert_eq!(reference.per_workload.len(), concurrent.per_workload.len());
-            for (a, b) in reference.per_workload.iter().zip(&concurrent.per_workload) {
-                assert_eq!(a.program, b.program);
-                assert_eq!(a.metrics.latency_cycles, b.metrics.latency_cycles);
-            }
-            // Bit-identical runtime statistics too: same cache hit/miss
-            // counts, same warm state (none), same eval counts.
-            assert_eq!(reference.stats, concurrent.stats);
+            // The whole solution, runtime statistics included: same cache
+            // hit/miss counts, same warm state (none), same eval counts.
+            assert_eq!(reference, &concurrent);
         }
         assert_eq!(engine.jobs_executed(), 4);
     }
@@ -462,7 +398,7 @@ mod engine_concurrency {
         // Determinism: the whole typed stream is bit-identical across
         // thread counts, like the solutions themselves.
         assert_eq!(serial_events, parallel_events);
-        assert_eq!(serial.hw_history, parallel.hw_history);
+        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -521,8 +457,10 @@ mod engine_concurrency {
         assert!(restored.restored_surrogate_generation() > 0);
         let (warm_solution, warm_events) = run_second(&restored);
 
-        assert_eq!(ref_solution.accelerator, warm_solution.accelerator);
-        assert_eq!(ref_solution.hw_history, warm_solution.hw_history);
+        // The whole solution, statistics included: the restored warm
+        // state must be indistinguishable from the resident one (same
+        // warm entries, same hit/miss pattern, same surrogate trajectory).
+        assert_eq!(ref_solution, warm_solution);
         assert_eq!(
             ref_solution.total.latency_cycles.to_bits(),
             warm_solution.total.latency_cycles.to_bits()
@@ -532,16 +470,11 @@ mod engine_concurrency {
             .iter()
             .zip(&warm_solution.per_workload)
         {
-            assert_eq!(a.program, b.program);
             assert_eq!(
                 a.metrics.latency_cycles.to_bits(),
                 b.metrics.latency_cycles.to_bits()
             );
         }
-        // Bit-identical statistics: the restored warm state must be
-        // indistinguishable from the resident one (same warm entries,
-        // same hit/miss pattern, same surrogate trajectory).
-        assert_eq!(ref_solution.stats, warm_solution.stats);
         assert_eq!(ref_events, warm_events, "event stream diverged");
 
         // Corrupting both images degrades to a clean cold start — never
@@ -557,8 +490,7 @@ mod engine_concurrency {
         let (cold_solution, cold_events) = run_second(&corrupt);
         let fresh = Engine::new(EngineConfig::default().with_job_slots(1));
         let (fresh_solution, fresh_events) = run_second(&fresh);
-        assert_eq!(cold_solution.hw_history, fresh_solution.hw_history);
-        assert_eq!(cold_solution.stats, fresh_solution.stats);
+        assert_eq!(cold_solution, fresh_solution);
         assert_eq!(cold_events, fresh_events);
 
         std::fs::remove_file(&cache).ok();
@@ -589,13 +521,6 @@ mod engine_concurrency {
             let solution = handle.wait().unwrap();
             let snapshot = engine.metrics();
             (solution, events, snapshot)
-        };
-        // Steal counts are genuinely timing-dependent (that is why they
-        // live in telemetry); every other stat field must be identical.
-        let stats_modulo_steals = |solution: &hasco::Solution| {
-            let mut stats = solution.stats.clone();
-            stats.steals = 0;
-            stats
         };
         let assert_snapshot_nontrivial = |snapshot: &Option<TelemetrySnapshot>| {
             let snapshot = snapshot.as_ref().expect("metrics-on engine snapshots");
@@ -642,30 +567,17 @@ mod engine_concurrency {
             );
             assert!(off_snapshot.is_none(), "metrics-off engine has no snapshot");
             assert_snapshot_nontrivial(&on_snapshot);
-            assert_eq!(
-                on.accelerator, off.accelerator,
-                "threads={threads} stealing={stealing}"
-            );
-            assert_eq!(
-                on.hw_history, off.hw_history,
-                "threads={threads} stealing={stealing}"
-            );
+            assert_eq!(on, off, "threads={threads} stealing={stealing}");
             assert_eq!(
                 on.total.latency_cycles.to_bits(),
                 off.total.latency_cycles.to_bits()
             );
             for (a, b) in on.per_workload.iter().zip(&off.per_workload) {
-                assert_eq!(a.program, b.program);
                 assert_eq!(
                     a.metrics.latency_cycles.to_bits(),
                     b.metrics.latency_cycles.to_bits()
                 );
             }
-            assert_eq!(
-                stats_modulo_steals(&on),
-                stats_modulo_steals(&off),
-                "threads={threads} stealing={stealing}"
-            );
             assert_eq!(
                 on_events, off_events,
                 "event stream diverged at threads={threads} stealing={stealing}"
@@ -704,12 +616,7 @@ mod engine_concurrency {
         std::fs::remove_file(&cache).ok();
         assert!(warm_on.stats.warm_cache_entries > 0, "restart was not warm");
         assert_snapshot_nontrivial(&warm_on_snapshot);
-        assert_eq!(warm_on.accelerator, warm_off.accelerator);
-        assert_eq!(warm_on.hw_history, warm_off.hw_history);
-        assert_eq!(
-            stats_modulo_steals(&warm_on),
-            stats_modulo_steals(&warm_off)
-        );
+        assert_eq!(warm_on, warm_off);
         assert_eq!(warm_on_events, warm_off_events);
     }
 
@@ -809,24 +716,21 @@ mod network_serving {
         leg: &str,
     ) {
         let (expected, expected_events) = reference;
-        assert_eq!(expected.accelerator, solution.accelerator, "{leg}");
-        assert_eq!(expected.hw_history, solution.hw_history, "{leg}");
+        // The whole solution, statistics included: same eval counts, same
+        // memo hit/miss pattern — dispatch routing is invisible to it.
+        assert_eq!(expected, solution, "{leg}");
         assert_eq!(
             expected.total.latency_cycles.to_bits(),
             solution.total.latency_cycles.to_bits(),
             "{leg}"
         );
         for (a, b) in expected.per_workload.iter().zip(&solution.per_workload) {
-            assert_eq!(a.program, b.program, "{leg}");
             assert_eq!(
                 a.metrics.latency_cycles.to_bits(),
                 b.metrics.latency_cycles.to_bits(),
                 "{leg}"
             );
         }
-        // Bit-identical statistics: same eval counts, same memo hit/miss
-        // pattern — dispatch routing is invisible to RunStats.
-        assert_eq!(&expected.stats, &solution.stats, "{leg}");
         assert_eq!(expected_events, &events, "event stream diverged: {leg}");
     }
 
@@ -901,9 +805,7 @@ mod network_serving {
         for (a, b) in expected.iter().zip(&outcomes) {
             assert_eq!(a.label, b.label);
             assert_eq!(a.shared_with, b.shared_with);
-            assert_eq!(a.solution.accelerator, b.solution.accelerator);
-            assert_eq!(a.solution.hw_history, b.solution.hw_history);
-            assert_eq!(a.solution.stats, b.solution.stats);
+            assert_eq!(a.solution, b.solution);
             assert_eq!(
                 a.solution.total.latency_cycles.to_bits(),
                 b.solution.total.latency_cycles.to_bits()

@@ -1,11 +1,11 @@
 //! Hot-path criterion benches: the paper's co-design loop leans on the
 //! surrogate being cheap, so this suite times exactly the paths the
 //! telemetry exposed as hot — GP fit/observe/predict, MOBO's EHVI
-//! acquisition and the hypervolume call inside it, the trace-sim
-//! staged-plan recurrence, the memo cache under contention, and
-//! steal-heavy staged pool batches — and emits a versioned
-//! `BENCH_hotpath.json` at the repo root so the perf trajectory
-//! accumulates alongside `BENCH_table3.json`.
+//! acquisition and the hypervolume call inside it, the software
+//! explorer's DQN update, the trace-sim staged-plan recurrence, the memo
+//! cache under contention, and steal-heavy staged pool batches — and
+//! emits a versioned `BENCH_hotpath.json` at the repo root so the perf
+//! trajectory accumulates alongside `BENCH_table3.json`.
 //!
 //! Custom `main` (no `criterion_main!`): after the runs it derives the
 //! headline speedups from the recorded medians:
@@ -31,6 +31,9 @@ use dse::pareto::pareto_indices;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use runtime::{MemoCache, WorkerPool};
+use sw_opt::nn::Mlp;
+use sw_opt::qlearn::QLearner;
+use sw_opt::schedule::{Features, NUM_FEATURES, NUM_REVISIONS};
 use tensor_ir::intrinsics::IntrinsicKind;
 
 /// A deterministic stream of uniform draws in [0, 1).
@@ -146,6 +149,44 @@ fn bench_ehvi(c: &mut Criterion) {
     });
 }
 
+/// The software explorer's DQN update on its 18→48→48→48→26 network:
+/// one replay step (the next-state prediction plus one SGD step on the
+/// taken action) and one `QLearner::observe` (16 replay steps) against a
+/// full 512-transition replay buffer.
+fn bench_dqn(c: &mut Criterion) {
+    let mut unit = unit_stream();
+    let mut features = move || -> Features { std::array::from_fn(|_| unit()) };
+    let (state, next) = (features(), features());
+
+    let mut net = Mlp::new(
+        NUM_FEATURES,
+        48,
+        NUM_REVISIONS,
+        &mut SmallRng::seed_from_u64(3),
+    );
+    let mut scratch = net.scratch();
+    c.bench_function("sw/mlp_train_step", |b| {
+        b.iter(|| {
+            let max_next = net
+                .predict(black_box(&next), &mut scratch)
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max);
+            let target = 0.25 + 0.7 * max_next;
+            black_box(net.train_on_output(black_box(&state), 5, target, 0.005, &mut scratch))
+        })
+    });
+
+    let mut learner = QLearner::new(7);
+    for k in 0..512 {
+        let (s, n) = (features(), features());
+        learner.observe(&s, k % NUM_REVISIONS, 2.0 * s[0] - 1.0, &n);
+    }
+    c.bench_function("sw/qlearn_observe", |b| {
+        b.iter(|| learner.observe(black_box(&state), 5, 0.25, black_box(&next)))
+    });
+}
+
 /// A staged plan shaped like the refinement tier's work: mixed DMA and
 /// compute across 50 pipeline stages, double buffered.
 fn staged_plan() -> ExecutionPlan {
@@ -253,6 +294,7 @@ fn main() {
     let mut c = Criterion::default().sample_size(if quick { 3 } else { 15 });
     bench_gp(&mut c);
     bench_ehvi(&mut c);
+    bench_dqn(&mut c);
     bench_sim(&mut c);
     bench_cache(&mut c, quick);
     bench_pool(&mut c, quick);

@@ -596,15 +596,21 @@ impl<'a> HwProblem<'a> {
     }
 
     /// Attaches the telemetry side channel: per-tier software-exploration
-    /// timings (`sw_explore/<tier>`), staging spans, and end-of-run cache
-    /// counters flow into it. A surrogate screen backend additionally
+    /// timings (`sw_explore/<tier>`) and their phases (`sw_opt/*`, see
+    /// [`SoftwareExplorer::with_telemetry`]), staging spans, and end-of-run
+    /// cache counters flow into it. A surrogate screen backend additionally
     /// reports its GP fit/predict timings. Call after
     /// [`HwProblem::with_backend`] / [`HwProblem::with_refinement`] so the
-    /// installed backends are the ones that run.
+    /// installed explorers and backends are the ones that run.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         if let Some(surrogate) = self.explorer.backend().as_surrogate() {
             surrogate.install_telemetry(telemetry.clone());
         }
+        self.explorer = self.explorer.with_telemetry(telemetry.clone());
+        self.refine = self.refine.map(|tier| RefineTier {
+            explorer: tier.explorer.with_telemetry(telemetry.clone()),
+            ..tier
+        });
         self.telemetry = telemetry;
         self
     }
@@ -1433,6 +1439,7 @@ fn finalize_solution(
     let tier = telemetry.timer(format_args!("sw_explore/{}", backend.name()));
     let explorer = SoftwareExplorer::new(opts.seed)
         .with_backend(backend)
+        .with_telemetry(telemetry.clone())
         .with_progress(Arc::new(RunObserver {
             events: EventSink::disabled(),
             cancel: Arc::clone(cancel),

@@ -11,9 +11,10 @@
 //!   `/`-separated paths: pipeline spans (`"job/hw_dse/screen"`),
 //!   MOBO acquisitions (`"job/hw_dse/acquire"`) and their GP fits
 //!   (`"dse/gp_fit"`), software explorations per tier
-//!   (`"sw_explore/analytic"`), the surrogate's GP work (`"gp/fit"`,
-//!   `"gp/predict"`), pool batches (`"pool/batch"`), and
-//!   scheduler queue wait (`"scheduler/queue_wait"`). They are recorded
+//!   (`"sw_explore/analytic"`) and their phases (`"sw_opt/learn"`), the
+//!   surrogate's GP work (`"gp/fit"`, `"gp/predict"`), pool batches
+//!   (`"pool/batch"`), and scheduler queue wait
+//!   (`"scheduler/queue_wait"`). They are recorded
 //!   through [`Telemetry::span`] guards, [`Telemetry::time`] closures, or
 //!   cloneable [`Timer`]s for worker closures;
 //! * **counters / gauges** — named monotone sums and last-written values

@@ -8,7 +8,7 @@ use accel_model::{AnalyticBackend, CostBackend, CostModel, Metrics};
 use dse::progress::{BatchUpdate, Progress};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use runtime::{Fingerprint, Fingerprinter, StableFingerprint, WorkerPool};
+use runtime::{Fingerprint, Fingerprinter, StableFingerprint, Telemetry, Timer, WorkerPool};
 use tensor_ir::matching::TensorizeChoice;
 use tensor_ir::workload::Workload;
 
@@ -96,6 +96,20 @@ pub struct SoftwareExplorer {
     /// Optional per-round progress observer (see
     /// [`SoftwareExplorer::with_progress`]).
     progress: Option<Arc<dyn Progress>>,
+    /// Per-phase wall-clock timers (inert unless
+    /// [`SoftwareExplorer::with_telemetry`] installed a live handle).
+    phases: PhaseTimers,
+}
+
+/// One timer per phase of [`SoftwareExplorer::optimize`], resolved once
+/// when telemetry is attached so exploring never touches the registry.
+#[derive(Debug, Default)]
+struct PhaseTimers {
+    context: Timer,
+    pool_init: Timer,
+    propose: Timer,
+    lower: Timer,
+    learn: Timer,
 }
 
 impl SoftwareExplorer {
@@ -107,6 +121,7 @@ impl SoftwareExplorer {
             backend: Arc::new(AnalyticBackend::default()),
             workers: WorkerPool::serial(),
             progress: None,
+            phases: PhaseTimers::default(),
         }
     }
 
@@ -154,6 +169,23 @@ impl SoftwareExplorer {
         self
     }
 
+    /// Times each phase of every exploration into `telemetry`:
+    /// `sw_opt/context` (schedule-space construction), `sw_opt/pool_init`
+    /// (the priced initial candidate pool), and per revision round
+    /// `sw_opt/propose` (Q-network proposals), `sw_opt/lower` (lowering and
+    /// pricing the proposals) and `sw_opt/learn` (Q-learning updates).
+    /// Observation only: results are identical with or without it.
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.phases = PhaseTimers {
+            context: telemetry.timer("sw_opt/context"),
+            pool_init: telemetry.timer("sw_opt/pool_init"),
+            propose: telemetry.timer("sw_opt/propose"),
+            lower: telemetry.timer("sw_opt/lower"),
+            learn: telemetry.timer("sw_opt/learn"),
+        };
+        self
+    }
+
     /// Optimizes one workload for one accelerator.
     ///
     /// # Errors
@@ -165,50 +197,57 @@ impl SoftwareExplorer {
         cfg: &AcceleratorConfig,
         opts: &ExplorerOptions,
     ) -> Result<OptimizedSoftware, SwError> {
-        let intrinsic = cfg.intrinsic_comp();
-        let mut ctx = ScheduleContext::new(workload, &intrinsic)?;
-        if let Some(choice) = &opts.fixed_choice {
-            ctx.choices.retain(|c| c.var_map == choice.var_map);
-            if ctx.choices.is_empty() {
-                ctx.choices.push(choice.clone());
+        let ctx = self.phases.context.time(|| {
+            let mut ctx = ScheduleContext::new(workload, &cfg.intrinsic_comp())?;
+            if let Some(choice) = &opts.fixed_choice {
+                ctx.choices.retain(|c| c.var_map == choice.var_map);
+                if ctx.choices.is_empty() {
+                    ctx.choices.push(choice.clone());
+                }
             }
-        }
+            Ok::<_, SwError>(ctx)
+        })?;
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut pool = CandidatePool::initialize_batched(
-            &ctx,
-            cfg,
-            self.backend.as_ref(),
-            opts.pool,
-            &mut rng,
-            &self.workers,
-        )?;
+        let mut pool = self.phases.pool_init.time(|| {
+            CandidatePool::initialize_batched(
+                &ctx,
+                cfg,
+                self.backend.as_ref(),
+                opts.pool,
+                &mut rng,
+                &self.workers,
+            )
+        })?;
         let mut qlearner = QLearner::new(self.seed ^ 0x9e3779b97f4a7c15);
         let mut history = Vec::with_capacity(opts.rounds);
         let mut evaluated = pool.len();
 
         for round in 0..opts.rounds {
-            let top = pool.top_k(opts.top_k);
             // Phase 1, serial: propose one revision per valuable candidate.
             // The Q-network state and the RNG stream advance in a fixed
             // order here, so the round's proposals are independent of the
             // worker count.
-            let mut proposals: Vec<(Candidate, Schedule, usize)> = Vec::with_capacity(top.len());
-            for idx in top {
-                let cand = pool.candidates()[idx].clone();
-                let proposal = if opts.use_qlearning {
-                    qlearner.propose(&cand.schedule, &ctx)
-                } else {
-                    // Random-revision ablation.
-                    let a = rng.gen_range(0..NUM_REVISIONS);
-                    Revision::from_action(a)
-                        .apply(&cand.schedule, &ctx, &mut rng)
-                        .map(|s| (s, a))
-                };
-                let Some((revised, action)) = proposal else {
-                    continue;
-                };
-                proposals.push((cand, revised, action));
-            }
+            let proposals = self.phases.propose.time(|| {
+                let top = pool.top_k(opts.top_k);
+                let mut proposals: Vec<(Candidate, Schedule, usize)> =
+                    Vec::with_capacity(top.len());
+                for idx in top {
+                    let cand = pool.candidates()[idx].clone();
+                    let proposal = if opts.use_qlearning {
+                        qlearner.propose(&cand.schedule, &ctx)
+                    } else {
+                        // Random-revision ablation.
+                        let a = rng.gen_range(0..NUM_REVISIONS);
+                        Revision::from_action(a)
+                            .apply(&cand.schedule, &ctx, &mut rng)
+                            .map(|s| (s, a))
+                    };
+                    if let Some((revised, action)) = proposal {
+                        proposals.push((cand, revised, action));
+                    }
+                }
+                proposals
+            });
             evaluated += proposals.len();
 
             // Phase 2, parallel: lower and cost the proposed schedules
@@ -218,51 +257,49 @@ impl SoftwareExplorer {
             let evaluate_one = |_: usize, (_, revised, _): &(Candidate, Schedule, usize)| {
                 lowering::evaluate(revised, &ctx, cfg, self.backend.as_ref())
             };
-            let outcomes = if proposals.len() < 4 {
-                proposals
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| evaluate_one(i, p))
-                    .collect()
-            } else {
-                self.workers.map(&proposals, evaluate_one)
-            };
+            let outcomes: Vec<_> = self.phases.lower.time(|| {
+                if proposals.len() < 4 {
+                    proposals
+                        .iter()
+                        .enumerate()
+                        .map(|(i, p)| evaluate_one(i, p))
+                        .collect()
+                } else {
+                    self.workers.map(&proposals, evaluate_one)
+                }
+            });
 
             // Phase 3, serial: feed rewards back in submission order.
             let outcomes_len = proposals.len();
-            let mut fresh: Vec<Candidate> = Vec::new();
-            for ((cand, revised, action), outcome) in proposals.into_iter().zip(outcomes) {
-                match outcome {
-                    Ok(metrics) => {
-                        let reward =
-                            QLearner::reward(cand.metrics.latency_cycles, metrics.latency_cycles);
-                        if opts.use_qlearning {
-                            qlearner.observe(
-                                cand.schedule.features(&ctx),
-                                action,
-                                reward,
-                                revised.features(&ctx),
-                            );
+            let fresh = self.phases.learn.time(|| {
+                let mut fresh: Vec<Candidate> = Vec::new();
+                for ((cand, revised, action), outcome) in proposals.into_iter().zip(outcomes) {
+                    match outcome {
+                        Ok(metrics) => {
+                            if opts.use_qlearning {
+                                let reward = QLearner::reward(
+                                    cand.metrics.latency_cycles,
+                                    metrics.latency_cycles,
+                                );
+                                let state = cand.schedule.features(&ctx);
+                                qlearner.observe(&state, action, reward, &revised.features(&ctx));
+                            }
+                            fresh.push(Candidate {
+                                schedule: revised,
+                                metrics,
+                            });
                         }
-                        fresh.push(Candidate {
-                            schedule: revised,
-                            metrics,
-                        });
-                    }
-                    Err(_) => {
-                        if opts.use_qlearning {
-                            // Invalid revisions (scratchpad overflow) get a
-                            // strong negative reward.
-                            qlearner.observe(
-                                cand.schedule.features(&ctx),
-                                action,
-                                -1.0,
-                                cand.schedule.features(&ctx),
-                            );
+                        // Invalid revisions (scratchpad overflow) get a
+                        // strong negative reward.
+                        Err(_) if opts.use_qlearning => {
+                            let state = cand.schedule.features(&ctx);
+                            qlearner.observe(&state, action, -1.0, &state);
                         }
+                        Err(_) => {}
                     }
                 }
-            }
+                fresh
+            });
             let feasible = fresh.len();
             let submitted = outcomes_len;
             for c in fresh {

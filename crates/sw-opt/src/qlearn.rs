@@ -10,22 +10,25 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::nn::Mlp;
-use crate::schedule::{Revision, Schedule, ScheduleContext, MAX_DIMS, NUM_REVISIONS};
+use crate::nn::{Mlp, Scratch};
+use crate::schedule::{Features, Revision, Schedule, ScheduleContext, NUM_FEATURES, NUM_REVISIONS};
 
 /// One replay-buffer transition.
 #[derive(Debug, Clone)]
 struct Transition {
-    state: Vec<f64>,
+    state: Features,
     action: usize,
     reward: f64,
-    next_state: Vec<f64>,
+    next_state: Features,
 }
 
 /// DQN-based revision policy.
 #[derive(Debug)]
 pub struct QLearner {
     net: Mlp,
+    /// Activation and gradient buffers reused by every forward pass and
+    /// SGD step, so an update allocates nothing.
+    scratch: Scratch,
     rng: SmallRng,
     replay: Vec<Transition>,
     /// Exploration rate (ε-greedy), decayed multiplicatively per step.
@@ -42,8 +45,9 @@ impl QLearner {
     /// Creates a learner with the paper's 4-layer network.
     pub fn new(seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let net = Mlp::new(2 * MAX_DIMS + 2, 48, NUM_REVISIONS, &mut rng);
+        let net = Mlp::new(NUM_FEATURES, 48, NUM_REVISIONS, &mut rng);
         QLearner {
+            scratch: net.scratch(),
             net,
             rng,
             replay: Vec::new(),
@@ -56,8 +60,8 @@ impl QLearner {
     }
 
     /// Q-values for a schedule.
-    pub fn q_values(&self, sched: &Schedule, ctx: &ScheduleContext) -> Vec<f64> {
-        self.net.predict(&sched.features(ctx))
+    pub fn q_values(&mut self, sched: &Schedule, ctx: &ScheduleContext) -> &[f64] {
+        self.net.predict(&sched.features(ctx), &mut self.scratch)
     }
 
     /// Picks a revision for `sched`: the applicable action with the highest
@@ -67,7 +71,6 @@ impl QLearner {
         sched: &Schedule,
         ctx: &ScheduleContext,
     ) -> Option<(Schedule, usize)> {
-        let q = self.q_values(sched, ctx);
         // Applicable actions with their revised schedules.
         let mut applicable: Vec<(usize, Schedule)> = Vec::new();
         for a in 0..NUM_REVISIONS {
@@ -81,6 +84,9 @@ impl QLearner {
         let pick = if self.rng.gen_bool(self.epsilon) {
             self.rng.gen_range(0..applicable.len())
         } else {
+            // Only a greedy pick reads the network (prediction touches
+            // neither the RNG nor the weights).
+            let q = self.q_values(sched, ctx);
             applicable
                 .iter()
                 .enumerate()
@@ -96,24 +102,33 @@ impl QLearner {
 
     /// Records the outcome of applying `action` (latency-based reward) and
     /// trains on a replay mini-batch.
-    pub fn observe(&mut self, state: Vec<f64>, action: usize, reward: f64, next_state: Vec<f64>) {
+    pub fn observe(&mut self, state: &Features, action: usize, reward: f64, next_state: &Features) {
         if self.replay.len() == self.replay_cap {
             let i = self.rng.gen_range(0..self.replay.len());
             self.replay.swap_remove(i);
         }
         self.replay.push(Transition {
-            state,
+            state: *state,
             action,
             reward,
-            next_state,
+            next_state: *next_state,
         });
         for _ in 0..self.batch.min(self.replay.len()) {
             let t = &self.replay[self.rng.gen_range(0..self.replay.len())];
-            let next_q = self.net.predict(&t.next_state);
-            let max_next = next_q.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let max_next = self
+                .net
+                .predict(&t.next_state, &mut self.scratch)
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max);
             let target = t.reward + self.gamma * max_next;
-            let (s, a) = (t.state.clone(), t.action);
-            self.net.train_on_output(&s, a, target, self.learning_rate);
+            self.net.train_on_output(
+                &t.state,
+                t.action,
+                target,
+                self.learning_rate,
+                &mut self.scratch,
+            );
         }
         self.epsilon = (self.epsilon * 0.995).max(0.05);
     }
@@ -172,7 +187,7 @@ mod tests {
         let feat = s.features(&c);
         let e0 = q.epsilon;
         for _ in 0..50 {
-            q.observe(feat.clone(), 0, 0.1, feat.clone());
+            q.observe(&feat, 0, 0.1, &feat);
         }
         assert!(q.epsilon < e0);
         assert!(q.epsilon >= 0.05);
@@ -190,7 +205,7 @@ mod tests {
         for a in 0..NUM_REVISIONS {
             let r = if a == 3 { 1.0 } else { 0.0 };
             for _ in 0..30 {
-                q.observe(feat.clone(), a, r, feat.clone());
+                q.observe(&feat, a, r, &feat);
             }
         }
         let qv = q.q_values(&s, &c);
@@ -211,8 +226,48 @@ mod tests {
         let s = c.random_schedule(&mut rng);
         let feat = s.features(&c);
         for _ in 0..1000 {
-            q.observe(feat.clone(), 0, 0.0, feat.clone());
+            q.observe(&feat, 0, 0.0, &feat);
         }
         assert!(q.replay.len() <= 512);
+    }
+
+    #[test]
+    fn observation_sequence_is_pinned_bit_for_bit() {
+        // 200 observations with interleaved proposals from a fixed seed.
+        // The digest covers every proposed action, the final Q-values of
+        // eight schedules and epsilon; the golden bits were recorded with
+        // the original allocating row-major network, so any change to the
+        // update arithmetic or the RNG stream fails here.
+        let cfg = AcceleratorConfig::builder(IntrinsicKind::Gemm)
+            .build()
+            .unwrap();
+        let wl = suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3);
+        let c = ScheduleContext::new(&wl, &cfg.intrinsic_comp()).unwrap();
+        let mut q = QLearner::new(42);
+        let mut rng = SmallRng::seed_from_u64(43);
+        let schedules: Vec<Schedule> = (0..8).map(|_| c.random_schedule(&mut rng)).collect();
+        let mut fp = runtime::Fingerprinter::new();
+        for step in 0..200 {
+            let s = &schedules[rng.gen_range(0..schedules.len())];
+            let next = &schedules[rng.gen_range(0..schedules.len())];
+            let action = rng.gen_range(0..NUM_REVISIONS);
+            let reward = rng.gen_range(-1.0..1.0);
+            q.observe(&s.features(&c), action, reward, &next.features(&c));
+            if step % 10 == 0 {
+                let proposed = q.propose(s, &c).map(|(_, a)| a);
+                fp.write_u64(proposed.map_or(u64::MAX, |a| a as u64));
+            }
+        }
+        for s in &schedules {
+            for v in q.q_values(s, &c) {
+                fp.write_u64(v.to_bits());
+            }
+        }
+        fp.write_u64(q.epsilon.to_bits());
+        assert_eq!(
+            q.q_values(&schedules[0], &c)[0].to_bits(),
+            0x3fd03d9656d4b253
+        );
+        assert_eq!(fp.finish().0, 0x0c22ad80af1c797d);
     }
 }

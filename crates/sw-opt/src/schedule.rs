@@ -22,6 +22,12 @@ pub const MAX_DIMS: usize = 8;
 /// Number of discrete revision actions (the Q-network's output arity).
 pub const NUM_REVISIONS: usize = 2 * MAX_DIMS + (MAX_DIMS - 1) + 3;
 
+/// Length of a schedule's feature vector (the Q-network's input arity).
+pub const NUM_FEATURES: usize = 2 * MAX_DIMS + 2;
+
+/// A schedule's fixed-size feature vector (see [`Schedule::features`]).
+pub type Features = [f64; NUM_FEATURES];
+
 /// A concrete software optimization for one workload on one accelerator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
@@ -231,9 +237,9 @@ impl Schedule {
     /// Fixed-size feature vector for the Q-network: per-dimension log tile
     /// multipliers, per-dimension order positions, fusion depth, and choice
     /// identity.
-    pub fn features(&self, ctx: &ScheduleContext) -> Vec<f64> {
+    pub fn features(&self, ctx: &ScheduleContext) -> Features {
         let n = ctx.workload.comp.indices.len().min(MAX_DIMS);
-        let mut feat = vec![0.0; 2 * MAX_DIMS + 2];
+        let mut feat = [0.0; NUM_FEATURES];
         for d in 0..n {
             let idx = IndexId(d);
             if let Some(&t) = self.tiles.get(&idx) {
@@ -524,7 +530,7 @@ mod tests {
         for _ in 0..20 {
             let s = c.random_schedule(&mut rng);
             let f = s.features(&c);
-            assert_eq!(f.len(), 2 * MAX_DIMS + 2);
+            assert_eq!(f.len(), NUM_FEATURES);
             assert!(f.iter().all(|&x| (0.0..=1.0).contains(&x)), "{f:?}");
         }
     }

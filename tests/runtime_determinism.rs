@@ -547,6 +547,10 @@ mod engine_concurrency {
                 "no tier evaluations recorded"
             );
             assert!(count("gp/fit") > 0, "surrogate run recorded no GP fits");
+            for phase in ["context", "pool_init", "propose", "lower", "learn"] {
+                let name = format!("sw_opt/{phase}");
+                assert!(count(&name) > 0, "no {name} timings recorded");
+            }
             assert!(count("pool/batch") > 0, "no pool batches recorded");
             assert!(
                 snapshot.caches.iter().any(|c| c.total().misses > 0),

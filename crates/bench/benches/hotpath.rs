@@ -3,8 +3,8 @@
 //! telemetry exposed as hot — GP fit/observe/predict, MOBO's EHVI
 //! acquisition and the hypervolume call inside it, the software
 //! explorer's DQN update, the trace-sim staged-plan recurrence, the memo
-//! cache under contention, and steal-heavy staged pool batches — and
-//! emits a versioned `BENCH_hotpath.json` at the repo root so the perf
+//! cache under contention, steal-heavy staged pool batches, and one
+//! served round trip over loopback TCP — and emits a versioned `BENCH_hotpath.json` at the repo root so the perf
 //! trajectory accumulates alongside `BENCH_table3.json`.
 //!
 //! Custom `main` (no `criterion_main!`): after the runs it derives the
@@ -28,6 +28,8 @@ use dse::gp::{GaussianProcess, IncrementalGp, Posterior, PredictScratch};
 use dse::hypervolume::{hypervolume_flat, HvScratch};
 use dse::mobo::Ehvi;
 use dse::pareto::pareto_indices;
+use hasco::engine::EngineConfig;
+use hasco_net::{Client, Server, ServerOptions};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use runtime::{MemoCache, WorkerPool};
@@ -265,6 +267,24 @@ fn bench_pool(c: &mut Criterion, quick: bool) {
     });
 }
 
+/// One `Client::ping` against a loopback `Server`: a fresh connection,
+/// the hello exchange, and a `Ping`/`Pong` round trip, all through the
+/// real socket setup and `proto::send`/`recv`. A healthy round trip is
+/// ~0.1 ms; a frame that waits out a delayed ACK costs ≥ 40 ms.
+fn bench_net(c: &mut Criterion) {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        EngineConfig::default().with_job_slots(1),
+        ServerOptions::default(),
+    )
+    .expect("loopback server binds");
+    let client = Client::connect(server.addr().to_string()).expect("client connects");
+    c.bench_function("net/ping_loopback", |b| {
+        b.iter(|| client.ping().expect("server answers pings"))
+    });
+    server.shutdown();
+}
+
 /// Renders the versioned `BENCH_hotpath.json` document
 /// (schema `hasco-bench-hotpath-v1`).
 fn bench_json(c: &Criterion, quick: bool) -> String {
@@ -298,6 +318,7 @@ fn main() {
     bench_sim(&mut c);
     bench_cache(&mut c, quick);
     bench_pool(&mut c, quick);
+    bench_net(&mut c);
 
     let json = bench_json(&c, quick);
     // Anchor at the workspace root regardless of cargo's bench cwd, so

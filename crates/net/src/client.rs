@@ -49,7 +49,7 @@ impl Client {
 
     /// Opens a fresh connection and completes the client hello.
     fn open(&self) -> Result<TcpStream, HascoError> {
-        let mut stream = TcpStream::connect(&self.addr)
+        let mut stream = proto::connect(self.addr.as_str())
             .map_err(|e| transport_err(&format!("connect {}", self.addr), &e))?;
         proto::send(
             &mut stream,

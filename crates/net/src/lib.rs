@@ -8,6 +8,8 @@
 //!    type that crosses a process boundary, carried in the same
 //!    checksummed `magic ++ length ++ payload ++ fingerprint` frames the
 //!    on-disk images use ([`runtime::persist`]), pointed at a socket.
+//!    Every socket sets `TCP_NODELAY` and every frame leaves in one
+//!    write, so no message waits out a delayed ACK (see [`proto`]).
 //! 2. **[`server`] / [`client`]** — `hasco-serve` wraps a long-lived
 //!    [`hasco::Engine`]; [`client::Client`] gives other processes the
 //!    engine's submit / events / campaign / persist surface over TCP.

@@ -11,8 +11,14 @@
 //!
 //! Both ends begin with a hello that carries [`PROTOCOL`]; a version
 //! mismatch is rejected before any work is exchanged.
+//!
+//! Every protocol socket runs with `TCP_NODELAY` ([`connect`] on the
+//! dialing side, the accept loop on the serving side), and each frame
+//! leaves in one write ([`persist::write_frame`]), so no frame sits in
+//! the kernel waiting for the peer's ACK.
 
 use std::io::{self, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 
 use accel_model::Metrics;
 use hasco::engine::{CampaignOutcome, CoDesignRequest};
@@ -286,6 +292,20 @@ impl Wire for Msg {
     }
 }
 
+/// Opens a protocol connection: connects and turns off Nagle's
+/// algorithm (`TCP_NODELAY`). Every conversation here is small
+/// request/reply frames; with Nagle on, a frame sent while an earlier
+/// one is unacknowledged waits for the peer's delayed ACK (RFC 896,
+/// RFC 1122 §4.2.3.2), which costs tens of milliseconds per exchange.
+///
+/// # Errors
+/// Propagates the connect or `setsockopt` failure.
+pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// Writes one message as a checksummed frame and flushes.
 pub fn send<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
     let payload = crate::wire::to_bytes(msg);
@@ -322,6 +342,8 @@ pub fn transport_err(context: &str, err: &io::Error) -> HascoError {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -379,5 +401,245 @@ mod tests {
             recv(&mut &stream[..]).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    #[test]
+    fn connect_turns_off_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = connect(listener.local_addr().unwrap()).unwrap();
+        assert!(stream.nodelay().unwrap());
+    }
+
+    fn metrics(scale: f64) -> Metrics {
+        Metrics {
+            latency_cycles: 1.5e6 * scale,
+            latency_ms: 1.5 * scale,
+            energy_uj: 0.1 + scale,
+            power_mw: 900.0 / scale,
+            area_mm2: -0.0,
+            throughput_mops: f64::MIN_POSITIVE,
+            utilization: 0.75,
+        }
+    }
+
+    /// One value of every message variant, with non-trivial payloads in
+    /// the compound ones (a full request, a solution with a schedule,
+    /// nested events, both arms of every `Result`).
+    fn representative_msgs() -> Vec<Msg> {
+        use std::collections::BTreeMap;
+
+        use accel_model::arch::AcceleratorConfig;
+        use accel_model::tech::TechParams;
+        use accel_model::BackendKind;
+        use dse::problem::{Evaluation, OptimizerResult};
+        use hasco::codesign::CoDesignOptions;
+        use hasco::input::{Constraints, GenerationMethod, InputDescription};
+        use hasco::{RunStats, WorkloadSolution};
+        use runtime::CacheStats;
+        use sw_opt::explorer::ExplorerOptions;
+        use sw_opt::schedule::Schedule;
+        use tensor_ir::index::IndexId;
+        use tensor_ir::intrinsics::IntrinsicKind;
+        use tensor_ir::matching::TensorizeChoice;
+        use tensor_ir::suites::gemm_workload;
+        use tensor_ir::workload::TensorApp;
+
+        let workload = gemm_workload("g", 64, 32, 16);
+        let request = CoDesignRequest::new(
+            InputDescription {
+                app: TensorApp::new("toy", vec![workload.clone()]),
+                method: GenerationMethod::Chisel(IntrinsicKind::Gemm),
+                constraints: Constraints::latency_power(4.0, 900.0),
+            },
+            CoDesignOptions::quick(7).with_threads(2),
+        )
+        .with_label("fuzz");
+        let accelerator = AcceleratorConfig::builder(IntrinsicKind::Gemm)
+            .pe_array(8, 8)
+            .build()
+            .unwrap();
+        let solution = Solution {
+            accelerator: accelerator.clone(),
+            per_workload: vec![WorkloadSolution {
+                workload: "g".into(),
+                schedule: Schedule {
+                    choice: TensorizeChoice {
+                        intrinsic: "gemm".into(),
+                        var_map: vec![(IndexId(0), IndexId(2)), (IndexId(1), IndexId(0))],
+                        needs_rearrangement: false,
+                    },
+                    tiles: BTreeMap::from([(IndexId(0), 8), (IndexId(2), 16)]),
+                    outer_order: vec![IndexId(2), IndexId(0), IndexId(1)],
+                    fuse_outer: 1,
+                },
+                metrics: metrics(1.0),
+                program: "for i in 0..8 { gemm() }".into(),
+            }],
+            total: metrics(2.0),
+            meets_constraints: true,
+            hw_history: OptimizerResult {
+                optimizer: "mobo".into(),
+                evaluations: vec![Evaluation {
+                    point: vec![1, 0, 3],
+                    objectives: vec![0.5, 1e-9],
+                }],
+                infeasible: 2,
+            },
+            stats: RunStats {
+                hw_evaluations: 4,
+                sw_explorations: 9,
+                refine_explorations: 1,
+                backend: BackendKind::Analytic,
+                refine_backend: Some(BackendKind::TraceSim),
+                refine_topk_trajectory: vec![2, 1],
+                surrogate_samples: 0,
+                surrogate_trusted: false,
+                warm_cache_entries: 3,
+                cache: CacheStats {
+                    hits: 5,
+                    misses: 6,
+                    inserts: 6,
+                    evictions: 0,
+                },
+            },
+        };
+        let event = RunEvent::BatchEvaluated {
+            optimizer: "mobo".into(),
+            phase: "screen".into(),
+            batch: 3,
+            evaluated: 8,
+            feasible: 7,
+        };
+        let eval = RemoteEvalRequest {
+            backend: BackendKind::Analytic,
+            tech: TechParams::default(),
+            seed: 11,
+            sw_opts: ExplorerOptions::default(),
+            workload,
+            config: accelerator,
+        };
+        vec![
+            Msg::ClientHello {
+                protocol: PROTOCOL.into(),
+            },
+            Msg::WorkerHello {
+                protocol: "HASCONET?".into(),
+            },
+            Msg::HelloOk,
+            Msg::Submit {
+                request: request.clone(),
+            },
+            Msg::Accepted { job_id: u64::MAX },
+            Msg::Event {
+                event: event.clone(),
+            },
+            Msg::Done {
+                result: Ok(solution.clone()),
+            },
+            Msg::Done {
+                result: Err(HascoError::InvalidOptions("bad".into())),
+            },
+            Msg::Cancel { job_id: 3 },
+            Msg::CancelOk { found: true },
+            Msg::CampaignPlan {
+                requests: vec![request.clone(), request],
+            },
+            Msg::Campaign {
+                event: CampaignEvent::Job {
+                    label: "fuzz".into(),
+                    event,
+                },
+            },
+            Msg::CampaignDone {
+                result: Ok(vec![CampaignOutcome {
+                    label: "fuzz".into(),
+                    solution,
+                    shared_with: Some("first".into()),
+                }]),
+            },
+            Msg::CampaignDone {
+                result: Err(HascoError::Cancelled),
+            },
+            Msg::Persist,
+            Msg::PersistOk { entries: 42 },
+            Msg::BatchRequest {
+                batch: 9,
+                items: vec![eval.clone(), eval],
+            },
+            Msg::BatchResult {
+                batch: 9,
+                results: vec![Some(metrics(3.0)), None],
+            },
+            Msg::Ping { nonce: 1 },
+            Msg::Pong { nonce: 1 },
+            Msg::Shutdown,
+            Msg::ShutdownOk,
+            Msg::Error {
+                message: "protocol violation".into(),
+            },
+        ]
+    }
+
+    #[test]
+    fn every_message_survives_the_wire_bit_for_bit() {
+        let msgs = representative_msgs();
+        let tags: std::collections::BTreeSet<u8> =
+            msgs.iter().map(|m| crate::wire::to_bytes(m)[0]).collect();
+        assert_eq!(tags.len(), 21, "one message per tag 0..=20");
+        let mut stream = Vec::new();
+        for msg in &msgs {
+            send(&mut stream, msg).unwrap();
+        }
+        let mut r = &stream[..];
+        for msg in &msgs {
+            let back = recv(&mut r).unwrap().expect("one frame per message");
+            assert_eq!(crate::wire::to_bytes(&back), crate::wire::to_bytes(msg));
+        }
+        assert!(recv(&mut r).unwrap().is_none());
+    }
+
+    /// Feeds one payload to [`recv`] inside a valid frame: the checksum
+    /// always passes, so every byte reaches the `Msg` decoders. A decode
+    /// must be an error or a message that re-encodes to the same bytes.
+    fn recv_payload(payload: &[u8]) -> Result<(), TestCaseError> {
+        let image = persist::frame(FRAME_MAGIC, payload);
+        match recv(&mut &image[..]) {
+            Ok(Some(msg)) => prop_assert_eq!(crate::wire::to_bytes(&msg), payload.to_vec()),
+            Ok(None) => prop_assert!(false, "a whole frame read as end of stream"),
+            Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn recv_never_panics_on_arbitrary_tagged_payloads(
+            tag in 0u8..21,
+            tail in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&tail);
+            recv_payload(&payload)?;
+        }
+
+        #[test]
+        fn recv_never_panics_on_mutated_messages(
+            pick in 0usize..23,
+            edits in prop::collection::vec((any::<u64>(), any::<u8>()), 1..4),
+            cut in any::<u64>(),
+        ) {
+            let msgs = representative_msgs();
+            let mut payload = crate::wire::to_bytes(&msgs[pick % msgs.len()]);
+            for (at, byte) in edits {
+                let at = (at % payload.len() as u64) as usize;
+                payload[at] = byte;
+            }
+            if cut % 4 == 0 {
+                payload.truncate((cut >> 2) as usize % (payload.len() + 1));
+            }
+            recv_payload(&payload)?;
+        }
     }
 }

@@ -209,6 +209,12 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Replies and event streams are small frames: without
+        // `TCP_NODELAY` each one can wait out the client's delayed ACK.
+        // A stream that refuses the option is dropped, not served slowly.
+        if stream.set_nodelay(true).is_err() {
+            continue;
+        }
         {
             let mut active = lock_live(&inner.active);
             *active += 1;

@@ -204,6 +204,12 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
         for _ in 0..len {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
+            // `encode` writes keys strictly ascending; anything else
+            // (a repeat, or keys out of order) would decode to a map
+            // that re-encodes to different bytes.
+            if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return None;
+            }
             map.insert(k, v);
         }
         Some(map)
@@ -824,5 +830,25 @@ mod tests {
         });
         assert!(from_bytes::<RunEvent>(&event[..event.len() - 1]).is_none());
         assert!(from_bytes::<RunEvent>(&[99]).is_none());
+    }
+
+    #[test]
+    fn maps_with_unsorted_or_repeated_keys_are_rejected() {
+        let map = BTreeMap::from([(IndexId(0), 8u64), (IndexId(2), 16)]);
+        let bytes = to_bytes(&map);
+        assert_eq!(from_bytes::<BTreeMap<IndexId, u64>>(&bytes), Some(map));
+        // Entries are (key u64, value u64) after the 8-byte count; the
+        // second key sits at offset 24. Out of order, then repeated.
+        for key in [0u8, 1] {
+            let mut bad = bytes.clone();
+            bad[24..32].copy_from_slice(&[0; 8]);
+            bad[24] = key;
+            bad[8] = 1;
+            assert_eq!(
+                from_bytes::<BTreeMap<IndexId, u64>>(&bad),
+                None,
+                "key {key}"
+            );
+        }
     }
 }

@@ -13,7 +13,6 @@
 //! parallelism of the system is across workers, not within one.
 
 use std::io;
-use std::net::TcpStream;
 use std::thread::{self, JoinHandle};
 
 use hasco::remote::RemoteEvalRequest;
@@ -33,7 +32,7 @@ pub struct WorkerOptions {
 /// releases the worker (`Shutdown`) or closes the connection. Returns
 /// the number of batches served.
 pub fn run(addr: &str, opts: &WorkerOptions) -> io::Result<u64> {
-    let mut stream = TcpStream::connect(addr)?;
+    let mut stream = proto::connect(addr)?;
     proto::send(
         &mut stream,
         &Msg::WorkerHello {

@@ -14,7 +14,10 @@
 //!   payload, so any corruption is detected instead of decoded. The
 //!   streaming forms work over any `io::Read` / `io::Write` (a socket, a
 //!   file, an in-memory buffer); [`frame`] / [`parse_frame`] are the
-//!   whole-buffer wrappers;
+//!   whole-buffer forms. [`frame`] is the only routine that lays out a
+//!   frame; [`write_frame`] hands its bytes to the writer in one
+//!   `write_all`, so a socket never sends a frame's header apart from
+//!   its body;
 //! * **tolerant loading** ([`load_frame`]) — a missing file or a corrupt
 //!   image is the expected cold-start case (`Ok(None)`), while real I/O
 //!   failures (permissions, a directory at the path) stay errors.
@@ -69,13 +72,17 @@ fn checksum(payload: &[u8]) -> u64 {
 /// `Vec<u8>`). The length prefix makes frames self-delimiting, so a
 /// stream can carry many of them back to back.
 ///
+/// The frame is assembled by [`frame`] and handed over in **one**
+/// `write_all`. On an unbuffered `TcpStream` every `write` is a send
+/// call: four small ones per frame would leave as four segments, and
+/// with Nagle's algorithm on (RFC 896) the later ones wait for the
+/// peer's delayed ACK (RFC 1122 §4.2.3.2) — tens of milliseconds per
+/// frame on loopback.
+///
 /// # Errors
 /// Propagates I/O errors from the writer.
 pub fn write_frame<W: Write>(w: &mut W, magic: &[u8; 8], payload: &[u8]) -> io::Result<()> {
-    w.write_all(magic)?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&checksum(payload).to_le_bytes())?;
+    w.write_all(&frame(magic, payload))?;
     w.flush()
 }
 
@@ -140,12 +147,14 @@ pub fn read_frame<R: Read>(
     Ok(Some(payload))
 }
 
-/// Wraps `payload` in one checksummed frame, in memory — the
-/// whole-buffer form of [`write_frame`].
+/// Wraps `payload` in one checksummed frame, in memory — the only
+/// routine that lays out frame bytes; [`write_frame`] sends its result.
 pub fn frame(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     let mut image = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    // detlint-allow(panic-safety): io::Write for Vec<u8> cannot fail, so this expect is unreachable — and quieter than threading io::Result through every in-memory framing call
-    write_frame(&mut image, magic, payload).expect("Vec<u8> writes are infallible");
+    image.extend_from_slice(magic);
+    image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    image.extend_from_slice(payload);
+    image.extend_from_slice(&checksum(payload).to_le_bytes());
     image
 }
 
@@ -192,6 +201,8 @@ pub fn save_frame(path: &Path, magic: &[u8; 8], payload: &[u8]) -> std::io::Resu
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     const MAGIC: &[u8; 8] = b"HASCOTST";
@@ -323,5 +334,83 @@ mod tests {
         assert_eq!(parse_frame(MAGIC, &image).unwrap(), b"exact");
         image.push(0);
         assert_eq!(parse_frame(MAGIC, &image), None);
+    }
+
+    /// An `io::Write` that records every call it sees.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_and_one_flush() {
+        for payload in [&b""[..], b"x", b"one frame, one segment"] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, MAGIC, payload).unwrap();
+            assert_eq!((w.writes, w.flushes), (1, 1), "payload {payload:?}");
+            assert_eq!(w.bytes, frame(MAGIC, payload));
+        }
+    }
+
+    /// Byte soup for the frame decoders, biased towards inputs that get
+    /// past the early checks: `mode` 0 is raw bytes, 1 prefixes the
+    /// magic, 2 prefixes the magic and a small length, and 3 corrupts a
+    /// valid frame (one byte overwritten, then truncated).
+    fn fuzzed_image(mode: u8, bytes: Vec<u8>, knob: u64) -> Vec<u8> {
+        let mut image = Vec::new();
+        match mode {
+            0 => {}
+            1 => image.extend_from_slice(MAGIC),
+            2 => {
+                image.extend_from_slice(MAGIC);
+                image.extend_from_slice(&(knob % 96).to_le_bytes());
+            }
+            _ => {
+                let mut good = frame(MAGIC, &bytes);
+                let at = (knob as usize) % good.len();
+                good[at] = (knob >> 32) as u8;
+                good.truncate(good.len() - (knob as usize >> 8) % 3);
+                return good;
+            }
+        }
+        image.extend_from_slice(&bytes);
+        image
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn frame_decoders_never_panic_on_arbitrary_bytes(
+            mode in 0u8..4,
+            bytes in prop::collection::vec(any::<u8>(), 0..160),
+            knob in any::<u64>(),
+            max_payload in 0u64..256,
+        ) {
+            let image = fuzzed_image(mode, bytes, knob);
+            if let Some(payload) = parse_frame(MAGIC, &image) {
+                prop_assert_eq!(frame(MAGIC, payload), image);
+            }
+            // Every successful read consumes at least one whole frame, so
+            // the loop ends at a clean end of stream or the first error.
+            let mut r = &image[..];
+            while let Ok(Some(payload)) = read_frame(&mut r, MAGIC, max_payload) {
+                prop_assert!(payload.len() as u64 <= max_payload);
+            }
+        }
     }
 }

@@ -2,9 +2,10 @@
 //! surrogate being cheap, so this suite times exactly the paths the
 //! telemetry exposed as hot — GP fit/observe/predict, MOBO's EHVI
 //! acquisition and the hypervolume call inside it, the software
-//! explorer's DQN update, the trace-sim staged-plan recurrence, the memo
-//! cache under contention, steal-heavy staged pool batches, and one
-//! served round trip over loopback TCP — and emits a versioned `BENCH_hotpath.json` at the repo root so the perf
+//! explorer's DQN update and one whole exploration, the trace-sim
+//! staged-plan recurrence, the memo cache under contention, steal-heavy
+//! staged pool batches, and one served round trip over loopback TCP — and
+//! emits a versioned `BENCH_hotpath.json` at the repo root so the perf
 //! trajectory accumulates alongside `BENCH_table3.json`.
 //!
 //! Custom `main` (no `criterion_main!`): after the runs it derives the
@@ -36,7 +37,9 @@ use runtime::{MemoCache, WorkerPool};
 use sw_opt::nn::Mlp;
 use sw_opt::qlearn::QLearner;
 use sw_opt::schedule::{Features, NUM_FEATURES, NUM_REVISIONS};
+use sw_opt::{ExplorerOptions, SoftwareExplorer};
 use tensor_ir::intrinsics::IntrinsicKind;
+use tensor_ir::suites;
 
 /// A deterministic stream of uniform draws in [0, 1).
 fn unit_stream() -> impl FnMut() -> f64 {
@@ -154,7 +157,9 @@ fn bench_ehvi(c: &mut Criterion) {
 /// The software explorer's DQN update on its 18→48→48→48→26 network:
 /// one replay step (the next-state prediction plus one SGD step on the
 /// taken action) and one `QLearner::observe` (16 replay steps) against a
-/// full 512-transition replay buffer.
+/// full 512-transition replay buffer. The features are uniform draws, so
+/// none is zero: these ids never exercise the first layer's zero skipping
+/// (`sw/explore_conv` does).
 fn bench_dqn(c: &mut Criterion) {
     let mut unit = unit_stream();
     let mut features = move || -> Features { std::array::from_fn(|_| unit()) };
@@ -186,6 +191,29 @@ fn bench_dqn(c: &mut Criterion) {
     }
     c.bench_function("sw/qlearn_observe", |b| {
         b.iter(|| learner.observe(black_box(&state), 5, 0.25, black_box(&next)))
+    });
+}
+
+/// One default `SoftwareExplorer::optimize` (analytic tier) of a ResNet-50
+/// 3×3 convolution on a GEMM accelerator: a whole exploration as the
+/// co-design loop prices it, on real schedule features (about half of
+/// which are zero).
+fn bench_explorer(c: &mut Criterion) {
+    let cfg = AcceleratorConfig::builder(IntrinsicKind::Gemm)
+        .build()
+        .expect("config builds");
+    let conv = suites::resnet50_convs()
+        .into_iter()
+        .find(|w| w.name == "resnet_conv3_0_b")
+        .expect("ResNet-50 has conv3_0_b");
+    let explorer = SoftwareExplorer::new(1);
+    let opts = ExplorerOptions::default();
+    c.bench_function("sw/explore_conv", |b| {
+        b.iter(|| {
+            explorer
+                .optimize(&conv, &cfg, &opts)
+                .expect("conv explores")
+        })
     });
 }
 
@@ -315,6 +343,7 @@ fn main() {
     bench_gp(&mut c);
     bench_ehvi(&mut c);
     bench_dqn(&mut c);
+    bench_explorer(&mut c);
     bench_sim(&mut c);
     bench_cache(&mut c, quick);
     bench_pool(&mut c, quick);

@@ -606,9 +606,9 @@ impl<'a> HwProblem<'a> {
         if let Some(surrogate) = self.explorer.backend().as_surrogate() {
             surrogate.install_telemetry(telemetry.clone());
         }
-        self.explorer = self.explorer.with_telemetry(telemetry.clone());
+        self.explorer = self.explorer.with_telemetry(telemetry.clone(), "sw_opt");
         self.refine = self.refine.map(|tier| RefineTier {
-            explorer: tier.explorer.with_telemetry(telemetry.clone()),
+            explorer: tier.explorer.with_telemetry(telemetry.clone(), "sw_opt"),
             ..tier
         });
         self.telemetry = telemetry;
@@ -1439,7 +1439,7 @@ fn finalize_solution(
     let tier = telemetry.timer(format_args!("sw_explore/{}", backend.name()));
     let explorer = SoftwareExplorer::new(opts.seed)
         .with_backend(backend)
-        .with_telemetry(telemetry.clone())
+        .with_telemetry(telemetry.clone(), "sw_opt/final")
         .with_progress(Arc::new(RunObserver {
             events: EventSink::disabled(),
             cancel: Arc::clone(cancel),

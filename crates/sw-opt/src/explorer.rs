@@ -77,8 +77,11 @@ pub struct OptimizedSoftware {
     pub evaluated: usize,
 }
 
-/// The software explorer; owns the RNG seed and the shared Q-network
-/// ("the DQN is reused for all design points in a software space").
+/// The software explorer; owns the RNG seed. Every
+/// [`SoftwareExplorer::optimize`] call trains a fresh Q-network from that
+/// seed, which keeps each exploration a pure, memoizable function of its
+/// inputs. The paper instead reuses one DQN "for all design points in a
+/// software space" (§VI-B); see README.
 ///
 /// Schedule pricing dispatches through a pluggable [`CostBackend`]
 /// ([`SoftwareExplorer::with_backend`]), defaulting to the fast analytic
@@ -169,19 +172,23 @@ impl SoftwareExplorer {
         self
     }
 
-    /// Times each phase of every exploration into `telemetry`:
-    /// `sw_opt/context` (schedule-space construction), `sw_opt/pool_init`
-    /// (the priced initial candidate pool), and per revision round
-    /// `sw_opt/propose` (Q-network proposals), `sw_opt/lower` (lowering and
-    /// pricing the proposals) and `sw_opt/learn` (Q-learning updates).
-    /// Observation only: results are identical with or without it.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+    /// Times each phase of every exploration into `telemetry`, named
+    /// under `scope`: `{scope}/context` (schedule-space construction),
+    /// `{scope}/pool_init` (the priced initial candidate pool), and per
+    /// revision round `{scope}/propose` (Q-network proposals),
+    /// `{scope}/lower` (lowering and pricing the proposals) and
+    /// `{scope}/learn` (Q-learning updates). The co-design loop's screen
+    /// and refine explorers use `sw_opt`, its final explorer
+    /// `sw_opt/final`. Observation only: results are identical with or
+    /// without it.
+    pub fn with_telemetry(mut self, telemetry: Telemetry, scope: &str) -> Self {
+        let timer = |phase: &str| telemetry.timer(format_args!("{scope}/{phase}"));
         self.phases = PhaseTimers {
-            context: telemetry.timer("sw_opt/context"),
-            pool_init: telemetry.timer("sw_opt/pool_init"),
-            propose: telemetry.timer("sw_opt/propose"),
-            lower: telemetry.timer("sw_opt/lower"),
-            learn: telemetry.timer("sw_opt/learn"),
+            context: timer("context"),
+            pool_init: timer("pool_init"),
+            propose: timer("propose"),
+            lower: timer("lower"),
+            learn: timer("learn"),
         };
         self
     }

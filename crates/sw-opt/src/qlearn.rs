@@ -5,7 +5,9 @@
 //! revision choice is \[and\] apply the revision choice with the highest
 //! Q-value." A DQN — our from-scratch 4-layer [`crate::nn::Mlp`] — predicts
 //! Q-values from schedule features; a replay buffer smooths the updates.
-//! The network "is reused for all design points in a software space".
+//! The paper reuses the network "for all design points in a software
+//! space". Here each exploration builds its own [`QLearner`], so a
+//! schedule's price never depends on which explorations ran before it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

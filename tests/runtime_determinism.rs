@@ -547,9 +547,13 @@ mod engine_concurrency {
                 "no tier evaluations recorded"
             );
             assert!(count("gp/fit") > 0, "surrogate run recorded no GP fits");
-            for phase in ["context", "pool_init", "propose", "lower", "learn"] {
-                let name = format!("sw_opt/{phase}");
-                assert!(count(&name) > 0, "no {name} timings recorded");
+            // The inner (screen and refine) explorers and the final one
+            // report their phases under separate names.
+            for scope in ["sw_opt", "sw_opt/final"] {
+                for phase in ["context", "pool_init", "propose", "lower", "learn"] {
+                    let name = format!("{scope}/{phase}");
+                    assert!(count(&name) > 0, "no {name} timings recorded");
+                }
             }
             assert!(count("pool/batch") > 0, "no pool batches recorded");
             assert!(

@@ -225,6 +225,32 @@ impl StableFingerprint for AcceleratorConfig {
     }
 }
 
+runtime::wire_struct!(PeArray { rows, cols });
+runtime::wire_enum_unit!(Interconnect {
+    0 => Interconnect::None,
+    1 => Interconnect::Systolic,
+    2 => Interconnect::Full,
+});
+runtime::wire_enum_unit!(Dataflow {
+    0 => Dataflow::OutputStationary,
+    1 => Dataflow::WeightStationary,
+    2 => Dataflow::InputStationary,
+});
+runtime::wire_struct!(AcceleratorConfig {
+    name,
+    intrinsic,
+    pe,
+    interconnect,
+    dataflow,
+    scratchpad_bytes,
+    banks,
+    local_mem_bytes,
+    dma_burst_bytes,
+    bus_width_bits,
+    freq_mhz,
+    dtype_bytes,
+});
+
 impl std::fmt::Display for AcceleratorConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -160,6 +160,13 @@ impl runtime::StableFingerprint for BackendKind {
     }
 }
 
+runtime::wire_enum_unit!(BackendKind {
+    0 => BackendKind::Analytic,
+    1 => BackendKind::TraceSim,
+    2 => BackendKind::Calibrated,
+    3 => BackendKind::Surrogate,
+});
+
 /// Tier 1: the analytical cost model, verbatim.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyticBackend {
@@ -946,117 +953,29 @@ pub struct SurrogateSnapshot {
     pub digest: u64,
 }
 
-impl SurrogateSnapshot {
-    /// Appends the snapshot's canonical binary layout to `out`. All
-    /// floats are stored as IEEE-754 bit patterns, so encode → decode →
-    /// restore is bit-exact.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let f = |out: &mut Vec<u8>, v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
-        let u = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        for c in self.tech.to_array() {
-            f(out, c);
-        }
-        u(out, self.min_train as u64);
-        u(out, self.max_train as u64);
-        f(out, self.trust_threshold);
-        u(out, self.generation);
-        u(out, self.digest);
-        f(out, self.cv_error);
-        out.push(self.trusted as u8);
-        u(out, self.observed.len() as u64);
-        for (lo, hi) in &self.observed {
-            u(out, *lo);
-            u(out, *hi);
-        }
-        u(out, self.ys.len() as u64);
-        let dim = self.xs.first().map_or(0, Vec::len);
-        u(out, dim as u64);
-        for (x, y) in self.xs.iter().zip(&self.ys) {
-            for v in x {
-                f(out, *v);
-            }
-            f(out, *y);
-        }
-    }
+// Field order is the layout: the fixed-width scalars first (so `trusted`
+// sits at byte 13·8 + 6·8), then the sequences.
+runtime::wire_struct!(SurrogateSnapshot {
+    tech,
+    min_train,
+    max_train,
+    trust_threshold,
+    generation,
+    digest,
+    cv_error,
+    trusted,
+    observed,
+    xs,
+    ys,
+} if SurrogateSnapshot::is_well_formed);
 
-    /// Parses one snapshot from its canonical layout; `None` on any
-    /// truncation, trailing bytes, or structural inconsistency (the
-    /// caller treats that as a corrupt store ⇒ cold start).
-    pub fn decode(bytes: &[u8]) -> Option<SurrogateSnapshot> {
-        struct Cursor<'a>(&'a [u8]);
-        impl Cursor<'_> {
-            fn u64(&mut self) -> Option<u64> {
-                let v = u64::from_le_bytes(self.0.get(..8)?.try_into().ok()?);
-                self.0 = &self.0[8..];
-                Some(v)
-            }
-            fn f64(&mut self) -> Option<f64> {
-                self.u64().map(f64::from_bits)
-            }
-            fn u8(&mut self) -> Option<u8> {
-                let v = *self.0.first()?;
-                self.0 = &self.0[1..];
-                Some(v)
-            }
-        }
-        let mut c = Cursor(bytes);
-        let mut tech = [0.0f64; 13];
-        for slot in &mut tech {
-            *slot = c.f64()?;
-        }
-        let min_train = c.u64()? as usize;
-        let max_train = c.u64()? as usize;
-        let trust_threshold = c.f64()?;
-        let generation = c.u64()?;
-        let digest = c.u64()?;
-        let cv_error = c.f64()?;
-        let trusted = match c.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let observed_len = c.u64()? as usize;
-        // Bound counts by the remaining bytes before allocating.
-        if observed_len > c.0.len() / 16 {
-            return None;
-        }
-        let mut observed = Vec::with_capacity(observed_len);
-        for _ in 0..observed_len {
-            let lo = c.u64()?;
-            let hi = c.u64()?;
-            observed.push((lo, hi));
-        }
-        let samples = c.u64()? as usize;
-        let dim = c.u64()? as usize;
-        if samples.checked_mul(dim.checked_add(1)?)? > c.0.len() / 8 {
-            return None;
-        }
-        let mut xs = Vec::with_capacity(samples);
-        let mut ys = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let mut x = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                x.push(c.f64()?);
-            }
-            xs.push(x);
-            ys.push(c.f64()?);
-        }
-        if !c.0.is_empty() {
-            return None;
-        }
-        Some(SurrogateSnapshot {
-            tech: TechParams::from_array(tech),
-            min_train,
-            max_train,
-            trust_threshold,
-            xs,
-            ys,
-            observed,
-            cv_error,
-            trusted,
-            generation,
-            digest,
-        })
+impl SurrogateSnapshot {
+    /// One target per training row, and every row the same width — what
+    /// a snapshot taken from a live backend always satisfies. Decoding
+    /// rejects anything else, so a corrupt store is a cold start.
+    fn is_well_formed(&self) -> bool {
+        let dim = self.xs.first().map_or(0, Vec::len);
+        self.xs.len() == self.ys.len() && self.xs.iter().all(|x| x.len() == dim)
     }
 }
 
@@ -1124,6 +1043,7 @@ impl CostBackend for SurrogateBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use runtime::wire::{from_bytes, to_bytes};
     use tensor_ir::intrinsics::IntrinsicKind;
 
     fn cfg() -> AcceleratorConfig {
@@ -1418,9 +1338,8 @@ mod tests {
 
         // Snapshot → encode → decode → restore.
         let snap = surrogate.snapshot();
-        let mut bytes = Vec::new();
-        snap.encode_into(&mut bytes);
-        let decoded = SurrogateSnapshot::decode(&bytes).expect("snapshot decodes");
+        let bytes = to_bytes(&snap);
+        let decoded: SurrogateSnapshot = from_bytes(&bytes).expect("snapshot decodes");
         assert_eq!(decoded, snap, "encode/decode must be lossless");
         let restored = SurrogateBackend::from_snapshot(&decoded);
 
@@ -1461,23 +1380,46 @@ mod tests {
     #[test]
     fn snapshot_decode_rejects_corrupt_bytes() {
         let snap = trained_surrogate().as_surrogate().unwrap().snapshot();
-        let mut bytes = Vec::new();
-        snap.encode_into(&mut bytes);
+        let bytes = to_bytes(&snap);
         // Truncation at any of a few depths, trailing garbage, and a bad
         // trusted flag must all be rejected, never panic.
         for cut in [0, 8, 13 * 8 + 3, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                SurrogateSnapshot::decode(&bytes[..cut]).is_none(),
+                from_bytes::<SurrogateSnapshot>(&bytes[..cut]).is_none(),
                 "decode accepted a truncation at {cut}"
             );
         }
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(SurrogateSnapshot::decode(&trailing).is_none());
+        assert!(from_bytes::<SurrogateSnapshot>(&trailing).is_none());
         let mut bad_flag = bytes.clone();
         let flag_at = 13 * 8 + 8 + 8 + 8 + 8 + 8 + 8; // tech + knobs + gen/digest/cv
         bad_flag[flag_at] = 7;
-        assert!(SurrogateSnapshot::decode(&bad_flag).is_none());
+        assert!(from_bytes::<SurrogateSnapshot>(&bad_flag).is_none());
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_ragged_or_mismatched_rows() {
+        let snap = trained_surrogate().as_surrogate().unwrap().snapshot();
+        assert!(snap.is_well_formed());
+        assert!(from_bytes::<SurrogateSnapshot>(&to_bytes(&snap)).is_some());
+        let mut ragged = snap.clone();
+        ragged.xs[1].pop();
+        let mut short_ys = snap.clone();
+        short_ys.ys.pop();
+        let mut extra_row = snap;
+        extra_row.xs.push(extra_row.xs[0].clone());
+        for (label, bad) in [
+            ("ragged", ragged),
+            ("short ys", short_ys),
+            ("extra row", extra_row),
+        ] {
+            assert!(!bad.is_well_formed(), "{label}");
+            assert!(
+                from_bytes::<SurrogateSnapshot>(&to_bytes(&bad)).is_none(),
+                "decode accepted a {label} snapshot"
+            );
+        }
     }
 
     #[test]

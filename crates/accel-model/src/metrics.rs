@@ -21,6 +21,16 @@ pub struct Metrics {
     pub utilization: f64,
 }
 
+runtime::wire_struct!(Metrics {
+    latency_cycles,
+    latency_ms,
+    energy_uj,
+    power_mw,
+    area_mm2,
+    throughput_mops,
+    utilization,
+});
+
 impl Metrics {
     /// The three objectives of the hardware DSE (§V-B), all to be
     /// *minimized*: latency (cycles), power (mW), area (mm²).

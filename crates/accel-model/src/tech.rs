@@ -4,6 +4,7 @@
 //! matters for reproducing the paper's trends (who wins, where crossovers
 //! fall); the constants are deliberately round numbers.
 
+use runtime::wire::{Reader, Wire};
 use serde::{Deserialize, Serialize};
 
 /// Per-operation energy and per-unit area constants.
@@ -69,9 +70,24 @@ impl runtime::StableFingerprint for TechParams {
     }
 }
 
+impl Wire for TechParams {
+    fn encode(&self, out: &mut Vec<u8>) {
+        for v in self.to_array() {
+            v.encode(out);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let mut a = [0.0f64; 13];
+        for slot in &mut a {
+            *slot = f64::decode(r)?;
+        }
+        Some(TechParams::from_array(a))
+    }
+}
+
 impl TechParams {
     /// Every constant in a fixed order — the one canonical flattening,
-    /// shared by the fingerprint and the persisted surrogate-store image
+    /// shared by the fingerprint and the [`Wire`] encoding
     /// ([`TechParams::from_array`] is its inverse). Extending the struct
     /// means extending both, which also versions every derived
     /// fingerprint.

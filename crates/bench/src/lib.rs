@@ -36,15 +36,3 @@ pub enum Scale {
     /// Paper-sized budgets (trial counts as in §VII).
     Paper,
 }
-
-impl Scale {
-    /// Parses `--quick`/`--paper` style argv, defaulting to `Paper` for
-    /// the standalone binaries.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Paper
-        }
-    }
-}

@@ -26,6 +26,7 @@ use dse::staged::AdaptiveTopK;
 use dse::Optimizer;
 use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
+use runtime::wire::{Reader, Wire};
 use runtime::{
     resolve_threads, Fingerprinter, MemoCache, StableFingerprint, Telemetry, Timer, WorkerPool,
 };
@@ -101,6 +102,13 @@ impl std::fmt::Display for OptimizerKind {
         write!(f, "{}", self.as_str())
     }
 }
+
+runtime::wire_enum_unit!(OptimizerKind {
+    0 => OptimizerKind::Mobo,
+    1 => OptimizerKind::Nsga2,
+    2 => OptimizerKind::Random,
+    3 => OptimizerKind::Anneal,
+});
 
 /// Knobs of one co-design run.
 #[derive(Debug, Clone)]
@@ -316,6 +324,47 @@ impl CoDesignOptions {
             );
         }
         Ok(())
+    }
+}
+
+impl Wire for CoDesignOptions {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.hw_trials.encode(out);
+        self.mobo_prior.encode(out);
+        self.sw_inner.encode(out);
+        self.sw_final.encode(out);
+        self.tuning_rounds.encode(out);
+        self.seed.encode(out);
+        self.threads.encode(out);
+        self.work_stealing.encode(out);
+        self.cache_capacity.encode(out);
+        self.backend.encode(out);
+        self.refine_backend.encode(out);
+        self.refine_top_k.encode(out);
+        self.adaptive_refinement.encode(out);
+        self.tech.encode(out);
+        self.optimizer.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        // Start from a constructed options value (the struct is not
+        // `Default`) and overwrite every wire-carried field.
+        let mut opts = CoDesignOptions::quick(0);
+        opts.hw_trials = Wire::decode(r)?;
+        opts.mobo_prior = Wire::decode(r)?;
+        opts.sw_inner = Wire::decode(r)?;
+        opts.sw_final = Wire::decode(r)?;
+        opts.tuning_rounds = Wire::decode(r)?;
+        opts.seed = Wire::decode(r)?;
+        opts.threads = Wire::decode(r)?;
+        opts.work_stealing = Wire::decode(r)?;
+        opts.cache_capacity = Wire::decode(r)?;
+        opts.backend = Wire::decode(r)?;
+        opts.refine_backend = Wire::decode(r)?;
+        opts.refine_top_k = Wire::decode(r)?;
+        opts.adaptive_refinement = Wire::decode(r)?;
+        opts.tech = Wire::decode(r)?;
+        opts.optimizer = Wire::decode(r)?;
+        Some(opts)
     }
 }
 
@@ -646,9 +695,7 @@ impl<'a> HwProblem<'a> {
     /// number of entries loaded; a missing or corrupted file is a clean
     /// cold start (0).
     pub fn load_cache(&self, path: &std::path::Path) -> u64 {
-        self.memo
-            .load_from_file(path, Self::decode_cache_entry)
-            .unwrap_or(0)
+        self.memo.load_from_file(path).unwrap_or(0)
     }
 
     /// Persists the evaluation cache for future runs, merging
@@ -674,65 +721,7 @@ impl<'a> HwProblem<'a> {
         path: &std::path::Path,
         max_age: Option<std::time::Duration>,
     ) -> std::io::Result<u64> {
-        self.memo.save_merged_with_max_age(
-            path,
-            Self::encode_cache_entry,
-            Self::decode_cache_entry,
-            max_age,
-        )
-    }
-
-    pub(crate) fn encode_cache_entry(key: &(u64, u64), value: &Option<Metrics>, out: &mut Vec<u8>) {
-        out.extend_from_slice(&key.0.to_le_bytes());
-        out.extend_from_slice(&key.1.to_le_bytes());
-        match value {
-            None => out.push(0),
-            Some(m) => {
-                out.push(1);
-                for f in [
-                    m.latency_cycles,
-                    m.latency_ms,
-                    m.energy_uj,
-                    m.power_mw,
-                    m.area_mm2,
-                    m.throughput_mops,
-                    m.utilization,
-                ] {
-                    out.extend_from_slice(&f.to_bits().to_le_bytes());
-                }
-            }
-        }
-    }
-
-    pub(crate) fn decode_cache_entry(bytes: &[u8]) -> Option<((u64, u64), Option<Metrics>)> {
-        let key = (
-            u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?),
-            u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?),
-        );
-        match *bytes.get(16)? {
-            0 if bytes.len() == 17 => Some((key, None)),
-            1 if bytes.len() == 17 + 7 * 8 => {
-                let mut f = [0.0f64; 7];
-                for (i, slot) in f.iter_mut().enumerate() {
-                    let at = 17 + i * 8;
-                    *slot =
-                        f64::from_bits(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?));
-                }
-                Some((
-                    key,
-                    Some(Metrics {
-                        latency_cycles: f[0],
-                        latency_ms: f[1],
-                        energy_uj: f[2],
-                        power_mw: f[3],
-                        area_mm2: f[4],
-                        throughput_mops: f[5],
-                        utilization: f[6],
-                    }),
-                ))
-            }
-            _ => None,
-        }
+        self.memo.save_merged_with_max_age(path, max_age)
     }
 
     /// Evaluates an accelerator on all workloads (summed latency) — the
@@ -1569,6 +1558,39 @@ mod tests {
     use crate::input::Constraints;
     use tensor_ir::suites;
     use tensor_ir::workload::TensorApp;
+
+    #[test]
+    fn request_and_workload_round_trip() {
+        use runtime::wire::{from_bytes, to_bytes};
+
+        let app = TensorApp::new(
+            "toy",
+            vec![
+                suites::gemm_workload("g", 64, 32, 16),
+                suites::gemm_workload("h", 8, 8, 8),
+            ],
+        );
+        let input = InputDescription {
+            app,
+            method: GenerationMethod::Chisel(IntrinsicKind::Gemm),
+            constraints: Constraints::latency_power(4.0, 900.0),
+        };
+        let mut opts = CoDesignOptions::quick(1234)
+            .with_threads(3)
+            .with_work_stealing(false);
+        opts.refine_top_k = 2;
+        opts.refine_backend = BackendKind::TraceSim;
+        let request = CoDesignRequest::new(input, opts).with_label("wire-test");
+        let back: CoDesignRequest = from_bytes(&to_bytes(&request)).expect("round trip decodes");
+        // The request fingerprint hashes everything that can change a
+        // solution, so fingerprint equality covers all of that at once.
+        assert_eq!(request.fingerprint(), back.fingerprint());
+        assert_eq!(request.label, back.label);
+        // Thread count and stealing are outside the fingerprint; they
+        // still travel, and a worker must honor the non-defaults.
+        assert_eq!(back.options.threads, 3);
+        assert!(!back.options.work_stealing);
+    }
 
     fn toy_input() -> InputDescription {
         InputDescription {

@@ -51,11 +51,11 @@ use std::sync::mpsc::Sender;
 use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, Metrics, SurrogateBackend, SurrogateSnapshot};
 use runtime::{
-    persist, Fingerprinter, JobScheduler, MemoCache, StableFingerprint, Telemetry,
+    persist, wire, Fingerprinter, JobScheduler, MemoCache, StableFingerprint, Telemetry,
     TelemetrySnapshot,
 };
 
-use crate::codesign::{execute, CoDesignOptions, ExecCtx, ExecOutcome, HwProblem};
+use crate::codesign::{execute, CoDesignOptions, ExecCtx, ExecOutcome};
 use crate::event::{CampaignEvent, CampaignEvents, EventSink, EventStream, RunEvent};
 use crate::input::InputDescription;
 use crate::solution::Solution;
@@ -215,6 +215,12 @@ pub struct CoDesignRequest {
     /// Label for events and reports (defaults to the application name).
     pub label: String,
 }
+
+runtime::wire_struct!(CoDesignRequest {
+    input,
+    options,
+    label,
+});
 
 impl CoDesignRequest {
     /// Builds a request labeled with the application name.
@@ -401,43 +407,28 @@ impl EngineShared {
                 }
             }
         }
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(merged.len() as u64).to_le_bytes());
-        for snap in merged.values() {
-            let mut entry = Vec::new();
-            snap.encode_into(&mut entry);
-            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&entry);
-        }
-        if let Err(e) = persist::save_frame(path, SURROGATE_STORE_MAGIC, &payload) {
+        let snaps: Vec<SurrogateSnapshot> = merged.into_values().collect();
+        if let Err(e) = persist::save_frame(path, SURROGATE_STORE_MAGIC, &wire::to_bytes(&snaps)) {
             // The registry still holds unsaved state.
             // detlint-allow(atomics): failed save re-raises the flag; worst case is an extra save attempt
             self.surrogate_dirty.store(true, Ordering::Relaxed);
             return Err(e);
         }
-        Ok(merged.len())
+        Ok(snaps.len())
     }
 }
 
-/// File magic + format version of the persisted surrogate-registry store.
-const SURROGATE_STORE_MAGIC: &[u8; 8] = b"HASCOSR1";
+/// File magic + format version of the persisted surrogate-registry store:
+/// one frame whose payload is the [`Wire`](runtime::wire::Wire) encoding
+/// of a `Vec<SurrogateSnapshot>` in registry-key order. Stores of earlier
+/// versions load as a cold start.
+const SURROGATE_STORE_MAGIC: &[u8; 8] = b"HASCOSR2";
 
 /// Parses a persisted surrogate store into its snapshots; `None` on any
 /// corruption (and on real I/O failures — loading is always best-effort,
 /// a store that cannot be read is a cold start, never an error).
 fn load_surrogate_snapshots(path: &std::path::Path) -> Option<Vec<SurrogateSnapshot>> {
-    let payload = persist::load_frame(path, SURROGATE_STORE_MAGIC).ok()??;
-    let mut rest = payload.as_slice();
-    let count = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
-    rest = rest.get(8..)?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-        rest = rest.get(4..)?;
-        out.push(SurrogateSnapshot::decode(rest.get(..len)?)?);
-        rest = rest.get(len..)?;
-    }
-    rest.is_empty().then_some(out)
+    wire::from_bytes(&persist::load_frame(path, SURROGATE_STORE_MAGIC).ok()??)
 }
 
 /// Registry key for surrogate state: the technology constants (the only
@@ -566,6 +557,12 @@ pub struct CampaignOutcome {
     pub shared_with: Option<String>,
 }
 
+runtime::wire_struct!(CampaignOutcome {
+    label,
+    solution,
+    shared_with,
+});
+
 impl crate::report::CampaignStats {
     /// Rolls a campaign's outcomes up into dedup-aware totals: executed
     /// scenarios contribute their full [`crate::report::RunStats`];
@@ -594,7 +591,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         let store = MemoCache::new(config.cache_capacity);
         if let Some(path) = &config.cache_path {
-            let _ = store.load_from_file(path, HwProblem::decode_cache_entry);
+            let _ = store.load_from_file(path);
         }
         let mut surrogates: BTreeMap<(u64, u64), Arc<dyn CostBackend>> = BTreeMap::new();
         let mut restored_generation = 0;
@@ -966,12 +963,7 @@ impl Engine {
             Some(path) => self
                 .shared
                 .store
-                .save_merged_with_max_age(
-                    path,
-                    HwProblem::encode_cache_entry,
-                    HwProblem::decode_cache_entry,
-                    self.shared.cache_max_age,
-                )
+                .save_merged_with_max_age(path, self.shared.cache_max_age)
                 // detlint-allow(atomics): cleared only after a successful save; a racing insert re-raises it
                 .inspect(|_| self.shared.dirty.store(false, Ordering::Relaxed)),
         };
@@ -1035,5 +1027,136 @@ impl std::fmt::Debug for Engine {
             .field("warm_entries", &self.warm_entries())
             .field("jobs_executed", &self.jobs_executed())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::OnceLock;
+
+    use accel_model::arch::AcceleratorConfig;
+    use proptest::prelude::*;
+    use runtime::wire::Wire;
+    use tensor_ir::intrinsics::IntrinsicKind;
+
+    use super::*;
+
+    fn temp_store(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "hasco-engine-store-{name}-{}.bin",
+            std::process::id()
+        ))
+    }
+
+    /// Writes `payload` as a framed store and loads it back.
+    fn load_store(path: &std::path::Path, magic: &[u8; 8], payload: &[u8]) -> usize {
+        std::fs::write(path, persist::frame(magic, payload)).unwrap();
+        Engine::new(EngineConfig::default().with_surrogate_store(path))
+            .restored_surrogate_backends()
+    }
+
+    /// Two snapshots, one trained and one fresh, in the layout a save
+    /// writes: the valid payload the mutation proptest starts from.
+    fn valid_store_payload() -> &'static [u8] {
+        static PAYLOAD: OnceLock<Vec<u8>> = OnceLock::new();
+        PAYLOAD.get_or_init(|| {
+            let trained = BackendKind::Surrogate.build();
+            for (rows, kb) in [(8u32, 128u64), (16, 256), (32, 512), (8, 512)] {
+                let cfg = AcceleratorConfig::builder(IntrinsicKind::Gemm)
+                    .pe_array(rows, rows)
+                    .scratchpad_kb(kb)
+                    .build()
+                    .unwrap();
+                trained.as_surrogate().unwrap().observe(&cfg);
+            }
+            let fresh = BackendKind::Surrogate.build();
+            let snaps: Vec<SurrogateSnapshot> = [trained, fresh]
+                .iter()
+                .map(|b| b.as_surrogate().unwrap().snapshot())
+                .collect();
+            wire::to_bytes(&snaps)
+        })
+    }
+
+    #[test]
+    fn retired_surrogate_store_layout_is_a_cold_start() {
+        let snap = BackendKind::Surrogate
+            .build()
+            .as_surrogate()
+            .unwrap()
+            .snapshot();
+        // The `HASCOSR1` layout: an entry count, then `len u32 ++
+        // snapshot` per entry, each snapshot its scalars followed by the
+        // observed set and the training rows as bare counts.
+        let mut entry = Vec::new();
+        for c in snap.tech.to_array() {
+            c.encode(&mut entry);
+        }
+        snap.min_train.encode(&mut entry);
+        snap.max_train.encode(&mut entry);
+        snap.trust_threshold.encode(&mut entry);
+        snap.generation.encode(&mut entry);
+        snap.digest.encode(&mut entry);
+        snap.cv_error.encode(&mut entry);
+        snap.trusted.encode(&mut entry);
+        for count in [0u64, 0, 0] {
+            count.encode(&mut entry); // observed, samples, dim
+        }
+        let mut payload = Vec::new();
+        1u64.encode(&mut payload);
+        (entry.len() as u32).encode(&mut payload);
+        payload.extend_from_slice(&entry);
+
+        let path = temp_store("sr1");
+        assert_eq!(load_store(&path, b"HASCOSR1", &payload), 0);
+        // The same snapshot in the current layout restores.
+        assert_eq!(
+            load_store(&path, SURROGATE_STORE_MAGIC, &wire::to_bytes(&vec![snap])),
+            1
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Frames `payload` as a store (so the checksum always passes and
+    /// every byte reaches the snapshot decoder) and parses it: the parse
+    /// must be a cold start or snapshots that re-encode to the same bytes.
+    fn check_store(payload: &[u8], case: u64) -> Result<(), TestCaseError> {
+        let path = temp_store(&format!("fuzz-{case}"));
+        std::fs::write(&path, persist::frame(SURROGATE_STORE_MAGIC, payload)).unwrap();
+        let parsed = load_surrogate_snapshots(&path);
+        std::fs::remove_file(&path).ok();
+        if let Some(snaps) = parsed {
+            prop_assert_eq!(wire::to_bytes(&snaps), payload.to_vec());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn store_parse_never_panics_on_arbitrary_payloads(
+            payload in prop::collection::vec(any::<u8>(), 0..256),
+            case in any::<u64>(),
+        ) {
+            check_store(&payload, case)?;
+        }
+
+        #[test]
+        fn store_parse_never_panics_on_mutated_stores(
+            edits in prop::collection::vec((any::<u64>(), any::<u8>()), 1..4),
+            cut in any::<u64>(),
+            case in any::<u64>(),
+        ) {
+            let mut payload = valid_store_payload().to_vec();
+            for (at, byte) in edits {
+                let at = (at % payload.len() as u64) as usize;
+                payload[at] = byte;
+            }
+            if cut % 4 == 0 {
+                payload.truncate((cut >> 2) as usize % (payload.len() + 1));
+            }
+            check_store(&payload, case)?;
+        }
     }
 }

@@ -19,6 +19,8 @@
 
 use std::sync::mpsc::{Receiver, Sender};
 
+use runtime::wire::{Reader, Wire};
+
 /// One progress event of a co-design run. The stream of a successful job
 /// starts with [`RunEvent::Started`] and ends with a terminal event
 /// ([`RunEvent::Solved`], [`RunEvent::Cancelled`], or
@@ -105,6 +107,120 @@ impl RunEvent {
             self,
             RunEvent::Solved { .. } | RunEvent::Cancelled | RunEvent::Failed { .. }
         )
+    }
+}
+
+impl Wire for RunEvent {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RunEvent::Started { label, workloads } => {
+                out.push(0);
+                label.encode(out);
+                workloads.encode(out);
+            }
+            RunEvent::Partitioned { workload, choices } => {
+                out.push(1);
+                workload.encode(out);
+                choices.encode(out);
+            }
+            RunEvent::BatchEvaluated {
+                optimizer,
+                phase,
+                batch,
+                evaluated,
+                feasible,
+            } => {
+                out.push(2);
+                optimizer.encode(out);
+                phase.encode(out);
+                batch.encode(out);
+                evaluated.encode(out);
+                feasible.encode(out);
+            }
+            RunEvent::Refined {
+                batch,
+                survivors,
+                budget,
+            } => {
+                out.push(3);
+                batch.encode(out);
+                survivors.encode(out);
+                budget.encode(out);
+            }
+            RunEvent::SoftwareOptimized {
+                workload,
+                rounds,
+                latency_ms,
+            } => {
+                out.push(4);
+                workload.encode(out);
+                rounds.encode(out);
+                latency_ms.encode(out);
+            }
+            RunEvent::Tuned {
+                round,
+                meets_constraints,
+            } => {
+                out.push(5);
+                round.encode(out);
+                meets_constraints.encode(out);
+            }
+            RunEvent::Solved {
+                meets_constraints,
+                latency_ms,
+            } => {
+                out.push(6);
+                meets_constraints.encode(out);
+                latency_ms.encode(out);
+            }
+            RunEvent::Cancelled => out.push(7),
+            RunEvent::Failed { error } => {
+                out.push(8);
+                error.encode(out);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match u8::decode(r)? {
+            0 => RunEvent::Started {
+                label: Wire::decode(r)?,
+                workloads: Wire::decode(r)?,
+            },
+            1 => RunEvent::Partitioned {
+                workload: Wire::decode(r)?,
+                choices: Wire::decode(r)?,
+            },
+            2 => RunEvent::BatchEvaluated {
+                optimizer: Wire::decode(r)?,
+                phase: Wire::decode(r)?,
+                batch: Wire::decode(r)?,
+                evaluated: Wire::decode(r)?,
+                feasible: Wire::decode(r)?,
+            },
+            3 => RunEvent::Refined {
+                batch: Wire::decode(r)?,
+                survivors: Wire::decode(r)?,
+                budget: Wire::decode(r)?,
+            },
+            4 => RunEvent::SoftwareOptimized {
+                workload: Wire::decode(r)?,
+                rounds: Wire::decode(r)?,
+                latency_ms: Wire::decode(r)?,
+            },
+            5 => RunEvent::Tuned {
+                round: Wire::decode(r)?,
+                meets_constraints: Wire::decode(r)?,
+            },
+            6 => RunEvent::Solved {
+                meets_constraints: Wire::decode(r)?,
+                latency_ms: Wire::decode(r)?,
+            },
+            7 => RunEvent::Cancelled,
+            8 => RunEvent::Failed {
+                error: Wire::decode(r)?,
+            },
+            _ => return None,
+        })
     }
 }
 
@@ -217,6 +333,60 @@ pub enum CampaignEvent {
     },
 }
 
+impl Wire for CampaignEvent {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CampaignEvent::Planned {
+                scenarios,
+                unique_jobs,
+                deduplicated,
+            } => {
+                out.push(0);
+                scenarios.encode(out);
+                unique_jobs.encode(out);
+                deduplicated.encode(out);
+            }
+            CampaignEvent::Job { label, event } => {
+                out.push(1);
+                label.encode(out);
+                event.encode(out);
+            }
+            CampaignEvent::ScenarioDone {
+                label,
+                shared_with,
+                completed,
+                total,
+            } => {
+                out.push(2);
+                label.encode(out);
+                shared_with.encode(out);
+                completed.encode(out);
+                total.encode(out);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match u8::decode(r)? {
+            0 => CampaignEvent::Planned {
+                scenarios: Wire::decode(r)?,
+                unique_jobs: Wire::decode(r)?,
+                deduplicated: Wire::decode(r)?,
+            },
+            1 => CampaignEvent::Job {
+                label: Wire::decode(r)?,
+                event: Wire::decode(r)?,
+            },
+            2 => CampaignEvent::ScenarioDone {
+                label: Wire::decode(r)?,
+                shared_with: Wire::decode(r)?,
+                completed: Wire::decode(r)?,
+                total: Wire::decode(r)?,
+            },
+            _ => return None,
+        })
+    }
+}
+
 /// The consuming end of a campaign's aggregate event stream: a blocking
 /// iterator over [`CampaignEvent`]s that ends once the campaign finished
 /// and the buffer drained. Obtained from
@@ -247,6 +417,39 @@ impl Iterator for CampaignEvents {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn events_and_errors_round_trip() {
+        use crate::HascoError;
+        use runtime::wire::{from_bytes, to_bytes};
+
+        /// Debug output prints floats in shortest-round-trip form, so
+        /// Debug equality is bit equality here.
+        fn assert_roundtrip<T: Wire + std::fmt::Debug>(value: &T) {
+            let back: T = from_bytes(&to_bytes(value)).expect("round trip decodes");
+            assert_eq!(format!("{value:?}"), format!("{back:?}"));
+        }
+
+        assert_roundtrip(&RunEvent::Started {
+            label: "x".into(),
+            workloads: 3,
+        });
+        assert_roundtrip(&RunEvent::Solved {
+            meets_constraints: true,
+            latency_ms: 1.25,
+        });
+        assert_roundtrip(&RunEvent::Cancelled);
+        assert_roundtrip(&CampaignEvent::ScenarioDone {
+            label: "a".into(),
+            shared_with: Some("b".into()),
+            completed: 2,
+            total: 9,
+        });
+        assert_roundtrip(&HascoError::InvalidOptions("bad".into()));
+        assert_roundtrip(&HascoError::Transport("conn reset".into()));
+        let res: Result<u64, HascoError> = Err(HascoError::Cancelled);
+        assert_roundtrip(&res);
+    }
 
     #[test]
     fn terminal_classification() {

@@ -1,6 +1,7 @@
 //! Input descriptions (the left box of the paper's Fig. 3): workloads,
 //! hardware generation method, and constraints.
 
+use runtime::wire::{Reader, Wire};
 use serde::{Deserialize, Serialize};
 use tensor_ir::intrinsics::IntrinsicKind;
 use tensor_ir::workload::TensorApp;
@@ -16,6 +17,12 @@ pub struct Constraints {
     /// Maximum accelerator area in mm².
     pub max_area_mm2: Option<f64>,
 }
+
+runtime::wire_struct!(Constraints {
+    max_latency_ms,
+    max_power_mw,
+    max_area_mm2,
+});
 
 impl Constraints {
     /// A latency + power constraint pair (the Table II/III form).
@@ -70,6 +77,25 @@ impl GenerationMethod {
     }
 }
 
+impl Wire for GenerationMethod {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            GenerationMethod::Chisel(k) => {
+                out.push(0);
+                k.encode(out);
+            }
+            GenerationMethod::Gemmini => out.push(1),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        match u8::decode(r)? {
+            0 => Some(GenerationMethod::Chisel(IntrinsicKind::decode(r)?)),
+            1 => Some(GenerationMethod::Gemmini),
+            _ => None,
+        }
+    }
+}
+
 /// The full input description.
 #[derive(Debug, Clone)]
 pub struct InputDescription {
@@ -80,6 +106,12 @@ pub struct InputDescription {
     /// The user constraints.
     pub constraints: Constraints,
 }
+
+runtime::wire_struct!(InputDescription {
+    app,
+    method,
+    constraints,
+});
 
 #[cfg(test)]
 mod tests {

@@ -39,6 +39,8 @@
 //! assert!(solution.total.latency_ms > 0.0);
 //! ```
 
+use runtime::wire::{Reader, Wire};
+
 pub mod codesign;
 pub mod engine;
 pub mod event;
@@ -97,3 +99,41 @@ impl std::fmt::Display for HascoError {
 }
 
 impl std::error::Error for HascoError {}
+
+impl Wire for HascoError {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            HascoError::EmptyApp => out.push(0),
+            HascoError::InvalidOptions(msg) => {
+                out.push(1);
+                msg.encode(out);
+            }
+            HascoError::Cancelled => out.push(2),
+            HascoError::NoFeasibleAccelerator => out.push(3),
+            HascoError::Software(msg) => {
+                out.push(4);
+                msg.encode(out);
+            }
+            HascoError::Hardware(msg) => {
+                out.push(5);
+                msg.encode(out);
+            }
+            HascoError::Transport(msg) => {
+                out.push(6);
+                msg.encode(out);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match u8::decode(r)? {
+            0 => HascoError::EmptyApp,
+            1 => HascoError::InvalidOptions(String::decode(r)?),
+            2 => HascoError::Cancelled,
+            3 => HascoError::NoFeasibleAccelerator,
+            4 => HascoError::Software(String::decode(r)?),
+            5 => HascoError::Hardware(String::decode(r)?),
+            6 => HascoError::Transport(String::decode(r)?),
+            _ => return None,
+        })
+    }
+}

@@ -47,6 +47,15 @@ pub struct RemoteEvalRequest {
     pub config: accel_model::arch::AcceleratorConfig,
 }
 
+runtime::wire_struct!(RemoteEvalRequest {
+    backend,
+    tech,
+    seed,
+    sw_opts,
+    workload,
+    config,
+});
+
 impl RemoteEvalRequest {
     /// Prices the pair exactly as the in-process path does: a fresh
     /// explorer seeded with `seed` over a backend rebuilt from

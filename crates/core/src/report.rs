@@ -39,6 +39,19 @@ pub struct RunStats {
     pub cache: CacheStats,
 }
 
+runtime::wire_struct!(RunStats {
+    hw_evaluations,
+    sw_explorations,
+    refine_explorations,
+    backend,
+    refine_backend,
+    refine_topk_trajectory,
+    surrogate_samples,
+    surrogate_trusted,
+    warm_cache_entries,
+    cache,
+});
+
 impl RunStats {
     /// Renders the stats as a report table.
     pub fn render(&self) -> String {
@@ -274,19 +287,6 @@ pub fn speedup(baseline: f64, improved: f64) -> String {
     format!("{:.2}X", baseline / improved)
 }
 
-/// Formats a float with engineering-style precision for table cells.
-pub fn sig(v: f64) -> String {
-    if v == 0.0 {
-        "0".into()
-    } else if v.abs() >= 1000.0 {
-        format!("{v:.0}")
-    } else if v.abs() >= 10.0 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:.3}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,13 +375,5 @@ mod tests {
     fn speedup_formats_like_paper() {
         assert_eq!(speedup(125.0, 100.0), "1.25X");
         assert_eq!(speedup(1.0, 0.0), "inf");
-    }
-
-    #[test]
-    fn sig_scales_precision() {
-        assert_eq!(sig(0.0), "0");
-        assert_eq!(sig(12345.6), "12346");
-        assert_eq!(sig(42.42), "42.4");
-        assert_eq!(sig(1.2345), "1.234");
     }
 }

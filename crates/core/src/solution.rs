@@ -21,6 +21,13 @@ pub struct WorkloadSolution {
     pub program: String,
 }
 
+runtime::wire_struct!(WorkloadSolution {
+    workload,
+    schedule,
+    metrics,
+    program,
+});
+
 /// A holistic HW/SW solution for an application. Every field is a
 /// function of the request (and the warm state it starts from), never of
 /// thread count or scheduling, so two runs compare whole with `==`.
@@ -40,15 +47,14 @@ pub struct Solution {
     pub stats: RunStats,
 }
 
-impl Solution {
-    /// Latency of one workload by name, if present.
-    pub fn workload_latency_ms(&self, name: &str) -> Option<f64> {
-        self.per_workload
-            .iter()
-            .find(|w| w.workload == name)
-            .map(|w| w.metrics.latency_ms)
-    }
-}
+runtime::wire_struct!(Solution {
+    accelerator,
+    per_workload,
+    total,
+    meets_constraints,
+    hw_history,
+    stats,
+});
 
 impl std::fmt::Display for Solution {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -95,7 +101,6 @@ mod tests {
             stats: RunStats::default(),
         };
         assert!(s.to_string().contains("constraints met"));
-        assert_eq!(s.workload_latency_ms("nope"), None);
         assert!(s.stats.render().contains("cache hit rate"));
     }
 }

@@ -336,11 +336,6 @@ impl IncrementalGp {
         Ok(())
     }
 
-    /// Whether a selection is current (refreshed since the last push).
-    pub fn is_refreshed(&self) -> bool {
-        self.selection.is_some()
-    }
-
     /// Posterior at `x` from the current selection, without materializing
     /// an owned model — bit-identical to
     /// `GaussianProcess::fit(&xs, &ys)?.predict(x)`.
@@ -562,7 +557,6 @@ mod tests {
             inc.push(x.clone(), *y);
         }
         inc.refresh().unwrap();
-        assert!(inc.is_refreshed());
         let model = inc.model().unwrap();
         let mut scratch = PredictScratch::default();
         for x in &[vec![0.25], vec![0.8], vec![3.0]] {

@@ -169,18 +169,6 @@ fn hso(
     volume
 }
 
-/// Normalized hypervolume: the fraction of the reference box the front
-/// dominates, given the box's ideal corner. Useful for plotting Fig. 10's
-/// "normalized hypervolume" axis.
-pub fn normalized_hypervolume(points: &[Vec<f64>], ideal: &[f64], reference: &[f64]) -> f64 {
-    let total: f64 = ideal
-        .iter()
-        .zip(reference.iter())
-        .map(|(i, r)| (r - i).max(1e-300))
-        .product();
-    hypervolume(points, reference) / total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,14 +344,6 @@ mod tests {
         rev.reverse();
         let b = hypervolume(&rev, &r);
         assert!((a - b).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalized_hv_is_fraction() {
-        let nhv = normalized_hypervolume(&[vec![0.0, 0.0]], &[0.0, 0.0], &[2.0, 2.0]);
-        assert!((nhv - 1.0).abs() < 1e-12);
-        let half = normalized_hypervolume(&[vec![1.0, 0.0]], &[0.0, 0.0], &[2.0, 2.0]);
-        assert!((half - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -126,6 +126,8 @@ pub struct Evaluation {
     pub objectives: Vec<f64>,
 }
 
+runtime::wire_struct!(Evaluation { point, objectives });
+
 /// The full history of an optimizer run, in evaluation order.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct OptimizerResult {
@@ -136,6 +138,12 @@ pub struct OptimizerResult {
     /// Number of infeasible probes (not counted in `evaluations`).
     pub infeasible: usize,
 }
+
+runtime::wire_struct!(OptimizerResult {
+    optimizer,
+    evaluations,
+    infeasible,
+});
 
 impl OptimizerResult {
     /// Creates an empty result for an optimizer.

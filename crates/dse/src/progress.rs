@@ -67,14 +67,6 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// A recorder that stops the run after `n` batches.
-    pub fn stopping_after(n: usize) -> Self {
-        Recorder {
-            stop_after: n,
-            ..Recorder::default()
-        }
-    }
-
     /// Number of batches observed so far.
     pub fn batches(&self) -> usize {
         self.seen.lock().expect("recorder poisoned").len()

@@ -4,10 +4,11 @@
 //!
 //! Three layers, std-only (no async runtime, no serialization crates):
 //!
-//! 1. **[`wire`] / [`proto`]** — a hand-rolled binary codec for every
-//!    type that crosses a process boundary, carried in the same
-//!    checksummed `magic ++ length ++ payload ++ fingerprint` frames the
-//!    on-disk images use ([`runtime::persist`]), pointed at a socket.
+//! 1. **[`proto`]** — the protocol messages, encoded by the workspace's
+//!    one binary codec ([`runtime::wire::Wire`], which every crate
+//!    implements for its own types) and carried in the same checksummed
+//!    `magic ++ length ++ payload ++ fingerprint` frames the on-disk
+//!    images use ([`runtime::persist`]), pointed at a socket.
 //!    Every socket sets `TCP_NODELAY` and every frame leaves in one
 //!    write, so no message waits out a delayed ACK (see [`proto`]).
 //! 2. **[`server`] / [`client`]** — `hasco-serve` wraps a long-lived
@@ -34,7 +35,6 @@ pub mod client;
 pub mod dispatch;
 pub mod proto;
 pub mod server;
-pub mod wire;
 pub mod worker;
 
 pub use client::{Client, RemoteJob};

@@ -5,9 +5,9 @@
 //! `magic ++ payload-length ++ payload ++ fingerprint-checksum`, exactly
 //! the discipline the on-disk images use, pointed at a socket instead of
 //! a file. The payload is a one-byte message tag followed by the
-//! [`Wire`](crate::wire::Wire)-encoded fields. A frame that fails the
-//! checksum, overruns the payload bound, or decodes with leftover bytes
-//! is a protocol error — the connection is dropped, never "repaired".
+//! [`Wire`]-encoded fields. A frame that fails the checksum, overruns the
+//! payload bound, or decodes with leftover bytes is a protocol error —
+//! the connection is dropped, never "repaired".
 //!
 //! Both ends begin with a hello that carries [`PROTOCOL`]; a version
 //! mismatch is rejected before any work is exchanged.
@@ -27,8 +27,7 @@ use hasco::remote::RemoteEvalRequest;
 use hasco::solution::Solution;
 use hasco::HascoError;
 use runtime::persist;
-
-use crate::wire::{from_bytes, Reader, Wire};
+use runtime::wire::{from_bytes, to_bytes, Reader, Wire};
 
 /// Frame magic for network frames (distinct from every on-disk image).
 pub const FRAME_MAGIC: &[u8; 8] = b"HASCONT1";
@@ -308,7 +307,7 @@ pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
 
 /// Writes one message as a checksummed frame and flushes.
 pub fn send<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
-    let payload = crate::wire::to_bytes(msg);
+    let payload = to_bytes(msg);
     persist::write_frame(w, FRAME_MAGIC, &payload)
 }
 
@@ -583,8 +582,7 @@ mod tests {
     #[test]
     fn every_message_survives_the_wire_bit_for_bit() {
         let msgs = representative_msgs();
-        let tags: std::collections::BTreeSet<u8> =
-            msgs.iter().map(|m| crate::wire::to_bytes(m)[0]).collect();
+        let tags: std::collections::BTreeSet<u8> = msgs.iter().map(|m| to_bytes(m)[0]).collect();
         assert_eq!(tags.len(), 21, "one message per tag 0..=20");
         let mut stream = Vec::new();
         for msg in &msgs {
@@ -593,9 +591,53 @@ mod tests {
         let mut r = &stream[..];
         for msg in &msgs {
             let back = recv(&mut r).unwrap().expect("one frame per message");
-            assert_eq!(crate::wire::to_bytes(&back), crate::wire::to_bytes(msg));
+            assert_eq!(to_bytes(&back), to_bytes(msg));
         }
         assert!(recv(&mut r).unwrap().is_none());
+    }
+
+    /// `(tag, length, digest)` of each representative message's bytes, in
+    /// [`representative_msgs`] order. A change here is a wire-format
+    /// change: it must come with a [`PROTOCOL`] bump and a re-pin.
+    const GOLDEN: [(u8, usize, u64); 23] = [
+        (0, 18, 0x9e8286141e3f081b),
+        (1, 18, 0xee3318cf5e3757bd),
+        (2, 1, 0xaf63bf4c8601bb45),
+        (3, 524, 0xcc1ad3bb5d96337c),
+        (4, 9, 0x1fe014435e865deb),
+        (5, 52, 0x5ddc2d95356d79ef),
+        (6, 558, 0x0a734c3d7725fa25),
+        (6, 14, 0x2eb86c712541aa8b),
+        (7, 9, 0x0ccabb185bcffd65),
+        (8, 2, 0x084db707b5028782),
+        (9, 1055, 0xb76162cb460bc46a),
+        (10, 65, 0x032df21306aa768c),
+        (11, 592, 0x98c6bdbca93621ec),
+        (11, 3, 0x2745cd18983a0a49),
+        (12, 1, 0xaf63c14c8601beab),
+        (13, 9, 0x0709f6fb42dc0b12),
+        (14, 941, 0x4e6e4f451d0612f6),
+        (15, 75, 0x068592f3f079f7c4),
+        (16, 9, 0xfdaf110a635040ce),
+        (17, 9, 0xa83a49bee493defd),
+        (18, 1, 0xaf63cf4c8601d675),
+        (19, 1, 0xaf63ce4c8601d4c2),
+        (20, 27, 0xb67e1d4e93eea3c2),
+    ];
+
+    #[test]
+    fn representative_message_bytes_are_pinned() {
+        assert_eq!(PROTOCOL, "HASCONET2", "a protocol bump re-pins GOLDEN");
+        let got: Vec<(u8, usize, u64)> = representative_msgs()
+            .iter()
+            .map(|msg| {
+                let bytes = to_bytes(msg);
+                let mut fp = runtime::Fingerprinter::new();
+                fp.write_bytes(&bytes);
+                (bytes[0], bytes.len(), fp.finish().0)
+            })
+            .collect();
+        assert_eq!(got, GOLDEN);
     }
 
     /// Feeds one payload to [`recv`] inside a valid frame: the checksum
@@ -604,7 +646,7 @@ mod tests {
     fn recv_payload(payload: &[u8]) -> Result<(), TestCaseError> {
         let image = persist::frame(FRAME_MAGIC, payload);
         match recv(&mut &image[..]) {
-            Ok(Some(msg)) => prop_assert_eq!(crate::wire::to_bytes(&msg), payload.to_vec()),
+            Ok(Some(msg)) => prop_assert_eq!(to_bytes(&msg), payload.to_vec()),
             Ok(None) => prop_assert!(false, "a whole frame read as end of stream"),
             Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
         }
@@ -631,7 +673,7 @@ mod tests {
             cut in any::<u64>(),
         ) {
             let msgs = representative_msgs();
-            let mut payload = crate::wire::to_bytes(&msgs[pick % msgs.len()]);
+            let mut payload = to_bytes(&msgs[pick % msgs.len()]);
             for (at, byte) in edits {
                 let at = (at % payload.len() as u64) as usize;
                 payload[at] = byte;

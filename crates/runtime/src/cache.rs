@@ -36,11 +36,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::wire::{self, Reader, Wire};
+
 const SHARDS: usize = 16;
 
 /// Frame magic + format version for persisted caches. The frame payload
-/// is a sequence of entries, each `len: u32 ++ stamp: u64 ++ entry`
-/// (little-endian). Images of earlier versions load as a cold start.
+/// is a sequence of entries, each `len: u32 ++ stamp: u64 ++ (key, value)`,
+/// all laid out by [`Wire`]. Images of earlier versions load as a cold
+/// start.
 const PERSIST_MAGIC: &[u8; 8] = b"HASCOMC3";
 
 /// Seconds since the Unix epoch (0 if the clock is before the epoch).
@@ -71,6 +74,13 @@ pub struct CacheStats {
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
 }
+
+crate::wire_struct!(CacheStats {
+    hits,
+    misses,
+    inserts,
+    evictions,
+});
 
 impl CacheStats {
     /// Hit fraction in `[0, 1]` (0 when the cache was never queried).
@@ -326,9 +336,9 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     /// entries are dropped first, exactly as the in-memory FIFO bound
     /// would. Returns the number of entries written.
     ///
-    /// `encode` appends one entry's bytes to the buffer; keys are expected
-    /// to be derived from [`crate::StableFingerprint`]s, which are stable
-    /// across processes. The write is atomic
+    /// Entries are laid out by [`Wire`]; keys are expected to be derived
+    /// from [`crate::StableFingerprint`]s, which are stable across
+    /// processes. The write is atomic
     /// ([`crate::persist::write_atomic`]): a crash mid-save or a
     /// concurrent saver never leaves a torn image behind.
     ///
@@ -338,13 +348,15 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     pub fn save_merged_with_max_age(
         &self,
         path: &std::path::Path,
-        mut encode: impl FnMut(&K, &V, &mut Vec<u8>),
-        mut decode: impl FnMut(&[u8]) -> Option<(K, V)>,
         max_age: Option<Duration>,
-    ) -> std::io::Result<u64> {
+    ) -> std::io::Result<u64>
+    where
+        K: Wire,
+        V: Wire,
+    {
         let existing: Vec<(K, V, u64)> = std::fs::read(path)
             .ok()
-            .and_then(|bytes| Self::parse_image(&bytes, &mut decode))
+            .and_then(|bytes| Self::parse_image(&bytes))
             .unwrap_or_default();
         // Newest-wins, order-preserving merge: a refreshed key moves to
         // the back (it is the newest), so capacity truncation below drops
@@ -380,28 +392,17 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         if entries.len() > cap {
             entries.drain(..entries.len() - cap);
         }
-        let mut payload = Vec::new();
-        let mut entry = Vec::new();
-        for (k, v, stamp) in &entries {
-            entry.clear();
-            encode(k, v, &mut entry);
-            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&stamp.to_le_bytes());
-            payload.extend_from_slice(&entry);
-        }
-        crate::persist::save_frame(path, PERSIST_MAGIC, &payload)?;
+        crate::persist::write_atomic(path, &Self::encode_image(&entries))?;
         Ok(entries.len() as u64)
     }
 
     /// Loads entries saved by [`MemoCache::save_merged_with_max_age`] into
-    /// this cache, restoring their insertion timestamps. `decode` parses
-    /// one entry's bytes back into a `(key, value)` pair, returning `None`
-    /// for unrecognized layouts.
+    /// this cache, restoring their insertion timestamps.
     ///
     /// Any anomaly in the image itself — missing file, bad magic (which
     /// includes every earlier format version), truncation, checksum
-    /// mismatch, or an entry the decoder rejects — yields a clean cold
-    /// start: `Ok(0)` with the cache left untouched. Returns the number of
+    /// mismatch, or an entry that does not decode as `(K, V)` — yields a
+    /// clean cold start: `Ok(0)` with the cache left untouched. Returns the number of
     /// entries inserted (the capacity bound still applies, so a cache
     /// smaller than the file keeps only the newest shard-capacity's
     /// worth).
@@ -411,17 +412,17 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     /// failures, `path` being a directory, …). A file that simply does
     /// not exist is the expected first-run case and is `Ok(0)`, not an
     /// error.
-    pub fn load_from_file(
-        &self,
-        path: &std::path::Path,
-        mut decode: impl FnMut(&[u8]) -> Option<(K, V)>,
-    ) -> std::io::Result<u64> {
+    pub fn load_from_file(&self, path: &std::path::Path) -> std::io::Result<u64>
+    where
+        K: Wire,
+        V: Wire,
+    {
         let bytes = match std::fs::read(path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(e),
         };
-        let Some(entries) = Self::parse_image(&bytes, &mut decode) else {
+        let Some(entries) = Self::parse_image(&bytes) else {
             return Ok(0);
         };
         let count = entries.len() as u64;
@@ -431,21 +432,40 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         Ok(count)
     }
 
+    /// Lays out stamped entries as one framed image — the inverse of
+    /// [`MemoCache::parse_image`].
+    fn encode_image(entries: &[(K, V, u64)]) -> Vec<u8>
+    where
+        K: Wire,
+        V: Wire,
+    {
+        let mut payload = Vec::new();
+        let mut entry = Vec::new();
+        for (k, v, stamp) in entries {
+            entry.clear();
+            k.encode(&mut entry);
+            v.encode(&mut entry);
+            (entry.len() as u32).encode(&mut payload);
+            stamp.encode(&mut payload);
+            payload.extend_from_slice(&entry);
+        }
+        crate::persist::frame(PERSIST_MAGIC, &payload)
+    }
+
     /// Validates and decodes a persisted image in place; `None` on any
-    /// corruption or a decoder rejection.
-    fn parse_image(
-        bytes: &[u8],
-        decode: &mut impl FnMut(&[u8]) -> Option<(K, V)>,
-    ) -> Option<Vec<(K, V, u64)>> {
-        let mut rest = crate::persist::parse_frame(PERSIST_MAGIC, bytes)?;
+    /// corruption or an entry that does not decode.
+    fn parse_image(bytes: &[u8]) -> Option<Vec<(K, V, u64)>>
+    where
+        K: Wire,
+        V: Wire,
+    {
+        let mut r = Reader::new(crate::persist::parse_frame(PERSIST_MAGIC, bytes)?);
         let mut entries = Vec::new();
-        while !rest.is_empty() {
-            let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-            let stamp = u64::from_le_bytes(rest.get(4..12)?.try_into().ok()?);
-            let end = 12usize.checked_add(len)?;
-            let (k, v) = decode(rest.get(12..end)?)?;
+        while !r.is_exhausted() {
+            let len = u32::decode(&mut r)?;
+            let stamp = u64::decode(&mut r)?;
+            let (k, v) = wire::from_bytes(r.take(usize::try_from(len).ok()?)?)?;
             entries.push((k, v, stamp));
-            rest = &rest[end..];
         }
         Some(entries)
     }
@@ -472,6 +492,8 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -559,19 +581,11 @@ mod tests {
         assert_eq!(cache.get(&1), Some(2));
     }
 
-    fn encode_u64_pair(k: &u64, v: &u64, out: &mut Vec<u8>) {
-        out.extend_from_slice(&k.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn decode_u64_pair(bytes: &[u8]) -> Option<(u64, u64)> {
-        if bytes.len() != 16 {
-            return None;
-        }
-        Some((
-            u64::from_le_bytes(bytes[..8].try_into().ok()?),
-            u64::from_le_bytes(bytes[8..].try_into().ok()?),
-        ))
+    /// Appends one image entry (`len u32 ++ stamp u64 ++ (key, value)`).
+    fn push_entry(payload: &mut Vec<u8>, stamp: u64, k: u64, v: u64) {
+        16u32.encode(payload);
+        stamp.encode(payload);
+        (k, v).encode(payload);
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -582,9 +596,7 @@ mod tests {
 
     /// The one save entry point, without age GC.
     fn save(cache: &MemoCache<u64, u64>, path: &std::path::Path) -> u64 {
-        cache
-            .save_merged_with_max_age(path, encode_u64_pair, decode_u64_pair, None)
-            .unwrap()
+        cache.save_merged_with_max_age(path, None).unwrap()
     }
 
     #[test]
@@ -597,7 +609,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(save(&cache, &path), 50);
         let warm: MemoCache<u64, u64> = MemoCache::new(256);
-        assert_eq!(warm.load_from_file(&path, decode_u64_pair).unwrap(), 50);
+        assert_eq!(warm.load_from_file(&path).unwrap(), 50);
         for k in 0..50u64 {
             assert_eq!(warm.get(&k), Some(k * 7), "key {k}");
         }
@@ -613,7 +625,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         save(&cache, &path);
         let warm: MemoCache<u64, u64> = MemoCache::new(64);
-        warm.load_from_file(&path, decode_u64_pair).unwrap();
+        warm.load_from_file(&path).unwrap();
         let mut stamps: Vec<(u64, u64)> = warm
             .snapshot_stamped()
             .into_iter()
@@ -631,22 +643,20 @@ mod tests {
         // a clean cold start, not as entries.
         let mut payload = Vec::new();
         for (k, v) in [(1u64, 10u64), (2, 20)] {
-            payload.extend_from_slice(&16u32.to_le_bytes());
-            payload.extend_from_slice(&super::now_secs().to_le_bytes());
-            encode_u64_pair(&k, &v, &mut payload);
+            push_entry(&mut payload, super::now_secs(), k, v);
         }
         let mut image = Vec::new();
         image.extend_from_slice(b"HASCOMC2");
-        image.extend_from_slice(&2u64.to_le_bytes());
+        2u64.encode(&mut image);
         image.extend_from_slice(&payload);
         let mut fp = crate::Fingerprinter::new();
         fp.write_bytes(&payload);
-        image.extend_from_slice(&fp.finish().0.to_le_bytes());
+        fp.finish().0.encode(&mut image);
 
         let path = temp_path("v2");
         std::fs::write(&path, &image).unwrap();
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
-        assert_eq!(cache.load_from_file(&path, decode_u64_pair).unwrap(), 0);
+        assert_eq!(cache.load_from_file(&path).unwrap(), 0);
         assert!(cache.is_empty());
         std::fs::remove_file(&path).ok();
     }
@@ -678,9 +688,7 @@ mod tests {
         let future = super::now_secs() + 1_000_000;
         let mut payload = Vec::new();
         for (k, v) in [(1u64, 10u64), (2, 20)] {
-            payload.extend_from_slice(&16u32.to_le_bytes());
-            payload.extend_from_slice(&future.to_le_bytes());
-            encode_u64_pair(&k, &v, &mut payload);
+            push_entry(&mut payload, future, k, v);
         }
         let image = crate::persist::frame(PERSIST_MAGIC, &payload);
 
@@ -689,7 +697,7 @@ mod tests {
 
         // Loading clamps.
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
-        assert_eq!(cache.load_from_file(&path, decode_u64_pair).unwrap(), 2);
+        assert_eq!(cache.load_from_file(&path).unwrap(), 2);
         for (_, _, stamp) in cache.snapshot_stamped() {
             assert!(stamp <= super::now_secs(), "load kept a future stamp");
         }
@@ -701,7 +709,7 @@ mod tests {
         merger.insert(3, 30);
         save(&merger, &path);
         let reloaded: MemoCache<u64, u64> = MemoCache::new(64);
-        assert_eq!(reloaded.load_from_file(&path, decode_u64_pair).unwrap(), 3);
+        assert_eq!(reloaded.load_from_file(&path).unwrap(), 3);
         for (_, _, stamp) in reloaded.snapshot_stamped() {
             assert!(stamp <= super::now_secs(), "merge kept a future stamp");
         }
@@ -741,16 +749,11 @@ mod tests {
         let fresh: MemoCache<u64, u64> = MemoCache::new(64);
         fresh.insert(3, 30);
         let written = fresh
-            .save_merged_with_max_age(
-                &path,
-                encode_u64_pair,
-                decode_u64_pair,
-                Some(Duration::from_secs(3600)),
-            )
+            .save_merged_with_max_age(&path, Some(Duration::from_secs(3600)))
             .unwrap();
         assert_eq!(written, 1);
         let warm: MemoCache<u64, u64> = MemoCache::new(64);
-        assert_eq!(warm.load_from_file(&path, decode_u64_pair).unwrap(), 1);
+        assert_eq!(warm.load_from_file(&path).unwrap(), 1);
         assert_eq!(warm.get(&3), Some(30));
         assert_eq!(warm.get(&1), None);
         std::fs::remove_file(&path).ok();
@@ -803,7 +806,7 @@ mod tests {
         let written = save(&second, &path);
         assert_eq!(written, 3);
         let loaded: MemoCache<u64, u64> = MemoCache::new(256);
-        assert_eq!(loaded.load_from_file(&path, decode_u64_pair).unwrap(), 3);
+        assert_eq!(loaded.load_from_file(&path).unwrap(), 3);
         assert_eq!(loaded.get(&1), Some(10), "existing-only entry lost");
         assert_eq!(loaded.get(&2), Some(22), "newest value must win");
         assert_eq!(loaded.get(&3), Some(30));
@@ -826,7 +829,7 @@ mod tests {
         let written = save(&small, &path);
         assert_eq!(written as usize, small.capacity());
         let loaded: MemoCache<u64, u64> = MemoCache::new(1024);
-        loaded.load_from_file(&path, decode_u64_pair).unwrap();
+        loaded.load_from_file(&path).unwrap();
         assert_eq!(loaded.get(&1000), Some(1), "fresh entry must survive");
         assert_eq!(loaded.len(), small.capacity());
         std::fs::remove_file(&path).ok();
@@ -840,7 +843,7 @@ mod tests {
         cache.insert(7, 70);
         assert_eq!(save(&cache, &path), 1);
         let loaded: MemoCache<u64, u64> = MemoCache::new(64);
-        assert_eq!(loaded.load_from_file(&path, decode_u64_pair).unwrap(), 1);
+        assert_eq!(loaded.load_from_file(&path).unwrap(), 1);
         assert_eq!(loaded.get(&7), Some(70));
         std::fs::remove_file(&path).ok();
     }
@@ -852,7 +855,7 @@ mod tests {
         dir.push(format!("hasco-cache-dir-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
-        assert!(cache.load_from_file(&dir, decode_u64_pair).is_err());
+        assert!(cache.load_from_file(&dir).is_err());
         assert!(cache.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -861,10 +864,7 @@ mod tests {
     fn missing_file_is_a_cold_start() {
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
         let loaded = cache
-            .load_from_file(
-                std::path::Path::new("/nonexistent/hasco.bin"),
-                decode_u64_pair,
-            )
+            .load_from_file(std::path::Path::new("/nonexistent/hasco.bin"))
             .unwrap();
         assert_eq!(loaded, 0);
         assert!(cache.is_empty());
@@ -893,11 +893,7 @@ mod tests {
         for (label, image) in [("flipped", flipped), ("short", short), ("magic", bad_magic)] {
             std::fs::write(&path, &image).unwrap();
             let fresh: MemoCache<u64, u64> = MemoCache::new(64);
-            assert_eq!(
-                fresh.load_from_file(&path, decode_u64_pair).unwrap(),
-                0,
-                "{label}"
-            );
+            assert_eq!(fresh.load_from_file(&path).unwrap(), 0, "{label}");
             assert!(fresh.is_empty(), "{label}");
         }
         std::fs::remove_file(&path).ok();
@@ -910,8 +906,10 @@ mod tests {
         let path = temp_path("reject");
         std::fs::remove_file(&path).ok();
         save(&cache, &path);
-        let fresh: MemoCache<u64, u64> = MemoCache::new(64);
-        let loaded = fresh.load_from_file(&path, |_| None::<(u64, u64)>).unwrap();
+        // The entries are `(u64, u64)`; read as `(u64, bool)`, the value
+        // `2` is no bool, so the image is rejected as a whole.
+        let fresh: MemoCache<u64, bool> = MemoCache::new(64);
+        let loaded = fresh.load_from_file(&path).unwrap();
         assert_eq!(loaded, 0);
         assert!(fresh.is_empty());
         std::fs::remove_file(&path).ok();
@@ -927,7 +925,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         save(&big, &path);
         let small: MemoCache<u64, u64> = MemoCache::new(1);
-        let loaded = small.load_from_file(&path, decode_u64_pair).unwrap();
+        let loaded = small.load_from_file(&path).unwrap();
         assert_eq!(loaded, 200);
         assert!(small.len() <= small.capacity());
         std::fs::remove_file(&path).ok();
@@ -953,5 +951,61 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, 4000);
         assert!(cache.len() <= 100);
+    }
+
+    /// A memo image with a stand-in value type that exercises the same
+    /// codec paths as the engine's `Option<Metrics>`: a tag byte, then
+    /// floats (here behind a length prefix, so counts get fuzzed too).
+    type Image = MemoCache<(u64, u64), Option<Vec<f64>>>;
+
+    /// Frames `payload` (so the checksum always passes and every byte
+    /// reaches the entry decoder) and parses it: the parse must reject
+    /// the image or return entries that lay out to the very same bytes.
+    fn check_image(payload: &[u8]) -> Result<(), TestCaseError> {
+        let image = crate::persist::frame(PERSIST_MAGIC, payload);
+        if let Some(entries) = Image::parse_image(&image) {
+            prop_assert_eq!(Image::encode_image(&entries), image);
+        }
+        Ok(())
+    }
+
+    fn valid_payload() -> Vec<u8> {
+        let entries = vec![
+            ((1, 2), None, 10),
+            ((3, 4), Some(vec![1.5, -0.0, f64::MIN_POSITIVE]), 20),
+            ((5, 6), Some(vec![]), u64::MAX),
+        ];
+        let image = Image::encode_image(&entries);
+        assert_eq!(Image::parse_image(&image), Some(entries));
+        crate::persist::parse_frame(PERSIST_MAGIC, &image)
+            .unwrap()
+            .to_vec()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn image_parse_never_panics_on_arbitrary_payloads(
+            payload in prop::collection::vec(any::<u8>(), 0..128),
+        ) {
+            check_image(&payload)?;
+        }
+
+        #[test]
+        fn image_parse_never_panics_on_mutated_images(
+            edits in prop::collection::vec((any::<u64>(), any::<u8>()), 1..4),
+            cut in any::<u64>(),
+        ) {
+            let mut payload = valid_payload();
+            for (at, byte) in edits {
+                let at = (at % payload.len() as u64) as usize;
+                payload[at] = byte;
+            }
+            if cut % 4 == 0 {
+                payload.truncate((cut >> 2) as usize % (payload.len() + 1));
+            }
+            check_image(&payload)?;
+        }
     }
 }

@@ -20,6 +20,9 @@
 //! * [`persist`] — shared warm-state image machinery (atomic replacement,
 //!   checksummed framing, corruption-tolerant loading) used by the memo
 //!   cache and the engine's surrogate-registry store;
+//! * [`wire`] — the one binary codec ([`wire::Wire`]) for every value
+//!   that crosses a process boundary: memo-image entries, surrogate
+//!   snapshots, and network messages;
 //! * [`telemetry`] — out-of-band wall-clock spans, counters, gauges, and
 //!   histograms ([`Telemetry`]), a side channel that observes the
 //!   pipeline without ever feeding back into results.
@@ -74,6 +77,7 @@ pub mod jobs;
 pub mod persist;
 pub mod pool;
 pub mod telemetry;
+pub mod wire;
 
 pub use batch::BatchEvaluator;
 pub use cache::{CacheStats, MemoCache};

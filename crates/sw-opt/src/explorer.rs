@@ -64,6 +64,15 @@ impl StableFingerprint for ExplorerOptions {
     }
 }
 
+runtime::wire_struct!(ExplorerOptions {
+    pool,
+    rounds,
+    top_k,
+    max_pool,
+    use_qlearning,
+    fixed_choice,
+});
+
 /// The result of software optimization for one workload.
 #[derive(Debug, Clone)]
 pub struct OptimizedSoftware {

@@ -43,6 +43,13 @@ pub struct Schedule {
     pub fuse_outer: usize,
 }
 
+runtime::wire_struct!(Schedule {
+    choice,
+    tiles,
+    outer_order,
+    fuse_outer,
+});
+
 /// The software design space of one (workload, accelerator) pair: the
 /// tensorize choices found by the matcher plus the intrinsic geometry.
 #[derive(Debug, Clone)]

@@ -24,11 +24,6 @@ pub fn footprint_bytes(comp: &Computation, dtype_bytes: u64) -> u64 {
     (inputs + comp.tensor_elements(&comp.output)) * dtype_bytes
 }
 
-/// Arithmetic intensity: FLOPs per DRAM byte at minimum traffic.
-pub fn arithmetic_intensity(comp: &Computation, dtype_bytes: u64) -> f64 {
-    flops(comp) as f64 / footprint_bytes(comp, dtype_bytes) as f64
-}
-
 /// Formats an op count the way the paper does: `255M`, `5.9G`, `16K`.
 pub fn format_ops(ops: u64) -> String {
     const K: f64 = 1e3;
@@ -68,12 +63,6 @@ mod tests {
     fn conv_flops() {
         let w = suites::conv2d_workload("c", 64, 64, 56, 56, 3, 3);
         assert_eq!(flops(&w.comp), 2 * 64 * 64 * 56 * 56 * 9);
-    }
-
-    #[test]
-    fn intensity_positive() {
-        let w = suites::gemm_workload("g", 64, 64, 64);
-        assert!(arithmetic_intensity(&w.comp, 4) > 1.0);
     }
 
     #[test]

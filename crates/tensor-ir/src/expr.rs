@@ -95,6 +95,9 @@ impl StableFingerprint for Access {
     }
 }
 
+runtime::wire_struct!(AffineDim { terms });
+runtime::wire_struct!(Access { tensor, dims });
+
 /// A tensor computation: `output = Σ_{reductions} Π inputs`.
 ///
 /// # Example
@@ -133,6 +136,13 @@ impl StableFingerprint for Computation {
         self.inputs.fingerprint_into(fp);
     }
 }
+
+runtime::wire_struct!(Computation {
+    name,
+    indices,
+    output,
+    inputs,
+});
 
 impl Computation {
     /// Starts a [`ComputationBuilder`], the ergonomic way to construct

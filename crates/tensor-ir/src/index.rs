@@ -8,6 +8,7 @@
 //! compute workload, otherwise the decomposed program produces incorrect
 //! results (choice #2 of Fig. 4 in the paper).
 
+use runtime::wire::{Reader, Wire};
 use runtime::{Fingerprinter, StableFingerprint};
 use serde::{Deserialize, Serialize};
 
@@ -120,6 +121,21 @@ impl StableFingerprint for IndexVar {
         self.kind.fingerprint_into(fp);
     }
 }
+
+impl Wire for IndexId {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        usize::decode(r).map(IndexId)
+    }
+}
+
+runtime::wire_enum_unit!(IndexKind {
+    0 => IndexKind::Spatial,
+    1 => IndexKind::Reduction,
+});
+runtime::wire_struct!(IndexVar { name, extent, kind });
 
 #[cfg(test)]
 mod tests {

@@ -34,6 +34,13 @@ impl StableFingerprint for IntrinsicKind {
     }
 }
 
+runtime::wire_enum_unit!(IntrinsicKind {
+    0 => IntrinsicKind::Dot,
+    1 => IntrinsicKind::Gemv,
+    2 => IntrinsicKind::Gemm,
+    3 => IntrinsicKind::Conv2d,
+});
+
 impl IntrinsicKind {
     /// All four intrinsic kinds, in increasing dimensionality order.
     pub const ALL: [IntrinsicKind; 4] = [

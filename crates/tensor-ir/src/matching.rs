@@ -96,6 +96,12 @@ impl StableFingerprint for TensorizeChoice {
     }
 }
 
+runtime::wire_struct!(TensorizeChoice {
+    intrinsic,
+    var_map,
+    needs_rearrangement,
+});
+
 impl TensorizeChoice {
     /// The compute-side loop variables absorbed by the intrinsic.
     pub fn tensorized_indices(&self) -> Vec<IndexId> {

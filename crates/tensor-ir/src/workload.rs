@@ -28,6 +28,8 @@ impl StableFingerprint for Workload {
     }
 }
 
+runtime::wire_struct!(Workload { name, comp });
+
 impl Workload {
     /// Creates a workload, asserting the computation is valid.
     ///
@@ -73,6 +75,8 @@ pub struct TensorApp {
     pub workloads: Vec<Workload>,
 }
 
+runtime::wire_struct!(TensorApp { name, workloads });
+
 impl TensorApp {
     /// Creates an application from workloads.
     pub fn new(name: impl Into<String>, workloads: Vec<Workload>) -> Self {
@@ -80,11 +84,6 @@ impl TensorApp {
             name: name.into(),
             workloads,
         }
-    }
-
-    /// Sum of FLOPs across all workloads.
-    pub fn total_flops(&self) -> u64 {
-        self.workloads.iter().map(Workload::flops).sum()
     }
 
     /// Minimum and maximum per-workload FLOPs — the "Compute Complexity"
@@ -153,7 +152,6 @@ mod tests {
         let (lo, hi) = app.complexity_range();
         assert_eq!(lo, 2 * 8 * 8 * 8);
         assert_eq!(hi, 2 * 32 * 32 * 32);
-        assert_eq!(app.total_flops(), lo + hi);
         assert_eq!(app.len(), 2);
         assert!(!app.is_empty());
     }

@@ -2,32 +2,17 @@
 //! survive arbitrary byte-level corruption without ever inventing data,
 //! merged saves accumulate newest-wins across runs, interrupted saves
 //! (simulated partial writes) never destroy a loadable file, and
-//! concurrent savers interleave into a loadable, merged image.
+//! concurrent savers interleave into a loadable, merged image, and the
+//! engine's `HASCOMC3` entry layout is pinned byte for byte.
 
+use accel_model::Metrics;
 use proptest::prelude::*;
 
 use runtime::MemoCache;
 
-fn encode(k: &u64, v: &u64, out: &mut Vec<u8>) {
-    out.extend_from_slice(&k.to_le_bytes());
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn decode(bytes: &[u8]) -> Option<(u64, u64)> {
-    if bytes.len() != 16 {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(bytes[..8].try_into().ok()?),
-        u64::from_le_bytes(bytes[8..].try_into().ok()?),
-    ))
-}
-
 /// The one save entry point: a merged save without age GC.
 fn save(cache: &MemoCache<u64, u64>, path: &std::path::Path) -> u64 {
-    cache
-        .save_merged_with_max_age(path, encode, decode, None)
-        .unwrap()
+    cache.save_merged_with_max_age(path, None).unwrap()
 }
 
 /// A unique temp path per (test, case) so proptest cases never collide.
@@ -105,7 +90,7 @@ proptest! {
         std::fs::write(&path, &image).unwrap();
 
         let warm: MemoCache<u64, u64> = MemoCache::new(256);
-        let loaded = warm.load_from_file(&path, decode).unwrap();
+        let loaded = warm.load_from_file(&path).unwrap();
         if intact {
             prop_assert_eq!(loaded as usize, entries.len());
         } else {
@@ -146,7 +131,7 @@ proptest! {
         prop_assert_eq!(written as usize, union.len());
 
         let warm: MemoCache<u64, u64> = MemoCache::new(256);
-        warm.load_from_file(&path, decode).unwrap();
+        warm.load_from_file(&path).unwrap();
         for k in union {
             let expect = second.get(&k).or_else(|| first.get(&k)).copied();
             prop_assert_eq!(warm.get(&k), expect, "key {}", k);
@@ -181,7 +166,7 @@ proptest! {
         let written = save(&survivor, &path);
         prop_assert!(written >= 1);
         let warm: MemoCache<u64, u64> = MemoCache::new(256);
-        prop_assert_eq!(warm.load_from_file(&path, decode).unwrap(), written);
+        prop_assert_eq!(warm.load_from_file(&path).unwrap(), written);
         prop_assert_eq!(warm.get(&u64::MAX), Some(1));
         std::fs::remove_file(&path).ok();
     }
@@ -221,7 +206,7 @@ fn concurrent_merged_saves_leave_a_loadable_file() {
 
     // The final image parses, and every entry traces back to a writer.
     let warm: MemoCache<u64, u64> = MemoCache::new(4096);
-    let loaded = warm.load_from_file(&path, decode).unwrap();
+    let loaded = warm.load_from_file(&path).unwrap();
     assert!(
         loaded >= 32,
         "final image lost even the last writer: {loaded}"
@@ -246,4 +231,65 @@ fn concurrent_merged_saves_leave_a_loadable_file() {
         .collect();
     assert!(stray.is_empty(), "temp files leaked: {stray:?}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hand-built image of the engine's memo entries — `(pair key,
+/// Option<Metrics>)`, one infeasible and one priced, at fixed stamps —
+/// spelled out byte by byte: each entry is `len u32 ++ stamp u64 ++ key
+/// (u64, u64) ++ tag u8`, then the seven metrics as `f64` bit patterns
+/// when the tag is 1, all little-endian. It must load to exactly those
+/// entries, and a merged re-save by a process with nothing new to add
+/// must rewrite the very same bytes.
+#[test]
+fn engine_memo_image_layout_is_pinned() {
+    let metrics = Metrics {
+        latency_cycles: 1.5e6,
+        latency_ms: 1.5,
+        energy_uj: 0.25,
+        power_mw: 900.0,
+        area_mm2: -0.0,
+        throughput_mops: f64::MIN_POSITIVE,
+        utilization: 0.75,
+    };
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&17u32.to_le_bytes());
+    payload.extend_from_slice(&1_000u64.to_le_bytes());
+    payload.extend_from_slice(&11u64.to_le_bytes());
+    payload.extend_from_slice(&12u64.to_le_bytes());
+    payload.push(0);
+    payload.extend_from_slice(&(17u32 + 7 * 8).to_le_bytes());
+    payload.extend_from_slice(&2_000u64.to_le_bytes());
+    payload.extend_from_slice(&21u64.to_le_bytes());
+    payload.extend_from_slice(&22u64.to_le_bytes());
+    payload.push(1);
+    for f in [
+        metrics.latency_cycles,
+        metrics.latency_ms,
+        metrics.energy_uj,
+        metrics.power_mw,
+        metrics.area_mm2,
+        metrics.throughput_mops,
+        metrics.utilization,
+    ] {
+        payload.extend_from_slice(&f.to_bits().to_le_bytes());
+    }
+    let image = runtime::persist::frame(b"HASCOMC3", &payload);
+    let path = temp_path("engine-layout", 0);
+    std::fs::write(&path, &image).unwrap();
+
+    let memo: MemoCache<(u64, u64), Option<Metrics>> = MemoCache::new(64);
+    assert_eq!(memo.load_from_file(&path).unwrap(), 2);
+    let mut entries = memo.snapshot_stamped();
+    entries.sort_by_key(|&(_, _, stamp)| stamp);
+    assert_eq!(
+        entries,
+        vec![((11, 12), None, 1_000), ((21, 22), Some(metrics), 2_000)]
+    );
+    let (_, priced, _) = entries[1];
+    assert_eq!(priced.unwrap().area_mm2.to_bits(), (-0.0f64).to_bits());
+
+    let idle: MemoCache<(u64, u64), Option<Metrics>> = MemoCache::new(64);
+    assert_eq!(idle.save_merged_with_max_age(&path, None).unwrap(), 2);
+    assert_eq!(std::fs::read(&path).unwrap(), image);
+    std::fs::remove_file(&path).ok();
 }

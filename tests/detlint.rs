@@ -101,13 +101,13 @@ fn every_suppression_pragma_is_load_bearing() {
 #[test]
 fn desynchronizing_a_real_wire_impl_fails_with_both_spans() {
     // Delete one field read from the real `CoDesignOptions` decode impl
-    // in `crates/net/src/wire.rs` and the wire-drift rule must report
+    // in `crates/core/src/codesign.rs` and the wire-drift rule must report
     // the now-unread field with a two-span diagnostic: the violation
     // anchors on the encode half, and the message carries the decode
     // half's own `file:line`.
     let root = workspace_root();
     let config = workspace_config();
-    let rel = "crates/net/src/wire.rs";
+    let rel = "crates/core/src/codesign.rs";
     let clean = fs::read_to_string(root.join(rel)).expect("file exists");
     let drop_line = |needle: &str| -> String {
         assert!(clean.contains(needle), "tamper target moved: {needle}");

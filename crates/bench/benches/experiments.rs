@@ -2,6 +2,7 @@
 //! paper at `Quick` scale and prints the regenerated artifacts — this is
 //! what lands in `bench_output.txt`.
 
+use hasco_bench::common::Config;
 use hasco_bench::Scale;
 
 fn main() {
@@ -11,12 +12,13 @@ fn main() {
         Scale::Quick
     };
     println!("=== HASCO reproduction: regenerating all tables and figures ({scale:?}) ===\n");
+    let cfg = Config::at(scale);
 
     let t0 = std::time::Instant::now();
     macro_rules! exp {
         ($m:ident) => {{
             let start = std::time::Instant::now();
-            let r = hasco_bench::$m::run(scale);
+            let r = hasco_bench::$m::run(&cfg);
             println!("{}", hasco_bench::$m::render(&r));
             println!(
                 "[{} regenerated in {:.1}s]\n",

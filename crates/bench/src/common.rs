@@ -1,200 +1,235 @@
-//! Shared experiment infrastructure: reference accelerators, software
+//! Shared experiment infrastructure: the run configuration, the engine
+//! the co-design harnesses submit to, reference accelerators, software
 //! optimization helpers (with graceful degradation for unmatchable
 //! workloads), and workload subsampling.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use accel_model::arch::{AcceleratorConfig, PeArray};
+use accel_model::tech::TechParams;
 use accel_model::{BackendKind, Metrics};
-use hasco::codesign::{CoDesignOptions, HwProblem};
-use hasco::engine::{Engine, EngineConfig};
+use hasco::codesign::{CoDesignOptions, OptimizerKind};
+use hasco::engine::{CoDesignRequest, Engine, EngineConfig};
+use hasco::input::{Constraints, GenerationMethod, InputDescription};
+use hasco::solution::Solution;
 use runtime::{resolve_threads, Telemetry, WorkerPool};
 use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
 use sw_opt::SwError;
 use tensor_ir::intrinsics::IntrinsicKind;
-use tensor_ir::workload::Workload;
+use tensor_ir::workload::{TensorApp, Workload};
 
 use crate::Scale;
 
-/// Worker-thread count for every experiment in this process (set once by
-/// the binary CLI; defaults to 1, the serial reference, so `cargo bench`
-/// and tests reproduce historical numbers exactly).
-static THREADS: OnceLock<usize> = OnceLock::new();
+/// The hardware-DSE methods the paper compares (Fig. 10, Table II), in
+/// column order.
+pub const METHODS: [OptimizerKind; 3] = [
+    OptimizerKind::Random,
+    OptimizerKind::Nsga2,
+    OptimizerKind::Mobo,
+];
 
-/// Cost backend used for every evaluation in this process (set once by
-/// the binary CLI; defaults to the analytic tier, the historical
-/// reference).
-static BACKEND: OnceLock<BackendKind> = OnceLock::new();
-
-/// Fidelity-staging survivor count (0 = staging off, the default).
-static REFINE_TOP_K: OnceLock<usize> = OnceLock::new();
-
-/// Adaptive fidelity staging (grow/shrink the refine budget per batch).
-static ADAPTIVE: OnceLock<bool> = OnceLock::new();
-
-/// Sweep the named `TechParams` profiles as a scenario axis.
-static TECH_SWEEP: OnceLock<bool> = OnceLock::new();
-
-/// Persistent evaluation-cache path (None = in-memory only).
-static CACHE_PATH: OnceLock<Option<PathBuf>> = OnceLock::new();
-
-/// Age-based GC bound for the persistent cache (None = keep everything).
-static CACHE_MAX_AGE: OnceLock<Option<Duration>> = OnceLock::new();
-
-/// Persistent surrogate-registry store (None = in-memory only).
-static SURROGATE_STORE: OnceLock<Option<PathBuf>> = OnceLock::new();
-
-/// The process-wide telemetry registry every bench engine reports into.
-static TELEMETRY: OnceLock<Telemetry> = OnceLock::new();
-
-/// `--connect` address: run campaigns against a remote `hasco-serve`
-/// front-end instead of an in-process engine (None = in-process).
-static CONNECT: OnceLock<Option<String>> = OnceLock::new();
-
-/// Where `--metrics-out` writes the JSON snapshot (None = don't write).
-static METRICS_OUT: OnceLock<Option<PathBuf>> = OnceLock::new();
-
-/// Installs the experiment thread count (first caller wins).
-pub fn set_threads(threads: usize) {
-    let _ = THREADS.set(threads);
+/// One experiment process's configuration: filled once by
+/// [`crate::cli::parse`] and read by every harness.
+#[derive(Debug, Clone)]
+pub struct Config {
+    /// Experiment scale.
+    pub scale: Scale,
+    /// Worker threads per job (`0` = all cores). Thread count changes
+    /// wall-clock time only, never results.
+    pub threads: usize,
+    /// Cost backend of every evaluation.
+    pub backend: BackendKind,
+    /// Fidelity-staging survivor count (0 = staging off).
+    pub refine_top_k: usize,
+    /// Adaptive fidelity staging (grow/shrink the refine budget per batch).
+    pub adaptive: bool,
+    /// Sweep the named `TechParams` profiles as a scenario axis.
+    pub tech_sweep: bool,
+    /// Persistent evaluation-cache image (`--cache`).
+    pub cache: Option<PathBuf>,
+    /// Age-based GC bound for the cache image (`--cache-max-age`).
+    pub cache_max_age: Option<Duration>,
+    /// Persistent surrogate-registry image (`--surrogate-store`).
+    pub surrogate_store: Option<PathBuf>,
+    /// Where `--metrics-out` writes the telemetry snapshot.
+    pub metrics_out: Option<PathBuf>,
+    /// `--connect` address: submit jobs to a remote `hasco-serve`
+    /// front-end instead of an in-process engine.
+    pub connect: Option<String>,
+    /// The registry every engine of this process reports into. Always
+    /// live: recording is a handful of relaxed atomics per event.
+    /// Telemetry is a wall-clock side channel — it never feeds back into
+    /// results, stats, or events.
+    pub telemetry: Telemetry,
 }
 
-/// The configured experiment thread count.
-pub fn threads() -> usize {
-    *THREADS.get_or_init(|| 1)
-}
+impl Config {
+    /// The defaults at `scale`: one worker thread, the analytic tier, no
+    /// staging, in-memory state only.
+    pub fn at(scale: Scale) -> Self {
+        Config {
+            scale,
+            threads: 1,
+            backend: BackendKind::Analytic,
+            refine_top_k: 0,
+            adaptive: false,
+            tech_sweep: false,
+            cache: None,
+            cache_max_age: None,
+            surrogate_store: None,
+            metrics_out: None,
+            connect: None,
+            telemetry: Telemetry::enabled(),
+        }
+    }
 
-/// Installs the experiment cost backend (first caller wins).
-pub fn set_backend(backend: BackendKind) {
-    let _ = BACKEND.set(backend);
-}
+    /// The technology profiles a sweeping experiment iterates: the full
+    /// named set with `--tech-sweep`, just the default node otherwise.
+    pub fn tech_profiles(&self) -> Vec<(&'static str, TechParams)> {
+        if self.tech_sweep {
+            TechParams::profiles().to_vec()
+        } else {
+            vec![("28nm", TechParams::default())]
+        }
+    }
 
-/// The configured cost backend.
-pub fn backend() -> BackendKind {
-    *BACKEND.get_or_init(BackendKind::default)
-}
+    /// The resident co-design engine for this experiment process: two
+    /// concurrent job slots, the `--cache` file as the shared store
+    /// image, `--cache-max-age` as its GC bound, and `--surrogate-store`
+    /// as the surrogate-registry image, so repeat invocations start with
+    /// the previous run's surrogate generation. Results never depend on
+    /// slot count or job interleaving — only wall-clock time and cache
+    /// statistics do.
+    ///
+    /// With `--connect ADDR`, no local engine is built at all: the handle
+    /// fronts the `hasco-serve` process at `ADDR` (whose own flags
+    /// configured persistence), and this process never pays for
+    /// evaluation.
+    ///
+    /// With any persistence flag set, a warm-start report line is printed
+    /// so the operator (and the CI smoke) can tell a restored run from a
+    /// cold one.
+    pub fn engine(&self) -> EngineHandle {
+        if let Some(addr) = &self.connect {
+            match hasco_net::Client::connect(addr.as_str()) {
+                Ok(client) => {
+                    println!("[campaigns served by {addr}]");
+                    return EngineHandle::Remote(client);
+                }
+                Err(e) => {
+                    eprintln!("cannot reach hasco-serve at {addr}: {e}");
+                    std::process::exit(2);
+                }
+            }
+        }
+        let mut config = EngineConfig::default()
+            .with_job_slots(2)
+            .with_metrics(self.telemetry.clone());
+        if let Some(path) = &self.cache {
+            config = config.with_cache_path(path);
+        }
+        if let Some(max_age) = self.cache_max_age {
+            config = config.with_cache_max_age(max_age);
+        }
+        if let Some(path) = &self.surrogate_store {
+            config = config.with_surrogate_store(path);
+        }
+        let engine = Engine::new(config);
+        if self.cache.is_some() || self.surrogate_store.is_some() {
+            println!(
+                "[engine warm start: {} cache entries, {} surrogate backend(s), \
+                 restored surrogate generation {}]",
+                engine.warm_entries(),
+                engine.restored_surrogate_backends(),
+                engine.restored_surrogate_generation(),
+            );
+        }
+        EngineHandle::Local(engine)
+    }
 
-/// Installs the fidelity-staging survivor count (first caller wins).
-pub fn set_refine_top_k(top_k: usize) {
-    let _ = REFINE_TOP_K.set(top_k);
-}
+    /// The one code path mapping the configuration onto co-design
+    /// options: every bench co-design run builds its request here, so
+    /// `--threads`, `--backend`, `--refine-top-k`, `--adaptive`, and the
+    /// technology axis apply uniformly (and invalid combinations fail
+    /// [`CoDesignOptions::validate`] once, at submit, instead of
+    /// degenerating differently per binary). The engine owns cache
+    /// persistence, so no `cache_path` is set here.
+    pub fn codesign_options_at(&self, seed: u64, tech: &TechParams) -> CoDesignOptions {
+        let opts = match self.scale {
+            Scale::Quick => CoDesignOptions::quick(seed),
+            Scale::Paper => {
+                let mut o = CoDesignOptions::paper(seed);
+                o.hw_trials = 20; // "20 co-design iterations"
+                o
+            }
+        };
+        let opts = opts
+            .with_threads(self.threads)
+            .with_backend(self.backend)
+            .with_tech(tech.clone());
+        if self.adaptive {
+            opts.with_adaptive_refinement(BackendKind::TraceSim, self.refine_top_k)
+        } else {
+            opts.with_refinement(BackendKind::TraceSim, self.refine_top_k)
+        }
+    }
 
-/// The configured fidelity-staging survivor count (0 = off).
-pub fn refine_top_k() -> usize {
-    *REFINE_TOP_K.get_or_init(|| 0)
-}
+    /// One hardware-DSE convergence run as an engine job: `optimizer`
+    /// drives the co-design loop over `app` for `trials` evaluations
+    /// (MOBO from a `trials / 3` prior, clamped to 3..=10). The history
+    /// is the product, so there is no constraint-driven retuning and the
+    /// final software pass is as cheap as the inner one.
+    pub fn dse_request(
+        &self,
+        app: TensorApp,
+        method: GenerationMethod,
+        optimizer: OptimizerKind,
+        seed: u64,
+        trials: usize,
+        tech: &TechParams,
+    ) -> CoDesignRequest {
+        let mut opts = self.codesign_options_at(seed, tech);
+        opts.hw_trials = trials;
+        opts.mobo_prior = (trials / 3).clamp(3, 10);
+        opts.sw_inner = sw_inner_opts(self.scale);
+        opts.sw_final = opts.sw_inner.clone();
+        opts.tuning_rounds = 0;
+        opts.optimizer = optimizer;
+        let input = InputDescription {
+            app,
+            method,
+            constraints: Constraints::default(),
+        };
+        CoDesignRequest::new(input, opts)
+    }
 
-/// Installs the adaptive-staging flag (first caller wins).
-pub fn set_adaptive(adaptive: bool) {
-    let _ = ADAPTIVE.set(adaptive);
-}
+    /// Runs `requests` on [`Config::engine`] through
+    /// [`EngineHandle::run_all`], then persists the warm state and
+    /// flushes engine-level telemetry (store-scope cache shards, gauges)
+    /// into the registry before the engine goes away.
+    pub fn run_jobs(&self, requests: Vec<CoDesignRequest>) -> Vec<Solution> {
+        let engine = self.engine();
+        let solutions = engine.run_all(requests).expect("co-design jobs succeed");
+        let _ = engine.persist();
+        let _ = engine.metrics();
+        solutions
+    }
 
-/// Whether the adaptive refine-budget controller is on.
-pub fn adaptive() -> bool {
-    *ADAPTIVE.get_or_init(|| false)
-}
-
-/// Installs the tech-sweep flag (first caller wins).
-pub fn set_tech_sweep(sweep: bool) {
-    let _ = TECH_SWEEP.set(sweep);
-}
-
-/// Whether the experiments sweep the named `TechParams` profiles.
-pub fn tech_sweep() -> bool {
-    *TECH_SWEEP.get_or_init(|| false)
-}
-
-/// The technology profiles a sweeping experiment iterates: the full
-/// named set with `--tech-sweep`, just the default node otherwise.
-pub fn tech_profiles() -> Vec<(&'static str, accel_model::tech::TechParams)> {
-    if tech_sweep() {
-        accel_model::tech::TechParams::profiles().to_vec()
-    } else {
-        vec![("28nm", accel_model::tech::TechParams::default())]
+    /// A [`SoftwareExplorer`] on the configured thread count and cost
+    /// backend. With the defaults (`--threads 1`, `--backend analytic`)
+    /// results are identical to `SoftwareExplorer::new(seed)`.
+    pub fn explorer(&self, seed: u64) -> SoftwareExplorer {
+        SoftwareExplorer::new(seed)
+            .with_workers(WorkerPool::new(resolve_threads(self.threads)))
+            .with_backend(self.backend.build())
     }
 }
 
-/// Installs the persistent evaluation-cache path (first caller wins).
-pub fn set_cache_path(path: PathBuf) {
-    let _ = CACHE_PATH.set(Some(path));
-}
-
-/// The configured persistent-cache path, if any.
-pub fn cache_path() -> Option<PathBuf> {
-    CACHE_PATH.get_or_init(|| None).clone()
-}
-
-/// Installs the cache max-age GC bound (first caller wins).
-pub fn set_cache_max_age(max_age: Duration) {
-    let _ = CACHE_MAX_AGE.set(Some(max_age));
-}
-
-/// The configured cache max-age GC bound, if any.
-pub fn cache_max_age() -> Option<Duration> {
-    *CACHE_MAX_AGE.get_or_init(|| None)
-}
-
-/// Installs the persistent surrogate-store path (first caller wins).
-pub fn set_surrogate_store(path: PathBuf) {
-    let _ = SURROGATE_STORE.set(Some(path));
-}
-
-/// The configured surrogate-store path, if any.
-pub fn surrogate_store() -> Option<PathBuf> {
-    SURROGATE_STORE.get_or_init(|| None).clone()
-}
-
-/// The experiment process's telemetry registry. Always live: recording
-/// is a handful of relaxed atomics per event, and keeping it on means
-/// the post-run summary and `--metrics-out` snapshot never miss work
-/// that happened before flag parsing. Telemetry is a wall-clock side
-/// channel — it never feeds back into results, stats, or events.
-pub fn telemetry() -> &'static Telemetry {
-    TELEMETRY.get_or_init(Telemetry::enabled)
-}
-
-/// Installs the `--metrics-out` snapshot path (first caller wins).
-pub fn set_metrics_out(path: PathBuf) {
-    let _ = METRICS_OUT.set(Some(path));
-}
-
-/// The configured `--metrics-out` path, if any.
-pub fn metrics_out() -> Option<PathBuf> {
-    METRICS_OUT.get_or_init(|| None).clone()
-}
-
-/// Installs the `--connect` serving address (first caller wins).
-pub fn set_connect(addr: String) {
-    let _ = CONNECT.set(Some(addr));
-}
-
-/// The configured `--connect` address, if any.
-pub fn connect_addr() -> Option<String> {
-    CONNECT.get_or_init(|| None).clone()
-}
-
-/// The engine configuration the CLI flags describe — shared between the
-/// in-process engine, `--serve` mode, and nothing else.
-pub fn engine_config() -> EngineConfig {
-    let mut config = EngineConfig::default().with_job_slots(2);
-    if let Some(path) = cache_path() {
-        config = config.with_cache_path(path);
-    }
-    if let Some(max_age) = cache_max_age() {
-        config = config.with_cache_max_age(max_age);
-    }
-    if let Some(path) = surrogate_store() {
-        config = config.with_surrogate_store(path);
-    }
-    config.with_metrics(telemetry().clone())
-}
-
-/// The campaign surface the experiment harnesses actually use, local or
-/// served. With `--connect` the work (and the warm state) lives in the
-/// `hasco-serve` process; results are bit-identical either way — that is
-/// the serving determinism contract, pinned by the loopback axis of
+/// The job surface the experiment harnesses use, local or served. With
+/// `--connect` the work (and the warm state) lives in the `hasco-serve`
+/// process; results are bit-identical either way — that is the serving
+/// determinism contract, pinned by the loopback axis of
 /// `tests/runtime_determinism.rs` and the CI smoke.
 pub enum EngineHandle {
     /// An in-process engine (the default).
@@ -204,18 +239,36 @@ pub enum EngineHandle {
 }
 
 impl EngineHandle {
-    /// [`Engine::campaign`], local or served.
+    /// Runs every request as its own job and returns the solutions in
+    /// request order. Every request is submitted before any is awaited,
+    /// so every job forks the same warm state: a surrogate screen starts
+    /// each job from the same registry generation, unlike a campaign,
+    /// which publishes between its waves. (A served job publishes on the
+    /// server when it completes, so there the guarantee holds for jobs
+    /// submitted before the first one finishes.)
     ///
     /// # Errors
-    /// The first failing scenario's error (plus transport errors when
+    /// The first failing job's error (plus transport errors when
     /// serving).
-    pub fn campaign(
+    pub fn run_all(
         &self,
-        requests: Vec<hasco::CoDesignRequest>,
-    ) -> Result<Vec<hasco::CampaignOutcome>, hasco::HascoError> {
+        requests: Vec<CoDesignRequest>,
+    ) -> Result<Vec<Solution>, hasco::HascoError> {
         match self {
-            EngineHandle::Local(engine) => engine.campaign(requests),
-            EngineHandle::Remote(client) => client.campaign(requests),
+            EngineHandle::Local(engine) => {
+                let jobs = requests
+                    .into_iter()
+                    .map(|request| engine.submit(request))
+                    .collect::<Result<Vec<_>, _>>()?;
+                jobs.iter().map(|job| job.wait()).collect()
+            }
+            EngineHandle::Remote(client) => {
+                let jobs = requests
+                    .into_iter()
+                    .map(|request| client.submit(request))
+                    .collect::<Result<Vec<_>, _>>()?;
+                jobs.iter().map(|job| job.wait()).collect()
+            }
         }
     }
 
@@ -227,7 +280,7 @@ impl EngineHandle {
     /// serving).
     pub fn campaign_events(
         &self,
-        requests: Vec<hasco::CoDesignRequest>,
+        requests: Vec<CoDesignRequest>,
     ) -> Result<(Vec<hasco::CampaignOutcome>, hasco::CampaignEvents), hasco::HascoError> {
         match self {
             EngineHandle::Local(engine) => engine.campaign_events(requests),
@@ -252,138 +305,6 @@ impl EngineHandle {
             EngineHandle::Local(engine) => engine.metrics(),
             EngineHandle::Remote(_) => None,
         }
-    }
-}
-
-/// The resident co-design engine for this experiment process, built from
-/// the CLI flags: two concurrent job slots, the `--cache` file as the
-/// shared store image, `--cache-max-age` as its GC bound, and
-/// `--surrogate-store` as the surrogate-registry image, so repeat
-/// invocations start with the previous run's surrogate generation.
-/// Campaign results never depend on slot count or job interleaving —
-/// only wall-clock time and cache statistics do.
-///
-/// With `--connect ADDR`, no local engine is built at all: the handle
-/// fronts the `hasco-serve` process at `ADDR` (whose own flags configured
-/// persistence), and this process never pays for evaluation.
-///
-/// With any persistence flag set, a warm-start report line is printed so
-/// the operator (and the CI smoke) can tell a restored run from a cold
-/// one.
-pub fn engine() -> EngineHandle {
-    if let Some(addr) = connect_addr() {
-        match hasco_net::Client::connect(&addr) {
-            Ok(client) => {
-                println!("[campaigns served by {addr}]");
-                return EngineHandle::Remote(client);
-            }
-            Err(e) => {
-                eprintln!("cannot reach hasco-serve at {addr}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let engine = Engine::new(engine_config());
-    if cache_path().is_some() || surrogate_store().is_some() {
-        println!(
-            "[engine warm start: {} cache entries, {} surrogate backend(s), \
-             restored surrogate generation {}]",
-            engine.warm_entries(),
-            engine.restored_surrogate_backends(),
-            engine.restored_surrogate_generation(),
-        );
-    }
-    EngineHandle::Local(engine)
-}
-
-/// The one code path mapping CLI flags onto co-design options: every
-/// bench co-design run — table3 cells, fig10 tech-sweep campaigns —
-/// builds its request here, so `--threads`, `--backend`,
-/// `--refine-top-k`, `--adaptive`, and the technology axis apply
-/// uniformly (and invalid combinations fail [`CoDesignOptions::validate`]
-/// once, at submit, instead of degenerating differently per binary).
-/// The engine owns cache persistence, so no `cache_path` is set here.
-pub fn codesign_options_at(
-    scale: Scale,
-    seed: u64,
-    tech: &accel_model::tech::TechParams,
-) -> CoDesignOptions {
-    let opts = match scale {
-        Scale::Quick => CoDesignOptions::quick(seed),
-        Scale::Paper => {
-            let mut o = CoDesignOptions::paper(seed);
-            o.hw_trials = 20; // "20 co-design iterations"
-            o
-        }
-    };
-    let opts = opts
-        .with_threads(threads())
-        .with_backend(backend())
-        .with_tech(tech.clone());
-    if adaptive() {
-        opts.with_adaptive_refinement(accel_model::BackendKind::TraceSim, refine_top_k())
-    } else {
-        opts.with_refinement(accel_model::BackendKind::TraceSim, refine_top_k())
-    }
-}
-
-/// A worker pool sized by the configured thread count.
-pub fn workers() -> WorkerPool {
-    WorkerPool::new(resolve_threads(threads()))
-}
-
-/// A [`SoftwareExplorer`] wired to the experiment worker pool and cost
-/// backend. With the defaults (`--threads 1`, `--backend analytic`)
-/// results are identical to `SoftwareExplorer::new(seed)`.
-pub fn explorer(seed: u64) -> SoftwareExplorer {
-    SoftwareExplorer::new(seed)
-        .with_workers(workers())
-        .with_backend(backend().build())
-}
-
-/// Applies the process-wide runtime configuration — worker pool, cost
-/// backend, fidelity staging (`--refine-top-k` survivors re-priced by
-/// the trace-sim tier, adaptively budgeted with `--adaptive`), and the
-/// persistent `--cache` warm start — to a hardware DSE problem. Pair
-/// with [`save_problem_cache`] after the optimizer run so the next
-/// process starts warm.
-pub fn configure_problem(problem: HwProblem<'_>) -> HwProblem<'_> {
-    configure_problem_at(problem, &accel_model::tech::TechParams::default())
-}
-
-/// Like [`configure_problem`], but builds every backend tier with the
-/// given technology parameters (one node of a `--tech-sweep`).
-pub fn configure_problem_at<'a>(
-    problem: HwProblem<'a>,
-    tech: &accel_model::tech::TechParams,
-) -> HwProblem<'a> {
-    let refine = BackendKind::TraceSim.build_with(tech.clone());
-    let problem = problem
-        .with_workers(workers())
-        .with_backend(backend().build_with(tech.clone()));
-    let problem = if adaptive() {
-        problem.with_adaptive_refinement(refine, refine_top_k())
-    } else {
-        problem.with_refinement(refine, refine_top_k())
-    };
-    if let Some(path) = cache_path() {
-        problem.load_cache(&path);
-    }
-    problem
-}
-
-/// Persists a problem's evaluation cache at the `--cache` path (no-op
-/// without the flag; save failures cost future warmth, never
-/// correctness). Memo keys are complete — workload + options + seed +
-/// backend (with tech constants and training generation) + config — and
-/// saves merge newest-wins into the existing file, so load→run→save
-/// cycles against one shared file accumulate entries across problems,
-/// processes, and bench binaries instead of thrashing. `--cache-max-age`
-/// applies here exactly as it does to engine persistence, so every
-/// binary's saves GC the shared file.
-pub fn save_problem_cache(problem: &HwProblem<'_>) {
-    if let Some(path) = cache_path() {
-        let _ = problem.save_cache_with_max_age(&path, cache_max_age());
     }
 }
 
@@ -478,7 +399,7 @@ pub fn host_fallback_metrics(workload: &Workload, cfg: &AcceleratorConfig) -> Me
     let bytes = workload.footprint_bytes(cfg.dtype_bytes) as f64;
     let latency_cycles = macs / HOST_MACS_PER_CYCLE + bytes / cfg.bus_bytes_per_cycle();
     let latency_ms = cfg.cycles_to_ms(latency_cycles);
-    let tech = accel_model::tech::TechParams::default();
+    let tech = TechParams::default();
     let area_mm2 = accel_model::area::area(cfg, &tech).total_mm2();
     // Host energy: ~4x the accelerator MAC energy plus the DRAM traffic.
     let energy_uj = (macs * 4.0 * tech.e_mac_pj + bytes * tech.e_dram_pj) / 1e6

@@ -5,19 +5,14 @@
 //! Headline numbers to reproduce in shape: MOBO reaches NSGA-II's *final*
 //! hypervolume in ~2.5X fewer trials and ends ~1.19X higher.
 
-use dse::mobo::Mobo;
-use dse::nsga2::Nsga2;
+use accel_model::tech::TechParams;
 use dse::problem::OptimizerResult;
-use dse::random::RandomSearch;
-use dse::Optimizer;
-use hasco::codesign::{HwProblem, OptimizerKind};
-use hasco::engine::CoDesignRequest;
-use hasco::input::{Constraints, GenerationMethod, InputDescription};
-use hw_gen::GemminiGenerator;
+use hasco::codesign::OptimizerKind;
+use hasco::input::GenerationMethod;
 use tensor_ir::suites;
-use tensor_ir::workload::{TensorApp, Workload};
+use tensor_ir::workload::TensorApp;
 
-use crate::common::{subsample, sw_inner_opts};
+use crate::common::{subsample, Config, METHODS};
 use crate::Scale;
 
 /// One method's convergence curve.
@@ -46,7 +41,7 @@ pub struct Fig10 {
     pub tech_sweep: Vec<(String, f64)>,
 }
 
-fn reference(histories: &[&OptimizerResult]) -> Vec<f64> {
+fn reference(histories: &[OptimizerResult]) -> Vec<f64> {
     let mut r = [f64::NEG_INFINITY; 3];
     for h in histories {
         for e in &h.evaluations {
@@ -58,43 +53,57 @@ fn reference(histories: &[&OptimizerResult]) -> Vec<f64> {
     r.iter().map(|v| v * 1.01).collect()
 }
 
-/// Runs the comparison.
-pub fn run(scale: Scale) -> Fig10 {
-    let (trials, layers) = match scale {
+/// Runs the comparison: every method's run, and with `--tech-sweep` a
+/// MOBO and a random-search run per technology profile, is one job on
+/// one engine. All jobs fork the same warm state, so no run's surrogate
+/// screen inherits another run's training.
+pub fn run(cfg: &Config) -> Fig10 {
+    let (trials, layers) = match cfg.scale {
         Scale::Quick => (14, 4),
         Scale::Paper => (40, 8),
     };
-    let workloads: Vec<Workload> = subsample(&suites::resnet50_convs(), layers);
-    let generator = GemminiGenerator::new();
-    let sw = sw_inner_opts(scale);
-
-    let run_method = |name: &str| -> OptimizerResult {
-        let mut problem = crate::common::configure_problem(HwProblem::new(
-            &generator,
-            &workloads,
-            sw.clone(),
+    let app = TensorApp::new("resnet", subsample(&suites::resnet50_convs(), layers));
+    let request = |kind: OptimizerKind, tech: &TechParams| {
+        cfg.dse_request(
+            app.clone(),
+            GenerationMethod::Gemmini,
+            kind,
             10,
-        ));
-        let history = match name {
-            "random" => RandomSearch::new(10).run(&mut problem, trials),
-            "nsga2" => Nsga2::new(10).run(&mut problem, trials),
-            _ => Mobo::new(10)
-                .with_prior_samples((trials / 3).clamp(3, 10))
-                .run(&mut problem, trials),
-        };
-        crate::common::save_problem_cache(&problem);
-        history
+            trials,
+            tech,
+        )
     };
-    let rand_h = run_method("random");
-    let nsga_h = run_method("nsga2");
-    let mobo_h = run_method("mobo");
-    let reference = reference(&[&rand_h, &nsga_h, &mobo_h]);
-
-    let curves: Vec<Curve> = [("random", &rand_h), ("nsga2", &nsga_h), ("mobo", &mobo_h)]
+    let mut requests: Vec<_> = METHODS
         .iter()
-        .map(|(n, h)| Curve {
-            name: n.to_string(),
-            hv: h.hypervolume_history(&reference),
+        .map(|&kind| request(kind, &TechParams::default()).with_label(kind.as_str()))
+        .collect();
+    // `--tech-sweep`: the MOBO-vs-random comparison once per technology
+    // profile. Each node's runs are priced by backends built with its
+    // own TechParams, so the shared store keeps the nodes apart.
+    let profiles = if cfg.tech_sweep {
+        cfg.tech_profiles()
+    } else {
+        Vec::new()
+    };
+    for (tech_name, tech) in &profiles {
+        for kind in [OptimizerKind::Mobo, OptimizerKind::Random] {
+            requests.push(request(kind, tech).with_label(format!("{tech_name}/{kind}")));
+        }
+    }
+    let histories: Vec<OptimizerResult> = cfg
+        .run_jobs(requests)
+        .into_iter()
+        .map(|solution| solution.hw_history)
+        .collect();
+    let (main, sweep) = histories.split_at(METHODS.len());
+    let main_reference = reference(main);
+
+    let curves: Vec<Curve> = METHODS
+        .iter()
+        .zip(main)
+        .map(|(kind, h)| Curve {
+            name: kind.to_string(),
+            hv: h.hypervolume_history(&main_reference),
         })
         .collect();
 
@@ -111,56 +120,20 @@ pub fn run(scale: Scale) -> Fig10 {
     let mobo = curves.iter().find(|c| c.name == "mobo").unwrap();
     let mobo_crossover_trial = mobo.hv.iter().position(|&v| v >= nsga_final).map(|i| i + 1);
 
-    // `--tech-sweep`: rerun the staged MOBO-vs-random comparison once
-    // per technology profile — as campaign jobs on one resident engine.
-    // Each node's two runs (MOBO and random search drive the identical
-    // co-design pipeline via `CoDesignOptions::optimizer`) are priced by
-    // backends built with its own TechParams, so the shared store keeps
-    // the nodes apart while the engine amortizes pool and cache setup
-    // across the whole sweep.
+    // Each node gets its own reference point, so only the within-node
+    // ratio is comparable.
     let mut tech_sweep = Vec::new();
-    if crate::common::tech_sweep() {
-        let engine = crate::common::engine();
-        let profiles = crate::common::tech_profiles();
-        let mut requests = Vec::new();
-        for (tech_name, tech) in &profiles {
-            for kind in [OptimizerKind::Mobo, OptimizerKind::Random] {
-                let mut opts = crate::common::codesign_options_at(scale, 10, tech);
-                opts.hw_trials = trials;
-                opts.mobo_prior = (trials / 3).clamp(3, 10);
-                opts.sw_inner = sw.clone();
-                // Histories are the product here; keep the final software
-                // pass as cheap as the inner one.
-                opts.sw_final = sw.clone();
-                opts.tuning_rounds = 0;
-                opts.optimizer = kind;
-                let input = InputDescription {
-                    app: TensorApp::new("resnet", workloads.clone()),
-                    method: GenerationMethod::Gemmini,
-                    constraints: Constraints::default(),
-                };
-                requests.push(
-                    CoDesignRequest::new(input, opts).with_label(format!("{tech_name}/{kind}")),
-                );
-            }
-        }
-        let outcomes = engine.campaign(requests).expect("tech-sweep jobs succeed");
-        let _ = engine.persist();
-        // Flush engine-level telemetry (store-scope cache shards, gauges)
-        // into the shared registry before the engine goes away.
-        let _ = engine.metrics();
-        for (pair, (tech_name, _)) in outcomes.chunks(2).zip(&profiles) {
-            let (mobo_h, rand_h) = (&pair[0].solution.hw_history, &pair[1].solution.hw_history);
-            let node_reference = self::reference(&[mobo_h, rand_h]);
-            let final_hv = |h: &OptimizerResult| {
-                h.hypervolume_history(&node_reference)
-                    .last()
-                    .copied()
-                    .unwrap_or(0.0)
-            };
-            let ratio = final_hv(mobo_h) / final_hv(rand_h).max(1e-300);
-            tech_sweep.push((tech_name.to_string(), ratio));
-        }
+    for (pair, (tech_name, _)) in sweep.chunks(2).zip(&profiles) {
+        let (mobo_h, rand_h) = (&pair[0], &pair[1]);
+        let node_reference = reference(pair);
+        let final_hv = |h: &OptimizerResult| {
+            h.hypervolume_history(&node_reference)
+                .last()
+                .copied()
+                .unwrap_or(0.0)
+        };
+        let ratio = final_hv(mobo_h) / final_hv(rand_h).max(1e-300);
+        tech_sweep.push((tech_name.to_string(), ratio));
     }
 
     Fig10 {
@@ -226,7 +199,7 @@ mod tests {
 
     #[test]
     fn mobo_at_least_matches_nsga() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         assert!(
             f.hv_ratio_mobo_nsga >= 0.95,
             "MOBO/NSGA-II HV ratio = {}",
@@ -236,7 +209,7 @@ mod tests {
 
     #[test]
     fn curves_are_monotone() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         for c in &f.curves {
             assert!(
                 c.hv.windows(2).all(|w| w[1] >= w[0] - 1e-9),

@@ -10,7 +10,7 @@ use hasco::report::{speedup, Table};
 
 use tensor_ir::suites;
 
-use crate::common::{gemmcore, sw_opts};
+use crate::common::{gemmcore, sw_opts, Config};
 use crate::Scale;
 
 /// Latency of one workload under each system (ms).
@@ -42,17 +42,17 @@ pub struct Fig11 {
 }
 
 /// Runs the comparison.
-pub fn run(scale: Scale) -> Fig11 {
+pub fn run(cfg: &Config) -> Fig11 {
     let convs = suites::resnet50_convs();
-    let convs = match scale {
+    let convs = match cfg.scale {
         Scale::Quick => convs[..6].to_vec(),
         Scale::Paper => convs,
     };
+    let explorer = cfg.explorer(11);
+    let opts = sw_opts(cfg.scale);
     let cfg = gemmcore();
     let lib = GemmLibrary::new();
     let tvm = AutoTvm::new(11);
-    let explorer = crate::common::explorer(11);
-    let opts = sw_opts(scale);
 
     let mut rows = Vec::new();
     for w in &convs {
@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn hasco_beats_library_clearly() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         assert!(
             f.mean_speedup_vs_lib > 1.5,
             "mean speedup vs lib = {}",
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn hasco_at_least_matches_autotvm() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         assert!(
             f.mean_speedup_vs_autotvm >= 1.0,
             "mean speedup vs autotvm = {}",
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn conversion_overhead_dominates_somewhere() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         assert!(
             f.rows.iter().any(|r| r.lib_conversion > r.lib_compute),
             "im2col/col2im never dominated"

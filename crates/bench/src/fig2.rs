@@ -15,8 +15,7 @@ use sw_opt::lowering;
 use sw_opt::schedule::{Schedule, ScheduleContext};
 use tensor_ir::suites;
 
-use crate::common::{ga_l, ga_s, sw_opts, throughput_mops};
-use crate::Scale;
+use crate::common::{ga_l, ga_s, sw_opts, throughput_mops, Config};
 
 /// Result: normalized throughput of p1–p3 on both accelerators.
 #[derive(Debug, Clone)]
@@ -70,11 +69,11 @@ fn grow_tiles(sched: &Schedule, ctx: &ScheduleContext) -> Schedule {
 }
 
 /// Runs the case study.
-pub fn run(scale: Scale) -> Fig2 {
+pub fn run(cfg: &Config) -> Fig2 {
     let workload = suites::gemm_workload("fig2_gemm", 512, 512, 512);
     let (big, small) = (ga_l(), ga_s());
-    let opts = sw_opts(scale);
-    let explorer = crate::common::explorer(2024);
+    let opts = sw_opts(cfg.scale);
+    let explorer = cfg.explorer(2024);
 
     let p1 = explorer
         .optimize(&workload, &big, &opts)
@@ -138,10 +137,11 @@ pub fn render(f: &Fig2) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn software_choice_matters_and_p3_not_better() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         // p1 is tuned for GA_L: it must be at least as good as p3 (more
         // on-chip compute) there.
         assert!(
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn ga_l_peak_exceeds_ga_s_peak() {
         // §II-C: GA_L achieves higher peak throughput than GA_S.
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         let s_peak = f.ga_s_mops.iter().cloned().fold(0.0, f64::max);
         assert!(
             f.ga_l_peak > s_peak,
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn render_has_three_rows() {
-        let s = render(&run(Scale::Quick));
+        let s = render(&run(&Config::at(Scale::Quick)));
         assert!(s.contains("p1") && s.contains("p2") && s.contains("p3"));
     }
 }

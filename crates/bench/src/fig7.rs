@@ -15,7 +15,9 @@ use tensor_ir::intrinsics::IntrinsicKind;
 use tensor_ir::suites;
 use tensor_ir::workload::Workload;
 
-use crate::common::{accel_64pe, app_metrics_degradable, subsample, sw_opts, throughput_mops};
+use crate::common::{
+    accel_64pe, app_metrics_degradable, subsample, sw_opts, throughput_mops, Config,
+};
 use crate::Scale;
 
 /// Throughput of one workload under each intrinsic (MOPS; `None` when the
@@ -143,13 +145,13 @@ fn choice_spread(
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig7 {
-    let n = match scale {
+pub fn run(cfg: &Config) -> Fig7 {
+    let n = match cfg.scale {
         Scale::Quick => 3,
         Scale::Paper => 10,
     };
-    let opts = sw_opts(scale);
-    let explorer = crate::common::explorer(7);
+    let opts = sw_opts(cfg.scale);
+    let explorer = cfg.explorer(7);
 
     let mttkrp = subsample(&suites::mttkrp_workloads(), n)
         .iter()
@@ -164,7 +166,7 @@ pub fn run(scale: Scale) -> Fig7 {
 
     // Panel (b) must include the 5x5/7x7-filter workloads (#1, #5, #8).
     let conv_all = suites::conv2d_workloads();
-    let conv_set: Vec<Workload> = match scale {
+    let conv_set: Vec<Workload> = match cfg.scale {
         Scale::Quick => vec![
             conv_all[0].clone(),
             conv_all[1].clone(),
@@ -257,7 +259,7 @@ mod tests {
 
     #[test]
     fn shapes_match_paper() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         // (a) MTTKRP prefers GEMV in most cases.
         let gemv_wins = f
             .mttkrp
@@ -298,7 +300,7 @@ mod tests {
 
     #[test]
     fn large_filters_prefer_gemm_small_prefer_conv2d() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         // Quick set: conv_1 (5x5), conv_2 (3x3), conv_8 (7x7).
         let by_name = |n: &str| f.conv.iter().find(|r| r.workload == n).unwrap();
         assert_eq!(by_name("conv_2").winner(), IntrinsicKind::Conv2d);
@@ -309,7 +311,7 @@ mod tests {
 
     #[test]
     fn choice_spread_is_material() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         // Different tensorize choices must have materially different
         // throughput (the paper's Fig. 7(c) colored-band observation); in
         // our model the convolution choices carry the spread.

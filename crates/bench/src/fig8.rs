@@ -12,7 +12,7 @@ use hw_gen::ChiselGenerator;
 use tensor_ir::intrinsics::IntrinsicKind;
 use tensor_ir::suites;
 
-use crate::common::{app_metrics_degradable, sw_inner_opts};
+use crate::common::{app_metrics_degradable, sw_inner_opts, Config};
 use crate::Scale;
 
 /// One ground-truth point.
@@ -88,15 +88,15 @@ impl GroundTruth {
 }
 
 /// Runs (or re-runs) the ground-truth sweep. Exposed so Fig. 9 reuses it.
-pub fn ground_truth(scale: Scale) -> GroundTruth {
+pub fn ground_truth(cfg: &Config) -> GroundTruth {
     let generator = ChiselGenerator::ground_truth(IntrinsicKind::Conv2d);
     let convs = suites::xception_ground_truth_convs();
-    let convs = match scale {
+    let convs = match cfg.scale {
         Scale::Quick => convs[..3].to_vec(),
         Scale::Paper => convs,
     };
-    let opts = sw_inner_opts(scale);
-    let explorer = crate::common::explorer(88);
+    let opts = sw_inner_opts(cfg.scale);
+    let explorer = cfg.explorer(88);
     let mut points = Vec::new();
     for point in generator.space().iter_all() {
         let cfg = generator
@@ -124,8 +124,8 @@ pub fn ground_truth(scale: Scale) -> GroundTruth {
 }
 
 /// Runs the Fig. 8 analysis.
-pub fn run(scale: Scale) -> GroundTruth {
-    ground_truth(scale)
+pub fn run(cfg: &Config) -> GroundTruth {
+    ground_truth(cfg)
 }
 
 /// Renders the correlation summary plus the raw scatter triplets.
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn power_area_positively_correlated() {
-        let gt = run(Scale::Quick);
+        let gt = run(&Config::at(Scale::Quick));
         assert!(gt.points.len() >= 32);
         // §VII-C Fig. 8(c): positive correlation between power and area.
         let c_pa = gt.correlation(|p| p.power, |p| p.area);
@@ -176,14 +176,14 @@ mod tests {
         // under the same latency constraint". Our leakage-dominated model
         // shows a smaller band than the paper's 121X but it must be
         // clearly material.
-        let gt = run(Scale::Quick);
+        let gt = run(&Config::at(Scale::Quick));
         let range = gt.power_range_at_similar_latency(0.30);
         assert!(range > 1.25, "power range = {range}X");
     }
 
     #[test]
     fn render_mentions_correlations() {
-        let s = render(&run(Scale::Quick));
+        let s = render(&run(&Config::at(Scale::Quick)));
         assert!(s.contains("corr(power, area)"));
     }
 }

@@ -17,8 +17,8 @@ use dse::random::RandomSearch;
 use dse::{hypervolume, Optimizer};
 use hasco::report::Table;
 
+use crate::common::Config;
 use crate::fig8::{ground_truth, GroundTruth};
-use crate::Scale;
 
 /// The cached-ground-truth DSE problem.
 struct CachedProblem {
@@ -71,8 +71,8 @@ fn reference_point(gt: &GroundTruth) -> Vec<f64> {
 }
 
 /// Runs the three methods over the cached landscape.
-pub fn run(scale: Scale) -> Fig9 {
-    let gt = ground_truth(scale);
+pub fn run(cfg: &Config) -> Fig9 {
+    let gt = ground_truth(cfg);
     let trials = 20;
     let table: BTreeMap<Point, Vec<f64>> = gt
         .points
@@ -191,6 +191,7 @@ pub fn render(f: &Fig9) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn overprovisioned_arrays_hit_diminishing_returns() {
@@ -199,7 +200,7 @@ mod tests {
         // describes. (Their specific tiny-workload latency *increase* needs
         // the absolute FPGA overheads; we reproduce the plateau: the last
         // doubling of the array buys far less than the first.)
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         let gt = &f.ground_truth;
         let at = |side: u64, banks: u64| {
             gt.points
@@ -227,7 +228,7 @@ mod tests {
 
     #[test]
     fn mobo_front_is_closest_to_true_front() {
-        let f = run(Scale::Quick);
+        let f = run(&Config::at(Scale::Quick));
         let hv = |n: &str| f.methods.iter().find(|m| m.name == n).unwrap().final_hv;
         assert!(
             hv("mobo") >= hv("random"),
@@ -240,7 +241,7 @@ mod tests {
 
     #[test]
     fn render_contains_grids_and_methods() {
-        let s = render(&run(Scale::Quick));
+        let s = render(&run(&Config::at(Scale::Quick)));
         assert!(s.contains("(a) latency"));
         assert!(s.contains("mobo"));
     }

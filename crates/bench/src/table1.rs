@@ -5,7 +5,7 @@ use hasco::report::Table;
 use tensor_ir::complexity::format_ops;
 use tensor_ir::suites;
 
-use crate::Scale;
+use crate::common::Config;
 
 /// One row of Table I.
 #[derive(Debug, Clone)]
@@ -27,8 +27,9 @@ pub struct Table1 {
     pub rows: Vec<Row>,
 }
 
-/// Regenerates Table I. `Scale` is irrelevant here (the table is cheap).
-pub fn run(_scale: Scale) -> Table1 {
+/// Regenerates Table I. The configuration is irrelevant here (the table
+/// is cheap).
+pub fn run(_cfg: &Config) -> Table1 {
     let rows = suites::table1_apps()
         .into_iter()
         .map(|app| {
@@ -71,10 +72,11 @@ pub fn render(t: &Table1) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn has_four_rows_with_paper_ranges() {
-        let t = run(Scale::Quick);
+        let t = run(&Config::at(Scale::Quick));
         assert_eq!(t.rows.len(), 4);
         let by_name = |n: &str| t.rows.iter().find(|r| r.name == n).unwrap();
         // Paper: MTTKRP 255M-5.9G, TTM 16M-8.6G, conv 87M-3.7G, GEMM 16K-4.3G.
@@ -86,7 +88,7 @@ mod tests {
 
     #[test]
     fn render_contains_notation() {
-        let s = render(&run(Scale::Quick));
+        let s = render(&run(&Config::at(Scale::Quick)));
         assert!(s.contains("sum_{k,l} A[i,k,l] * B[l,j] * C[k,j]"));
         assert!(s.contains("+ CNNs"));
     }

@@ -3,20 +3,15 @@
 //! trials, NSGA-II population 5, MOBO with a 10-sample prior, power cap
 //! 1E4 mW).
 
-use dse::mobo::Mobo;
-use dse::nsga2::Nsga2;
+use accel_model::tech::TechParams;
 use dse::problem::OptimizerResult;
-use dse::random::RandomSearch;
-use dse::Optimizer;
-use hasco::codesign::HwProblem;
+use hasco::input::GenerationMethod;
 use hasco::report::Table;
-use hw_gen::space::Generator;
-use hw_gen::{ChiselGenerator, GemminiGenerator};
 use tensor_ir::intrinsics::IntrinsicKind;
 use tensor_ir::suites;
-use tensor_ir::workload::Workload;
+use tensor_ir::workload::{TensorApp, Workload};
 
-use crate::common::{subsample, sw_inner_opts};
+use crate::common::{subsample, Config, METHODS};
 use crate::Scale;
 
 /// Best feasible (latency, power, area) found by one method.
@@ -75,56 +70,56 @@ fn best_feasible(history: &OptimizerResult, power_cap: f64) -> Best {
     }
 }
 
-/// Runs the table.
-pub fn run(scale: Scale) -> Table2 {
-    let (trials, layers) = match scale {
+/// Runs the table: every (intrinsic, app, method) cell is one job on one
+/// engine.
+pub fn run(cfg: &Config) -> Table2 {
+    let (trials, layers) = match cfg.scale {
         Scale::Quick => (18, 3),
         Scale::Paper => (40, 6),
     };
     let power_cap_mw = 1.0e4;
-    let sw = sw_inner_opts(scale);
     let apps: Vec<(&str, Vec<Workload>)> = vec![
         ("resnet", subsample(&suites::resnet50_convs(), layers)),
         ("mobilenet", subsample(&suites::mobilenet_convs(), layers)),
         ("xception", subsample(&suites::xception_convs(), layers)),
     ];
-    let mut rows = Vec::new();
-    for kind in [IntrinsicKind::Gemm, IntrinsicKind::Conv2d] {
-        let gemmini;
-        let chisel;
-        let generator: &dyn Generator = if kind == IntrinsicKind::Gemm {
-            gemmini = GemminiGenerator::new();
-            &gemmini
-        } else {
-            chisel = ChiselGenerator::new(IntrinsicKind::Conv2d);
-            &chisel
-        };
+    let mut row_keys = Vec::new();
+    let mut requests = Vec::new();
+    for (kind, method) in [
+        (IntrinsicKind::Gemm, GenerationMethod::Gemmini),
+        (
+            IntrinsicKind::Conv2d,
+            GenerationMethod::Chisel(IntrinsicKind::Conv2d),
+        ),
+    ] {
         for (app, workloads) in &apps {
-            let mut results = Vec::with_capacity(3);
-            for method in ["random", "nsga2", "mobo"] {
-                let mut problem = crate::common::configure_problem(HwProblem::new(
-                    generator,
-                    workloads,
-                    sw.clone(),
-                    2,
-                ));
-                let history = match method {
-                    "random" => RandomSearch::new(2).run(&mut problem, trials),
-                    "nsga2" => Nsga2::new(2).run(&mut problem, trials),
-                    _ => Mobo::new(2)
-                        .with_prior_samples((trials / 3).clamp(3, 10))
-                        .run(&mut problem, trials),
-                };
-                crate::common::save_problem_cache(&problem);
-                results.push(best_feasible(&history, power_cap_mw));
+            for optimizer in METHODS {
+                let app_desc = TensorApp::new(*app, workloads.clone());
+                requests.push(
+                    cfg.dse_request(
+                        app_desc,
+                        method,
+                        optimizer,
+                        2,
+                        trials,
+                        &TechParams::default(),
+                    )
+                    .with_label(format!("{app}/{kind}/{optimizer}")),
+                );
             }
-            rows.push(Row {
-                app: app.to_string(),
-                intrinsic: kind,
-                results: [results[0], results[1], results[2]],
-            });
+            row_keys.push((app.to_string(), kind));
         }
     }
+    let solutions = cfg.run_jobs(requests);
+    let rows = row_keys
+        .into_iter()
+        .zip(solutions.chunks(METHODS.len()))
+        .map(|((app, intrinsic), cell)| Row {
+            app,
+            intrinsic,
+            results: [0, 1, 2].map(|m| best_feasible(&cell[m].hw_history, power_cap_mw)),
+        })
+        .collect();
     Table2 { rows, power_cap_mw }
 }
 
@@ -172,7 +167,7 @@ mod tests {
         // Paper: "MOBO always outperforms the random search and NSGAII in
         // our evaluations" — we require it to win or tie (within 10 %) on a
         // majority of rows against each competitor.
-        let t = run(Scale::Quick);
+        let t = run(&Config::at(Scale::Quick));
         let mut vs_random = 0;
         let mut vs_nsga = 0;
         for r in &t.rows {
@@ -198,7 +193,7 @@ mod tests {
 
     #[test]
     fn table_has_six_rows() {
-        let t = run(Scale::Quick);
+        let t = run(&Config::at(Scale::Quick));
         assert_eq!(t.rows.len(), 6);
         let s = render(&t);
         assert!(s.contains("resnet") && s.contains("conv2d"));

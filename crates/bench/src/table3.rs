@@ -22,7 +22,7 @@ use tensor_ir::intrinsics::IntrinsicKind;
 use tensor_ir::suites;
 use tensor_ir::workload::{TensorApp, Workload};
 
-use crate::common::subsample;
+use crate::common::{subsample, Config};
 use crate::Scale;
 
 /// One system's outcome in a cell.
@@ -79,15 +79,15 @@ fn summarize(cfg: &accel_model::AcceleratorConfig, latency_ms: f64) -> SystemRes
 /// evaluations, different constraints) and repeat runs against a
 /// `--cache` file deduplicate their software explorations instead of
 /// recomputing them.
-pub fn run(scale: Scale) -> Table3 {
-    let layers = match scale {
+pub fn run(cfg: &Config) -> Table3 {
+    let layers = match cfg.scale {
         Scale::Quick => 3,
         Scale::Paper => 6,
     };
     // With `--tech-sweep` the technology node replaces the CNN as the
     // inner axis (ResNet only), keeping the cell count — and the cost —
     // identical to the default study.
-    let apps: Vec<(&str, Vec<Workload>)> = if crate::common::tech_sweep() {
+    let apps: Vec<(&str, Vec<Workload>)> = if cfg.tech_sweep {
         vec![("resnet", subsample(&suites::resnet50_convs(), layers))]
     } else {
         vec![
@@ -96,7 +96,7 @@ pub fn run(scale: Scale) -> Table3 {
             ("xception", subsample(&suites::xception_convs(), layers)),
         ]
     };
-    let profiles = crate::common::tech_profiles();
+    let profiles = cfg.tech_profiles();
     // (name, power cap mW, cloud?)
     let scenarios = [("edge", 2_000.0, false), ("cloud", 20_000.0, true)];
 
@@ -120,7 +120,7 @@ pub fn run(scale: Scale) -> Table3 {
                     max_power_mw: Some(power_cap),
                     ..Constraints::default()
                 };
-                let opts = crate::common::codesign_options_at(scale, 3, tech);
+                let opts = cfg.codesign_options_at(3, tech);
                 for (system, method) in [
                     ("gemm", GenerationMethod::Gemmini),
                     ("conv", GenerationMethod::Chisel(IntrinsicKind::Conv2d)),
@@ -151,7 +151,7 @@ pub fn run(scale: Scale) -> Table3 {
     // stream: per-request attribution plus dedup-aware completion counts
     // (identical cells — e.g. repeat runs against a warm `--cache` with
     // equal matrices — complete without executing).
-    let engine = crate::common::engine();
+    let engine = cfg.engine();
     let (outcomes, events) = engine
         .campaign_events(requests)
         .expect("co-design cells succeed");
@@ -232,7 +232,7 @@ pub fn run(scale: Scale) -> Table3 {
     // Quick mode doubles as the CI perf smoke: emit the headline gains
     // and the campaign rollup as a machine-readable trajectory point
     // (best effort — a failed write costs the artifact, never the table).
-    if scale == Scale::Quick {
+    if cfg.scale == Scale::Quick {
         let json = bench_json(&table, &rollup);
         match std::fs::write("BENCH_table3.json", json) {
             Ok(()) => println!("[bench trajectory written to BENCH_table3.json]"),
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn codesign_beats_decoupled_baseline() {
-        let t = run(Scale::Quick);
+        let t = run(&Config::at(Scale::Quick));
         assert_eq!(t.rows.len(), 6);
         let gain = t.codesign_gain();
         assert!(gain >= 1.0, "co-design gain = {gain}");
@@ -361,13 +361,13 @@ mod tests {
 
     #[test]
     fn hls_loses_to_convcore() {
-        let t = run(Scale::Quick);
+        let t = run(&Config::at(Scale::Quick));
         assert!(t.hls_gap() >= 1.0, "hls gap = {}", t.hls_gap());
     }
 
     #[test]
     fn render_has_summary_lines() {
-        let s = render(&run(Scale::Quick));
+        let s = render(&run(&Config::at(Scale::Quick)));
         assert!(s.contains("co-design gain"));
         assert!(s.contains("ConvCore vs HLS-Core"));
     }

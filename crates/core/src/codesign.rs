@@ -16,7 +16,6 @@ use std::sync::Arc;
 use accel_model::arch::AcceleratorConfig;
 use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, Metrics};
-use dse::anneal::Annealer;
 use dse::mobo::Mobo;
 use dse::nsga2::Nsga2;
 use dse::problem::{Point, Problem, SearchSpace};
@@ -55,8 +54,6 @@ pub enum OptimizerKind {
     Nsga2,
     /// The random-search baseline.
     Random,
-    /// The simulated-annealing baseline.
-    Anneal,
 }
 
 impl OptimizerKind {
@@ -82,7 +79,6 @@ impl OptimizerKind {
             ),
             OptimizerKind::Nsga2 => Box::new(Nsga2::new(seed)),
             OptimizerKind::Random => Box::new(RandomSearch::new(seed)),
-            OptimizerKind::Anneal => Box::new(Annealer::new(seed)),
         }
     }
 
@@ -92,7 +88,6 @@ impl OptimizerKind {
             OptimizerKind::Mobo => "mobo",
             OptimizerKind::Nsga2 => "nsga2",
             OptimizerKind::Random => "random",
-            OptimizerKind::Anneal => "anneal",
         }
     }
 }
@@ -107,7 +102,6 @@ runtime::wire_enum_unit!(OptimizerKind {
     0 => OptimizerKind::Mobo,
     1 => OptimizerKind::Nsga2,
     2 => OptimizerKind::Random,
-    3 => OptimizerKind::Anneal,
 });
 
 /// Knobs of one co-design run.
@@ -707,39 +701,7 @@ impl<'a> HwProblem<'a> {
     /// # Errors
     /// Propagates I/O errors from writing the file.
     pub fn save_cache(&self, path: &std::path::Path) -> std::io::Result<u64> {
-        self.save_cache_with_max_age(path, None)
-    }
-
-    /// Like [`HwProblem::save_cache`], but additionally drops merged
-    /// entries older than `max_age` — the same age-based GC the engine's
-    /// persisted store uses, for callers persisting a problem directly.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from writing the file.
-    pub fn save_cache_with_max_age(
-        &self,
-        path: &std::path::Path,
-        max_age: Option<std::time::Duration>,
-    ) -> std::io::Result<u64> {
-        self.memo.save_merged_with_max_age(path, max_age)
-    }
-
-    /// Evaluates an accelerator on all workloads (summed latency) — the
-    /// serial reference path; batch evaluation must agree with it exactly.
-    pub fn app_metrics(
-        explorer: &SoftwareExplorer,
-        workloads: &[Workload],
-        cfg: &AcceleratorConfig,
-        sw_opts: &ExplorerOptions,
-    ) -> Option<Metrics> {
-        let mut parts = Vec::with_capacity(workloads.len());
-        for w in workloads {
-            match explorer.best_metrics(w, cfg, sw_opts) {
-                Ok(m) => parts.push(m),
-                Err(_) => return None,
-            }
-        }
-        Some(Metrics::sequential(&parts))
+        self.memo.save_merged_with_max_age(path, None)
     }
 
     /// Stable 128-bit memoization key for one (accelerator, workload)
@@ -1590,6 +1552,11 @@ mod tests {
         // still travel, and a worker must honor the non-defaults.
         assert_eq!(back.options.threads, 3);
         assert!(!back.options.work_stealing);
+        // The optimizer tags are 0..=2; anything past them is rejected.
+        for tag in 0..=2u8 {
+            assert!(from_bytes::<OptimizerKind>(&[tag]).is_some(), "tag {tag}");
+        }
+        assert!(from_bytes::<OptimizerKind>(&[3]).is_none());
     }
 
     fn toy_input() -> InputDescription {

@@ -43,9 +43,9 @@ pub enum RunEvent {
     },
     /// The hardware DSE evaluated one batch of design points
     /// (reported by the optimizer loop — MOBO prior bursts and
-    /// acquisitions, NSGA-II generations, annealer probes/walks).
+    /// acquisitions, NSGA-II generations, random-search samples).
     BatchEvaluated {
-        /// The optimizer (`"mobo"`, `"nsga2"`, `"random"`, `"anneal"`).
+        /// The optimizer (`"mobo"`, `"nsga2"`, `"random"`).
         optimizer: String,
         /// The loop phase (`"prior"`, `"acquire"`, `"generation"`, …).
         phase: String,

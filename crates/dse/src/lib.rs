@@ -35,7 +35,6 @@
 //! assert!(!result.pareto_front().is_empty());
 //! ```
 
-pub mod anneal;
 pub mod gp;
 pub mod hypervolume;
 pub mod linalg;
@@ -83,7 +82,6 @@ mod batch_seam_tests {
     //! custom `evaluate_batch` (here instrumented, as a parallel runtime
     //! would be) produces exactly the history the serial default produces.
 
-    use crate::anneal::Annealer;
     use crate::mobo::Mobo;
     use crate::nsga2::Nsga2;
     use crate::problem::{Point, Problem, SearchSpace};
@@ -156,14 +154,6 @@ mod batch_seam_tests {
         };
         let _ = Mobo::new(3).with_prior_samples(6).run(&mut b, 12);
         assert!(b.largest_batch > 1, "MOBO prior burst was not batched");
-
-        let mut b = Batched {
-            space: space(),
-            batch_calls: 0,
-            largest_batch: 0,
-        };
-        let _ = Annealer::new(3).with_probe_batch(4).run(&mut b, 20);
-        assert!(b.largest_batch > 1, "annealer probes were not batched");
     }
 
     #[test]
@@ -191,18 +181,6 @@ mod batch_seam_tests {
                 Mobo::new(seed).with_prior_samples(5).run(&mut s, 15),
                 Mobo::new(seed).with_prior_samples(5).run(&mut b, 15),
                 "mobo seed {seed}"
-            );
-
-            let mut s = Serial(space());
-            let mut b = Batched {
-                space: space(),
-                batch_calls: 0,
-                largest_batch: 0,
-            };
-            assert_eq!(
-                Annealer::new(seed).with_probe_batch(3).run(&mut s, 20),
-                Annealer::new(seed).with_probe_batch(3).run(&mut b, 20),
-                "anneal seed {seed}"
             );
         }
     }

@@ -21,8 +21,8 @@ pub struct BatchUpdate<'a> {
     /// for the software-exploration rounds.
     pub optimizer: &'a str,
     /// The loop phase: `"prior"` / `"acquire"` (MOBO), `"generation"`
-    /// (NSGA-II), `"probe"` / `"walk"` (annealer), `"sample"` (random
-    /// search), `"round"` (software explorer).
+    /// (NSGA-II), `"sample"` (random search), `"round"` (software
+    /// explorer).
     pub phase: &'a str,
     /// 1-based batch sequence number within the run.
     pub batch: usize,

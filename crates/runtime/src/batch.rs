@@ -1,9 +1,9 @@
 //! The batch-evaluation seam between optimizers and evaluation engines.
 //!
-//! Optimizers (MOBO prior sampling, NSGA-II generations, annealer probe
-//! bursts) naturally produce *batches* of candidates whose evaluations are
-//! independent; evaluation engines (the co-design `HwProblem`, software
-//! explorer pools) own the thread pool and the memo cache. The
+//! Optimizers (MOBO prior sampling, NSGA-II generations) naturally
+//! produce *batches* of candidates whose evaluations are independent;
+//! evaluation engines (the co-design `HwProblem`, software explorer
+//! pools) own the thread pool and the memo cache. The
 //! [`BatchEvaluator`] trait is the seam: "evaluate this slice of requests
 //! and give me the responses in the same order". How the engine executes
 //! — serially, on a [`crate::WorkerPool`], against a [`crate::MemoCache`],

@@ -2,9 +2,9 @@
 //!
 //! Evaluating one (accelerator, workload) pair runs a whole software DSE —
 //! milliseconds to seconds of work — while optimizers frequently revisit
-//! configurations (MOBO retuning rounds, NSGA-II elitism, annealer walks
-//! crossing their own tracks). [`MemoCache`] memoizes those evaluations
-//! under a caller-chosen key (typically a [`crate::Fingerprint`]), with:
+//! configurations (MOBO retuning rounds, NSGA-II elitism). [`MemoCache`]
+//! memoizes those evaluations under a caller-chosen key (typically a
+//! [`crate::Fingerprint`]), with:
 //!
 //! * lock sharding so parallel workers rarely contend;
 //! * a bounded capacity with oldest-first (FIFO) eviction per shard;

@@ -7,11 +7,12 @@
 use std::time::Duration;
 
 use accel_model::BackendKind;
-use hasco::codesign::{CoDesignOptions, CoDesigner, OptimizerKind};
+use hasco::codesign::{CoDesignOptions, CoDesigner, HwProblem, OptimizerKind};
 use hasco::engine::{CoDesignRequest, Engine, EngineConfig};
 use hasco::event::{CampaignEvent, RunEvent};
 use hasco::input::{Constraints, GenerationMethod, InputDescription};
 use hasco::HascoError;
+use runtime::{resolve_threads, WorkerPool};
 use tensor_ir::suites;
 use tensor_ir::workload::TensorApp;
 
@@ -576,16 +577,82 @@ fn surrogate_store_persists_training_across_engine_lifetimes() {
     std::fs::remove_file(&store).ok();
 }
 
+/// The optimizer history a co-design job must reproduce: `opts.optimizer`
+/// driving an `HwProblem` built from the same options, on a fresh screen
+/// backend (so a surrogate screen starts untrained).
+fn direct_history(input: &InputDescription, opts: &CoDesignOptions) -> dse::OptimizerResult {
+    let generator = hw_gen::GemminiGenerator::new();
+    let refine = opts.refine_backend.build_with(opts.tech.clone());
+    let problem = HwProblem::new(
+        &generator,
+        &input.app.workloads,
+        opts.sw_inner.clone(),
+        opts.seed,
+    )
+    .with_workers(WorkerPool::new(resolve_threads(opts.threads)))
+    .with_backend(opts.backend.build_with(opts.tech.clone()));
+    let mut problem = if opts.adaptive_refinement {
+        problem.with_adaptive_refinement(refine, opts.refine_top_k)
+    } else {
+        problem.with_refinement(refine, opts.refine_top_k)
+    };
+    opts.optimizer
+        .build(opts.seed, opts.mobo_prior)
+        .run(&mut problem, opts.hw_trials)
+}
+
 #[test]
 fn baseline_optimizers_drive_the_full_pipeline() {
-    // The optimizer axis: random search and NSGA-II run the identical
-    // engine path and report their own history.
-    for kind in [OptimizerKind::Random, OptimizerKind::Nsga2] {
-        let opts = CoDesignOptions::quick(17).with_optimizer(kind);
-        let solution = CoDesigner::new(opts).run(&toy_input()).unwrap();
+    // The optimizer axis: every method runs the identical engine path, and
+    // a job's history is exactly what the method produces driving the
+    // pricing pipeline directly — on the analytic screen and on a
+    // surrogate screen refined adaptively by the trace-sim tier. This is
+    // what lets the Fig. 10 and Table II harnesses run as engine jobs.
+    let input = toy_input();
+    let staged = CoDesignOptions::quick(17)
+        .with_backend(BackendKind::Surrogate)
+        .with_adaptive_refinement(BackendKind::TraceSim, 2);
+    let cases = [
+        (OptimizerKind::Random, CoDesignOptions::quick(17)),
+        (OptimizerKind::Nsga2, CoDesignOptions::quick(17)),
+        (OptimizerKind::Mobo, CoDesignOptions::quick(17)),
+        (OptimizerKind::Mobo, staged.clone()),
+    ];
+    for (kind, opts) in cases {
+        let opts = opts.with_optimizer(kind);
+        let solution = CoDesigner::new(opts.clone()).run(&input).unwrap();
         assert_eq!(solution.hw_history.optimizer, kind.as_str());
         assert!(!solution.hw_history.evaluations.is_empty(), "{kind}");
         assert!(solution.total.latency_cycles > 0.0);
+        assert_eq!(
+            solution.hw_history,
+            direct_history(&input, &opts),
+            "{kind} on {}",
+            opts.backend
+        );
+    }
+
+    // Jobs submitted before any is awaited all fork the same registry
+    // state, so two surrogate-screened jobs each match a run on a fresh
+    // surrogate, whichever finishes first.
+    let engine = Engine::new(EngineConfig::default().with_job_slots(2));
+    let kinds = [OptimizerKind::Mobo, OptimizerKind::Random];
+    let jobs = kinds.map(|kind| {
+        engine
+            .submit(CoDesignRequest::new(
+                input.clone(),
+                staged.clone().with_optimizer(kind),
+            ))
+            .unwrap()
+    });
+    for (job, kind) in jobs.iter().zip(kinds) {
+        let solution = job.wait().unwrap();
+        assert!(solution.stats.surrogate_samples > 0, "{kind} never trained");
+        assert_eq!(
+            solution.hw_history,
+            direct_history(&input, &staged.clone().with_optimizer(kind)),
+            "{kind}"
+        );
     }
 }
 

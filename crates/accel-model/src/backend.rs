@@ -588,11 +588,6 @@ impl SurrogateBackend {
         self.telemetry.get().cloned().unwrap_or_default()
     }
 
-    /// The expensive tier this surrogate is learning.
-    pub fn inner(&self) -> &Arc<dyn CostBackend> {
-        &self.inner
-    }
-
     /// Current training-set size.
     pub fn training_len(&self) -> usize {
         self.state.read().expect("surrogate poisoned").ys.len()

@@ -272,19 +272,19 @@ impl EngineHandle {
         }
     }
 
-    /// [`Engine::campaign_events`], local or served. The served stream
-    /// carries the identical bits.
+    /// [`Engine::campaign`], local or served. A served campaign returns
+    /// the identical outcomes.
     ///
     /// # Errors
     /// The first failing scenario's error (plus transport errors when
     /// serving).
-    pub fn campaign_events(
+    pub fn campaign(
         &self,
         requests: Vec<CoDesignRequest>,
-    ) -> Result<(Vec<hasco::CampaignOutcome>, hasco::CampaignEvents), hasco::HascoError> {
+    ) -> Result<Vec<hasco::CampaignOutcome>, hasco::HascoError> {
         match self {
-            EngineHandle::Local(engine) => engine.campaign_events(requests),
-            EngineHandle::Remote(client) => client.campaign_events(requests),
+            EngineHandle::Local(engine) => engine.campaign(requests),
+            EngineHandle::Remote(client) => client.campaign(requests),
         }
     }
 

@@ -14,7 +14,6 @@
 
 use baselines::{AutoTvm, HlsCore};
 use hasco::engine::CoDesignRequest;
-use hasco::event::CampaignEvent;
 use hasco::input::{Constraints, GenerationMethod, InputDescription};
 use hasco::report::{speedup, CampaignStats, Table};
 use hw_gen::GemminiGenerator;
@@ -147,47 +146,22 @@ pub fn run(cfg: &Config) -> Table3 {
         }
     }
 
-    // Pass 2: one campaign on one engine, with the aggregate progress
-    // stream: per-request attribution plus dedup-aware completion counts
-    // (identical cells — e.g. repeat runs against a warm `--cache` with
-    // equal matrices — complete without executing).
+    // Pass 2: one campaign on one engine. Identical cells — e.g. repeat
+    // runs against a warm `--cache` with equal matrices — are answered
+    // without executing.
     let engine = cfg.engine();
-    let (outcomes, events) = engine
-        .campaign_events(requests)
-        .expect("co-design cells succeed");
+    let outcomes = engine.campaign(requests).expect("co-design cells succeed");
     let _ = engine.persist();
     // Flush engine-level telemetry (store-scope cache shards, warm-entry
     // gauges) into the shared registry before the engine goes away, so
     // the end-of-run snapshot carries them.
     let _ = engine.metrics();
-    let mut executed = 0usize;
-    let mut deduplicated = 0usize;
-    let mut total = 0usize;
-    for event in events {
-        match event {
-            CampaignEvent::Planned {
-                scenarios,
-                unique_jobs,
-                deduplicated: dedup,
-            } => {
-                total = scenarios;
-                executed = unique_jobs;
-                deduplicated = dedup;
-            }
-            CampaignEvent::ScenarioDone {
-                completed, total, ..
-            } if completed == total => {
-                println!("[campaign: all {total} co-design cells complete]");
-            }
-            _ => {}
-        }
-    }
-    println!("[campaign: {total} cells, {executed} executed, {deduplicated} deduplicated]");
 
     // Dedup-aware rollup of every cell's RunStats: any single cell's
     // stats describe only that job, and deduplicated cells carry clones
     // of a representative already counted, so campaign totals come from
-    // this fold — monotone in work actually performed.
+    // this fold — monotone in work actually performed. Its table is the
+    // campaign's progress report: scenarios, executed and deduplicated.
     let rollup = CampaignStats::from_outcomes(&outcomes);
     println!("{}", rollup.render());
 

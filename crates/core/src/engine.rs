@@ -11,9 +11,9 @@
 //! with the same surrogate generation, bit-identical to a process that
 //! never exited. Requests are submitted ([`Engine::submit`]) and observed
 //! ([`JobHandle::events`]) while they run; whole scenario matrices fan
-//! out through [`Engine::campaign`] with cross-scenario dedup, or
-//! through [`Engine::campaign_events`] when the caller wants an
-//! aggregate, per-request-attributed progress stream.
+//! out through [`Engine::campaign`] with cross-scenario dedup, and a
+//! campaign's progress is its outcomes, rolled up by
+//! [`CampaignStats::from_outcomes`](crate::report::CampaignStats::from_outcomes).
 //!
 //! # Determinism
 //!
@@ -39,14 +39,12 @@
 //!   matter how execution interleaves; wait between submissions and the
 //!   later job deterministically starts warm.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-use std::collections::BTreeMap;
-use std::sync::mpsc::Sender;
 
 use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, Metrics, SurrogateBackend, SurrogateSnapshot};
@@ -56,7 +54,7 @@ use runtime::{
 };
 
 use crate::codesign::{execute, CoDesignOptions, ExecCtx, ExecOutcome};
-use crate::event::{CampaignEvent, CampaignEvents, EventSink, EventStream, RunEvent};
+use crate::event::{EventSink, EventStream, RunEvent};
 use crate::input::InputDescription;
 use crate::solution::Solution;
 use crate::HascoError;
@@ -292,7 +290,6 @@ enum Completion {
 /// Per-job state shared between the executor, the handle, and the engine.
 struct JobState {
     id: u64,
-    label: String,
     cancel: Arc<AtomicBool>,
     outcome: Mutex<Option<Completion>>,
     done: Condvar,
@@ -465,11 +462,6 @@ impl JobHandle {
     /// The engine-assigned job id (submission order).
     pub fn id(&self) -> u64 {
         self.state.id
-    }
-
-    /// The request label.
-    pub fn label(&self) -> &str {
-        &self.state.label
     }
 
     /// Requests cancellation. A still-queued job is discarded when its
@@ -676,9 +668,11 @@ impl Engine {
         self.submit_inner(request, true)
     }
 
-    /// [`Engine::submit`] without an event channel: the one-shot
-    /// [`CoDesigner::run`](crate::CoDesigner::run) path, which would
-    /// otherwise buffer a whole run's events nobody reads.
+    /// [`Engine::submit`] without an event channel, for the callers that
+    /// never read the stream — the one-shot
+    /// [`CoDesigner::run`](crate::CoDesigner::run) and
+    /// [`Engine::campaign`] — which would otherwise buffer whole runs of
+    /// events nobody reads.
     /// [`JobHandle::events`] on the returned handle yields nothing.
     pub(crate) fn submit_quiet(&self, request: CoDesignRequest) -> Result<JobHandle, HascoError> {
         self.submit_inner(request, false)
@@ -725,7 +719,6 @@ impl Engine {
         let state = Arc::new(JobState {
             // detlint-allow(atomics): fetch_add hands out unique ids under any ordering; ids follow the caller's submit program order
             id: self.shared.next_job_id.fetch_add(1, Ordering::Relaxed),
-            label: request.label.clone(),
             cancel: Arc::new(AtomicBool::new(false)),
             outcome: Mutex::new(None),
             done: Condvar::new(),
@@ -796,40 +789,6 @@ impl Engine {
         &self,
         requests: Vec<CoDesignRequest>,
     ) -> Result<Vec<CampaignOutcome>, HascoError> {
-        self.campaign_inner(requests, None)
-    }
-
-    /// [`Engine::campaign`] with an aggregate progress stream: every
-    /// executed job's [`RunEvent`]s come back attributed to their request
-    /// label ([`CampaignEvent::Job`]), and dedup-aware
-    /// [`CampaignEvent::ScenarioDone`] markers count every input scenario
-    /// — deduplicated ones complete together with their representative,
-    /// without running.
-    ///
-    /// The stream is observation-ordered (each job's events are forwarded
-    /// as one contiguous run when the campaign driver observes its
-    /// completion, wave by wave), so it is bit-identical across thread
-    /// counts, slot counts, and job interleavings — the same determinism
-    /// contract as [`JobHandle::events`].
-    ///
-    /// # Errors
-    /// The first failing scenario aborts the campaign with its error (the
-    /// events emitted up to that point are discarded with it).
-    pub fn campaign_events(
-        &self,
-        requests: Vec<CoDesignRequest>,
-    ) -> Result<(Vec<CampaignOutcome>, CampaignEvents), HascoError> {
-        let (tx, rx) = channel();
-        let outcomes = self.campaign_inner(requests, Some(&tx))?;
-        drop(tx);
-        Ok((outcomes, CampaignEvents::live(rx)))
-    }
-
-    fn campaign_inner(
-        &self,
-        requests: Vec<CoDesignRequest>,
-        sink: Option<&Sender<CampaignEvent>>,
-    ) -> Result<Vec<CampaignOutcome>, HascoError> {
         // Exact-request dedup across the matrix. Duplicates never get a
         // job (or a handle) of their own — they are resolved to a clone
         // of the representative's solution after it completes, so there
@@ -851,16 +810,6 @@ impl Engine {
                 }
             }
         }
-        let emit = |event: CampaignEvent| {
-            if let Some(tx) = sink {
-                let _ = tx.send(event);
-            }
-        };
-        emit(CampaignEvent::Planned {
-            scenarios: assignment.len(),
-            unique_jobs: unique.len(),
-            deduplicated: assignment.len() - unique.len(),
-        });
         // Dedup-rate counters accumulate across campaigns, so a session's
         // snapshot reports how much the fingerprint dedup actually saved.
         self.shared
@@ -894,45 +843,16 @@ impl Engine {
         let label_of = |slot: usize| labels.get(slot).cloned().unwrap_or_default();
         let wave_size = self.job_slots().max(1);
         let mut pending: Vec<(usize, CoDesignRequest)> = unique.into_iter().enumerate().collect();
-        let mut completed = 0usize;
         while !pending.is_empty() {
             let wave: Vec<(usize, CoDesignRequest)> =
                 pending.drain(..wave_size.min(pending.len())).collect();
             let mut handles = Vec::with_capacity(wave.len());
             for (slot, request) in wave {
-                // Without a sink, quiet submissions: nothing would drain
-                // the per-job event streams, so don't buffer them.
-                handles.push((slot, self.submit_inner(request, sink.is_some())?));
+                handles.push((slot, self.submit_quiet(request)?));
             }
             for (slot, handle) in handles {
                 // detlint-allow(panic-safety): slot < unique.len() by construction (enumerate over unique) and solutions was sized to unique.len()
                 solutions[slot] = Some(handle.wait()?);
-                if sink.is_some() {
-                    // The job is complete, so its stream is a finished
-                    // buffer: forward it as one contiguous, attributed
-                    // run.
-                    for event in handle.events() {
-                        emit(CampaignEvent::Job {
-                            label: label_of(slot),
-                            event,
-                        });
-                    }
-                    // Dedup-aware progress: the representative and every
-                    // scenario it answers complete together, in matrix
-                    // order.
-                    for (at_slot, own_label) in &assignment {
-                        if *at_slot != slot {
-                            continue;
-                        }
-                        completed += 1;
-                        emit(CampaignEvent::ScenarioDone {
-                            label: own_label.clone().unwrap_or_else(|| label_of(slot)),
-                            shared_with: own_label.is_some().then(|| label_of(slot)),
-                            completed,
-                            total: assignment.len(),
-                        });
-                    }
-                }
             }
         }
 
@@ -977,12 +897,6 @@ impl Engine {
     /// of the in-memory shared store); returns how many were removed.
     pub fn compact(&self, max_age: Duration) -> usize {
         self.shared.store.compact(max_age)
-    }
-
-    /// The engine's telemetry handle (a no-op handle unless the
-    /// configuration attached an enabled one).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.shared.telemetry
     }
 
     /// Snapshots the telemetry registry (`None` when metrics are

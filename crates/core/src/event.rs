@@ -290,130 +290,6 @@ impl Iterator for EventStream {
     }
 }
 
-/// One event of a campaign's aggregate stream
-/// ([`Engine::campaign_events`](crate::engine::Engine::campaign_events)).
-///
-/// The aggregate stream is **observation-ordered**: each executed job's
-/// [`RunEvent`]s are forwarded as one contiguous run when the campaign
-/// driver observes that job's completion (wave by wave, in wave order),
-/// never interleaved at racy emission time — so the whole campaign stream
-/// is a pure function of the request matrix, bit-identical across thread
-/// counts, slot counts, and job interleavings.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CampaignEvent {
-    /// Emitted once, first: the matrix was deduplicated and scheduled.
-    Planned {
-        /// Scenarios in the input matrix.
-        scenarios: usize,
-        /// Unique jobs that will actually execute.
-        unique_jobs: usize,
-        /// Scenarios answered by an earlier identical request.
-        deduplicated: usize,
-    },
-    /// One executed job's [`RunEvent`], attributed to its request label.
-    Job {
-        /// The label of the request that ran.
-        label: String,
-        /// The forwarded event.
-        event: RunEvent,
-    },
-    /// A scenario finished. Dedup-aware: a deduplicated scenario
-    /// completes together with its representative, without running, and
-    /// still advances the progress count.
-    ScenarioDone {
-        /// The scenario's own label.
-        label: String,
-        /// The representative's label when this scenario was
-        /// deduplicated away (`None` for the scenario that ran).
-        shared_with: Option<String>,
-        /// Scenarios completed so far, this one included.
-        completed: usize,
-        /// Total scenarios in the matrix.
-        total: usize,
-    },
-}
-
-impl Wire for CampaignEvent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CampaignEvent::Planned {
-                scenarios,
-                unique_jobs,
-                deduplicated,
-            } => {
-                out.push(0);
-                scenarios.encode(out);
-                unique_jobs.encode(out);
-                deduplicated.encode(out);
-            }
-            CampaignEvent::Job { label, event } => {
-                out.push(1);
-                label.encode(out);
-                event.encode(out);
-            }
-            CampaignEvent::ScenarioDone {
-                label,
-                shared_with,
-                completed,
-                total,
-            } => {
-                out.push(2);
-                label.encode(out);
-                shared_with.encode(out);
-                completed.encode(out);
-                total.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match u8::decode(r)? {
-            0 => CampaignEvent::Planned {
-                scenarios: Wire::decode(r)?,
-                unique_jobs: Wire::decode(r)?,
-                deduplicated: Wire::decode(r)?,
-            },
-            1 => CampaignEvent::Job {
-                label: Wire::decode(r)?,
-                event: Wire::decode(r)?,
-            },
-            2 => CampaignEvent::ScenarioDone {
-                label: Wire::decode(r)?,
-                shared_with: Wire::decode(r)?,
-                completed: Wire::decode(r)?,
-                total: Wire::decode(r)?,
-            },
-            _ => return None,
-        })
-    }
-}
-
-/// The consuming end of a campaign's aggregate event stream: a blocking
-/// iterator over [`CampaignEvent`]s that ends once the campaign finished
-/// and the buffer drained. Obtained from
-/// [`Engine::campaign_events`](crate::engine::Engine::campaign_events).
-#[derive(Debug)]
-pub struct CampaignEvents {
-    rx: Receiver<CampaignEvent>,
-}
-
-impl CampaignEvents {
-    /// A live stream over the given channel. Public for transport layers
-    /// (the network client) that rebuild a campaign's stream on the
-    /// consuming side of a connection; in-process callers obtain streams
-    /// from [`Engine::campaign_events`](crate::engine::Engine::campaign_events).
-    pub fn live(rx: Receiver<CampaignEvent>) -> Self {
-        CampaignEvents { rx }
-    }
-}
-
-impl Iterator for CampaignEvents {
-    type Item = CampaignEvent;
-
-    fn next(&mut self) -> Option<CampaignEvent> {
-        self.rx.recv().ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,12 +315,6 @@ mod tests {
             latency_ms: 1.25,
         });
         assert_roundtrip(&RunEvent::Cancelled);
-        assert_roundtrip(&CampaignEvent::ScenarioDone {
-            label: "a".into(),
-            shared_with: Some("b".into()),
-            completed: 2,
-            total: 9,
-        });
         assert_roundtrip(&HascoError::InvalidOptions("bad".into()));
         assert_roundtrip(&HascoError::Transport("conn reset".into()));
         let res: Result<u64, HascoError> = Err(HascoError::Cancelled);

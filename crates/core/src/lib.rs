@@ -53,7 +53,7 @@ pub mod tuning;
 
 pub use codesign::{CoDesignOptions, CoDesigner, OptimizerKind};
 pub use engine::{CampaignOutcome, CoDesignRequest, Engine, EngineConfig, JobHandle};
-pub use event::{CampaignEvent, CampaignEvents, EventStream, RunEvent};
+pub use event::{EventStream, RunEvent};
 pub use input::{Constraints, GenerationMethod, InputDescription};
 pub use report::{CampaignStats, RunStats};
 pub use solution::{Solution, WorkloadSolution};

@@ -52,63 +52,6 @@ runtime::wire_struct!(RunStats {
     cache,
 });
 
-impl RunStats {
-    /// Renders the stats as a report table.
-    pub fn render(&self) -> String {
-        let mut t = Table::new(&["runtime", "value"]);
-        t.row(vec!["backend".into(), self.backend.to_string()]);
-        t.row(vec![
-            "hw evaluations".into(),
-            self.hw_evaluations.to_string(),
-        ]);
-        t.row(vec![
-            format!("sw explorations ({})", self.backend),
-            self.sw_explorations.to_string(),
-        ]);
-        if let Some(refine) = self.refine_backend {
-            t.row(vec![
-                format!("refined ({refine})"),
-                self.refine_explorations.to_string(),
-            ]);
-        }
-        if !self.refine_topk_trajectory.is_empty() {
-            t.row(vec![
-                "adaptive top-k".into(),
-                summarize_trajectory(&self.refine_topk_trajectory),
-            ]);
-        }
-        if self.surrogate_samples > 0 {
-            t.row(vec![
-                "surrogate training".into(),
-                format!(
-                    "{} samples ({})",
-                    self.surrogate_samples,
-                    if self.surrogate_trusted {
-                        "trusted"
-                    } else {
-                        "untrusted"
-                    }
-                ),
-            ]);
-        }
-        t.row(vec![
-            "warm cache entries".into(),
-            self.warm_cache_entries.to_string(),
-        ]);
-        t.row(vec!["cache hits".into(), self.cache.hits.to_string()]);
-        t.row(vec!["cache misses".into(), self.cache.misses.to_string()]);
-        t.row(vec![
-            "cache evictions".into(),
-            self.cache.evictions.to_string(),
-        ]);
-        t.row(vec![
-            "cache hit rate".into(),
-            format!("{:.1}%", self.cache.hit_rate() * 100.0),
-        ]);
-        t.render()
-    }
-}
-
 /// Campaign-level rollup of per-scenario [`RunStats`].
 ///
 /// A single scenario's `RunStats` is a faithful report of *that job*; a
@@ -199,19 +142,6 @@ impl CampaignStats {
         ]);
         t.render()
     }
-}
-
-/// Compresses a per-batch top-k trajectory into a compact report cell,
-/// e.g. `4 -> 1 over 12 batches (min 1, max 4)`.
-fn summarize_trajectory(trajectory: &[usize]) -> String {
-    let first = trajectory.first().copied().unwrap_or(0);
-    let last = trajectory.last().copied().unwrap_or(0);
-    let min = trajectory.iter().copied().min().unwrap_or(0);
-    let max = trajectory.iter().copied().max().unwrap_or(0);
-    format!(
-        "{first} -> {last} over {} batches (min {min}, max {max})",
-        trajectory.len()
-    )
 }
 
 /// A simple fixed-width text table.
@@ -309,32 +239,6 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn run_stats_render_shows_backends() {
-        let stats = RunStats {
-            backend: BackendKind::Analytic,
-            refine_backend: Some(BackendKind::TraceSim),
-            refine_explorations: 6,
-            refine_topk_trajectory: vec![4, 3, 2, 1, 1],
-            surrogate_samples: 30,
-            surrogate_trusted: true,
-            warm_cache_entries: 12,
-            ..RunStats::default()
-        };
-        let s = stats.render();
-        assert!(s.contains("backend") && s.contains("analytic"));
-        assert!(s.contains("refined (sim)") && s.contains('6'));
-        assert!(s.contains("adaptive top-k"));
-        assert!(s.contains("4 -> 1 over 5 batches (min 1, max 4)"));
-        assert!(s.contains("surrogate training") && s.contains("30 samples (trusted)"));
-        assert!(s.contains("warm cache entries"));
-        // Staging off: no refinement, adaptive, or surrogate rows.
-        let off = RunStats::default().render();
-        assert!(!off.contains("refined ("));
-        assert!(!off.contains("adaptive top-k"));
-        assert!(!off.contains("surrogate training"));
     }
 
     #[test]

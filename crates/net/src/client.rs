@@ -13,11 +13,10 @@
 //! in-process one by its error shapes either.
 
 use std::net::TcpStream;
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use hasco::engine::{CampaignOutcome, CoDesignRequest};
-use hasco::event::{CampaignEvents, RunEvent};
+use hasco::event::RunEvent;
 use hasco::solution::Solution;
 use hasco::HascoError;
 
@@ -104,7 +103,8 @@ impl Client {
         }
     }
 
-    /// Runs a campaign matrix to completion, discarding progress events.
+    /// Runs a campaign matrix to completion on the server: the served
+    /// form of [`hasco::Engine::campaign`], with the same outcomes.
     ///
     /// # Errors
     /// The campaign's own error, or [`HascoError::Transport`].
@@ -112,39 +112,12 @@ impl Client {
         &self,
         requests: Vec<CoDesignRequest>,
     ) -> Result<Vec<CampaignOutcome>, HascoError> {
-        self.campaign_events(requests).map(|(outcomes, _)| outcomes)
-    }
-
-    /// [`Client::campaign`] with the aggregate event stream. Mirrors
-    /// [`hasco::Engine::campaign_events`]: returns after the campaign
-    /// completed, with the full observation-ordered stream buffered.
-    ///
-    /// # Errors
-    /// The campaign's own error, or [`HascoError::Transport`].
-    pub fn campaign_events(
-        &self,
-        requests: Vec<CoDesignRequest>,
-    ) -> Result<(Vec<CampaignOutcome>, CampaignEvents), HascoError> {
-        let mut stream = self.open()?;
-        proto::send(&mut stream, &Msg::CampaignPlan { requests })
-            .map_err(|e| transport_err("campaign send", &e))?;
-        let (tx, rx) = channel();
-        loop {
-            match proto::recv_expect(&mut stream).map_err(|e| transport_err("campaign recv", &e))? {
-                Msg::Campaign { event } => {
-                    let _ = tx.send(event);
-                }
-                Msg::CampaignDone { result } => {
-                    drop(tx);
-                    return result.map(|outcomes| (outcomes, CampaignEvents::live(rx)));
-                }
-                Msg::Error { message } => return Err(HascoError::Transport(message)),
-                _ => {
-                    return Err(HascoError::Transport(
-                        "server sent a non-campaign frame".to_string(),
-                    ))
-                }
-            }
+        match self.round_trip(&Msg::CampaignPlan { requests })? {
+            Msg::CampaignDone { result } => result,
+            Msg::Error { message } => Err(HascoError::Transport(message)),
+            _ => Err(HascoError::Transport(
+                "server sent a non-campaign reply".to_string(),
+            )),
         }
     }
 

@@ -119,7 +119,6 @@ fn kind_of(msg: &Msg) -> &'static str {
         Msg::Cancel { .. } => "Cancel",
         Msg::CancelOk { .. } => "CancelOk",
         Msg::CampaignPlan { .. } => "CampaignPlan",
-        Msg::Campaign { .. } => "Campaign",
         Msg::CampaignDone { .. } => "CampaignDone",
         Msg::Persist => "Persist",
         Msg::PersistOk { .. } => "PersistOk",

@@ -14,6 +14,8 @@
 //! 2. **[`server`] / [`client`]** — `hasco-serve` wraps a long-lived
 //!    [`hasco::Engine`]; [`client::Client`] gives other processes the
 //!    engine's submit / events / campaign / persist surface over TCP.
+//!    A job streams its `RunEvent`s; a campaign is one request and one
+//!    reply (`CampaignPlan` → `CampaignDone`), with no stream of its own.
 //! 3. **[`dispatch`] / [`worker`]** — `hasco-worker` processes register
 //!    with the front-end and evaluate shards of screening/refinement
 //!    batches through the [`runtime::BatchEvaluator`] seam

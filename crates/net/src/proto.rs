@@ -22,7 +22,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use accel_model::Metrics;
 use hasco::engine::{CampaignOutcome, CoDesignRequest};
-use hasco::event::{CampaignEvent, RunEvent};
+use hasco::event::RunEvent;
 use hasco::remote::RemoteEvalRequest;
 use hasco::solution::Solution;
 use hasco::HascoError;
@@ -34,7 +34,7 @@ pub const FRAME_MAGIC: &[u8; 8] = b"HASCONT1";
 
 /// Protocol version string exchanged in the hello handshake. Bump on any
 /// wire-format change — there is no cross-version negotiation.
-pub const PROTOCOL: &str = "HASCONET2";
+pub const PROTOCOL: &str = "HASCONET3";
 
 /// Upper bound on one frame's payload. Solutions and event frames are
 /// kilobytes; batch frames grow with the design-point batch but stay far
@@ -93,12 +93,8 @@ pub enum Msg {
         /// The scenario requests, in matrix order.
         requests: Vec<CoDesignRequest>,
     },
-    /// Server → client: one live [`CampaignEvent`].
-    Campaign {
-        /// The forwarded event.
-        event: CampaignEvent,
-    },
-    /// Server → client: terminal frame of a campaign.
+    /// Server → client: the one reply to a [`Msg::CampaignPlan`]. (Tag
+    /// 10, a per-event campaign frame before `HASCONET3`, is unused.)
     CampaignDone {
         /// The outcomes, exactly what `Engine::campaign` returns.
         result: Result<Vec<CampaignOutcome>, HascoError>,
@@ -187,10 +183,6 @@ impl Wire for Msg {
                 out.push(9);
                 requests.encode(out);
             }
-            Msg::Campaign { event } => {
-                out.push(10);
-                event.encode(out);
-            }
             Msg::CampaignDone { result } => {
                 out.push(11);
                 result.encode(out);
@@ -256,9 +248,6 @@ impl Wire for Msg {
             },
             9 => Msg::CampaignPlan {
                 requests: Wire::decode(r)?,
-            },
-            10 => Msg::Campaign {
-                event: Wire::decode(r)?,
             },
             11 => Msg::CampaignDone {
                 result: Wire::decode(r)?,
@@ -529,9 +518,7 @@ mod tests {
                 request: request.clone(),
             },
             Msg::Accepted { job_id: u64::MAX },
-            Msg::Event {
-                event: event.clone(),
-            },
+            Msg::Event { event },
             Msg::Done {
                 result: Ok(solution.clone()),
             },
@@ -542,12 +529,6 @@ mod tests {
             Msg::CancelOk { found: true },
             Msg::CampaignPlan {
                 requests: vec![request.clone(), request],
-            },
-            Msg::Campaign {
-                event: CampaignEvent::Job {
-                    label: "fuzz".into(),
-                    event,
-                },
             },
             Msg::CampaignDone {
                 result: Ok(vec![CampaignOutcome {
@@ -583,7 +564,8 @@ mod tests {
     fn every_message_survives_the_wire_bit_for_bit() {
         let msgs = representative_msgs();
         let tags: std::collections::BTreeSet<u8> = msgs.iter().map(|m| to_bytes(m)[0]).collect();
-        assert_eq!(tags.len(), 21, "one message per tag 0..=20");
+        assert_eq!(tags.len(), 20, "one message per tag 0..=20 but 10");
+        assert!(!tags.contains(&10), "tag 10 is retired");
         let mut stream = Vec::new();
         for msg in &msgs {
             send(&mut stream, msg).unwrap();
@@ -599,8 +581,8 @@ mod tests {
     /// `(tag, length, digest)` of each representative message's bytes, in
     /// [`representative_msgs`] order. A change here is a wire-format
     /// change: it must come with a [`PROTOCOL`] bump and a re-pin.
-    const GOLDEN: [(u8, usize, u64); 23] = [
-        (0, 18, 0x9e8286141e3f081b),
+    const GOLDEN: [(u8, usize, u64); 22] = [
+        (0, 18, 0x9e8285141e3f0668),
         (1, 18, 0xee3318cf5e3757bd),
         (2, 1, 0xaf63bf4c8601bb45),
         (3, 524, 0xcc1ad3bb5d96337c),
@@ -611,7 +593,6 @@ mod tests {
         (7, 9, 0x0ccabb185bcffd65),
         (8, 2, 0x084db707b5028782),
         (9, 1055, 0xb76162cb460bc46a),
-        (10, 65, 0x032df21306aa768c),
         (11, 592, 0x98c6bdbca93621ec),
         (11, 3, 0x2745cd18983a0a49),
         (12, 1, 0xaf63c14c8601beab),
@@ -627,7 +608,7 @@ mod tests {
 
     #[test]
     fn representative_message_bytes_are_pinned() {
-        assert_eq!(PROTOCOL, "HASCONET2", "a protocol bump re-pins GOLDEN");
+        assert_eq!(PROTOCOL, "HASCONET3", "a protocol bump re-pins GOLDEN");
         let got: Vec<(u8, usize, u64)> = representative_msgs()
             .iter()
             .map(|msg| {
@@ -668,7 +649,7 @@ mod tests {
 
         #[test]
         fn recv_never_panics_on_mutated_messages(
-            pick in 0usize..23,
+            pick in 0usize..22,
             edits in prop::collection::vec((any::<u64>(), any::<u8>()), 1..4),
             cut in any::<u64>(),
         ) {

@@ -390,27 +390,8 @@ fn serve_campaign(
         let _ = proto::send(&mut stream, &shutting_down());
         return;
     }
-    match inner.engine.campaign_events(requests) {
-        Ok((outcomes, events)) => {
-            for event in events {
-                if proto::send(&mut stream, &Msg::Campaign { event }).is_err() {
-                    // Client gone; the campaign already ran to
-                    // completion (campaign_events is synchronous), so
-                    // there is nothing to cancel — just stop relaying.
-                    return;
-                }
-            }
-            let _ = proto::send(
-                &mut stream,
-                &Msg::CampaignDone {
-                    result: Ok(outcomes),
-                },
-            );
-        }
-        Err(e) => {
-            let _ = proto::send(&mut stream, &Msg::CampaignDone { result: Err(e) });
-        }
-    }
+    let result = inner.engine.campaign(requests);
+    let _ = proto::send(&mut stream, &Msg::CampaignDone { result });
 }
 
 fn shutting_down() -> Msg {
@@ -432,5 +413,51 @@ fn wait_for_workers(inner: &ServerInner) -> bool {
             return true;
         }
         thread::sleep(Duration::from_millis(25));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hasco::codesign::CoDesignOptions;
+    use hasco::input::{Constraints, GenerationMethod, InputDescription};
+    use hasco::CoDesignRequest;
+    use tensor_ir::suites::gemm_workload;
+    use tensor_ir::workload::TensorApp;
+
+    use super::*;
+
+    #[test]
+    fn a_previous_protocol_hello_is_refused_and_runs_nothing() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            EngineConfig::default().with_job_slots(1),
+            ServerOptions::default(),
+        )
+        .expect("bind loopback");
+        let mut stream = proto::connect(server.addr()).unwrap();
+        proto::send(
+            &mut stream,
+            &Msg::ClientHello {
+                protocol: "HASCONET2".into(),
+            },
+        )
+        .unwrap();
+        match proto::recv_expect(&mut stream).unwrap() {
+            Msg::Error { message } => assert!(message.contains("protocol mismatch"), "{message}"),
+            other => panic!("expected a protocol-mismatch error, got {other:?}"),
+        }
+        // A submit sent anyway is never read: the server hung up.
+        let request = CoDesignRequest::new(
+            InputDescription {
+                app: TensorApp::new("toy", vec![gemm_workload("g", 64, 32, 16)]),
+                method: GenerationMethod::Gemmini,
+                constraints: Constraints::default(),
+            },
+            CoDesignOptions::quick(1),
+        );
+        let _ = proto::send(&mut stream, &Msg::Submit { request });
+        assert!(!matches!(proto::recv(&mut stream), Ok(Some(_))));
+        server.shutdown();
+        assert_eq!(server.engine().jobs_executed(), 0);
     }
 }

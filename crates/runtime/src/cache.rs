@@ -214,22 +214,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     /// every [`MemoCache::compact`] / `max_age` GC pass forever, since its
     /// age never reaches any cutoff.
     pub fn insert_stamped(&self, key: K, value: V, stamp: u64) {
-        let stamp = stamp.min(now_secs());
-        let idx = self.shard_index(&key);
-        let mut shard = self.shards[idx].lock().expect("shard poisoned");
-        if shard.map.insert(key.clone(), (value, stamp)).is_none() {
-            self.counters[idx].inserts.fetch_add(1, Ordering::Relaxed);
-            shard.order.push_back(key);
-            while shard.map.len() > self.per_shard {
-                if let Some(old) = shard.order.pop_front() {
-                    if shard.map.remove(&old).is_some() {
-                        self.counters[idx].evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    break;
-                }
-            }
-        }
+        self.put(key, value, stamp, false, true);
     }
 
     /// Like [`MemoCache::insert_stamped`], but a key collision keeps the
@@ -241,23 +226,44 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     /// [`MemoCache::insert_stamped`], the incoming stamp is clamped to
     /// "now" first.
     pub fn insert_stamped_newest(&self, key: K, value: V, stamp: u64) {
+        self.put(key, value, stamp, true, true);
+    }
+
+    /// Warm-seeds the cache with stamped entries copied from another
+    /// cache, like [`MemoCache::insert_stamped`] but without moving any
+    /// [`CacheStats`] counter: a seeded entry was computed elsewhere, so
+    /// counting it would report work this cache never did.
+    pub fn seed(&self, entries: &[(K, V, u64)]) {
+        for (key, value, stamp) in entries {
+            self.put(key.clone(), value.clone(), *stamp, false, false);
+        }
+    }
+
+    /// The one write path: stores `value` under `key` with `stamp`
+    /// (clamped to "now"; kept at the prior stamp if that is newer and
+    /// `keep_newer`), evicting the shard's oldest entries past capacity.
+    /// `counted` decides whether the insert and its evictions reach the
+    /// shard's [`CacheStats`].
+    fn put(&self, key: K, value: V, stamp: u64, keep_newer: bool, counted: bool) {
         let stamp = stamp.min(now_secs());
         let idx = self.shard_index(&key);
         let mut shard = self.shards[idx].lock().expect("shard poisoned");
-        let stamp = match shard.map.get(&key) {
+        let stamp = match keep_newer.then(|| shard.map.get(&key)).flatten() {
             Some((_, prior)) => stamp.max(*prior),
             None => stamp,
         };
         if shard.map.insert(key.clone(), (value, stamp)).is_none() {
-            self.counters[idx].inserts.fetch_add(1, Ordering::Relaxed);
+            let counters = &self.counters[idx];
+            if counted {
+                counters.inserts.fetch_add(1, Ordering::Relaxed);
+            }
             shard.order.push_back(key);
             while shard.map.len() > self.per_shard {
-                if let Some(old) = shard.order.pop_front() {
-                    if shard.map.remove(&old).is_some() {
-                        self.counters[idx].evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
+                let Some(old) = shard.order.pop_front() else {
                     break;
+                };
+                if shard.map.remove(&old).is_some() && counted {
+                    counters.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }

@@ -660,7 +660,7 @@ mod network_serving {
     use super::mixed_input;
     use hasco::codesign::CoDesignOptions;
     use hasco::engine::{CoDesignRequest, Engine, EngineConfig};
-    use hasco::event::{CampaignEvent, RunEvent};
+    use hasco::event::RunEvent;
     use hasco_net::{Client, Server, ServerOptions, WorkerHandle};
 
     /// A staged run whose refine tier (TraceSim) is remote-eligible, so
@@ -787,8 +787,7 @@ mod network_serving {
         };
 
         let engine = Engine::new(EngineConfig::default().with_job_slots(1));
-        let (expected, expected_events) = engine.campaign_events(matrix()).unwrap();
-        let expected_events: Vec<CampaignEvent> = expected_events.collect();
+        let expected = engine.campaign(matrix()).unwrap();
 
         let server = Server::bind(
             "127.0.0.1:0",
@@ -802,14 +801,17 @@ mod network_serving {
         let addr = server.addr().to_string();
         let fleet = [WorkerHandle::spawn(&addr), WorkerHandle::spawn(&addr)];
         let client = Client::connect(&addr).expect("hello handshake");
-        let (outcomes, events) = client.campaign_events(matrix()).expect("remote campaign");
-        let events: Vec<CampaignEvent> = events.collect();
+        let outcomes = client.campaign(matrix()).expect("remote campaign");
         server.shutdown();
         let batches: u64 = fleet.into_iter().map(|w| w.join().unwrap_or(0)).sum();
         assert!(batches > 0, "campaign never dispatched remotely");
 
-        assert_eq!(expected_events, events, "campaign stream diverged");
         assert_eq!(expected.len(), outcomes.len());
+        assert_eq!(
+            expected[2].shared_with.as_deref(),
+            Some("net-probe"),
+            "the duplicate scenario is attributed to its representative"
+        );
         for (a, b) in expected.iter().zip(&outcomes) {
             assert_eq!(a.label, b.label);
             assert_eq!(a.shared_with, b.shared_with);

@@ -226,15 +226,15 @@ impl StableFingerprint for AcceleratorConfig {
 }
 
 runtime::wire_struct!(PeArray { rows, cols });
-runtime::wire_enum_unit!(Interconnect {
-    0 => Interconnect::None,
-    1 => Interconnect::Systolic,
-    2 => Interconnect::Full,
+runtime::wire_enum!(Interconnect {
+    0 => None,
+    1 => Systolic,
+    2 => Full,
 });
-runtime::wire_enum_unit!(Dataflow {
-    0 => Dataflow::OutputStationary,
-    1 => Dataflow::WeightStationary,
-    2 => Dataflow::InputStationary,
+runtime::wire_enum!(Dataflow {
+    0 => OutputStationary,
+    1 => WeightStationary,
+    2 => InputStationary,
 });
 runtime::wire_struct!(AcceleratorConfig {
     name,

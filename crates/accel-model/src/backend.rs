@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use dse::gp::{GaussianProcess, IncrementalGp, PredictScratch};
-use runtime::{Fingerprinter, StableFingerprint, Telemetry};
+use runtime::{Fingerprinter, Key128, StableFingerprint, Telemetry};
 
 use crate::arch::AcceleratorConfig;
 use crate::cost::CostModel;
@@ -160,11 +160,11 @@ impl runtime::StableFingerprint for BackendKind {
     }
 }
 
-runtime::wire_enum_unit!(BackendKind {
-    0 => BackendKind::Analytic,
-    1 => BackendKind::TraceSim,
-    2 => BackendKind::Calibrated,
-    3 => BackendKind::Surrogate,
+runtime::wire_enum!(BackendKind {
+    0 => Analytic,
+    1 => TraceSim,
+    2 => Calibrated,
+    3 => Surrogate,
 });
 
 /// Tier 1: the analytical cost model, verbatim.
@@ -398,19 +398,13 @@ impl CostBackend for CalibratedBackend {
     }
 }
 
-/// Stable 128-bit per-configuration cache key: two independently-seeded
-/// lanes, so a 64-bit fingerprint collision between two configurations
-/// degrades to a refit/re-observation instead of silently applying
-/// another configuration's data (the same scheme the co-design memo cache
-/// uses). Shared by the calibrated tier's factor cache and the
-/// surrogate's observation set.
+/// Stable 128-bit per-configuration cache key (a [`Key128`], like the
+/// co-design memo keys), so a 64-bit fingerprint collision between two
+/// configurations degrades to a refit/re-observation instead of silently
+/// applying another configuration's data. Shared by the calibrated tier's
+/// factor cache and the surrogate's observation set.
 fn config_key(cfg: &AcceleratorConfig) -> (u64, u64) {
-    let mut lo = Fingerprinter::new();
-    let mut hi = Fingerprinter::new();
-    hi.write_u64(0x9e3779b97f4a7c15);
-    cfg.fingerprint_into(&mut lo);
-    cfg.fingerprint_into(&mut hi);
-    (lo.finish().0, hi.finish().0)
+    Key128::of(|fp| cfg.fingerprint_into(fp)).finish()
 }
 
 /// Number of cross-validation folds scoring surrogate trust.
@@ -1441,5 +1435,12 @@ mod tests {
         let mut fs = Fingerprinter::new();
         s.fingerprint_into(&mut fs);
         assert_ne!(fa.finish(), fs.finish());
+    }
+
+    #[test]
+    fn config_key_is_pinned() {
+        // Persisted in `SurrogateSnapshot::observed`: a moved key would
+        // orphan every restored observation.
+        assert_eq!(config_key(&cfg()), (0x21aafeb4e0cec47f, 0x0864b2623d14aa0a));
     }
 }

@@ -4,7 +4,6 @@
 //! matters for reproducing the paper's trends (who wins, where crossovers
 //! fall); the constants are deliberately round numbers.
 
-use runtime::wire::{Reader, Wire};
 use serde::{Deserialize, Serialize};
 
 /// Per-operation energy and per-unit area constants.
@@ -70,27 +69,27 @@ impl runtime::StableFingerprint for TechParams {
     }
 }
 
-impl Wire for TechParams {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for v in self.to_array() {
-            v.encode(out);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let mut a = [0.0f64; 13];
-        for slot in &mut a {
-            *slot = f64::decode(r)?;
-        }
-        Some(TechParams::from_array(a))
-    }
-}
+runtime::wire_struct!(TechParams {
+    e_mac_pj,
+    e_spad_base_pj,
+    e_local_pj,
+    e_dram_pj,
+    e_hop_pj,
+    e_rearrange_pj,
+    a_pe_mm2,
+    a_sram_mm2_per_kb,
+    bank_overhead_frac,
+    a_dma_mm2,
+    a_ctrl_mm2,
+    leakage_mw_per_mm2,
+    burst_overhead_cycles,
+});
 
 impl TechParams {
-    /// Every constant in a fixed order — the one canonical flattening,
-    /// shared by the fingerprint and the [`Wire`] encoding
-    /// ([`TechParams::from_array`] is its inverse). Extending the struct
-    /// means extending both, which also versions every derived
-    /// fingerprint.
+    /// Every constant in a fixed order — the one canonical flattening of
+    /// the fingerprint, and the order the [`Wire`](runtime::wire::Wire)
+    /// encoding declares its fields in. Extending the struct means
+    /// extending both, which also versions every derived fingerprint.
     pub fn to_array(&self) -> [f64; 13] {
         [
             self.e_mac_pj,
@@ -107,25 +106,6 @@ impl TechParams {
             self.leakage_mw_per_mm2,
             self.burst_overhead_cycles,
         ]
-    }
-
-    /// Rebuilds the constants from [`TechParams::to_array`]'s flattening.
-    pub fn from_array(a: [f64; 13]) -> TechParams {
-        TechParams {
-            e_mac_pj: a[0],
-            e_spad_base_pj: a[1],
-            e_local_pj: a[2],
-            e_dram_pj: a[3],
-            e_hop_pj: a[4],
-            e_rearrange_pj: a[5],
-            a_pe_mm2: a[6],
-            a_sram_mm2_per_kb: a[7],
-            bank_overhead_frac: a[8],
-            a_dma_mm2: a[9],
-            a_ctrl_mm2: a[10],
-            leakage_mw_per_mm2: a[11],
-            burst_overhead_cycles: a[12],
-        }
     }
 
     /// The named technology profiles swept by `--tech-sweep`: the default
@@ -209,8 +189,12 @@ mod tests {
 
     #[test]
     fn array_round_trip_is_exact() {
+        use runtime::wire::{from_bytes, to_bytes};
         for (name, t) in TechParams::profiles() {
-            assert_eq!(TechParams::from_array(t.to_array()), t, "{name}");
+            // The wire layout is the flattening, and it decodes back.
+            let bytes = to_bytes(&t);
+            assert_eq!(bytes, to_bytes(&t.to_array().to_vec())[8..], "{name}");
+            assert_eq!(from_bytes::<TechParams>(&bytes), Some(t), "{name}");
         }
     }
 

@@ -25,9 +25,8 @@ use dse::staged::AdaptiveTopK;
 use dse::Optimizer;
 use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
-use runtime::wire::{Reader, Wire};
 use runtime::{
-    resolve_threads, Fingerprinter, MemoCache, StableFingerprint, Telemetry, Timer, WorkerPool,
+    resolve_threads, Key128, MemoCache, StableFingerprint, Telemetry, Timer, WorkerPool,
 };
 use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
 use tensor_ir::intrinsics::IntrinsicKind;
@@ -98,10 +97,10 @@ impl std::fmt::Display for OptimizerKind {
     }
 }
 
-runtime::wire_enum_unit!(OptimizerKind {
-    0 => OptimizerKind::Mobo,
-    1 => OptimizerKind::Nsga2,
-    2 => OptimizerKind::Random,
+runtime::wire_enum!(OptimizerKind {
+    0 => Mobo,
+    1 => Nsga2,
+    2 => Random,
 });
 
 /// Knobs of one co-design run.
@@ -321,46 +320,23 @@ impl CoDesignOptions {
     }
 }
 
-impl Wire for CoDesignOptions {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.hw_trials.encode(out);
-        self.mobo_prior.encode(out);
-        self.sw_inner.encode(out);
-        self.sw_final.encode(out);
-        self.tuning_rounds.encode(out);
-        self.seed.encode(out);
-        self.threads.encode(out);
-        self.work_stealing.encode(out);
-        self.cache_capacity.encode(out);
-        self.backend.encode(out);
-        self.refine_backend.encode(out);
-        self.refine_top_k.encode(out);
-        self.adaptive_refinement.encode(out);
-        self.tech.encode(out);
-        self.optimizer.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        // Start from a constructed options value (the struct is not
-        // `Default`) and overwrite every wire-carried field.
-        let mut opts = CoDesignOptions::quick(0);
-        opts.hw_trials = Wire::decode(r)?;
-        opts.mobo_prior = Wire::decode(r)?;
-        opts.sw_inner = Wire::decode(r)?;
-        opts.sw_final = Wire::decode(r)?;
-        opts.tuning_rounds = Wire::decode(r)?;
-        opts.seed = Wire::decode(r)?;
-        opts.threads = Wire::decode(r)?;
-        opts.work_stealing = Wire::decode(r)?;
-        opts.cache_capacity = Wire::decode(r)?;
-        opts.backend = Wire::decode(r)?;
-        opts.refine_backend = Wire::decode(r)?;
-        opts.refine_top_k = Wire::decode(r)?;
-        opts.adaptive_refinement = Wire::decode(r)?;
-        opts.tech = Wire::decode(r)?;
-        opts.optimizer = Wire::decode(r)?;
-        Some(opts)
-    }
-}
+runtime::wire_struct!(CoDesignOptions {
+    hw_trials,
+    mobo_prior,
+    sw_inner,
+    sw_final,
+    tuning_rounds,
+    seed,
+    threads,
+    work_stealing,
+    cache_capacity,
+    backend,
+    refine_backend,
+    refine_top_k,
+    adaptive_refinement,
+    tech,
+    optimizer,
+});
 
 /// The high-fidelity refinement tier of a fidelity-staged problem.
 struct RefineTier {
@@ -375,7 +351,7 @@ struct RefineTier {
     controller: Option<AdaptiveTopK>,
     /// Memo-key bases for this tier (distinct from the screen tier's via
     /// the backend fingerprint).
-    bases: Vec<(Fingerprinter, Fingerprinter)>,
+    bases: Vec<Key128>,
     /// Remote dispatch for this tier's fresh evaluations, when installed
     /// and the tier's backend is remote-eligible.
     remote: Option<RemoteTierHook>,
@@ -434,10 +410,10 @@ pub struct HwProblem<'a> {
     /// their hash state is computed once and cloned per pair instead of
     /// re-walking the workload structure on every lookup; a surrogate
     /// screen tier advancing its training generation triggers a rebuild
-    /// (see `refresh_screen_bases`). Two independently-seeded states form
-    /// a 128-bit key, so a 64-bit collision degrades to a cache miss
-    /// instead of returning another design's metrics.
-    pair_bases: Vec<(Fingerprinter, Fingerprinter)>,
+    /// (see `refresh_screen_bases`). The keys are 128-bit, so a 64-bit
+    /// collision degrades to a cache miss instead of returning another
+    /// design's metrics.
+    pair_bases: Vec<Key128>,
     /// The screen backend fingerprint `pair_bases` was computed from.
     screen_fp: runtime::Fingerprint,
     /// The optional high-fidelity stage.
@@ -505,22 +481,17 @@ impl<'a> HwProblem<'a> {
         sw_opts: &ExplorerOptions,
         seed: u64,
         explorer: &SoftwareExplorer,
-    ) -> Vec<(Fingerprinter, Fingerprinter)> {
+    ) -> Vec<Key128> {
         let backend_fp = explorer.backend_fingerprint();
         workloads
             .iter()
             .map(|w| {
-                let mut lo = Fingerprinter::new();
-                let mut hi = Fingerprinter::new();
-                // Distinct prefixes give the two lanes independent states.
-                hi.write_u64(0x9e3779b97f4a7c15);
-                for fp in [&mut lo, &mut hi] {
+                Key128::of(|fp| {
                     w.fingerprint_into(fp);
                     sw_opts.fingerprint_into(fp);
                     fp.write_u64(seed);
                     fp.write_u64(backend_fp.0);
-                }
-                (lo, hi)
+                })
             })
             .collect()
     }
@@ -705,15 +676,10 @@ impl<'a> HwProblem<'a> {
     /// Stable 128-bit memoization key for one (accelerator, workload)
     /// evaluation: the precomputed (workload, options, seed, backend)
     /// bases extended by the accelerator config.
-    fn pair_key(
-        bases: &[(Fingerprinter, Fingerprinter)],
-        cfg: &AcceleratorConfig,
-        workload_idx: usize,
-    ) -> (u64, u64) {
-        let (mut lo, mut hi) = bases[workload_idx].clone();
-        cfg.fingerprint_into(&mut lo);
-        cfg.fingerprint_into(&mut hi);
-        (lo.finish().0, hi.finish().0)
+    fn pair_key(bases: &[Key128], cfg: &AcceleratorConfig, workload_idx: usize) -> (u64, u64) {
+        let mut key = bases[workload_idx].clone();
+        key.feed(|fp| cfg.fingerprint_into(fp));
+        key.finish()
     }
 
     /// Total (design point, workload) evaluations requested through the
@@ -760,7 +726,7 @@ impl<'a> HwProblem<'a> {
     #[allow(clippy::too_many_arguments)] // static worker threading the batch's whole context
     fn eval_pairs(
         explorer: &SoftwareExplorer,
-        bases: &[(Fingerprinter, Fingerprinter)],
+        bases: &[Key128],
         memo: &MemoCache<(u64, u64), Option<Metrics>>,
         workers: &WorkerPool,
         workloads: &[Workload],
@@ -1941,5 +1907,27 @@ mod tests {
         opts.hw_trials = 6;
         let solution = CoDesigner::new(opts).run(&input).unwrap();
         assert_eq!(solution.per_workload.len(), 2);
+    }
+
+    #[test]
+    fn pair_key_is_pinned() {
+        // Memo keys are persisted in `--cache` images: a moved key turns
+        // every warm entry into a miss.
+        let input = toy_input();
+        let generator = GemminiGenerator::new();
+        let p = HwProblem::new(
+            &generator,
+            &input.app.workloads,
+            CoDesignOptions::quick(0).sw_inner,
+            3,
+        );
+        let cfg = AcceleratorConfig::builder(IntrinsicKind::Gemm)
+            .pe_array(8, 8)
+            .build()
+            .unwrap();
+        assert_eq!(
+            HwProblem::pair_key(&p.pair_bases, &cfg, 1),
+            (0x50c56bb2cf29fba5, 0x2adeedcba7ed403c)
+        );
     }
 }

@@ -49,8 +49,7 @@ use std::time::Duration;
 use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, Metrics, SurrogateBackend, SurrogateSnapshot};
 use runtime::{
-    persist, wire, Fingerprinter, JobScheduler, MemoCache, StableFingerprint, Telemetry,
-    TelemetrySnapshot,
+    persist, wire, JobScheduler, Key128, MemoCache, StableFingerprint, Telemetry, TelemetrySnapshot,
 };
 
 use crate::codesign::{execute, CoDesignOptions, ExecCtx, ExecOutcome};
@@ -243,10 +242,7 @@ impl CoDesignRequest {
     /// them changes a solution. Public so transport layers can assert
     /// that a request survived serialization bit-for-bit.
     pub fn fingerprint(&self) -> (u64, u64) {
-        let mut lo = Fingerprinter::new();
-        let mut hi = Fingerprinter::new();
-        hi.write_u64(0x9e3779b97f4a7c15);
-        for fp in [&mut lo, &mut hi] {
+        Key128::of(|fp| {
             for w in &self.input.app.workloads {
                 w.fingerprint_into(fp);
             }
@@ -274,8 +270,8 @@ impl CoDesignRequest {
                 .write_bool(o.adaptive_refinement);
             o.tech.fingerprint_into(fp);
             fp.write_str(o.optimizer.as_str());
-        }
-        (lo.finish().0, hi.finish().0)
+        })
+        .finish()
     }
 }
 
@@ -437,14 +433,11 @@ fn surrogate_key(opts: &CoDesignOptions) -> (u64, u64) {
 /// [`surrogate_key`] from the technology constants alone — also how
 /// restored store entries are re-keyed at load time.
 fn surrogate_key_for_tech(tech: &TechParams) -> (u64, u64) {
-    let mut lo = Fingerprinter::new();
-    let mut hi = Fingerprinter::new();
-    hi.write_u64(0x9e3779b97f4a7c15);
-    for fp in [&mut lo, &mut hi] {
+    Key128::of(|fp| {
         fp.write_str("surrogate-registry");
         tech.fingerprint_into(fp);
-    }
-    (lo.finish().0, hi.finish().0)
+    })
+    .finish()
 }
 
 /// A handle to one submitted job. Dropping the handle does not cancel
@@ -1072,5 +1065,31 @@ mod tests {
             }
             check_store(&payload, case)?;
         }
+    }
+
+    #[test]
+    fn request_and_surrogate_keys_are_pinned() {
+        // The surrogate key re-keys restored store entries and the
+        // request key dedups campaign scenarios; both must stay put.
+        use crate::input::{Constraints, GenerationMethod};
+        use tensor_ir::suites::gemm_workload;
+        use tensor_ir::workload::TensorApp;
+
+        let request = CoDesignRequest::new(
+            InputDescription {
+                app: TensorApp::new("toy", vec![gemm_workload("g", 64, 32, 16)]),
+                method: GenerationMethod::Chisel(IntrinsicKind::Gemm),
+                constraints: Constraints::latency_power(4.0, 900.0),
+            },
+            CoDesignOptions::quick(7),
+        );
+        assert_eq!(
+            request.fingerprint(),
+            (0xb4814204cd9cd7d6, 0x7fc9123f0e4be9f5)
+        );
+        assert_eq!(
+            surrogate_key_for_tech(&TechParams::default()),
+            (0x093e85628b18795b, 0xd4429e4549ef2b52)
+        );
     }
 }

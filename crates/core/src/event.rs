@@ -19,8 +19,6 @@
 
 use std::sync::mpsc::{Receiver, Sender};
 
-use runtime::wire::{Reader, Wire};
-
 /// One progress event of a co-design run. The stream of a successful job
 /// starts with [`RunEvent::Started`] and ends with a terminal event
 /// ([`RunEvent::Solved`], [`RunEvent::Cancelled`], or
@@ -110,119 +108,17 @@ impl RunEvent {
     }
 }
 
-impl Wire for RunEvent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RunEvent::Started { label, workloads } => {
-                out.push(0);
-                label.encode(out);
-                workloads.encode(out);
-            }
-            RunEvent::Partitioned { workload, choices } => {
-                out.push(1);
-                workload.encode(out);
-                choices.encode(out);
-            }
-            RunEvent::BatchEvaluated {
-                optimizer,
-                phase,
-                batch,
-                evaluated,
-                feasible,
-            } => {
-                out.push(2);
-                optimizer.encode(out);
-                phase.encode(out);
-                batch.encode(out);
-                evaluated.encode(out);
-                feasible.encode(out);
-            }
-            RunEvent::Refined {
-                batch,
-                survivors,
-                budget,
-            } => {
-                out.push(3);
-                batch.encode(out);
-                survivors.encode(out);
-                budget.encode(out);
-            }
-            RunEvent::SoftwareOptimized {
-                workload,
-                rounds,
-                latency_ms,
-            } => {
-                out.push(4);
-                workload.encode(out);
-                rounds.encode(out);
-                latency_ms.encode(out);
-            }
-            RunEvent::Tuned {
-                round,
-                meets_constraints,
-            } => {
-                out.push(5);
-                round.encode(out);
-                meets_constraints.encode(out);
-            }
-            RunEvent::Solved {
-                meets_constraints,
-                latency_ms,
-            } => {
-                out.push(6);
-                meets_constraints.encode(out);
-                latency_ms.encode(out);
-            }
-            RunEvent::Cancelled => out.push(7),
-            RunEvent::Failed { error } => {
-                out.push(8);
-                error.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match u8::decode(r)? {
-            0 => RunEvent::Started {
-                label: Wire::decode(r)?,
-                workloads: Wire::decode(r)?,
-            },
-            1 => RunEvent::Partitioned {
-                workload: Wire::decode(r)?,
-                choices: Wire::decode(r)?,
-            },
-            2 => RunEvent::BatchEvaluated {
-                optimizer: Wire::decode(r)?,
-                phase: Wire::decode(r)?,
-                batch: Wire::decode(r)?,
-                evaluated: Wire::decode(r)?,
-                feasible: Wire::decode(r)?,
-            },
-            3 => RunEvent::Refined {
-                batch: Wire::decode(r)?,
-                survivors: Wire::decode(r)?,
-                budget: Wire::decode(r)?,
-            },
-            4 => RunEvent::SoftwareOptimized {
-                workload: Wire::decode(r)?,
-                rounds: Wire::decode(r)?,
-                latency_ms: Wire::decode(r)?,
-            },
-            5 => RunEvent::Tuned {
-                round: Wire::decode(r)?,
-                meets_constraints: Wire::decode(r)?,
-            },
-            6 => RunEvent::Solved {
-                meets_constraints: Wire::decode(r)?,
-                latency_ms: Wire::decode(r)?,
-            },
-            7 => RunEvent::Cancelled,
-            8 => RunEvent::Failed {
-                error: Wire::decode(r)?,
-            },
-            _ => return None,
-        })
-    }
-}
+runtime::wire_enum!(RunEvent {
+    0 => Started { label, workloads },
+    1 => Partitioned { workload, choices },
+    2 => BatchEvaluated { optimizer, phase, batch, evaluated, feasible },
+    3 => Refined { batch, survivors, budget },
+    4 => SoftwareOptimized { workload, rounds, latency_ms },
+    5 => Tuned { round, meets_constraints },
+    6 => Solved { meets_constraints, latency_ms },
+    7 => Cancelled,
+    8 => Failed { error },
+});
 
 /// The emitting end of a job's event stream. Cloneable and cheap; a
 /// disabled sink ([`EventSink::disabled`]) swallows everything, so code
@@ -297,7 +193,7 @@ mod tests {
     #[test]
     fn events_and_errors_round_trip() {
         use crate::HascoError;
-        use runtime::wire::{from_bytes, to_bytes};
+        use runtime::wire::{from_bytes, to_bytes, Wire};
 
         /// Debug output prints floats in shortest-round-trip form, so
         /// Debug equality is bit equality here.

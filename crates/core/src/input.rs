@@ -1,7 +1,6 @@
 //! Input descriptions (the left box of the paper's Fig. 3): workloads,
 //! hardware generation method, and constraints.
 
-use runtime::wire::{Reader, Wire};
 use serde::{Deserialize, Serialize};
 use tensor_ir::intrinsics::IntrinsicKind;
 use tensor_ir::workload::TensorApp;
@@ -77,24 +76,10 @@ impl GenerationMethod {
     }
 }
 
-impl Wire for GenerationMethod {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            GenerationMethod::Chisel(k) => {
-                out.push(0);
-                k.encode(out);
-            }
-            GenerationMethod::Gemmini => out.push(1),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        match u8::decode(r)? {
-            0 => Some(GenerationMethod::Chisel(IntrinsicKind::decode(r)?)),
-            1 => Some(GenerationMethod::Gemmini),
-            _ => None,
-        }
-    }
-}
+runtime::wire_enum!(GenerationMethod {
+    0 => Chisel(kind),
+    1 => Gemmini,
+});
 
 /// The full input description.
 #[derive(Debug, Clone)]

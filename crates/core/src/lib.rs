@@ -39,8 +39,6 @@
 //! assert!(solution.total.latency_ms > 0.0);
 //! ```
 
-use runtime::wire::{Reader, Wire};
-
 pub mod codesign;
 pub mod engine;
 pub mod event;
@@ -100,40 +98,12 @@ impl std::fmt::Display for HascoError {
 
 impl std::error::Error for HascoError {}
 
-impl Wire for HascoError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            HascoError::EmptyApp => out.push(0),
-            HascoError::InvalidOptions(msg) => {
-                out.push(1);
-                msg.encode(out);
-            }
-            HascoError::Cancelled => out.push(2),
-            HascoError::NoFeasibleAccelerator => out.push(3),
-            HascoError::Software(msg) => {
-                out.push(4);
-                msg.encode(out);
-            }
-            HascoError::Hardware(msg) => {
-                out.push(5);
-                msg.encode(out);
-            }
-            HascoError::Transport(msg) => {
-                out.push(6);
-                msg.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match u8::decode(r)? {
-            0 => HascoError::EmptyApp,
-            1 => HascoError::InvalidOptions(String::decode(r)?),
-            2 => HascoError::Cancelled,
-            3 => HascoError::NoFeasibleAccelerator,
-            4 => HascoError::Software(String::decode(r)?),
-            5 => HascoError::Hardware(String::decode(r)?),
-            6 => HascoError::Transport(String::decode(r)?),
-            _ => return None,
-        })
-    }
-}
+runtime::wire_enum!(HascoError {
+    0 => EmptyApp,
+    1 => InvalidOptions(msg),
+    2 => Cancelled,
+    3 => NoFeasibleAccelerator,
+    4 => Software(msg),
+    5 => Hardware(msg),
+    6 => Transport(msg),
+});

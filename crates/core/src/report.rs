@@ -33,7 +33,9 @@ pub struct RunStats {
     /// Whether the surrogate cleared cross-validation and served GP
     /// predictions.
     pub surrogate_trusted: bool,
-    /// Entries loaded from the persistent cross-run cache at startup.
+    /// Memo entries seeded into the job from the engine's shared store
+    /// at submit (whatever earlier jobs published, plus any `--cache`
+    /// image the engine loaded).
     pub warm_cache_entries: u64,
     /// Memoizing evaluation-cache counters.
     pub cache: CacheStats,

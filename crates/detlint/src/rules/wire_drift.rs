@@ -21,9 +21,14 @@
 //! names occur on both sides — so loop temporaries (`for v in …` vs
 //! `let item = …`) never false-positive, while a genuine reorder of
 //! named fields is pinned to the exact pair. Count mismatches are
-//! always hard diagnostics. Impls generated by `wire_struct!`-style
-//! macros pair their halves by construction and are invisible here;
-//! the rule exists for the hand-written impls where drift is possible.
+//! always hard diagnostics. The impls `runtime::wire_struct!` and
+//! `runtime::wire_enum!` expand to at their call sites are invisible
+//! here; each call site lists its layout once, so its halves pair by
+//! construction. Every workspace type declares its layout that way, so
+//! the rule guards the macro templates themselves and the hand-written
+//! impls left: the primitive and container impls in `runtime::wire`
+//! (`Option`, `Vec`, pairs, maps, `Result`) that every declared layout
+//! is built from, and the `IndexId` newtype.
 
 use std::collections::BTreeSet;
 

@@ -5,9 +5,9 @@
 //! `magic ++ payload-length ++ payload ++ fingerprint-checksum`, exactly
 //! the discipline the on-disk images use, pointed at a socket instead of
 //! a file. The payload is a one-byte message tag followed by the
-//! [`Wire`]-encoded fields. A frame that fails the checksum, overruns the
-//! payload bound, or decodes with leftover bytes is a protocol error —
-//! the connection is dropped, never "repaired".
+//! [`Wire`](runtime::wire::Wire)-encoded fields. A frame that fails the
+//! checksum, overruns the payload bound, or decodes with leftover bytes
+//! is a protocol error — the connection is dropped, never "repaired".
 //!
 //! Both ends begin with a hello that carries [`PROTOCOL`]; a version
 //! mismatch is rejected before any work is exchanged.
@@ -27,7 +27,7 @@ use hasco::remote::RemoteEvalRequest;
 use hasco::solution::Solution;
 use hasco::HascoError;
 use runtime::persist;
-use runtime::wire::{from_bytes, to_bytes, Reader, Wire};
+use runtime::wire::{from_bytes, to_bytes};
 
 /// Frame magic for network frames (distinct from every on-disk image).
 pub const FRAME_MAGIC: &[u8; 8] = b"HASCONT1";
@@ -143,142 +143,29 @@ pub enum Msg {
     },
 }
 
-impl Wire for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::ClientHello { protocol } => {
-                out.push(0);
-                protocol.encode(out);
-            }
-            Msg::WorkerHello { protocol } => {
-                out.push(1);
-                protocol.encode(out);
-            }
-            Msg::HelloOk => out.push(2),
-            Msg::Submit { request } => {
-                out.push(3);
-                request.encode(out);
-            }
-            Msg::Accepted { job_id } => {
-                out.push(4);
-                job_id.encode(out);
-            }
-            Msg::Event { event } => {
-                out.push(5);
-                event.encode(out);
-            }
-            Msg::Done { result } => {
-                out.push(6);
-                result.encode(out);
-            }
-            Msg::Cancel { job_id } => {
-                out.push(7);
-                job_id.encode(out);
-            }
-            Msg::CancelOk { found } => {
-                out.push(8);
-                found.encode(out);
-            }
-            Msg::CampaignPlan { requests } => {
-                out.push(9);
-                requests.encode(out);
-            }
-            Msg::CampaignDone { result } => {
-                out.push(11);
-                result.encode(out);
-            }
-            Msg::Persist => out.push(12),
-            Msg::PersistOk { entries } => {
-                out.push(13);
-                entries.encode(out);
-            }
-            Msg::BatchRequest { batch, items } => {
-                out.push(14);
-                batch.encode(out);
-                items.encode(out);
-            }
-            Msg::BatchResult { batch, results } => {
-                out.push(15);
-                batch.encode(out);
-                results.encode(out);
-            }
-            Msg::Ping { nonce } => {
-                out.push(16);
-                nonce.encode(out);
-            }
-            Msg::Pong { nonce } => {
-                out.push(17);
-                nonce.encode(out);
-            }
-            Msg::Shutdown => out.push(18),
-            Msg::ShutdownOk => out.push(19),
-            Msg::Error { message } => {
-                out.push(20);
-                message.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match u8::decode(r)? {
-            0 => Msg::ClientHello {
-                protocol: Wire::decode(r)?,
-            },
-            1 => Msg::WorkerHello {
-                protocol: Wire::decode(r)?,
-            },
-            2 => Msg::HelloOk,
-            3 => Msg::Submit {
-                request: Wire::decode(r)?,
-            },
-            4 => Msg::Accepted {
-                job_id: Wire::decode(r)?,
-            },
-            5 => Msg::Event {
-                event: Wire::decode(r)?,
-            },
-            6 => Msg::Done {
-                result: Wire::decode(r)?,
-            },
-            7 => Msg::Cancel {
-                job_id: Wire::decode(r)?,
-            },
-            8 => Msg::CancelOk {
-                found: Wire::decode(r)?,
-            },
-            9 => Msg::CampaignPlan {
-                requests: Wire::decode(r)?,
-            },
-            11 => Msg::CampaignDone {
-                result: Wire::decode(r)?,
-            },
-            12 => Msg::Persist,
-            13 => Msg::PersistOk {
-                entries: Wire::decode(r)?,
-            },
-            14 => Msg::BatchRequest {
-                batch: Wire::decode(r)?,
-                items: Wire::decode(r)?,
-            },
-            15 => Msg::BatchResult {
-                batch: Wire::decode(r)?,
-                results: Wire::decode(r)?,
-            },
-            16 => Msg::Ping {
-                nonce: Wire::decode(r)?,
-            },
-            17 => Msg::Pong {
-                nonce: Wire::decode(r)?,
-            },
-            18 => Msg::Shutdown,
-            19 => Msg::ShutdownOk,
-            20 => Msg::Error {
-                message: Wire::decode(r)?,
-            },
-            _ => return None,
-        })
-    }
-}
+// Tag 10 is retired (see `Msg::CampaignDone`).
+runtime::wire_enum!(Msg {
+    0 => ClientHello { protocol },
+    1 => WorkerHello { protocol },
+    2 => HelloOk,
+    3 => Submit { request },
+    4 => Accepted { job_id },
+    5 => Event { event },
+    6 => Done { result },
+    7 => Cancel { job_id },
+    8 => CancelOk { found },
+    9 => CampaignPlan { requests },
+    11 => CampaignDone { result },
+    12 => Persist,
+    13 => PersistOk { entries },
+    14 => BatchRequest { batch, items },
+    15 => BatchResult { batch, results },
+    16 => Ping { nonce },
+    17 => Pong { nonce },
+    18 => Shutdown,
+    19 => ShutdownOk,
+    20 => Error { message },
+});
 
 /// Opens a protocol connection: connects and turns off Nagle's
 /// algorithm (`TCP_NODELAY`). Every conversation here is small
@@ -619,6 +506,180 @@ mod tests {
             })
             .collect();
         assert_eq!(got, GOLDEN);
+    }
+
+    /// One value of every variant of every tag-declared enum, plus one
+    /// profile of each wide options struct, named by type.
+    fn declared_variants() -> Vec<(&'static str, Vec<u8>)> {
+        use accel_model::arch::{Dataflow, Interconnect};
+        use accel_model::tech::TechParams;
+        use accel_model::BackendKind;
+        use hasco::codesign::{CoDesignOptions, OptimizerKind};
+        use hasco::input::GenerationMethod;
+        use tensor_ir::index::IndexKind;
+        use tensor_ir::intrinsics::IntrinsicKind;
+
+        let events = [
+            RunEvent::Started {
+                label: "fuzz".into(),
+                workloads: 2,
+            },
+            RunEvent::Partitioned {
+                workload: "g".into(),
+                choices: 17,
+            },
+            RunEvent::BatchEvaluated {
+                optimizer: "nsga2".into(),
+                phase: "generation".into(),
+                batch: 4,
+                evaluated: 12,
+                feasible: 9,
+            },
+            RunEvent::Refined {
+                batch: 2,
+                survivors: 3,
+                budget: 4,
+            },
+            RunEvent::SoftwareOptimized {
+                workload: "g".into(),
+                rounds: 8,
+                latency_ms: 0.125,
+            },
+            RunEvent::Tuned {
+                round: 1,
+                meets_constraints: false,
+            },
+            RunEvent::Solved {
+                meets_constraints: true,
+                latency_ms: -0.0,
+            },
+            RunEvent::Cancelled,
+            RunEvent::Failed {
+                error: "boom".into(),
+            },
+        ];
+        let errors = [
+            HascoError::EmptyApp,
+            HascoError::InvalidOptions("bad".into()),
+            HascoError::Cancelled,
+            HascoError::NoFeasibleAccelerator,
+            HascoError::Software("sw".into()),
+            HascoError::Hardware("hw".into()),
+            HascoError::Transport("net".into()),
+        ];
+        let options = CoDesignOptions::paper(5)
+            .with_threads(3)
+            .with_work_stealing(false)
+            .with_adaptive_refinement(BackendKind::Calibrated, 2)
+            .with_tech(TechParams::profiles()[2].1.clone())
+            .with_optimizer(OptimizerKind::Nsga2);
+
+        let mut out: Vec<(&'static str, Vec<u8>)> = Vec::new();
+        out.extend(events.iter().map(|v| ("RunEvent", to_bytes(v))));
+        out.extend(errors.iter().map(|v| ("HascoError", to_bytes(v))));
+        for v in [
+            GenerationMethod::Chisel(IntrinsicKind::Conv2d),
+            GenerationMethod::Gemmini,
+        ] {
+            out.push(("GenerationMethod", to_bytes(&v)));
+        }
+        for v in [
+            BackendKind::Analytic,
+            BackendKind::TraceSim,
+            BackendKind::Calibrated,
+            BackendKind::Surrogate,
+        ] {
+            out.push(("BackendKind", to_bytes(&v)));
+        }
+        for v in [
+            OptimizerKind::Mobo,
+            OptimizerKind::Nsga2,
+            OptimizerKind::Random,
+        ] {
+            out.push(("OptimizerKind", to_bytes(&v)));
+        }
+        for v in IntrinsicKind::ALL {
+            out.push(("IntrinsicKind", to_bytes(&v)));
+        }
+        for v in [IndexKind::Spatial, IndexKind::Reduction] {
+            out.push(("IndexKind", to_bytes(&v)));
+        }
+        for v in [
+            Interconnect::None,
+            Interconnect::Systolic,
+            Interconnect::Full,
+        ] {
+            out.push(("Interconnect", to_bytes(&v)));
+        }
+        for v in [
+            Dataflow::OutputStationary,
+            Dataflow::WeightStationary,
+            Dataflow::InputStationary,
+        ] {
+            out.push(("Dataflow", to_bytes(&v)));
+        }
+        out.push(("CoDesignOptions", to_bytes(&options)));
+        out.push(("TechParams", to_bytes(&TechParams::profiles()[1].1)));
+        out
+    }
+
+    /// `(type, first byte, length, digest)` of each
+    /// [`declared_variants`] value. For an enum the first byte is its
+    /// tag. A change here is a wire-format change, like one in
+    /// [`GOLDEN`].
+    const VARIANT_GOLDEN: [(&str, u8, usize, u64); 39] = [
+        ("RunEvent", 0, 21, 0x46c5cf29b7d00238),
+        ("RunEvent", 1, 18, 0xfe8572364bf557af),
+        ("RunEvent", 2, 56, 0xe801a81ab19c6c3e),
+        ("RunEvent", 3, 25, 0x08ca7bdd2b5160d7),
+        ("RunEvent", 4, 26, 0x16133dcc851f7b86),
+        ("RunEvent", 5, 10, 0x8203b81825013a33),
+        ("RunEvent", 6, 10, 0xa51ef06785bc8e68),
+        ("RunEvent", 7, 1, 0xaf63ba4c8601b2c6),
+        ("RunEvent", 8, 13, 0x20396bd476b246b4),
+        ("HascoError", 0, 1, 0xaf63bd4c8601b7df),
+        ("HascoError", 1, 12, 0x1ff4fb23f34a33f2),
+        ("HascoError", 2, 1, 0xaf63bf4c8601bb45),
+        ("HascoError", 3, 1, 0xaf63be4c8601b992),
+        ("HascoError", 4, 11, 0xd48ff3f478811ea3),
+        ("HascoError", 5, 11, 0x06b9200a64d9980b),
+        ("HascoError", 6, 12, 0x7c332b920881f03d),
+        ("GenerationMethod", 0, 2, 0x08328507b4eb6ad4),
+        ("GenerationMethod", 1, 1, 0xaf63bc4c8601b62c),
+        ("BackendKind", 0, 1, 0xaf63bd4c8601b7df),
+        ("BackendKind", 1, 1, 0xaf63bc4c8601b62c),
+        ("BackendKind", 2, 1, 0xaf63bf4c8601bb45),
+        ("BackendKind", 3, 1, 0xaf63be4c8601b992),
+        ("OptimizerKind", 0, 1, 0xaf63bd4c8601b7df),
+        ("OptimizerKind", 1, 1, 0xaf63bc4c8601b62c),
+        ("OptimizerKind", 2, 1, 0xaf63bf4c8601bb45),
+        ("IntrinsicKind", 0, 1, 0xaf63bd4c8601b7df),
+        ("IntrinsicKind", 1, 1, 0xaf63bc4c8601b62c),
+        ("IntrinsicKind", 2, 1, 0xaf63bf4c8601bb45),
+        ("IntrinsicKind", 3, 1, 0xaf63be4c8601b992),
+        ("IndexKind", 0, 1, 0xaf63bd4c8601b7df),
+        ("IndexKind", 1, 1, 0xaf63bc4c8601b62c),
+        ("Interconnect", 0, 1, 0xaf63bd4c8601b7df),
+        ("Interconnect", 1, 1, 0xaf63bc4c8601b62c),
+        ("Interconnect", 2, 1, 0xaf63bf4c8601bb45),
+        ("Dataflow", 0, 1, 0xaf63bd4c8601b7df),
+        ("Dataflow", 1, 1, 0xaf63bc4c8601b62c),
+        ("Dataflow", 2, 1, 0xaf63bf4c8601bb45),
+        ("CoDesignOptions", 20, 233, 0x6b3946f9a60e8daa),
+        ("TechParams", 42, 104, 0xdb17671e9840db68),
+    ];
+
+    #[test]
+    fn every_declared_variant_bytes_are_pinned() {
+        let got: Vec<(&str, u8, usize, u64)> = declared_variants()
+            .into_iter()
+            .map(|(ty, bytes)| {
+                let mut fp = runtime::Fingerprinter::new();
+                fp.write_bytes(&bytes);
+                (ty, bytes[0], bytes.len(), fp.finish().0)
+            })
+            .collect();
+        assert_eq!(got, VARIANT_GOLDEN);
     }
 
     /// Feeds one payload to [`recv`] inside a valid frame: the checksum

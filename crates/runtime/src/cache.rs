@@ -403,15 +403,17 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     }
 
     /// Loads entries saved by [`MemoCache::save_merged_with_max_age`] into
-    /// this cache, restoring their insertion timestamps.
+    /// this cache, restoring their insertion timestamps. Loading seeds
+    /// ([`MemoCache::seed`]): the entries were computed by an earlier
+    /// run, so no [`CacheStats`] counter moves.
     ///
     /// Any anomaly in the image itself — missing file, bad magic (which
     /// includes every earlier format version), truncation, checksum
     /// mismatch, or an entry that does not decode as `(K, V)` — yields a
-    /// clean cold start: `Ok(0)` with the cache left untouched. Returns the number of
-    /// entries inserted (the capacity bound still applies, so a cache
-    /// smaller than the file keeps only the newest shard-capacity's
-    /// worth).
+    /// clean cold start: `Ok(0)` with the cache left untouched. Returns the
+    /// number of entries parsed from the image, not the number kept: the
+    /// capacity bound still applies, so a cache smaller than the file
+    /// keeps only the newest shard-capacity's worth.
     ///
     /// # Errors
     /// Propagates I/O errors from reading an *existing* file (permission
@@ -431,11 +433,8 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         let Some(entries) = Self::parse_image(&bytes) else {
             return Ok(0);
         };
-        let count = entries.len() as u64;
-        for (k, v, stamp) in entries {
-            self.insert_stamped(k, v, stamp);
-        }
-        Ok(count)
+        self.seed(&entries);
+        Ok(entries.len() as u64)
     }
 
     /// Lays out stamped entries as one framed image — the inverse of
@@ -918,6 +917,22 @@ mod tests {
         let loaded = fresh.load_from_file(&path).unwrap();
         assert_eq!(loaded, 0);
         assert!(fresh.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn loading_moves_no_counter() {
+        let source: MemoCache<u64, u64> = MemoCache::new(64);
+        for k in 0..10u64 {
+            source.insert(k, k);
+        }
+        let path = temp_path("uncounted");
+        std::fs::remove_file(&path).ok();
+        save(&source, &path);
+        let loaded: MemoCache<u64, u64> = MemoCache::new(64);
+        assert_eq!(loaded.load_from_file(&path).unwrap(), 10);
+        assert_eq!(loaded.len(), 10);
+        assert_eq!(loaded.stats(), CacheStats::default());
         std::fs::remove_file(&path).ok();
     }
 

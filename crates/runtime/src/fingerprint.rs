@@ -92,6 +92,42 @@ impl Fingerprinter {
     }
 }
 
+/// A stable 128-bit key: two [`Fingerprinter`] lanes fed the same
+/// content, the second seeded with a fixed prefix so the lanes' states
+/// are independent. A 64-bit collision in one lane then cannot alias two
+/// keys. Memo images and surrogate snapshots persist these keys, so the
+/// prefix and the lane order are part of every image format.
+#[derive(Debug, Clone)]
+pub struct Key128 {
+    lo: Fingerprinter,
+    hi: Fingerprinter,
+}
+
+impl Key128 {
+    /// Starts both lanes and feeds them `content`.
+    pub fn of(content: impl Fn(&mut Fingerprinter)) -> Self {
+        let mut hi = Fingerprinter::new();
+        hi.write_u64(0x9e3779b97f4a7c15);
+        let mut key = Key128 {
+            lo: Fingerprinter::new(),
+            hi,
+        };
+        key.feed(content);
+        key
+    }
+
+    /// Feeds `content` to both lanes.
+    pub fn feed(&mut self, content: impl Fn(&mut Fingerprinter)) {
+        content(&mut self.lo);
+        content(&mut self.hi);
+    }
+
+    /// The `(lo, hi)` lane fingerprints.
+    pub fn finish(&self) -> (u64, u64) {
+        (self.lo.finish().0, self.hi.finish().0)
+    }
+}
+
 /// Types with a stable structural fingerprint. Implementations must write
 /// every field that affects evaluation results, in a fixed order.
 pub trait StableFingerprint {

@@ -81,7 +81,7 @@ pub mod wire;
 
 pub use batch::BatchEvaluator;
 pub use cache::{CacheStats, MemoCache};
-pub use fingerprint::{Fingerprint, Fingerprinter, StableFingerprint};
+pub use fingerprint::{Fingerprint, Fingerprinter, Key128, StableFingerprint};
 pub use jobs::JobScheduler;
 pub use pool::{PoolStats, WorkerPool};
 pub use telemetry::{Telemetry, TelemetrySnapshot, Timer, TELEMETRY_SCHEMA};

@@ -15,10 +15,12 @@
 //! type, so each type implements it next to its
 //! [`StableFingerprint`](crate::StableFingerprint) impl: `tensor-ir`,
 //! `accel-model`, `dse`, `sw-opt` and `hasco` for their own types, and
-//! `hasco-net` only for its protocol messages. [`wire_struct!`](crate::wire_struct) and
-//! [`wire_enum_unit!`](crate::wire_enum_unit) generate the field-order
-//! impls; a hand-written impl must keep its `encode` and `decode` halves
-//! in step, which detlint's `wire-drift` rule checks.
+//! `hasco-net` only for its protocol messages, each declaring its layout
+//! once with [`wire_struct!`](crate::wire_struct) or
+//! [`wire_enum!`](crate::wire_enum). Only the primitive and container
+//! impls below, and `tensor-ir`'s `IndexId` newtype, are written by hand;
+//! their `encode` and `decode` halves must stay in step, which detlint's
+//! `wire-drift` rule checks.
 
 use std::collections::BTreeMap;
 
@@ -253,17 +255,40 @@ macro_rules! wire_struct {
     };
 }
 
-/// Implements [`Wire`] for a fieldless enum as a one-byte tag.
+/// Implements [`Wire`] for an enum as a one-byte tag followed by the
+/// variant's fields in the listed order. Unit (`7 => Cancelled`), struct
+/// (`14 => BatchRequest { batch, items }`) and tuple
+/// (`1 => InvalidOptions(msg)`) variants mix freely; tuple fields take
+/// any distinct binding names. A tag not listed decodes to `None`.
 #[macro_export]
-macro_rules! wire_enum_unit {
-    ($ty:ty { $($tag:literal => $variant:path),+ $(,)? }) => {
+macro_rules! wire_enum {
+    ($ty:ty {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident),* $(,)? })?
+            $(( $($item:ident),* ))?
+        ),+ $(,)?
+    }) => {
         impl $crate::wire::Wire for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
-                match self { $($variant => out.push($tag)),+ }
+                // Method syntax keeps the field sequence visible to
+                // detlint's wire-drift rule, as in `wire_struct!`.
+                #[allow(unused_imports)]
+                use $crate::wire::Wire as _;
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(($($item),*))? => {
+                        out.push($tag);
+                        $($($field.encode(out);)*)?
+                        $($($item.encode(out);)*)?
+                    })+
+                }
             }
             fn decode(r: &mut $crate::wire::Reader<'_>) -> Option<Self> {
                 match <u8 as $crate::wire::Wire>::decode(r)? {
-                    $($tag => Some($variant),)+
+                    $($tag => {
+                        $($(let $field = $crate::wire::Wire::decode(r)?;)*)?
+                        $($(let $item = $crate::wire::Wire::decode(r)?;)*)?
+                        Some(Self::$variant $({ $($field),* })? $(($($item),*))?)
+                    })+
                     _ => None,
                 }
             }

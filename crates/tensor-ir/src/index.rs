@@ -131,9 +131,9 @@ impl Wire for IndexId {
     }
 }
 
-runtime::wire_enum_unit!(IndexKind {
-    0 => IndexKind::Spatial,
-    1 => IndexKind::Reduction,
+runtime::wire_enum!(IndexKind {
+    0 => Spatial,
+    1 => Reduction,
 });
 runtime::wire_struct!(IndexVar { name, extent, kind });
 

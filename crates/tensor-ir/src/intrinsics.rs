@@ -34,11 +34,11 @@ impl StableFingerprint for IntrinsicKind {
     }
 }
 
-runtime::wire_enum_unit!(IntrinsicKind {
-    0 => IntrinsicKind::Dot,
-    1 => IntrinsicKind::Gemv,
-    2 => IntrinsicKind::Gemm,
-    3 => IntrinsicKind::Conv2d,
+runtime::wire_enum!(IntrinsicKind {
+    0 => Dot,
+    1 => Gemv,
+    2 => Gemm,
+    3 => Conv2d,
 });
 
 impl IntrinsicKind {

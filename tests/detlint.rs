@@ -100,56 +100,61 @@ fn every_suppression_pragma_is_load_bearing() {
 
 #[test]
 fn desynchronizing_a_real_wire_impl_fails_with_both_spans() {
-    // Delete one field read from the real `CoDesignOptions` decode impl
-    // in `crates/core/src/codesign.rs` and the wire-drift rule must report
-    // the now-unread field with a two-span diagnostic: the violation
-    // anchors on the encode half, and the message carries the decode
-    // half's own `file:line`.
+    // Every type declares its layout once through `wire_struct!` or
+    // `wire_enum!`; the hand-written impls left are the containers in
+    // `crates/runtime/src/wire.rs`. Tampering with one of them must
+    // produce a two-span diagnostic: the violation anchors on one half,
+    // and the message carries the other half's own `file:line`.
     let root = workspace_root();
     let config = workspace_config();
-    let rel = "crates/core/src/codesign.rs";
+    let rel = "crates/runtime/src/wire.rs";
     let clean = fs::read_to_string(root.join(rel)).expect("file exists");
-    let drop_line = |needle: &str| -> String {
-        assert!(clean.contains(needle), "tamper target moved: {needle}");
-        clean
-            .lines()
-            .filter(|l| !l.contains(needle))
-            .collect::<Vec<_>>()
-            .join("\n")
+    let tamper = |needle: &str, with: &str| -> String {
+        assert_eq!(
+            clean.matches(needle).count(),
+            1,
+            "tamper target moved: {needle}"
+        );
+        clean.replace(needle, with)
     };
 
-    // Dropping the final field read leaves a field encode writes but
+    // Dropping the pair's second read leaves a field encode writes but
     // decode never consumes.
     let found = lint_source(
         rel,
-        &drop_line("opts.optimizer = Wire::decode(r)?;"),
+        &tamper(
+            "Some((A::decode(r)?, B::decode(r)?))",
+            "Some((A::decode(r)?,))",
+        ),
         &config,
     );
     let drift = found
         .iter()
-        .find(|v| v.rule == "wire-drift" && v.message.contains("field `optimizer`"))
+        .find(|v| v.rule == "wire-drift" && v.message.contains("field `1`"))
         .unwrap_or_else(|| panic!("desynchronized decode went unnoticed: {found:#?}"));
     assert_eq!(drift.file, rel);
-    assert!(drift.snippet.contains("self.optimizer.encode"), "{drift:?}");
+    assert!(drift.snippet.contains("self.1.encode"), "{drift:?}");
     assert!(
         drift.message.contains(&format!("{rel}:")),
         "message lacks the decode half's span: {drift:?}"
     );
 
-    // Dropping a mid-sequence read shifts every later field and shows up
-    // as an order disagreement at the first divergence.
-    let found = lint_source(rel, &drop_line("opts.seed = Wire::decode(r)?;"), &config);
+    // Dropping `Result`'s `Err` arm leaves a tag encode writes that no
+    // decode arm reads.
+    let found = lint_source(
+        rel,
+        &tamper("            1 => Some(Err(E::decode(r)?)),\n", ""),
+        &config,
+    );
     let drift = found
         .iter()
-        .find(|v| v.rule == "wire-drift")
-        .unwrap_or_else(|| panic!("shifted decode sequence went unnoticed: {found:#?}"));
-    assert!(
-        drift.message.contains("disagree on field order"),
-        "{drift:?}"
-    );
+        .find(|v| v.rule == "wire-drift" && v.message.contains("no `1 =>` arm"))
+        .unwrap_or_else(|| panic!("missing decode arm went unnoticed: {found:#?}"));
+    assert_eq!(drift.file, rel);
+    assert!(drift.snippet.contains("out.push(1)"), "{drift:?}");
     assert!(
         drift.message.contains(&format!("{rel}:")),
-        "message lacks the encode half's span: {drift:?}"
+        "message lacks the decode half's span: {drift:?}"
     );
 }
 

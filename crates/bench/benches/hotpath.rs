@@ -1,7 +1,7 @@
 //! Hot-path criterion benches: the paper's co-design loop leans on the
 //! surrogate being cheap, so this suite times exactly the paths the
 //! telemetry exposed as hot — GP fit/observe/predict, MOBO's EHVI
-//! acquisition and the hypervolume call inside it, the software
+//! acquisition and the generic hypervolume routine, the software
 //! explorer's DQN update and one whole exploration, the trace-sim
 //! staged-plan recurrence, the memo cache under contention, steal-heavy
 //! staged pool batches, and one served round trip over loopback TCP — and
@@ -97,13 +97,15 @@ fn bench_gp(c: &mut Criterion) {
     });
 }
 
-/// MOBO's acquisition on a 3-objective problem: ten observed
-/// log-objective vectors whose Pareto front has four points (the front
-/// sizes co-design runs see), scored against 192 candidates × 24
-/// posterior samples — one `Mobo` acquisition minus the GP work — and
-/// the single hypervolume call (front plus one sample) inside it.
+/// MOBO's acquisition on a 3-objective problem: observed log-objective
+/// vectors scored against 192 candidates × 24 posterior samples — one
+/// `Mobo` acquisition minus the GP work — on a 4-point front
+/// (`dse/ehvi_acquire/3d`) and an 8-point one (`.../3d_front8`);
+/// `table3 --paper` runs see fronts of 2–12 points. Also the generic
+/// hypervolume routine on the 4-point front plus one sample, the call
+/// each sample made before the acquisition sliced its front once.
 fn bench_ehvi(c: &mut Criterion) {
-    let log_objs: Vec<Vec<f64>> = vec![
+    let observed4: Vec<Vec<f64>> = vec![
         vec![0.0, 2.0, 1.5],
         vec![1.0, 0.5, 2.0],
         vec![2.0, 1.0, 0.2],
@@ -115,13 +117,33 @@ fn bench_ehvi(c: &mut Criterion) {
         vec![2.6, 2.5, 0.4],
         vec![1.4, 0.9, 2.3],
     ];
-    let refs: Vec<&[f64]> = log_objs.iter().map(|v| v.as_slice()).collect();
-    let front = pareto_indices(&refs);
-    assert_eq!(front.len(), 4, "bench front must have four points");
+    // Eight points on the plane x + y + z = 3 (none dominates another)
+    // and four dominated ones that stretch the observed range to 2.6.
+    let observed8: Vec<Vec<f64>> = vec![
+        vec![0.0, 1.5, 1.5],
+        vec![1.5, 0.0, 1.5],
+        vec![1.5, 1.5, 0.0],
+        vec![1.0, 1.0, 1.0],
+        vec![0.5, 2.0, 0.5],
+        vec![2.0, 0.5, 0.5],
+        vec![0.5, 0.5, 2.0],
+        vec![0.2, 1.0, 1.8],
+        vec![0.3, 1.8, 1.8],
+        vec![1.3, 1.3, 1.3],
+        vec![2.3, 0.8, 0.8],
+        vec![2.6, 2.5, 2.4],
+    ];
+    let front_of = |log_objs: &[Vec<f64>], len: usize| {
+        let refs: Vec<&[f64]> = log_objs.iter().map(|v| v.as_slice()).collect();
+        let front = pareto_indices(&refs);
+        assert_eq!(front.len(), len, "bench front must have {len} points");
+        front
+    };
 
+    let front = front_of(&observed4, 4);
     let mut rows: Vec<f64> = front
         .iter()
-        .flat_map(|&i| log_objs[i].iter().map(|x| x / 2.6))
+        .flat_map(|&i| observed4[i].iter().map(|x| x / 2.6))
         .collect();
     rows.extend([0.3, 0.45, 0.5]);
     let reference = [1.1; 3];
@@ -141,17 +163,23 @@ fn bench_ehvi(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-    c.bench_function("dse/ehvi_acquire/3d", |b| {
-        b.iter(|| {
-            let mut rng = SmallRng::seed_from_u64(7);
-            let mut ehvi = Ehvi::new(&log_objs, &front);
-            let best = posts
-                .iter()
-                .map(|p| ehvi.improvement(p, 24, &mut rng))
-                .fold(0.0, f64::max);
-            black_box(best)
-        })
-    });
+    for (id, log_objs, len) in [
+        ("dse/ehvi_acquire/3d", &observed4, 4),
+        ("dse/ehvi_acquire/3d_front8", &observed8, 8),
+    ] {
+        let front = front_of(log_objs, len);
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                let mut rng = SmallRng::seed_from_u64(7);
+                let mut ehvi = Ehvi::new(log_objs, &front);
+                let best = posts
+                    .iter()
+                    .map(|p| ehvi.improvement(p, 24, &mut rng))
+                    .fold(0.0, f64::max);
+                black_box(best)
+            })
+        });
+    }
 }
 
 /// The software explorer's DQN update on its 18→48→48→48→26 network:

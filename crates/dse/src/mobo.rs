@@ -12,7 +12,7 @@ use runtime::{Telemetry, Timer};
 use std::collections::BTreeSet;
 
 use crate::gp::{GaussianProcess, Posterior, PredictScratch};
-use crate::hypervolume::{adds_nothing, hypervolume_flat, HvScratch};
+use crate::hypervolume::SlicedFront;
 use crate::pareto::pareto_indices;
 use crate::problem::{Evaluation, OptimizerResult, Point, Problem};
 use crate::progress::{BatchUpdate, Progress};
@@ -60,8 +60,9 @@ impl Mobo {
         self
     }
 
-    /// Times each model-based acquisition (GP fits, candidate pool, EHVI
-    /// sweep) under `job/hw_dse/acquire` and each GP fit under
+    /// Times each model-based acquisition under `job/hw_dse/acquire`, its
+    /// three parts (GP fits, candidate pool, EHVI scoring) as that span's
+    /// `fit`, `candidates` and `score` children, and each GP fit under
     /// `dse/gp_fit`. Write-only: the trajectory is unchanged.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -77,69 +78,95 @@ impl Mobo {
         problem: &dyn Problem,
         evaluations: &[Evaluation],
         seen: &BTreeSet<Point>,
-        fit_timer: &Timer,
+        timers: &AcquireTimers,
         rng: &mut SmallRng,
     ) -> Result<Option<Point>, ()> {
         // Fit one GP per objective on log-scaled metrics.
-        let xs: Vec<Vec<f64>> = evaluations
-            .iter()
-            .map(|e| problem.space().normalize(&e.point))
-            .collect();
-        let gps = (0..problem.num_objectives())
-            .map(|obj| {
-                let ys: Vec<f64> = evaluations
-                    .iter()
-                    .map(|e| e.objectives[obj].max(1e-12).ln())
-                    .collect();
-                fit_timer.time(|| GaussianProcess::fit(&xs, &ys))
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(drop)?;
-
-        let log_objs: Vec<Vec<f64>> = evaluations
-            .iter()
-            .map(|e| log_scale(&e.objectives))
-            .collect();
-        let refs: Vec<&[f64]> = log_objs.iter().map(|v| v.as_slice()).collect();
-        let front = pareto_indices(&refs);
-        let mut ehvi = Ehvi::new(&log_objs, &front);
+        let gps = timers.fit.time(|| {
+            let xs: Vec<Vec<f64>> = evaluations
+                .iter()
+                .map(|e| problem.space().normalize(&e.point))
+                .collect();
+            (0..problem.num_objectives())
+                .map(|obj| {
+                    let ys: Vec<f64> = evaluations
+                        .iter()
+                        .map(|e| e.objectives[obj].max(1e-12).ln())
+                        .collect();
+                    timers.gp_fit.time(|| GaussianProcess::fit(&xs, &ys))
+                })
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(drop)
+        })?;
 
         // Candidate pool: random points plus neighbors of Pareto
         // incumbents (local refinement).
-        let mut candidates: Vec<Point> = Vec::new();
-        let mut cand_set: BTreeSet<Point> = BTreeSet::new();
-        for &idx in &front {
-            for n in problem.space().neighbors(&evaluations[idx].point) {
-                if !seen.contains(&n) && cand_set.insert(n.clone()) {
-                    candidates.push(n);
+        let (log_objs, front, candidates) = timers.candidates.time(|| {
+            let log_objs: Vec<Vec<f64>> = evaluations
+                .iter()
+                .map(|e| log_scale(&e.objectives))
+                .collect();
+            let refs: Vec<&[f64]> = log_objs.iter().map(|v| v.as_slice()).collect();
+            let front = pareto_indices(&refs);
+            let mut candidates: Vec<Point> = Vec::new();
+            let mut cand_set: BTreeSet<Point> = BTreeSet::new();
+            for &idx in &front {
+                for n in problem.space().neighbors(&evaluations[idx].point) {
+                    if !seen.contains(&n) && cand_set.insert(n.clone()) {
+                        candidates.push(n);
+                    }
                 }
             }
-        }
-        let mut guard = 0;
-        while candidates.len() < self.candidate_pool && guard < self.candidate_pool * 20 {
-            guard += 1;
-            let p = problem.space().random_point(rng);
-            if !seen.contains(&p) && cand_set.insert(p.clone()) {
-                candidates.push(p);
+            let mut guard = 0;
+            while candidates.len() < self.candidate_pool && guard < self.candidate_pool * 20 {
+                guard += 1;
+                let p = problem.space().random_point(rng);
+                if !seen.contains(&p) && cand_set.insert(p.clone()) {
+                    candidates.push(p);
+                }
             }
-        }
+            (log_objs, front, candidates)
+        });
 
         // Acquisition: Monte-Carlo expected hypervolume improvement. One
         // predict scratch, posterior buffer and EHVI state serve the whole
         // candidate sweep — it is allocation-free inside the loop.
-        let mut best: Option<(f64, Point)> = None;
-        let mut scratch = PredictScratch::default();
-        let mut posts = Vec::with_capacity(gps.len());
-        for cand in candidates {
-            let x = problem.space().normalize(&cand);
-            posts.clear();
-            posts.extend(gps.iter().map(|gp| gp.predict_with(&x, &mut scratch)));
-            let improvement = ehvi.improvement(&posts, self.mc_samples, rng);
-            if best.as_ref().is_none_or(|(b, _)| improvement > *b) {
-                best = Some((improvement, cand));
+        timers.score.time(|| {
+            let mut ehvi = Ehvi::new(&log_objs, &front);
+            let mut best: Option<(f64, Point)> = None;
+            let mut scratch = PredictScratch::default();
+            let mut posts = Vec::with_capacity(gps.len());
+            for cand in candidates {
+                let x = problem.space().normalize(&cand);
+                posts.clear();
+                posts.extend(gps.iter().map(|gp| gp.predict_with(&x, &mut scratch)));
+                let improvement = ehvi.improvement(&posts, self.mc_samples, rng);
+                if best.as_ref().is_none_or(|(b, _)| improvement > *b) {
+                    best = Some((improvement, cand));
+                }
             }
+            Ok(best.map(|(_, chosen)| chosen))
+        })
+    }
+}
+
+/// The timers of one MOBO run's acquisitions, looked up once per run.
+/// Each part of an acquisition is timed as a whole, never per candidate.
+struct AcquireTimers {
+    gp_fit: Timer,
+    fit: Timer,
+    candidates: Timer,
+    score: Timer,
+}
+
+impl AcquireTimers {
+    fn new(telemetry: &Telemetry) -> Self {
+        AcquireTimers {
+            gp_fit: telemetry.timer("dse/gp_fit"),
+            fit: telemetry.timer("job/hw_dse/acquire/fit"),
+            candidates: telemetry.timer("job/hw_dse/acquire/candidates"),
+            score: telemetry.timer("job/hw_dse/acquire/score"),
         }
-        Ok(best.map(|(_, chosen)| chosen))
     }
 }
 
@@ -164,18 +191,16 @@ fn log_scale(objs: &[f64]) -> Vec<f64> {
 /// reference point sits at 1.1 on every axis, a margin past the unit cube
 /// so boundary points contribute.
 ///
-/// The state is built once per acquisition and reused for every
-/// candidate: the front and the current sample share one flat buffer,
-/// and one [`HvScratch`] serves every hypervolume call.
+/// The front is sliced once per acquisition ([`SlicedFront`]) and every
+/// posterior sample is priced against it incrementally, bit-identical to
+/// running HSO over the front plus the sample.
 #[derive(Debug, Clone)]
 pub struct Ehvi {
     lo: Vec<f64>,
     hi: Vec<f64>,
-    reference: Vec<f64>,
-    /// The in-box front rows, then one row for the posterior sample.
-    rows: Vec<f64>,
-    base_hv: f64,
-    scratch: HvScratch,
+    front: SlicedFront,
+    /// The current posterior sample, in the front's unit cube.
+    sample: Vec<f64>,
 }
 
 impl Ehvi {
@@ -194,64 +219,48 @@ impl Ehvi {
                 *h = h.max(v);
             }
         }
-        let reference = vec![1.1; m];
-        let mut rows = Vec::with_capacity((front.len() + 1) * m);
-        for &i in front {
-            let start = rows.len();
-            rows.extend(
+        let rows: Vec<f64> = front
+            .iter()
+            .flat_map(|&i| {
                 log_objs[i]
                     .iter()
                     .zip(lo.iter().zip(&hi))
-                    .map(|(&x, (&l, &h))| unit(x, l, h)),
-            );
-            // `hypervolume` clips out-of-box points before anything else,
-            // so dropping them here changes no bit.
-            if !rows[start..].iter().zip(&reference).all(|(x, r)| x < r) {
-                rows.truncate(start);
-            }
-        }
-        let mut scratch = HvScratch::default();
-        let base_hv = hypervolume_flat(&rows, &reference, &mut scratch);
-        rows.resize(rows.len() + m, 0.0);
+                    .map(|(&x, (&l, &h))| unit(x, l, h))
+            })
+            .collect();
         Ehvi {
+            front: SlicedFront::new(&rows, &vec![1.1; m]),
+            sample: vec![0.0; m],
             lo,
             hi,
-            reference,
-            rows,
-            base_hv,
-            scratch,
         }
     }
 
     /// The mean hypervolume improvement of `samples` draws from the
-    /// per-objective posteriors `posts` (in log space). Samples the front
-    /// already covers are skipped without slicing: [`adds_nothing`] holds
-    /// exactly when their improvement is `0.0`. Every draw is still taken,
-    /// so `rng` advances identically either way.
+    /// per-objective posteriors `posts` (in log space). A sample outside
+    /// the reference box or weakly dominated by the front improves it by
+    /// exactly `0.0`, found without slicing.
     pub fn improvement<R: Rng + ?Sized>(
         &mut self,
         posts: &[Posterior],
         samples: usize,
         rng: &mut R,
     ) -> f64 {
-        let split = self.rows.len() - self.reference.len();
+        let base_hv = self.front.volume();
         let mut improvement = 0.0;
         for _ in 0..samples {
             // Posterior samples live in log space; bring them into the
             // same normalized cube as the front.
-            let (front, sample) = self.rows.split_at_mut(split);
-            for ((s, p), (&l, &h)) in sample
+            for ((s, p), (&l, &h)) in self
+                .sample
                 .iter_mut()
                 .zip(posts)
                 .zip(self.lo.iter().zip(&self.hi))
             {
                 *s = unit(p.mean + p.std * normal(rng), l, h);
             }
-            if adds_nothing(front, sample, &self.reference) {
-                continue;
-            }
-            let hv = hypervolume_flat(&self.rows, &self.reference, &mut self.scratch);
-            improvement += (hv - self.base_hv).max(0.0);
+            let hv = self.front.volume_with(&self.sample);
+            improvement += (hv - base_hv).max(0.0);
         }
         improvement / samples as f64
     }
@@ -281,7 +290,7 @@ impl Optimizer for Mobo {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut result = OptimizerResult::new(self.name());
         let mut seen: BTreeSet<Point> = BTreeSet::new();
-        let fit_timer = self.telemetry.timer("dse/gp_fit");
+        let timers = AcquireTimers::new(&self.telemetry);
 
         // Batches are reported from this (driver) thread in a fixed order
         // — a pure function of the run parameters — so observers see the
@@ -389,8 +398,7 @@ impl Optimizer for Mobo {
                 continue;
             }
             let acquire = self.telemetry.span("job/hw_dse/acquire");
-            let acquired =
-                self.acquire(&*problem, &result.evaluations, &seen, &fit_timer, &mut rng);
+            let acquired = self.acquire(&*problem, &result.evaluations, &seen, &timers, &mut rng);
             drop(acquire);
             let chosen = match acquired {
                 Ok(Some(chosen)) => chosen,

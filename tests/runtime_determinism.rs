@@ -547,6 +547,15 @@ mod engine_concurrency {
                 "no tier evaluations recorded"
             );
             assert!(count("gp/fit") > 0, "surrogate run recorded no GP fits");
+            // MOBO's acquisitions, and their three parts as children.
+            for name in [
+                "job/hw_dse/acquire",
+                "job/hw_dse/acquire/fit",
+                "job/hw_dse/acquire/candidates",
+                "job/hw_dse/acquire/score",
+            ] {
+                assert!(count(name) > 0, "no {name} timings recorded");
+            }
             // The inner (screen and refine) explorers and the final one
             // report their phases under separate names.
             for scope in ["sw_opt", "sw_opt/final"] {

@@ -26,7 +26,7 @@ use accel_model::arch::AcceleratorConfig;
 use accel_model::plan::{ExecutionPlan, TensorTraffic};
 use accel_model::sim::{program_from_plan, TraceSimulator};
 use dse::gp::{GaussianProcess, IncrementalGp, Posterior, PredictScratch};
-use dse::hypervolume::{hypervolume_flat, HvScratch};
+use dse::hypervolume::SlicedFront;
 use dse::mobo::Ehvi;
 use dse::pareto::pareto_indices;
 use hasco::engine::EngineConfig;
@@ -101,9 +101,10 @@ fn bench_gp(c: &mut Criterion) {
 /// vectors scored against 192 candidates × 24 posterior samples — one
 /// `Mobo` acquisition minus the GP work — on a 4-point front
 /// (`dse/ehvi_acquire/3d`) and an 8-point one (`.../3d_front8`);
-/// `table3 --paper` runs see fronts of 2–12 points. Also the generic
-/// hypervolume routine on the 4-point front plus one sample, the call
-/// each sample made before the acquisition sliced its front once.
+/// `table3 --paper` runs see fronts of 2–12 points. Also the
+/// hypervolume of the 4-point front plus one sample, slicing the front
+/// from scratch: what each sample cost before the acquisition sliced its
+/// front once.
 fn bench_ehvi(c: &mut Criterion) {
     let observed4: Vec<Vec<f64>> = vec![
         vec![0.0, 2.0, 1.5],
@@ -141,15 +142,14 @@ fn bench_ehvi(c: &mut Criterion) {
     };
 
     let front = front_of(&observed4, 4);
-    let mut rows: Vec<f64> = front
+    let rows: Vec<f64> = front
         .iter()
         .flat_map(|&i| observed4[i].iter().map(|x| x / 2.6))
         .collect();
-    rows.extend([0.3, 0.45, 0.5]);
+    let sample = [0.3, 0.45, 0.5];
     let reference = [1.1; 3];
-    let mut scratch = HvScratch::default();
     c.bench_function("hypervolume/add_one_3d", |b| {
-        b.iter(|| black_box(hypervolume_flat(black_box(&rows), &reference, &mut scratch)))
+        b.iter(|| black_box(SlicedFront::new(black_box(&rows), &reference).volume_with(&sample)))
     });
 
     let mut unit = unit_stream();

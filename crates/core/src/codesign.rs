@@ -9,7 +9,6 @@
 //! the heuristic and Q-learning-based software optimization tailors the
 //! software mappings for the hardware parameters".
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -18,24 +17,21 @@ use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, Metrics};
 use dse::mobo::Mobo;
 use dse::nsga2::Nsga2;
-use dse::problem::{Point, Problem, SearchSpace};
 use dse::progress::{BatchUpdate, Progress};
 use dse::random::RandomSearch;
-use dse::staged::AdaptiveTopK;
 use dse::Optimizer;
 use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
-use runtime::{
-    resolve_threads, Key128, MemoCache, StableFingerprint, Telemetry, Timer, WorkerPool,
-};
+use runtime::{resolve_threads, Telemetry, WorkerPool};
 use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
 use tensor_ir::intrinsics::IntrinsicKind;
-use tensor_ir::workload::Workload;
 
 use crate::engine::{CoDesignRequest, Engine, EngineConfig};
 use crate::event::{EventSink, RunEvent};
 use crate::input::{GenerationMethod, InputDescription};
 use crate::partition::partition_app;
+pub use crate::pricing::HwProblem;
+use crate::pricing::MemoEntry;
 use crate::report::RunStats;
 use crate::solution::{Solution, WorkloadSolution};
 use crate::tuning;
@@ -338,660 +334,6 @@ runtime::wire_struct!(CoDesignOptions {
     optimizer,
 });
 
-/// The high-fidelity refinement tier of a fidelity-staged problem.
-struct RefineTier {
-    /// Explorer wired to the high-fidelity cost backend.
-    explorer: SoftwareExplorer,
-    /// Survivors per screened batch re-evaluated at high fidelity (the
-    /// fixed policy; ignored while `controller` is installed).
-    top_k: usize,
-    /// The adaptive refine-budget controller, when adaptive staging is
-    /// on. Updated serially between batches, so its trajectory is a pure
-    /// function of batch content.
-    controller: Option<AdaptiveTopK>,
-    /// Memo-key bases for this tier (distinct from the screen tier's via
-    /// the backend fingerprint).
-    bases: Vec<Key128>,
-    /// Remote dispatch for this tier's fresh evaluations, when installed
-    /// and the tier's backend is remote-eligible.
-    remote: Option<RemoteTierHook>,
-}
-
-/// One tier's remote-dispatch hook: the evaluator that ships batches out
-/// of process, plus the `(backend, tech)` recipe workers rebuild the
-/// tier's cost backend from. Results are bit-identical to the in-process
-/// path because per-pair evaluations are pure (see [`crate::remote`]).
-#[derive(Clone)]
-pub struct RemoteTierHook {
-    evaluator: crate::remote::SharedPairEvaluator,
-    kind: BackendKind,
-    tech: TechParams,
-}
-
-/// The hardware design space wrapped as a [`dse::problem::Problem`].
-///
-/// Evaluation is where the whole co-design loop spends its time: one
-/// design point means one full software exploration per workload. The
-/// problem therefore routes every batch through the parallel evaluation
-/// runtime — [`Problem::evaluate_batch`] fans the batch's
-/// `(accelerator, workload)` pairs out to a [`WorkerPool`] and answers
-/// repeated pairs from a fingerprint-keyed [`MemoCache`] — while keeping
-/// results bitwise identical to the serial path (order-preserving
-/// reassembly; pure per-pair evaluations).
-///
-/// Pricing dispatches through a pluggable [`CostBackend`]
-/// ([`HwProblem::with_backend`]); with [`HwProblem::with_refinement`] the
-/// problem becomes fidelity-staged: the whole batch is screened by the
-/// cheap backend, then only the top-k screened survivors are re-priced by
-/// the high-fidelity tier before their objectives enter the Pareto front
-/// and the GP training set. Survivor selection is a pure function of the
-/// batch's screened responses (ties broken by submission order), so
-/// staging preserves the thread-count-independence invariant.
-pub struct HwProblem<'a> {
-    generator: &'a dyn Generator,
-    workloads: &'a [Workload],
-    space: SearchSpace,
-    explorer: SoftwareExplorer,
-    sw_opts: ExplorerOptions,
-    seed: u64,
-    workers: WorkerPool,
-    /// Memoized per-(accelerator, workload) explorer outcomes, keyed by
-    /// the stable fingerprint of config + workload + options + seed +
-    /// cost backend. `None` records a software-exploration failure (also
-    /// worth caching). Shared by the screen and refine tiers (their keys
-    /// differ through the backend fingerprint) and persistable across
-    /// runs ([`HwProblem::save_cache`]).
-    memo: MemoCache<(u64, u64), Option<Metrics>>,
-    /// Exact per-point replay cache (a point hit skips config generation
-    /// and the memo lookups entirely).
-    cache: BTreeMap<Point, Option<Vec<f64>>>,
-    /// Per-workload fingerprint bases: (workload, options, seed, backend)
-    /// are invariant *between retrainings* of the screen backend, so
-    /// their hash state is computed once and cloned per pair instead of
-    /// re-walking the workload structure on every lookup; a surrogate
-    /// screen tier advancing its training generation triggers a rebuild
-    /// (see `refresh_screen_bases`). The keys are 128-bit, so a 64-bit
-    /// collision degrades to a cache miss instead of returning another
-    /// design's metrics.
-    pair_bases: Vec<Key128>,
-    /// The screen backend fingerprint `pair_bases` was computed from.
-    screen_fp: runtime::Fingerprint,
-    /// The optional high-fidelity stage.
-    refine: Option<RefineTier>,
-    /// Remote dispatch for the screen tier's fresh evaluations, when
-    /// installed and the screen backend is remote-eligible.
-    remote_screen: Option<RemoteTierHook>,
-    /// Total (design point, workload) evaluations requested through the
-    /// screen tier, memoized or not.
-    sw_requests: usize,
-    /// (design point, workload) evaluations re-run at high fidelity.
-    refine_requests: usize,
-    /// Staged batches processed (the `Refined` event sequence number).
-    staged_batches: usize,
-    /// Progress-event sink (disabled by default; the engine installs a
-    /// live one per job).
-    events: EventSink,
-    /// Wall-clock side channel (disabled by default). Strictly
-    /// observation-only: nothing recorded here reaches memo fingerprints,
-    /// [`RunStats`], or the event stream.
-    telemetry: Telemetry,
-}
-
-impl<'a> HwProblem<'a> {
-    /// Wraps a generator + workloads as a 3-objective problem
-    /// (latency cycles, power mW, area mm²), evaluating serially with the
-    /// analytic backend.
-    pub fn new(
-        generator: &'a dyn Generator,
-        workloads: &'a [Workload],
-        sw_opts: ExplorerOptions,
-        seed: u64,
-    ) -> Self {
-        let dim_sizes = generator.space().dims.iter().map(|d| d.len()).collect();
-        let explorer = SoftwareExplorer::new(seed);
-        let pair_bases = Self::make_bases(workloads, &sw_opts, seed, &explorer);
-        let screen_fp = explorer.backend_fingerprint();
-        HwProblem {
-            generator,
-            workloads,
-            space: SearchSpace::new(dim_sizes),
-            explorer,
-            sw_opts,
-            seed,
-            workers: WorkerPool::serial(),
-            memo: MemoCache::new(4096),
-            cache: BTreeMap::new(),
-            pair_bases,
-            screen_fp,
-            refine: None,
-            remote_screen: None,
-            sw_requests: 0,
-            refine_requests: 0,
-            staged_batches: 0,
-            events: EventSink::disabled(),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Builds the per-workload fingerprint bases for one explorer tier.
-    /// The explorer's cost backend is part of the key: different backends
-    /// legitimately produce different metrics for the same pair.
-    fn make_bases(
-        workloads: &[Workload],
-        sw_opts: &ExplorerOptions,
-        seed: u64,
-        explorer: &SoftwareExplorer,
-    ) -> Vec<Key128> {
-        let backend_fp = explorer.backend_fingerprint();
-        workloads
-            .iter()
-            .map(|w| {
-                Key128::of(|fp| {
-                    w.fingerprint_into(fp);
-                    sw_opts.fingerprint_into(fp);
-                    fp.write_u64(seed);
-                    fp.write_u64(backend_fp.0);
-                })
-            })
-            .collect()
-    }
-
-    /// Runs batch evaluations on the given worker pool.
-    pub fn with_workers(mut self, workers: WorkerPool) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Bounds the memoizing evaluation cache (call before
-    /// [`HwProblem::load_cache`] — resizing resets the cache).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.memo = MemoCache::new(capacity);
-        self
-    }
-
-    /// Screens every candidate evaluation through the given cost backend.
-    pub fn with_backend(mut self, backend: Arc<dyn CostBackend>) -> Self {
-        self.explorer = SoftwareExplorer::new(self.seed).with_backend(backend);
-        self.pair_bases =
-            Self::make_bases(self.workloads, &self.sw_opts, self.seed, &self.explorer);
-        self.screen_fp = self.explorer.backend_fingerprint();
-        self
-    }
-
-    /// Enables fidelity staging: the `top_k` best-screened points of every
-    /// batch are re-evaluated through `backend` before their objectives
-    /// are reported. `top_k == 0` disables staging.
-    pub fn with_refinement(mut self, backend: Arc<dyn CostBackend>, top_k: usize) -> Self {
-        if top_k == 0 {
-            self.refine = None;
-            return self;
-        }
-        let explorer = SoftwareExplorer::new(self.seed).with_backend(backend);
-        let bases = Self::make_bases(self.workloads, &self.sw_opts, self.seed, &explorer);
-        self.refine = Some(RefineTier {
-            explorer,
-            top_k,
-            controller: None,
-            bases,
-            remote: None,
-        });
-        self
-    }
-
-    /// Installs remote batch dispatch: fresh (non-memoized) evaluations
-    /// of a tier whose `(BackendKind, TechParams)` recipe is given flow
-    /// through `evaluator` instead of the local worker pool. Call after
-    /// [`HwProblem::with_backend`] / [`HwProblem::with_refinement`] so
-    /// the hooks attach to the installed tiers. Memo probing, in-batch
-    /// deduplication, and submission-order reassembly are unchanged, and
-    /// per-pair evaluations are pure, so results are bit-identical to
-    /// local execution at any worker count.
-    pub fn with_remote_evaluator(
-        mut self,
-        evaluator: crate::remote::SharedPairEvaluator,
-        screen: Option<(BackendKind, TechParams)>,
-        refine: Option<(BackendKind, TechParams)>,
-    ) -> Self {
-        self.remote_screen = screen.map(|(kind, tech)| RemoteTierHook {
-            evaluator: Arc::clone(&evaluator),
-            kind,
-            tech,
-        });
-        if let (Some(tier), Some((kind, tech))) = (&mut self.refine, refine) {
-            tier.remote = Some(RemoteTierHook {
-                evaluator,
-                kind,
-                tech,
-            });
-        }
-        self
-    }
-
-    /// Enables *adaptive* fidelity staging: like
-    /// [`HwProblem::with_refinement`], but the per-batch refine budget
-    /// starts at `initial_top_k` and is grown/shrunk by an
-    /// [`AdaptiveTopK`] controller from the observed screen-vs-refine
-    /// rank disagreement. When the screen backend is a
-    /// [`accel_model::SurrogateBackend`], every refined configuration is
-    /// also fed back as GP training data, so the screen tier improves as
-    /// the run progresses. `initial_top_k == 0` disables staging.
-    pub fn with_adaptive_refinement(
-        mut self,
-        backend: Arc<dyn CostBackend>,
-        initial_top_k: usize,
-    ) -> Self {
-        self = self.with_refinement(backend, initial_top_k);
-        if let Some(tier) = &mut self.refine {
-            tier.controller = Some(AdaptiveTopK::new(initial_top_k));
-        }
-        self
-    }
-
-    /// Rebuilds the screen tier's memo-key bases if the screen backend's
-    /// fingerprint moved (a surrogate advancing its training
-    /// generation) — stale-generation memo entries become unreachable
-    /// instead of being served.
-    fn refresh_screen_bases(&mut self) {
-        let fp = self.explorer.backend_fingerprint();
-        if fp != self.screen_fp {
-            self.pair_bases =
-                Self::make_bases(self.workloads, &self.sw_opts, self.seed, &self.explorer);
-            self.screen_fp = fp;
-        }
-    }
-
-    /// Streams staging progress ([`RunEvent::Refined`]) to the given
-    /// sink. Events are emitted from the thread driving
-    /// [`Problem::evaluate_batch`] — never from workers — so the stream
-    /// is identical at any thread count.
-    pub fn with_events(mut self, events: EventSink) -> Self {
-        self.events = events;
-        self
-    }
-
-    /// Attaches the telemetry side channel: per-tier software-exploration
-    /// timings (`sw_explore/<tier>`) and their phases (`sw_opt/*`, see
-    /// [`SoftwareExplorer::with_telemetry`]), staging spans, and end-of-run
-    /// cache counters flow into it. A surrogate screen backend additionally
-    /// reports its GP fit/predict timings. Call after
-    /// [`HwProblem::with_backend`] / [`HwProblem::with_refinement`] so the
-    /// installed explorers and backends are the ones that run.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        if let Some(surrogate) = self.explorer.backend().as_surrogate() {
-            surrogate.install_telemetry(telemetry.clone());
-        }
-        self.explorer = self.explorer.with_telemetry(telemetry.clone(), "sw_opt");
-        self.refine = self.refine.map(|tier| RefineTier {
-            explorer: tier.explorer.with_telemetry(telemetry.clone(), "sw_opt"),
-            ..tier
-        });
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Seeds the memoizing evaluation cache with entries from a shared
-    /// store (the engine's cross-request warm state), preserving each
-    /// entry's age. Warm entries only skip recomputation — memoized
-    /// evaluations are pure, so seeding changes hit/miss statistics,
-    /// never results — and seeding itself moves no cache counter.
-    pub(crate) fn seed_memo(&self, entries: &[((u64, u64), Option<Metrics>, u64)]) {
-        self.memo.seed(entries);
-    }
-
-    /// Snapshot of the memo cache with entry ages — what a job publishes
-    /// back into the engine's shared store on completion.
-    pub(crate) fn memo_snapshot(&self) -> Vec<((u64, u64), Option<Metrics>, u64)> {
-        self.memo.snapshot_stamped()
-    }
-
-    /// Counters of the memoizing evaluation cache.
-    pub fn cache_stats(&self) -> runtime::CacheStats {
-        self.memo.stats()
-    }
-
-    /// The worker pool driving batch evaluation.
-    pub fn workers(&self) -> &WorkerPool {
-        &self.workers
-    }
-
-    /// Loads the persistent evaluation cache (warm start). Returns the
-    /// number of entries loaded; a missing or corrupted file is a clean
-    /// cold start (0).
-    pub fn load_cache(&self, path: &std::path::Path) -> u64 {
-        self.memo.load_from_file(path).unwrap_or(0)
-    }
-
-    /// Persists the evaluation cache for future runs, merging
-    /// newest-wins into whatever the file already holds (so cache files
-    /// shared across runs and bench binaries accumulate instead of
-    /// thrash) and writing atomically (a crash mid-save never truncates
-    /// the previous image).
-    ///
-    /// # Errors
-    /// Propagates I/O errors from writing the file.
-    pub fn save_cache(&self, path: &std::path::Path) -> std::io::Result<u64> {
-        self.memo.save_merged_with_max_age(path, None)
-    }
-
-    /// Stable 128-bit memoization key for one (accelerator, workload)
-    /// evaluation: the precomputed (workload, options, seed, backend)
-    /// bases extended by the accelerator config.
-    fn pair_key(bases: &[Key128], cfg: &AcceleratorConfig, workload_idx: usize) -> (u64, u64) {
-        let mut key = bases[workload_idx].clone();
-        key.feed(|fp| cfg.fingerprint_into(fp));
-        key.finish()
-    }
-
-    /// Total (design point, workload) evaluations requested through the
-    /// screen tier so far.
-    pub fn sw_requests(&self) -> usize {
-        self.sw_requests
-    }
-
-    /// Total (design point, workload) evaluations re-run at high fidelity.
-    pub fn refine_requests(&self) -> usize {
-        self.refine_requests
-    }
-
-    /// The refine budget each staged batch used (empty when staging is
-    /// off or the budget is fixed).
-    pub fn topk_trajectory(&self) -> Vec<usize> {
-        self.refine
-            .as_ref()
-            .and_then(|t| t.controller.as_ref())
-            .map(|c| c.trajectory().to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Surrogate screen-tier state as `(training samples, trusted)`;
-    /// `None` when the screen backend is not a surrogate.
-    pub fn surrogate_stats(&self) -> Option<(usize, bool)> {
-        self.explorer
-            .backend()
-            .as_surrogate()
-            .map(|s| (s.training_len(), s.is_trusted()))
-    }
-
-    fn objectives_of(metrics: &Metrics) -> Vec<f64> {
-        vec![metrics.latency_cycles, metrics.power_mw, metrics.area_mm2]
-    }
-
-    /// Evaluates every (config, workload) pair of one tier: memoized
-    /// pairs are answered without occupying a worker, duplicates within
-    /// the batch are dispatched once, and the rest fan out to the worker
-    /// pool. Each job is a pure function of (seed, backend, config,
-    /// workload, options), so completion order is irrelevant — the pool
-    /// reassembles in submission order, keeping results identical at any
-    /// thread count.
-    #[allow(clippy::too_many_arguments)] // static worker threading the batch's whole context
-    fn eval_pairs(
-        explorer: &SoftwareExplorer,
-        bases: &[Key128],
-        memo: &MemoCache<(u64, u64), Option<Metrics>>,
-        workers: &WorkerPool,
-        workloads: &[Workload],
-        sw_opts: &ExplorerOptions,
-        configs: &[&AcceleratorConfig],
-        tier: &Timer,
-        remote: Option<&RemoteTierHook>,
-        seed: u64,
-    ) -> Vec<Vec<Option<Metrics>>> {
-        let mut results: Vec<Vec<Option<Option<Metrics>>>> = configs
-            .iter()
-            .map(|_| vec![None; workloads.len()])
-            .collect();
-        let mut jobs: Vec<(usize, usize, (u64, u64))> = Vec::new();
-        let mut duplicates: Vec<(usize, usize, (u64, u64))> = Vec::new();
-        let mut pending: BTreeSet<(u64, u64)> = BTreeSet::new();
-        for ((ci, cfg), per_workload) in configs.iter().enumerate().zip(results.iter_mut()) {
-            for (wi, slot) in per_workload.iter_mut().enumerate() {
-                let key = Self::pair_key(bases, cfg, wi);
-                // Duplicates of a key already dispatched in this batch
-                // skip the memo probe: they are resolved (and counted as
-                // hits) once the first occurrence has been computed.
-                if pending.contains(&key) {
-                    duplicates.push((ci, wi, key));
-                    continue;
-                }
-                match memo.get(&key) {
-                    Some(memoized) => *slot = Some(memoized),
-                    None => {
-                        pending.insert(key);
-                        jobs.push((ci, wi, key));
-                    }
-                }
-            }
-        }
-
-        // Only real (non-memoized) software explorations are timed, so the
-        // tier's `sw_explore/<tier>` timing measures the backend, not the
-        // cache.
-        //
-        // With a remote hook installed, the deduplicated fresh jobs ship
-        // through the remote evaluator instead of the local pool. The
-        // evaluator contract (order-preserving, pure per item) makes the
-        // two paths bit-identical: everything around the dispatch — memo
-        // probes, duplicate resolution, reassembly — is shared code.
-        let outcomes = match remote {
-            Some(hook) if !jobs.is_empty() => {
-                let items: Vec<crate::remote::RemoteEvalRequest> = jobs
-                    .iter()
-                    .map(|&(ci, wi, _)| crate::remote::RemoteEvalRequest {
-                        backend: hook.kind,
-                        tech: hook.tech.clone(),
-                        seed,
-                        sw_opts: sw_opts.clone(),
-                        workload: workloads[wi].clone(),
-                        config: configs[ci].clone(),
-                    })
-                    .collect();
-                hook.evaluator.evaluate_batch(&items)
-            }
-            _ => workers.map(&jobs, |_, &(ci, wi, _)| {
-                tier.time(|| {
-                    explorer
-                        .best_metrics(&workloads[wi], configs[ci], sw_opts)
-                        .ok()
-                })
-            }),
-        };
-
-        let mut fresh_outcomes: BTreeMap<(u64, u64), Option<Metrics>> = BTreeMap::new();
-        for (&(ci, wi, key), outcome) in jobs.iter().zip(outcomes) {
-            memo.insert(key, outcome);
-            fresh_outcomes.insert(key, outcome);
-            results[ci][wi] = Some(outcome);
-        }
-        for (ci, wi, key) in duplicates {
-            // The memo lookup both answers the duplicate and credits the
-            // hit; the local map covers the pathological case where a
-            // tiny cache already evicted the entry.
-            let outcome = memo.get(&key).unwrap_or_else(|| fresh_outcomes[&key]);
-            results[ci][wi] = Some(outcome);
-        }
-        results
-            .into_iter()
-            .map(|per| {
-                per.into_iter()
-                    .map(|slot| slot.expect("every pair was resolved"))
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-impl Problem for HwProblem<'_> {
-    fn space(&self) -> &SearchSpace {
-        &self.space
-    }
-
-    fn num_objectives(&self) -> usize {
-        3
-    }
-
-    fn evaluate(&mut self, point: &Point) -> Option<Vec<f64>> {
-        self.evaluate_batch(std::slice::from_ref(point))
-            .pop()
-            .expect("batch of one yields one response")
-    }
-
-    fn evaluate_batch(&mut self, points: &[Point]) -> Vec<Option<Vec<f64>>> {
-        // Stage 1 (serial): answer point-cache hits, decode fresh points
-        // into accelerator configs, and deduplicate within the batch.
-        let mut fresh: Vec<(usize, AcceleratorConfig)> = Vec::new();
-        let mut fresh_points: BTreeSet<Point> = BTreeSet::new();
-        for (i, p) in points.iter().enumerate() {
-            if self.cache.contains_key(p) || fresh_points.contains(p) {
-                continue;
-            }
-            match self.generator.generate(p) {
-                Ok(cfg) => {
-                    fresh_points.insert(p.clone());
-                    fresh.push((i, cfg));
-                }
-                Err(_) => {
-                    self.cache.insert(p.clone(), None);
-                }
-            }
-        }
-
-        // Stage 2 (screen): price every fresh point on every workload
-        // through the screening backend — memo-deduplicated, fanned out
-        // to the worker pool.
-        self.sw_requests += fresh.len() * self.workloads.len();
-        let configs: Vec<&AcceleratorConfig> = fresh.iter().map(|(_, cfg)| cfg).collect();
-        let screen_span = self.telemetry.span("job/hw_dse/screen");
-        let screened = Self::eval_pairs(
-            &self.explorer,
-            &self.pair_bases,
-            &self.memo,
-            &self.workers,
-            self.workloads,
-            &self.sw_opts,
-            &configs,
-            &self.telemetry.timer(format_args!(
-                "sw_explore/{}",
-                self.explorer.backend().name()
-            )),
-            self.remote_screen.as_ref(),
-            self.seed,
-        );
-        drop(screen_span);
-        let mut fresh_metrics: Vec<Option<Metrics>> = screened
-            .into_iter()
-            .map(|per| {
-                per.into_iter()
-                    .collect::<Option<Vec<Metrics>>>()
-                    .map(|parts| Metrics::sequential(&parts))
-            })
-            .collect();
-
-        // Stage 3 (refine): re-price only the top-k screened survivors at
-        // high fidelity before anything enters the Pareto front / GP
-        // training set. Selection ranks by screened latency with
-        // submission-index tie-breaks, and the adaptive controller (when
-        // installed) resizes the budget from the survivors' screen-vs-
-        // refine rank disagreement — both pure functions of the batch, so
-        // thread count still never changes results.
-        let mut refined_survivors: Vec<usize> = Vec::new();
-        if let Some(tier) = &mut self.refine {
-            let top_k = match &mut tier.controller {
-                Some(c) if !fresh.is_empty() => c.begin_batch(),
-                Some(c) => c.current(),
-                None => tier.top_k,
-            };
-            let survivors = dse::staged::rank_top_k(&fresh_metrics, top_k, |m| {
-                m.as_ref().map(|metrics| metrics.latency_cycles)
-            });
-            if !fresh.is_empty() {
-                self.staged_batches += 1;
-                self.events.emit(RunEvent::Refined {
-                    batch: self.staged_batches,
-                    survivors: survivors.len(),
-                    budget: top_k,
-                });
-            }
-            if !survivors.is_empty() {
-                self.refine_requests += survivors.len() * self.workloads.len();
-                let screened_latency: Vec<f64> = survivors
-                    .iter()
-                    .map(|&fi| {
-                        fresh_metrics[fi]
-                            .as_ref()
-                            .expect("survivors are feasible")
-                            .latency_cycles
-                    })
-                    .collect();
-                let sub: Vec<&AcceleratorConfig> =
-                    survivors.iter().map(|&fi| &fresh[fi].1).collect();
-                let refine_span = self.telemetry.span("job/hw_dse/refine");
-                let refined = Self::eval_pairs(
-                    &tier.explorer,
-                    &tier.bases,
-                    &self.memo,
-                    &self.workers,
-                    self.workloads,
-                    &self.sw_opts,
-                    &sub,
-                    &self.telemetry.timer(format_args!(
-                        "sw_explore/{}",
-                        tier.explorer.backend().name()
-                    )),
-                    tier.remote.as_ref(),
-                    self.seed,
-                );
-                drop(refine_span);
-                for (&fi, per) in survivors.iter().zip(refined) {
-                    // A refine-tier failure (impossible mappings are
-                    // backend-independent, so this is purely defensive)
-                    // keeps the screened estimate.
-                    if let Some(parts) = per.into_iter().collect::<Option<Vec<Metrics>>>() {
-                        fresh_metrics[fi] = Some(Metrics::sequential(&parts));
-                    }
-                }
-                if let Some(c) = &mut tier.controller {
-                    let refined_latency: Vec<f64> = survivors
-                        .iter()
-                        .map(|&fi| {
-                            fresh_metrics[fi]
-                                .as_ref()
-                                .expect("survivors stay feasible")
-                                .latency_cycles
-                        })
-                        .collect();
-                    c.observe(&screened_latency, &refined_latency);
-                }
-                refined_survivors = survivors;
-            }
-        }
-
-        // Stage 3b (learn): a surrogate screen tier trains on every
-        // configuration the refine tier just priced, then the memo-key
-        // bases move to the new training generation. Serial and in batch
-        // order, so the learning trajectory is thread-count-independent.
-        if !refined_survivors.is_empty() {
-            if let Some(surrogate) = self.explorer.backend().as_surrogate() {
-                for &fi in &refined_survivors {
-                    surrogate.observe(&fresh[fi].1);
-                }
-            }
-            self.refresh_screen_bases();
-        }
-
-        // Stage 4 (serial): record final metrics per point, in submission
-        // order.
-        for ((i, _), metrics) in fresh.iter().zip(fresh_metrics) {
-            let response = metrics.map(|metrics| Self::objectives_of(&metrics));
-            self.cache.insert(points[*i].clone(), response);
-        }
-
-        points
-            .iter()
-            .map(|p| self.cache.get(p).expect("every point was resolved").clone())
-            .collect()
-    }
-}
-
 /// A [`Progress`] observer wired to one job: forwards hardware-DSE
 /// batches as [`RunEvent::BatchEvaluated`] (when `forward` is set) and
 /// stops the observed loop once the job's cancel flag rises. Observation
@@ -1021,10 +363,6 @@ impl Progress for RunObserver {
         !self.cancel.load(Ordering::Relaxed)
     }
 }
-
-/// One memo-cache entry with its age, as exchanged between a job's
-/// private cache and the engine's shared store.
-pub(crate) type MemoEntry = ((u64, u64), Option<Metrics>, u64);
 
 /// Per-job execution context handed down by the engine.
 pub(crate) struct ExecCtx {
@@ -1259,25 +597,7 @@ fn execute_inner(
         if screen.as_surrogate().is_some() {
             *surrogate_out = Some(Arc::clone(&screen));
         }
-        // Per-shard cache traffic of this job's memo, accumulated across
-        // jobs (the engine's shared store is snapshotted separately).
-        ctx.telemetry
-            .add_cache_shards("jobs", &problem.memo.shard_stats());
-        if let Some(budget) = problem.topk_trajectory().last() {
-            ctx.telemetry
-                .gauge_set("staging.topk_budget", *budget as u64);
-        }
-        if let Some(disagreement) = problem
-            .refine
-            .as_ref()
-            .and_then(|tier| tier.controller.as_ref())
-            .and_then(AdaptiveTopK::evidence_disagreement)
-        {
-            ctx.telemetry.gauge_set(
-                "staging.rank_disagreement_milli",
-                (disagreement * 1000.0) as u64,
-            );
-        }
+        problem.record_telemetry();
     }
     let mut solution = tuned?;
 
@@ -1482,6 +802,7 @@ impl CoDesigner {
 mod tests {
     use super::*;
     use crate::input::Constraints;
+    use dse::problem::{Point, Problem};
     use tensor_ir::suites;
     use tensor_ir::workload::TensorApp;
 
@@ -1853,6 +1174,35 @@ mod tests {
     }
 
     #[test]
+    fn jobs_record_pricing_telemetry() {
+        // Two identical jobs on one engine: the second starts warm from
+        // the first's published memo, so the `jobs` cache scope sums a
+        // cold and a warm job.
+        let mut opts = CoDesignOptions::quick(8).with_adaptive_refinement(BackendKind::TraceSim, 2);
+        opts.hw_trials = 6;
+        let engine = Engine::new(EngineConfig::one_shot(&opts).with_metrics(Telemetry::enabled()));
+        let run = || {
+            let request = CoDesignRequest::new(toy_input(), opts.clone());
+            engine.submit_quiet(request).unwrap().wait().unwrap()
+        };
+        let (cold, warm) = (run(), run());
+        let snapshot = engine.metrics().expect("metrics-on engine snapshots");
+        let gauge = |name: &str| {
+            let found = snapshot.gauges.iter().find(|(n, _)| n == name);
+            found.unwrap_or_else(|| panic!("no {name} gauge")).1
+        };
+        let budget = warm.stats.refine_topk_trajectory.last();
+        assert_eq!(Some(gauge("staging.topk_budget") as usize), budget.copied());
+        assert!(gauge("staging.rank_disagreement_milli") <= 1000);
+        let jobs = snapshot.caches.iter().find(|c| c.scope == "jobs");
+        let jobs = jobs.expect("no jobs cache scope").total();
+        let (cold, warm) = (cold.stats.cache, warm.stats.cache);
+        assert!(cold.misses > 0 && warm.hits > 0, "{cold:?} {warm:?}");
+        assert_eq!(jobs.hits, cold.hits + warm.hits);
+        assert_eq!(jobs.misses, cold.misses + warm.misses);
+    }
+
+    #[test]
     fn surrogate_screen_tier_trains_during_codesign() {
         let input = toy_input();
         let mut opts = CoDesignOptions::quick(9)
@@ -1907,27 +1257,5 @@ mod tests {
         opts.hw_trials = 6;
         let solution = CoDesigner::new(opts).run(&input).unwrap();
         assert_eq!(solution.per_workload.len(), 2);
-    }
-
-    #[test]
-    fn pair_key_is_pinned() {
-        // Memo keys are persisted in `--cache` images: a moved key turns
-        // every warm entry into a miss.
-        let input = toy_input();
-        let generator = GemminiGenerator::new();
-        let p = HwProblem::new(
-            &generator,
-            &input.app.workloads,
-            CoDesignOptions::quick(0).sw_inner,
-            3,
-        );
-        let cfg = AcceleratorConfig::builder(IntrinsicKind::Gemm)
-            .pe_array(8, 8)
-            .build()
-            .unwrap();
-        assert_eq!(
-            HwProblem::pair_key(&p.pair_bases, &cfg, 1),
-            (0x50c56bb2cf29fba5, 0x2adeedcba7ed403c)
-        );
     }
 }

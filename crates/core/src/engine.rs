@@ -190,7 +190,7 @@ impl EngineConfig {
     /// calibrated tiers — see [`crate::remote::remote_eligible`])
     /// through the given [`crate::remote::PairEvaluator`] instead of the
     /// in-process worker pool. The production evaluator is the network
-    /// crate's worker-sharding `RemoteEvaluator`; because per-pair
+    /// crate's worker-sharding `RemoteBatchEvaluator`; because per-pair
     /// evaluations are pure and batches reassemble in submission order,
     /// installing one changes where the work runs, never what it
     /// computes.

@@ -44,6 +44,7 @@ pub mod engine;
 pub mod event;
 pub mod input;
 pub mod partition;
+mod pricing;
 pub mod remote;
 pub mod report;
 pub mod solution;

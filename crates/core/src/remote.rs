@@ -1,7 +1,7 @@
 //! The remote-evaluation seam: self-contained evaluation requests that a
 //! worker process can answer bit-identically to the in-process path.
 //!
-//! The hardware DSE's inner loop ([`crate::codesign`]'s `eval_pairs`)
+//! The hardware DSE's inner loop (the `pricing` module's `Tier::price`)
 //! prices `(accelerator, workload)` pairs through a [`SoftwareExplorer`]
 //! whose `optimize` is a *pure function* of `(seed, backend, workload,
 //! config, options)`: every call constructs a fresh seeded RNG and
@@ -10,7 +10,7 @@
 //! captures exactly those five inputs, and [`RemoteEvalRequest::evaluate`]
 //! replays the in-process closure verbatim. A serving front-end shards
 //! batches of these requests across worker processes through the
-//! [`BatchEvaluator`] seam (`crates/net`'s `RemoteEvaluator`) and
+//! [`BatchEvaluator`] seam (`crates/net`'s `RemoteBatchEvaluator`) and
 //! reassembles responses in submission order, which is all determinism
 //! needs.
 //!
@@ -71,9 +71,9 @@ impl RemoteEvalRequest {
 
 /// The trait object the engine dispatches remote-eligible batches
 /// through: any [`BatchEvaluator`] over [`RemoteEvalRequest`]s. The
-/// network crate's `RemoteEvaluator` (sharding across worker processes)
-/// is the production implementation; tests can plug in any other
-/// [`BatchEvaluator`].
+/// network crate's `RemoteBatchEvaluator` (sharding across worker
+/// processes) is the production implementation; tests can plug in any
+/// other [`BatchEvaluator`].
 pub type PairEvaluator =
     dyn BatchEvaluator<Request = RemoteEvalRequest, Response = Option<Metrics>> + Send + Sync;
 

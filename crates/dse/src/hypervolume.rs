@@ -3,51 +3,34 @@
 //!
 //! "In multi-objective optimizations, the hypervolume indicator measures
 //! the size of the space dominated by a set of design points" (§VII-C).
-//! [`hypervolume_flat`] is the generic routine (While, Bradstreet &
-//! Barone, IEEE TEC 2012, give the exact-HV algorithms it follows): it
-//! runs on a flat row-major coordinate buffer, each depth slices the
-//! points by index in reusable [`HvScratch`] buffers, projections are
-//! prefixes of the same rows, and the 2-D level closes with a running
-//! minimum instead of a 1-D recursion per slice.
+//! HSO (While, Bradstreet & Barone, IEEE TEC 2012, give the exact-HV
+//! algorithms it follows) slices the in-box Pareto front along its last
+//! axis, prices each slice's active front one dimension down, and closes
+//! the 2-D level with a running minimum instead of a 1-D recursion per
+//! slice. [`hypervolume`] runs it once over a set of points.
 //!
 //! MOBO's Monte-Carlo EHVI asks for something narrower: the hypervolume
 //! of one fixed front plus one posterior sample, 192 candidates × 24
 //! samples per acquisition, on fronts of 2–12 points. Re-slicing the
 //! same front for every sample was ~90% of an acquisition's time
 //! (`table3 --paper --threads 1`: 970 ms of 1062 ms, against 13 ms of GP
-//! fits), so the cost lies in the recursion's repeated work, not in
-//! allocation. [`SlicedFront`] slices the front once and prices each
-//! sample against it incrementally (the update problem Guerreiro &
-//! Fonseca, IEEE TEC 2018, treat for hypervolume contributions), while
-//! keeping HSO's float sequence: every result is bit-identical to
-//! [`hypervolume_flat`] over the front followed by the sample, and a
-//! sample the front already covers is recognized without slicing at all.
+//! fits). [`SlicedFront`] keeps the slices, so it is both the one HSO
+//! routine and the incremental one: it slices the front once and prices
+//! each sample against it (the update problem Guerreiro & Fonseca, IEEE
+//! TEC 2018, treat for hypervolume contributions) while keeping HSO's
+//! float sequence. Every result is bit-identical to slicing the front
+//! followed by the sample from scratch, and a sample the front already
+//! covers is recognized without slicing at all.
 
 use crate::pareto::dominates;
-
-/// Reusable buffers for [`hypervolume_flat`]: per recursion depth, the
-/// slice order on that depth's last axis and the Pareto-filtered
-/// projection handed one depth down. Holding one across calls makes
-/// repeated hypervolume computations allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct HvScratch {
-    front: Vec<usize>,
-    in_box: Vec<usize>,
-    levels: Vec<Level>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Level {
-    sorted: Vec<usize>,
-    kept: Vec<usize>,
-}
 
 /// Hypervolume of `points` with respect to `reference` (all objectives
 /// minimized; points not strictly better than the reference in every
 /// objective contribute only their clipped region).
 ///
 /// # Panics
-/// Panics if a point's dimensionality differs from the reference's.
+/// Panics if `reference` is empty or a point's dimensionality differs
+/// from the reference's.
 pub fn hypervolume(points: &[Vec<f64>], reference: &[f64]) -> f64 {
     let d = reference.len();
     let mut coords = Vec::with_capacity(points.len() * d);
@@ -55,43 +38,15 @@ pub fn hypervolume(points: &[Vec<f64>], reference: &[f64]) -> f64 {
         assert_eq!(p.len(), d, "point dimensionality mismatch");
         coords.extend_from_slice(p);
     }
-    hypervolume_flat(&coords, reference, &mut HvScratch::default())
-}
-
-/// [`hypervolume`] over points packed row-major in `coords`
-/// (`reference.len()` values per point), reusing `scratch`'s buffers.
-/// Bit-identical to [`hypervolume`] on the same points in the same order.
-///
-/// # Panics
-/// Panics if `reference` is empty or `coords.len()` is not a multiple of
-/// `reference.len()`.
-pub fn hypervolume_flat(coords: &[f64], reference: &[f64], scratch: &mut HvScratch) -> f64 {
-    let d = reference.len();
-    assert!(
-        d > 0 && coords.len().is_multiple_of(d),
-        "point dimensionality mismatch"
-    );
-    let row = |i: usize| &coords[i * d..(i + 1) * d];
-    // Clip to the reference box and drop points outside it.
-    scratch.in_box.clear();
-    scratch
-        .in_box
-        .extend((0..coords.len() / d).filter(|&i| inside(row(i), reference)));
-    // Keep only the non-dominated subset.
-    pareto_filter(coords, d, d, &scratch.in_box, &mut scratch.front);
-    // Depths d down to 2 each slice once; the 1-D level needs no buffers.
-    if scratch.levels.len() < d - 1 {
-        scratch.levels.resize_with(d - 1, Level::default);
-    }
-    hso(coords, d, reference, &scratch.front, &mut scratch.levels)
+    SlicedFront::new(&coords, reference).volume()
 }
 
 /// A front sliced once along its last axis, so that the hypervolume of
 /// the front plus one more point costs a pass over the slices at and
 /// above that point instead of a whole HSO recursion.
 ///
-/// [`SlicedFront::volume_with`] is bit-identical to [`hypervolume_flat`]
-/// over the front's rows followed by the point. HSO's result depends only
+/// [`SlicedFront::volume_with`] is bit-identical to a front sliced from
+/// the rows followed by the point. HSO's result depends only
 /// on the set of surviving points: at each depth the stable sort groups
 /// rows by last coordinate, only a group's last row opens a slice of
 /// positive depth, and that slice is active over the whole group. Adding
@@ -139,13 +94,13 @@ impl SlicedFront {
         }
     }
 
-    /// The front's hypervolume: [`hypervolume_flat`] over its rows.
+    /// The front's hypervolume.
     pub fn volume(&self) -> f64 {
         self.root.volume
     }
 
-    /// The hypervolume of the front plus `point`: [`hypervolume_flat`]
-    /// over the front's rows followed by `point`, bit for bit.
+    /// The hypervolume of the front plus `point`: the volume of a front
+    /// sliced from the rows followed by `point`, bit for bit.
     ///
     /// # Panics
     /// Panics if `point`'s dimensionality differs from the reference's.
@@ -232,8 +187,7 @@ impl Sliced {
         let in_box: Vec<usize> = (0..coords.len() / d)
             .filter(|&i| inside(row(i), reference))
             .collect();
-        let mut order = Vec::new();
-        pareto_filter(coords, d, d, &in_box, &mut order);
+        let mut order = pareto_filter(coords, d, &in_box);
         if d == 1 {
             // At most one row survives: the minimum.
             let rows: Vec<f64> = order.iter().map(|&i| coords[i]).collect();
@@ -357,83 +311,22 @@ fn inside(point: &[f64], reference: &[f64]) -> bool {
     point.iter().zip(reference).all(|(x, r)| x < r)
 }
 
-/// Writes to `out` the members of `pts` whose first `dims` coordinates
-/// are non-dominated among `pts` (first occurrence wins among exact
+/// The members of `pts` (rows of `d` coordinates in `coords`) that no
+/// other member dominates (first occurrence wins among exact
 /// duplicates), in `pts` order — [`crate::pareto::pareto_indices`] over
-/// the projected rows.
-fn pareto_filter(coords: &[f64], stride: usize, dims: usize, pts: &[usize], out: &mut Vec<usize>) {
-    let proj = |i: usize| &coords[i * stride..i * stride + dims];
-    out.clear();
+/// the rows.
+fn pareto_filter(coords: &[f64], d: usize, pts: &[usize]) -> Vec<usize> {
+    let row = |i: usize| &coords[i * d..(i + 1) * d];
+    let mut out = Vec::new();
     'outer: for (i, &a) in pts.iter().enumerate() {
         for (j, &b) in pts.iter().enumerate() {
-            if i != j && (dominates(proj(b), proj(a)) || (proj(a) == proj(b) && j < i)) {
+            if i != j && (dominates(row(b), row(a)) || (row(a) == row(b) && j < i)) {
                 continue 'outer;
             }
         }
         out.push(a);
     }
-}
-
-/// HSO over the rows `pts` of `coords`, projected onto the first
-/// `reference.len()` axes: slice along the last one and recurse on each
-/// slice's non-dominated projection, `levels[0]` holding this depth's
-/// buffers.
-fn hso(
-    coords: &[f64],
-    stride: usize,
-    reference: &[f64],
-    pts: &[usize],
-    levels: &mut [Level],
-) -> f64 {
-    let d = reference.len();
-    let at = |i: usize, axis: usize| coords[i * stride + axis];
-    if pts.is_empty() {
-        return 0.0;
-    }
-    if d == 1 {
-        let best = pts.iter().map(|&i| at(i, 0)).fold(f64::INFINITY, f64::min);
-        return (reference[0] - best).max(0.0);
-    }
-    // Slice along the last objective.
-    let axis = d - 1;
-    let (level, deeper) = levels.split_first_mut().expect("one level per depth");
-    let sorted = &mut level.sorted;
-    sorted.clear();
-    sorted.extend_from_slice(pts);
-    sorted.sort_by(|&a, &b| {
-        at(a, axis)
-            .partial_cmp(&at(b, axis))
-            .expect("no NaN objectives")
-    });
-    let mut volume = 0.0;
-    // In 2-D every slice's projection is 1-D, whose hypervolume is the
-    // reference minus the smallest active coordinate: a running minimum.
-    let mut best = f64::INFINITY;
-    for k in 0..sorted.len() {
-        if d == 2 {
-            best = best.min(at(sorted[k], 0));
-        }
-        let z_lo = at(sorted[k], axis);
-        let z_hi = match sorted.get(k + 1) {
-            Some(&next) => at(next, axis),
-            None => reference[axis],
-        };
-        let depth = z_hi - z_lo;
-        if depth <= 0.0 {
-            continue;
-        }
-        let sub = if d == 2 {
-            (reference[0] - best).max(0.0)
-        } else {
-            // Points active in this slice: those with coordinate <= z_lo.
-            // Non-dominated filtering of the projection keeps the
-            // recursion cheap.
-            pareto_filter(coords, stride, axis, &sorted[..=k], &mut level.kept);
-            hso(coords, stride, &reference[..axis], &level.kept, deeper)
-        };
-        volume += depth * sub;
-    }
-    volume
+    out
 }
 
 #[cfg(test)]
@@ -442,8 +335,8 @@ mod tests {
     use crate::pareto;
     use proptest::prelude::*;
 
-    /// The `Vec<Vec<f64>>` HSO recursion the flat routine replaced, kept
-    /// as the bit-exactness oracle.
+    /// The plain `Vec<Vec<f64>>` HSO recursion, kept as the bit-exactness
+    /// oracle.
     fn oracle(points: &[Vec<f64>], reference: &[f64]) -> f64 {
         let clipped: Vec<Vec<f64>> = points
             .iter()
@@ -497,46 +390,8 @@ mod tests {
         prop_oneof![(0usize..GRID.len()).prop_map(|k| GRID[k]), -0.1f64..1.2]
     }
 
-    fn rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
-        prop::collection::vec(prop::collection::vec(coord(), 3), 0..7)
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
-
-        #[test]
-        fn flat_hso_matches_oracle_bit_for_bit(
-            d in 1usize..4,
-            raw in rows(),
-            extra in prop::collection::vec(coord(), 3),
-            dup in 0usize..8,
-            slack in prop::collection::vec(0.0f64..0.3, 3),
-        ) {
-            let reference = vec![1.0; d];
-            let mut front: Vec<Vec<f64>> = raw.iter().map(|p| p[..d].to_vec()).collect();
-            // An exact duplicate and a dominated extra, when there is a
-            // point to copy.
-            if let Some(p) = front.get(dup).cloned() {
-                let worse = p.iter().zip(&slack).map(|(x, s)| x + s).collect();
-                front.push(p);
-                front.push(worse);
-            }
-            let extra = extra[..d].to_vec();
-            let mut augmented = front.clone();
-            augmented.push(extra.clone());
-
-            let base = hypervolume(&front, &reference);
-            prop_assert_eq!(base.to_bits(), oracle(&front, &reference).to_bits());
-            let hv = hypervolume(&augmented, &reference);
-            prop_assert_eq!(hv.to_bits(), oracle(&augmented, &reference).to_bits());
-
-            // One scratch reused across dimensionalities stays exact.
-            let mut scratch = HvScratch::default();
-            let flat: Vec<f64> = augmented.concat();
-            prop_assert_eq!(hypervolume_flat(&[0.5; 3], &[1.0; 3], &mut scratch).to_bits(), 0.125f64.to_bits());
-            prop_assert_eq!(hypervolume_flat(&flat, &reference, &mut scratch).to_bits(), hv.to_bits());
-
-        }
 
         #[test]
         fn sliced_front_matches_flat_bit_for_bit(
@@ -550,17 +405,22 @@ mod tests {
         ) {
             let reference = vec![1.0; d];
             let mut front: Vec<f64> = raw.iter().flat_map(|p| &p[..d]).copied().collect();
-            // An exact duplicate, when there is a row to copy.
+            // An exact duplicate and a dominated extra, when there is a
+            // row to copy.
             let n = raw.len();
             if n > 0 {
-                front.extend_from_within(dup % n * d..(dup % n + 1) * d);
+                let row = &raw[dup % n][..d];
+                front.extend_from_slice(row);
+                front.extend(row.iter().zip(&slack).map(|(x, s)| x + s));
             }
-            let sliced = SlicedFront::new(&front, &reference);
-            let mut scratch = HvScratch::default();
-            let flat = |rows: &[f64], scratch: &mut HvScratch| {
-                hypervolume_flat(rows, &reference, scratch).to_bits()
+            let oracle_bits = |rows: &[f64]| {
+                let rows: Vec<Vec<f64>> = rows.chunks_exact(d).map(<[f64]>::to_vec).collect();
+                let bits = oracle(&rows, &reference).to_bits();
+                prop_assert_eq!(hypervolume(&rows, &reference).to_bits(), bits);
+                Ok(bits)
             };
-            prop_assert_eq!(sliced.volume().to_bits(), flat(&front, &mut scratch));
+            let sliced = SlicedFront::new(&front, &reference);
+            prop_assert_eq!(sliced.volume().to_bits(), oracle_bits(&front)?);
 
             // An arbitrary sample; one that weakly dominates a front row
             // while sharing its last coordinate (so it sorts after that
@@ -580,7 +440,7 @@ mod tests {
             for s in samples {
                 let mut with = front.clone();
                 with.extend_from_slice(&s);
-                prop_assert_eq!(sliced.volume_with(&s).to_bits(), flat(&with, &mut scratch), "sample {:?}", s);
+                prop_assert_eq!(sliced.volume_with(&s).to_bits(), oracle_bits(&with)?, "sample {:?}", s);
             }
         }
     }

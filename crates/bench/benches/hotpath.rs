@@ -2,7 +2,7 @@
 //! surrogate being cheap, so this suite times exactly the paths the
 //! telemetry exposed as hot — GP fit/observe/predict, MOBO's EHVI
 //! acquisition and the generic hypervolume routine, the software
-//! explorer's DQN update and one whole exploration, the trace-sim
+//! explorer's DQN update and whole explorations, the trace-sim
 //! staged-plan recurrence, the memo cache under contention, steal-heavy
 //! staged pool batches, and one served round trip over loopback TCP — and
 //! emits a versioned `BENCH_hotpath.json` at the repo root so the perf
@@ -29,6 +29,7 @@ use dse::gp::{GaussianProcess, IncrementalGp, Posterior, PredictScratch};
 use dse::hypervolume::SlicedFront;
 use dse::mobo::Ehvi;
 use dse::pareto::pareto_indices;
+use hasco::codesign::CoDesignOptions;
 use hasco::engine::EngineConfig;
 use hasco_net::{Client, Server, ServerOptions};
 use rand::rngs::SmallRng;
@@ -240,6 +241,24 @@ fn bench_explorer(c: &mut Criterion) {
         b.iter(|| {
             explorer
                 .optimize(&conv, &cfg, &opts)
+                .expect("conv explores")
+        })
+    });
+
+    // The co-design loop's inner exploration (`CoDesignOptions::quick`:
+    // pool 5, 4 rounds, top 2), on an explorer that has explored this
+    // workload before, as every screen pricing after a job's first is:
+    // the tensorize choices and the untrained Q-learner are memoized, so
+    // this times the search itself.
+    let quick = CoDesignOptions::quick(0).sw_inner;
+    let explorer = SoftwareExplorer::new(1);
+    explorer
+        .optimize(&conv, &cfg, &quick)
+        .expect("conv explores");
+    c.bench_function("sw/explore_quick", |b| {
+        b.iter(|| {
+            explorer
+                .optimize(&conv, &cfg, &quick)
                 .expect("conv explores")
         })
     });

@@ -109,7 +109,9 @@ impl Config {
     ///
     /// With any persistence flag set, a warm-start report line is printed
     /// so the operator (and the CI smoke) can tell a restored run from a
-    /// cold one.
+    /// cold one. A local engine refuses (exit 2) a surrogate screen that
+    /// nothing would train: `--backend surrogate` without
+    /// `--refine-top-k`, `--adaptive` or `--surrogate-store`.
     pub fn engine(&self) -> EngineHandle {
         if let Some(addr) = &self.connect {
             match hasco_net::Client::connect(addr.as_str()) {
@@ -122,6 +124,10 @@ impl Config {
                     std::process::exit(2);
                 }
             }
+        }
+        if let Some(msg) = self.untrained_surrogate() {
+            eprintln!("{msg}");
+            std::process::exit(2);
         }
         let mut config = EngineConfig::default()
             .with_job_slots(2)
@@ -146,6 +152,24 @@ impl Config {
             );
         }
         EngineHandle::Local(engine)
+    }
+
+    /// Why a local engine would silently run the analytic tier instead of
+    /// the requested surrogate screen, if it would: with no staging
+    /// nothing refines, so the surrogate never trains, and with no
+    /// `--surrogate-store` it starts untrained — an untrained surrogate
+    /// prices exactly like `analytic`. A `--connect` server owns its own
+    /// store, so only the local engine checks this.
+    fn untrained_surrogate(&self) -> Option<&'static str> {
+        (self.backend == BackendKind::Surrogate
+            && self.refine_top_k == 0
+            && self.surrogate_store.is_none())
+        .then_some(
+            "--backend surrogate without --refine-top-k, --adaptive or --surrogate-store \
+             is degenerate: nothing trains the surrogate screen, so it prices exactly like \
+             --backend analytic; stage it with --refine-top-k K or --adaptive, or restore \
+             a trained one with --surrogate-store FILE",
+        )
     }
 
     /// The one code path mapping the configuration onto co-design
@@ -480,6 +504,30 @@ mod tests {
         for k in IntrinsicKind::ALL {
             assert_eq!(accel_64pe(k).pes(), 64, "{k}");
         }
+    }
+
+    #[test]
+    fn untrained_surrogate_screen_is_rejected() {
+        let mut cfg = Config::at(Scale::Quick);
+        assert_eq!(cfg.untrained_surrogate(), None, "analytic screen");
+        cfg.backend = BackendKind::Surrogate;
+        let msg = cfg
+            .untrained_surrogate()
+            .expect("untrained, unstaged surrogate");
+        for flag in ["--refine-top-k", "--adaptive", "--surrogate-store"] {
+            assert!(msg.contains(flag), "{msg}");
+        }
+        // Staging trains it; a restored store arrives trained.
+        let staged = Config {
+            refine_top_k: 2,
+            ..cfg.clone()
+        };
+        assert_eq!(staged.untrained_surrogate(), None);
+        let restored = Config {
+            surrogate_store: Some("s.bin".into()),
+            ..cfg
+        };
+        assert_eq!(restored.untrained_surrogate(), None);
     }
 
     #[test]

@@ -456,8 +456,10 @@ fn execute_inner(
     });
 
     // Step 1: enumerate the tensorize-choice space (reported per
-    // workload; the explorer re-derives its own choices per accelerator,
-    // so this is observability-only and skipped when nobody listens).
+    // workload). Each explorer matches every (workload, intrinsic kind)
+    // once on first use and reuses the choices for every accelerator it
+    // prices, so this enumeration is observability-only and skipped when
+    // nobody listens.
     if ctx.events.is_enabled() {
         let partition_span = ctx.telemetry.span("job/partition");
         for part in partition_app(&input.app, &IntrinsicKind::ALL, 64) {
@@ -687,8 +689,10 @@ fn finalize_solution(
         let optimized = tier
             .time(|| explorer.optimize(w, &cfg, &opts.sw_final))
             .map_err(|e| HascoError::Software(format!("{}: {e}", w.name)))?;
-        let intr = cfg.intrinsic_comp();
-        let ctx = sw_opt::schedule::ScheduleContext::new(w, &intr)
+        // The exploration just matched this workload, so this is a
+        // memo hit, not a second matcher run.
+        let ctx = explorer
+            .context(w, &cfg)
             .map_err(|e| HascoError::Software(e.to_string()))?;
         let program = sw_opt::codegen::render(&optimized.schedule, &ctx);
         Ok((

@@ -341,8 +341,10 @@ impl<'a> HwProblem<'a> {
     }
 
     /// Screens every candidate evaluation through the given cost backend.
+    /// The screen explorer is kept (with its untrained Q-learner); only
+    /// its backend and the memo-key bases change.
     pub fn with_backend(mut self, backend: Arc<dyn CostBackend>) -> Self {
-        self.screen = Tier::new(self.explorer(backend), &self.pairs);
+        self.screen = Tier::new(self.screen.explorer.with_backend(backend), &self.pairs);
         self
     }
 

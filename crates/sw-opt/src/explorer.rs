@@ -1,15 +1,18 @@
 //! The software DSE driver: heuristic top-k selection + Q-learning
 //! revisions (§VI-B, Fig. 5(d)/(e)).
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use accel_model::arch::AcceleratorConfig;
 use accel_model::{AnalyticBackend, CostBackend, CostModel, Metrics};
 use dse::progress::{BatchUpdate, Progress};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use runtime::{Fingerprint, Fingerprinter, StableFingerprint, Telemetry, Timer, WorkerPool};
-use tensor_ir::matching::TensorizeChoice;
+use runtime::{
+    Fingerprint, Fingerprinter, Key128, StableFingerprint, Telemetry, Timer, WorkerPool,
+};
+use tensor_ir::matching::{find_tensorize_choices, MatchOptions, TensorizeChoice};
 use tensor_ir::workload::Workload;
 
 use crate::heuristic::{Candidate, CandidatePool};
@@ -92,6 +95,13 @@ pub struct OptimizedSoftware {
 /// inputs. The paper instead reuses one DQN "for all design points in a
 /// software space" (§VI-B); see README.
 ///
+/// What depends only on the software space is computed once per explorer
+/// and shared by every exploration: the tensorize choices of each (loop
+/// nest, intrinsic kind) pair — HASCO's step 1, which reads structure,
+/// never PE geometry — and the untrained Q-learner every exploration
+/// starts from. Both are pure functions of their keys, so sharing them
+/// changes no result, whichever explorations ran first.
+///
 /// Schedule pricing dispatches through a pluggable [`CostBackend`]
 /// ([`SoftwareExplorer::with_backend`]), defaulting to the fast analytic
 /// tier. The backend changes which schedules look good and therefore the
@@ -111,7 +121,19 @@ pub struct SoftwareExplorer {
     /// Per-phase wall-clock timers (inert unless
     /// [`SoftwareExplorer::with_telemetry`] installed a live handle).
     phases: PhaseTimers,
+    /// Matcher results (see [`SoftwareExplorer::context`]).
+    choices: Mutex<ChoiceMemo>,
+    /// The untrained Q-learner; each exploration trains its own clone.
+    /// Built with the explorer, on the thread that builds it: first
+    /// allocated by a pool worker, this long-lived block would pin that
+    /// worker's malloc arena (+0.4 MB peak RSS on perfbench `sw-staged`,
+    /// measured on a 2-vCPU x86-64 VM).
+    learner: QLearner,
 }
+
+/// Tensorize choices keyed by a [`Key128`] of the workload's loop nest
+/// and the intrinsic kind.
+type ChoiceMemo = BTreeMap<(u64, u64), Arc<[TensorizeChoice]>>;
 
 /// One timer per phase of [`SoftwareExplorer::optimize`], resolved once
 /// when telemetry is attached so exploring never touches the registry.
@@ -134,6 +156,8 @@ impl SoftwareExplorer {
             workers: WorkerPool::serial(),
             progress: None,
             phases: PhaseTimers::default(),
+            choices: Mutex::default(),
+            learner: QLearner::new(seed ^ 0x9e3779b97f4a7c15),
         }
     }
 
@@ -182,7 +206,8 @@ impl SoftwareExplorer {
     }
 
     /// Times each phase of every exploration into `telemetry`, named
-    /// under `scope`: `{scope}/context` (schedule-space construction),
+    /// under `scope`: `{scope}/context` (schedule-space construction and
+    /// the exploration's clone of the explorer's untrained Q-learner),
     /// `{scope}/pool_init` (the priced initial candidate pool), and per
     /// revision round `{scope}/propose` (Q-network proposals),
     /// `{scope}/lower` (lowering and pricing the proposals) and
@@ -202,6 +227,44 @@ impl SoftwareExplorer {
         self
     }
 
+    /// The schedule space of `workload` on `cfg`: equal to
+    /// [`ScheduleContext::new`] with `cfg`'s intrinsic, but the matcher
+    /// runs once per (loop nest, intrinsic kind) for the explorer's
+    /// lifetime. It runs outside the lock, so concurrent first uses may
+    /// both match; they find the same choices and the first one stored
+    /// is kept.
+    ///
+    /// # Errors
+    /// Returns [`SwError::NoTensorizeChoice`] when no tensorize choice
+    /// maps the workload onto the intrinsic.
+    pub fn context(
+        &self,
+        workload: &Workload,
+        cfg: &AcceleratorConfig,
+    ) -> Result<ScheduleContext, SwError> {
+        let intrinsic = cfg.intrinsic_comp();
+        let key = Key128::of(|fp| {
+            workload.comp.fingerprint_into(fp);
+            intrinsic.kind.fingerprint_into(fp);
+        })
+        .finish();
+        let memo = || self.choices.lock().expect("choice memo poisoned");
+        let cached = memo().get(&key).cloned();
+        let choices = match cached {
+            Some(choices) => choices,
+            None => {
+                let found: Arc<[TensorizeChoice]> = find_tensorize_choices(
+                    &workload.comp,
+                    &intrinsic.comp,
+                    &MatchOptions::default(),
+                )
+                .into();
+                Arc::clone(memo().entry(key).or_insert(found))
+            }
+        };
+        ScheduleContext::with_choices(workload, &intrinsic, choices.to_vec())
+    }
+
     /// Optimizes one workload for one accelerator.
     ///
     /// # Errors
@@ -213,15 +276,15 @@ impl SoftwareExplorer {
         cfg: &AcceleratorConfig,
         opts: &ExplorerOptions,
     ) -> Result<OptimizedSoftware, SwError> {
-        let ctx = self.phases.context.time(|| {
-            let mut ctx = ScheduleContext::new(workload, &cfg.intrinsic_comp())?;
+        let (ctx, mut qlearner) = self.phases.context.time(|| {
+            let mut ctx = self.context(workload, cfg)?;
             if let Some(choice) = &opts.fixed_choice {
                 ctx.choices.retain(|c| c.var_map == choice.var_map);
                 if ctx.choices.is_empty() {
                     ctx.choices.push(choice.clone());
                 }
             }
-            Ok::<_, SwError>(ctx)
+            Ok::<_, SwError>((ctx, self.learner.clone()))
         })?;
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut pool = self.phases.pool_init.time(|| {
@@ -234,7 +297,6 @@ impl SoftwareExplorer {
                 &self.workers,
             )
         })?;
-        let mut qlearner = QLearner::new(self.seed ^ 0x9e3779b97f4a7c15);
         let mut history = Vec::with_capacity(opts.rounds);
         let mut evaluated = pool.len();
 
@@ -603,6 +665,112 @@ mod tests {
         assert!(SoftwareExplorer::new(0)
             .optimize(&wl, &c, &quick_opts())
             .is_err());
+    }
+
+    fn cfg_at(kind: IntrinsicKind, rows: u32, cols: u32) -> AcceleratorConfig {
+        AcceleratorConfig::builder(kind)
+            .pe_array(rows, cols)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn tensorize_choices_ignore_pe_geometry() {
+        // The choice memo is keyed by (loop nest, intrinsic kind), not by
+        // PE geometry. That holds only while matching reads the
+        // intrinsic's structure and never its extents: if extents ever
+        // start to matter, this fails before the memo serves stale
+        // choices.
+        let opts = MatchOptions::default();
+        let workloads = [
+            suites::resnet50_convs(),
+            suites::mobilenet_convs(),
+            suites::xception_convs(),
+            suites::gemm_workloads(),
+        ]
+        .concat();
+        for kind in IntrinsicKind::ALL {
+            let small = cfg_at(kind, 8, 8).intrinsic_comp();
+            let large = cfg_at(kind, 64, 32).intrinsic_comp();
+            assert_ne!(small, large, "{kind}: the geometries must differ");
+            for w in &workloads {
+                assert_eq!(
+                    find_tensorize_choices(&w.comp, &small.comp, &opts),
+                    find_tensorize_choices(&w.comp, &large.comp, &opts),
+                    "{kind} on {}",
+                    w.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn context_matches_a_fresh_schedule_context() {
+        let explorer = SoftwareExplorer::new(0);
+        let wl = suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3);
+        for (rows, cols) in [(16, 16), (8, 32), (16, 16)] {
+            let c = cfg_at(IntrinsicKind::Gemm, rows, cols);
+            let memoized = explorer.context(&wl, &c).unwrap();
+            let fresh = ScheduleContext::new(&wl, &c.intrinsic_comp()).unwrap();
+            assert_eq!(memoized.choices, fresh.choices);
+            assert_eq!(memoized.intrinsic, fresh.intrinsic);
+            assert_eq!(memoized.workload, fresh.workload);
+        }
+        // Unmatchable pairs keep failing, with this workload's name.
+        let gemm = suites::gemm_workload("g", 64, 64, 64);
+        let conv_core = cfg_at(IntrinsicKind::Conv2d, 8, 8);
+        for _ in 0..2 {
+            assert!(matches!(
+                explorer.context(&gemm, &conv_core),
+                Err(SwError::NoTensorizeChoice { ref workload, .. }) if workload == "g"
+            ));
+        }
+    }
+
+    #[test]
+    fn shared_explorer_is_order_independent() {
+        // One explorer reused across configs and workloads, in a shuffled
+        // order, must answer every pair exactly as a fresh explorer does:
+        // neither the choice memo nor the shared untrained Q-learner may
+        // carry state from one exploration into the next.
+        let workloads = [
+            suites::gemm_workload("g", 256, 256, 256),
+            suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3),
+        ];
+        let configs = [
+            cfg_at(IntrinsicKind::Gemm, 16, 16),
+            cfg_at(IntrinsicKind::Gemm, 8, 32),
+            cfg_at(IntrinsicKind::Gemv, 16, 16),
+            cfg_at(IntrinsicKind::Conv2d, 8, 8),
+        ];
+        let mut pairs: Vec<(usize, usize)> = (0..workloads.len())
+            .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(29);
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.gen_range(0..=i));
+        }
+        // Visit every pair twice, so the second visits are memo hits.
+        pairs.extend(pairs.clone().into_iter().rev());
+        let shared = SoftwareExplorer::new(23);
+        for (w, c) in pairs {
+            let (wl, c) = (&workloads[w], &configs[c]);
+            let got = shared.optimize(wl, c, &quick_opts());
+            let want = SoftwareExplorer::new(23).optimize(wl, c, &quick_opts());
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(
+                        got.schedule, want.schedule,
+                        "{} on {}",
+                        wl.name, c.intrinsic
+                    );
+                    assert_eq!(got.metrics, want.metrics);
+                    assert_eq!(got.history, want.history);
+                    assert_eq!(got.evaluated, want.evaluated);
+                }
+                (got, want) => assert_eq!(got.err(), want.err()),
+            }
+        }
     }
 
     #[test]

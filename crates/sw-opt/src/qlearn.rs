@@ -6,8 +6,9 @@
 //! Q-value." A DQN — our from-scratch 4-layer [`crate::nn::Mlp`] — predicts
 //! Q-values from schedule features; a replay buffer smooths the updates.
 //! The paper reuses the network "for all design points in a software
-//! space". Here each exploration builds its own [`QLearner`], so a
-//! schedule's price never depends on which explorations ran before it.
+//! space". Here each exploration trains its own clone of one untrained
+//! [`QLearner`], so a schedule's price never depends on which
+//! explorations ran before it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +26,7 @@ struct Transition {
 }
 
 /// DQN-based revision policy.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QLearner {
     net: Mlp,
     /// Activation and gradient buffers reused by every forward pass and
@@ -68,17 +69,23 @@ impl QLearner {
 
     /// Picks a revision for `sched`: the applicable action with the highest
     /// Q-value (ε-greedy), returning the revised schedule and the action id.
+    /// Only the picked revision is built.
     pub fn propose(
         &mut self,
         sched: &Schedule,
         ctx: &ScheduleContext,
     ) -> Option<(Schedule, usize)> {
-        // Applicable actions with their revised schedules.
-        let mut applicable: Vec<(usize, Schedule)> = Vec::new();
-        for a in 0..NUM_REVISIONS {
-            if let Some(s) = Revision::from_action(a).apply(sched, ctx, &mut self.rng) {
-                applicable.push((a, s));
-            }
+        // Every action but the last is masked without drawing. The last,
+        // `SwitchChoice`, draws its fresh tiles when built, so it is built
+        // here, before the ε draw and the pick: the RNG stream, and with
+        // it every pinned trajectory, depends on that order.
+        const SWITCH: usize = NUM_REVISIONS - 1;
+        let mut applicable: Vec<usize> = (0..SWITCH)
+            .filter(|&a| Revision::from_action(a).applies(sched, ctx))
+            .collect();
+        let switched = Revision::from_action(SWITCH).apply(sched, ctx, &mut self.rng);
+        if switched.is_some() {
+            applicable.push(SWITCH);
         }
         if applicable.is_empty() {
             return None;
@@ -92,13 +99,17 @@ impl QLearner {
             applicable
                 .iter()
                 .enumerate()
-                .max_by(|(_, (a1, _)), (_, (a2, _))| {
-                    q[*a1].partial_cmp(&q[*a2]).expect("finite Q-values")
-                })
+                .max_by(|(_, &a1), (_, &a2)| q[a1].partial_cmp(&q[a2]).expect("finite Q-values"))
                 .map(|(i, _)| i)
                 .expect("non-empty")
         };
-        let (action, revised) = applicable.swap_remove(pick);
+        let action = applicable[pick];
+        let revised = match switched {
+            Some(revised) if action == SWITCH => revised,
+            _ => Revision::from_action(action)
+                .apply(sched, ctx, &mut self.rng)
+                .expect("masked applicable"),
+        };
         Some((revised, action))
     }
 

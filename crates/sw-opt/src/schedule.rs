@@ -71,6 +71,22 @@ impl ScheduleContext {
     pub fn new(workload: &Workload, intrinsic: &Intrinsic) -> Result<Self, SwError> {
         let choices =
             find_tensorize_choices(&workload.comp, &intrinsic.comp, &MatchOptions::default());
+        ScheduleContext::with_choices(workload, intrinsic, choices)
+    }
+
+    /// Builds the context from tensorize choices the matcher already
+    /// found for this workload's loop nest against an intrinsic of the
+    /// same kind. Matching reads structure only, never extents, so the
+    /// choices hold at every PE geometry; [`ScheduleContext::new`] is
+    /// this plus the matcher run.
+    ///
+    /// # Errors
+    /// Returns [`SwError::NoTensorizeChoice`] when `choices` is empty.
+    pub(crate) fn with_choices(
+        workload: &Workload,
+        intrinsic: &Intrinsic,
+        choices: Vec<TensorizeChoice>,
+    ) -> Result<Self, SwError> {
         if choices.is_empty() {
             return Err(SwError::NoTensorizeChoice {
                 workload: workload.name.clone(),
@@ -305,64 +321,63 @@ impl Revision {
         }
     }
 
+    /// Whether the revision applies to `sched` (the action mask). Draws
+    /// nothing and builds nothing, so a policy can mask all actions
+    /// without cloning a schedule per action.
+    pub fn applies(&self, sched: &Schedule, ctx: &ScheduleContext) -> bool {
+        match *self {
+            Revision::GrowTile(d) => sched
+                .tiles
+                .iter()
+                .nth(d)
+                .is_some_and(|(&idx, &t)| t < ctx.workload.comp.index(idx).extent),
+            Revision::ShrinkTile(d) => sched
+                .tiles
+                .iter()
+                .nth(d)
+                .is_some_and(|(&idx, &t)| t > shrink_floor(sched, ctx, idx)),
+            Revision::SwapOrder(pos) => pos + 1 < sched.outer_order.len(),
+            Revision::IncFuse => sched.fuse_outer < sched.outer_order.len(),
+            Revision::DecFuse => sched.fuse_outer > 0,
+            Revision::SwitchChoice => ctx.choices.len() > 1,
+        }
+    }
+
     /// Applies the revision, returning the revised schedule, or `None` when
-    /// the action is inapplicable (used for action masking).
+    /// the action is inapplicable (see [`Revision::applies`]). Only
+    /// [`Revision::SwitchChoice`] draws from `rng`: it re-samples the
+    /// tiles for the next choice.
     pub fn apply<R: Rng + ?Sized>(
         &self,
         sched: &Schedule,
         ctx: &ScheduleContext,
         rng: &mut R,
     ) -> Option<Schedule> {
-        let mut s = sched.clone();
-        let tensorized: Vec<IndexId> = {
-            let mut v: Vec<IndexId> = s.tiles.keys().copied().collect();
-            v.sort();
-            v
+        if !self.applies(sched, ctx) {
+            return None;
+        }
+        // The d-th tensorized dimension is the d-th tile key (a BTreeMap
+        // iterates its keys in index order).
+        let nth_tile = |d: usize| {
+            let (&idx, &t) = sched.tiles.iter().nth(d).expect("applicable");
+            (idx, t)
         };
+        let mut s = sched.clone();
         match *self {
             Revision::GrowTile(d) => {
-                let idx = *tensorized.get(d)?;
+                let (idx, t) = nth_tile(d);
                 let ext = ctx.workload.comp.index(idx).extent;
-                let t = s.tiles[&idx];
-                if t >= ext {
-                    return None;
-                }
                 s.tiles.insert(idx, (t * 2).min(ext));
             }
             Revision::ShrinkTile(d) => {
-                let idx = *tensorized.get(d)?;
-                let floor = ctx
-                    .intrinsic_extent(&s.choice, idx)
-                    .min(ctx.workload.comp.index(idx).extent)
-                    .max(1);
-                let t = s.tiles[&idx];
-                if t <= floor {
-                    return None;
-                }
-                s.tiles.insert(idx, (t / 2).max(floor));
+                let (idx, t) = nth_tile(d);
+                s.tiles
+                    .insert(idx, (t / 2).max(shrink_floor(sched, ctx, idx)));
             }
-            Revision::SwapOrder(pos) => {
-                if pos + 1 >= s.outer_order.len() {
-                    return None;
-                }
-                s.outer_order.swap(pos, pos + 1);
-            }
-            Revision::IncFuse => {
-                if s.fuse_outer >= s.outer_order.len() {
-                    return None;
-                }
-                s.fuse_outer += 1;
-            }
-            Revision::DecFuse => {
-                if s.fuse_outer == 0 {
-                    return None;
-                }
-                s.fuse_outer -= 1;
-            }
+            Revision::SwapOrder(pos) => s.outer_order.swap(pos, pos + 1),
+            Revision::IncFuse => s.fuse_outer += 1,
+            Revision::DecFuse => s.fuse_outer -= 1,
             Revision::SwitchChoice => {
-                if ctx.choices.len() <= 1 {
-                    return None;
-                }
                 let cur = ctx
                     .choices
                     .iter()
@@ -370,7 +385,7 @@ impl Revision {
                     .unwrap_or(0);
                 let next = ctx.choices[(cur + 1) % ctx.choices.len()].clone();
                 let mut fresh = ctx.random_schedule_for(&next, rng);
-                fresh.outer_order = s.outer_order.clone();
+                fresh.outer_order = s.outer_order;
                 fresh.fuse_outer = s.fuse_outer;
                 s = fresh;
             }
@@ -379,9 +394,18 @@ impl Revision {
     }
 }
 
+/// The smallest tile [`Revision::ShrinkTile`] leaves on a tensorized loop:
+/// the intrinsic extent, capped by the loop extent.
+fn shrink_floor(sched: &Schedule, ctx: &ScheduleContext, idx: IndexId) -> u64 {
+    ctx.intrinsic_extent(&sched.choice, idx)
+        .min(ctx.workload.comp.index(idx).extent)
+        .max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tensor_ir::intrinsics::gemm_intrinsic;
@@ -511,6 +535,72 @@ mod tests {
             let switched = Revision::SwitchChoice.apply(&s, &c, &mut rng).unwrap();
             assert_ne!(switched.choice.var_map, s.choice.var_map);
             assert!(switched.validate(&c).is_ok());
+        }
+    }
+
+    /// Schedule spaces with different choice counts, and loop extents
+    /// both multiples and non-multiples of the intrinsic's.
+    fn contexts() -> Vec<ScheduleContext> {
+        use tensor_ir::intrinsics::conv2d_intrinsic;
+        let conv = suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3);
+        vec![
+            ctx(),
+            ScheduleContext::new(
+                &suites::gemm_workload("odd", 100, 60, 36),
+                &gemm_intrinsic(16, 16, 16),
+            )
+            .unwrap(),
+            ScheduleContext::new(&conv, &gemm_intrinsic(16, 128, 16)).unwrap(),
+            ScheduleContext::new(&conv, &conv2d_intrinsic(8, 8, 3, 3)).unwrap(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn applies_agrees_with_apply_and_masking_draws_nothing(
+            which in 0usize..4,
+            seed in any::<u64>(),
+            edges in prop::collection::vec(0usize..4, 8),
+            fuse in 0usize..8,
+        ) {
+            let c = &contexts()[which];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut s = c.random_schedule(&mut rng);
+            // Push tiles onto the boundaries the masks test: the shrink
+            // floor, the loop extent, or one past the floor.
+            let keys: Vec<IndexId> = s.tiles.keys().copied().collect();
+            for (idx, edge) in keys.into_iter().zip(edges) {
+                let ext = c.workload.comp.index(idx).extent;
+                let floor = shrink_floor(&s, c, idx);
+                match edge {
+                    0 => { s.tiles.insert(idx, floor); }
+                    1 => { s.tiles.insert(idx, ext); }
+                    2 => { s.tiles.insert(idx, (floor + 1).min(ext)); }
+                    _ => {}
+                }
+            }
+            s.fuse_outer = fuse.min(s.outer_order.len());
+            for a in 0..NUM_REVISIONS {
+                let revision = Revision::from_action(a);
+                let before = rng.clone();
+                let applied = revision.apply(&s, c, &mut rng);
+                prop_assert_eq!(revision.applies(&s, c), applied.is_some(), "{:?}", revision);
+                if let Some(revised) = &applied {
+                    prop_assert!(revised.validate(c).is_ok(), "{:?}", revision);
+                }
+                if revision != Revision::SwitchChoice {
+                    // A mask that admits a no-op (a tile already at its
+                    // bound) wastes a proposal on an unchanged schedule.
+                    prop_assert!(applied.as_ref() != Some(&s), "{:?} is a no-op", revision);
+                    // `QLearner::propose` builds the picked revision after
+                    // its own draws; that keeps the RNG stream only if
+                    // these actions never draw.
+                    prop_assert_eq!(before.clone().gen::<u64>(), rng.clone().gen::<u64>());
+                }
+                rng = before;
+            }
         }
     }
 

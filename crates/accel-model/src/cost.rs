@@ -81,33 +81,64 @@ impl CostModel {
         }
     }
 
-    /// Compute-engine cycles for a plan.
-    pub fn compute_cycles(&self, cfg: &AcceleratorConfig, plan: &ExecutionPlan) -> f64 {
-        let stream =
-            plan.macs_padded as f64 / (cfg.pes() as f64 * self.stream_efficiency(cfg)).max(1e-9);
-        stream + plan.intrinsic_calls as f64 * self.call_overhead_cycles(cfg)
+    /// Compute-engine cycles of `calls` intrinsic calls executing `macs`
+    /// MACs: streaming cycles plus per-call fill/drain.
+    pub(crate) fn calls_cycles(&self, cfg: &AcceleratorConfig, calls: u64, macs: u64) -> f64 {
+        let stream = macs as f64 / (cfg.pes() as f64 * self.stream_efficiency(cfg)).max(1e-9);
+        stream + calls as f64 * self.call_overhead_cycles(cfg)
     }
 
-    /// Scratchpad-engine cycles (PE-side traffic through the banks; the
-    /// share served by local memories does not occupy bank bandwidth).
-    pub fn spad_cycles(&self, cfg: &AcceleratorConfig, plan: &ExecutionPlan) -> f64 {
+    /// Scratchpad-engine cycles of `bytes` of PE-side traffic through the
+    /// banks (the share served by local memories does not occupy bank
+    /// bandwidth).
+    pub(crate) fn spad_bytes_cycles(&self, cfg: &AcceleratorConfig, bytes: u64) -> f64 {
         let local = energy::local_service_fraction(cfg);
-        plan.spad_traffic_bytes as f64 * (1.0 - local) / cfg.spad_bytes_per_cycle().max(1e-9)
+        bytes as f64 * (1.0 - local) / cfg.spad_bytes_per_cycle().max(1e-9)
+    }
+
+    /// DMA cycles of one transfer of `bytes` in `run`-byte contiguous runs:
+    /// one descriptor setup per run plus wire time. Runs shorter than the
+    /// configured burst still pay a full setup, longer runs amortize it
+    /// across `run / burst` back-to-back beats at ~no extra cost.
+    pub(crate) fn dma_transfer_cycles(&self, cfg: &AcceleratorConfig, bytes: u64, run: u64) -> f64 {
+        let run = run.max(1).max(cfg.dma_burst_bytes.min(8));
+        let setups = (bytes as f64 / run as f64).ceil();
+        setups * self.tech.burst_overhead_cycles + bytes as f64 / cfg.bus_bytes_per_cycle()
     }
 
     /// DMA-engine cycles: Σ per tensor of burst setups + wire time.
     pub fn dma_cycles(&self, cfg: &AcceleratorConfig, plan: &ExecutionPlan) -> f64 {
         let mut cycles = 0.0;
         for t in plan.dram_reads.iter().chain(plan.dram_writes.iter()) {
-            // One descriptor setup per contiguous run; runs shorter than the
-            // configured burst still pay a full setup, longer runs amortize
-            // it across `run / burst` back-to-back beats at ~no extra cost.
-            let run = t.avg_contiguous_run.max(1).max(cfg.dma_burst_bytes.min(8));
-            let setups = (t.bytes as f64 / run as f64).ceil();
-            cycles += setups * self.tech.burst_overhead_cycles
-                + t.bytes as f64 / cfg.bus_bytes_per_cycle();
+            cycles += self.dma_transfer_cycles(cfg, t.bytes, t.avg_contiguous_run);
         }
         cycles
+    }
+
+    /// On-chip cycles of `calls` intrinsic calls executing `macs` MACs
+    /// over `spad_bytes` of scratchpad traffic: the PE array and the
+    /// scratchpad ports work in parallel, so the slower one bounds them.
+    pub(crate) fn onchip_cycles(
+        &self,
+        cfg: &AcceleratorConfig,
+        calls: u64,
+        macs: u64,
+        spad_bytes: u64,
+    ) -> f64 {
+        let compute = self.calls_cycles(cfg, calls, macs);
+        compute.max(self.spad_bytes_cycles(cfg, spad_bytes))
+    }
+
+    /// The two engines a plan's latency overlaps: on-chip cycles and DMA
+    /// cycles.
+    pub(crate) fn engine_cycles(
+        &self,
+        cfg: &AcceleratorConfig,
+        plan: &ExecutionPlan,
+    ) -> (f64, f64) {
+        let calls = plan.intrinsic_calls;
+        let onchip = self.onchip_cycles(cfg, calls, plan.macs_padded, plan.spad_traffic_bytes);
+        (onchip, self.dma_cycles(cfg, plan))
     }
 
     /// Serial data-rearrangement cycles (round trip through the bus plus a
@@ -125,10 +156,7 @@ impl CostModel {
 
     /// Total latency in cycles.
     pub fn latency_cycles(&self, cfg: &AcceleratorConfig, plan: &ExecutionPlan) -> f64 {
-        let compute = self.compute_cycles(cfg, plan);
-        let spad = self.spad_cycles(cfg, plan);
-        let dma = self.dma_cycles(cfg, plan);
-        let onchip = compute.max(spad);
+        let (onchip, dma) = self.engine_cycles(cfg, plan);
         let overlapped = if plan.double_buffered {
             // The slower engine hides the faster, modulo a per-stage
             // imbalance tax and a one-stage prologue.
@@ -243,8 +271,8 @@ mod tests {
         one.banks = 1;
         let mut eight = cfg(16, 16);
         eight.banks = 8;
-        let p = traffic_plan();
-        assert!(m.spad_cycles(&eight, &p) < m.spad_cycles(&one, &p));
+        let bytes = traffic_plan().spad_traffic_bytes;
+        assert!(m.spad_bytes_cycles(&eight, bytes) < m.spad_bytes_cycles(&one, bytes));
     }
 
     #[test]

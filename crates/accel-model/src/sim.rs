@@ -6,11 +6,16 @@
 //! scratchpad ports). With double buffering, the loads of stage *i + 1*
 //! overlap the compute of stage *i* but must wait for the buffer freed by
 //! stage *i − 1* — the classic two-buffer recurrence.
+//!
+//! The simulator prices each instruction with the analytic model's own
+//! per-engine formulas ([`CostModel`]'s DMA-transfer, compute and
+//! scratchpad cycles), so it differs from the analytic tier only in how
+//! stages overlap, never in what one engine costs.
 
 use crate::arch::AcceleratorConfig;
 use crate::cost::CostModel;
 use crate::isa::{Instr, Program};
-use crate::plan::ExecutionPlan;
+use crate::plan::{ExecutionPlan, TensorTraffic};
 
 /// Cycle-accounting trace simulator.
 #[derive(Debug, Clone, Default)]
@@ -19,24 +24,58 @@ pub struct TraceSimulator {
     pub model: CostModel,
 }
 
-/// Per-stage timing produced by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageTiming {
-    /// Cycle at which the stage's input DMA completed.
-    pub load_done: f64,
-    /// Cycle at which the stage's compute completed.
-    pub compute_done: f64,
-    /// Cycle at which the stage's output DMA completed.
-    pub store_done: f64,
+/// The two-buffer pipeline recurrence over rolling scalars: each
+/// [`Pipeline::push`] schedules one stage's load, compute and store
+/// behind the stages pushed before it.
+#[derive(Debug, Default)]
+struct Pipeline {
+    double_buffered: bool,
+    /// Completion cycles of the last stage's load, compute and store.
+    load_done: f64,
+    compute_done: f64,
+    store_done: f64,
+    /// Compute completion of the stage before the last.
+    prev_compute_done: f64,
+    /// Latest completion of any stage.
+    end: f64,
+    /// Total DMA work pushed so far.
+    total_dma: f64,
 }
 
-/// Simulation result: end-to-end cycles plus per-stage detail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimResult {
-    /// Total cycles.
-    pub cycles: f64,
-    /// Per-stage timings.
-    pub stages: Vec<StageTiming>,
+impl Pipeline {
+    fn new(double_buffered: bool) -> Self {
+        Pipeline {
+            double_buffered,
+            ..Pipeline::default()
+        }
+    }
+
+    fn push(&mut self, load: f64, compute: f64, store: f64) {
+        // With double buffering a stage's load waits for the buffer freed
+        // by the compute two stages back, and the DMA queue lets it bypass
+        // pending stores; without it, the engine drains in order and the
+        // one buffer frees when the previous store completes.
+        let (dma_free, buffer_free) = if self.double_buffered {
+            (self.load_done, self.prev_compute_done)
+        } else {
+            (self.store_done, self.store_done)
+        };
+        let load_done = dma_free.max(buffer_free) + load;
+        let compute_done = load_done.max(self.compute_done) + compute;
+        let store_done = compute_done.max(load_done.max(dma_free)) + store;
+        self.prev_compute_done = self.compute_done;
+        self.load_done = load_done;
+        self.compute_done = compute_done;
+        self.store_done = store_done;
+        self.end = self.end.max(store_done.max(compute_done));
+        self.total_dma += load + store;
+    }
+
+    /// End-to-end cycles. A single DMA engine ultimately serves both
+    /// directions, so the end time can never beat the total DMA work.
+    fn cycles(&self) -> f64 {
+        self.end.max(self.total_dma).max(1.0)
+    }
 }
 
 impl TraceSimulator {
@@ -45,41 +84,13 @@ impl TraceSimulator {
         TraceSimulator { model }
     }
 
-    fn dma_cycles_for(&self, cfg: &AcceleratorConfig, bytes: u64, run: u64) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        let run = run.max(1).max(cfg.dma_burst_bytes.min(8));
-        let setups = (bytes as f64 / run as f64).ceil();
-        setups * self.model.tech.burst_overhead_cycles + bytes as f64 / cfg.bus_bytes_per_cycle()
-    }
-
-    fn compute_cycles_for(&self, cfg: &AcceleratorConfig, calls: u64, macs: u64, spad: u64) -> f64 {
-        let stream = macs as f64 / (cfg.pes() as f64 * self.model.stream_efficiency(cfg)).max(1e-9);
-        let compute = stream + calls as f64 * self.model.call_overhead_cycles(cfg);
-        let local = crate::energy::local_service_fraction(cfg);
-        let spad_cy = spad as f64 * (1.0 - local) / cfg.spad_bytes_per_cycle().max(1e-9);
-        compute.max(spad_cy)
-    }
-
-    /// Runs a program. `double_buffered` controls whether next-stage loads
-    /// may overlap current-stage compute (the lowering decides this from
-    /// scratchpad capacity).
-    pub fn run(
-        &self,
-        cfg: &AcceleratorConfig,
-        program: &Program,
-        double_buffered: bool,
-    ) -> SimResult {
-        // Split into stages.
-        #[derive(Default)]
-        struct Stage {
-            load: f64,
-            compute: f64,
-            store: f64,
-        }
-        let mut stages: Vec<Stage> = Vec::new();
-        let mut cur = Stage::default();
+    /// Runs a program and returns its total cycles, one pipeline stage per
+    /// barrier-separated group of instructions. `double_buffered` controls
+    /// whether next-stage loads may overlap current-stage compute (the
+    /// lowering decides this from scratchpad capacity).
+    pub fn run(&self, cfg: &AcceleratorConfig, program: &Program, double_buffered: bool) -> f64 {
+        let mut pipeline = Pipeline::new(double_buffered);
+        let (mut load, mut compute, mut store) = (0.0, 0.0, 0.0);
         let mut has_work = false;
         for instr in &program.instrs {
             match instr {
@@ -87,107 +98,48 @@ impl TraceSimulator {
                     bytes,
                     contiguous_run,
                     ..
-                } => {
-                    cur.load += self.dma_cycles_for(cfg, *bytes, *contiguous_run);
-                    has_work = true;
-                }
+                } => load += self.model.dma_transfer_cycles(cfg, *bytes, *contiguous_run),
                 Instr::Store {
                     bytes,
                     contiguous_run,
                     ..
-                } => {
-                    cur.store += self.dma_cycles_for(cfg, *bytes, *contiguous_run);
-                    has_work = true;
-                }
+                } => store += self.model.dma_transfer_cycles(cfg, *bytes, *contiguous_run),
                 Instr::Compute {
                     calls,
                     macs,
                     spad_bytes,
-                } => {
-                    cur.compute += self.compute_cycles_for(cfg, *calls, *macs, *spad_bytes);
-                    has_work = true;
-                }
+                } => compute += self.model.onchip_cycles(cfg, *calls, *macs, *spad_bytes),
                 Instr::Barrier => {
                     if has_work {
-                        stages.push(std::mem::take(&mut cur));
+                        pipeline.push(load, compute, store);
+                        (load, compute, store) = (0.0, 0.0, 0.0);
                         has_work = false;
                     }
+                    continue;
                 }
             }
+            has_work = true;
         }
         if has_work {
-            stages.push(cur);
+            pipeline.push(load, compute, store);
         }
-
-        // Two-buffer pipeline recurrence.
-        let mut timings: Vec<StageTiming> = Vec::with_capacity(stages.len());
-        let mut dma_free = 0.0f64; // DMA engine availability
-        for (i, s) in stages.iter().enumerate() {
-            let buffer_free = if double_buffered {
-                if i >= 2 {
-                    timings[i - 2].compute_done
-                } else {
-                    0.0
-                }
-            } else if i >= 1 {
-                timings[i - 1].store_done
-            } else {
-                0.0
-            };
-            let load_start = dma_free.max(buffer_free);
-            let load_done = load_start + s.load;
-            let prev_compute = if i >= 1 {
-                timings[i - 1].compute_done
-            } else {
-                0.0
-            };
-            let compute_done = load_done.max(prev_compute) + s.compute;
-            let store_start = compute_done.max(load_done.max(dma_free));
-            let store_done = store_start + s.store;
-            // With double buffering the DMA queue lets next-stage loads
-            // bypass pending stores; without it, the engine drains in order.
-            dma_free = if double_buffered {
-                load_done
-            } else {
-                store_done
-            };
-            timings.push(StageTiming {
-                load_done,
-                compute_done,
-                store_done,
-            });
-        }
-        // A single DMA engine ultimately serves both directions, so the end
-        // time can never beat the total DMA work.
-        let total_dma: f64 = stages.iter().map(|s| s.load + s.store).sum();
-        let cycles = timings
-            .iter()
-            .map(|t| t.store_done.max(t.compute_done))
-            .fold(0.0, f64::max)
-            .max(total_dma)
-            .max(1.0);
-        SimResult {
-            cycles,
-            stages: timings,
-        }
+        pipeline.cycles()
     }
 
     /// Streams a plan's staged lowering straight through the two-buffer
     /// pipeline recurrence, returning total cycles — **bit-identical** to
-    /// `self.run(cfg, &program_from_plan(plan, max_stages), plan.double_buffered).cycles`
+    /// `self.run(cfg, &program_from_plan(plan, max_stages), plan.double_buffered)`
     /// but allocation-free: no [`Program`] (with its per-instruction
-    /// tensor-name strings), no stage vector, no timing vector. This is
-    /// the cost-backend hot path — a staged refinement batch prices
-    /// hundreds of `(config, plan)` pairs, and re-lowering each pair
-    /// dominated the profile.
+    /// tensor-name strings) is built. This is the cost-backend hot path —
+    /// a staged refinement batch prices hundreds of `(config, plan)`
+    /// pairs, and re-lowering each pair dominated the profile.
     ///
-    /// The recurrence carries only rolling scalars; per stage it
-    /// reproduces the lowering's exact instruction emission (same integer
-    /// splits, same "emit iff non-zero" predicate, same accumulation
-    /// order), so every floating-point operation happens in the same
-    /// order as the materialized path. A stage whose splits are all zero
-    /// emits nothing in the lowering, forms no stage, and here advances
-    /// neither the recurrence index nor the DMA clock.
+    /// Per stage it reproduces the lowering's exact instruction emission
+    /// (same integer splits, same "emit iff non-zero" predicate, same
+    /// accumulation order), so every floating-point operation happens in
+    /// the same order as the materialized path. A stage whose splits are
+    /// all zero emits nothing in the lowering, forms no stage, and here
+    /// is not pushed.
     pub fn run_plan_cycles(
         &self,
         cfg: &AcceleratorConfig,
@@ -195,80 +147,49 @@ impl TraceSimulator {
         max_stages: usize,
     ) -> f64 {
         let stages = plan.stages.clamp(1, max_stages.max(1) as u64);
-        // Same integer split as `program_from_plan`.
-        let split = |total: u64, i: u64| -> u64 {
-            let t = total as u128;
-            let s = stages as u128;
-            (t * (i as u128 + 1) / s - t * i as u128 / s) as u64
-        };
-        let double_buffered = plan.double_buffered;
-        let mut dma_free = 0.0f64;
-        let mut prev_compute = 0.0f64;
-        let mut prev2_compute = 0.0f64;
-        let mut prev_store = 0.0f64;
-        let mut emitted = 0usize;
-        let mut end_max = 0.0f64;
-        let mut total_dma = 0.0f64;
-        for i in 0..stages {
-            let mut load = 0.0f64;
-            let mut compute = 0.0f64;
-            let mut store = 0.0f64;
-            let mut has_work = false;
-            for t in &plan.dram_reads {
+        let split = |total: u64, i: u64| split(total, i, stages);
+        let mut pipeline = Pipeline::new(plan.double_buffered);
+        let transfers = |traffic: &[TensorTraffic], i: u64, has_work: &mut bool| {
+            let mut cycles = 0.0;
+            for t in traffic {
                 let bytes = split(t.bytes, i);
                 if bytes > 0 {
-                    load += self.dma_cycles_for(cfg, bytes, t.avg_contiguous_run);
-                    has_work = true;
+                    cycles += self
+                        .model
+                        .dma_transfer_cycles(cfg, bytes, t.avg_contiguous_run);
+                    *has_work = true;
                 }
             }
+            cycles
+        };
+        for i in 0..stages {
+            let mut has_work = false;
+            let load = transfers(&plan.dram_reads, i, &mut has_work);
             let macs = split(plan.macs_padded, i);
             let calls = split(plan.intrinsic_calls, i);
             let spad_bytes = split(plan.spad_traffic_bytes, i);
+            let mut compute = 0.0;
             if macs > 0 || calls > 0 || spad_bytes > 0 {
-                compute += self.compute_cycles_for(cfg, calls, macs, spad_bytes);
+                compute += self.model.onchip_cycles(cfg, calls, macs, spad_bytes);
                 has_work = true;
             }
-            for t in &plan.dram_writes {
-                let bytes = split(t.bytes, i);
-                if bytes > 0 {
-                    store += self.dma_cycles_for(cfg, bytes, t.avg_contiguous_run);
-                    has_work = true;
-                }
+            let store = transfers(&plan.dram_writes, i, &mut has_work);
+            if has_work {
+                pipeline.push(load, compute, store);
             }
-            if !has_work {
-                continue;
-            }
-            let buffer_free = if double_buffered {
-                if emitted >= 2 {
-                    prev2_compute
-                } else {
-                    0.0
-                }
-            } else if emitted >= 1 {
-                prev_store
-            } else {
-                0.0
-            };
-            let load_start = dma_free.max(buffer_free);
-            let load_done = load_start + load;
-            let pc = if emitted >= 1 { prev_compute } else { 0.0 };
-            let compute_done = load_done.max(pc) + compute;
-            let store_start = compute_done.max(load_done.max(dma_free));
-            let store_done = store_start + store;
-            dma_free = if double_buffered {
-                load_done
-            } else {
-                store_done
-            };
-            prev2_compute = prev_compute;
-            prev_compute = compute_done;
-            prev_store = store_done;
-            emitted += 1;
-            end_max = end_max.max(store_done.max(compute_done));
-            total_dma += load + store;
         }
-        end_max.max(total_dma).max(1.0)
+        pipeline.cycles()
     }
+}
+
+/// Stage `i`'s share of `total` split evenly over `stages` stages:
+/// `total * (i+1) / stages − total * i / stages`, in u128 to avoid
+/// overflow on byte counts that were built with saturating math. The
+/// shares sum to `total` exactly.
+fn split(total: u64, i: u64, stages: u64) -> u64 {
+    let t = total as u128;
+    let s = stages as u128;
+    (t * (i as u128 + 1) / s - t * i as u128 / s) as u64
 }
 
 /// Synthesizes a staged instruction stream from a plan — the materialized
@@ -283,13 +204,7 @@ impl TraceSimulator {
 /// latency estimate converges long before the cap matters.
 pub fn program_from_plan(plan: &ExecutionPlan, max_stages: usize) -> Program {
     let stages = plan.stages.clamp(1, max_stages.max(1) as u64);
-    // total * (i+1) / stages − total * i / stages, in u128 to avoid
-    // overflow on byte counts that were built with saturating math.
-    let split = |total: u64, i: u64| -> u64 {
-        let t = total as u128;
-        let s = stages as u128;
-        (t * (i as u128 + 1) / s - t * i as u128 / s) as u64
-    };
+    let split = |total: u64, i: u64| split(total, i, stages);
     let mut program = Program::new();
     for i in 0..stages {
         for t in &plan.dram_reads {
@@ -330,7 +245,7 @@ pub fn program_from_plan(plan: &ExecutionPlan, max_stages: usize) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::TensorTraffic;
+    use proptest::prelude::*;
     use tensor_ir::intrinsics::IntrinsicKind;
 
     fn cfg() -> AcceleratorConfig {
@@ -382,7 +297,7 @@ mod tests {
         let p = program(20, 32 * 1024, 16);
         let serial = sim.run(&cfg(), &p, false);
         let buffered = sim.run(&cfg(), &p, true);
-        assert!(buffered.cycles < serial.cycles);
+        assert!(buffered < serial);
     }
 
     #[test]
@@ -391,24 +306,30 @@ mod tests {
         let c = cfg();
         // DMA-heavy program: total ≈ total DMA time.
         let p = program(50, 256 * 1024, 1);
-        let r = sim.run(&c, &p, true);
-        let per_load =
-            sim.dma_cycles_for(&c, 256 * 1024, 64) + sim.dma_cycles_for(&c, 32 * 1024, 64);
-        assert!(r.cycles >= 50.0 * per_load * 0.9);
-        assert!(r.cycles <= 50.0 * per_load * 1.5);
+        let cycles = sim.run(&c, &p, true);
+        let per_load = sim.model.dma_transfer_cycles(&c, 256 * 1024, 64)
+            + sim.model.dma_transfer_cycles(&c, 32 * 1024, 64);
+        assert!(cycles >= 50.0 * per_load * 0.9);
+        assert!(cycles <= 50.0 * per_load * 1.5);
     }
 
     #[test]
     fn stage_timings_are_monotone() {
         let sim = TraceSimulator::default();
-        let r = sim.run(&cfg(), &program(10, 8192, 4), true);
-        assert_eq!(r.stages.len(), 10);
-        for w in r.stages.windows(2) {
-            assert!(w[1].compute_done >= w[0].compute_done);
-        }
-        for t in &r.stages {
-            assert!(t.compute_done >= t.load_done);
-            assert!(t.store_done >= t.compute_done);
+        let c = cfg();
+        let load = sim.model.dma_transfer_cycles(&c, 8192, 64);
+        let compute = sim.model.onchip_cycles(&c, 4, 4 * 4096, 8192);
+        let store = sim.model.dma_transfer_cycles(&c, 1024, 64);
+        for double_buffered in [false, true] {
+            let mut pipeline = Pipeline::new(double_buffered);
+            for _ in 0..10 {
+                let (compute_before, store_before) = (pipeline.compute_done, pipeline.store_done);
+                pipeline.push(load, compute, store);
+                assert!(pipeline.compute_done >= compute_before);
+                assert!(pipeline.store_done >= store_before);
+                assert!(pipeline.compute_done >= pipeline.load_done);
+                assert!(pipeline.store_done >= pipeline.compute_done);
+            }
         }
     }
 
@@ -417,7 +338,7 @@ mod tests {
         let sim = TraceSimulator::default();
         let c = cfg();
         let p = program(30, 64 * 1024, 32);
-        let traced = sim.run(&c, &p, true).cycles;
+        let traced = sim.run(&c, &p, true);
         let analytical = sim.model.latency_cycles(&c, &plan(30, 64 * 1024, 32));
         let ratio = traced / analytical;
         assert!((0.5..2.0).contains(&ratio), "ratio = {ratio}");
@@ -426,9 +347,7 @@ mod tests {
     #[test]
     fn empty_program_costs_one_cycle() {
         let sim = TraceSimulator::default();
-        let r = sim.run(&cfg(), &Program::new(), true);
-        assert_eq!(r.cycles, 1.0);
-        assert!(r.stages.is_empty());
+        assert_eq!(sim.run(&cfg(), &Program::new(), true), 1.0);
     }
 
     #[test]
@@ -453,7 +372,7 @@ mod tests {
 
     /// Pins the streamed recurrence against the materialized path at the
     /// bit level for one plan, at every buffering mode and stage cap.
-    fn assert_streaming_matches_program(plan: &ExecutionPlan) {
+    fn assert_streaming_matches_program(plan: &ExecutionPlan) -> Result<(), TestCaseError> {
         let sim = TraceSimulator::default();
         let c = cfg();
         for &double_buffered in &[false, true] {
@@ -461,20 +380,21 @@ mod tests {
                 let mut p = plan.clone();
                 p.double_buffered = double_buffered;
                 let program = program_from_plan(&p, cap);
-                let materialized = sim.run(&c, &program, double_buffered).cycles;
+                let materialized = sim.run(&c, &program, double_buffered);
                 let streamed = sim.run_plan_cycles(&c, &p, cap);
-                assert_eq!(
+                prop_assert_eq!(
                     streamed.to_bits(),
                     materialized.to_bits(),
                     "db={double_buffered} cap={cap}: {streamed} vs {materialized}"
                 );
             }
         }
+        Ok(())
     }
 
     #[test]
     fn run_plan_cycles_matches_materialized_program_bit_for_bit() {
-        assert_streaming_matches_program(&plan(20, 32 * 1024, 16));
+        assert_streaming_matches_program(&plan(20, 32 * 1024, 16)).unwrap();
     }
 
     #[test]
@@ -486,14 +406,14 @@ mod tests {
         plan.dram_reads.push(TensorTraffic::new("A", 5, 4));
         plan.dram_writes.push(TensorTraffic::new("C", 2, 4));
         plan.stages = 8;
-        assert_streaming_matches_program(&plan);
+        assert_streaming_matches_program(&plan).unwrap();
     }
 
     #[test]
     fn run_plan_cycles_matches_on_empty_plans() {
         let mut plan = ExecutionPlan::compute_only(0, 0, 0);
         plan.stages = 4;
-        assert_streaming_matches_program(&plan);
+        assert_streaming_matches_program(&plan).unwrap();
         let sim = TraceSimulator::default();
         assert_eq!(sim.run_plan_cycles(&cfg(), &plan, 64), 1.0);
     }
@@ -506,11 +426,48 @@ mod tests {
             .dram_writes
             .push(TensorTraffic::new("C", 1 << 20, 128));
         stores.stages = 12;
-        assert_streaming_matches_program(&stores);
+        assert_streaming_matches_program(&stores).unwrap();
         let mut loads = ExecutionPlan::compute_only(0, 0, 0);
         loads.dram_reads.push(TensorTraffic::new("A", 1 << 22, 64));
         loads.dram_reads.push(TensorTraffic::new("B", 977, 8));
         loads.stages = 5;
-        assert_streaming_matches_program(&loads);
+        assert_streaming_matches_program(&loads).unwrap();
+    }
+
+    /// A traffic or work total: often zero, sometimes smaller than the
+    /// stage count (sparse stages), sometimes large.
+    fn total() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 1u64..16, 1u64..1 << 30]
+    }
+
+    fn traffic(max: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
+        prop::collection::vec((total(), 1u64..8192), 0..max)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The streamed recurrence equals the materialized program bit for
+        /// bit on random plans: zero and non-zero traffic, zero stages,
+        /// stage counts above every cap, both buffering modes.
+        #[test]
+        fn run_plan_cycles_matches_program_oracle(
+            work in (total(), total(), total()),
+            reads in traffic(4),
+            writes in traffic(3),
+            stages in 0u64..200,
+        ) {
+            let (macs, calls, spad) = work;
+            let mut plan = ExecutionPlan::compute_only(macs, macs, calls);
+            plan.spad_traffic_bytes = spad;
+            for (i, &(bytes, run)) in reads.iter().enumerate() {
+                plan.dram_reads.push(TensorTraffic::new(format!("in{i}"), bytes, run));
+            }
+            for (i, &(bytes, run)) in writes.iter().enumerate() {
+                plan.dram_writes.push(TensorTraffic::new(format!("out{i}"), bytes, run));
+            }
+            plan.stages = stages;
+            assert_streaming_matches_program(&plan)?;
+        }
     }
 }

@@ -290,7 +290,7 @@ fn bench_sim(c: &mut Criterion) {
     c.bench_function("sim/eval_via_program", |b| {
         b.iter(|| {
             let program = program_from_plan(black_box(&plan), 64);
-            black_box(sim.run(&cfg, &program, plan.double_buffered).cycles)
+            black_box(sim.run(&cfg, &program, plan.double_buffered))
         })
     });
 }

@@ -111,7 +111,8 @@ impl Config {
     /// so the operator (and the CI smoke) can tell a restored run from a
     /// cold one. A local engine refuses (exit 2) a surrogate screen that
     /// nothing would train: `--backend surrogate` without
-    /// `--refine-top-k`, `--adaptive` or `--surrogate-store`.
+    /// `--refine-top-k` or `--adaptive`, unless `--surrogate-store`
+    /// restored a trained surrogate.
     pub fn engine(&self) -> EngineHandle {
         if let Some(addr) = &self.connect {
             match hasco_net::Client::connect(addr.as_str()) {
@@ -124,10 +125,6 @@ impl Config {
                     std::process::exit(2);
                 }
             }
-        }
-        if let Some(msg) = self.untrained_surrogate() {
-            eprintln!("{msg}");
-            std::process::exit(2);
         }
         let mut config = EngineConfig::default()
             .with_job_slots(2)
@@ -142,6 +139,12 @@ impl Config {
             config = config.with_surrogate_store(path);
         }
         let engine = Engine::new(config);
+        if let Some(msg) = self.untrained_surrogate(engine.restored_surrogate_generation()) {
+            // Exiting skips the engine's drop, so no untrained store is
+            // written for later runs to restore.
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
         if self.cache.is_some() || self.surrogate_store.is_some() {
             println!(
                 "[engine warm start: {} cache entries, {} surrogate backend(s), \
@@ -156,20 +159,23 @@ impl Config {
 
     /// Why a local engine would silently run the analytic tier instead of
     /// the requested surrogate screen, if it would: with no staging
-    /// nothing refines, so the surrogate never trains, and with no
-    /// `--surrogate-store` it starts untrained — an untrained surrogate
-    /// prices exactly like `analytic`. A `--connect` server owns its own
-    /// store, so only the local engine checks this.
-    fn untrained_surrogate(&self) -> Option<&'static str> {
+    /// nothing refines, so the surrogate never trains, and unless the
+    /// store restored a trained one (`restored_generation` above 0) it
+    /// starts untrained — an untrained surrogate prices exactly like
+    /// `analytic`. A store path with no image yet, or an image of an
+    /// untrained surrogate, restores generation 0. A `--connect` server
+    /// owns its own store, so only the local engine checks this.
+    fn untrained_surrogate(&self, restored_generation: u64) -> Option<&'static str> {
         (self.backend == BackendKind::Surrogate
             && self.refine_top_k == 0
-            && self.surrogate_store.is_none())
-        .then_some(
-            "--backend surrogate without --refine-top-k, --adaptive or --surrogate-store \
-             is degenerate: nothing trains the surrogate screen, so it prices exactly like \
-             --backend analytic; stage it with --refine-top-k K or --adaptive, or restore \
-             a trained one with --surrogate-store FILE",
-        )
+            && restored_generation == 0)
+            .then_some(
+                "--backend surrogate without --refine-top-k or --adaptive is degenerate \
+                 unless --surrogate-store restores a trained surrogate: nothing trains the \
+                 surrogate screen, so it prices exactly like --backend analytic; stage it \
+                 with --refine-top-k K or --adaptive, or restore a trained one with \
+                 --surrogate-store FILE",
+            )
     }
 
     /// The one code path mapping the configuration onto co-design
@@ -509,25 +515,28 @@ mod tests {
     #[test]
     fn untrained_surrogate_screen_is_rejected() {
         let mut cfg = Config::at(Scale::Quick);
-        assert_eq!(cfg.untrained_surrogate(), None, "analytic screen");
+        assert_eq!(cfg.untrained_surrogate(0), None, "analytic screen");
         cfg.backend = BackendKind::Surrogate;
         let msg = cfg
-            .untrained_surrogate()
+            .untrained_surrogate(0)
             .expect("untrained, unstaged surrogate");
         for flag in ["--refine-top-k", "--adaptive", "--surrogate-store"] {
             assert!(msg.contains(flag), "{msg}");
         }
-        // Staging trains it; a restored store arrives trained.
+        // Staging trains it.
         let staged = Config {
             refine_top_k: 2,
             ..cfg.clone()
         };
-        assert_eq!(staged.untrained_surrogate(), None);
+        assert_eq!(staged.untrained_surrogate(0), None);
+        // A store passes only if it restored a trained surrogate: a path
+        // with no image yet, or an untrained image, restores generation 0.
         let restored = Config {
             surrogate_store: Some("s.bin".into()),
             ..cfg
         };
-        assert_eq!(restored.untrained_surrogate(), None);
+        assert!(restored.untrained_surrogate(0).is_some());
+        assert_eq!(restored.untrained_surrogate(3), None);
     }
 
     #[test]

@@ -32,14 +32,7 @@ pub struct Interface {
 /// invocations that share its tile (product of trip counts *inside* its
 /// reuse level).
 fn reload_period(sched: &Schedule, ctx: &ScheduleContext, access: &Access) -> u64 {
-    let level = sched
-        .outer_order
-        .iter()
-        .enumerate()
-        .filter(|(_, &idx)| access.uses(idx))
-        .map(|(pos, _)| pos)
-        .max();
-    match level {
+    match lowering::reuse_level(sched, access) {
         None => u64::MAX,
         Some(level) => sched.outer_order[level + 1..]
             .iter()
@@ -63,44 +56,19 @@ pub fn generate_program(
     let comp = &ctx.workload.comp;
     let dtype = cfg.dtype_bytes;
 
-    // Per-tensor tile bytes, contiguity, and reload periods.
+    // Per-tensor tile bytes, contiguity, and reload periods — the
+    // lowering's own tile analysis, so the stream moves what it prices.
     struct TensorInfo {
         name: String,
         bytes: u64,
         run: u64,
         period: u64,
     }
-    let info = |acc: &Access| -> TensorInfo {
-        let shape: Vec<u64> = acc
-            .dims
-            .iter()
-            .map(|d| {
-                let s: u64 = d.terms.iter().map(|t| sched.inner_extent(*t)).sum();
-                s + 1 - d.terms.len() as u64
-            })
-            .collect();
-        let bytes = shape.iter().product::<u64>() * dtype;
-        // Contiguity mirrors the lowering analysis: simple-subscript
-        // tensors are tile-packed; affine ones use the trailing-run rule.
-        let run = if acc.dims.iter().all(|d| d.is_simple()) {
-            bytes
-        } else {
-            let full = comp.tensor_shape(acc);
-            let mut run = 1u64;
-            for (i, (&f, &t)) in full.iter().zip(shape.iter()).enumerate().rev() {
-                run = run.saturating_mul(t);
-                if t < f || (i != full.len() - 1 && t != f) {
-                    break;
-                }
-            }
-            run * dtype
-        };
-        TensorInfo {
-            name: acc.tensor.clone(),
-            bytes,
-            run: run.max(dtype),
-            period: reload_period(sched, ctx, acc),
-        }
+    let info = |acc: &Access| TensorInfo {
+        name: acc.tensor.clone(),
+        bytes: lowering::subtensor_bytes(sched, acc, dtype),
+        run: lowering::contiguous_run(sched, ctx, acc, dtype),
+        period: reload_period(sched, ctx, acc),
     };
     let inputs: Vec<TensorInfo> = comp.inputs.iter().map(info).collect();
     let output = info(&comp.output);
@@ -243,9 +211,7 @@ mod tests {
         let (ctx, cfg, sched) = setup();
         let iface = generate_program(&sched, &ctx, &cfg, 10_000).unwrap();
         let sim = TraceSimulator::default();
-        let traced = sim
-            .run(&cfg, &iface.program, iface.lowered.plan.double_buffered)
-            .cycles;
+        let traced = sim.run(&cfg, &iface.program, iface.lowered.plan.double_buffered);
         let analytical = sim.model.latency_cycles(&cfg, &iface.lowered.plan);
         let ratio = traced / analytical;
         assert!((0.4..2.5).contains(&ratio), "ratio = {ratio}");

@@ -48,7 +48,8 @@ fn subtensor_shape(sched: &Schedule, access: &Access) -> Vec<u64> {
         .collect()
 }
 
-fn subtensor_bytes(sched: &Schedule, access: &Access, dtype: u64) -> u64 {
+/// Bytes of one invocation's sub-tensor tile of an access.
+pub(crate) fn subtensor_bytes(sched: &Schedule, access: &Access, dtype: u64) -> u64 {
     subtensor_shape(sched, access).iter().product::<u64>() * dtype
 }
 
@@ -60,7 +61,12 @@ fn subtensor_bytes(sched: &Schedule, access: &Access, dtype: u64) -> u64 {
 /// tile size. Tensors with affine-window subscripts (`x + r`) have
 /// overlapping tiles that cannot all be packed; they fall back to the
 /// row-major trailing-run analysis.
-fn contiguous_run(sched: &Schedule, ctx: &ScheduleContext, access: &Access, dtype: u64) -> u64 {
+pub(crate) fn contiguous_run(
+    sched: &Schedule,
+    ctx: &ScheduleContext,
+    access: &Access,
+    dtype: u64,
+) -> u64 {
     if access.dims.iter().all(AffineDim::is_simple) {
         return subtensor_bytes(sched, access, dtype).max(dtype);
     }
@@ -79,7 +85,7 @@ fn contiguous_run(sched: &Schedule, ctx: &ScheduleContext, access: &Access, dtyp
 
 /// Innermost outer-loop position that the access depends on, or `None` when
 /// the access uses no loops (scalar).
-fn reuse_level(sched: &Schedule, access: &Access) -> Option<usize> {
+pub(crate) fn reuse_level(sched: &Schedule, access: &Access) -> Option<usize> {
     sched
         .outer_order
         .iter()

@@ -38,9 +38,7 @@ fn schedule_lowers_generates_and_simulates_consistently() {
     let iface = interface::generate_program(&best.schedule, &ctx, &cfg, 50_000).unwrap();
     assert!(!iface.truncated);
     let sim = TraceSimulator::default();
-    let traced = sim
-        .run(&cfg, &iface.program, iface.lowered.plan.double_buffered)
-        .cycles;
+    let traced = sim.run(&cfg, &iface.program, iface.lowered.plan.double_buffered);
     let ratio = traced / best.metrics.latency_cycles;
     assert!((0.4..2.5).contains(&ratio), "sim/model ratio = {ratio}");
     // The instruction stream must carry exactly the plan's work.

@@ -23,15 +23,16 @@ use dse::Optimizer;
 use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
 use runtime::{resolve_threads, Telemetry, WorkerPool};
-use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
-use tensor_ir::intrinsics::IntrinsicKind;
+use sw_opt::explorer::{ChoiceMemo, ExplorerOptions, SoftwareExplorer};
+use sw_opt::schedule::ScheduleContext;
+use tensor_ir::intrinsics::{intrinsic_for, IntrinsicKind};
 
 use crate::engine::{CoDesignRequest, Engine, EngineConfig};
 use crate::event::{EventSink, RunEvent};
+use crate::finals::{Final, FinalsStore};
 use crate::input::{GenerationMethod, InputDescription};
-use crate::partition::partition_app;
 pub use crate::pricing::HwProblem;
-use crate::pricing::MemoEntry;
+use crate::pricing::{Computed, MemoEntry};
 use crate::report::RunStats;
 use crate::solution::{Solution, WorkloadSolution};
 use crate::tuning;
@@ -386,16 +387,41 @@ pub(crate) struct ExecCtx {
     /// evaluations through it instead of the local worker pool; results
     /// stay bit-identical either way.
     pub remote: Option<crate::remote::SharedPairEvaluator>,
+    /// The engine's tensorize-choice memo, shared by every explorer of
+    /// every job and by the partitioning events.
+    pub choices: Arc<ChoiceMemo>,
+    /// The engine's store of completed final explorations, read and
+    /// written live (see [`crate::finals`]).
+    pub finals: Arc<FinalsStore>,
+}
+
+impl ExecCtx {
+    /// A context with no engine behind it: no events, no warm state, no
+    /// telemetry, and its own choice memo and finals store.
+    fn quiet(opts: &CoDesignOptions) -> Self {
+        ExecCtx {
+            label: String::new(),
+            events: EventSink::disabled(),
+            cancel: Arc::new(AtomicBool::new(false)),
+            warm: Vec::new(),
+            screen_backend: None,
+            telemetry: Telemetry::disabled(),
+            remote: None,
+            choices: Arc::default(),
+            finals: Arc::new(FinalsStore::new(opts.cache_capacity)),
+        }
+    }
 }
 
 /// What one executed job hands back to the engine.
 pub(crate) struct ExecOutcome {
     /// The job's result.
     pub result: Result<Solution, HascoError>,
-    /// The job's memo entries — published into the shared store when the
-    /// caller observes completion. Empty for cancelled jobs, so published
-    /// warmth never depends on *when* a cancellation landed.
-    pub memo: Vec<MemoEntry>,
+    /// The memo entries the job computed — published into the shared
+    /// store when the caller observes completion. Empty for cancelled
+    /// jobs, so published warmth never depends on *when* a cancellation
+    /// landed.
+    pub memo: Vec<Computed>,
     /// The job's screen backend when it is a (now further-trained)
     /// surrogate, for the engine's per-technology registry.
     pub surrogate: Option<Arc<dyn CostBackend>>,
@@ -435,7 +461,7 @@ fn execute_inner(
     input: &InputDescription,
     opts: &CoDesignOptions,
     ctx: &ExecCtx,
-    memo_out: &mut Vec<MemoEntry>,
+    memo_out: &mut Vec<Computed>,
     surrogate_out: &mut Option<Arc<dyn CostBackend>>,
 ) -> Result<Solution, HascoError> {
     opts.validate()?;
@@ -456,16 +482,20 @@ fn execute_inner(
     });
 
     // Step 1: enumerate the tensorize-choice space (reported per
-    // workload). Each explorer matches every (workload, intrinsic kind)
-    // once on first use and reuses the choices for every accelerator it
-    // prices, so this enumeration is observability-only and skipped when
-    // nobody listens.
+    // workload). The engine's choice memo matches every (loop nest,
+    // intrinsic kind) once and serves every explorer of every job, so
+    // this enumeration is observability-only and skipped when nobody
+    // listens.
     if ctx.events.is_enabled() {
         let partition_span = ctx.telemetry.span("job/partition");
-        for part in partition_app(&input.app, &IntrinsicKind::ALL, 64) {
+        for w in &input.app.workloads {
+            let choices = IntrinsicKind::ALL
+                .iter()
+                .map(|&kind| ctx.choices.choices(w, &intrinsic_for(kind, 64)).len())
+                .sum();
             ctx.events.emit(RunEvent::Partitioned {
-                choices: part.total_choices(),
-                workload: part.workload,
+                choices,
+                workload: w.name.clone(),
             });
         }
         drop(partition_span);
@@ -494,7 +524,8 @@ fn execute_inner(
     .with_workers(workers)
     .with_cache_capacity(opts.cache_capacity)
     .with_backend(Arc::clone(&screen))
-    .with_events(ctx.events.clone());
+    .with_events(ctx.events.clone())
+    .with_choice_memo(Arc::clone(&ctx.choices));
     problem = if opts.adaptive_refinement {
         problem.with_adaptive_refinement(refine_backend, opts.refine_top_k)
     } else {
@@ -532,7 +563,7 @@ fn execute_inner(
         return Err(HascoError::Cancelled);
     }
     if history.evaluations.is_empty() {
-        *memo_out = problem.memo_snapshot();
+        *memo_out = problem.take_computed();
         return Err(HascoError::NoFeasibleAccelerator);
     }
 
@@ -595,7 +626,7 @@ fn execute_inner(
     // and a retry should not start cold — while a cancelled job publishes
     // nothing (what it had computed depends on when the cancel landed).
     if !matches!(tuned, Err(HascoError::Cancelled)) {
-        *memo_out = problem.memo_snapshot();
+        *memo_out = problem.take_computed();
         if screen.as_surrogate().is_some() {
             *surrogate_out = Some(Arc::clone(&screen));
         }
@@ -634,29 +665,22 @@ fn select_and_finalize(
     let cfg = generator
         .generate(&chosen)
         .map_err(|e| HascoError::Hardware(e.to_string()))?;
-    finalize_solution(
-        opts,
-        input,
-        cfg,
-        history.clone(),
-        &ctx.events,
-        &ctx.cancel,
-        &ctx.telemetry,
-    )
+    finalize_solution(opts, input, cfg, history.clone(), ctx)
 }
 
 /// Optimizes the software thoroughly for a fixed accelerator and
 /// assembles the solution (shared by the engine path, the one-shot
-/// [`CoDesigner::finalize`], and the "separate design" baseline).
+/// [`CoDesigner::finalize`], and the "separate design" baseline). A
+/// workload whose final exploration the context's finals store already
+/// holds is not explored again.
 fn finalize_solution(
     opts: &CoDesignOptions,
     input: &InputDescription,
     cfg: AcceleratorConfig,
     hw_history: dse::problem::OptimizerResult,
-    events: &EventSink,
-    cancel: &Arc<AtomicBool>,
-    telemetry: &Telemetry,
+    ctx: &ExecCtx,
 ) -> Result<Solution, HascoError> {
+    let (events, cancel, telemetry) = (&ctx.events, &ctx.cancel, &ctx.telemetry);
     let _finalize_span = telemetry.span("job/finalize");
     let workers = WorkerPool::new(resolve_threads(opts.threads))
         .with_stealing(opts.work_stealing)
@@ -676,33 +700,51 @@ fn finalize_solution(
     let tier = telemetry.timer(format_args!("sw_explore/{}", backend.name()));
     let explorer = SoftwareExplorer::new(opts.seed)
         .with_backend(backend)
+        .with_choice_memo(Arc::clone(&ctx.choices))
         .with_telemetry(telemetry.clone(), "sw_opt/final")
         .with_progress(Arc::new(RunObserver {
             events: EventSink::disabled(),
             cancel: Arc::clone(cancel),
             forward: false,
         }));
+    let backend_fp = explorer.backend_fingerprint();
+    let intrinsic = cfg.intrinsic_comp();
     // The thorough per-workload explorations are independent pure
     // runs, so they fan out across the pool; errors are reported in
     // workload order (first failure wins), matching the serial path.
     let outcomes = workers.map(&input.app.workloads, |_, w| {
-        let optimized = tier
-            .time(|| explorer.optimize(w, &cfg, &opts.sw_final))
-            .map_err(|e| HascoError::Software(format!("{}: {e}", w.name)))?;
-        // The exploration just matched this workload, so this is a
-        // memo hit, not a second matcher run.
-        let ctx = explorer
-            .context(w, &cfg)
-            .map_err(|e| HascoError::Software(e.to_string()))?;
-        let program = sw_opt::codegen::render(&optimized.schedule, &ctx);
+        let key = FinalsStore::key(w, &cfg, &opts.sw_final, opts.seed, backend_fp);
+        let done = match ctx.finals.get(&key) {
+            Some(done) => done,
+            None => {
+                let optimized = tier
+                    .time(|| explorer.optimize(w, &cfg, &opts.sw_final))
+                    .map_err(|e| HascoError::Software(format!("{}: {e}", w.name)))?;
+                let done = Final {
+                    schedule: optimized.schedule,
+                    metrics: optimized.metrics,
+                    rounds: optimized.history.len(),
+                };
+                // A cancel cuts an exploration short; only a run of
+                // every round is the pure function's value.
+                if done.rounds == opts.sw_final.rounds {
+                    ctx.finals.insert(key, &done);
+                }
+                done
+            }
+        };
+        let program = sw_opt::codegen::render(
+            &done.schedule,
+            &ScheduleContext::of_schedule(w, &intrinsic, &done.schedule),
+        );
         Ok((
             WorkloadSolution {
                 workload: w.name.clone(),
-                schedule: optimized.schedule,
-                metrics: optimized.metrics,
+                schedule: done.schedule,
+                metrics: done.metrics,
                 program,
             },
-            optimized.history.len(),
+            done.rounds,
         ))
     });
     // detlint-allow(atomics): cooperative cancel latch; a late observation only delays the exit
@@ -795,9 +837,7 @@ impl CoDesigner {
             input,
             cfg,
             hw_history,
-            &EventSink::disabled(),
-            &Arc::new(AtomicBool::new(false)),
-            &Telemetry::disabled(),
+            &ExecCtx::quiet(&self.opts),
         )
     }
 }
@@ -908,6 +948,33 @@ mod tests {
             co.total.latency_cycles,
             base.total.latency_cycles
         );
+    }
+
+    #[test]
+    fn a_cancelled_final_exploration_is_never_stored() {
+        let input = toy_input();
+        let opts = CoDesignOptions::quick(3);
+        let cfg = hw_gen::GemminiGenerator::baseline(false);
+        let ctx = ExecCtx::quiet(&opts);
+        let finalize = || {
+            let history = dse::problem::OptimizerResult::new("fixed");
+            finalize_solution(&opts, &input, cfg.clone(), history, &ctx)
+        };
+        // Raised before the explorations start, the cancel stops each one
+        // after its first round: those results are not the pure
+        // function's, so none is stored.
+        ctx.cancel.store(true, Ordering::Relaxed);
+        assert_eq!(finalize().unwrap_err(), HascoError::Cancelled);
+        assert_eq!(ctx.finals.len(), 0);
+        // Complete runs are stored, and a second finalization reads them
+        // back into the very same solution.
+        ctx.cancel.store(false, Ordering::Relaxed);
+        let explored = finalize().unwrap();
+        assert_eq!(ctx.finals.len(), input.app.len());
+        let stored = finalize().unwrap();
+        assert_eq!(explored, stored);
+        let hits: u64 = ctx.finals.shard_stats().iter().map(|s| s.hits).sum();
+        assert_eq!(hits, input.app.len() as u64);
     }
 
     #[test]

@@ -37,7 +37,15 @@
 //!   ([`JobHandle::wait`]), never at racy completion time. Submit N jobs
 //!   back-to-back and they all see the identical pre-wave store, no
 //!   matter how execution interleaves; wait between submissions and the
-//!   later job deterministically starts warm.
+//!   later job deterministically starts warm;
+//! * two pieces of warm state are shared **live** instead, because no job
+//!   can observe them: the tensorize-choice memo (matching is a pure
+//!   function of the loop nest and the intrinsic kind) and the store of
+//!   completed final explorations (`finals`). A final hit returns bit for
+//!   bit what the exploration would have returned and moves no
+//!   statistic and no event, so whether a job finds another job's final
+//!   in time changes its wall time only. The finals persist beside the
+//!   memo store, in the same image.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -49,11 +57,14 @@ use std::time::Duration;
 use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, Metrics, SurrogateBackend, SurrogateSnapshot};
 use runtime::{
-    persist, wire, JobScheduler, Key128, MemoCache, StableFingerprint, Telemetry, TelemetrySnapshot,
+    persist, wire, Image, JobScheduler, Key128, MemoCache, StableFingerprint, Telemetry,
+    TelemetrySnapshot,
 };
+use sw_opt::explorer::ChoiceMemo;
 
 use crate::codesign::{execute, CoDesignOptions, ExecCtx, ExecOutcome};
 use crate::event::{EventSink, EventStream, RunEvent};
+use crate::finals::FinalsStore;
 use crate::input::InputDescription;
 use crate::solution::Solution;
 use crate::HascoError;
@@ -73,11 +84,13 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct EngineConfig {
     /// Concurrent job slots (queued jobs wait FIFO for a free one).
     pub job_slots: usize,
-    /// Capacity of the shared cross-request memo store.
+    /// Capacity of the shared cross-request memo store, and of the store
+    /// of completed final explorations.
     pub cache_capacity: usize,
-    /// Persistent image of the store: loaded at engine creation, written
-    /// by [`Engine::persist`] (merged newest-wins) and best-effort on
-    /// drop. `None` keeps the store in-memory only.
+    /// Persistent image of the memo store and the finals store: loaded
+    /// at engine creation, written by [`Engine::persist`] (merged
+    /// newest-wins) and best-effort on drop. `None` keeps both in-memory
+    /// only.
     pub cache_path: Option<PathBuf>,
     /// Age-based GC for the persisted image: entries older than this are
     /// dropped at persist time ([`MemoCache::save_merged_with_max_age`]).
@@ -300,6 +313,12 @@ struct EngineShared {
     /// The cross-request memo store (entries published at observed job
     /// completion; snapshotted into every new job at submit).
     store: MemoCache<(u64, u64), Option<Metrics>>,
+    /// Completed final explorations, read and written live by every job
+    /// (see [`crate::finals`]).
+    finals: Arc<FinalsStore>,
+    /// The tensorize-choice memo every explorer of every job matches
+    /// through.
+    choices: Arc<ChoiceMemo>,
     /// Trained surrogate screen backends, keyed per technology. New
     /// surrogate jobs fork the registered instance; observed completions
     /// replace it. Loaded from `surrogate_store` at engine creation.
@@ -340,11 +359,7 @@ impl EngineShared {
     /// so the store's content is a pure function of the caller's
     /// submit/wait program, never of executor timing.
     fn publish(&self, outcome: &ExecOutcome, surrogate_key: Option<(u64, u64)>) {
-        for (key, value, stamp) in &outcome.memo {
-            // Newer-stamp-wins: a slow job must not regress the age of an
-            // entry some faster job republished in the meantime.
-            self.store.insert_stamped_newest(*key, *value, *stamp);
-        }
+        self.store.insert_all(&outcome.memo);
         if !outcome.memo.is_empty() {
             // detlint-allow(atomics): dirty flag only schedules a later mutex-serialized save; a stale read delays persistence, never changes results
             self.dirty.store(true, Ordering::Relaxed);
@@ -409,6 +424,35 @@ impl EngineShared {
         }
         Ok(snaps.len())
     }
+}
+
+/// Loads a memo image: the pair memo is its first section, the finals
+/// its second. Either section failing to decode makes the whole image a
+/// cold start, like any other corruption.
+fn load_memo_image(
+    path: &std::path::Path,
+    store: &MemoCache<(u64, u64), Option<Metrics>>,
+    finals: &FinalsStore,
+) {
+    let Ok(Some(image)) = Image::read(path) else {
+        return;
+    };
+    let pairs = image.section(0).and_then(MemoCache::parse_section);
+    if let (Some(pairs), Some(done)) = (pairs, FinalsStore::parse_section(&image)) {
+        store.seed(&pairs);
+        finals.seed(&done);
+    }
+}
+
+/// Writes the memo image: both stores merged over the file's sections,
+/// in one atomic write. Returns the pair entries written.
+fn save_memo_image(path: &std::path::Path, shared: &EngineShared) -> std::io::Result<u64> {
+    let existing = Image::read(path).ok().flatten().unwrap_or_default();
+    let max_age = shared.cache_max_age;
+    let (pairs, written) = shared.store.merged_section(existing.section(0), max_age);
+    let finals = shared.finals.merged_section(existing.section(1), max_age);
+    Image::write(path, &[&pairs, &finals])?;
+    Ok(written)
 }
 
 /// File magic + format version of the persisted surrogate-registry store:
@@ -570,13 +614,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine, loading the persisted memo store and surrogate
-    /// registry when the configuration names them (a missing or corrupt
-    /// image is a cold start, never an error).
+    /// Builds an engine, loading the persisted memo and finals stores and
+    /// the surrogate registry when the configuration names them (a
+    /// missing or corrupt image is a cold start, never an error).
     pub fn new(config: EngineConfig) -> Self {
         let store = MemoCache::new(config.cache_capacity);
+        let finals = FinalsStore::new(config.cache_capacity);
         if let Some(path) = &config.cache_path {
-            let _ = store.load_from_file(path);
+            load_memo_image(path, &store, &finals);
         }
         let mut surrogates: BTreeMap<(u64, u64), Arc<dyn CostBackend>> = BTreeMap::new();
         let mut restored_generation = 0;
@@ -592,6 +637,8 @@ impl Engine {
         Engine {
             shared: Arc::new(EngineShared {
                 store,
+                finals: Arc::new(finals),
+                choices: Arc::default(),
                 restored_surrogate_backends: surrogates.len(),
                 restored_surrogate_generation: restored_generation,
                 surrogates: Mutex::new(surrogates),
@@ -730,6 +777,8 @@ impl Engine {
             screen_backend,
             telemetry: self.shared.telemetry.clone(),
             remote: self.shared.remote.clone(),
+            choices: Arc::clone(&self.shared.choices),
+            finals: Arc::clone(&self.shared.finals),
         };
         self.scheduler.spawn(Box::new(move || {
             // A job cancelled while still queued is discarded without
@@ -860,11 +909,12 @@ impl Engine {
             .collect())
     }
 
-    /// Writes the shared store to the configured cache path (merged
-    /// newest-wins with whatever the file holds, age-GC'd when the
-    /// configuration sets `cache_max_age`) and the surrogate registry to
-    /// the configured surrogate store. Returns the memo entries written;
-    /// `Ok(0)` without a configured cache path.
+    /// Writes the shared memo store and the finals store to the
+    /// configured cache path (one image, each store merged newest-wins
+    /// with what the file holds and age-GC'd when the configuration sets
+    /// `cache_max_age`) and the surrogate registry to the configured
+    /// surrogate store. Returns the memo entries written; `Ok(0)` without
+    /// a configured cache path.
     ///
     /// # Errors
     /// Propagates I/O errors from writing either image. Both saves are
@@ -873,12 +923,19 @@ impl Engine {
     pub fn persist(&self) -> std::io::Result<u64> {
         let memo = match &self.shared.cache_path {
             None => Ok(0),
-            Some(path) => self
-                .shared
-                .store
-                .save_merged_with_max_age(path, self.shared.cache_max_age)
-                // detlint-allow(atomics): cleared only after a successful save; a racing insert re-raises it
-                .inspect(|_| self.shared.dirty.store(false, Ordering::Relaxed)),
+            Some(path) => {
+                // Cleared before the stores are snapshotted: a publication
+                // or final landing after the snapshot re-raises its flag,
+                // so a later persist or drop knows this save missed it.
+                // detlint-allow(atomics): save scheduling only; a failed save re-raises it below
+                self.shared.dirty.store(false, Ordering::Relaxed);
+                self.shared.finals.set_dirty(false);
+                save_memo_image(path, &self.shared).inspect_err(|_| {
+                    // detlint-allow(atomics): as above
+                    self.shared.dirty.store(true, Ordering::Relaxed);
+                    self.shared.finals.set_dirty(true);
+                })
+            }
         };
         let surrogates = self.shared.save_surrogates();
         let written = memo?;
@@ -886,22 +943,30 @@ impl Engine {
         Ok(written)
     }
 
-    /// Drops every store entry older than `max_age` (explicit compaction
-    /// of the in-memory shared store); returns how many were removed.
+    /// Drops every memo and finals entry older than `max_age` (explicit
+    /// compaction of the in-memory stores); returns how many were
+    /// removed.
     pub fn compact(&self, max_age: Duration) -> usize {
-        self.shared.store.compact(max_age)
+        self.shared.store.compact(max_age) + self.shared.finals.compact(max_age)
+    }
+
+    /// Completed final explorations currently in the finals store.
+    pub fn final_entries(&self) -> usize {
+        self.shared.finals.len()
     }
 
     /// Snapshots the telemetry registry (`None` when metrics are
     /// disabled), refreshing the point-in-time gauges first: the shared
-    /// store's per-shard counters (scope `"store"`), warm-entry count,
-    /// and registered surrogate backends.
+    /// store's per-shard counters (scope `"store"`), the finals store's
+    /// (scope `"finals"`: a hit is a final exploration not run), the
+    /// warm-entry count, and registered surrogate backends.
     pub fn metrics(&self) -> Option<TelemetrySnapshot> {
         let telemetry = &self.shared.telemetry;
         if !telemetry.is_enabled() {
             return None;
         }
         telemetry.set_cache_shards("store", &self.shared.store.shard_stats());
+        telemetry.set_cache_shards("finals", &self.shared.finals.shard_stats());
         telemetry.gauge_set("engine.warm_entries", self.warm_entries() as u64);
         telemetry.gauge_set(
             "engine.surrogate_backends",
@@ -918,7 +983,7 @@ impl Drop for Engine {
         // nothing of theirs to save; the scheduler join below still lets
         // them finish.)
         // detlint-allow(atomics): dirty-flag read decides whether drop persists; a stale read at worst saves once more
-        if self.shared.dirty.load(Ordering::Relaxed) {
+        if self.shared.dirty.load(Ordering::Relaxed) || self.shared.finals.is_dirty() {
             let _ = self.persist();
         // detlint-allow(atomics): same drop-time save gating as the memo flag above
         } else if self.shared.surrogate_dirty.load(Ordering::Relaxed) {

@@ -42,6 +42,7 @@
 pub mod codesign;
 pub mod engine;
 pub mod event;
+mod finals;
 pub mod input;
 pub mod partition;
 mod pricing;

@@ -18,15 +18,18 @@ use dse::problem::{Point, Problem, SearchSpace};
 use dse::staged::AdaptiveTopK;
 use hw_gen::space::Generator;
 use runtime::{Fingerprint, Key128, MemoCache, StableFingerprint, Telemetry, Timer, WorkerPool};
-use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
+use sw_opt::explorer::{ChoiceMemo, ExplorerOptions, SoftwareExplorer};
 use tensor_ir::workload::Workload;
 
 use crate::event::{EventSink, RunEvent};
 use crate::remote::{RemoteEvalRequest, SharedPairEvaluator};
 
-/// One memo-cache entry with its age, as exchanged between a job's
-/// private cache and the engine's shared store.
+/// One memo-cache entry with its age, as the engine's shared store hands
+/// it to a job's private cache.
 pub(crate) type MemoEntry = ((u64, u64), Option<Metrics>, u64);
+
+/// One freshly computed memo entry, as a job publishes it.
+pub(crate) type Computed = ((u64, u64), Option<Metrics>);
 
 /// Memoized per-(accelerator, workload) explorer outcomes; `None` records
 /// a software-exploration failure (also worth caching).
@@ -123,7 +126,7 @@ impl Tier {
     /// per-workload metrics, `None` if any workload failed. Memoized
     /// pairs are answered without occupying a worker, duplicates within
     /// the batch are dispatched once, and the rest fan out to the worker
-    /// pool. Each pair is a pure function of (seed, backend, config,
+    /// pool; each fresh outcome is memoized and appended to `computed`. Each pair is a pure function of (seed, backend, config,
     /// workload, options), so completion order is irrelevant — the pool
     /// reassembles in submission order, keeping results identical at any
     /// thread count.
@@ -133,6 +136,7 @@ impl Tier {
         memo: &Memo,
         workers: &WorkerPool,
         configs: &[&AcceleratorConfig],
+        computed: &mut Vec<Computed>,
     ) -> Vec<Option<Metrics>> {
         let mut results: Vec<Vec<Option<Option<Metrics>>>> = configs
             .iter()
@@ -196,6 +200,7 @@ impl Tier {
         let mut fresh_outcomes: BTreeMap<(u64, u64), Option<Metrics>> = BTreeMap::new();
         for (&(ci, wi, key), outcome) in jobs.iter().zip(outcomes) {
             memo.insert(key, outcome);
+            computed.push((key, outcome));
             fresh_outcomes.insert(key, outcome);
             results[ci][wi] = Some(outcome);
         }
@@ -280,6 +285,8 @@ pub struct HwProblem<'a> {
     refine_requests: usize,
     /// Staged batches processed (the `Refined` event sequence number).
     staged_batches: usize,
+    /// Memo entries computed (not memoized) so far, in insertion order.
+    computed: Vec<Computed>,
     /// Progress-event sink (disabled by default; the engine installs a
     /// live one per job).
     events: EventSink,
@@ -317,6 +324,7 @@ impl<'a> HwProblem<'a> {
             sw_requests: 0,
             refine_requests: 0,
             staged_batches: 0,
+            computed: Vec::new(),
             events: EventSink::disabled(),
             telemetry: Telemetry::disabled(),
         }
@@ -335,9 +343,25 @@ impl<'a> HwProblem<'a> {
         self
     }
 
-    /// An explorer for this problem's seed, pricing through `backend`.
+    /// An explorer for this problem's seed, pricing through `backend` and
+    /// matching through the screen explorer's choice memo.
     fn explorer(&self, backend: Arc<dyn CostBackend>) -> SoftwareExplorer {
-        SoftwareExplorer::new(self.pairs.seed).with_backend(backend)
+        SoftwareExplorer::new(self.pairs.seed)
+            .with_backend(backend)
+            .with_choice_memo(Arc::clone(self.screen.explorer.choice_memo()))
+    }
+
+    /// Matches every tier's workloads through `memo` (an engine shares
+    /// one across all its jobs). Matching is a pure function of the loop
+    /// nest and the intrinsic kind, so sharing changes no result.
+    pub fn with_choice_memo(mut self, memo: Arc<ChoiceMemo>) -> Self {
+        let share = |tier: Tier| Tier {
+            explorer: tier.explorer.with_choice_memo(Arc::clone(&memo)),
+            ..tier
+        };
+        self.screen = share(self.screen);
+        self.refine = self.refine.map(|(tier, policy)| (share(tier), policy));
+        self
     }
 
     /// Screens every candidate evaluation through the given cost backend.
@@ -446,10 +470,11 @@ impl<'a> HwProblem<'a> {
         self.memo.seed(entries);
     }
 
-    /// Snapshot of the memo cache with entry ages — what a job publishes
-    /// back into the engine's shared store on completion.
-    pub(crate) fn memo_snapshot(&self) -> Vec<MemoEntry> {
-        self.memo.snapshot_stamped()
+    /// Takes the memo entries computed so far — what a job publishes back
+    /// into the engine's shared store on completion. Seeded entries are
+    /// already there, so they are not handed back.
+    pub(crate) fn take_computed(&mut self) -> Vec<Computed> {
+        std::mem::take(&mut self.computed)
     }
 
     /// Records the end-of-job telemetry: the memo's per-shard traffic,
@@ -574,9 +599,13 @@ impl Problem for HwProblem<'_> {
         self.sw_requests += fresh.len() * workloads;
         let configs: Vec<&AcceleratorConfig> = fresh.iter().map(|(_, cfg)| cfg).collect();
         let screen_span = self.telemetry.span("job/hw_dse/screen");
-        let mut fresh_metrics = self
-            .screen
-            .price(&self.pairs, &self.memo, &self.workers, &configs);
+        let mut fresh_metrics = self.screen.price(
+            &self.pairs,
+            &self.memo,
+            &self.workers,
+            &configs,
+            &mut self.computed,
+        );
         drop(screen_span);
 
         // Stage 3 (refine): re-price only the top-k screened survivors at
@@ -617,7 +646,13 @@ impl Problem for HwProblem<'_> {
                 let sub: Vec<&AcceleratorConfig> =
                     survivors.iter().map(|&fi| &fresh[fi].1).collect();
                 let refine_span = self.telemetry.span("job/hw_dse/refine");
-                let refined = tier.price(&self.pairs, &self.memo, &self.workers, &sub);
+                let refined = tier.price(
+                    &self.pairs,
+                    &self.memo,
+                    &self.workers,
+                    &sub,
+                    &mut self.computed,
+                );
                 drop(refine_span);
                 for (&fi, metrics) in survivors.iter().zip(refined) {
                     // A refine-tier failure (impossible mappings are

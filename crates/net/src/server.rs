@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread;
 use std::time::Duration;
 
@@ -128,7 +128,10 @@ impl Server {
             thread::spawn(move || accept_loop(listener, inner));
         }
         {
-            let inner = Arc::clone(&inner);
+            // A weak handle: the sleeping heartbeat must not keep a shut
+            // down server's engine (and its warm stores) alive for a
+            // whole period.
+            let inner = Arc::downgrade(&inner);
             // Liveness sweeps drop dead worker connections; dispatch
             // treats a dropped worker and a never-registered one
             // identically, so sweep timing cannot reach results.
@@ -234,10 +237,16 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
     }
 }
 
-fn heartbeat_loop(inner: Arc<ServerInner>) {
+fn heartbeat_loop(inner: Weak<ServerInner>) {
     let mut nonce = 0u64;
     loop {
-        thread::sleep(inner.opts.heartbeat_period);
+        let Some(period) = inner.upgrade().map(|i| i.opts.heartbeat_period) else {
+            return;
+        };
+        thread::sleep(period);
+        let Some(inner) = inner.upgrade() else {
+            return;
+        };
         // SeqCst pairs with the swap in `shutdown`: the next tick after
         // shutdown must see the flag rather than sweep released workers.
         if inner.shutdown.load(Ordering::SeqCst) {

@@ -11,9 +11,11 @@
 //! * [`CacheStats`] counters (hits / misses / inserts / evictions) cheap
 //!   enough to leave on in production and surfaced by `core::report`;
 //! * cross-run persistence ([`MemoCache::save_merged_with_max_age`] /
-//!   [`MemoCache::load_from_file`]): a [`crate::persist`]-framed image
+//!   [`MemoCache::load_from_file`]): a [`crate::persist`]-framed [`Image`]
 //!   keyed by stable fingerprints, so repeated runs start warm; any
-//!   corruption degrades to a clean cold start, never a wrong answer;
+//!   corruption degrades to a clean cold start, never a wrong answer.
+//!   Several caches can share one image, one section each
+//!   ([`MemoCache::merged_section`], [`MemoCache::parse_section`]);
 //! * entry ages: every entry carries the Unix timestamp of its insertion,
 //!   persisted with the image, so long-lived shared cache files can be
 //!   garbage-collected by age ([`MemoCache::compact`], the `max_age`
@@ -41,10 +43,10 @@ use crate::wire::{self, Reader, Wire};
 const SHARDS: usize = 16;
 
 /// Frame magic + format version for persisted caches. The frame payload
-/// is a sequence of entries, each `len: u32 ++ stamp: u64 ++ (key, value)`,
-/// all laid out by [`Wire`]. Images of earlier versions load as a cold
-/// start.
-const PERSIST_MAGIC: &[u8; 8] = b"HASCOMC3";
+/// is a sequence of sections, each `len: u64 ++ entries`; a section holds
+/// one cache's entries, each `len: u32 ++ stamp: u64 ++ (key, value)`, all
+/// laid out by [`Wire`]. Images of earlier versions load as a cold start.
+const PERSIST_MAGIC: &[u8; 8] = b"HASCOMC4";
 
 /// Seconds since the Unix epoch (0 if the clock is before the epoch).
 ///
@@ -60,6 +62,76 @@ fn now_secs() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0)
+}
+
+/// A validated persisted image: the payload of one checksummed frame,
+/// cut into its sections. Caches that persist together share one image,
+/// one section each, so a single atomic write saves all of them.
+#[derive(Debug, Default)]
+pub struct Image {
+    /// The whole file; `sections` index into its payload.
+    bytes: Vec<u8>,
+    sections: Vec<std::ops::Range<usize>>,
+}
+
+impl Image {
+    /// Reads and validates the image at `path`. A missing file, a wrong
+    /// magic (every earlier format version), truncation, a checksum
+    /// mismatch or a malformed section table is the cold-start case:
+    /// `Ok(None)`.
+    ///
+    /// # Errors
+    /// Propagates I/O errors from reading an *existing* file.
+    pub fn read(path: &std::path::Path) -> std::io::Result<Option<Image>> {
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let Some(payload) = crate::persist::payload_range(PERSIST_MAGIC, &bytes) else {
+            return Ok(None);
+        };
+        let mut sections = Vec::new();
+        let mut at = payload.start;
+        while at < payload.end {
+            let Some(len) = bytes
+                .get(at..at + 8)
+                .and_then(|b| b.try_into().ok())
+                .and_then(|b| usize::try_from(u64::from_le_bytes(b)).ok())
+            else {
+                return Ok(None);
+            };
+            let start = at + 8;
+            match start.checked_add(len) {
+                Some(end) if end <= payload.end => {
+                    sections.push(start..end);
+                    at = end;
+                }
+                _ => return Ok(None),
+            }
+        }
+        Ok(Some(Image { bytes, sections }))
+    }
+
+    /// The `index`-th section's bytes, if the image has that many.
+    pub fn section(&self, index: usize) -> Option<&[u8]> {
+        self.bytes.get(self.sections.get(index)?.clone())
+    }
+
+    /// Writes `sections`, in order, as one image at `path`, atomically
+    /// ([`crate::persist::save_frame`]).
+    ///
+    /// # Errors
+    /// Propagates I/O errors from writing the temp file or renaming it
+    /// into place.
+    pub fn write(path: &std::path::Path, sections: &[&[u8]]) -> std::io::Result<()> {
+        let mut payload = Vec::with_capacity(sections.iter().map(|s| s.len() + 8).sum());
+        for section in sections {
+            (section.len() as u64).encode(&mut payload);
+            payload.extend_from_slice(section);
+        }
+        crate::persist::save_frame(path, PERSIST_MAGIC, &payload)
+    }
 }
 
 /// Point-in-time cache counters.
@@ -214,44 +286,64 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     /// every [`MemoCache::compact`] / `max_age` GC pass forever, since its
     /// age never reaches any cutoff.
     pub fn insert_stamped(&self, key: K, value: V, stamp: u64) {
-        self.put(key, value, stamp, false, true);
+        let idx = self.shard_index(&key);
+        let mut shard = self.shards[idx].lock().expect("shard poisoned");
+        self.put_locked(&mut shard, idx, key, value, stamp.min(now_secs()), true);
     }
 
-    /// Like [`MemoCache::insert_stamped`], but a key collision keeps the
-    /// **newer** of the two stamps (the value is still replaced) — the
-    /// in-memory analogue of the merged save's stamp handling, for
-    /// publishers whose snapshot may carry stale stamps: age-GC must not
-    /// expire an entry someone recently renewed just because a
-    /// long-running publisher still holds the old stamp. Like
-    /// [`MemoCache::insert_stamped`], the incoming stamp is clamped to
-    /// "now" first.
-    pub fn insert_stamped_newest(&self, key: K, value: V, stamp: u64) {
-        self.put(key, value, stamp, true, true);
+    /// Inserts every entry stamped "now", like [`MemoCache::insert`] per
+    /// entry but with one clock read and one lock per shard — how a
+    /// finished job publishes what it computed into a shared store.
+    pub fn insert_all(&self, entries: &[(K, V)]) {
+        // A stamp past "now" is clamped to it.
+        self.put_batch(entries, |(k, v)| (k, v, u64::MAX), true);
     }
 
     /// Warm-seeds the cache with stamped entries copied from another
     /// cache, like [`MemoCache::insert_stamped`] but without moving any
     /// [`CacheStats`] counter: a seeded entry was computed elsewhere, so
-    /// counting it would report work this cache never did.
+    /// counting it would report work this cache never did. One clock read
+    /// and one lock per shard, whatever the entry count.
     pub fn seed(&self, entries: &[(K, V, u64)]) {
-        for (key, value, stamp) in entries {
-            self.put(key.clone(), value.clone(), *stamp, false, false);
+        self.put_batch(entries, |(k, v, stamp)| (k, v, *stamp), false);
+    }
+
+    /// Stores a batch shard by shard, each shard's entries in their batch
+    /// order — the same final state as one insert per entry, since shards
+    /// are independent.
+    fn put_batch<T>(&self, items: &[T], entry: impl Fn(&T) -> (&K, &V, u64), counted: bool) {
+        let now = now_secs();
+        let shards: Vec<usize> = items.iter().map(|t| self.shard_index(entry(t).0)).collect();
+        for idx in 0..SHARDS {
+            let count = shards.iter().filter(|&&s| s == idx).count();
+            if count == 0 {
+                continue;
+            }
+            let mut shard = self.shards[idx].lock().expect("shard poisoned");
+            let room = count.min(self.per_shard);
+            shard.map.reserve(room);
+            shard.order.reserve(room);
+            for (item, _) in items.iter().zip(&shards).filter(|&(_, &s)| s == idx) {
+                let (key, value, stamp) = entry(item);
+                let (key, value, stamp) = (key.clone(), value.clone(), stamp.min(now));
+                self.put_locked(&mut shard, idx, key, value, stamp, counted);
+            }
         }
     }
 
     /// The one write path: stores `value` under `key` with `stamp`
-    /// (clamped to "now"; kept at the prior stamp if that is newer and
-    /// `keep_newer`), evicting the shard's oldest entries past capacity.
-    /// `counted` decides whether the insert and its evictions reach the
-    /// shard's [`CacheStats`].
-    fn put(&self, key: K, value: V, stamp: u64, keep_newer: bool, counted: bool) {
-        let stamp = stamp.min(now_secs());
-        let idx = self.shard_index(&key);
-        let mut shard = self.shards[idx].lock().expect("shard poisoned");
-        let stamp = match keep_newer.then(|| shard.map.get(&key)).flatten() {
-            Some((_, prior)) => stamp.max(*prior),
-            None => stamp,
-        };
+    /// (already clamped to "now") in shard `idx`, already locked, evicting
+    /// the shard's oldest entries past capacity. `counted` decides whether
+    /// the insert and its evictions reach the shard's [`CacheStats`].
+    fn put_locked(
+        &self,
+        shard: &mut Shard<K, V>,
+        idx: usize,
+        key: K,
+        value: V,
+        stamp: u64,
+        counted: bool,
+    ) {
         if shard.map.insert(key.clone(), (value, stamp)).is_none() {
             let counters = &self.counters[idx];
             if counted {
@@ -330,23 +422,15 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
 
     /// Persists the cache to `path` so a later run can start warm
     /// ([`MemoCache::load_from_file`]), first merging in whatever a
-    /// previous run (or a concurrent bench binary) already saved there:
-    /// the existing file's entries are loaded and this cache's entries win
-    /// on key collisions (newest-wins), so shared cache files accumulate
-    /// warmth across runs instead of thrashing. An unreadable or corrupt
-    /// existing file contributes nothing (the merge degrades to a plain
-    /// save). With `max_age` set, every merged entry older than it (by
-    /// insertion timestamp) is dropped — the time-based GC for long-lived
-    /// shared cache files. The merge is eviction-aware: when the union
-    /// exceeds this cache's [`MemoCache::capacity`], the oldest surviving
-    /// entries are dropped first, exactly as the in-memory FIFO bound
-    /// would. Returns the number of entries written.
+    /// previous run (or a concurrent bench binary) already saved there
+    /// ([`MemoCache::merged_section`]). The cache is the image's first
+    /// section; any further sections the file holds (other caches saved
+    /// with it) are kept byte for byte. An unreadable or corrupt existing
+    /// file contributes nothing (the merge degrades to a plain save).
+    /// Returns the number of entries written.
     ///
-    /// Entries are laid out by [`Wire`]; keys are expected to be derived
-    /// from [`crate::StableFingerprint`]s, which are stable across
-    /// processes. The write is atomic
-    /// ([`crate::persist::write_atomic`]): a crash mid-save or a
-    /// concurrent saver never leaves a torn image behind.
+    /// The write is atomic ([`crate::persist::write_atomic`]): a crash
+    /// mid-save or a concurrent saver never leaves a torn image behind.
     ///
     /// # Errors
     /// Propagates I/O errors from writing the temp file or renaming it
@@ -360,10 +444,39 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         K: Wire,
         V: Wire,
     {
-        let existing: Vec<(K, V, u64)> = std::fs::read(path)
-            .ok()
-            .and_then(|bytes| Self::parse_image(&bytes))
-            .unwrap_or_default();
+        let existing = Image::read(path).ok().flatten().unwrap_or_default();
+        let (own, written) = self.merged_section(existing.section(0), max_age);
+        let mut sections: Vec<&[u8]> = vec![&own];
+        sections.extend((1..existing.sections.len()).filter_map(|i| existing.section(i)));
+        Image::write(path, &sections)?;
+        Ok(written)
+    }
+
+    /// This cache's entries merged over an `existing` image section, as
+    /// one section, with its entry count. The existing entries come
+    /// first and this cache's entries win on key collisions
+    /// (newest-wins), so shared cache files accumulate warmth across runs
+    /// instead of thrashing; a section that does not decode contributes
+    /// nothing. With `max_age` set, every merged entry older than it (by
+    /// insertion timestamp) is dropped — the time-based GC for long-lived
+    /// shared cache files. The merge is eviction-aware: when the union
+    /// exceeds this cache's [`MemoCache::capacity`], the oldest surviving
+    /// entries are dropped first, exactly as the in-memory FIFO bound
+    /// would.
+    ///
+    /// Entries are laid out by [`Wire`]; keys are expected to be derived
+    /// from [`crate::StableFingerprint`]s, which are stable across
+    /// processes.
+    pub fn merged_section(
+        &self,
+        existing: Option<&[u8]>,
+        max_age: Option<Duration>,
+    ) -> (Vec<u8>, u64)
+    where
+        K: Wire,
+        V: Wire,
+    {
+        let existing = existing.and_then(Self::parse_section).unwrap_or_default();
         // Newest-wins, order-preserving merge: a refreshed key moves to
         // the back (it is the newest), so capacity truncation below drops
         // genuinely stale entries first. The saver's *value* wins on a
@@ -398,14 +511,13 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         if entries.len() > cap {
             entries.drain(..entries.len() - cap);
         }
-        crate::persist::write_atomic(path, &Self::encode_image(&entries))?;
-        Ok(entries.len() as u64)
+        (Self::encode_section(&entries), entries.len() as u64)
     }
 
-    /// Loads entries saved by [`MemoCache::save_merged_with_max_age`] into
-    /// this cache, restoring their insertion timestamps. Loading seeds
-    /// ([`MemoCache::seed`]): the entries were computed by an earlier
-    /// run, so no [`CacheStats`] counter moves.
+    /// Loads entries saved by [`MemoCache::save_merged_with_max_age`] (the
+    /// image's first section) into this cache, restoring their insertion
+    /// timestamps. Loading seeds ([`MemoCache::seed`]): the entries were
+    /// computed by an earlier run, so no [`CacheStats`] counter moves.
     ///
     /// Any anomaly in the image itself — missing file, bad magic (which
     /// includes every earlier format version), truncation, checksum
@@ -425,46 +537,45 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         K: Wire,
         V: Wire,
     {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        let Some(entries) = Self::parse_image(&bytes) else {
+        let Some(entries) = Image::read(path)?
+            .as_ref()
+            .and_then(|image| image.section(0))
+            .and_then(Self::parse_section)
+        else {
             return Ok(0);
         };
         self.seed(&entries);
         Ok(entries.len() as u64)
     }
 
-    /// Lays out stamped entries as one framed image — the inverse of
-    /// [`MemoCache::parse_image`].
-    fn encode_image(entries: &[(K, V, u64)]) -> Vec<u8>
+    /// Lays out stamped entries as one image section — the inverse of
+    /// [`MemoCache::parse_section`].
+    fn encode_section(entries: &[(K, V, u64)]) -> Vec<u8>
     where
         K: Wire,
         V: Wire,
     {
-        let mut payload = Vec::new();
+        let mut section = Vec::new();
         let mut entry = Vec::new();
         for (k, v, stamp) in entries {
             entry.clear();
             k.encode(&mut entry);
             v.encode(&mut entry);
-            (entry.len() as u32).encode(&mut payload);
-            stamp.encode(&mut payload);
-            payload.extend_from_slice(&entry);
+            (entry.len() as u32).encode(&mut section);
+            stamp.encode(&mut section);
+            section.extend_from_slice(&entry);
         }
-        crate::persist::frame(PERSIST_MAGIC, &payload)
+        section
     }
 
-    /// Validates and decodes a persisted image in place; `None` on any
-    /// corruption or an entry that does not decode.
-    fn parse_image(bytes: &[u8]) -> Option<Vec<(K, V, u64)>>
+    /// Decodes one image section into stamped entries, in saved order;
+    /// `None` when any entry does not decode as `(K, V)`.
+    pub fn parse_section(section: &[u8]) -> Option<Vec<(K, V, u64)>>
     where
         K: Wire,
         V: Wire,
     {
-        let mut r = Reader::new(crate::persist::parse_frame(PERSIST_MAGIC, bytes)?);
+        let mut r = Reader::new(section);
         let mut entries = Vec::new();
         while !r.is_exhausted() {
             let len = u32::decode(&mut r)?;
@@ -599,6 +710,14 @@ mod tests {
         p
     }
 
+    /// A one-section image holding `section`.
+    fn image_of(section: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        (section.len() as u64).encode(&mut payload);
+        payload.extend_from_slice(section);
+        crate::persist::frame(PERSIST_MAGIC, &payload)
+    }
+
     /// The one save entry point, without age GC.
     fn save(cache: &MemoCache<u64, u64>, path: &std::path::Path) -> u64 {
         cache.save_merged_with_max_age(path, None).unwrap()
@@ -674,7 +793,8 @@ mod tests {
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
         let future = super::now_secs() + 1_000_000;
         cache.insert_stamped(1, 10, future);
-        cache.insert_stamped_newest(2, 20, future);
+        cache.insert_all(&[(2, 20)]);
+        cache.seed(&[(3, 30, future)]);
         for (_, _, stamp) in cache.snapshot_stamped() {
             assert!(
                 stamp <= super::now_secs(),
@@ -695,7 +815,7 @@ mod tests {
         for (k, v) in [(1u64, 10u64), (2, 20)] {
             push_entry(&mut payload, future, k, v);
         }
-        let image = crate::persist::frame(PERSIST_MAGIC, &payload);
+        let image = image_of(&payload);
 
         let path = temp_path("future");
         std::fs::write(&path, &image).unwrap();
@@ -921,6 +1041,30 @@ mod tests {
     }
 
     #[test]
+    fn single_cache_saves_keep_the_other_sections() {
+        // Two caches share an image, one section each; a save of the
+        // first alone rewrites its section and keeps the second verbatim.
+        let path = temp_path("sections");
+        std::fs::remove_file(&path).ok();
+        let (first, second): (MemoCache<u64, u64>, MemoCache<u64, bool>) =
+            (MemoCache::new(64), MemoCache::new(64));
+        first.insert(1, 10);
+        second.insert(2, true);
+        let (a, _) = first.merged_section(None, None);
+        let (b, _) = second.merged_section(None, None);
+        Image::write(&path, &[&a, &b]).unwrap();
+        first.insert(3, 30);
+        assert_eq!(save(&first, &path), 2);
+        let image = Image::read(&path).unwrap().expect("valid image");
+        assert_eq!(image.section(1), Some(&b[..]));
+        assert_eq!(image.section(2), None);
+        let entries = MemoCache::<u64, bool>::parse_section(image.section(1).unwrap()).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(first.load_from_file(&path).unwrap(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn loading_moves_no_counter() {
         let source: MemoCache<u64, u64> = MemoCache::new(64);
         for k in 0..10u64 {
@@ -977,15 +1121,15 @@ mod tests {
     /// A memo image with a stand-in value type that exercises the same
     /// codec paths as the engine's `Option<Metrics>`: a tag byte, then
     /// floats (here behind a length prefix, so counts get fuzzed too).
-    type Image = MemoCache<(u64, u64), Option<Vec<f64>>>;
+    type Memo = MemoCache<(u64, u64), Option<Vec<f64>>>;
 
-    /// Frames `payload` (so the checksum always passes and every byte
-    /// reaches the entry decoder) and parses it: the parse must reject
-    /// the image or return entries that lay out to the very same bytes.
-    fn check_image(payload: &[u8]) -> Result<(), TestCaseError> {
-        let image = crate::persist::frame(PERSIST_MAGIC, payload);
-        if let Some(entries) = Image::parse_image(&image) {
-            prop_assert_eq!(Image::encode_image(&entries), image);
+    /// Parses `section` (as a checksum-validated image would hand it
+    /// over, so every byte reaches the entry decoder): the parse must
+    /// reject the section or return entries that lay out to the very same
+    /// bytes.
+    fn check_image(section: &[u8]) -> Result<(), TestCaseError> {
+        if let Some(entries) = Memo::parse_section(section) {
+            prop_assert_eq!(Memo::encode_section(&entries), section.to_vec());
         }
         Ok(())
     }
@@ -996,11 +1140,9 @@ mod tests {
             ((3, 4), Some(vec![1.5, -0.0, f64::MIN_POSITIVE]), 20),
             ((5, 6), Some(vec![]), u64::MAX),
         ];
-        let image = Image::encode_image(&entries);
-        assert_eq!(Image::parse_image(&image), Some(entries));
-        crate::persist::parse_frame(PERSIST_MAGIC, &image)
-            .unwrap()
-            .to_vec()
+        let section = Memo::encode_section(&entries);
+        assert_eq!(Memo::parse_section(&section), Some(entries));
+        section
     }
 
     proptest! {

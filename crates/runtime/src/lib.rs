@@ -80,7 +80,7 @@ pub mod telemetry;
 pub mod wire;
 
 pub use batch::BatchEvaluator;
-pub use cache::{CacheStats, MemoCache};
+pub use cache::{CacheStats, Image, MemoCache};
 pub use fingerprint::{Fingerprint, Fingerprinter, Key128, StableFingerprint};
 pub use jobs::JobScheduler;
 pub use pool::{PoolStats, WorkerPool};

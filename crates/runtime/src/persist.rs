@@ -162,6 +162,12 @@ pub fn frame(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
 /// magic, truncation, trailing garbage, or checksum mismatch — the
 /// whole-buffer form of [`read_frame`].
 pub fn parse_frame<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Option<&'a [u8]> {
+    bytes.get(payload_range(magic, bytes)?)
+}
+
+/// [`parse_frame`] as the payload's position in `bytes`, for callers
+/// that keep the frame's buffer instead of copying its payload out.
+pub fn payload_range(magic: &[u8; 8], bytes: &[u8]) -> Option<std::ops::Range<usize>> {
     if bytes.get(..8)? != magic {
         return None;
     }
@@ -171,7 +177,7 @@ pub fn parse_frame<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Option<&'a [u8]> {
     }
     let payload = bytes.get(16..16 + len)?;
     let stored = u64::from_le_bytes(bytes.get(16 + len..)?.try_into().ok()?);
-    (checksum(payload) == stored).then_some(payload)
+    (checksum(payload) == stored).then_some(16..16 + len)
 }
 
 /// Reads and validates a framed image. A missing file or any corruption

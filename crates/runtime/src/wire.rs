@@ -172,6 +172,23 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// An opaque byte string, for values kept encoded until they are needed.
+/// Its layout is `Vec<u8>`'s (a `u64` length, then the bytes), but it
+/// decodes in one copy instead of byte by byte.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Bytes(pub Vec<u8>);
+
+impl Wire for Bytes {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.len().encode(out);
+        out.extend_from_slice(&self.0);
+    }
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let len = usize::decode(r)?;
+        Some(Bytes(r.take(len)?.to_vec()))
+    }
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -317,6 +334,20 @@ mod tests {
     fn roundtrip<T: Wire + std::fmt::Debug>(value: &T) -> T {
         let bytes = to_bytes(value);
         from_bytes(&bytes).expect("round trip decodes")
+    }
+
+    #[test]
+    fn bytes_lay_out_as_a_byte_vec() {
+        for raw in [vec![], vec![0u8], vec![7, 8, 9, 255]] {
+            let bytes = Bytes(raw.clone());
+            assert_eq!(to_bytes(&bytes), to_bytes(&raw));
+            assert_eq!(roundtrip(&bytes), bytes);
+        }
+        // A length past the payload is rejected, not allocated.
+        let mut short = to_bytes(&Bytes(vec![1, 2, 3]));
+        short.pop();
+        assert_eq!(from_bytes::<Bytes>(&short), None);
+        assert_eq!(from_bytes::<Bytes>(&u64::MAX.to_le_bytes()), None);
     }
 
     /// Debug output prints floats in shortest-round-trip form, so Debug

@@ -122,6 +122,17 @@ mod tests {
     }
 
     #[test]
+    fn a_schedule_renders_alike_through_its_own_context() {
+        let (ctx, _) = setup();
+        let mut rng = SmallRng::seed_from_u64(2);
+        for _ in 0..16 {
+            let sched = ctx.random_schedule(&mut rng);
+            let own = ScheduleContext::of_schedule(&ctx.workload, &ctx.intrinsic, &sched);
+            assert_eq!(render(&sched, &own), render(&sched, &ctx));
+        }
+    }
+
+    #[test]
     fn fused_loops_are_marked() {
         let (ctx, mut sched) = setup();
         sched.fuse_outer = 3;

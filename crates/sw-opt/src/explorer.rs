@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 use runtime::{
     Fingerprint, Fingerprinter, Key128, StableFingerprint, Telemetry, Timer, WorkerPool,
 };
+use tensor_ir::intrinsics::Intrinsic;
 use tensor_ir::matching::{find_tensorize_choices, MatchOptions, TensorizeChoice};
 use tensor_ir::workload::Workload;
 
@@ -95,12 +96,13 @@ pub struct OptimizedSoftware {
 /// inputs. The paper instead reuses one DQN "for all design points in a
 /// software space" (§VI-B); see README.
 ///
-/// What depends only on the software space is computed once per explorer
-/// and shared by every exploration: the tensorize choices of each (loop
-/// nest, intrinsic kind) pair — HASCO's step 1, which reads structure,
-/// never PE geometry — and the untrained Q-learner every exploration
-/// starts from. Both are pure functions of their keys, so sharing them
-/// changes no result, whichever explorations ran first.
+/// What depends only on the software space is computed once and shared
+/// by every exploration: the tensorize choices of each (loop nest,
+/// intrinsic kind) pair — HASCO's step 1, which reads structure, never PE
+/// geometry — in a [`ChoiceMemo`] that other explorers may share, and the
+/// untrained Q-learner every exploration starts from. Both are pure
+/// functions of their keys, so sharing them changes no result, whichever
+/// explorations ran first.
 ///
 /// Schedule pricing dispatches through a pluggable [`CostBackend`]
 /// ([`SoftwareExplorer::with_backend`]), defaulting to the fast analytic
@@ -121,8 +123,9 @@ pub struct SoftwareExplorer {
     /// Per-phase wall-clock timers (inert unless
     /// [`SoftwareExplorer::with_telemetry`] installed a live handle).
     phases: PhaseTimers,
-    /// Matcher results (see [`SoftwareExplorer::context`]).
-    choices: Mutex<ChoiceMemo>,
+    /// Matcher results (see [`SoftwareExplorer::context`]), shareable
+    /// with other explorers ([`SoftwareExplorer::with_choice_memo`]).
+    choices: Arc<ChoiceMemo>,
     /// The untrained Q-learner; each exploration trains its own clone.
     /// Built with the explorer, on the thread that builds it: first
     /// allocated by a pool worker, this long-lived block would pin that
@@ -131,9 +134,64 @@ pub struct SoftwareExplorer {
     learner: QLearner,
 }
 
-/// Tensorize choices keyed by a [`Key128`] of the workload's loop nest
-/// and the intrinsic kind.
-type ChoiceMemo = BTreeMap<(u64, u64), Arc<[TensorizeChoice]>>;
+/// HASCO's step 1, memoized: the tensorize choices of each (loop nest,
+/// intrinsic kind) pair, keyed by a [`Key128`] of the two. Matching reads
+/// the intrinsic's structure, never its PE geometry, so one entry serves
+/// every accelerator of that kind; the matcher runs outside the lock, so
+/// concurrent first uses may both match — they find the same choices and
+/// the first one stored is kept.
+///
+/// One memo can serve many explorers (an engine hands one to every
+/// explorer of every job). It is never evicted: it holds one entry per
+/// distinct (loop nest, intrinsic kind) pair ever matched, so at most
+/// [`IntrinsicKind::ALL`](tensor_ir::intrinsics::IntrinsicKind::ALL)`.len()`
+/// entries per distinct loop nest, each that pair's choice list (empty
+/// when the pair cannot be tensorized). The three CNN suites and the GEMM
+/// suite together have 65 distinct loop nests, so a memo that has seen
+/// all of them holds 260 entries.
+#[derive(Debug, Default)]
+pub struct ChoiceMemo {
+    map: Mutex<BTreeMap<(u64, u64), Choices>>,
+}
+
+/// One memoized choice list, shared by every context built from it.
+type Choices = Arc<[TensorizeChoice]>;
+
+impl ChoiceMemo {
+    /// The tensorize choices of `workload` on intrinsics of `intrinsic`'s
+    /// kind, matched on first use.
+    pub fn choices(&self, workload: &Workload, intrinsic: &Intrinsic) -> Choices {
+        let key = Key128::of(|fp| {
+            workload.comp.fingerprint_into(fp);
+            intrinsic.kind.fingerprint_into(fp);
+        })
+        .finish();
+        let map = || self.map.lock().expect("choice memo poisoned");
+        let cached = map().get(&key).cloned();
+        match cached {
+            Some(choices) => choices,
+            None => {
+                let found: Choices = find_tensorize_choices(
+                    &workload.comp,
+                    &intrinsic.comp,
+                    &MatchOptions::default(),
+                )
+                .into();
+                Arc::clone(map().entry(key).or_insert(found))
+            }
+        }
+    }
+
+    /// Entries memoized so far.
+    pub fn len(&self) -> usize {
+        self.map.lock().expect("choice memo poisoned").len()
+    }
+
+    /// True before the first match.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// One timer per phase of [`SoftwareExplorer::optimize`], resolved once
 /// when telemetry is attached so exploring never touches the registry.
@@ -156,7 +214,7 @@ impl SoftwareExplorer {
             workers: WorkerPool::serial(),
             progress: None,
             phases: PhaseTimers::default(),
-            choices: Mutex::default(),
+            choices: Arc::default(),
             learner: QLearner::new(seed ^ 0x9e3779b97f4a7c15),
         }
     }
@@ -170,6 +228,18 @@ impl SoftwareExplorer {
     pub fn with_backend(mut self, backend: Arc<dyn CostBackend>) -> Self {
         self.backend = backend;
         self
+    }
+
+    /// Matches through `memo`, shared with every other explorer holding
+    /// it, instead of this explorer's own (see [`ChoiceMemo`]).
+    pub fn with_choice_memo(mut self, memo: Arc<ChoiceMemo>) -> Self {
+        self.choices = memo;
+        self
+    }
+
+    /// The choice memo this explorer matches through.
+    pub fn choice_memo(&self) -> &Arc<ChoiceMemo> {
+        &self.choices
     }
 
     /// The cost backend pricing this explorer's schedules.
@@ -229,10 +299,8 @@ impl SoftwareExplorer {
 
     /// The schedule space of `workload` on `cfg`: equal to
     /// [`ScheduleContext::new`] with `cfg`'s intrinsic, but the matcher
-    /// runs once per (loop nest, intrinsic kind) for the explorer's
-    /// lifetime. It runs outside the lock, so concurrent first uses may
-    /// both match; they find the same choices and the first one stored
-    /// is kept.
+    /// runs once per (loop nest, intrinsic kind) for the lifetime of the
+    /// explorer's [`ChoiceMemo`].
     ///
     /// # Errors
     /// Returns [`SwError::NoTensorizeChoice`] when no tensorize choice
@@ -243,25 +311,7 @@ impl SoftwareExplorer {
         cfg: &AcceleratorConfig,
     ) -> Result<ScheduleContext, SwError> {
         let intrinsic = cfg.intrinsic_comp();
-        let key = Key128::of(|fp| {
-            workload.comp.fingerprint_into(fp);
-            intrinsic.kind.fingerprint_into(fp);
-        })
-        .finish();
-        let memo = || self.choices.lock().expect("choice memo poisoned");
-        let cached = memo().get(&key).cloned();
-        let choices = match cached {
-            Some(choices) => choices,
-            None => {
-                let found: Arc<[TensorizeChoice]> = find_tensorize_choices(
-                    &workload.comp,
-                    &intrinsic.comp,
-                    &MatchOptions::default(),
-                )
-                .into();
-                Arc::clone(memo().entry(key).or_insert(found))
-            }
-        };
+        let choices = self.choices.choices(workload, &intrinsic);
         ScheduleContext::with_choices(workload, &intrinsic, choices.to_vec())
     }
 
@@ -692,16 +742,29 @@ mod tests {
         for kind in IntrinsicKind::ALL {
             let small = cfg_at(kind, 8, 8).intrinsic_comp();
             let large = cfg_at(kind, 64, 32).intrinsic_comp();
+            // The geometry the engine's partitioning events match at.
+            let partition = tensor_ir::intrinsics::intrinsic_for(kind, 64);
             assert_ne!(small, large, "{kind}: the geometries must differ");
             for w in &workloads {
-                assert_eq!(
-                    find_tensorize_choices(&w.comp, &small.comp, &opts),
-                    find_tensorize_choices(&w.comp, &large.comp, &opts),
-                    "{kind} on {}",
-                    w.name
-                );
+                let want = find_tensorize_choices(&w.comp, &small.comp, &opts);
+                for other in [&large, &partition] {
+                    assert_eq!(
+                        want,
+                        find_tensorize_choices(&w.comp, &other.comp, &opts),
+                        "{kind} on {}",
+                        w.name
+                    );
+                }
             }
         }
+        // The bound the `ChoiceMemo` docs state for these suites.
+        let memo = ChoiceMemo::default();
+        for w in &workloads {
+            for kind in IntrinsicKind::ALL {
+                memo.choices(w, &cfg_at(kind, 8, 8).intrinsic_comp());
+            }
+        }
+        assert_eq!(memo.len(), 65 * IntrinsicKind::ALL.len());
     }
 
     #[test]

@@ -100,6 +100,19 @@ impl ScheduleContext {
         })
     }
 
+    /// The context a finished schedule of `workload` renders through
+    /// ([`crate::codegen::render`]): the schedule's own choice is its only
+    /// one, so the matcher does not run. Rendering reads the workload, the
+    /// intrinsic's extents and the schedule's choice, all of which this
+    /// context holds as [`ScheduleContext::new`]'s would.
+    pub fn of_schedule(workload: &Workload, intrinsic: &Intrinsic, schedule: &Schedule) -> Self {
+        ScheduleContext {
+            workload: workload.clone(),
+            intrinsic: intrinsic.clone(),
+            choices: vec![schedule.choice.clone()],
+        }
+    }
+
     /// The intrinsic extent bound to a tensorized compute loop under a
     /// choice (the PE-array-imposed stride of that loop).
     pub fn intrinsic_extent(&self, choice: &TensorizeChoice, compute_idx: IndexId) -> u64 {

@@ -3,12 +3,14 @@
 //! merged saves accumulate newest-wins across runs, interrupted saves
 //! (simulated partial writes) never destroy a loadable file, and
 //! concurrent savers interleave into a loadable, merged image, and the
-//! engine's `HASCOMC3` entry layout is pinned byte for byte.
+//! engine's `HASCOMC4` image layout is pinned byte for byte (an image of
+//! the retired `HASCOMC3` layout is a clean cold start).
 
 use accel_model::Metrics;
+use hasco::{Engine, EngineConfig};
 use proptest::prelude::*;
 
-use runtime::MemoCache;
+use runtime::{Image, MemoCache};
 
 /// The one save entry point: a merged save without age GC.
 fn save(cache: &MemoCache<u64, u64>, path: &std::path::Path) -> u64 {
@@ -233,15 +235,12 @@ fn concurrent_merged_saves_leave_a_loadable_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A hand-built image of the engine's memo entries — `(pair key,
-/// Option<Metrics>)`, one infeasible and one priced, at fixed stamps —
-/// spelled out byte by byte: each entry is `len u32 ++ stamp u64 ++ key
-/// (u64, u64) ++ tag u8`, then the seven metrics as `f64` bit patterns
-/// when the tag is 1, all little-endian. It must load to exactly those
-/// entries, and a merged re-save by a process with nothing new to add
-/// must rewrite the very same bytes.
-#[test]
-fn engine_memo_image_layout_is_pinned() {
+/// The two priced entries of the pinned images: `(pair key,
+/// Option<Metrics>)`, one infeasible and one priced, at fixed stamps, laid
+/// out as they are in every memo image version: `len u32 ++ stamp u64 ++
+/// key (u64, u64) ++ tag u8`, then the seven metrics as `f64` bit patterns
+/// when the tag is 1, all little-endian.
+fn pinned_pair_entries() -> (Vec<u8>, Metrics) {
     let metrics = Metrics {
         latency_cycles: 1.5e6,
         latency_ms: 1.5,
@@ -251,17 +250,17 @@ fn engine_memo_image_layout_is_pinned() {
         throughput_mops: f64::MIN_POSITIVE,
         utilization: 0.75,
     };
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&17u32.to_le_bytes());
-    payload.extend_from_slice(&1_000u64.to_le_bytes());
-    payload.extend_from_slice(&11u64.to_le_bytes());
-    payload.extend_from_slice(&12u64.to_le_bytes());
-    payload.push(0);
-    payload.extend_from_slice(&(17u32 + 7 * 8).to_le_bytes());
-    payload.extend_from_slice(&2_000u64.to_le_bytes());
-    payload.extend_from_slice(&21u64.to_le_bytes());
-    payload.extend_from_slice(&22u64.to_le_bytes());
-    payload.push(1);
+    let mut entries = Vec::new();
+    entries.extend_from_slice(&17u32.to_le_bytes());
+    entries.extend_from_slice(&1_000u64.to_le_bytes());
+    entries.extend_from_slice(&11u64.to_le_bytes());
+    entries.extend_from_slice(&12u64.to_le_bytes());
+    entries.push(0);
+    entries.extend_from_slice(&(17u32 + 7 * 8).to_le_bytes());
+    entries.extend_from_slice(&2_000u64.to_le_bytes());
+    entries.extend_from_slice(&21u64.to_le_bytes());
+    entries.extend_from_slice(&22u64.to_le_bytes());
+    entries.push(1);
     for f in [
         metrics.latency_cycles,
         metrics.latency_ms,
@@ -271,9 +270,35 @@ fn engine_memo_image_layout_is_pinned() {
         metrics.throughput_mops,
         metrics.utilization,
     ] {
-        payload.extend_from_slice(&f.to_bits().to_le_bytes());
+        entries.extend_from_slice(&f.to_bits().to_le_bytes());
     }
-    let image = runtime::persist::frame(b"HASCOMC3", &payload);
+    (entries, metrics)
+}
+
+/// A hand-built engine memo image, spelled out byte by byte: the payload
+/// is two sections, each `len u64 ++ entries`. The first holds the pair
+/// entries of [`pinned_pair_entries`]; the second one stored final
+/// exploration, `len u32 ++ stamp u64 ++ key (u64, u64) ++ encoded final`
+/// with the final as a length-prefixed (`u64`) byte string. It must load
+/// to exactly those entries, and a merged re-save by a process with
+/// nothing new to add — one cache alone, or the whole engine — must
+/// rewrite the very same bytes.
+#[test]
+fn engine_memo_image_layout_is_pinned() {
+    let (pairs, metrics) = pinned_pair_entries();
+    let mut finals = Vec::new();
+    finals.extend_from_slice(&(16u32 + 8 + 3).to_le_bytes());
+    finals.extend_from_slice(&3_000u64.to_le_bytes());
+    finals.extend_from_slice(&31u64.to_le_bytes());
+    finals.extend_from_slice(&32u64.to_le_bytes());
+    finals.extend_from_slice(&3u64.to_le_bytes());
+    finals.extend_from_slice(&[7, 8, 9]);
+    let mut payload = Vec::new();
+    for section in [&pairs, &finals] {
+        payload.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        payload.extend_from_slice(section);
+    }
+    let image = runtime::persist::frame(b"HASCOMC4", &payload);
     let path = temp_path("engine-layout", 0);
     std::fs::write(&path, &image).unwrap();
 
@@ -287,9 +312,40 @@ fn engine_memo_image_layout_is_pinned() {
     );
     let (_, priced, _) = entries[1];
     assert_eq!(priced.unwrap().area_mm2.to_bits(), (-0.0f64).to_bits());
+    let loaded = Image::read(&path).unwrap().expect("a valid image");
+    assert_eq!(
+        MemoCache::<(u64, u64), Vec<u8>>::parse_section(loaded.section(1).unwrap()),
+        Some(vec![((31, 32), vec![7, 8, 9], 3_000)])
+    );
 
     let idle: MemoCache<(u64, u64), Option<Metrics>> = MemoCache::new(64);
     assert_eq!(idle.save_merged_with_max_age(&path, None).unwrap(), 2);
     assert_eq!(std::fs::read(&path).unwrap(), image);
+
+    let engine = Engine::new(EngineConfig::default().with_cache_path(&path));
+    assert_eq!((engine.warm_entries(), engine.final_entries()), (2, 1));
+    assert_eq!(engine.persist().unwrap(), 2);
+    assert_eq!(std::fs::read(&path).unwrap(), image);
+    drop(engine);
+    std::fs::remove_file(&path).ok();
+}
+
+/// An image of the retired `HASCOMC3` layout — the pair entries straight
+/// in the payload, no sections — is a clean cold start for the engine and
+/// for a lone cache, and the engine's next save replaces it.
+#[test]
+fn hascomc3_image_is_a_clean_cold_start() {
+    let (pairs, _) = pinned_pair_entries();
+    let path = temp_path("mc3", 0);
+    std::fs::write(&path, runtime::persist::frame(b"HASCOMC3", &pairs)).unwrap();
+
+    let memo: MemoCache<(u64, u64), Option<Metrics>> = MemoCache::new(64);
+    assert_eq!(memo.load_from_file(&path).unwrap(), 0);
+    assert!(memo.is_empty());
+    let engine = Engine::new(EngineConfig::default().with_cache_path(&path));
+    assert_eq!((engine.warm_entries(), engine.final_entries()), (0, 0));
+    assert_eq!(engine.persist().unwrap(), 0);
+    assert_eq!(&std::fs::read(&path).unwrap()[..8], b"HASCOMC4");
+    drop(engine);
     std::fs::remove_file(&path).ok();
 }

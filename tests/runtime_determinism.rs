@@ -498,6 +498,70 @@ mod engine_concurrency {
     }
 
     #[test]
+    fn stored_final_explorations_change_nothing() {
+        // The finals store is read live, with no per-job snapshot, so a
+        // hit must be unobservable. One request runs three ways: finals
+        // cold; finals warm in the same engine, written by an earlier job
+        // of the same request; and finals restored from a persisted
+        // image. No job is waited on before the last run starts, so the
+        // memo store stays cold for all three and only the finals differ.
+        // Whole solutions and event streams must be equal, at 1 and 2
+        // threads, and each warm run must read its finals from the store.
+        use runtime::Telemetry;
+
+        let finals_hits = |engine: &Engine| {
+            let snapshot = engine.metrics().expect("metrics are on");
+            let finals = snapshot.caches.iter().find(|c| c.scope == "finals");
+            finals.expect("no finals cache scope").total().hits
+        };
+        for threads in [1, 2] {
+            let mut path = std::env::temp_dir();
+            path.push(format!("hasco-finals-{threads}-{}.bin", std::process::id()));
+            std::fs::remove_file(&path).ok();
+            let config = || {
+                EngineConfig::default()
+                    .with_job_slots(1)
+                    .with_cache_path(&path)
+                    .with_metrics(Telemetry::enabled())
+            };
+            let request = || {
+                let opts = CoDesignOptions::quick(61).with_threads(threads);
+                CoDesignRequest::new(mixed_input(2), opts).with_label("finals")
+            };
+
+            let engine = Engine::new(config());
+            let cold = engine.submit(request()).unwrap();
+            // The stream ends after `Solved`, so the job's finals are in.
+            let cold_events: Vec<RunEvent> = cold.events().collect();
+            assert_eq!(engine.final_entries(), 2);
+            // The image holds the finals and no memo entry (nothing was
+            // published yet).
+            assert_eq!(engine.persist().unwrap(), 0);
+            let before = finals_hits(&engine);
+
+            let warm = engine.submit(request()).unwrap();
+            let warm_events: Vec<RunEvent> = warm.events().collect();
+            let warm_solution = warm.wait().unwrap();
+            assert!(finals_hits(&engine) > before, "threads={threads}");
+
+            let restored = Engine::new(config());
+            assert_eq!(restored.final_entries(), 2);
+            let handle = restored.submit(request()).unwrap();
+            let restored_events: Vec<RunEvent> = handle.events().collect();
+            let restored_solution = handle.wait().unwrap();
+            assert!(finals_hits(&restored) > 0, "threads={threads}");
+
+            let cold_solution = cold.wait().unwrap();
+            assert_eq!(cold_solution, warm_solution, "threads={threads}");
+            assert_eq!(cold_solution, restored_solution, "threads={threads}");
+            assert_eq!(cold_events, warm_events, "threads={threads}");
+            assert_eq!(cold_events, restored_events, "threads={threads}");
+            drop((engine, restored));
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
     fn telemetry_never_changes_results() {
         // The observability contract: telemetry is a wall-clock side
         // channel, so enabling it must not move a single result bit —

@@ -271,7 +271,7 @@ pub enum EngineHandle {
 impl EngineHandle {
     /// Runs every request as its own job and returns the solutions in
     /// request order. Every request is submitted before any is awaited,
-    /// so every job forks the same warm state: a surrogate screen starts
+    /// so every job forks the same registry: a surrogate screen starts
     /// each job from the same registry generation, unlike a campaign,
     /// which publishes between its waves. (A served job publishes on the
     /// server when it completes, so there the guarantee holds for jobs

@@ -217,15 +217,14 @@ pub fn run(cfg: &Config) -> Table3 {
 }
 
 /// The `BENCH_table3.json` document: headline geomean gains plus the
-/// dedup-aware campaign totals, schema `hasco-bench-table3-v2`.
+/// dedup-aware campaign totals, schema `hasco-bench-table3-v3`.
 fn bench_json(t: &Table3, rollup: &CampaignStats) -> String {
     format!(
-        "{{\n  \"schema\": \"hasco-bench-table3-v2\",\n  \"rows\": {},\n  \
+        "{{\n  \"schema\": \"hasco-bench-table3-v3\",\n  \"rows\": {},\n  \
          \"codesign_gain\": {:.6},\n  \"convcore_gain\": {:.6},\n  \"hls_gap\": {:.6},\n  \
          \"campaign\": {{\n    \"scenarios\": {},\n    \"executed\": {},\n    \
          \"deduplicated\": {},\n    \"hw_evaluations\": {},\n    \"sw_explorations\": {},\n    \
-         \"refine_explorations\": {},\n    \"warm_cache_entries\": {},\n    \
-         \"cache_hits\": {},\n    \"cache_misses\": {},\n    \"cache_evictions\": {}\n  }}\n}}\n",
+         \"refine_explorations\": {}\n  }}\n}}\n",
         t.rows.len(),
         t.codesign_gain(),
         t.convcore_gain(),
@@ -236,10 +235,6 @@ fn bench_json(t: &Table3, rollup: &CampaignStats) -> String {
         rollup.hw_evaluations,
         rollup.sw_explorations,
         rollup.refine_explorations,
-        rollup.warm_cache_entries,
-        rollup.cache.hits,
-        rollup.cache.misses,
-        rollup.cache.evictions,
     )
 }
 

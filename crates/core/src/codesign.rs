@@ -22,7 +22,7 @@ use dse::random::RandomSearch;
 use dse::Optimizer;
 use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
-use runtime::{resolve_threads, Telemetry, WorkerPool};
+use runtime::{resolve_threads, MemoCache, Telemetry, WorkerPool};
 use sw_opt::explorer::{ChoiceMemo, ExplorerOptions, SoftwareExplorer};
 use sw_opt::schedule::ScheduleContext;
 use tensor_ir::intrinsics::{intrinsic_for, IntrinsicKind};
@@ -32,7 +32,7 @@ use crate::event::{EventSink, RunEvent};
 use crate::finals::{Final, FinalsStore};
 use crate::input::{GenerationMethod, InputDescription};
 pub use crate::pricing::HwProblem;
-use crate::pricing::{Computed, MemoEntry};
+use crate::pricing::PairMemo;
 use crate::report::RunStats;
 use crate::solution::{Solution, WorkloadSolution};
 use crate::tuning;
@@ -126,8 +126,10 @@ pub struct CoDesignOptions {
     /// Work-stealing in the evaluation pool (on by default). Like the
     /// thread count, this changes wall-clock time only, never results.
     pub work_stealing: bool,
-    /// Capacity (entries) of the memoizing evaluation cache shared by the
-    /// hardware DSE trials.
+    /// Capacity (entries) of the memoizing evaluation cache of a one-shot
+    /// [`CoDesigner::run`] ([`EngineConfig::one_shot`]). A job on a
+    /// long-lived engine prices through that engine's store instead,
+    /// sized by [`EngineConfig::cache_capacity`].
     pub cache_capacity: usize,
     /// Cost backend used to screen every candidate evaluation.
     pub backend: BackendKind,
@@ -373,8 +375,8 @@ pub(crate) struct ExecCtx {
     pub events: EventSink,
     /// Raised by [`JobHandle::cancel`](crate::engine::JobHandle::cancel).
     pub cancel: Arc<AtomicBool>,
-    /// Warm memo entries captured from the shared store at submit time.
-    pub warm: Vec<MemoEntry>,
+    /// The engine's pair memo, read and written live by every job.
+    pub memo: Arc<PairMemo>,
     /// Engine-provided screen backend (a forked surrogate carrying
     /// accumulated training); `None` builds a fresh one from the options.
     pub screen_backend: Option<Arc<dyn CostBackend>>,
@@ -396,14 +398,14 @@ pub(crate) struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// A context with no engine behind it: no events, no warm state, no
-    /// telemetry, and its own choice memo and finals store.
+    /// A context with no engine behind it: no events, no telemetry, and
+    /// its own stores.
     fn quiet(opts: &CoDesignOptions) -> Self {
         ExecCtx {
             label: String::new(),
             events: EventSink::disabled(),
             cancel: Arc::new(AtomicBool::new(false)),
-            warm: Vec::new(),
+            memo: Arc::new(MemoCache::new(opts.cache_capacity)),
             screen_backend: None,
             telemetry: Telemetry::disabled(),
             remote: None,
@@ -417,11 +419,6 @@ impl ExecCtx {
 pub(crate) struct ExecOutcome {
     /// The job's result.
     pub result: Result<Solution, HascoError>,
-    /// The memo entries the job computed — published into the shared
-    /// store when the caller observes completion. Empty for cancelled
-    /// jobs, so published warmth never depends on *when* a cancellation
-    /// landed.
-    pub memo: Vec<Computed>,
     /// The job's screen backend when it is a (now further-trained)
     /// surrogate, for the engine's per-technology registry.
     pub surrogate: Option<Arc<dyn CostBackend>>,
@@ -437,9 +434,8 @@ pub(crate) fn execute(
     opts: &CoDesignOptions,
     ctx: &ExecCtx,
 ) -> ExecOutcome {
-    let mut memo = Vec::new();
     let mut surrogate = None;
-    let result = execute_inner(input, opts, ctx, &mut memo, &mut surrogate);
+    let result = execute_inner(input, opts, ctx, &mut surrogate);
     match &result {
         Ok(s) => ctx.events.emit(RunEvent::Solved {
             meets_constraints: s.meets_constraints,
@@ -450,18 +446,13 @@ pub(crate) fn execute(
             error: e.to_string(),
         }),
     }
-    ExecOutcome {
-        result,
-        memo,
-        surrogate,
-    }
+    ExecOutcome { result, surrogate }
 }
 
 fn execute_inner(
     input: &InputDescription,
     opts: &CoDesignOptions,
     ctx: &ExecCtx,
-    memo_out: &mut Vec<Computed>,
     surrogate_out: &mut Option<Arc<dyn CostBackend>>,
 ) -> Result<Solution, HascoError> {
     opts.validate()?;
@@ -522,7 +513,7 @@ fn execute_inner(
         opts.seed,
     )
     .with_workers(workers)
-    .with_cache_capacity(opts.cache_capacity)
+    .with_memo(Arc::clone(&ctx.memo))
     .with_backend(Arc::clone(&screen))
     .with_events(ctx.events.clone())
     .with_choice_memo(Arc::clone(&ctx.choices));
@@ -545,8 +536,6 @@ fn execute_inner(
         }
     }
     problem = problem.with_telemetry(ctx.telemetry.clone());
-    problem.seed_memo(&ctx.warm);
-    let warm_cache_entries = ctx.warm.len() as u64;
 
     let observer = RunObserver {
         events: ctx.events.clone(),
@@ -563,7 +552,6 @@ fn execute_inner(
         return Err(HascoError::Cancelled);
     }
     if history.evaluations.is_empty() {
-        *memo_out = problem.take_computed();
         return Err(HascoError::NoFeasibleAccelerator);
     }
 
@@ -619,14 +607,12 @@ fn execute_inner(
         Ok(solution)
     })();
 
-    // The job's warm state goes back to the engine: memo entries for the
-    // shared store, the screen surrogate (with whatever it learned this
-    // run) for the registry. Every *completed* outcome publishes — a
-    // selection or finalization failure still paid for its evaluations,
-    // and a retry should not start cold — while a cancelled job publishes
-    // nothing (what it had computed depends on when the cancel landed).
+    // The screen surrogate (with whatever it learned this run) goes back
+    // to the engine's registry. Every *completed* outcome publishes — a
+    // selection or finalization failure still paid for its training —
+    // while a cancelled job publishes nothing (what it had learned
+    // depends on when the cancel landed).
     if !matches!(tuned, Err(HascoError::Cancelled)) {
-        *memo_out = problem.take_computed();
         if screen.as_surrogate().is_some() {
             *surrogate_out = Some(Arc::clone(&screen));
         }
@@ -647,8 +633,6 @@ fn execute_inner(
         refine_topk_trajectory: problem.topk_trajectory(),
         surrogate_samples,
         surrogate_trusted,
-        warm_cache_entries,
-        cache: problem.cache_stats(),
     };
     Ok(solution)
 }
@@ -1141,17 +1125,34 @@ mod tests {
         assert!(hi / lo < 10.0, "{per_backend:?}");
     }
 
+    /// The memo store's lookups so far (its `store` cache scope): a miss
+    /// is a software exploration run, a hit one answered from the store.
+    fn store_traffic(engine: &Engine) -> runtime::CacheStats {
+        let snapshot = engine.metrics().expect("metrics are on");
+        let store = snapshot.caches.iter().find(|c| c.scope == "store");
+        store.expect("no store cache scope").total()
+    }
+
     /// One request on a fresh one-shot engine persisting its store at
-    /// `path` — the warm-restart path every persisted run takes.
-    fn run_persisted(opts: &CoDesignOptions, path: &std::path::Path) -> Solution {
-        let engine = Engine::new(EngineConfig::one_shot(opts).with_cache_path(path));
+    /// `path` — the warm-restart path every persisted run takes — with
+    /// the store's entries at start-up and its lookups during the run.
+    fn run_persisted(
+        opts: &CoDesignOptions,
+        path: &std::path::Path,
+    ) -> (Solution, usize, runtime::CacheStats) {
+        let engine = Engine::new(
+            EngineConfig::one_shot(opts)
+                .with_cache_path(path)
+                .with_metrics(Telemetry::enabled()),
+        );
+        let warm_entries = engine.warm_entries();
         let solution = engine
             .submit_quiet(CoDesignRequest::new(toy_input(), opts.clone()))
             .unwrap()
             .wait()
             .unwrap();
         engine.persist().unwrap();
-        solution
+        (solution, warm_entries, store_traffic(&engine))
     }
 
     #[test]
@@ -1159,20 +1160,19 @@ mod tests {
         let path = temp_cache("warm");
         std::fs::remove_file(&path).ok();
         let opts = CoDesignOptions::quick(5);
-        let cold = run_persisted(&opts, &path);
-        assert_eq!(cold.stats.warm_cache_entries, 0);
+        let (cold, cold_entries, cold_traffic) = run_persisted(&opts, &path);
+        assert_eq!(cold_entries, 0);
         assert!(path.exists(), "cache file must be written");
-        let warm = run_persisted(&opts, &path);
-        assert!(warm.stats.warm_cache_entries > 0);
+        let (warm, warm_entries, warm_traffic) = run_persisted(&opts, &path);
+        assert!(warm_entries > 0);
         // Identical run, warm cache: same solution, strictly fewer
         // explorer executions (= cache misses).
-        assert_eq!(cold.accelerator, warm.accelerator);
-        assert_eq!(cold.hw_history, warm.hw_history);
+        assert_eq!(cold, warm);
         assert!(
-            warm.stats.cache.misses < cold.stats.cache.misses,
+            warm_traffic.misses < cold_traffic.misses,
             "warm run recomputed as much as cold: {} vs {}",
-            warm.stats.cache.misses,
-            cold.stats.cache.misses
+            warm_traffic.misses,
+            cold_traffic.misses
         );
         std::fs::remove_file(&path).ok();
     }
@@ -1182,15 +1182,14 @@ mod tests {
         let path = temp_cache("corrupt");
         std::fs::remove_file(&path).ok();
         let opts = CoDesignOptions::quick(6);
-        let reference = run_persisted(&opts, &path);
+        let (reference, _, _) = run_persisted(&opts, &path);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let recovered = run_persisted(&opts, &path);
-        assert_eq!(recovered.stats.warm_cache_entries, 0);
-        assert_eq!(reference.accelerator, recovered.accelerator);
-        assert_eq!(reference.hw_history, recovered.hw_history);
+        let (recovered, recovered_entries, _) = run_persisted(&opts, &path);
+        assert_eq!(recovered_entries, 0);
+        assert_eq!(reference, recovered);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1246,9 +1245,8 @@ mod tests {
 
     #[test]
     fn jobs_record_pricing_telemetry() {
-        // Two identical jobs on one engine: the second starts warm from
-        // the first's published memo, so the `jobs` cache scope sums a
-        // cold and a warm job.
+        // Two identical jobs on one engine price through its store: the
+        // first explores, the second reads every pair back.
         let mut opts = CoDesignOptions::quick(8).with_adaptive_refinement(BackendKind::TraceSim, 2);
         opts.hw_trials = 6;
         let engine = Engine::new(EngineConfig::one_shot(&opts).with_metrics(Telemetry::enabled()));
@@ -1256,21 +1254,21 @@ mod tests {
             let request = CoDesignRequest::new(toy_input(), opts.clone());
             engine.submit_quiet(request).unwrap().wait().unwrap()
         };
-        let (cold, warm) = (run(), run());
+        run();
+        let cold = store_traffic(&engine);
+        let warm_solution = run();
+        let warm = store_traffic(&engine);
         let snapshot = engine.metrics().expect("metrics-on engine snapshots");
         let gauge = |name: &str| {
             let found = snapshot.gauges.iter().find(|(n, _)| n == name);
             found.unwrap_or_else(|| panic!("no {name} gauge")).1
         };
-        let budget = warm.stats.refine_topk_trajectory.last();
+        let budget = warm_solution.stats.refine_topk_trajectory.last();
         assert_eq!(Some(gauge("staging.topk_budget") as usize), budget.copied());
         assert!(gauge("staging.rank_disagreement_milli") <= 1000);
-        let jobs = snapshot.caches.iter().find(|c| c.scope == "jobs");
-        let jobs = jobs.expect("no jobs cache scope").total();
-        let (cold, warm) = (cold.stats.cache, warm.stats.cache);
-        assert!(cold.misses > 0 && warm.hits > 0, "{cold:?} {warm:?}");
-        assert_eq!(jobs.hits, cold.hits + warm.hits);
-        assert_eq!(jobs.misses, cold.misses + warm.misses);
+        assert!(cold.misses > 0, "{cold:?}");
+        assert!(warm.hits > cold.hits, "{cold:?} {warm:?}");
+        assert_eq!(warm.misses, cold.misses, "the warm job explored again");
     }
 
     #[test]

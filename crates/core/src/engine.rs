@@ -21,31 +21,27 @@
 //! job interleaving never change any job's results* — extends to the
 //! engine by construction:
 //!
-//! * a job's **solution** is a pure function of its request and the
-//!   warm state it was admitted with — and for every non-learning screen
-//!   tier, of the request alone: warm cache entries only skip
-//!   recomputation of pure evaluations. The one deliberate exception is
-//!   a **surrogate** screen tier, which forks the registry's accumulated
-//!   training at submit (its fingerprint tracks the training content, so
-//!   memoization stays sound): sequential surrogate jobs learn from each
-//!   other by design, deterministically per the submit/wait program,
-//!   while same-wave jobs still see identical forks;
-//! * a job's **statistics and event stream** are a pure function of its
-//!   request *plus the warm state it was admitted with* — and that warm
-//!   state is itself deterministic, because completed jobs publish into
-//!   the shared store only when the caller **observes completion**
-//!   ([`JobHandle::wait`]), never at racy completion time. Submit N jobs
-//!   back-to-back and they all see the identical pre-wave store, no
-//!   matter how execution interleaves; wait between submissions and the
-//!   later job deterministically starts warm;
-//! * two pieces of warm state are shared **live** instead, because no job
-//!   can observe them: the tensorize-choice memo (matching is a pure
-//!   function of the loop nest and the intrinsic kind) and the store of
-//!   completed final explorations (`finals`). A final hit returns bit for
-//!   bit what the exploration would have returned and moves no
-//!   statistic and no event, so whether a job finds another job's final
-//!   in time changes its wall time only. The finals persist beside the
-//!   memo store, in the same image.
+//! * three stores are shared **live**, read and written by every running
+//!   job, because no job can observe them: the pair memo (`store`, one
+//!   software exploration's metrics per (accelerator, workload) pair),
+//!   the tensorize-choice memo (matching is a pure function of the loop
+//!   nest and the intrinsic kind) and the completed final explorations
+//!   (`finals`). Every entry is a pure value: the pricing tiers'
+//!   explorers run every round, a final cut short by a cancel is never
+//!   stored, and a surrogate tier's keys carry its training digest. A hit
+//!   returns bit for bit what the computation would have returned and
+//!   moves no field of a [`Solution`] and no event, so whether a job
+//!   finds another job's entry in time changes its wall time only. Both
+//!   memo stores persist in one image; their hit and miss counters are
+//!   telemetry ([`Engine::metrics`]);
+//! * a job's **solution and event stream** are therefore a pure function
+//!   of its request — with one deliberate exception, a **surrogate**
+//!   screen tier, which forks the registry's accumulated training at
+//!   submit. A job publishes its trained surrogate only when the caller
+//!   **observes completion** ([`JobHandle::wait`]), never at racy
+//!   completion time, so sequential surrogate jobs learn from each other
+//!   deterministically per the submit/wait program, while jobs submitted
+//!   back to back see identical forks.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -55,7 +51,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use accel_model::tech::TechParams;
-use accel_model::{BackendKind, CostBackend, Metrics, SurrogateBackend, SurrogateSnapshot};
+use accel_model::{BackendKind, CostBackend, SurrogateBackend, SurrogateSnapshot};
 use runtime::{
     persist, wire, Image, JobScheduler, Key128, MemoCache, StableFingerprint, Telemetry,
     TelemetrySnapshot,
@@ -66,6 +62,7 @@ use crate::codesign::{execute, CoDesignOptions, ExecCtx, ExecOutcome};
 use crate::event::{EventSink, EventStream, RunEvent};
 use crate::finals::FinalsStore;
 use crate::input::InputDescription;
+use crate::pricing::PairMemo;
 use crate::solution::Solution;
 use crate::HascoError;
 
@@ -89,8 +86,8 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Persistent image of the memo store and the finals store: loaded
     /// at engine creation, written by [`Engine::persist`] (merged
-    /// newest-wins) and best-effort on drop. `None` keeps both in-memory
-    /// only.
+    /// newest-wins) and best-effort on drop when either store gained
+    /// entries. `None` keeps both in-memory only.
     pub cache_path: Option<PathBuf>,
     /// Age-based GC for the persisted image: entries older than this are
     /// dropped at persist time ([`MemoCache::save_merged_with_max_age`]).
@@ -250,10 +247,11 @@ impl CoDesignRequest {
     }
 
     /// Stable 128-bit identity of everything that can change the
-    /// produced [`Solution`] or its statistics — the campaign dedup key.
-    /// The label, thread count and work-stealing are excluded: none of
-    /// them changes a solution. Public so transport layers can assert
-    /// that a request survived serialization bit-for-bit.
+    /// produced [`Solution`] — the campaign dedup key. The label, thread
+    /// count, work-stealing and cache capacity are excluded: none of them
+    /// changes a solution (an engine job prices through the engine's own
+    /// store). Public so transport layers can assert that a request
+    /// survived serialization bit-for-bit.
     pub fn fingerprint(&self) -> (u64, u64) {
         Key128::of(|fp| {
             for w in &self.input.app.workloads {
@@ -274,9 +272,7 @@ impl CoDesignRequest {
             fp.write_usize(o.hw_trials).write_usize(o.mobo_prior);
             o.sw_inner.fingerprint_into(fp);
             o.sw_final.fingerprint_into(fp);
-            fp.write_usize(o.tuning_rounds)
-                .write_u64(o.seed)
-                .write_usize(o.cache_capacity);
+            fp.write_usize(o.tuning_rounds).write_u64(o.seed);
             o.backend.fingerprint_into(fp);
             o.refine_backend.fingerprint_into(fp);
             fp.write_usize(o.refine_top_k)
@@ -310,9 +306,8 @@ struct JobState {
 
 /// Engine-level shared state.
 struct EngineShared {
-    /// The cross-request memo store (entries published at observed job
-    /// completion; snapshotted into every new job at submit).
-    store: MemoCache<(u64, u64), Option<Metrics>>,
+    /// The pair memo every job prices through, read and written live.
+    store: Arc<PairMemo>,
     /// Completed final explorations, read and written live by every job
     /// (see [`crate::finals`]).
     finals: Arc<FinalsStore>,
@@ -340,8 +335,10 @@ struct EngineShared {
     restored_surrogate_generation: u64,
     /// Surrogate backends restored from the store at engine creation.
     restored_surrogate_backends: usize,
-    /// Set when the store changed since the last persist.
-    dirty: AtomicBool,
+    /// Entries inserted into the two memo stores up to the last
+    /// persist's snapshot ([`EngineShared::inserts`]): the image is stale
+    /// while the stores count more.
+    saved_inserts: AtomicU64,
     /// Jobs actually executed (campaign dedup skips duplicates).
     jobs_executed: AtomicU64,
     next_job_id: AtomicU64,
@@ -354,21 +351,27 @@ struct EngineShared {
 }
 
 impl EngineShared {
-    /// Merges an observed job's warm state into the engine. Called from
+    /// Registers an observed job's trained surrogate. Called from
     /// [`JobHandle::wait`] — the caller's thread — exactly once per job,
-    /// so the store's content is a pure function of the caller's
-    /// submit/wait program, never of executor timing.
-    fn publish(&self, outcome: &ExecOutcome, surrogate_key: Option<(u64, u64)>) {
-        self.store.insert_all(&outcome.memo);
-        if !outcome.memo.is_empty() {
-            // detlint-allow(atomics): dirty flag only schedules a later mutex-serialized save; a stale read delays persistence, never changes results
-            self.dirty.store(true, Ordering::Relaxed);
-        }
-        if let (Some(key), Some(surrogate)) = (surrogate_key, &outcome.surrogate) {
-            lock_recover(&self.surrogates).insert(key, Arc::clone(surrogate));
-            // detlint-allow(atomics): same contract as the memo dirty flag above — save scheduling only
-            self.surrogate_dirty.store(true, Ordering::Relaxed);
-        }
+    /// so the registry's content is a pure function of the caller's
+    /// submit/wait program, never of executor timing. Returns whether
+    /// the job had a surrogate to register.
+    fn publish(&self, outcome: &ExecOutcome, surrogate_key: Option<(u64, u64)>) -> bool {
+        let (Some(key), Some(surrogate)) = (surrogate_key, &outcome.surrogate) else {
+            return false;
+        };
+        lock_recover(&self.surrogates).insert(key, Arc::clone(surrogate));
+        // detlint-allow(atomics): dirty flag only schedules a later mutex-serialized save; a stale read delays persistence, never changes results
+        self.surrogate_dirty.store(true, Ordering::Relaxed);
+        true
+    }
+
+    /// Entries inserted into the pair memo and the finals store since
+    /// engine creation (loaded ones excluded). A memo value never changes
+    /// without an insert, so this count moving is what makes the image
+    /// stale.
+    fn inserts(&self) -> u64 {
+        self.store.stats().inserts + self.finals.inserts()
     }
 
     /// Writes the surrogate registry to the configured store path, merged
@@ -429,11 +432,7 @@ impl EngineShared {
 /// Loads a memo image: the pair memo is its first section, the finals
 /// its second. Either section failing to decode makes the whole image a
 /// cold start, like any other corruption.
-fn load_memo_image(
-    path: &std::path::Path,
-    store: &MemoCache<(u64, u64), Option<Metrics>>,
-    finals: &FinalsStore,
-) {
+fn load_memo_image(path: &std::path::Path, store: &PairMemo, finals: &FinalsStore) {
     let Ok(Some(image)) = Image::read(path) else {
         return;
     };
@@ -485,7 +484,8 @@ fn surrogate_key_for_tech(tech: &TechParams) -> (u64, u64) {
 }
 
 /// A handle to one submitted job. Dropping the handle does not cancel
-/// the job, but an unobserved job never publishes warm state. Handles
+/// the job, but an unobserved job never publishes its trained surrogate
+/// (its memo entries are shared as it computes them). Handles
 /// are cheaply cloneable and clones share the job: the live event stream
 /// is still taken once across all clones, and the first `wait` anywhere
 /// publishes.
@@ -529,8 +529,8 @@ impl JobHandle {
     }
 
     /// Blocks until the job finishes and returns its result. The first
-    /// `wait` on a completed job **publishes** its warm state (memo
-    /// entries, trained surrogate) into the engine — the deterministic
+    /// `wait` on a completed job **publishes** its trained surrogate into
+    /// the engine's registry — the deterministic
     /// alternative to publishing at racy completion time — and, when the
     /// engine has a surrogate store configured, saves the updated
     /// registry image right after the publication, so on-disk warmth
@@ -559,14 +559,13 @@ impl JobHandle {
             Completion::Done(outcome) => {
                 // SeqCst pairs every waiter's swap into one total order so
                 // exactly one caller wins publication and runs the
-                // side-effecting warm-state publish below.
-                if !self.state.published.swap(true, Ordering::SeqCst) {
-                    self.shared.publish(outcome, self.state.surrogate_key);
-                    if self.state.surrogate_key.is_some() && outcome.surrogate.is_some() {
-                        // Best effort: a failed save costs restart warmth,
-                        // never correctness.
-                        let _ = self.shared.save_surrogates();
-                    }
+                // side-effecting surrogate publish below.
+                if !self.state.published.swap(true, Ordering::SeqCst)
+                    && self.shared.publish(outcome, self.state.surrogate_key)
+                {
+                    // Best effort: a failed save costs restart warmth,
+                    // never correctness.
+                    let _ = self.shared.save_surrogates();
                 }
                 outcome.result.clone()
             }
@@ -618,7 +617,7 @@ impl Engine {
     /// the surrogate registry when the configuration names them (a
     /// missing or corrupt image is a cold start, never an error).
     pub fn new(config: EngineConfig) -> Self {
-        let store = MemoCache::new(config.cache_capacity);
+        let store = Arc::new(MemoCache::new(config.cache_capacity));
         let finals = FinalsStore::new(config.cache_capacity);
         if let Some(path) = &config.cache_path {
             load_memo_image(path, &store, &finals);
@@ -647,7 +646,7 @@ impl Engine {
                 surrogate_store: config.surrogate_store,
                 surrogate_save: Mutex::new(()),
                 surrogate_dirty: AtomicBool::new(false),
-                dirty: AtomicBool::new(false),
+                saved_inserts: AtomicU64::new(0),
                 jobs_executed: AtomicU64::new(0),
                 next_job_id: AtomicU64::new(1),
                 telemetry: config.metrics.clone(),
@@ -662,7 +661,7 @@ impl Engine {
         self.scheduler.slots()
     }
 
-    /// Entries currently in the shared store.
+    /// Entries currently in the pair memo.
     pub fn warm_entries(&self) -> usize {
         self.shared.store.len()
     }
@@ -694,11 +693,10 @@ impl Engine {
     }
 
     /// Validates and enqueues one request; it starts as soon as a slot is
-    /// free. The returned handle streams events, cancels, and waits.
-    ///
-    /// The job's warm memo snapshot is captured **now**, synchronously —
-    /// not when the job starts — so what a job sees depends only on the
-    /// submissions and waits the caller already performed.
+    /// free. The returned handle streams events, cancels, and waits. A
+    /// surrogate screen forks the registry **now**, synchronously — not
+    /// when the job starts — so the training a job starts from depends
+    /// only on the submissions and waits the caller already performed.
     ///
     /// # Errors
     /// Returns [`HascoError::InvalidOptions`] for option combinations
@@ -727,7 +725,6 @@ impl Engine {
         if request.input.app.is_empty() {
             return Err(HascoError::EmptyApp);
         }
-        let warm = self.shared.store.snapshot_stamped();
         // A surrogate screen tier starts from the registry's accumulated
         // training (forked, so this job's own training stays private
         // until its completion is observed).
@@ -773,7 +770,7 @@ impl Engine {
             label: request.label.clone(),
             events: sink,
             cancel: Arc::clone(&state.cancel),
-            warm,
+            memo: Arc::clone(&self.shared.store),
             screen_backend,
             telemetry: self.shared.telemetry.clone(),
             remote: self.shared.remote.clone(),
@@ -788,7 +785,6 @@ impl Engine {
                 ctx.events.emit(RunEvent::Cancelled);
                 Completion::Done(Box::new(ExecOutcome {
                     result: Err(HascoError::Cancelled),
-                    memo: Vec::new(),
                     surrogate: None,
                 }))
             } else {
@@ -816,14 +812,14 @@ impl Engine {
     /// requests (same workloads, method, constraints, and options — the
     /// duplicate gets the representative's solution without running), then
     /// submits the unique ones in waves of [`Engine::job_slots`], waiting
-    /// out each wave before admitting the next so later scenarios start
-    /// warm from everything earlier waves evaluated. Results come back in
-    /// input order; for non-learning screen tiers they are independent of
-    /// wave boundaries and job interleaving (warmth changes statistics,
-    /// never solutions). Surrogate-screened scenarios inherit training
-    /// from earlier waves by design — deterministic in the matrix order,
-    /// but a different split into waves can shift what each wave's fork
-    /// has learned.
+    /// out each wave before admitting the next. Every scenario prices
+    /// through the live store, so later scenarios reuse whatever earlier
+    /// ones evaluated. Results come back in input order; for non-learning
+    /// screen tiers they are independent of wave boundaries and job
+    /// interleaving (warmth changes wall time, never solutions).
+    /// Surrogate-screened scenarios inherit training from earlier waves by
+    /// design — deterministic in the matrix order, but a different split
+    /// into waves can shift what each wave's fork has learned.
     ///
     /// # Errors
     /// The first failing scenario aborts the campaign with its error.
@@ -865,12 +861,11 @@ impl Engine {
             (assignment.len() - unique.len()) as u64,
         );
 
-        // Waves: within a wave, jobs share the pre-wave store (all
-        // snapshots are taken before any wave member is waited on);
-        // between waves, each wait publishes, so the next wave starts
-        // warm — this is where cross-scenario dedup of equivalent
-        // evaluations (e.g. edge vs. cloud rows, which differ only in
-        // constraints) pays off.
+        // Waves: within a wave, surrogate jobs fork the same registry
+        // state; between waves, each wait publishes, so the next wave
+        // inherits the training. Equivalent evaluations (e.g. edge vs.
+        // cloud rows, which differ only in constraints) are shared
+        // through the live store whatever the waves.
         let mut solutions: Vec<Option<Solution>> = (0..unique.len()).map(|_| None).collect();
         let mut labels: Vec<String> = unique.iter().map(|r| r.label.clone()).collect();
         for (slot, label) in labels.iter_mut().enumerate() {
@@ -924,16 +919,14 @@ impl Engine {
         let memo = match &self.shared.cache_path {
             None => Ok(0),
             Some(path) => {
-                // Cleared before the stores are snapshotted: a publication
-                // or final landing after the snapshot re-raises its flag,
-                // so a later persist or drop knows this save missed it.
-                // detlint-allow(atomics): save scheduling only; a failed save re-raises it below
-                self.shared.dirty.store(false, Ordering::Relaxed);
-                self.shared.finals.set_dirty(false);
-                save_memo_image(path, &self.shared).inspect_err(|_| {
-                    // detlint-allow(atomics): as above
-                    self.shared.dirty.store(true, Ordering::Relaxed);
-                    self.shared.finals.set_dirty(true);
+                // Counted before the stores are snapshotted, so an entry
+                // landing after the snapshot leaves the image stale; a
+                // failed save leaves the mark where it was.
+                let inserts = self.shared.inserts();
+                let saved = &self.shared.saved_inserts;
+                save_memo_image(path, &self.shared).inspect(|_| {
+                    // detlint-allow(atomics): save scheduling only; a stale mark costs at most one extra save
+                    saved.fetch_max(inserts, Ordering::Relaxed);
                 })
             }
         };
@@ -956,8 +949,9 @@ impl Engine {
     }
 
     /// Snapshots the telemetry registry (`None` when metrics are
-    /// disabled), refreshing the point-in-time gauges first: the shared
-    /// store's per-shard counters (scope `"store"`), the finals store's
+    /// disabled), refreshing the point-in-time gauges first: the pair
+    /// memo's per-shard counters (scope `"store"`: every job's lookups,
+    /// a hit is a software exploration not run), the finals store's
     /// (scope `"finals"`: a hit is a final exploration not run), the
     /// warm-entry count, and registered surrogate backends.
     pub fn metrics(&self) -> Option<TelemetrySnapshot> {
@@ -978,14 +972,14 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Best-effort persistence of state published since the last
-        // explicit persist. (Unobserved jobs never published, so there is
-        // nothing of theirs to save; the scheduler join below still lets
-        // them finish.)
-        // detlint-allow(atomics): dirty-flag read decides whether drop persists; a stale read at worst saves once more
-        if self.shared.dirty.load(Ordering::Relaxed) || self.shared.finals.is_dirty() {
+        // Best-effort persistence of whatever the stores gained since the
+        // last explicit persist. (A job still running when this check
+        // happens saves nothing of its own; the scheduler join below
+        // still lets it finish.)
+        // detlint-allow(atomics): save-mark read decides whether drop persists; a stale read at worst saves once more
+        if self.shared.inserts() > self.shared.saved_inserts.load(Ordering::Relaxed) {
             let _ = self.persist();
-        // detlint-allow(atomics): same drop-time save gating as the memo flag above
+        // detlint-allow(atomics): surrogate-store save gating, as above
         } else if self.shared.surrogate_dirty.load(Ordering::Relaxed) {
             let _ = self.shared.save_surrogates();
         }
@@ -1150,7 +1144,7 @@ mod tests {
         );
         assert_eq!(
             request.fingerprint(),
-            (0xb4814204cd9cd7d6, 0x7fc9123f0e4be9f5)
+            (0x2e62449bf3437ac6, 0xb5ee567dbff9c4a5)
         );
         assert_eq!(
             surrogate_key_for_tech(&TechParams::default()),

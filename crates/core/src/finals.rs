@@ -19,8 +19,6 @@
 //! none of them. The store persists beside the pair memo, as the second
 //! section of the same [`Image`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use accel_model::arch::AcceleratorConfig;
 use accel_model::Metrics;
 use runtime::wire::{self, Bytes};
@@ -56,8 +54,6 @@ type Entry = ((u64, u64), Bytes, u64);
 #[derive(Debug)]
 pub(crate) struct FinalsStore {
     cache: Cache,
-    /// Set when an entry was stored since the last save.
-    dirty: AtomicBool,
 }
 
 impl FinalsStore {
@@ -65,7 +61,6 @@ impl FinalsStore {
     pub fn new(capacity: usize) -> Self {
         FinalsStore {
             cache: MemoCache::new(capacity),
-            dirty: AtomicBool::new(false),
         }
     }
 
@@ -99,20 +94,12 @@ impl FinalsStore {
     /// Stores a completed exploration.
     pub fn insert(&self, key: (u64, u64), done: &Final) {
         self.cache.insert(key, Bytes(wire::to_bytes(done)));
-        self.set_dirty(true);
     }
 
-    /// True when an entry was stored since the flag was last cleared.
-    pub fn is_dirty(&self) -> bool {
-        // detlint-allow(atomics): dirty flag only schedules a later save; a stale read delays persistence, never changes results
-        self.dirty.load(Ordering::Relaxed)
-    }
-
-    /// Raises or clears the dirty flag (a save clears it before taking
-    /// its snapshot, and raises it again if the write fails).
-    pub fn set_dirty(&self, dirty: bool) {
-        // detlint-allow(atomics): save scheduling only, as above; an insert racing a save re-raises it
-        self.dirty.store(dirty, Ordering::Relaxed);
+    /// Entries stored so far, seeded ones excluded (the engine's save
+    /// trigger).
+    pub fn inserts(&self) -> u64 {
+        self.cache.stats().inserts
     }
 
     /// Entries held.

@@ -24,16 +24,10 @@ use tensor_ir::workload::Workload;
 use crate::event::{EventSink, RunEvent};
 use crate::remote::{RemoteEvalRequest, SharedPairEvaluator};
 
-/// One memo-cache entry with its age, as the engine's shared store hands
-/// it to a job's private cache.
-pub(crate) type MemoEntry = ((u64, u64), Option<Metrics>, u64);
-
-/// One freshly computed memo entry, as a job publishes it.
-pub(crate) type Computed = ((u64, u64), Option<Metrics>);
-
 /// Memoized per-(accelerator, workload) explorer outcomes; `None` records
-/// a software-exploration failure (also worth caching).
-type Memo = MemoCache<(u64, u64), Option<Metrics>>;
+/// a software-exploration failure (also worth caching). An engine shares
+/// one across all its jobs.
+pub(crate) type PairMemo = MemoCache<(u64, u64), Option<Metrics>>;
 
 /// What every priced (accelerator, workload) pair shares besides the
 /// accelerator and the tier's backend.
@@ -126,17 +120,17 @@ impl Tier {
     /// per-workload metrics, `None` if any workload failed. Memoized
     /// pairs are answered without occupying a worker, duplicates within
     /// the batch are dispatched once, and the rest fan out to the worker
-    /// pool; each fresh outcome is memoized and appended to `computed`. Each pair is a pure function of (seed, backend, config,
-    /// workload, options), so completion order is irrelevant — the pool
-    /// reassembles in submission order, keeping results identical at any
-    /// thread count.
+    /// pool; each fresh outcome is memoized. Each pair is a pure function
+    /// of (seed, backend, config, workload, options), so completion order
+    /// is irrelevant — the pool reassembles in submission order, keeping
+    /// results identical at any thread count — and so is whichever job
+    /// memoized an entry first.
     fn price(
         &self,
         pairs: &PairInputs,
-        memo: &Memo,
+        memo: &PairMemo,
         workers: &WorkerPool,
         configs: &[&AcceleratorConfig],
-        computed: &mut Vec<Computed>,
     ) -> Vec<Option<Metrics>> {
         let mut results: Vec<Vec<Option<Option<Metrics>>>> = configs
             .iter()
@@ -200,7 +194,6 @@ impl Tier {
         let mut fresh_outcomes: BTreeMap<(u64, u64), Option<Metrics>> = BTreeMap::new();
         for (&(ci, wi, key), outcome) in jobs.iter().zip(outcomes) {
             memo.insert(key, outcome);
-            computed.push((key, outcome));
             fresh_outcomes.insert(key, outcome);
             results[ci][wi] = Some(outcome);
         }
@@ -268,9 +261,9 @@ pub struct HwProblem<'a> {
     pairs: PairInputs<'a>,
     workers: WorkerPool,
     /// Shared by both tiers (their keys differ through the backend
-    /// fingerprint) and persistable across runs
-    /// ([`HwProblem::save_cache`]).
-    memo: Memo,
+    /// fingerprint), by every job of an engine ([`HwProblem::with_memo`]),
+    /// and persistable across runs ([`HwProblem::save_cache`]).
+    memo: Arc<PairMemo>,
     /// Exact per-point replay cache (a point hit skips config generation
     /// and the memo lookups entirely).
     cache: BTreeMap<Point, Option<Vec<f64>>>,
@@ -285,8 +278,6 @@ pub struct HwProblem<'a> {
     refine_requests: usize,
     /// Staged batches processed (the `Refined` event sequence number).
     staged_batches: usize,
-    /// Memo entries computed (not memoized) so far, in insertion order.
-    computed: Vec<Computed>,
     /// Progress-event sink (disabled by default; the engine installs a
     /// live one per job).
     events: EventSink,
@@ -318,13 +309,12 @@ impl<'a> HwProblem<'a> {
             screen: Tier::new(SoftwareExplorer::new(seed), &pairs),
             pairs,
             workers: WorkerPool::serial(),
-            memo: MemoCache::new(4096),
+            memo: Arc::new(MemoCache::new(4096)),
             cache: BTreeMap::new(),
             refine: None,
             sw_requests: 0,
             refine_requests: 0,
             staged_batches: 0,
-            computed: Vec::new(),
             events: EventSink::disabled(),
             telemetry: Telemetry::disabled(),
         }
@@ -338,8 +328,16 @@ impl<'a> HwProblem<'a> {
 
     /// Bounds the memoizing evaluation cache (call before
     /// [`HwProblem::load_cache`] — resizing resets the cache).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.memo = MemoCache::new(capacity);
+    pub fn with_cache_capacity(self, capacity: usize) -> Self {
+        self.with_memo(Arc::new(MemoCache::new(capacity)))
+    }
+
+    /// Prices through `memo` instead of a cache of its own: an engine
+    /// hands every job its shared store, read and written live. Entries
+    /// are pure values, so which job computed one, and when it became
+    /// visible, changes wall time only.
+    pub(crate) fn with_memo(mut self, memo: Arc<PairMemo>) -> Self {
+        self.memo = memo;
         self
     }
 
@@ -444,8 +442,8 @@ impl<'a> HwProblem<'a> {
 
     /// Attaches the telemetry side channel: per-tier software-exploration
     /// timings (`sw_explore/<tier>`) and their phases (`sw_opt/*`, see
-    /// [`SoftwareExplorer::with_telemetry`]), staging spans, and end-of-run
-    /// cache counters flow into it. A surrogate screen backend additionally
+    /// [`SoftwareExplorer::with_telemetry`]), staging spans, and the
+    /// end-of-run staging gauges flow into it. A surrogate screen backend additionally
     /// reports its GP fit/predict timings. Call after
     /// [`HwProblem::with_backend`] / [`HwProblem::with_refinement`] so the
     /// installed explorers and backends are the ones that run.
@@ -461,29 +459,10 @@ impl<'a> HwProblem<'a> {
         self
     }
 
-    /// Seeds the memoizing evaluation cache with entries from a shared
-    /// store (the engine's cross-request warm state), preserving each
-    /// entry's age. Warm entries only skip recomputation — memoized
-    /// evaluations are pure, so seeding changes hit/miss statistics,
-    /// never results — and seeding itself moves no cache counter.
-    pub(crate) fn seed_memo(&self, entries: &[MemoEntry]) {
-        self.memo.seed(entries);
-    }
-
-    /// Takes the memo entries computed so far — what a job publishes back
-    /// into the engine's shared store on completion. Seeded entries are
-    /// already there, so they are not handed back.
-    pub(crate) fn take_computed(&mut self) -> Vec<Computed> {
-        std::mem::take(&mut self.computed)
-    }
-
-    /// Records the end-of-job telemetry: the memo's per-shard traffic,
-    /// accumulated across jobs under the `jobs` cache scope (the engine's
-    /// shared store is snapshotted separately), and the adaptive staging
-    /// controller's final budget and rank disagreement.
+    /// Records the end-of-job telemetry: the adaptive staging
+    /// controller's final budget and rank disagreement. (The memo's
+    /// traffic is the engine's `store` cache scope.)
     pub(crate) fn record_telemetry(&self) {
-        self.telemetry
-            .add_cache_shards("jobs", &self.memo.shard_stats());
         let Some(controller) = self.controller() else {
             return;
         };
@@ -499,7 +478,8 @@ impl<'a> HwProblem<'a> {
         }
     }
 
-    /// Counters of the memoizing evaluation cache.
+    /// Counters of the memoizing evaluation cache (every job's traffic
+    /// when the cache is an engine's shared store).
     pub fn cache_stats(&self) -> runtime::CacheStats {
         self.memo.stats()
     }
@@ -599,13 +579,9 @@ impl Problem for HwProblem<'_> {
         self.sw_requests += fresh.len() * workloads;
         let configs: Vec<&AcceleratorConfig> = fresh.iter().map(|(_, cfg)| cfg).collect();
         let screen_span = self.telemetry.span("job/hw_dse/screen");
-        let mut fresh_metrics = self.screen.price(
-            &self.pairs,
-            &self.memo,
-            &self.workers,
-            &configs,
-            &mut self.computed,
-        );
+        let mut fresh_metrics = self
+            .screen
+            .price(&self.pairs, &self.memo, &self.workers, &configs);
         drop(screen_span);
 
         // Stage 3 (refine): re-price only the top-k screened survivors at
@@ -646,13 +622,7 @@ impl Problem for HwProblem<'_> {
                 let sub: Vec<&AcceleratorConfig> =
                     survivors.iter().map(|&fi| &fresh[fi].1).collect();
                 let refine_span = self.telemetry.span("job/hw_dse/refine");
-                let refined = tier.price(
-                    &self.pairs,
-                    &self.memo,
-                    &self.workers,
-                    &sub,
-                    &mut self.computed,
-                );
+                let refined = tier.price(&self.pairs, &self.memo, &self.workers, &sub);
                 drop(refine_span);
                 for (&fi, metrics) in survivors.iter().zip(refined) {
                     // A refine-tier failure (impossible mappings are

@@ -3,13 +3,12 @@
 //! runtime-subsystem report attached to every solution.
 
 use accel_model::BackendKind;
-use runtime::CacheStats;
 
-/// Execution statistics of one co-design run: how the cost backends, the
-/// staging policy, and the memoizing cost-model cache were used. Like the
-/// rest of a [`Solution`](crate::Solution), every field is independent of
-/// thread count and scheduling; wall-clock and steal counts live in
-/// telemetry.
+/// Execution statistics of one co-design run: how the cost backends and
+/// the staging policy were used. Like the rest of a
+/// [`Solution`](crate::Solution), every field is independent of thread
+/// count, scheduling and warm state; wall-clock, steal counts and memo
+/// hits live in telemetry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Feasible hardware design points evaluated (full app metrics).
@@ -33,12 +32,6 @@ pub struct RunStats {
     /// Whether the surrogate cleared cross-validation and served GP
     /// predictions.
     pub surrogate_trusted: bool,
-    /// Memo entries seeded into the job from the engine's shared store
-    /// at submit (whatever earlier jobs published, plus any `--cache`
-    /// image the engine loaded).
-    pub warm_cache_entries: u64,
-    /// Memoizing evaluation-cache counters.
-    pub cache: CacheStats,
 }
 
 runtime::wire_struct!(RunStats {
@@ -50,8 +43,6 @@ runtime::wire_struct!(RunStats {
     refine_topk_trajectory,
     surrogate_samples,
     surrogate_trusted,
-    warm_cache_entries,
-    cache,
 });
 
 /// Campaign-level rollup of per-scenario [`RunStats`].
@@ -78,10 +69,6 @@ pub struct CampaignStats {
     pub sw_explorations: usize,
     /// High-fidelity re-evaluations, summed over executed scenarios.
     pub refine_explorations: usize,
-    /// Warm cache entries seeded into executed scenarios.
-    pub warm_cache_entries: u64,
-    /// Memo-cache counters summed over executed scenarios.
-    pub cache: CacheStats,
 }
 
 impl CampaignStats {
@@ -98,11 +85,6 @@ impl CampaignStats {
         self.hw_evaluations += stats.hw_evaluations;
         self.sw_explorations += stats.sw_explorations;
         self.refine_explorations += stats.refine_explorations;
-        self.warm_cache_entries += stats.warm_cache_entries;
-        self.cache.hits += stats.cache.hits;
-        self.cache.misses += stats.cache.misses;
-        self.cache.inserts += stats.cache.inserts;
-        self.cache.evictions += stats.cache.evictions;
     }
 
     /// Fraction of scenarios answered without running a job.
@@ -132,16 +114,6 @@ impl CampaignStats {
             self.sw_explorations.to_string(),
         ]);
         t.row(vec!["refined".into(), self.refine_explorations.to_string()]);
-        t.row(vec![
-            "warm cache entries".into(),
-            self.warm_cache_entries.to_string(),
-        ]);
-        t.row(vec!["cache hits".into(), self.cache.hits.to_string()]);
-        t.row(vec!["cache misses".into(), self.cache.misses.to_string()]);
-        t.row(vec![
-            "cache hit rate".into(),
-            format!("{:.1}%", self.cache.hit_rate() * 100.0),
-        ]);
         t.render()
     }
 }
@@ -249,13 +221,6 @@ mod tests {
             hw_evaluations: 10,
             sw_explorations: 40,
             refine_explorations: 8,
-            warm_cache_entries: 5,
-            cache: CacheStats {
-                hits: 20,
-                misses: 30,
-                inserts: 30,
-                evictions: 1,
-            },
             ..RunStats::default()
         };
         let mut rollup = CampaignStats::default();
@@ -270,7 +235,6 @@ mod tests {
         assert_eq!(rollup.hw_evaluations, 20);
         assert_eq!(rollup.sw_explorations, 80);
         assert_eq!(rollup.refine_explorations, 16);
-        assert_eq!(rollup.cache.hits, 40);
         assert!((rollup.dedup_rate() - 1.0 / 3.0).abs() < 1e-12);
         let s = rollup.render();
         assert!(s.contains("deduplicated") && s.contains("33.3%"));

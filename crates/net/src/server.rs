@@ -381,8 +381,8 @@ fn serve_submit(mut stream: TcpStream, inner: &ServerInner, request: hasco::CoDe
             break;
         }
     }
-    // `wait` also publishes the job's warm state into the engine — the
-    // serving process observes every job it runs.
+    // `wait` also publishes the job's trained surrogate into the engine —
+    // the serving process observes every job it runs.
     let result = handle.wait();
     lock_live(&inner.jobs).remove(&job_id);
     if !client_lost {

@@ -291,29 +291,19 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         self.put_locked(&mut shard, idx, key, value, stamp.min(now_secs()), true);
     }
 
-    /// Inserts every entry stamped "now", like [`MemoCache::insert`] per
-    /// entry but with one clock read and one lock per shard — how a
-    /// finished job publishes what it computed into a shared store.
-    pub fn insert_all(&self, entries: &[(K, V)]) {
-        // A stamp past "now" is clamped to it.
-        self.put_batch(entries, |(k, v)| (k, v, u64::MAX), true);
-    }
-
-    /// Warm-seeds the cache with stamped entries copied from another
-    /// cache, like [`MemoCache::insert_stamped`] but without moving any
+    /// Warm-seeds the cache with stamped entries loaded from an image,
+    /// like [`MemoCache::insert_stamped`] but without moving any
     /// [`CacheStats`] counter: a seeded entry was computed elsewhere, so
-    /// counting it would report work this cache never did. One clock read
-    /// and one lock per shard, whatever the entry count.
+    /// counting it would report work this cache never did. Each shard's
+    /// entries are stored in their batch order under one lock and one
+    /// clock read — the same final state as one insert per entry, since
+    /// shards are independent.
     pub fn seed(&self, entries: &[(K, V, u64)]) {
-        self.put_batch(entries, |(k, v, stamp)| (k, v, *stamp), false);
-    }
-
-    /// Stores a batch shard by shard, each shard's entries in their batch
-    /// order — the same final state as one insert per entry, since shards
-    /// are independent.
-    fn put_batch<T>(&self, items: &[T], entry: impl Fn(&T) -> (&K, &V, u64), counted: bool) {
         let now = now_secs();
-        let shards: Vec<usize> = items.iter().map(|t| self.shard_index(entry(t).0)).collect();
+        let shards: Vec<usize> = entries
+            .iter()
+            .map(|(k, _, _)| self.shard_index(k))
+            .collect();
         for idx in 0..SHARDS {
             let count = shards.iter().filter(|&&s| s == idx).count();
             if count == 0 {
@@ -323,10 +313,10 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
             let room = count.min(self.per_shard);
             shard.map.reserve(room);
             shard.order.reserve(room);
-            for (item, _) in items.iter().zip(&shards).filter(|&(_, &s)| s == idx) {
-                let (key, value, stamp) = entry(item);
-                let (key, value, stamp) = (key.clone(), value.clone(), stamp.min(now));
-                self.put_locked(&mut shard, idx, key, value, stamp, counted);
+            for ((key, value, stamp), _) in entries.iter().zip(&shards).filter(|&(_, &s)| s == idx)
+            {
+                let (key, value, stamp) = (key.clone(), value.clone(), (*stamp).min(now));
+                self.put_locked(&mut shard, idx, key, value, stamp, false);
             }
         }
     }
@@ -396,17 +386,8 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         removed
     }
 
-    /// Clones every entry, shard by shard in insertion order.
-    pub fn snapshot(&self) -> Vec<(K, V)> {
-        self.snapshot_stamped()
-            .into_iter()
-            .map(|(k, v, _)| (k, v))
-            .collect()
-    }
-
-    /// Like [`MemoCache::snapshot`], but keeps each entry's insertion
-    /// timestamp — the form engines pass between a shared store and
-    /// per-job caches so ages survive the round trip.
+    /// Clones every entry with its insertion timestamp, shard by shard in
+    /// insertion order — the order a saved image lays them out in.
     pub fn snapshot_stamped(&self) -> Vec<(K, V, u64)> {
         let mut out = Vec::new();
         for shard in &self.shards {
@@ -615,6 +596,8 @@ mod tests {
     #[test]
     fn hit_and_miss_accounting() {
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
+        // A cache with no lookups reports a 0 hit rate, not NaN.
+        assert_eq!(cache.stats().hit_rate(), 0.0);
         assert_eq!(cache.get(&1), None); // miss
         cache.insert(1, 10);
         assert_eq!(cache.get(&1), Some(10)); // hit
@@ -793,7 +776,6 @@ mod tests {
         let cache: MemoCache<u64, u64> = MemoCache::new(64);
         let future = super::now_secs() + 1_000_000;
         cache.insert_stamped(1, 10, future);
-        cache.insert_all(&[(2, 20)]);
         cache.seed(&[(3, 30, future)]);
         for (_, _, stamp) in cache.snapshot_stamped() {
             assert!(
@@ -857,7 +839,7 @@ mod tests {
         assert_eq!(cache.stats().evictions, 0);
         // Eviction order stays consistent after compaction (no dangling
         // keys in the FIFO queue).
-        assert_eq!(cache.snapshot().len(), 2);
+        assert_eq!(cache.snapshot_stamped().len(), 2);
     }
 
     #[test]

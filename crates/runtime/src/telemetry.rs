@@ -20,8 +20,8 @@
 //! * **counters / gauges** — named monotone sums and last-written values
 //!   (campaign dedup rates, jobs executed, pool items and steals,
 //!   adaptive top-k state);
-//! * **cache scopes** — per-shard [`CacheStats`] for the engine's shared
-//!   store (point-in-time) and the union of per-job caches (accumulated).
+//! * **cache scopes** — point-in-time per-shard [`CacheStats`] of the
+//!   engine's shared stores, which every job reads and writes live.
 //!
 //! # The side-channel contract
 //!
@@ -243,25 +243,9 @@ impl Telemetry {
         gauges.insert(name.to_string(), value);
     }
 
-    /// Accumulates per-shard cache counters into the named scope
-    /// (element-wise sum) — for per-job caches, whose lifetimes end with
-    /// the job.
-    pub fn add_cache_shards(&self, scope: &str, shards: &[CacheStats]) {
-        let Some(reg) = &self.inner else { return };
-        let mut caches = reg.caches.lock().expect("cache table poisoned");
-        let acc = caches.entry(scope.to_string()).or_default();
-        acc.resize(acc.len().max(shards.len()), CacheStats::default());
-        for (a, s) in acc.iter_mut().zip(shards) {
-            a.hits += s.hits;
-            a.misses += s.misses;
-            a.inserts += s.inserts;
-            a.evictions += s.evictions;
-        }
-    }
-
-    /// Replaces the named scope with a point-in-time per-shard image —
-    /// for long-lived caches (the engine's shared store) whose counters
-    /// are already cumulative.
+    /// Replaces the named scope with a point-in-time per-shard image of a
+    /// long-lived cache (the engine's shared stores), whose counters are
+    /// already cumulative.
     pub fn set_cache_shards(&self, scope: &str, shards: &[CacheStats]) {
         let Some(reg) = &self.inner else { return };
         let mut caches = reg.caches.lock().expect("cache table poisoned");
@@ -350,8 +334,8 @@ impl Drop for SpanGuard {
 /// Per-shard cache counters for one cache scope.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheScopeStat {
-    /// Scope name (`"store"` for the engine's shared cache, `"jobs"` for
-    /// the accumulated per-job caches).
+    /// Scope name (`"store"` for the engine's pair memo, which every job
+    /// prices through, `"finals"` for its completed final explorations).
     pub scope: String,
     /// One entry per shard, in shard order.
     pub shards: Vec<CacheStats>,
@@ -533,7 +517,7 @@ mod tests {
         assert_eq!(t.timer("sw_explore/analytic").time(|| 4), 4);
         t.counter_add("c", 1);
         t.gauge_set("g", 2);
-        t.add_cache_shards("jobs", &[CacheStats::default()]);
+        t.set_cache_shards("store", &[CacheStats::default()]);
         assert!(t.snapshot().is_none());
         assert_eq!(t.span("x").finish(), Duration::ZERO);
     }
@@ -637,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_scopes_accumulate_or_replace() {
+    fn cache_scopes_hold_the_latest_image() {
         let t = Telemetry::enabled();
         let one = CacheStats {
             hits: 1,
@@ -645,19 +629,16 @@ mod tests {
             inserts: 3,
             evictions: 4,
         };
-        t.add_cache_shards("jobs", &[one, one]);
-        t.add_cache_shards("jobs", &[one]);
         t.set_cache_shards("store", &[one]);
         t.set_cache_shards("store", &[one, one]);
+        t.set_cache_shards("finals", &[one]);
         let snap = t.snapshot().unwrap();
-        let jobs = snap.caches.iter().find(|c| c.scope == "jobs").unwrap();
-        assert_eq!(jobs.shards.len(), 2);
-        assert_eq!(jobs.shards[0].hits, 2);
-        assert_eq!(jobs.shards[1].hits, 1);
-        assert_eq!(jobs.total().misses, 6);
         let store = snap.caches.iter().find(|c| c.scope == "store").unwrap();
         assert_eq!(store.shards.len(), 2);
         assert_eq!(store.total().hits, 2);
+        assert_eq!(store.total().misses, 4);
+        let finals = snap.caches.iter().find(|c| c.scope == "finals").unwrap();
+        assert_eq!(finals.total(), one);
     }
 
     #[test]
@@ -717,7 +698,7 @@ mod tests {
         let t = Telemetry::enabled();
         t.span("job").finish();
         t.time("sw_explore/analytic", || ());
-        t.add_cache_shards("jobs", &[CacheStats::default()]);
+        t.set_cache_shards("store", &[CacheStats::default()]);
         t.counter_add("campaign.scenarios", 12);
         t.gauge_set("topk", 3);
         let text = t.snapshot().unwrap().render();
@@ -725,7 +706,7 @@ mod tests {
             "== telemetry ==",
             "time  job",
             "time  sw_explore/analytic",
-            "cache jobs",
+            "cache store",
             "count campaign.scenarios",
             "gauge topk",
         ] {

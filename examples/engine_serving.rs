@@ -12,6 +12,7 @@ use hasco::codesign::CoDesignOptions;
 use hasco::engine::{CoDesignRequest, Engine, EngineConfig};
 use hasco::event::RunEvent;
 use hasco::input::{Constraints, GenerationMethod, InputDescription};
+use runtime::{CacheStats, Telemetry};
 use tensor_ir::suites;
 use tensor_ir::workload::TensorApp;
 
@@ -42,9 +43,22 @@ fn cloud_input() -> InputDescription {
     input
 }
 
+/// The shared memo store's lookups so far: a miss is a software
+/// exploration run, a hit one answered from the store.
+fn store_traffic(engine: &Engine) -> CacheStats {
+    let snapshot = engine.metrics().expect("metrics are on");
+    let store = snapshot.caches.iter().find(|c| c.scope == "store");
+    store.expect("the engine reports its store").total()
+}
+
 fn main() {
-    // A resident engine: two concurrent job slots sharing one memo store.
-    let engine = Engine::new(EngineConfig::default().with_job_slots(2));
+    // A resident engine: two concurrent job slots sharing one memo store,
+    // with telemetry on so the store's traffic can be read.
+    let engine = Engine::new(
+        EngineConfig::default()
+            .with_job_slots(2)
+            .with_metrics(Telemetry::enabled()),
+    );
 
     // --- Concurrent submissions with live progress ---------------------
     // Submit two requests back to back; both run at once. Each handle
@@ -91,18 +105,23 @@ fn main() {
 
     let edge = edge_job.wait().expect("edge job succeeds");
     let cloud = cloud_job.wait().expect("cloud job succeeds");
+    println!("edge:  {} ({} DSE batches)", edge.accelerator, edge_batches);
     println!(
-        "edge:  {} ({} DSE batches, {} cache misses)",
-        edge.accelerator, edge_batches, edge.stats.cache.misses
+        "cloud: {} ({} DSE batches)",
+        cloud.accelerator, cloud_batches
     );
+    // The two jobs price the same pairs (they differ only in
+    // constraints), so whichever reaches a pair second reads it from the
+    // store.
+    let cold = store_traffic(&engine);
     println!(
-        "cloud: {} ({} DSE batches, {} cache misses)",
-        cloud.accelerator, cloud_batches, cloud.stats.cache.misses
+        "store: {} explorations run, {} answered from the store",
+        cold.misses, cold.hits
     );
 
     // --- Warm repeat traffic -------------------------------------------
-    // Both waits above published their evaluations into the shared
-    // store, so a repeat of the edge request starts warm: same solution,
+    // Both jobs wrote their evaluations into the shared store as they
+    // ran, so a repeat of the edge request starts warm: same solution,
     // a fraction of the work.
     println!("\n== warm repeat ==");
     let repeat = engine
@@ -113,16 +132,18 @@ fn main() {
         .expect("valid request")
         .wait()
         .expect("repeat succeeds");
-    assert_eq!(repeat.accelerator, edge.accelerator);
+    assert_eq!(repeat, edge);
+    let warm = store_traffic(&engine);
     println!(
-        "repeat: {} warm entries, {} misses (cold run: {}), identical solution",
-        repeat.stats.warm_cache_entries, repeat.stats.cache.misses, edge.stats.cache.misses
+        "repeat: {} explorations run, {} answered from the store, identical solution",
+        warm.misses - cold.misses,
+        warm.hits - cold.hits
     );
 
     // --- Campaign fan-out ----------------------------------------------
     // A scenario matrix (here: two power envelopes x two seeds) runs as
-    // one campaign: identical scenarios deduplicate, and later waves
-    // start warm from earlier ones.
+    // one campaign: identical scenarios deduplicate, and every scenario
+    // reuses what the others already priced.
     println!("\n== campaign ==");
     let mut matrix = Vec::new();
     for (scenario, input) in [("edge", edge_input()), ("cloud", cloud_input())] {
@@ -141,12 +162,11 @@ fn main() {
     let outcomes = engine.campaign(matrix).expect("campaign succeeds");
     for outcome in &outcomes {
         println!(
-            "{:>12}: {} ({} warm entries{})",
+            "{:>12}: {}{}",
             outcome.label,
             outcome.solution.accelerator,
-            outcome.solution.stats.warm_cache_entries,
             match &outcome.shared_with {
-                Some(with) => format!(", deduplicated with {with}"),
+                Some(with) => format!(" (deduplicated with {with})"),
                 None => String::new(),
             },
         );

@@ -12,7 +12,7 @@ use hasco::engine::{CoDesignRequest, Engine, EngineConfig};
 use hasco::event::RunEvent;
 use hasco::input::{Constraints, GenerationMethod, InputDescription};
 use hasco::HascoError;
-use runtime::{resolve_threads, WorkerPool};
+use runtime::{resolve_threads, CacheStats, Telemetry, WorkerPool};
 use tensor_ir::suites;
 use tensor_ir::workload::TensorApp;
 
@@ -28,6 +28,23 @@ fn toy_input() -> InputDescription {
         method: GenerationMethod::Gemmini,
         constraints: Constraints::default(),
     }
+}
+
+/// The engine's memo-store lookups so far (its `store` cache scope): a
+/// miss is a software exploration run, a hit one answered from the store.
+fn store_traffic(engine: &Engine) -> CacheStats {
+    let snapshot = engine.metrics().expect("metrics are on");
+    let store = snapshot.caches.iter().find(|c| c.scope == "store");
+    store.expect("no store cache scope").total()
+}
+
+/// A one-slot engine that records telemetry.
+fn metered_engine() -> Engine {
+    Engine::new(
+        EngineConfig::default()
+            .with_job_slots(1)
+            .with_metrics(Telemetry::enabled()),
+    )
 }
 
 fn temp_cache(name: &str) -> std::path::PathBuf {
@@ -127,21 +144,23 @@ fn midrun_cancellation_stops_a_job_early() {
     assert!(matches!(handle.wait(), Err(HascoError::Cancelled)));
     let tail: Vec<RunEvent> = events.collect();
     assert_eq!(tail.last(), Some(&RunEvent::Cancelled));
-    // A cancelled job publishes no warm state: a follow-up identical job
-    // starts exactly as cold as a first run would.
-    let follow_up = engine
-        .submit(CoDesignRequest::new(toy_input(), CoDesignOptions::quick(3)))
+    // Whatever the cancelled job left in the store is pure: a follow-up
+    // job solves exactly as it would on a fresh engine.
+    let follow_up = || CoDesignRequest::new(toy_input(), CoDesignOptions::quick(3));
+    let after_cancel = engine.submit(follow_up()).unwrap().wait().unwrap();
+    let fresh = Engine::new(EngineConfig::default().with_job_slots(1))
+        .submit(follow_up())
         .unwrap()
         .wait()
         .unwrap();
-    assert_eq!(follow_up.stats.warm_cache_entries, 0);
+    assert_eq!(after_cancel, fresh);
 }
 
 #[test]
 fn campaign_dedups_identical_scenarios_and_warms_across_waves() {
     // Single slot — every scenario is its own wave, so later scenarios
     // deterministically start warm from earlier ones.
-    let engine = Engine::new(EngineConfig::default().with_job_slots(1));
+    let engine = metered_engine();
     let opts = CoDesignOptions::quick(11);
     // edge and cloud differ only in constraints: their evaluations are
     // identical, so the cloud run should be answered mostly from the
@@ -182,12 +201,21 @@ fn campaign_dedups_identical_scenarios_and_warms_across_waves() {
         ]
     );
     // Cross-scenario dedup through the shared store: the cloud run found
-    // every (config, workload) evaluation already priced.
-    assert!(
-        outcomes[1].solution.stats.warm_cache_entries > 0,
+    // every (config, workload) evaluation already priced, so the campaign
+    // explored exactly what the edge scenario alone explores.
+    let campaign = store_traffic(&engine);
+    let edge_alone = metered_engine();
+    edge_alone
+        .submit(request(edge, "edge"))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let edge_alone = store_traffic(&edge_alone);
+    assert_eq!(
+        campaign.misses, edge_alone.misses,
         "cloud scenario saw no warmth from the edge scenario"
     );
-    assert!(outcomes[1].solution.stats.cache.hits > 0);
+    assert!(campaign.hits > edge_alone.hits);
     // Exact-duplicate dedup: the repeat never executed.
     assert_eq!(engine.jobs_executed(), 2);
     assert_eq!(
@@ -207,14 +235,15 @@ fn campaign_dedups_identical_scenarios_and_warms_across_waves() {
 }
 
 #[test]
-fn campaign_dedups_requests_that_differ_only_in_threads_and_stealing() {
-    // Thread count and work-stealing never change a solution, so the
-    // request fingerprint leaves them out: a scenario that differs only
-    // there is a duplicate, and its cloned solution equals an
-    // independent run of its own options.
+fn campaign_dedups_requests_differing_only_in_threads_stealing_capacity() {
+    // Thread count, work-stealing and the cache capacity never change a
+    // solution, so the request fingerprint leaves them out: a scenario
+    // that differs only there is a duplicate, and its cloned solution
+    // equals an independent run of its own options.
     let engine = Engine::new(EngineConfig::default().with_job_slots(1));
     let serial = CoDesignOptions::quick(13);
-    let parallel = serial.clone().with_threads(2).with_work_stealing(false);
+    let mut parallel = serial.clone().with_threads(2).with_work_stealing(false);
+    parallel.cache_capacity = 64;
     let outcomes = engine
         .campaign(vec![
             CoDesignRequest::new(toy_input(), serial).with_label("serial"),
@@ -262,10 +291,11 @@ fn store_persists_across_engine_lifetimes_and_gc_expires_it() {
         EngineConfig::default()
             .with_job_slots(1)
             .with_cache_path(&path)
+            .with_metrics(Telemetry::enabled())
     };
 
     // First engine: run one job, persist.
-    let cold = {
+    let (cold, cold_traffic) = {
         let engine = Engine::new(config());
         let solution = engine
             .submit(CoDesignRequest::new(toy_input(), CoDesignOptions::quick(9)))
@@ -273,7 +303,7 @@ fn store_persists_across_engine_lifetimes_and_gc_expires_it() {
             .wait()
             .unwrap();
         assert!(engine.persist().unwrap() > 0);
-        solution
+        (solution, store_traffic(&engine))
     };
     assert!(path.exists());
 
@@ -286,10 +316,8 @@ fn store_persists_across_engine_lifetimes_and_gc_expires_it() {
             .unwrap()
             .wait()
             .unwrap();
-        assert!(warm.stats.warm_cache_entries > 0);
-        assert_eq!(cold.accelerator, warm.accelerator);
-        assert_eq!(cold.hw_history, warm.hw_history);
-        assert!(warm.stats.cache.misses < cold.stats.cache.misses);
+        assert_eq!(cold, warm);
+        assert!(store_traffic(&engine).misses < cold_traffic.misses);
     }
 
     // Third engine: a zero max-age persists an empty (fully GC'd) image
@@ -312,7 +340,7 @@ fn store_persists_across_engine_lifetimes_and_gc_expires_it() {
 
 #[test]
 fn surrogate_registry_carries_training_across_jobs() {
-    let engine = Engine::new(EngineConfig::default().with_job_slots(1));
+    let engine = metered_engine();
     let opts = || {
         let mut o = CoDesignOptions::quick(13)
             .with_backend(BackendKind::Surrogate)
@@ -330,6 +358,8 @@ fn surrogate_registry_carries_training_across_jobs() {
     // The second job forks the registered surrogate: it starts with the
     // first job's training set (plus whatever it adds itself) and re-uses
     // the first job's memo entries for the shared training generation.
+    assert!(engine.warm_entries() > 0, "surrogate jobs share no warmth");
+    let before = store_traffic(&engine);
     let second = engine
         .submit(CoDesignRequest::new(toy_input(), opts()))
         .unwrap()
@@ -341,17 +371,14 @@ fn surrogate_registry_carries_training_across_jobs() {
         second.stats.surrogate_samples,
         first.stats.surrogate_samples
     );
-    assert!(
-        second.stats.warm_cache_entries > 0,
-        "surrogate jobs share no warmth"
-    );
+    assert!(store_traffic(&engine).hits > before.hits);
 }
 
 #[test]
 fn cancel_after_completion_returns_the_solution() {
     // A cancel racing a just-completed job must not convert an
     // already-computed solution into `Cancelled`.
-    let engine = Engine::new(EngineConfig::default());
+    let engine = Engine::new(EngineConfig::default().with_metrics(Telemetry::enabled()));
     let handle = engine
         .submit(CoDesignRequest::new(toy_input(), CoDesignOptions::quick(7)))
         .unwrap();
@@ -364,14 +391,16 @@ fn cancel_after_completion_returns_the_solution() {
         result.is_ok(),
         "completed-then-cancelled job lost its solution: {result:?}"
     );
-    // The late cancel also does not suppress the publication: a repeat
-    // job starts warm.
+    // The late cancel also does not retract the job's store entries: a
+    // repeat job explores nothing and solves identically.
+    let before = store_traffic(&engine);
     let repeat = engine
         .submit(CoDesignRequest::new(toy_input(), CoDesignOptions::quick(7)))
         .unwrap()
         .wait()
         .unwrap();
-    assert!(repeat.stats.warm_cache_entries > 0);
+    assert_eq!(store_traffic(&engine).misses, before.misses);
+    assert_eq!(Ok(repeat), result);
 }
 
 #[test]
@@ -402,20 +431,26 @@ fn events_after_wait_replay_the_full_history() {
 }
 
 #[test]
-fn warm_seeding_moves_no_cache_counter() {
-    // The second, identical request starts from everything the first one
-    // published: every lookup hits, and copying the warm entries into the
-    // job's cache is not counted as work the job did.
-    let engine = Engine::new(EngineConfig::default().with_job_slots(1));
+fn a_finished_job_warms_the_next_before_anyone_waits() {
+    // Jobs price through the engine's store live: once a job has
+    // finished, an identical job prices from its entries even though
+    // nobody has waited on the first. Every pair hits, none is explored
+    // or stored again, and the solution is the same.
+    let engine = metered_engine();
     let request = || CoDesignRequest::new(toy_input(), CoDesignOptions::quick(17));
-    let cold = engine.submit(request()).unwrap().wait().unwrap();
-    assert!(cold.stats.cache.inserts > 0);
-    let warm = engine.submit(request()).unwrap().wait().unwrap();
-    assert!(warm.stats.warm_cache_entries > 0);
-    assert!(warm.stats.cache.hits > 0);
-    assert_eq!(warm.stats.cache.misses, 0);
-    assert_eq!(warm.stats.cache.inserts, 0);
-    assert_eq!(warm.stats.cache.evictions, 0);
+    let first = engine.submit(request()).unwrap();
+    while !first.is_finished() {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let cold = store_traffic(&engine);
+    assert!(cold.inserts > 0);
+    let second = engine.submit(request()).unwrap().wait().unwrap();
+    let warm = store_traffic(&engine);
+    assert!(warm.hits > cold.hits, "{cold:?} {warm:?}");
+    assert_eq!(warm.misses, cold.misses, "the second job explored again");
+    assert_eq!(warm.inserts, cold.inserts);
+    assert_eq!(warm.evictions, 0);
+    assert_eq!(first.wait().unwrap(), second);
 }
 
 #[test]
@@ -458,7 +493,7 @@ fn surrogate_store_persists_training_across_engine_lifetimes() {
     // generation — and the repeat job starts from the first job's
     // training instead of re-paying it.
     {
-        let engine = Engine::new(config());
+        let engine = Engine::new(config().with_metrics(Telemetry::enabled()));
         assert_eq!(engine.restored_surrogate_backends(), 1);
         assert!(
             engine.restored_surrogate_generation() > 0,
@@ -477,7 +512,7 @@ fn surrogate_store_persists_training_across_engine_lifetimes() {
             first.stats.surrogate_samples
         );
         assert!(
-            warm.stats.warm_cache_entries > 0,
+            store_traffic(&engine).hits > 0,
             "restored generation must make the persisted memo reachable"
         );
     }

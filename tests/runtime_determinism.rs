@@ -4,9 +4,18 @@
 //! enough cores) parallel evaluation is actually faster.
 
 use hasco::codesign::{CoDesignOptions, CoDesigner};
+use hasco::engine::Engine;
 use hasco::input::{Constraints, GenerationMethod, InputDescription};
 use tensor_ir::suites;
 use tensor_ir::workload::TensorApp;
+
+/// The engine's memo-store lookups so far (its `store` cache scope): a
+/// miss is a software exploration run, a hit one answered from the store.
+fn store_traffic(engine: &Engine) -> runtime::CacheStats {
+    let snapshot = engine.metrics().expect("metrics are on");
+    let store = snapshot.caches.iter().find(|c| c.scope == "store");
+    store.expect("no store cache scope").total()
+}
 
 fn mixed_input(n_workloads: usize) -> InputDescription {
     let all = vec![
@@ -211,15 +220,20 @@ fn memo_cache_deduplicates_equivalent_workloads() {
         method: GenerationMethod::Gemmini,
         constraints: Constraints::default(),
     };
-    let solution = CoDesigner::new(CoDesignOptions::quick(3).with_threads(2))
-        .run(&input)
+    let opts = CoDesignOptions::quick(3).with_threads(2);
+    let engine = Engine::new(
+        hasco::engine::EngineConfig::one_shot(&opts).with_metrics(runtime::Telemetry::enabled()),
+    );
+    let solution = engine
+        .submit(hasco::engine::CoDesignRequest::new(input, opts))
+        .unwrap()
+        .wait()
         .unwrap();
-    let stats = solution.stats;
+    let hits = store_traffic(&engine).hits;
+    let evaluations = solution.stats.hw_evaluations;
     assert!(
-        stats.cache.hits >= stats.hw_evaluations as u64,
-        "expected one memo hit per evaluated point, got {} hits over {} evaluations",
-        stats.cache.hits,
-        stats.hw_evaluations,
+        hits >= evaluations as u64,
+        "expected one memo hit per evaluated point, got {hits} hits over {evaluations} evaluations",
     );
     // Twins must also land on the same optimized latency.
     assert_eq!(
@@ -284,13 +298,15 @@ mod engine_concurrency {
     //! interleaving never changes any job's results* — solutions, run
     //! statistics, and event streams are bit-identical whether a job runs
     //! alone through the one-shot API or alongside other jobs on a
-    //! multi-slot engine.
+    //! multi-slot engine, whatever the shared stores already hold.
 
-    use super::mixed_input;
+    use super::{mixed_input, store_traffic};
     use hasco::codesign::{CoDesignOptions, CoDesigner};
     use hasco::engine::{CoDesignRequest, Engine, EngineConfig};
     use hasco::event::RunEvent;
     use hasco::input::InputDescription;
+    use hasco::{HascoError, Solution};
+    use runtime::Telemetry;
 
     fn requests() -> Vec<(InputDescription, CoDesignOptions)> {
         vec![
@@ -314,8 +330,7 @@ mod engine_concurrency {
             .collect();
 
         // The same jobs submitted together on a fresh 4-slot engine: all
-        // four run concurrently, isolated from each other (nothing was
-        // published before any of them was admitted).
+        // four run concurrently, sharing one live store.
         let engine = Engine::new(EngineConfig::default().with_job_slots(4));
         let handles: Vec<_> = requests()
             .into_iter()
@@ -327,8 +342,7 @@ mod engine_concurrency {
             .collect();
         for (handle, reference) in handles.iter().zip(&solo) {
             let concurrent = handle.wait().unwrap();
-            // The whole solution, runtime statistics included: same cache
-            // hit/miss counts, same warm state (none), same eval counts.
+            // The whole solution, runtime statistics included.
             assert_eq!(reference, &concurrent);
         }
         assert_eq!(engine.jobs_executed(), 4);
@@ -336,30 +350,33 @@ mod engine_concurrency {
 
     #[test]
     fn warm_second_job_reports_cache_hits_from_the_first() {
-        let engine = Engine::new(EngineConfig::default().with_job_slots(2));
+        let engine = Engine::new(
+            EngineConfig::default()
+                .with_job_slots(2)
+                .with_metrics(Telemetry::enabled()),
+        );
         let input = mixed_input(2);
         let request = || CoDesignRequest::new(input.clone(), CoDesignOptions::quick(5));
 
+        assert_eq!(engine.warm_entries(), 0);
         let first = engine.submit(request()).unwrap().wait().unwrap();
-        assert_eq!(first.stats.warm_cache_entries, 0);
+        let cold = store_traffic(&engine);
 
-        // The wait above published the first job's memo entries, so an
+        // The first job left its memo entries in the store, so an
         // identical second job starts warm and recomputes strictly less —
         // while producing the identical solution.
-        let second = engine.submit(request()).unwrap().wait().unwrap();
         assert!(
-            second.stats.warm_cache_entries > 0,
+            engine.warm_entries() > 0,
             "second job saw no warmth from the first"
         );
+        let second = engine.submit(request()).unwrap().wait().unwrap();
+        let second_misses = store_traffic(&engine).misses - cold.misses;
         assert!(
-            second.stats.cache.misses < first.stats.cache.misses,
-            "warm job recomputed as much as cold: {} vs {}",
-            second.stats.cache.misses,
-            first.stats.cache.misses
+            second_misses < cold.misses,
+            "warm job recomputed as much as cold: {second_misses} vs {}",
+            cold.misses
         );
-        assert_eq!(first.accelerator, second.accelerator);
-        assert_eq!(first.hw_history, second.hw_history);
-        assert_eq!(first.total.latency_cycles, second.total.latency_cycles);
+        assert_eq!(first, second);
     }
 
     fn event_stream(opts: CoDesignOptions) -> (Vec<RunEvent>, hasco::Solution) {
@@ -459,7 +476,7 @@ mod engine_concurrency {
 
         // The whole solution, statistics included: the restored warm
         // state must be indistinguishable from the resident one (same
-        // warm entries, same hit/miss pattern, same surrogate trajectory).
+        // surrogate trajectory, same solution bits).
         assert_eq!(ref_solution, warm_solution);
         assert_eq!(
             ref_solution.total.latency_cycles.to_bits(),
@@ -503,12 +520,9 @@ mod engine_concurrency {
         // hit must be unobservable. One request runs three ways: finals
         // cold; finals warm in the same engine, written by an earlier job
         // of the same request; and finals restored from a persisted
-        // image. No job is waited on before the last run starts, so the
-        // memo store stays cold for all three and only the finals differ.
-        // Whole solutions and event streams must be equal, at 1 and 2
-        // threads, and each warm run must read its finals from the store.
-        use runtime::Telemetry;
-
+        // image. Whole solutions and event streams must be equal, at 1
+        // and 2 threads, and each warm run must read its finals from the
+        // store.
         let finals_hits = |engine: &Engine| {
             let snapshot = engine.metrics().expect("metrics are on");
             let finals = snapshot.caches.iter().find(|c| c.scope == "finals");
@@ -534,9 +548,9 @@ mod engine_concurrency {
             // The stream ends after `Solved`, so the job's finals are in.
             let cold_events: Vec<RunEvent> = cold.events().collect();
             assert_eq!(engine.final_entries(), 2);
-            // The image holds the finals and no memo entry (nothing was
-            // published yet).
-            assert_eq!(engine.persist().unwrap(), 0);
+            // The image holds the finals and every memo entry the job
+            // wrote, although nobody has waited on it.
+            assert_eq!(engine.persist().unwrap(), engine.warm_entries() as u64);
             let before = finals_hits(&engine);
 
             let warm = engine.submit(request()).unwrap();
@@ -562,12 +576,120 @@ mod engine_concurrency {
     }
 
     #[test]
+    fn live_store_entries_change_nothing() {
+        // Every job reads and writes the pair memo live, so whether an
+        // entry is there when a job looks, and which job computed it, must
+        // be unobservable. One request runs five ways: alone on a fresh
+        // engine; after an identical job finished but was never waited
+        // on; concurrently with that identical job on two slots; after a
+        // cancelled copy of it; and on an engine restored from a persisted
+        // image. Whole solutions and event streams must be equal at 1 and
+        // 2 threads, and every warm leg must price from the store. The
+        // concurrent leg races its twin for the store, so none of its
+        // counters is asserted.
+        for threads in [1, 2] {
+            let mut path = std::env::temp_dir();
+            path.push(format!("hasco-live-{threads}-{}.bin", std::process::id()));
+            std::fs::remove_file(&path).ok();
+            let engine = |slots: usize| {
+                Engine::new(
+                    EngineConfig::default()
+                        .with_job_slots(slots)
+                        .with_metrics(Telemetry::enabled()),
+                )
+            };
+            let request = || {
+                let opts = CoDesignOptions::quick(67).with_threads(threads);
+                CoDesignRequest::new(mixed_input(2), opts).with_label("live")
+            };
+            let run = |engine: &Engine| -> (Solution, Vec<RunEvent>) {
+                let handle = engine.submit(request()).unwrap();
+                let events = handle.events().collect();
+                (handle.wait().unwrap(), events)
+            };
+            let leg = |name: &str| format!("{name} leg, threads={threads}");
+
+            let fresh = engine(1);
+            let reference = run(&fresh);
+            let fresh_misses = store_traffic(&fresh).misses;
+            assert!(fresh_misses > 0);
+
+            // A finished twin nobody waited on: every pair is a hit.
+            let warm = engine(1);
+            let twin = warm.submit(request()).unwrap();
+            while !twin.is_finished() {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            let before = store_traffic(&warm);
+            assert_eq!(run(&warm), reference, "{}", leg("finished-twin"));
+            let after = store_traffic(&warm);
+            assert!(after.hits > before.hits, "{}", leg("finished-twin"));
+            assert_eq!(after.misses, before.misses, "{}", leg("finished-twin"));
+            assert_eq!(twin.wait().unwrap(), reference.0);
+
+            // Racing the twin on two slots.
+            let racing = engine(2);
+            let handles = [(); 2].map(|_| racing.submit(request()).unwrap());
+            for handle in handles {
+                let events: Vec<RunEvent> = handle.events().collect();
+                let solution = handle.wait().unwrap();
+                assert_eq!((solution, events), reference, "{}", leg("concurrent"));
+            }
+
+            // A copy cancelled once its first batch was priced.
+            let cancelled = engine(1);
+            let copy = cancelled.submit(request()).unwrap();
+            let mut copy_events = copy.events();
+            while !matches!(
+                copy_events.next(),
+                Some(RunEvent::BatchEvaluated { .. }) | None
+            ) {}
+            copy.cancel();
+            match copy.wait() {
+                Err(HascoError::Cancelled) => {}
+                // A cancel landing after completion is a no-op.
+                Ok(done) => assert_eq!(done, reference.0),
+                Err(e) => panic!("cancelled copy failed: {e}"),
+            }
+            let before = store_traffic(&cancelled);
+            assert_eq!(run(&cancelled), reference, "{}", leg("after-cancel"));
+            let after = store_traffic(&cancelled);
+            assert!(after.hits > before.hits, "{}", leg("after-cancel"));
+            assert!(
+                after.misses - before.misses < fresh_misses,
+                "{}",
+                leg("after-cancel")
+            );
+
+            // Restored from an image of the whole request's entries.
+            {
+                let writer = Engine::new(EngineConfig::default().with_cache_path(&path));
+                run(&writer);
+                writer.persist().unwrap();
+            }
+            let restored = Engine::new(
+                EngineConfig::default()
+                    .with_job_slots(1)
+                    .with_cache_path(&path)
+                    .with_metrics(Telemetry::enabled()),
+            );
+            assert!(restored.warm_entries() > 0);
+            assert_eq!(run(&restored), reference, "{}", leg("restored"));
+            let traffic = store_traffic(&restored);
+            assert!(traffic.hits > 0, "{}", leg("restored"));
+            assert_eq!(traffic.misses, 0, "{}", leg("restored"));
+            drop(restored);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
     fn telemetry_never_changes_results() {
         // The observability contract: telemetry is a wall-clock side
         // channel, so enabling it must not move a single result bit —
         // same solutions, same RunStats, same event streams — at any
         // thread count, with or without stealing, and across a restart.
-        use runtime::{Telemetry, TelemetrySnapshot};
+        use runtime::TelemetrySnapshot;
 
         let opts = |seed: u64, threads: usize, stealing: bool| {
             CoDesignOptions::quick(seed)
@@ -576,8 +698,7 @@ mod engine_concurrency {
                 .with_threads(threads)
                 .with_work_stealing(stealing)
         };
-        let run = |config: EngineConfig, opts: CoDesignOptions| {
-            let engine = Engine::new(config);
+        let run = |engine: &Engine, opts: CoDesignOptions| {
             let handle = engine
                 .submit(CoDesignRequest::new(mixed_input(2), opts).with_label("probe"))
                 .unwrap();
@@ -637,13 +758,15 @@ mod engine_concurrency {
 
         for (threads, stealing) in [(1, false), (2, true), (8, true), (8, false)] {
             let (on, on_events, on_snapshot) = run(
-                EngineConfig::default()
-                    .with_job_slots(1)
-                    .with_metrics(Telemetry::enabled()),
+                &Engine::new(
+                    EngineConfig::default()
+                        .with_job_slots(1)
+                        .with_metrics(Telemetry::enabled()),
+                ),
                 opts(37, threads, stealing),
             );
             let (off, off_events, off_snapshot) = run(
-                EngineConfig::default().with_job_slots(1),
+                &Engine::new(EngineConfig::default().with_job_slots(1)),
                 opts(37, threads, stealing),
             );
             assert!(off_snapshot.is_none(), "metrics-off engine has no snapshot");
@@ -690,12 +813,13 @@ mod engine_concurrency {
                     .unwrap();
                 engine.persist().unwrap();
             }
-            run(config(), opts(62, 2, true))
+            let restarted = Engine::new(config());
+            assert!(restarted.warm_entries() > 0, "restart was not warm");
+            run(&restarted, opts(62, 2, true))
         };
         let (warm_on, warm_on_events, warm_on_snapshot) = restart(true);
         let (warm_off, warm_off_events, _) = restart(false);
         std::fs::remove_file(&cache).ok();
-        assert!(warm_on.stats.warm_cache_entries > 0, "restart was not warm");
         assert_snapshot_nontrivial(&warm_on_snapshot);
         assert_eq!(warm_on, warm_off);
         assert_eq!(warm_on_events, warm_off_events);

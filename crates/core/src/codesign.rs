@@ -15,7 +15,7 @@ use std::sync::Arc;
 use accel_model::arch::AcceleratorConfig;
 use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, Metrics};
-use dse::mobo::Mobo;
+use dse::mobo::{AcquisitionStore, Mobo};
 use dse::nsga2::Nsga2;
 use dse::progress::{BatchUpdate, Progress};
 use dse::random::RandomSearch;
@@ -29,7 +29,7 @@ use tensor_ir::intrinsics::{intrinsic_for, IntrinsicKind};
 
 use crate::engine::{CoDesignRequest, Engine, EngineConfig};
 use crate::event::{EventSink, RunEvent};
-use crate::finals::{Final, FinalsStore};
+use crate::finals::{self, Final, FinalsStore};
 use crate::input::{GenerationMethod, InputDescription};
 pub use crate::pricing::HwProblem;
 use crate::pricing::PairMemo;
@@ -56,23 +56,29 @@ impl OptimizerKind {
     /// Builds the optimizer. `prior` is MOBO's prior-sample count
     /// (ignored by the baselines).
     pub fn build(self, seed: u64, prior: usize) -> Box<dyn Optimizer> {
-        self.build_with_telemetry(seed, prior, &Telemetry::disabled())
+        self.build_with_telemetry(seed, prior, &Telemetry::disabled(), None)
     }
 
     /// [`OptimizerKind::build`] reporting into `telemetry`: MOBO times its
-    /// acquisitions (`job/hw_dse/acquire`) and GP fits (`dse/gp_fit`).
+    /// acquisitions (`job/hw_dse/acquire`) and GP fits (`dse/gp_fit`), and
+    /// looks every acquisition up in `acquisitions` when given one.
     pub fn build_with_telemetry(
         self,
         seed: u64,
         prior: usize,
         telemetry: &Telemetry,
+        acquisitions: Option<&Arc<AcquisitionStore>>,
     ) -> Box<dyn Optimizer> {
         match self {
-            OptimizerKind::Mobo => Box::new(
-                Mobo::new(seed)
+            OptimizerKind::Mobo => {
+                let mobo = Mobo::new(seed)
                     .with_prior_samples(prior)
-                    .with_telemetry(telemetry.clone()),
-            ),
+                    .with_telemetry(telemetry.clone());
+                Box::new(match acquisitions {
+                    Some(store) => mobo.with_store(Arc::clone(store)),
+                    None => mobo,
+                })
+            }
             OptimizerKind::Nsga2 => Box::new(Nsga2::new(seed)),
             OptimizerKind::Random => Box::new(RandomSearch::new(seed)),
         }
@@ -395,6 +401,9 @@ pub(crate) struct ExecCtx {
     /// The engine's store of completed final explorations, read and
     /// written live (see [`crate::finals`]).
     pub finals: Arc<FinalsStore>,
+    /// The engine's store of MOBO acquisitions, read and written live by
+    /// every job's hardware DSE and retuning rounds.
+    pub acquisitions: Arc<AcquisitionStore>,
 }
 
 impl ExecCtx {
@@ -411,6 +420,7 @@ impl ExecCtx {
             remote: None,
             choices: Arc::default(),
             finals: Arc::new(FinalsStore::new(opts.cache_capacity)),
+            acquisitions: Arc::new(AcquisitionStore::new(opts.cache_capacity)),
         }
     }
 }
@@ -542,9 +552,12 @@ fn execute_inner(
         cancel: Arc::clone(&ctx.cancel),
         forward: true,
     };
-    let mut optimizer =
-        opts.optimizer
-            .build_with_telemetry(opts.seed, opts.mobo_prior, &ctx.telemetry);
+    let mut optimizer = opts.optimizer.build_with_telemetry(
+        opts.seed,
+        opts.mobo_prior,
+        &ctx.telemetry,
+        Some(&ctx.acquisitions),
+    );
     let dse_span = ctx.telemetry.span("job/hw_dse");
     let mut history = optimizer.run_with_progress(&mut problem, opts.hw_trials, &observer);
     drop(dse_span);
@@ -576,6 +589,7 @@ fn execute_inner(
                 opts.seed.wrapping_add(round as u64 * 0x9e37),
                 opts.mobo_prior,
                 &ctx.telemetry,
+                Some(&ctx.acquisitions),
             );
             let tuning_span = ctx.telemetry.span("job/tuning");
             let extra = retune.run_with_progress(&mut problem, opts.hw_trials, &observer);
@@ -697,7 +711,7 @@ fn finalize_solution(
     // runs, so they fan out across the pool; errors are reported in
     // workload order (first failure wins), matching the serial path.
     let outcomes = workers.map(&input.app.workloads, |_, w| {
-        let key = FinalsStore::key(w, &cfg, &opts.sw_final, opts.seed, backend_fp);
+        let key = finals::key(w, &cfg, &opts.sw_final, opts.seed, backend_fp);
         let done = match ctx.finals.get(&key) {
             Some(done) => done,
             None => {

@@ -21,19 +21,21 @@
 //! job interleaving never change any job's results* — extends to the
 //! engine by construction:
 //!
-//! * three stores are shared **live**, read and written by every running
+//! * four stores are shared **live**, read and written by every running
 //!   job, because no job can observe them: the pair memo (`store`, one
 //!   software exploration's metrics per (accelerator, workload) pair),
 //!   the tensorize-choice memo (matching is a pure function of the loop
-//!   nest and the intrinsic kind) and the completed final explorations
-//!   (`finals`). Every entry is a pure value: the pricing tiers'
-//!   explorers run every round, a final cut short by a cancel is never
-//!   stored, and a surrogate tier's keys carry its training digest. A hit
-//!   returns bit for bit what the computation would have returned and
-//!   moves no field of a [`Solution`] and no event, so whether a job
-//!   finds another job's entry in time changes its wall time only. Both
-//!   memo stores persist in one image; their hit and miss counters are
-//!   telemetry ([`Engine::metrics`]);
+//!   nest and the intrinsic kind), the completed final explorations
+//!   (`finals`) and the scored MOBO acquisitions (`acquisitions`, keyed
+//!   by everything an acquisition reads, the RNG state included). Every
+//!   entry is a pure value: the pricing tiers' explorers run every round,
+//!   a final cut short by a cancel is never stored, a failed GP fit is
+//!   never stored, and a surrogate tier's keys carry its training digest.
+//!   A hit returns bit for bit what the computation would have returned
+//!   and moves no field of a [`Solution`] and no event, so whether a job
+//!   finds another job's entry in time changes its wall time only. The
+//!   pair, finals and acquisition stores persist in one image; their hit
+//!   and miss counters are telemetry ([`Engine::metrics`]);
 //! * a job's **solution and event stream** are therefore a pure function
 //!   of its request — with one deliberate exception, a **surrogate**
 //!   screen tier, which forks the registry's accumulated training at
@@ -52,6 +54,7 @@ use std::time::Duration;
 
 use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, SurrogateBackend, SurrogateSnapshot};
+use dse::mobo::AcquisitionStore;
 use runtime::{
     persist, wire, Image, JobScheduler, Key128, MemoCache, StableFingerprint, Telemetry,
     TelemetrySnapshot,
@@ -81,13 +84,14 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct EngineConfig {
     /// Concurrent job slots (queued jobs wait FIFO for a free one).
     pub job_slots: usize,
-    /// Capacity of the shared cross-request memo store, and of the store
-    /// of completed final explorations.
+    /// Capacity of the shared cross-request memo store, and of each of the
+    /// stores of completed final explorations and of MOBO acquisitions.
     pub cache_capacity: usize,
-    /// Persistent image of the memo store and the finals store: loaded
-    /// at engine creation, written by [`Engine::persist`] (merged
-    /// newest-wins) and best-effort on drop when either store gained
-    /// entries. `None` keeps both in-memory only.
+    /// Persistent image of the memo store, the finals store and the
+    /// acquisition store: loaded at engine creation, written by
+    /// [`Engine::persist`] (merged newest-wins) and best-effort on drop
+    /// when any of them gained entries. `None` keeps them in-memory
+    /// only.
     pub cache_path: Option<PathBuf>,
     /// Age-based GC for the persisted image: entries older than this are
     /// dropped at persist time ([`MemoCache::save_merged_with_max_age`]).
@@ -311,6 +315,9 @@ struct EngineShared {
     /// Completed final explorations, read and written live by every job
     /// (see [`crate::finals`]).
     finals: Arc<FinalsStore>,
+    /// MOBO acquisitions, read and written live by every job's hardware
+    /// DSE (see [`dse::mobo`]).
+    acquisitions: Arc<AcquisitionStore>,
     /// The tensorize-choice memo every explorer of every job matches
     /// through.
     choices: Arc<ChoiceMemo>,
@@ -335,7 +342,7 @@ struct EngineShared {
     restored_surrogate_generation: u64,
     /// Surrogate backends restored from the store at engine creation.
     restored_surrogate_backends: usize,
-    /// Entries inserted into the two memo stores up to the last
+    /// Entries inserted into the persisted stores up to the last
     /// persist's snapshot ([`EngineShared::inserts`]): the image is stale
     /// while the stores count more.
     saved_inserts: AtomicU64,
@@ -366,12 +373,12 @@ impl EngineShared {
         true
     }
 
-    /// Entries inserted into the pair memo and the finals store since
-    /// engine creation (loaded ones excluded). A memo value never changes
-    /// without an insert, so this count moving is what makes the image
-    /// stale.
+    /// Entries inserted into the pair memo, the finals store and the
+    /// acquisition store since engine creation (loaded ones excluded). A
+    /// stored value never changes without an insert, so this count moving
+    /// is what makes the image stale.
     fn inserts(&self) -> u64 {
-        self.store.stats().inserts + self.finals.inserts()
+        self.store.stats().inserts + self.finals.inserts() + self.acquisitions.inserts()
     }
 
     /// Writes the surrogate registry to the configured store path, merged
@@ -429,28 +436,45 @@ impl EngineShared {
     }
 }
 
-/// Loads a memo image: the pair memo is its first section, the finals
-/// its second. Either section failing to decode makes the whole image a
-/// cold start, like any other corruption.
-fn load_memo_image(path: &std::path::Path, store: &PairMemo, finals: &FinalsStore) {
+/// The memo image's sections, in order.
+const PAIRS: usize = 0;
+const FINALS: usize = 1;
+const ACQUISITIONS: usize = 2;
+
+/// Loads a memo image: the pair memo, the finals and the acquisitions, one
+/// section each. A missing finals or acquisitions section (an image
+/// written before that store existed) loads as an empty store; any section
+/// failing to decode makes the whole image a cold start, like any other
+/// corruption.
+fn load_memo_image(path: &std::path::Path, shared: &EngineShared) {
     let Ok(Some(image)) = Image::read(path) else {
         return;
     };
-    let pairs = image.section(0).and_then(MemoCache::parse_section);
-    if let (Some(pairs), Some(done)) = (pairs, FinalsStore::parse_section(&image)) {
-        store.seed(&pairs);
-        finals.seed(&done);
+    let pairs = image.section(PAIRS).and_then(MemoCache::parse_section);
+    let finals = FinalsStore::parse_section(&image, FINALS);
+    let acquisitions = AcquisitionStore::parse_section(&image, ACQUISITIONS);
+    if let (Some(pairs), Some(finals), Some(acquisitions)) = (pairs, finals, acquisitions) {
+        shared.store.seed(&pairs);
+        shared.finals.seed(&finals);
+        shared.acquisitions.seed(&acquisitions);
     }
 }
 
-/// Writes the memo image: both stores merged over the file's sections,
-/// in one atomic write. Returns the pair entries written.
+/// Writes the memo image: every store merged over the file's section, in
+/// one atomic write. Returns the pair entries written.
 fn save_memo_image(path: &std::path::Path, shared: &EngineShared) -> std::io::Result<u64> {
     let existing = Image::read(path).ok().flatten().unwrap_or_default();
     let max_age = shared.cache_max_age;
-    let (pairs, written) = shared.store.merged_section(existing.section(0), max_age);
-    let finals = shared.finals.merged_section(existing.section(1), max_age);
-    Image::write(path, &[&pairs, &finals])?;
+    let (pairs, written) = shared
+        .store
+        .merged_section(existing.section(PAIRS), max_age);
+    let finals = shared
+        .finals
+        .merged_section(existing.section(FINALS), max_age);
+    let acquisitions = shared
+        .acquisitions
+        .merged_section(existing.section(ACQUISITIONS), max_age);
+    Image::write(path, &[&pairs, &finals, &acquisitions])?;
     Ok(written)
 }
 
@@ -613,15 +637,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine, loading the persisted memo and finals stores and
-    /// the surrogate registry when the configuration names them (a
+    /// Builds an engine, loading the persisted memo, finals and
+    /// acquisition stores and the surrogate registry when the configuration names them (a
     /// missing or corrupt image is a cold start, never an error).
     pub fn new(config: EngineConfig) -> Self {
-        let store = Arc::new(MemoCache::new(config.cache_capacity));
-        let finals = FinalsStore::new(config.cache_capacity);
-        if let Some(path) = &config.cache_path {
-            load_memo_image(path, &store, &finals);
-        }
         let mut surrogates: BTreeMap<(u64, u64), Arc<dyn CostBackend>> = BTreeMap::new();
         let mut restored_generation = 0;
         if let Some(path) = &config.surrogate_store {
@@ -633,25 +652,30 @@ impl Engine {
                 );
             }
         }
+        let shared = EngineShared {
+            store: Arc::new(MemoCache::new(config.cache_capacity)),
+            finals: Arc::new(FinalsStore::new(config.cache_capacity)),
+            acquisitions: Arc::new(AcquisitionStore::new(config.cache_capacity)),
+            choices: Arc::default(),
+            restored_surrogate_backends: surrogates.len(),
+            restored_surrogate_generation: restored_generation,
+            surrogates: Mutex::new(surrogates),
+            cache_path: config.cache_path,
+            cache_max_age: config.cache_max_age,
+            surrogate_store: config.surrogate_store,
+            surrogate_save: Mutex::new(()),
+            surrogate_dirty: AtomicBool::new(false),
+            saved_inserts: AtomicU64::new(0),
+            jobs_executed: AtomicU64::new(0),
+            next_job_id: AtomicU64::new(1),
+            telemetry: config.metrics.clone(),
+            remote: config.remote,
+        };
+        if let Some(path) = &shared.cache_path {
+            load_memo_image(path, &shared);
+        }
         Engine {
-            shared: Arc::new(EngineShared {
-                store,
-                finals: Arc::new(finals),
-                choices: Arc::default(),
-                restored_surrogate_backends: surrogates.len(),
-                restored_surrogate_generation: restored_generation,
-                surrogates: Mutex::new(surrogates),
-                cache_path: config.cache_path,
-                cache_max_age: config.cache_max_age,
-                surrogate_store: config.surrogate_store,
-                surrogate_save: Mutex::new(()),
-                surrogate_dirty: AtomicBool::new(false),
-                saved_inserts: AtomicU64::new(0),
-                jobs_executed: AtomicU64::new(0),
-                next_job_id: AtomicU64::new(1),
-                telemetry: config.metrics.clone(),
-                remote: config.remote,
-            }),
+            shared: Arc::new(shared),
             scheduler: JobScheduler::new(config.job_slots).with_telemetry(config.metrics),
         }
     }
@@ -776,6 +800,7 @@ impl Engine {
             remote: self.shared.remote.clone(),
             choices: Arc::clone(&self.shared.choices),
             finals: Arc::clone(&self.shared.finals),
+            acquisitions: Arc::clone(&self.shared.acquisitions),
         };
         self.scheduler.spawn(Box::new(move || {
             // A job cancelled while still queued is discarded without
@@ -904,7 +929,7 @@ impl Engine {
             .collect())
     }
 
-    /// Writes the shared memo store and the finals store to the
+    /// Writes the shared memo, finals and acquisition stores to the
     /// configured cache path (one image, each store merged newest-wins
     /// with what the file holds and age-GC'd when the configuration sets
     /// `cache_max_age`) and the surrogate registry to the configured
@@ -936,11 +961,13 @@ impl Engine {
         Ok(written)
     }
 
-    /// Drops every memo and finals entry older than `max_age` (explicit
-    /// compaction of the in-memory stores); returns how many were
-    /// removed.
+    /// Drops every memo, finals and acquisition entry older than
+    /// `max_age` (explicit compaction of the in-memory stores); returns
+    /// how many were removed.
     pub fn compact(&self, max_age: Duration) -> usize {
-        self.shared.store.compact(max_age) + self.shared.finals.compact(max_age)
+        self.shared.store.compact(max_age)
+            + self.shared.finals.compact(max_age)
+            + self.shared.acquisitions.compact(max_age)
     }
 
     /// Completed final explorations currently in the finals store.
@@ -948,12 +975,19 @@ impl Engine {
         self.shared.finals.len()
     }
 
+    /// Scored MOBO acquisitions currently in the acquisition store.
+    pub fn acquisition_entries(&self) -> usize {
+        self.shared.acquisitions.len()
+    }
+
     /// Snapshots the telemetry registry (`None` when metrics are
     /// disabled), refreshing the point-in-time gauges first: the pair
     /// memo's per-shard counters (scope `"store"`: every job's lookups,
     /// a hit is a software exploration not run), the finals store's
     /// (scope `"finals"`: a hit is a final exploration not run), the
-    /// warm-entry count, and registered surrogate backends.
+    /// acquisition store's (scope `"acquisitions"`: a hit is a MOBO
+    /// acquisition not scored), the warm-entry count, and registered
+    /// surrogate backends.
     pub fn metrics(&self) -> Option<TelemetrySnapshot> {
         let telemetry = &self.shared.telemetry;
         if !telemetry.is_enabled() {
@@ -961,6 +995,7 @@ impl Engine {
         }
         telemetry.set_cache_shards("store", &self.shared.store.shard_stats());
         telemetry.set_cache_shards("finals", &self.shared.finals.shard_stats());
+        telemetry.set_cache_shards("acquisitions", &self.shared.acquisitions.shard_stats());
         telemetry.gauge_set("engine.warm_entries", self.warm_entries() as u64);
         telemetry.gauge_set(
             "engine.surrogate_backends",

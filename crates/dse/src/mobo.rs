@@ -5,16 +5,24 @@
 //! probability-of-improvement acquisition \[5\]: candidates are scored by the
 //! Monte-Carlo expected hypervolume improvement of their posterior over the
 //! current Pareto front ([`Ehvi`]).
+//!
+//! An acquisition is a pure function of the observations so far, the set
+//! of points already tried, the search space and the RNG state, so a run
+//! given an [`AcquisitionStore`] ([`Mobo::with_store`]) looks each one up
+//! before scoring: a hit skips the GP fits and the EHVI sweep and advances
+//! the RNG by the draws the scoring took, so the trajectory is the same
+//! bit for bit.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use runtime::{Telemetry, Timer};
+use rand::{Rng, RngCore, SeedableRng};
+use runtime::{EncodedStore, Key128, Telemetry, Timer};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::gp::{GaussianProcess, Posterior, PredictScratch};
 use crate::hypervolume::SlicedFront;
 use crate::pareto::pareto_indices;
-use crate::problem::{Evaluation, OptimizerResult, Point, Problem};
+use crate::problem::{Evaluation, OptimizerResult, Point, Problem, SearchSpace};
 use crate::progress::{BatchUpdate, Progress};
 use crate::Optimizer;
 
@@ -37,7 +45,23 @@ pub struct Mobo {
     /// feeding the surrogate distant regions (`0` disables).
     pub explore_every: usize,
     telemetry: Telemetry,
+    store: Option<Arc<AcquisitionStore>>,
 }
+
+/// One scored acquisition as the [`AcquisitionStore`] holds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Acquired {
+    /// The EHVI argmax (`None` when the space is exhausted).
+    pub chosen: Option<Point>,
+    /// RNG draws the scoring took.
+    pub draws: u64,
+}
+
+runtime::wire_struct!(Acquired { chosen, draws });
+
+/// Scored acquisitions under their [`Mobo`] keys, shared by every run
+/// that is given it; see the module docs.
+pub type AcquisitionStore = EncodedStore<Acquired>;
 
 impl Mobo {
     /// Creates MOBO with the paper's §VII-C configuration (10 prior
@@ -50,6 +74,7 @@ impl Mobo {
             mc_samples: 24,
             explore_every: 3,
             telemetry: Telemetry::disabled(),
+            store: None,
         }
     }
 
@@ -69,10 +94,16 @@ impl Mobo {
         self
     }
 
-    /// One model-based acquisition (Algorithm 1, lines 3–5): fit the
-    /// per-objective GPs, build the candidate pool, and return the EHVI
-    /// argmax — `Err(())` when a GP fit failed, `Ok(None)` when the space
-    /// is exhausted.
+    /// Looks every acquisition up in `store` before scoring it, and
+    /// stores every one it scores. Bit for bit the same trajectory.
+    pub fn with_store(mut self, store: Arc<AcquisitionStore>) -> Self {
+        self.store = Some(store);
+        self
+    }
+
+    /// One model-based acquisition (Algorithm 1, lines 3–5), answered
+    /// from the store when it holds it — `Err(())` when a GP fit failed
+    /// (never stored), `Ok(None)` when the space is exhausted.
     fn acquire(
         &self,
         problem: &dyn Problem,
@@ -80,6 +111,78 @@ impl Mobo {
         seen: &BTreeSet<Point>,
         timers: &AcquireTimers,
         rng: &mut SmallRng,
+    ) -> Result<Option<Point>, ()> {
+        let Some(store) = &self.store else {
+            return self.score(problem, evaluations, seen, timers, rng);
+        };
+        let key = self.acquisition_key(problem.space(), evaluations, seen, rng);
+        if let Some(stored) = store.get(&key) {
+            for _ in 0..stored.draws {
+                rng.next_u64();
+            }
+            return Ok(stored.chosen);
+        }
+        let mut counted = CountingRng { rng, draws: 0 };
+        let acquired = Acquired {
+            chosen: self.score(problem, evaluations, seen, timers, &mut counted)?,
+            draws: counted.draws,
+        };
+        store.insert(key, &acquired);
+        Ok(acquired.chosen)
+    }
+
+    /// The store key of an acquisition: the space, the two scoring
+    /// sizes, every evaluation (point and objective bits, in order), the
+    /// points tried so far, and four draws from a clone of the RNG (its
+    /// whole 256-bit state).
+    fn acquisition_key(
+        &self,
+        space: &SearchSpace,
+        evaluations: &[Evaluation],
+        seen: &BTreeSet<Point>,
+        rng: &SmallRng,
+    ) -> (u64, u64) {
+        let mut ahead = rng.clone();
+        let ahead = [(); 4].map(|_| ahead.next_u64());
+        Key128::of(|fp| {
+            fp.write_usize(space.dim_sizes.len());
+            for &size in &space.dim_sizes {
+                fp.write_usize(size);
+            }
+            fp.write_usize(self.candidate_pool);
+            fp.write_usize(self.mc_samples);
+            fp.write_usize(evaluations.len());
+            for e in evaluations {
+                for &c in &e.point {
+                    fp.write_usize(c);
+                }
+                fp.write_usize(e.objectives.len());
+                for &o in &e.objectives {
+                    fp.write_f64(o);
+                }
+            }
+            fp.write_usize(seen.len());
+            for p in seen {
+                for &c in p {
+                    fp.write_usize(c);
+                }
+            }
+            for draw in ahead {
+                fp.write_u64(draw);
+            }
+        })
+        .finish()
+    }
+
+    /// Scores one acquisition: fit the per-objective GPs, build the
+    /// candidate pool, and return the EHVI argmax.
+    fn score<R: Rng + ?Sized>(
+        &self,
+        problem: &dyn Problem,
+        evaluations: &[Evaluation],
+        seen: &BTreeSet<Point>,
+        timers: &AcquireTimers,
+        rng: &mut R,
     ) -> Result<Option<Point>, ()> {
         // Fit one GP per objective on log-scaled metrics.
         let gps = timers.fit.time(|| {
@@ -147,6 +250,21 @@ impl Mobo {
             }
             Ok(best.map(|(_, chosen)| chosen))
         })
+    }
+}
+
+/// Counts the draws scoring takes from the run's RNG, so that a stored
+/// acquisition can advance it exactly as far.
+struct CountingRng<'a> {
+    rng: &'a mut SmallRng,
+    draws: u64,
+}
+
+impl RngCore for CountingRng<'_> {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.rng.next_u64()
     }
 }
 
@@ -646,26 +764,108 @@ mod tests {
                 [0x3fcc134b92a91641, 0x3fe1cfc31159485c, 0x3fd9e4129e4129e4],
             ),
         ];
-        let mut prob = Toy3 {
-            space: SearchSpace::new(vec![12, 12, 12]),
-        };
-        let r = Mobo::new(11).with_prior_samples(5).run(&mut prob, 18);
-        assert_eq!(r.infeasible, 0);
-        let got: Vec<(Point, Vec<u64>)> = r
-            .evaluations
-            .iter()
-            .map(|e| {
-                (
-                    e.point.clone(),
-                    e.objectives.iter().map(|o| o.to_bits()).collect(),
-                )
-            })
-            .collect();
         let want: Vec<(Point, Vec<u64>)> = GOLDEN
             .iter()
             .map(|(p, bits)| (p.to_vec(), bits.to_vec()))
             .collect();
-        assert_eq!(got, want);
+        let run = |mobo: Mobo| {
+            let mut prob = Toy3 {
+                space: SearchSpace::new(vec![12, 12, 12]),
+            };
+            let r = mobo.with_prior_samples(5).run(&mut prob, 18);
+            assert_eq!(r.infeasible, 0);
+            r.evaluations
+                .iter()
+                .map(|e| {
+                    (
+                        e.point.clone(),
+                        e.objectives.iter().map(|o| o.to_bits()).collect(),
+                    )
+                })
+                .collect::<Vec<(Point, Vec<u64>)>>()
+        };
+        assert_eq!(run(Mobo::new(11)), want);
+
+        // The same trajectory through an acquisition store: scoring every
+        // acquisition into an empty one, then answering every one from it.
+        let store = Arc::new(AcquisitionStore::new(64));
+        assert_eq!(run(Mobo::new(11).with_store(Arc::clone(&store))), want);
+        let scored = store.inserts();
+        assert!(scored > 0);
+        let misses = |store: &AcquisitionStore| -> u64 {
+            store.shard_stats().iter().map(|s| s.misses).sum()
+        };
+        let cold_misses = misses(&store);
+        assert_eq!(run(Mobo::new(11).with_store(Arc::clone(&store))), want);
+        assert_eq!(store.inserts(), scored, "the warm run scored");
+        assert_eq!(misses(&store), cold_misses, "the warm run missed");
+    }
+
+    /// A small history for key tests: three evaluations of `Toy3` and
+    /// one infeasible point tried.
+    fn key_inputs() -> (SearchSpace, Vec<Evaluation>, BTreeSet<Point>, SmallRng) {
+        let space = SearchSpace::new(vec![12, 12, 12]);
+        let mut prob = Toy3 {
+            space: space.clone(),
+        };
+        let evaluations: Vec<Evaluation> = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+            .into_iter()
+            .map(|p| Evaluation {
+                objectives: prob.evaluate(&p.to_vec()).unwrap(),
+                point: p.to_vec(),
+            })
+            .collect();
+        let mut seen: BTreeSet<Point> = evaluations.iter().map(|e| e.point.clone()).collect();
+        seen.insert(vec![0, 0, 1]);
+        (space, evaluations, seen, SmallRng::seed_from_u64(5))
+    }
+
+    #[test]
+    fn acquisition_key_is_pinned() {
+        // Acquisition keys are persisted in memo images: a moved key
+        // turns every stored acquisition into a miss.
+        let (space, evaluations, seen, rng) = key_inputs();
+        let key = Mobo::new(0).acquisition_key(&space, &evaluations, &seen, &rng);
+        assert_eq!(key, (0x6fef76dd9b7aa43b, 0x7ca43d260c677602));
+    }
+
+    #[test]
+    fn every_acquisition_input_moves_the_key() {
+        let (space, evaluations, seen, rng) = key_inputs();
+        let mobo = Mobo::new(0);
+        let base = mobo.acquisition_key(&space, &evaluations, &seen, &rng);
+        let mut keys = vec![base];
+
+        let mut flipped = evaluations.clone();
+        flipped[1].objectives[2] = f64::from_bits(flipped[1].objectives[2].to_bits() ^ 1);
+        keys.push(mobo.acquisition_key(&space, &flipped, &seen, &rng));
+
+        let mut more_seen = seen.clone();
+        more_seen.insert(vec![11, 11, 11]);
+        keys.push(mobo.acquisition_key(&space, &evaluations, &more_seen, &rng));
+
+        let mut stepped = rng.clone();
+        stepped.next_u64();
+        keys.push(mobo.acquisition_key(&space, &evaluations, &seen, &stepped));
+
+        let mut pool = Mobo::new(0);
+        pool.candidate_pool += 1;
+        keys.push(pool.acquisition_key(&space, &evaluations, &seen, &rng));
+
+        let mut samples = Mobo::new(0);
+        samples.mc_samples += 1;
+        keys.push(samples.acquisition_key(&space, &evaluations, &seen, &rng));
+
+        let wider = SearchSpace::new(vec![12, 13, 12]);
+        keys.push(mobo.acquisition_key(&wider, &evaluations, &seen, &rng));
+
+        // The seed itself is not an input: only the RNG state is.
+        assert_eq!(
+            Mobo::new(9).acquisition_key(&space, &evaluations, &seen, &rng),
+            base
+        );
+        let distinct: BTreeSet<(u64, u64)> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:x?}");
     }
 
     #[test]

@@ -1024,24 +1024,33 @@ mod tests {
 
     #[test]
     fn single_cache_saves_keep_the_other_sections() {
-        // Two caches share an image, one section each; a save of the
-        // first alone rewrites its section and keeps the second verbatim.
+        // Three caches share an image, one section each; a save of the
+        // first alone rewrites its section and keeps the others verbatim.
         let path = temp_path("sections");
         std::fs::remove_file(&path).ok();
-        let (first, second): (MemoCache<u64, u64>, MemoCache<u64, bool>) =
-            (MemoCache::new(64), MemoCache::new(64));
+        let (first, second, third): (
+            MemoCache<u64, u64>,
+            MemoCache<u64, bool>,
+            MemoCache<u64, u64>,
+        ) = (MemoCache::new(64), MemoCache::new(64), MemoCache::new(64));
         first.insert(1, 10);
         second.insert(2, true);
+        third.insert(4, 40);
+        third.insert(5, 50);
         let (a, _) = first.merged_section(None, None);
         let (b, _) = second.merged_section(None, None);
-        Image::write(&path, &[&a, &b]).unwrap();
+        let (c, _) = third.merged_section(None, None);
+        Image::write(&path, &[&a, &b, &c]).unwrap();
         first.insert(3, 30);
         assert_eq!(save(&first, &path), 2);
         let image = Image::read(&path).unwrap().expect("valid image");
         assert_eq!(image.section(1), Some(&b[..]));
-        assert_eq!(image.section(2), None);
+        assert_eq!(image.section(2), Some(&c[..]));
+        assert_eq!(image.section(3), None);
         let entries = MemoCache::<u64, bool>::parse_section(image.section(1).unwrap()).unwrap();
         assert_eq!(entries.len(), 1);
+        let entries = MemoCache::<u64, u64>::parse_section(image.section(2).unwrap()).unwrap();
+        assert_eq!(entries.len(), 2);
         assert_eq!(first.load_from_file(&path).unwrap(), 2);
         std::fs::remove_file(&path).ok();
     }

@@ -20,6 +20,8 @@
 //! * [`persist`] — shared warm-state image machinery (atomic replacement,
 //!   checksummed framing, corruption-tolerant loading) used by the memo
 //!   cache and the engine's surrogate-registry store;
+//! * [`store::EncodedStore`] — a [`MemoCache`] of wire-encoded pure
+//!   values under 128-bit keys, persisted as one image section;
 //! * [`wire`] — the one binary codec ([`wire::Wire`]) for every value
 //!   that crosses a process boundary: memo-image entries, surrogate
 //!   snapshots, and network messages;
@@ -76,6 +78,7 @@ pub mod fingerprint;
 pub mod jobs;
 pub mod persist;
 pub mod pool;
+pub mod store;
 pub mod telemetry;
 pub mod wire;
 
@@ -84,6 +87,7 @@ pub use cache::{CacheStats, Image, MemoCache};
 pub use fingerprint::{Fingerprint, Fingerprinter, Key128, StableFingerprint};
 pub use jobs::JobScheduler;
 pub use pool::{PoolStats, WorkerPool};
+pub use store::EncodedStore;
 pub use telemetry::{Telemetry, TelemetrySnapshot, Timer, TELEMETRY_SCHEMA};
 
 /// A point in a discrete search space (one choice index per dimension) —

@@ -3,10 +3,13 @@
 //! merged saves accumulate newest-wins across runs, interrupted saves
 //! (simulated partial writes) never destroy a loadable file, and
 //! concurrent savers interleave into a loadable, merged image, and the
-//! engine's `HASCOMC4` image layout is pinned byte for byte (an image of
-//! the retired `HASCOMC3` layout is a clean cold start).
+//! engine's three-section `HASCOMC4` image layout is pinned byte for byte
+//! (a two-section image written before the acquisition store existed
+//! still loads; an image of the retired `HASCOMC3` layout is a clean cold
+//! start).
 
 use accel_model::Metrics;
+use dse::mobo::{Acquired, AcquisitionStore};
 use hasco::{Engine, EngineConfig};
 use proptest::prelude::*;
 
@@ -275,17 +278,10 @@ fn pinned_pair_entries() -> (Vec<u8>, Metrics) {
     (entries, metrics)
 }
 
-/// A hand-built engine memo image, spelled out byte by byte: the payload
-/// is two sections, each `len u64 ++ entries`. The first holds the pair
-/// entries of [`pinned_pair_entries`]; the second one stored final
+/// The finals section of the pinned engine image: one stored final
 /// exploration, `len u32 ++ stamp u64 ++ key (u64, u64) ++ encoded final`
-/// with the final as a length-prefixed (`u64`) byte string. It must load
-/// to exactly those entries, and a merged re-save by a process with
-/// nothing new to add — one cache alone, or the whole engine — must
-/// rewrite the very same bytes.
-#[test]
-fn engine_memo_image_layout_is_pinned() {
-    let (pairs, metrics) = pinned_pair_entries();
+/// with the final as a length-prefixed (`u64`) byte string.
+fn pinned_finals_section() -> Vec<u8> {
     let mut finals = Vec::new();
     finals.extend_from_slice(&(16u32 + 8 + 3).to_le_bytes());
     finals.extend_from_slice(&3_000u64.to_le_bytes());
@@ -293,12 +289,51 @@ fn engine_memo_image_layout_is_pinned() {
     finals.extend_from_slice(&32u64.to_le_bytes());
     finals.extend_from_slice(&3u64.to_le_bytes());
     finals.extend_from_slice(&[7, 8, 9]);
+    finals
+}
+
+/// An engine memo image payload: each section `len u64 ++ entries`.
+fn memo_image(sections: &[&[u8]]) -> Vec<u8> {
     let mut payload = Vec::new();
-    for section in [&pairs, &finals] {
+    for section in sections {
         payload.extend_from_slice(&(section.len() as u64).to_le_bytes());
         payload.extend_from_slice(section);
     }
-    let image = runtime::persist::frame(b"HASCOMC4", &payload);
+    runtime::persist::frame(b"HASCOMC4", &payload)
+}
+
+/// A hand-built engine memo image, spelled out byte by byte: the payload
+/// is three sections. The first holds the pair entries of
+/// [`pinned_pair_entries`], the second the final of
+/// [`pinned_finals_section`], and the third one stored MOBO acquisition,
+/// laid out like the final, whose encoded value is `chosen` (`tag u8`,
+/// then the point as `len u64 ++ coordinates u64`) and `draws u64`. It
+/// must load to exactly those entries, and a merged re-save by a process
+/// with nothing new to add — one cache alone, or the whole engine — must
+/// rewrite the very same bytes.
+#[test]
+fn engine_memo_image_layout_is_pinned() {
+    let (pairs, metrics) = pinned_pair_entries();
+    let finals = pinned_finals_section();
+    let mut acquired = vec![1];
+    for word in [2u64, 2, 5, 28_600] {
+        acquired.extend_from_slice(&word.to_le_bytes());
+    }
+    assert_eq!(
+        runtime::wire::from_bytes::<Acquired>(&acquired),
+        Some(Acquired {
+            chosen: Some(vec![2, 5]),
+            draws: 28_600
+        })
+    );
+    let mut acquisitions = Vec::new();
+    acquisitions.extend_from_slice(&(16 + 8 + acquired.len() as u32).to_le_bytes());
+    acquisitions.extend_from_slice(&4_000u64.to_le_bytes());
+    acquisitions.extend_from_slice(&41u64.to_le_bytes());
+    acquisitions.extend_from_slice(&42u64.to_le_bytes());
+    acquisitions.extend_from_slice(&(acquired.len() as u64).to_le_bytes());
+    acquisitions.extend_from_slice(&acquired);
+    let image = memo_image(&[&pairs, &finals, &acquisitions]);
     let path = temp_path("engine-layout", 0);
     std::fs::write(&path, &image).unwrap();
 
@@ -317,15 +352,60 @@ fn engine_memo_image_layout_is_pinned() {
         MemoCache::<(u64, u64), Vec<u8>>::parse_section(loaded.section(1).unwrap()),
         Some(vec![((31, 32), vec![7, 8, 9], 3_000)])
     );
+    let stored = AcquisitionStore::new(64);
+    stored.seed(&AcquisitionStore::parse_section(&loaded, 2).unwrap());
+    assert_eq!(
+        stored.get(&(41, 42)),
+        Some(Acquired {
+            chosen: Some(vec![2, 5]),
+            draws: 28_600
+        })
+    );
 
     let idle: MemoCache<(u64, u64), Option<Metrics>> = MemoCache::new(64);
     assert_eq!(idle.save_merged_with_max_age(&path, None).unwrap(), 2);
     assert_eq!(std::fs::read(&path).unwrap(), image);
 
     let engine = Engine::new(EngineConfig::default().with_cache_path(&path));
-    assert_eq!((engine.warm_entries(), engine.final_entries()), (2, 1));
+    assert_eq!(
+        (
+            engine.warm_entries(),
+            engine.final_entries(),
+            engine.acquisition_entries()
+        ),
+        (2, 1, 1)
+    );
     assert_eq!(engine.persist().unwrap(), 2);
     assert_eq!(std::fs::read(&path).unwrap(), image);
+    drop(engine);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A `HASCOMC4` image written before the acquisition store existed has
+/// two sections, pairs and finals. It loads both, with an empty
+/// acquisition store, and the engine's next save keeps them byte for byte
+/// and appends an empty third section.
+#[test]
+fn two_section_image_loads_with_no_acquisitions() {
+    let (pairs, _) = pinned_pair_entries();
+    let finals = pinned_finals_section();
+    let path = temp_path("two-sections", 0);
+    std::fs::write(&path, memo_image(&[&pairs, &finals])).unwrap();
+
+    let engine = Engine::new(EngineConfig::default().with_cache_path(&path));
+    assert_eq!(
+        (
+            engine.warm_entries(),
+            engine.final_entries(),
+            engine.acquisition_entries()
+        ),
+        (2, 1, 0)
+    );
+    assert_eq!(engine.persist().unwrap(), 2);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        memo_image(&[&pairs, &finals, &[]])
+    );
     drop(engine);
     std::fs::remove_file(&path).ok();
 }
@@ -343,7 +423,14 @@ fn hascomc3_image_is_a_clean_cold_start() {
     assert_eq!(memo.load_from_file(&path).unwrap(), 0);
     assert!(memo.is_empty());
     let engine = Engine::new(EngineConfig::default().with_cache_path(&path));
-    assert_eq!((engine.warm_entries(), engine.final_entries()), (0, 0));
+    assert_eq!(
+        (
+            engine.warm_entries(),
+            engine.final_entries(),
+            engine.acquisition_entries()
+        ),
+        (0, 0, 0)
+    );
     assert_eq!(engine.persist().unwrap(), 0);
     assert_eq!(&std::fs::read(&path).unwrap()[..8], b"HASCOMC4");
     drop(engine);

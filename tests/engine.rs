@@ -30,12 +30,19 @@ fn toy_input() -> InputDescription {
     }
 }
 
+/// The engine's lookups so far in its `scope` cache scope.
+fn traffic(engine: &Engine, scope: &str) -> CacheStats {
+    let snapshot = engine.metrics().expect("metrics are on");
+    let caches = snapshot.caches.iter().find(|c| c.scope == scope);
+    caches
+        .unwrap_or_else(|| panic!("no {scope} cache scope"))
+        .total()
+}
+
 /// The engine's memo-store lookups so far (its `store` cache scope): a
 /// miss is a software exploration run, a hit one answered from the store.
 fn store_traffic(engine: &Engine) -> CacheStats {
-    let snapshot = engine.metrics().expect("metrics are on");
-    let store = snapshot.caches.iter().find(|c| c.scope == "store");
-    store.expect("no store cache scope").total()
+    traffic(engine, "store")
 }
 
 /// A one-slot engine that records telemetry.
@@ -326,15 +333,69 @@ fn store_persists_across_engine_lifetimes_and_gc_expires_it() {
     {
         let engine = Engine::new(config().with_cache_max_age(Duration::ZERO));
         assert!(engine.warm_entries() > 0);
-        // Explicit in-memory compaction removes the aged entries...
+        assert!(engine.final_entries() > 0);
+        assert!(engine.acquisition_entries() > 0);
+        // Explicit in-memory compaction removes the aged entries of every
+        // store...
         assert!(engine.compact(Duration::ZERO) > 0);
-        assert_eq!(engine.warm_entries(), 0);
+        assert_eq!(
+            (
+                engine.warm_entries(),
+                engine.final_entries(),
+                engine.acquisition_entries()
+            ),
+            (0, 0, 0)
+        );
         // ...and the max-age persist GCs the file image the same way
         // (the file still held the aged entries until now).
         assert_eq!(engine.persist().unwrap(), 0, "aged entries must be GC'd");
     }
     let engine = Engine::new(config());
     assert_eq!(engine.warm_entries(), 0, "GC'd image must load empty");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn acquisitions_alone_make_the_image_stale() {
+    // An image with every pair and final of a request but none of its
+    // acquisitions (one written before the acquisition store existed):
+    // rerunning the request stores acquisitions only, and that alone must
+    // make the engine save on drop.
+    let path = temp_cache("acquisitions-stale");
+    std::fs::remove_file(&path).ok();
+    let config = || {
+        EngineConfig::default()
+            .with_job_slots(1)
+            .with_cache_path(&path)
+            .with_metrics(Telemetry::enabled())
+    };
+    let request = || CoDesignRequest::new(toy_input(), CoDesignOptions::quick(21));
+    let cold = {
+        let engine = Engine::new(config());
+        let solution = engine.submit(request()).unwrap().wait().unwrap();
+        assert!(engine.acquisition_entries() > 0);
+        engine.persist().unwrap();
+        solution
+    };
+    let image = runtime::Image::read(&path).unwrap().expect("a valid image");
+    let (pairs, finals) = (image.section(0).unwrap(), image.section(1).unwrap());
+    runtime::Image::write(&path, &[pairs, finals]).unwrap();
+
+    {
+        let engine = Engine::new(config());
+        assert_eq!(engine.acquisition_entries(), 0);
+        assert_eq!(engine.submit(request()).unwrap().wait().unwrap(), cold);
+        assert_eq!(traffic(&engine, "store").inserts, 0);
+        assert_eq!(traffic(&engine, "finals").inserts, 0);
+        assert!(traffic(&engine, "acquisitions").inserts > 0);
+    }
+    let engine = Engine::new(config());
+    assert!(engine.acquisition_entries() > 0, "drop did not save");
+    assert_eq!(engine.submit(request()).unwrap().wait().unwrap(), cold);
+    let warm = traffic(&engine, "acquisitions");
+    assert!(warm.hits > 0);
+    assert_eq!(warm.misses, 0);
+    drop(engine);
     std::fs::remove_file(&path).ok();
 }
 

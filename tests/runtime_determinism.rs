@@ -304,7 +304,7 @@ mod engine_concurrency {
     use hasco::codesign::{CoDesignOptions, CoDesigner};
     use hasco::engine::{CoDesignRequest, Engine, EngineConfig};
     use hasco::event::RunEvent;
-    use hasco::input::InputDescription;
+    use hasco::input::{Constraints, InputDescription};
     use hasco::{HascoError, Solution};
     use runtime::Telemetry;
 
@@ -570,6 +570,86 @@ mod engine_concurrency {
             assert_eq!(cold_solution, restored_solution, "threads={threads}");
             assert_eq!(cold_events, warm_events, "threads={threads}");
             assert_eq!(cold_events, restored_events, "threads={threads}");
+            drop((engine, restored));
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn stored_acquisitions_change_nothing() {
+        // Every MOBO run of a job, step 2's and each retuning round's,
+        // reads the acquisition store live, so a hit must be
+        // unobservable. Two requests, one whose unreachable latency cap
+        // makes it retune and one refining adaptively on a staged tier,
+        // run three ways: acquisitions cold; warm in the same engine,
+        // stored by the earlier jobs; and restored from a persisted image.
+        // Whole solutions and event streams must be equal at 1 and 2
+        // threads, and each warm leg must answer every acquisition from
+        // the store and score none.
+        let acquisitions = |engine: &Engine| {
+            let snapshot = engine.metrics().expect("metrics are on");
+            let scope = snapshot.caches.iter().find(|c| c.scope == "acquisitions");
+            scope.expect("no acquisitions cache scope").total()
+        };
+        let requests = |threads: usize| {
+            let mut unreachable = mixed_input(2);
+            unreachable.constraints = Constraints::latency_power(1e-9, 1e9);
+            let retune = CoDesignOptions::quick(71).with_threads(threads);
+            let staged = CoDesignOptions::quick(73)
+                .with_threads(threads)
+                .with_adaptive_refinement(accel_model::BackendKind::TraceSim, 2);
+            vec![
+                CoDesignRequest::new(unreachable, retune).with_label("retune"),
+                CoDesignRequest::new(mixed_input(2), staged).with_label("staged"),
+            ]
+        };
+        let run = |engine: &Engine, threads: usize| -> Vec<(Solution, Vec<RunEvent>)> {
+            requests(threads)
+                .into_iter()
+                .map(|request| {
+                    let handle = engine.submit(request).unwrap();
+                    let events = handle.events().collect();
+                    (handle.wait().unwrap(), events)
+                })
+                .collect()
+        };
+        for threads in [1, 2] {
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "hasco-acquisitions-{threads}-{}.bin",
+                std::process::id()
+            ));
+            std::fs::remove_file(&path).ok();
+            let config = || {
+                EngineConfig::default()
+                    .with_job_slots(1)
+                    .with_cache_path(&path)
+                    .with_metrics(Telemetry::enabled())
+            };
+
+            let engine = Engine::new(config());
+            let cold = run(&engine, threads);
+            let retuned = |e: &RunEvent| matches!(e, RunEvent::Tuned { round: 1.., .. });
+            assert!(cold[0].1.iter().any(retuned), "threads={threads}");
+            engine.persist().unwrap();
+            let scored = acquisitions(&engine);
+            assert!(scored.inserts > 0, "threads={threads}");
+
+            let warm = run(&engine, threads);
+            let traffic = acquisitions(&engine);
+            assert!(traffic.hits > scored.hits, "threads={threads}");
+            assert_eq!(traffic.misses, scored.misses, "threads={threads}");
+            assert_eq!(traffic.inserts, scored.inserts, "threads={threads}");
+
+            let restored = Engine::new(config());
+            assert_eq!(restored.acquisition_entries(), engine.acquisition_entries());
+            let restored_runs = run(&restored, threads);
+            let traffic = acquisitions(&restored);
+            assert!(traffic.hits > 0, "threads={threads}");
+            assert_eq!(traffic.misses, 0, "threads={threads}");
+
+            assert_eq!(cold, warm, "threads={threads}");
+            assert_eq!(cold, restored_runs, "threads={threads}");
             drop((engine, restored));
             std::fs::remove_file(&path).ok();
         }

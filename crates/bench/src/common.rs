@@ -147,9 +147,11 @@ impl Config {
         }
         if self.cache.is_some() || self.surrogate_store.is_some() {
             println!(
-                "[engine warm start: {} cache entries, {} surrogate backend(s), \
-                 restored surrogate generation {}]",
+                "[engine warm start: {} cache entries, {} final explorations, \
+                 {} acquisitions, {} surrogate backend(s), restored surrogate generation {}]",
                 engine.warm_entries(),
+                engine.final_entries(),
+                engine.acquisition_entries(),
                 engine.restored_surrogate_backends(),
                 engine.restored_surrogate_generation(),
             );

@@ -22,19 +22,19 @@ use dse::random::RandomSearch;
 use dse::Optimizer;
 use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
-use runtime::{resolve_threads, MemoCache, Telemetry, WorkerPool};
-use sw_opt::explorer::{ChoiceMemo, ExplorerOptions, SoftwareExplorer};
+use runtime::{resolve_threads, Telemetry, WorkerPool};
+use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
 use sw_opt::schedule::ScheduleContext;
 use tensor_ir::intrinsics::{intrinsic_for, IntrinsicKind};
 
 use crate::engine::{CoDesignRequest, Engine, EngineConfig};
 use crate::event::{EventSink, RunEvent};
-use crate::finals::{self, Final, FinalsStore};
+use crate::finals::{self, Final};
 use crate::input::{GenerationMethod, InputDescription};
 pub use crate::pricing::HwProblem;
-use crate::pricing::PairMemo;
 use crate::report::RunStats;
 use crate::solution::{Solution, WorkloadSolution};
+use crate::stores::Stores;
 use crate::tuning;
 use crate::HascoError;
 
@@ -381,8 +381,8 @@ pub(crate) struct ExecCtx {
     pub events: EventSink,
     /// Raised by [`JobHandle::cancel`](crate::engine::JobHandle::cancel).
     pub cancel: Arc<AtomicBool>,
-    /// The engine's pair memo, read and written live by every job.
-    pub memo: Arc<PairMemo>,
+    /// The engine's stores, read and written live by every job.
+    pub stores: Arc<Stores>,
     /// Engine-provided screen backend (a forked surrogate carrying
     /// accumulated training); `None` builds a fresh one from the options.
     pub screen_backend: Option<Arc<dyn CostBackend>>,
@@ -395,15 +395,6 @@ pub(crate) struct ExecCtx {
     /// evaluations through it instead of the local worker pool; results
     /// stay bit-identical either way.
     pub remote: Option<crate::remote::SharedPairEvaluator>,
-    /// The engine's tensorize-choice memo, shared by every explorer of
-    /// every job and by the partitioning events.
-    pub choices: Arc<ChoiceMemo>,
-    /// The engine's store of completed final explorations, read and
-    /// written live (see [`crate::finals`]).
-    pub finals: Arc<FinalsStore>,
-    /// The engine's store of MOBO acquisitions, read and written live by
-    /// every job's hardware DSE and retuning rounds.
-    pub acquisitions: Arc<AcquisitionStore>,
 }
 
 impl ExecCtx {
@@ -414,13 +405,10 @@ impl ExecCtx {
             label: String::new(),
             events: EventSink::disabled(),
             cancel: Arc::new(AtomicBool::new(false)),
-            memo: Arc::new(MemoCache::new(opts.cache_capacity)),
+            stores: Arc::new(Stores::new(opts.cache_capacity)),
             screen_backend: None,
             telemetry: Telemetry::disabled(),
             remote: None,
-            choices: Arc::default(),
-            finals: Arc::new(FinalsStore::new(opts.cache_capacity)),
-            acquisitions: Arc::new(AcquisitionStore::new(opts.cache_capacity)),
         }
     }
 }
@@ -492,7 +480,12 @@ fn execute_inner(
         for w in &input.app.workloads {
             let choices = IntrinsicKind::ALL
                 .iter()
-                .map(|&kind| ctx.choices.choices(w, &intrinsic_for(kind, 64)).len())
+                .map(|&kind| {
+                    ctx.stores
+                        .choices
+                        .choices(w, &intrinsic_for(kind, 64))
+                        .len()
+                })
                 .sum();
             ctx.events.emit(RunEvent::Partitioned {
                 choices,
@@ -523,10 +516,9 @@ fn execute_inner(
         opts.seed,
     )
     .with_workers(workers)
-    .with_memo(Arc::clone(&ctx.memo))
+    .with_stores(Arc::clone(&ctx.stores))
     .with_backend(Arc::clone(&screen))
-    .with_events(ctx.events.clone())
-    .with_choice_memo(Arc::clone(&ctx.choices));
+    .with_events(ctx.events.clone());
     problem = if opts.adaptive_refinement {
         problem.with_adaptive_refinement(refine_backend, opts.refine_top_k)
     } else {
@@ -556,7 +548,7 @@ fn execute_inner(
         opts.seed,
         opts.mobo_prior,
         &ctx.telemetry,
-        Some(&ctx.acquisitions),
+        Some(&ctx.stores.acquisitions),
     );
     let dse_span = ctx.telemetry.span("job/hw_dse");
     let mut history = optimizer.run_with_progress(&mut problem, opts.hw_trials, &observer);
@@ -589,7 +581,7 @@ fn execute_inner(
                 opts.seed.wrapping_add(round as u64 * 0x9e37),
                 opts.mobo_prior,
                 &ctx.telemetry,
-                Some(&ctx.acquisitions),
+                Some(&ctx.stores.acquisitions),
             );
             let tuning_span = ctx.telemetry.span("job/tuning");
             let extra = retune.run_with_progress(&mut problem, opts.hw_trials, &observer);
@@ -698,7 +690,7 @@ fn finalize_solution(
     let tier = telemetry.timer(format_args!("sw_explore/{}", backend.name()));
     let explorer = SoftwareExplorer::new(opts.seed)
         .with_backend(backend)
-        .with_choice_memo(Arc::clone(&ctx.choices))
+        .with_choice_memo(Arc::clone(&ctx.stores.choices))
         .with_telemetry(telemetry.clone(), "sw_opt/final")
         .with_progress(Arc::new(RunObserver {
             events: EventSink::disabled(),
@@ -712,7 +704,7 @@ fn finalize_solution(
     // workload order (first failure wins), matching the serial path.
     let outcomes = workers.map(&input.app.workloads, |_, w| {
         let key = finals::key(w, &cfg, &opts.sw_final, opts.seed, backend_fp);
-        let done = match ctx.finals.get(&key) {
+        let done = match ctx.stores.finals.get(&key) {
             Some(done) => done,
             None => {
                 let optimized = tier
@@ -726,7 +718,7 @@ fn finalize_solution(
                 // A cancel cuts an exploration short; only a run of
                 // every round is the pure function's value.
                 if done.rounds == opts.sw_final.rounds {
-                    ctx.finals.insert(key, &done);
+                    ctx.stores.finals.insert(key, &done);
                 }
                 done
             }
@@ -963,15 +955,15 @@ mod tests {
         // function's, so none is stored.
         ctx.cancel.store(true, Ordering::Relaxed);
         assert_eq!(finalize().unwrap_err(), HascoError::Cancelled);
-        assert_eq!(ctx.finals.len(), 0);
+        assert_eq!(ctx.stores.finals.len(), 0);
         // Complete runs are stored, and a second finalization reads them
         // back into the very same solution.
         ctx.cancel.store(false, Ordering::Relaxed);
         let explored = finalize().unwrap();
-        assert_eq!(ctx.finals.len(), input.app.len());
+        assert_eq!(ctx.stores.finals.len(), input.app.len());
         let stored = finalize().unwrap();
         assert_eq!(explored, stored);
-        let hits: u64 = ctx.finals.shard_stats().iter().map(|s| s.hits).sum();
+        let hits: u64 = ctx.stores.finals.shard_stats().iter().map(|s| s.hits).sum();
         assert_eq!(hits, input.app.len() as u64);
     }
 

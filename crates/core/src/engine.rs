@@ -21,21 +21,22 @@
 //! job interleaving never change any job's results* — extends to the
 //! engine by construction:
 //!
-//! * four stores are shared **live**, read and written by every running
-//!   job, because no job can observe them: the pair memo (`store`, one
-//!   software exploration's metrics per (accelerator, workload) pair),
-//!   the tensorize-choice memo (matching is a pure function of the loop
-//!   nest and the intrinsic kind), the completed final explorations
-//!   (`finals`) and the scored MOBO acquisitions (`acquisitions`, keyed
-//!   by everything an acquisition reads, the RNG state included). Every
-//!   entry is a pure value: the pricing tiers' explorers run every round,
-//!   a final cut short by a cancel is never stored, a failed GP fit is
-//!   never stored, and a surrogate tier's keys carry its training digest.
-//!   A hit returns bit for bit what the computation would have returned
-//!   and moves no field of a [`Solution`] and no event, so whether a job
-//!   finds another job's entry in time changes its wall time only. The
-//!   pair, finals and acquisition stores persist in one image; their hit
-//!   and miss counters are telemetry ([`Engine::metrics`]);
+//! * the four stores of one `Stores` value (`crate::stores`) are shared
+//!   **live**, read and written by every running job, because no job can
+//!   observe them: the pair memo (`store`, one software exploration's
+//!   metrics per (accelerator, workload) pair), the tensorize-choice memo
+//!   (matching is a pure function of the loop nest and the intrinsic
+//!   kind), the completed final explorations (`finals`) and the scored
+//!   MOBO acquisitions (`acquisitions`, keyed by everything an
+//!   acquisition reads, the RNG state included). Every entry is a pure
+//!   value: the pricing tiers' explorers run every round, a final cut
+//!   short by a cancel is never stored, a failed GP fit is never stored,
+//!   and a surrogate tier's keys carry its training digest. A hit returns
+//!   bit for bit what the computation would have returned and moves no
+//!   field of a [`Solution`] and no event, so whether a job finds another
+//!   job's entry in time changes its wall time only. The pair, finals and
+//!   acquisition stores persist in one image; their hit and miss counters
+//!   are telemetry ([`Engine::metrics`]);
 //! * a job's **solution and event stream** are therefore a pure function
 //!   of its request — with one deliberate exception, a **surrogate**
 //!   screen tier, which forks the registry's accumulated training at
@@ -54,19 +55,15 @@ use std::time::Duration;
 
 use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, SurrogateBackend, SurrogateSnapshot};
-use dse::mobo::AcquisitionStore;
 use runtime::{
-    persist, wire, Image, JobScheduler, Key128, MemoCache, StableFingerprint, Telemetry,
-    TelemetrySnapshot,
+    persist, wire, JobScheduler, Key128, StableFingerprint, Telemetry, TelemetrySnapshot,
 };
-use sw_opt::explorer::ChoiceMemo;
 
 use crate::codesign::{execute, CoDesignOptions, ExecCtx, ExecOutcome};
 use crate::event::{EventSink, EventStream, RunEvent};
-use crate::finals::FinalsStore;
 use crate::input::InputDescription;
-use crate::pricing::PairMemo;
 use crate::solution::Solution;
+use crate::stores::Stores;
 use crate::HascoError;
 
 /// Locks an engine mutex, recovering from poisoning instead of
@@ -87,14 +84,13 @@ pub struct EngineConfig {
     /// Capacity of the shared cross-request memo store, and of each of the
     /// stores of completed final explorations and of MOBO acquisitions.
     pub cache_capacity: usize,
-    /// Persistent image of the memo store, the finals store and the
-    /// acquisition store: loaded at engine creation, written by
-    /// [`Engine::persist`] (merged newest-wins) and best-effort on drop
-    /// when any of them gained entries. `None` keeps them in-memory
-    /// only.
+    /// Persistent image of the memo, finals and acquisition stores:
+    /// loaded at engine creation, written by [`Engine::persist`] (merged
+    /// newest-wins) and best-effort on drop when any of them gained
+    /// entries. `None` keeps them in-memory only.
     pub cache_path: Option<PathBuf>,
     /// Age-based GC for the persisted image: entries older than this are
-    /// dropped at persist time ([`MemoCache::save_merged_with_max_age`]).
+    /// dropped at persist time ([`Engine::persist`]).
     pub cache_max_age: Option<Duration>,
     /// Persistent image of the surrogate registry: loaded at engine
     /// creation (a missing or corrupt image is a cold start) and written
@@ -310,17 +306,8 @@ struct JobState {
 
 /// Engine-level shared state.
 struct EngineShared {
-    /// The pair memo every job prices through, read and written live.
-    store: Arc<PairMemo>,
-    /// Completed final explorations, read and written live by every job
-    /// (see [`crate::finals`]).
-    finals: Arc<FinalsStore>,
-    /// MOBO acquisitions, read and written live by every job's hardware
-    /// DSE (see [`dse::mobo`]).
-    acquisitions: Arc<AcquisitionStore>,
-    /// The tensorize-choice memo every explorer of every job matches
-    /// through.
-    choices: Arc<ChoiceMemo>,
+    /// The stores every job reads and writes live.
+    stores: Arc<Stores>,
     /// Trained surrogate screen backends, keyed per technology. New
     /// surrogate jobs fork the registered instance; observed completions
     /// replace it. Loaded from `surrogate_store` at engine creation.
@@ -342,10 +329,6 @@ struct EngineShared {
     restored_surrogate_generation: u64,
     /// Surrogate backends restored from the store at engine creation.
     restored_surrogate_backends: usize,
-    /// Entries inserted into the persisted stores up to the last
-    /// persist's snapshot ([`EngineShared::inserts`]): the image is stale
-    /// while the stores count more.
-    saved_inserts: AtomicU64,
     /// Jobs actually executed (campaign dedup skips duplicates).
     jobs_executed: AtomicU64,
     next_job_id: AtomicU64,
@@ -371,14 +354,6 @@ impl EngineShared {
         // detlint-allow(atomics): dirty flag only schedules a later mutex-serialized save; a stale read delays persistence, never changes results
         self.surrogate_dirty.store(true, Ordering::Relaxed);
         true
-    }
-
-    /// Entries inserted into the pair memo, the finals store and the
-    /// acquisition store since engine creation (loaded ones excluded). A
-    /// stored value never changes without an insert, so this count moving
-    /// is what makes the image stale.
-    fn inserts(&self) -> u64 {
-        self.store.stats().inserts + self.finals.inserts() + self.acquisitions.inserts()
     }
 
     /// Writes the surrogate registry to the configured store path, merged
@@ -434,48 +409,6 @@ impl EngineShared {
         }
         Ok(snaps.len())
     }
-}
-
-/// The memo image's sections, in order.
-const PAIRS: usize = 0;
-const FINALS: usize = 1;
-const ACQUISITIONS: usize = 2;
-
-/// Loads a memo image: the pair memo, the finals and the acquisitions, one
-/// section each. A missing finals or acquisitions section (an image
-/// written before that store existed) loads as an empty store; any section
-/// failing to decode makes the whole image a cold start, like any other
-/// corruption.
-fn load_memo_image(path: &std::path::Path, shared: &EngineShared) {
-    let Ok(Some(image)) = Image::read(path) else {
-        return;
-    };
-    let pairs = image.section(PAIRS).and_then(MemoCache::parse_section);
-    let finals = FinalsStore::parse_section(&image, FINALS);
-    let acquisitions = AcquisitionStore::parse_section(&image, ACQUISITIONS);
-    if let (Some(pairs), Some(finals), Some(acquisitions)) = (pairs, finals, acquisitions) {
-        shared.store.seed(&pairs);
-        shared.finals.seed(&finals);
-        shared.acquisitions.seed(&acquisitions);
-    }
-}
-
-/// Writes the memo image: every store merged over the file's section, in
-/// one atomic write. Returns the pair entries written.
-fn save_memo_image(path: &std::path::Path, shared: &EngineShared) -> std::io::Result<u64> {
-    let existing = Image::read(path).ok().flatten().unwrap_or_default();
-    let max_age = shared.cache_max_age;
-    let (pairs, written) = shared
-        .store
-        .merged_section(existing.section(PAIRS), max_age);
-    let finals = shared
-        .finals
-        .merged_section(existing.section(FINALS), max_age);
-    let acquisitions = shared
-        .acquisitions
-        .merged_section(existing.section(ACQUISITIONS), max_age);
-    Image::write(path, &[&pairs, &finals, &acquisitions])?;
-    Ok(written)
 }
 
 /// File magic + format version of the persisted surrogate-registry store:
@@ -652,11 +585,12 @@ impl Engine {
                 );
             }
         }
+        let stores = Stores::new(config.cache_capacity);
+        if let Some(path) = &config.cache_path {
+            stores.load(path);
+        }
         let shared = EngineShared {
-            store: Arc::new(MemoCache::new(config.cache_capacity)),
-            finals: Arc::new(FinalsStore::new(config.cache_capacity)),
-            acquisitions: Arc::new(AcquisitionStore::new(config.cache_capacity)),
-            choices: Arc::default(),
+            stores: Arc::new(stores),
             restored_surrogate_backends: surrogates.len(),
             restored_surrogate_generation: restored_generation,
             surrogates: Mutex::new(surrogates),
@@ -665,15 +599,11 @@ impl Engine {
             surrogate_store: config.surrogate_store,
             surrogate_save: Mutex::new(()),
             surrogate_dirty: AtomicBool::new(false),
-            saved_inserts: AtomicU64::new(0),
             jobs_executed: AtomicU64::new(0),
             next_job_id: AtomicU64::new(1),
             telemetry: config.metrics.clone(),
             remote: config.remote,
         };
-        if let Some(path) = &shared.cache_path {
-            load_memo_image(path, &shared);
-        }
         Engine {
             shared: Arc::new(shared),
             scheduler: JobScheduler::new(config.job_slots).with_telemetry(config.metrics),
@@ -687,7 +617,7 @@ impl Engine {
 
     /// Entries currently in the pair memo.
     pub fn warm_entries(&self) -> usize {
-        self.shared.store.len()
+        self.shared.stores.pairs.len()
     }
 
     /// Jobs actually executed so far (campaign duplicates excluded).
@@ -794,13 +724,10 @@ impl Engine {
             label: request.label.clone(),
             events: sink,
             cancel: Arc::clone(&state.cancel),
-            memo: Arc::clone(&self.shared.store),
+            stores: Arc::clone(&self.shared.stores),
             screen_backend,
             telemetry: self.shared.telemetry.clone(),
             remote: self.shared.remote.clone(),
-            choices: Arc::clone(&self.shared.choices),
-            finals: Arc::clone(&self.shared.finals),
-            acquisitions: Arc::clone(&self.shared.acquisitions),
         };
         self.scheduler.spawn(Box::new(move || {
             // A job cancelled while still queued is discarded without
@@ -929,12 +856,11 @@ impl Engine {
             .collect())
     }
 
-    /// Writes the shared memo, finals and acquisition stores to the
-    /// configured cache path (one image, each store merged newest-wins
-    /// with what the file holds and age-GC'd when the configuration sets
-    /// `cache_max_age`) and the surrogate registry to the configured
-    /// surrogate store. Returns the memo entries written; `Ok(0)` without
-    /// a configured cache path.
+    /// Writes the persisted stores to the configured cache path (one
+    /// image, each store merged newest-wins with what the file holds and
+    /// age-GC'd by `cache_max_age`) and the surrogate registry to the
+    /// configured surrogate store. Returns the memo entries written;
+    /// `Ok(0)` without a configured cache path.
     ///
     /// # Errors
     /// Propagates I/O errors from writing either image. Both saves are
@@ -943,17 +869,7 @@ impl Engine {
     pub fn persist(&self) -> std::io::Result<u64> {
         let memo = match &self.shared.cache_path {
             None => Ok(0),
-            Some(path) => {
-                // Counted before the stores are snapshotted, so an entry
-                // landing after the snapshot leaves the image stale; a
-                // failed save leaves the mark where it was.
-                let inserts = self.shared.inserts();
-                let saved = &self.shared.saved_inserts;
-                save_memo_image(path, &self.shared).inspect(|_| {
-                    // detlint-allow(atomics): save scheduling only; a stale mark costs at most one extra save
-                    saved.fetch_max(inserts, Ordering::Relaxed);
-                })
-            }
+            Some(path) => self.shared.stores.save(path, self.shared.cache_max_age),
         };
         let surrogates = self.shared.save_surrogates();
         let written = memo?;
@@ -961,41 +877,28 @@ impl Engine {
         Ok(written)
     }
 
-    /// Drops every memo, finals and acquisition entry older than
-    /// `max_age` (explicit compaction of the in-memory stores); returns
-    /// how many were removed.
-    pub fn compact(&self, max_age: Duration) -> usize {
-        self.shared.store.compact(max_age)
-            + self.shared.finals.compact(max_age)
-            + self.shared.acquisitions.compact(max_age)
-    }
-
     /// Completed final explorations currently in the finals store.
     pub fn final_entries(&self) -> usize {
-        self.shared.finals.len()
+        self.shared.stores.finals.len()
     }
 
     /// Scored MOBO acquisitions currently in the acquisition store.
     pub fn acquisition_entries(&self) -> usize {
-        self.shared.acquisitions.len()
+        self.shared.stores.acquisitions.len()
     }
 
     /// Snapshots the telemetry registry (`None` when metrics are
-    /// disabled), refreshing the point-in-time gauges first: the pair
-    /// memo's per-shard counters (scope `"store"`: every job's lookups,
-    /// a hit is a software exploration not run), the finals store's
-    /// (scope `"finals"`: a hit is a final exploration not run), the
-    /// acquisition store's (scope `"acquisitions"`: a hit is a MOBO
-    /// acquisition not scored), the warm-entry count, and registered
-    /// surrogate backends.
+    /// disabled), refreshing the point-in-time gauges first: every job's
+    /// lookups in the per-shard cache scopes `"store"`, `"finals"` and
+    /// `"acquisitions"` (a hit is a software exploration, a final
+    /// exploration or a MOBO acquisition not run), the warm-entry count,
+    /// and registered surrogate backends.
     pub fn metrics(&self) -> Option<TelemetrySnapshot> {
         let telemetry = &self.shared.telemetry;
         if !telemetry.is_enabled() {
             return None;
         }
-        telemetry.set_cache_shards("store", &self.shared.store.shard_stats());
-        telemetry.set_cache_shards("finals", &self.shared.finals.shard_stats());
-        telemetry.set_cache_shards("acquisitions", &self.shared.acquisitions.shard_stats());
+        self.shared.stores.report(telemetry);
         telemetry.gauge_set("engine.warm_entries", self.warm_entries() as u64);
         telemetry.gauge_set(
             "engine.surrogate_backends",
@@ -1011,10 +914,9 @@ impl Drop for Engine {
         // last explicit persist. (A job still running when this check
         // happens saves nothing of its own; the scheduler join below
         // still lets it finish.)
-        // detlint-allow(atomics): save-mark read decides whether drop persists; a stale read at worst saves once more
-        if self.shared.inserts() > self.shared.saved_inserts.load(Ordering::Relaxed) {
+        if self.shared.stores.is_stale() {
             let _ = self.persist();
-        // detlint-allow(atomics): surrogate-store save gating, as above
+        // detlint-allow(atomics): surrogate-store save gating; a stale read at worst saves once more
         } else if self.shared.surrogate_dirty.load(Ordering::Relaxed) {
             let _ = self.shared.save_surrogates();
         }

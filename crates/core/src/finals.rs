@@ -16,8 +16,8 @@
 //! cancel is not the pure function's value.
 //!
 //! Entries stay wire-encoded until a hit, so restoring an image decodes
-//! none of them. The store persists beside the pair memo, as the second
-//! section of the same [`Image`](runtime::Image).
+//! none of them. The store persists with the pair memo
+//! ([`crate::stores`]).
 
 use accel_model::arch::AcceleratorConfig;
 use accel_model::Metrics;

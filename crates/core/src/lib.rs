@@ -49,6 +49,7 @@ mod pricing;
 pub mod remote;
 pub mod report;
 pub mod solution;
+mod stores;
 pub mod tuning;
 
 pub use codesign::{CoDesignOptions, CoDesigner, OptimizerKind};

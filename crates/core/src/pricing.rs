@@ -18,11 +18,12 @@ use dse::problem::{Point, Problem, SearchSpace};
 use dse::staged::AdaptiveTopK;
 use hw_gen::space::Generator;
 use runtime::{Fingerprint, Key128, MemoCache, StableFingerprint, Telemetry, Timer, WorkerPool};
-use sw_opt::explorer::{ChoiceMemo, ExplorerOptions, SoftwareExplorer};
+use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
 use tensor_ir::workload::Workload;
 
 use crate::event::{EventSink, RunEvent};
 use crate::remote::{RemoteEvalRequest, SharedPairEvaluator};
+use crate::stores::Stores;
 
 /// Memoized per-(accelerator, workload) explorer outcomes; `None` records
 /// a software-exploration failure (also worth caching). An engine shares
@@ -260,10 +261,9 @@ pub struct HwProblem<'a> {
     space: SearchSpace,
     pairs: PairInputs<'a>,
     workers: WorkerPool,
-    /// Shared by both tiers (their keys differ through the backend
-    /// fingerprint), by every job of an engine ([`HwProblem::with_memo`]),
-    /// and persistable across runs ([`HwProblem::save_cache`]).
-    memo: Arc<PairMemo>,
+    /// Both tiers price through its pair memo (their keys differ through
+    /// the backend fingerprint) and match through its choice memo.
+    stores: Arc<Stores>,
     /// Exact per-point replay cache (a point hit skips config generation
     /// and the memo lookups entirely).
     cache: BTreeMap<Point, Option<Vec<f64>>>,
@@ -303,13 +303,15 @@ impl<'a> HwProblem<'a> {
             sw_opts,
             seed,
         };
+        let stores = Arc::new(Stores::new(4096));
+        let explorer = SoftwareExplorer::new(seed).with_choice_memo(Arc::clone(&stores.choices));
         HwProblem {
             generator,
             space: SearchSpace::new(dim_sizes),
-            screen: Tier::new(SoftwareExplorer::new(seed), &pairs),
+            screen: Tier::new(explorer, &pairs),
             pairs,
             workers: WorkerPool::serial(),
-            memo: Arc::new(MemoCache::new(4096)),
+            stores,
             cache: BTreeMap::new(),
             refine: None,
             sw_requests: 0,
@@ -329,37 +331,30 @@ impl<'a> HwProblem<'a> {
     /// Bounds the memoizing evaluation cache (call before
     /// [`HwProblem::load_cache`] — resizing resets the cache).
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        self.with_memo(Arc::new(MemoCache::new(capacity)))
+        self.with_stores(Arc::new(Stores::new(capacity)))
     }
 
-    /// Prices through `memo` instead of a cache of its own: an engine
-    /// hands every job its shared store, read and written live. Entries
-    /// are pure values, so which job computed one, and when it became
-    /// visible, changes wall time only.
-    pub(crate) fn with_memo(mut self, memo: Arc<PairMemo>) -> Self {
-        self.memo = memo;
-        self
-    }
-
-    /// An explorer for this problem's seed, pricing through `backend` and
-    /// matching through the screen explorer's choice memo.
-    fn explorer(&self, backend: Arc<dyn CostBackend>) -> SoftwareExplorer {
-        SoftwareExplorer::new(self.pairs.seed)
-            .with_backend(backend)
-            .with_choice_memo(Arc::clone(self.screen.explorer.choice_memo()))
-    }
-
-    /// Matches every tier's workloads through `memo` (an engine shares
-    /// one across all its jobs). Matching is a pure function of the loop
-    /// nest and the intrinsic kind, so sharing changes no result.
-    pub fn with_choice_memo(mut self, memo: Arc<ChoiceMemo>) -> Self {
+    /// Prices and matches through `stores` instead of stores of its own:
+    /// an engine hands every job its shared stores, read and written live.
+    /// Entries are pure values, so which job computed one, and when it
+    /// became visible, changes wall time only.
+    pub(crate) fn with_stores(mut self, stores: Arc<Stores>) -> Self {
         let share = |tier: Tier| Tier {
-            explorer: tier.explorer.with_choice_memo(Arc::clone(&memo)),
+            explorer: tier.explorer.with_choice_memo(Arc::clone(&stores.choices)),
             ..tier
         };
         self.screen = share(self.screen);
         self.refine = self.refine.map(|(tier, policy)| (share(tier), policy));
+        self.stores = stores;
         self
+    }
+
+    /// An explorer for this problem's seed, pricing through `backend` and
+    /// matching through the problem's choice memo.
+    fn explorer(&self, backend: Arc<dyn CostBackend>) -> SoftwareExplorer {
+        SoftwareExplorer::new(self.pairs.seed)
+            .with_backend(backend)
+            .with_choice_memo(Arc::clone(&self.stores.choices))
     }
 
     /// Screens every candidate evaluation through the given cost backend.
@@ -481,26 +476,26 @@ impl<'a> HwProblem<'a> {
     /// Counters of the memoizing evaluation cache (every job's traffic
     /// when the cache is an engine's shared store).
     pub fn cache_stats(&self) -> runtime::CacheStats {
-        self.memo.stats()
+        self.stores.pairs.stats()
     }
 
-    /// Loads the persistent evaluation cache (warm start). Returns the
-    /// number of entries loaded; a missing or corrupted file is a clean
-    /// cold start (0).
+    /// Loads an engine image of persisted stores (warm start), all or
+    /// nothing. Returns the number of pair entries loaded; a missing or
+    /// corrupted file is a clean cold start (0).
     pub fn load_cache(&self, path: &std::path::Path) -> u64 {
-        self.memo.load_from_file(path).unwrap_or(0)
+        self.stores.load(path)
     }
 
-    /// Persists the evaluation cache for future runs, merging
+    /// Persists the stores for future runs as an engine image, merging
     /// newest-wins into whatever the file already holds (so cache files
     /// shared across runs and bench binaries accumulate instead of
     /// thrash) and writing atomically (a crash mid-save never truncates
-    /// the previous image).
+    /// the previous image). Returns the pair entries written.
     ///
     /// # Errors
     /// Propagates I/O errors from writing the file.
     pub fn save_cache(&self, path: &std::path::Path) -> std::io::Result<u64> {
-        self.memo.save_merged_with_max_age(path, None)
+        self.stores.save(path, None)
     }
 
     /// Total (design point, workload) evaluations requested through the
@@ -579,9 +574,9 @@ impl Problem for HwProblem<'_> {
         self.sw_requests += fresh.len() * workloads;
         let configs: Vec<&AcceleratorConfig> = fresh.iter().map(|(_, cfg)| cfg).collect();
         let screen_span = self.telemetry.span("job/hw_dse/screen");
-        let mut fresh_metrics = self
-            .screen
-            .price(&self.pairs, &self.memo, &self.workers, &configs);
+        let mut fresh_metrics =
+            self.screen
+                .price(&self.pairs, &self.stores.pairs, &self.workers, &configs);
         drop(screen_span);
 
         // Stage 3 (refine): re-price only the top-k screened survivors at
@@ -622,7 +617,7 @@ impl Problem for HwProblem<'_> {
                 let sub: Vec<&AcceleratorConfig> =
                     survivors.iter().map(|&fi| &fresh[fi].1).collect();
                 let refine_span = self.telemetry.span("job/hw_dse/refine");
-                let refined = tier.price(&self.pairs, &self.memo, &self.workers, &sub);
+                let refined = tier.price(&self.pairs, &self.stores.pairs, &self.workers, &sub);
                 drop(refine_span);
                 for (&fi, metrics) in survivors.iter().zip(refined) {
                     // A refine-tier failure (impossible mappings are

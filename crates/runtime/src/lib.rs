@@ -11,15 +11,16 @@
 //!   order**, so a run with `threads = 4` is bitwise identical to
 //!   `threads = 1` whenever the per-item work is deterministic;
 //! * [`cache::MemoCache`] — a sharded, bounded, concurrent memoization
-//!   cache with hit/miss/eviction accounting ([`cache::CacheStats`]);
+//!   cache with hit/miss/eviction accounting ([`cache::CacheStats`]),
+//!   persisted as one section of an [`Image`] its owner lays out;
 //! * [`fingerprint`] — stable structural hashing ([`StableFingerprint`])
 //!   used to key the cache by accelerator config + workload + explorer
 //!   options;
 //! * [`batch::BatchEvaluator`] — the seam optimizers program against: "give
 //!   me the responses for this slice of requests, in order";
 //! * [`persist`] — shared warm-state image machinery (atomic replacement,
-//!   checksummed framing, corruption-tolerant loading) used by the memo
-//!   cache and the engine's surrogate-registry store;
+//!   checksummed framing, corruption-tolerant loading) used by memo-cache
+//!   images and the engine's surrogate-registry store;
 //! * [`store::EncodedStore`] — a [`MemoCache`] of wire-encoded pure
 //!   values under 128-bit keys, persisted as one image section;
 //! * [`wire`] — the one binary codec ([`wire::Wire`]) for every value

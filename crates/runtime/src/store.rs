@@ -64,11 +64,6 @@ impl<V: Wire> EncodedStore<V> {
         self.cache.shard_stats()
     }
 
-    /// Drops entries older than `max_age`; returns how many.
-    pub fn compact(&self, max_age: Duration) -> usize {
-        self.cache.compact(max_age)
-    }
-
     /// This store's image section, merged over the `existing` one
     /// ([`MemoCache::merged_section`]).
     pub fn merged_section(&self, existing: Option<&[u8]>, max_age: Option<Duration>) -> Vec<u8> {

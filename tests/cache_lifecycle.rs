@@ -5,19 +5,41 @@
 //! concurrent savers interleave into a loadable, merged image, and the
 //! engine's three-section `HASCOMC4` image layout is pinned byte for byte
 //! (a two-section image written before the acquisition store existed
-//! still loads; an image of the retired `HASCOMC3` layout is a clean cold
-//! start).
+//! still loads; an image of the retired `HASCOMC3` layout, or one with a
+//! section that does not decode, is a clean cold start).
 
 use accel_model::Metrics;
 use dse::mobo::{Acquired, AcquisitionStore};
+use hasco::codesign::{CoDesignOptions, HwProblem};
 use hasco::{Engine, EngineConfig};
 use proptest::prelude::*;
+use tensor_ir::suites;
 
 use runtime::{Image, MemoCache};
 
-/// The one save entry point: a merged save without age GC.
+/// Saves `cache` as an image's first section, merged newest-wins over the
+/// file's: the section-level calls every image owner makes. Returns the
+/// entries written.
 fn save(cache: &MemoCache<u64, u64>, path: &std::path::Path) -> u64 {
-    cache.save_merged_with_max_age(path, None).unwrap()
+    let existing = Image::read(path).ok().flatten().unwrap_or_default();
+    let (section, written) = cache.merged_section(existing.section(0), None);
+    Image::write(path, &[&section]).unwrap();
+    written
+}
+
+/// Seeds `cache` from an image's first section, all or nothing; returns
+/// the entries parsed (0, seeding nothing, for a cold start).
+fn load(cache: &MemoCache<u64, u64>, path: &std::path::Path) -> u64 {
+    let image = Image::read(path).unwrap();
+    let Some(entries) = image
+        .as_ref()
+        .and_then(|image| image.section(0))
+        .and_then(MemoCache::parse_section)
+    else {
+        return 0;
+    };
+    cache.seed(&entries);
+    entries.len() as u64
 }
 
 /// A unique temp path per (test, case) so proptest cases never collide.
@@ -95,7 +117,7 @@ proptest! {
         std::fs::write(&path, &image).unwrap();
 
         let warm: MemoCache<u64, u64> = MemoCache::new(256);
-        let loaded = warm.load_from_file(&path).unwrap();
+        let loaded = load(&warm, &path);
         if intact {
             prop_assert_eq!(loaded as usize, entries.len());
         } else {
@@ -136,7 +158,7 @@ proptest! {
         prop_assert_eq!(written as usize, union.len());
 
         let warm: MemoCache<u64, u64> = MemoCache::new(256);
-        warm.load_from_file(&path).unwrap();
+        load(&warm, &path);
         for k in union {
             let expect = second.get(&k).or_else(|| first.get(&k)).copied();
             prop_assert_eq!(warm.get(&k), expect, "key {}", k);
@@ -171,7 +193,7 @@ proptest! {
         let written = save(&survivor, &path);
         prop_assert!(written >= 1);
         let warm: MemoCache<u64, u64> = MemoCache::new(256);
-        prop_assert_eq!(warm.load_from_file(&path).unwrap(), written);
+        prop_assert_eq!(load(&warm, &path), written);
         prop_assert_eq!(warm.get(&u64::MAX), Some(1));
         std::fs::remove_file(&path).ok();
     }
@@ -211,7 +233,7 @@ fn concurrent_merged_saves_leave_a_loadable_file() {
 
     // The final image parses, and every entry traces back to a writer.
     let warm: MemoCache<u64, u64> = MemoCache::new(4096);
-    let loaded = warm.load_from_file(&path).unwrap();
+    let loaded = load(&warm, &path);
     assert!(
         loaded >= 32,
         "final image lost even the last writer: {loaded}"
@@ -292,29 +314,11 @@ fn pinned_finals_section() -> Vec<u8> {
     finals
 }
 
-/// An engine memo image payload: each section `len u64 ++ entries`.
-fn memo_image(sections: &[&[u8]]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    for section in sections {
-        payload.extend_from_slice(&(section.len() as u64).to_le_bytes());
-        payload.extend_from_slice(section);
-    }
-    runtime::persist::frame(b"HASCOMC4", &payload)
-}
-
-/// A hand-built engine memo image, spelled out byte by byte: the payload
-/// is three sections. The first holds the pair entries of
-/// [`pinned_pair_entries`], the second the final of
-/// [`pinned_finals_section`], and the third one stored MOBO acquisition,
-/// laid out like the final, whose encoded value is `chosen` (`tag u8`,
-/// then the point as `len u64 ++ coordinates u64`) and `draws u64`. It
-/// must load to exactly those entries, and a merged re-save by a process
-/// with nothing new to add — one cache alone, or the whole engine — must
-/// rewrite the very same bytes.
-#[test]
-fn engine_memo_image_layout_is_pinned() {
-    let (pairs, metrics) = pinned_pair_entries();
-    let finals = pinned_finals_section();
+/// The acquisitions section of the pinned engine image: one stored MOBO
+/// acquisition, laid out like the final, whose encoded value is `chosen`
+/// (`tag u8`, then the point as `len u64 ++ coordinates u64`) and `draws
+/// u64`.
+fn pinned_acquisitions_section() -> Vec<u8> {
     let mut acquired = vec![1];
     for word in [2u64, 2, 5, 28_600] {
         acquired.extend_from_slice(&word.to_le_bytes());
@@ -333,13 +337,58 @@ fn engine_memo_image_layout_is_pinned() {
     acquisitions.extend_from_slice(&42u64.to_le_bytes());
     acquisitions.extend_from_slice(&(acquired.len() as u64).to_le_bytes());
     acquisitions.extend_from_slice(&acquired);
+    acquisitions
+}
+
+/// An engine memo image payload: each section `len u64 ++ entries`.
+fn memo_image(sections: &[&[u8]]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for section in sections {
+        payload.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        payload.extend_from_slice(section);
+    }
+    runtime::persist::frame(b"HASCOMC4", &payload)
+}
+
+/// Runs `f` on a problem pricing one small GEMM, built the way a
+/// per-job replay builds one: the lone-cache path through an image.
+fn with_problem<R>(f: impl FnOnce(&mut HwProblem) -> R) -> R {
+    let generator = hw_gen::GemminiGenerator::new();
+    let workloads = [suites::gemm_workload("g", 64, 64, 64)];
+    let sw = CoDesignOptions::quick(0).sw_inner;
+    let mut problem = HwProblem::new(&generator, &workloads, sw, 0).with_cache_capacity(64);
+    f(&mut problem)
+}
+
+/// The engine's three counts after it loads the image at `path`.
+fn engine_counts(path: &std::path::Path) -> (usize, usize, usize) {
+    let engine = Engine::new(EngineConfig::default().with_cache_path(path));
+    (
+        engine.warm_entries(),
+        engine.final_entries(),
+        engine.acquisition_entries(),
+    )
+}
+
+/// A hand-built engine memo image, spelled out byte by byte: the payload
+/// is three sections, the pair entries of [`pinned_pair_entries`], the
+/// final of [`pinned_finals_section`] and the acquisition of
+/// [`pinned_acquisitions_section`]. It must load to exactly those
+/// entries, and a merged re-save by a process with nothing new to add — a
+/// lone problem, or the whole engine — must rewrite the very same bytes.
+#[test]
+fn engine_memo_image_layout_is_pinned() {
+    let (pairs, metrics) = pinned_pair_entries();
+    let finals = pinned_finals_section();
+    let acquisitions = pinned_acquisitions_section();
     let image = memo_image(&[&pairs, &finals, &acquisitions]);
     let path = temp_path("engine-layout", 0);
     std::fs::write(&path, &image).unwrap();
 
-    let memo: MemoCache<(u64, u64), Option<Metrics>> = MemoCache::new(64);
-    assert_eq!(memo.load_from_file(&path).unwrap(), 2);
-    let mut entries = memo.snapshot_stamped();
+    let loaded = Image::read(&path).unwrap().expect("a valid image");
+    let mut entries =
+        MemoCache::<(u64, u64), Option<Metrics>>::parse_section(loaded.section(0).unwrap())
+            .unwrap();
     entries.sort_by_key(|&(_, _, stamp)| stamp);
     assert_eq!(
         entries,
@@ -347,7 +396,6 @@ fn engine_memo_image_layout_is_pinned() {
     );
     let (_, priced, _) = entries[1];
     assert_eq!(priced.unwrap().area_mm2.to_bits(), (-0.0f64).to_bits());
-    let loaded = Image::read(&path).unwrap().expect("a valid image");
     assert_eq!(
         MemoCache::<(u64, u64), Vec<u8>>::parse_section(loaded.section(1).unwrap()),
         Some(vec![((31, 32), vec![7, 8, 9], 3_000)])
@@ -362,8 +410,10 @@ fn engine_memo_image_layout_is_pinned() {
         })
     );
 
-    let idle: MemoCache<(u64, u64), Option<Metrics>> = MemoCache::new(64);
-    assert_eq!(idle.save_merged_with_max_age(&path, None).unwrap(), 2);
+    with_problem(|idle| {
+        assert_eq!(idle.save_cache(&path).unwrap(), 2);
+        assert_eq!(idle.load_cache(&path), 2);
+    });
     assert_eq!(std::fs::read(&path).unwrap(), image);
 
     let engine = Engine::new(EngineConfig::default().with_cache_path(&path));
@@ -378,6 +428,35 @@ fn engine_memo_image_layout_is_pinned() {
     assert_eq!(engine.persist().unwrap(), 2);
     assert_eq!(std::fs::read(&path).unwrap(), image);
     drop(engine);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A lone problem's save — the path a per-job replay persists through —
+/// rewrites the pair section with its new entries and keeps the finals and
+/// acquisitions it never touched byte for byte.
+#[test]
+fn single_cache_saves_keep_the_other_sections() {
+    let (pairs, _) = pinned_pair_entries();
+    let finals = pinned_finals_section();
+    let acquisitions = pinned_acquisitions_section();
+    let path = temp_path("sections", 0);
+    Image::write(&path, &[&pairs, &finals, &acquisitions]).unwrap();
+
+    let priced = with_problem(|problem| {
+        use dse::problem::Problem;
+        let origin = vec![0; problem.space().len()];
+        assert!(problem.evaluate(&origin).is_some());
+        let priced = problem.cache_stats().inserts;
+        assert!(priced > 0);
+        assert_eq!(problem.save_cache(&path).unwrap(), 2 + priced);
+        priced
+    });
+    let image = Image::read(&path).unwrap().expect("a valid image");
+    assert_eq!(image.section(1), Some(&finals[..]));
+    assert_eq!(image.section(2), Some(&acquisitions[..]));
+    assert_eq!(image.section(3), None);
+    assert_eq!(with_problem(|fresh| fresh.load_cache(&path)), 2 + priced);
+    assert_eq!(engine_counts(&path), (2 + priced as usize, 1, 1));
     std::fs::remove_file(&path).ok();
 }
 
@@ -412,16 +491,14 @@ fn two_section_image_loads_with_no_acquisitions() {
 
 /// An image of the retired `HASCOMC3` layout — the pair entries straight
 /// in the payload, no sections — is a clean cold start for the engine and
-/// for a lone cache, and the engine's next save replaces it.
+/// for a lone problem, and the engine's next save replaces it.
 #[test]
 fn hascomc3_image_is_a_clean_cold_start() {
     let (pairs, _) = pinned_pair_entries();
     let path = temp_path("mc3", 0);
     std::fs::write(&path, runtime::persist::frame(b"HASCOMC3", &pairs)).unwrap();
 
-    let memo: MemoCache<(u64, u64), Option<Metrics>> = MemoCache::new(64);
-    assert_eq!(memo.load_from_file(&path).unwrap(), 0);
-    assert!(memo.is_empty());
+    assert_eq!(with_problem(|problem| problem.load_cache(&path)), 0);
     let engine = Engine::new(EngineConfig::default().with_cache_path(&path));
     assert_eq!(
         (
@@ -435,4 +512,30 @@ fn hascomc3_image_is_a_clean_cold_start() {
     assert_eq!(&std::fs::read(&path).unwrap()[..8], b"HASCOMC4");
     drop(engine);
     std::fs::remove_file(&path).ok();
+}
+
+/// A validly framed image whose acquisitions section does not decode is a
+/// cold start for all three stores, in the engine and in a lone problem
+/// alike: a load seeds every store or none.
+#[test]
+fn an_undecodable_section_is_a_cold_start_for_every_store() {
+    let (pairs, _) = pinned_pair_entries();
+    let finals = pinned_finals_section();
+    let path = temp_path("bad-acquisitions", 0);
+    // A lone byte is no entry: its `len u32` prefix is cut short.
+    std::fs::write(&path, memo_image(&[&pairs, &finals, &[1]])).unwrap();
+    assert!(Image::read(&path).unwrap().is_some(), "the frame is valid");
+
+    assert_eq!(engine_counts(&path), (0, 0, 0));
+    let fresh = temp_path("bad-acquisitions-resaved", 0);
+    std::fs::remove_file(&fresh).ok();
+    with_problem(|problem| {
+        assert_eq!(problem.load_cache(&path), 0);
+        // Saved to an empty path, the problem's stores show it seeded
+        // nothing: every section is empty.
+        assert_eq!(problem.save_cache(&fresh).unwrap(), 0);
+    });
+    assert_eq!(std::fs::read(&fresh).unwrap(), memo_image(&[&[], &[], &[]]));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&fresh).ok();
 }

@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use dse::gp::{GaussianProcess, IncrementalGp, PredictScratch};
-use runtime::{Fingerprinter, Key128, StableFingerprint, Telemetry};
+use runtime::{Fingerprint, Fingerprinter, Key128, StableFingerprint, Telemetry};
 
 use crate::arch::AcceleratorConfig;
 use crate::cost::CostModel;
@@ -65,6 +65,14 @@ pub trait CostBackend: std::fmt::Debug + Send + Sync {
     /// training generation) must extend it.
     fn fingerprint_into(&self, fp: &mut Fingerprinter) {
         fp.write_str(self.name());
+    }
+
+    /// [`CostBackend::fingerprint_into`] alone: the backend part of memo
+    /// keys.
+    fn fingerprint(&self) -> Fingerprint {
+        let mut fp = Fingerprinter::new();
+        self.fingerprint_into(&mut fp);
+        fp.finish()
     }
 
     /// Downcast hook for the self-improving tier: staging controllers use

@@ -17,8 +17,15 @@
 //! * `sim_staged_vs_program` — streaming a plan through
 //!   `TraceSimulator::run_plan_cycles` vs materializing the `Program`
 //!   and replaying it.
+//! * `ehvi_score_vs_hit` — scoring the 4-point-front acquisition's EHVI
+//!   sweep vs answering the whole acquisition from a filled
+//!   `AcquisitionStore`; a hit restores the RNG state in O(1), so a drop
+//!   towards 1× means hits went back to replaying draws.
 //!
 //! `--quick` shrinks sample counts and workload sizes for CI smoke runs.
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use criterion::{black_box, Criterion};
 
@@ -27,8 +34,9 @@ use accel_model::plan::{ExecutionPlan, TensorTraffic};
 use accel_model::sim::{program_from_plan, TraceSimulator};
 use dse::gp::{GaussianProcess, IncrementalGp, Posterior, PredictScratch};
 use dse::hypervolume::SlicedFront;
-use dse::mobo::Ehvi;
+use dse::mobo::{AcquisitionStore, Ehvi, Mobo};
 use dse::pareto::pareto_indices;
+use dse::{Evaluation, Point, Problem, SearchSpace};
 use hasco::codesign::CoDesignOptions;
 use hasco::engine::EngineConfig;
 use hasco_net::{Client, Server, ServerOptions};
@@ -98,11 +106,29 @@ fn bench_gp(c: &mut Criterion) {
     });
 }
 
+/// A 3-objective problem that is never evaluated: an acquisition reads
+/// only its space.
+struct SpaceOnly(SearchSpace);
+
+impl Problem for SpaceOnly {
+    fn space(&self) -> &SearchSpace {
+        &self.0
+    }
+    fn num_objectives(&self) -> usize {
+        3
+    }
+    fn evaluate(&mut self, _: &Point) -> Option<Vec<f64>> {
+        None
+    }
+}
+
 /// MOBO's acquisition on a 3-objective problem: observed log-objective
 /// vectors scored against 192 candidates × 24 posterior samples — one
 /// `Mobo` acquisition minus the GP work — on a 4-point front
 /// (`dse/ehvi_acquire/3d`) and an 8-point one (`.../3d_front8`);
-/// `table3 --paper` runs see fronts of 2–12 points. Also the
+/// `table3 --paper` runs see fronts of 2–12 points. The 4-point-front
+/// acquisition, whole, answered from a filled `AcquisitionStore`
+/// (`dse/acquire_hit`): what a warm job pays per acquisition. Also the
 /// hypervolume of the 4-point front plus one sample, slicing the front
 /// from scratch: what each sample cost before the acquisition sliced its
 /// front once.
@@ -181,6 +207,27 @@ fn bench_ehvi(c: &mut Criterion) {
             })
         });
     }
+
+    let evaluations: Vec<Evaluation> = observed4
+        .iter()
+        .enumerate()
+        .map(|(i, log_objs)| Evaluation {
+            point: vec![i, (5 * i) % 12, (7 * i + 3) % 12],
+            objectives: log_objs.iter().map(|x| x.exp()).collect(),
+        })
+        .collect();
+    let seen: BTreeSet<Point> = evaluations.iter().map(|e| e.point.clone()).collect();
+    let problem = SpaceOnly(SearchSpace::new(vec![12, 12, 12]));
+    let mobo = Mobo::new(7).with_store(Arc::new(AcquisitionStore::new(64)));
+    let start = SmallRng::seed_from_u64(7);
+    mobo.acquire(&problem, &evaluations, &seen, &mut start.clone())
+        .expect("the GPs fit");
+    c.bench_function("dse/acquire_hit", |b| {
+        b.iter(|| {
+            let mut rng = start.clone();
+            black_box(mobo.acquire(&problem, &evaluations, &seen, &mut rng))
+        })
+    });
 }
 
 /// The software explorer's DQN update on its 18→48→48→48→26 network:
@@ -366,6 +413,7 @@ fn bench_json(c: &Criterion, quick: bool) -> String {
     let median = |id: &str| c.median_ns(id).unwrap_or(f64::NAN).max(1.0);
     let gp_speedup = median("gp/fit_scratch/n200") / median("gp/observe_incremental/n200");
     let sim_speedup = median("sim/eval_via_program") / median("sim/eval_staged_plan");
+    let hit_speedup = median("dse/ehvi_acquire/3d") / median("dse/acquire_hit");
     let mut results = String::new();
     for (i, r) in c.records().iter().enumerate() {
         if i > 0 {
@@ -380,7 +428,8 @@ fn bench_json(c: &Criterion, quick: bool) -> String {
         "{{\n  \"schema\": \"hasco-bench-hotpath-v1\",\n  \"quick\": {quick},\n  \
          \"results\": [\n{results}\n  ],\n  \"speedups\": {{\n    \
          \"gp_observe_200_vs_scratch\": {gp_speedup:.3},\n    \
-         \"sim_staged_vs_program\": {sim_speedup:.3}\n  }}\n}}\n"
+         \"sim_staged_vs_program\": {sim_speedup:.3},\n    \
+         \"ehvi_score_vs_hit\": {hit_speedup:.3}\n  }}\n}}\n"
     )
 }
 
@@ -406,8 +455,10 @@ fn main() {
     }
     let median = |id: &str| c.median_ns(id).unwrap_or(f64::NAN).max(1.0);
     println!(
-        "speedups: gp_observe_200_vs_scratch = {:.1}x, sim_staged_vs_program = {:.1}x",
+        "speedups: gp_observe_200_vs_scratch = {:.1}x, sim_staged_vs_program = {:.1}x, \
+         ehvi_score_vs_hit = {:.1}x",
         median("gp/fit_scratch/n200") / median("gp/observe_incremental/n200"),
         median("sim/eval_via_program") / median("sim/eval_staged_plan"),
+        median("dse/ehvi_acquire/3d") / median("dse/acquire_hit"),
     );
 }

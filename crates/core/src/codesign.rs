@@ -662,7 +662,8 @@ fn select_and_finalize(
 /// assembles the solution (shared by the engine path, the one-shot
 /// [`CoDesigner::finalize`], and the "separate design" baseline). A
 /// workload whose final exploration the context's finals store already
-/// holds is not explored again.
+/// holds is not explored again, and a job whose finals all hit builds no
+/// explorer.
 fn finalize_solution(
     opts: &CoDesignOptions,
     input: &InputDescription,
@@ -672,9 +673,6 @@ fn finalize_solution(
 ) -> Result<Solution, HascoError> {
     let (events, cancel, telemetry) = (&ctx.events, &ctx.cancel, &ctx.telemetry);
     let _finalize_span = telemetry.span("job/finalize");
-    let workers = WorkerPool::new(resolve_threads(opts.threads))
-        .with_stealing(opts.work_stealing)
-        .with_telemetry(telemetry.clone());
     // With fidelity staging on, the final thorough optimization runs
     // at the high-fidelity tier so reported metrics match the
     // refinement the Pareto front saw.
@@ -683,77 +681,97 @@ fn finalize_solution(
     } else {
         opts.backend
     };
-    // The explorer watches the cancel flag between revision rounds (its
-    // observer forwards no events: these rounds run on worker threads,
-    // where emission order would depend on scheduling).
     let backend = final_backend.build_with(opts.tech.clone());
-    let tier = telemetry.timer(format_args!("sw_explore/{}", backend.name()));
-    let explorer = SoftwareExplorer::new(opts.seed)
-        .with_backend(backend)
-        .with_choice_memo(Arc::clone(&ctx.stores.choices))
-        .with_telemetry(telemetry.clone(), "sw_opt/final")
-        .with_progress(Arc::new(RunObserver {
-            events: EventSink::disabled(),
-            cancel: Arc::clone(cancel),
-            forward: false,
-        }));
-    let backend_fp = explorer.backend_fingerprint();
-    let intrinsic = cfg.intrinsic_comp();
-    // The thorough per-workload explorations are independent pure
-    // runs, so they fan out across the pool; errors are reported in
-    // workload order (first failure wins), matching the serial path.
-    let outcomes = workers.map(&input.app.workloads, |_, w| {
-        let key = finals::key(w, &cfg, &opts.sw_final, opts.seed, backend_fp);
-        let done = match ctx.stores.finals.get(&key) {
-            Some(done) => done,
-            None => {
-                let optimized = tier
-                    .time(|| explorer.optimize(w, &cfg, &opts.sw_final))
-                    .map_err(|e| HascoError::Software(format!("{}: {e}", w.name)))?;
-                let done = Final {
-                    schedule: optimized.schedule,
-                    metrics: optimized.metrics,
-                    rounds: optimized.history.len(),
-                };
-                // A cancel cuts an exploration short; only a run of
-                // every round is the pure function's value.
-                if done.rounds == opts.sw_final.rounds {
-                    ctx.stores.finals.insert(key, &done);
-                }
-                done
+    let backend_fp = backend.fingerprint();
+    let workloads = &input.app.workloads;
+    let keys: Vec<(u64, u64)> = workloads
+        .iter()
+        .map(|w| finals::key(w, &cfg, &opts.sw_final, opts.seed, backend_fp))
+        .collect();
+    let stored: Vec<Option<Final>> = keys.iter().map(|k| ctx.stores.finals.get(k)).collect();
+    // One exploration per distinct missed key: workloads with identical
+    // loop nests (MobileNet repeats five layers) share theirs.
+    let mut missed: Vec<usize> = Vec::new();
+    for (i, hit) in stored.iter().enumerate() {
+        if hit.is_none() && missed.iter().all(|&j| keys[j] != keys[i]) {
+            missed.push(i);
+        }
+    }
+    let mut explored = Vec::new();
+    if !missed.is_empty() {
+        // Built here, on the job thread, with its untrained Q-learner: a
+        // learner built lazily on a pool worker costs resident memory.
+        // The explorer watches the cancel flag between revision rounds (its observer
+        // forwards no events: these rounds run on worker threads, where
+        // emission order would depend on scheduling).
+        let tier = telemetry.timer(format_args!("sw_explore/{}", backend.name()));
+        let explorer = SoftwareExplorer::new(opts.seed)
+            .with_backend(backend)
+            .with_choice_memo(Arc::clone(&ctx.stores.choices))
+            .with_telemetry(telemetry.clone(), "sw_opt/final")
+            .with_progress(Arc::new(RunObserver {
+                events: EventSink::disabled(),
+                cancel: Arc::clone(cancel),
+                forward: false,
+            }));
+        let workers = WorkerPool::new(resolve_threads(opts.threads))
+            .with_stealing(opts.work_stealing)
+            .with_telemetry(telemetry.clone());
+        // The thorough per-workload explorations are independent pure
+        // runs, so the missed ones fan out across the pool.
+        explored = workers.map(&missed, |_, &i| {
+            let w = &workloads[i];
+            let optimized = tier
+                .time(|| explorer.optimize(w, &cfg, &opts.sw_final))
+                .map_err(|e| HascoError::Software(format!("{}: {e}", w.name)))?;
+            let done = Final {
+                schedule: optimized.schedule,
+                metrics: optimized.metrics,
+                rounds: optimized.history.len(),
+            };
+            // A cancel cuts an exploration short; only a run of every
+            // round is the pure function's value.
+            if done.rounds == opts.sw_final.rounds {
+                ctx.stores.finals.insert(keys[i], &done);
             }
-        };
-        let program = sw_opt::codegen::render(
-            &done.schedule,
-            &ScheduleContext::of_schedule(w, &intrinsic, &done.schedule),
-        );
-        Ok((
-            WorkloadSolution {
-                workload: w.name.clone(),
-                schedule: done.schedule,
-                metrics: done.metrics,
-                program,
-            },
-            done.rounds,
-        ))
-    });
+            Ok(done)
+        });
+    }
     // detlint-allow(atomics): cooperative cancel latch; a late observation only delays the exit
     if cancel.load(Ordering::Relaxed) {
         return Err(HascoError::Cancelled);
     }
+    let intrinsic = cfg.intrinsic_comp();
     let mut per_workload = Vec::with_capacity(input.app.len());
     let mut parts = Vec::with_capacity(input.app.len());
-    for outcome in outcomes {
-        let (ws, rounds) = outcome?;
+    for ((w, key), stored) in workloads.iter().zip(&keys).zip(stored) {
+        // Errors are reported in workload order (first failure wins),
+        // matching the serial path.
+        let done = match stored {
+            Some(done) => done,
+            None => {
+                let at = missed.iter().position(|&j| keys[j] == *key);
+                explored[at.expect("every missed key was explored")].clone()?
+            }
+        };
         // Emitted here — on the driver thread, in workload order — so the
         // event stream never depends on which worker finished first.
         events.emit(RunEvent::SoftwareOptimized {
-            workload: ws.workload.clone(),
-            rounds,
-            latency_ms: ws.metrics.latency_ms,
+            workload: w.name.clone(),
+            rounds: done.rounds,
+            latency_ms: done.metrics.latency_ms,
         });
-        parts.push(ws.metrics);
-        per_workload.push(ws);
+        let program = sw_opt::codegen::render(
+            &done.schedule,
+            &ScheduleContext::of_schedule(w, &intrinsic, &done.schedule),
+        );
+        parts.push(done.metrics);
+        per_workload.push(WorkloadSolution {
+            workload: w.name.clone(),
+            schedule: done.schedule,
+            metrics: done.metrics,
+            program,
+        });
     }
     let total = Metrics::sequential(&parts);
     Ok(Solution {

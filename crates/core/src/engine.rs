@@ -415,7 +415,7 @@ impl EngineShared {
 /// one frame whose payload is the [`Wire`](runtime::wire::Wire) encoding
 /// of a `Vec<SurrogateSnapshot>` in registry-key order. Stores of earlier
 /// versions load as a cold start.
-const SURROGATE_STORE_MAGIC: &[u8; 8] = b"HASCOSR2";
+const SURROGATE_STORE_MAGIC: &[u8; 8] = b"HASCOSR3";
 
 /// Parses a persisted surrogate store into its snapshots; `None` on any
 /// corruption (and on real I/O failures — loading is always best-effort,
@@ -1012,11 +1012,20 @@ mod tests {
 
         let path = temp_store("sr1");
         assert_eq!(load_store(&path, b"HASCOSR1", &payload), 0);
+        // The `HASCOSR2` store: the current payload, framed with the
+        // previous checksum (the payload's `Fingerprinter` digest).
+        let current = wire::to_bytes(&vec![snap]);
+        let mut sr2 = b"HASCOSR2".to_vec();
+        sr2.extend_from_slice(&(current.len() as u64).to_le_bytes());
+        sr2.extend_from_slice(&current);
+        let mut fp = runtime::Fingerprinter::new();
+        fp.write_bytes(&current);
+        sr2.extend_from_slice(&fp.finish().0.to_le_bytes());
+        std::fs::write(&path, sr2).unwrap();
+        let engine = Engine::new(EngineConfig::default().with_surrogate_store(&path));
+        assert_eq!(engine.restored_surrogate_backends(), 0);
         // The same snapshot in the current layout restores.
-        assert_eq!(
-            load_store(&path, SURROGATE_STORE_MAGIC, &wire::to_bytes(&vec![snap])),
-            1
-        );
+        assert_eq!(load_store(&path, SURROGATE_STORE_MAGIC, &current), 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -17,7 +17,7 @@
 //! never through events. Carrying a timestamp here would break the
 //! bit-identical contract on the first re-run.
 
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 
 /// One progress event of a co-design run. The stream of a successful job
 /// starts with [`RunEvent::Started`] and ends with a terminal event
@@ -175,6 +175,19 @@ impl EventStream {
     /// A stream that yields nothing (the events were already taken).
     pub fn empty() -> Self {
         EventStream { rx: None }
+    }
+
+    /// The next event if the job already emitted it, without blocking:
+    /// [`TryRecvError::Empty`] while the job runs on without a new one,
+    /// [`TryRecvError::Disconnected`] once the stream ended.
+    ///
+    /// # Errors
+    /// The two cases above.
+    pub fn try_next(&mut self) -> Result<RunEvent, TryRecvError> {
+        self.rx
+            .as_ref()
+            .ok_or(TryRecvError::Disconnected)?
+            .try_recv()
     }
 }
 

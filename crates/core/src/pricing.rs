@@ -77,7 +77,7 @@ struct Tier {
 
 impl Tier {
     fn new(explorer: SoftwareExplorer, pairs: &PairInputs) -> Tier {
-        let fp = explorer.backend_fingerprint();
+        let fp = explorer.backend().fingerprint();
         Tier {
             bases: pairs.bases(fp),
             fp,
@@ -91,7 +91,7 @@ impl Tier {
     /// surrogate advancing its training generation), so stale-generation
     /// memo entries become unreachable instead of being served.
     fn refresh(&mut self, pairs: &PairInputs) {
-        let fp = self.explorer.backend_fingerprint();
+        let fp = self.explorer.backend().fingerprint();
         if fp != self.fp {
             self.bases = pairs.bases(fp);
             self.fp = fp;

@@ -1,7 +1,7 @@
 //! [`Stores`] — an engine's warm state as one value. Every job reads and
 //! writes the same four stores live (the [`engine`](crate::engine) module
 //! docs say why no job can observe them). All but the choice memo persist
-//! in one `HASCOMC4` [`Image`], one section each; this module alone knows
+//! in one `HASCOMC5` [`Image`], one section each; this module alone knows
 //! the section order and when the image is stale.
 
 use std::path::Path;

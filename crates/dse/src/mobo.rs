@@ -9,9 +9,10 @@
 //! An acquisition is a pure function of the observations so far, the set
 //! of points already tried, the search space and the RNG state, so a run
 //! given an [`AcquisitionStore`] ([`Mobo::with_store`]) looks each one up
-//! before scoring: a hit skips the GP fits and the EHVI sweep and advances
-//! the RNG by the draws the scoring took, so the trajectory is the same
-//! bit for bit.
+//! before scoring: a hit skips the GP fits and the EHVI sweep and resumes
+//! the RNG from the state the scoring left, so the trajectory is the same
+//! bit for bit. Restoring the 256-bit state is O(1); xoshiro256++ can only
+//! jump by fixed 2^128 or 2^192 strides, not by a stored draw count.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -21,6 +22,7 @@ use std::sync::Arc;
 
 use crate::gp::{GaussianProcess, Posterior, PredictScratch};
 use crate::hypervolume::SlicedFront;
+use crate::linalg::LinalgError;
 use crate::pareto::pareto_indices;
 use crate::problem::{Evaluation, OptimizerResult, Point, Problem, SearchSpace};
 use crate::progress::{BatchUpdate, Progress};
@@ -53,11 +55,11 @@ pub struct Mobo {
 pub struct Acquired {
     /// The EHVI argmax (`None` when the space is exhausted).
     pub chosen: Option<Point>,
-    /// RNG draws the scoring took.
-    pub draws: u64,
+    /// The run's RNG state once scoring was done ([`SmallRng::state`]).
+    pub state: [u64; 4],
 }
 
-runtime::wire_struct!(Acquired { chosen, draws });
+runtime::wire_struct!(Acquired { chosen, state });
 
 /// Scored acquisitions under their [`Mobo`] keys, shared by every run
 /// that is given it; see the module docs.
@@ -101,31 +103,44 @@ impl Mobo {
         self
     }
 
-    /// One model-based acquisition (Algorithm 1, lines 3–5), answered
-    /// from the store when it holds it — `Err(())` when a GP fit failed
-    /// (never stored), `Ok(None)` when the space is exhausted.
-    fn acquire(
+    /// One model-based acquisition (Algorithm 1, lines 3–5) after the
+    /// history `evaluations`, with the points `seen` tried so far, drawing
+    /// from `rng` exactly as [`Mobo::run`] does; answered from the store
+    /// when it holds it. `Ok(None)` when the space is exhausted.
+    ///
+    /// # Errors
+    /// A GP fit failed; such an acquisition is never stored.
+    pub fn acquire(
+        &self,
+        problem: &dyn Problem,
+        evaluations: &[Evaluation],
+        seen: &BTreeSet<Point>,
+        rng: &mut SmallRng,
+    ) -> Result<Option<Point>, LinalgError> {
+        let timers = AcquireTimers::new(&self.telemetry);
+        self.acquire_timed(problem, evaluations, seen, &timers, rng)
+    }
+
+    /// [`Mobo::acquire`] with the run's timers.
+    fn acquire_timed(
         &self,
         problem: &dyn Problem,
         evaluations: &[Evaluation],
         seen: &BTreeSet<Point>,
         timers: &AcquireTimers,
         rng: &mut SmallRng,
-    ) -> Result<Option<Point>, ()> {
+    ) -> Result<Option<Point>, LinalgError> {
         let Some(store) = &self.store else {
             return self.score(problem, evaluations, seen, timers, rng);
         };
         let key = self.acquisition_key(problem.space(), evaluations, seen, rng);
         if let Some(stored) = store.get(&key) {
-            for _ in 0..stored.draws {
-                rng.next_u64();
-            }
+            *rng = SmallRng::from_state(stored.state);
             return Ok(stored.chosen);
         }
-        let mut counted = CountingRng { rng, draws: 0 };
         let acquired = Acquired {
-            chosen: self.score(problem, evaluations, seen, timers, &mut counted)?,
-            draws: counted.draws,
+            chosen: self.score(problem, evaluations, seen, timers, rng)?,
+            state: rng.state(),
         };
         store.insert(key, &acquired);
         Ok(acquired.chosen)
@@ -134,7 +149,7 @@ impl Mobo {
     /// The store key of an acquisition: the space, the two scoring
     /// sizes, every evaluation (point and objective bits, in order), the
     /// points tried so far, and four draws from a clone of the RNG (its
-    /// whole 256-bit state).
+    /// whole 256-bit state, so a key fixes the state scoring leaves).
     fn acquisition_key(
         &self,
         space: &SearchSpace,
@@ -176,14 +191,14 @@ impl Mobo {
 
     /// Scores one acquisition: fit the per-objective GPs, build the
     /// candidate pool, and return the EHVI argmax.
-    fn score<R: Rng + ?Sized>(
+    fn score(
         &self,
         problem: &dyn Problem,
         evaluations: &[Evaluation],
         seen: &BTreeSet<Point>,
         timers: &AcquireTimers,
-        rng: &mut R,
-    ) -> Result<Option<Point>, ()> {
+        rng: &mut SmallRng,
+    ) -> Result<Option<Point>, LinalgError> {
         // Fit one GP per objective on log-scaled metrics.
         let gps = timers.fit.time(|| {
             let xs: Vec<Vec<f64>> = evaluations
@@ -199,7 +214,6 @@ impl Mobo {
                     timers.gp_fit.time(|| GaussianProcess::fit(&xs, &ys))
                 })
                 .collect::<Result<Vec<_>, _>>()
-                .map_err(drop)
         })?;
 
         // Candidate pool: random points plus neighbors of Pareto
@@ -250,21 +264,6 @@ impl Mobo {
             }
             Ok(best.map(|(_, chosen)| chosen))
         })
-    }
-}
-
-/// Counts the draws scoring takes from the run's RNG, so that a stored
-/// acquisition can advance it exactly as far.
-struct CountingRng<'a> {
-    rng: &'a mut SmallRng,
-    draws: u64,
-}
-
-impl RngCore for CountingRng<'_> {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.rng.next_u64()
     }
 }
 
@@ -516,12 +515,13 @@ impl Optimizer for Mobo {
                 continue;
             }
             let acquire = self.telemetry.span("job/hw_dse/acquire");
-            let acquired = self.acquire(&*problem, &result.evaluations, &seen, &timers, &mut rng);
+            let acquired =
+                self.acquire_timed(&*problem, &result.evaluations, &seen, &timers, &mut rng);
             drop(acquire);
             let chosen = match acquired {
                 Ok(Some(chosen)) => chosen,
                 Ok(None) => break, // space exhausted
-                Err(()) => {
+                Err(_) => {
                     let p = problem.space().random_point(&mut rng);
                     if seen.insert(p.clone()) {
                         let feasible = try_evaluate(&p, problem, &mut result, &mut trials);
@@ -827,6 +827,25 @@ mod tests {
         let (space, evaluations, seen, rng) = key_inputs();
         let key = Mobo::new(0).acquisition_key(&space, &evaluations, &seen, &rng);
         assert_eq!(key, (0x6fef76dd9b7aa43b, 0x7ca43d260c677602));
+    }
+
+    #[test]
+    fn a_stored_acquisition_resumes_the_scoring_runs_generator() {
+        let (space, evaluations, seen, rng) = key_inputs();
+        let problem = Toy3 { space };
+        let store = Arc::new(AcquisitionStore::new(8));
+        let mobo = Mobo::new(0).with_store(Arc::clone(&store));
+        let (mut scored, mut answered) = (rng.clone(), rng.clone());
+        let chosen = mobo.acquire(&problem, &evaluations, &seen, &mut scored);
+        assert_eq!(store.inserts(), 1);
+        assert_ne!(scored, rng, "scoring draws from the generator");
+        let hit = mobo.acquire(&problem, &evaluations, &seen, &mut answered);
+        assert_eq!(store.inserts(), 1, "the second acquisition scored");
+        assert_eq!(hit, chosen);
+        assert_eq!(answered, scored);
+        for _ in 0..1000 {
+            assert_eq!(answered.next_u64(), scored.next_u64());
+        }
     }
 
     #[test]

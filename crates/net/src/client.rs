@@ -12,6 +12,7 @@
 //! their original variants, so a caller cannot tell a served run from an
 //! in-process one by its error shapes either.
 
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -76,6 +77,9 @@ impl Client {
         let mut stream = self.open()?;
         proto::send(&mut stream, &Msg::Submit { request })
             .map_err(|e| transport_err("submit send", &e))?;
+        // The server hands several frames over in one write: one read
+        // takes them all, and the next frames are read from the buffer.
+        let mut stream = BufReader::new(stream);
         match proto::recv_expect(&mut stream).map_err(|e| transport_err("submit recv", &e))? {
             Msg::Accepted { job_id } => Ok(RemoteJob {
                 addr: self.addr.clone(),
@@ -171,7 +175,7 @@ impl Client {
 struct JobShared {
     /// The live connection; `None` once the terminal frame arrived (or
     /// the job came pre-resolved).
-    stream: Option<TcpStream>,
+    stream: Option<BufReader<TcpStream>>,
     result: Option<Result<Solution, HascoError>>,
 }
 

@@ -14,8 +14,9 @@
 //!
 //! Every protocol socket runs with `TCP_NODELAY` ([`connect`] on the
 //! dialing side, the accept loop on the serving side), and each frame
-//! leaves in one write ([`persist::write_frame`]), so no frame sits in
-//! the kernel waiting for the peer's ACK.
+//! leaves in one write ([`persist::write_frame`]), or several frames
+//! collected by [`push`] leave together in one, so no frame sits in the
+//! kernel waiting for the peer's ACK.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -34,7 +35,7 @@ pub const FRAME_MAGIC: &[u8; 8] = b"HASCONT1";
 
 /// Protocol version string exchanged in the hello handshake. Bump on any
 /// wire-format change — there is no cross-version negotiation.
-pub const PROTOCOL: &str = "HASCONET4";
+pub const PROTOCOL: &str = "HASCONET5";
 
 /// Upper bound on one frame's payload. Solutions and event frames are
 /// kilobytes; batch frames grow with the design-point batch but stay far
@@ -187,6 +188,12 @@ pub fn send<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
     persist::write_frame(w, FRAME_MAGIC, &payload)
 }
 
+/// Appends one message's frame to `out`, for a sender that hands several
+/// frames over in one write; [`recv`] reads them back one by one.
+pub fn push(out: &mut Vec<u8>, msg: &Msg) {
+    out.extend_from_slice(&persist::frame(FRAME_MAGIC, &to_bytes(msg)));
+}
+
 /// Reads one message. `Ok(None)` is a clean end-of-stream (the peer
 /// closed between frames); a truncated frame, checksum mismatch, or
 /// undecodable payload is an error.
@@ -247,6 +254,37 @@ mod tests {
         // Clean end-of-stream after the last frame.
         assert!(recv(&mut r).unwrap().is_none());
         assert!(recv_expect(&mut r).is_err());
+    }
+
+    #[test]
+    fn frames_written_together_read_back_in_order() {
+        let mut out = Vec::new();
+        push(&mut out, &Msg::Accepted { job_id: 3 });
+        push(&mut out, &Msg::Ping { nonce: 7 });
+        push(&mut out, &Msg::Shutdown);
+
+        // `out` is what one `write_all` hands the socket.
+        let mut r = io::BufReader::new(&out[..]);
+        assert!(matches!(
+            recv(&mut r),
+            Ok(Some(Msg::Accepted { job_id: 3 }))
+        ));
+        assert!(matches!(recv(&mut r), Ok(Some(Msg::Ping { nonce: 7 }))));
+        assert!(matches!(recv(&mut r), Ok(Some(Msg::Shutdown))));
+        assert!(recv(&mut r).unwrap().is_none());
+
+        // The last frame cut short is an error, after the whole ones.
+        let cut = &out[..out.len() - 3];
+        let mut r = io::BufReader::new(cut);
+        assert!(matches!(
+            recv(&mut r),
+            Ok(Some(Msg::Accepted { job_id: 3 }))
+        ));
+        assert!(matches!(recv(&mut r), Ok(Some(Msg::Ping { nonce: 7 }))));
+        assert_eq!(
+            recv(&mut r).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
     }
 
     #[test]
@@ -461,7 +499,7 @@ mod tests {
     /// [`representative_msgs`] order. A change here is a wire-format
     /// change: it must come with a [`PROTOCOL`] bump and a re-pin.
     const GOLDEN: [(u8, usize, u64); 22] = [
-        (0, 18, 0x9e828c141e3f124d),
+        (0, 18, 0x9e828b141e3f109a),
         (1, 18, 0xee3318cf5e3757bd),
         (2, 1, 0xaf63bf4c8601bb45),
         (3, 524, 0xcc1ad3bb5d96337c),
@@ -487,7 +525,7 @@ mod tests {
 
     #[test]
     fn representative_message_bytes_are_pinned() {
-        assert_eq!(PROTOCOL, "HASCONET4", "a protocol bump re-pins GOLDEN");
+        assert_eq!(PROTOCOL, "HASCONET5", "a protocol bump re-pins GOLDEN");
         let got: Vec<(u8, usize, u64)> = representative_msgs()
             .iter()
             .map(|msg| {

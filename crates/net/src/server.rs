@@ -15,9 +15,10 @@
 //! in-flight handlers up to a bounded grace period.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::TryRecvError;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread;
 use std::time::Duration;
@@ -365,28 +366,39 @@ fn serve_submit(mut stream: TcpStream, inner: &ServerInner, request: hasco::CoDe
     };
     let job_id = handle.id();
     lock_live(&inner.jobs).insert(job_id, handle.clone());
-    if proto::send(&mut stream, &Msg::Accepted { job_id }).is_err() {
-        handle.cancel();
-        let _ = handle.wait();
-        lock_live(&inner.jobs).remove(&job_id);
-        return;
-    }
-    // Stream events live. A client that stops reading (or disconnects)
-    // turns into a send error here; supervision cancels its job.
+    // Stream events live. Frames collect in `out` and leave in one write
+    // as soon as the next event is not ready yet, so none waits while
+    // this handler blocks; `Done` leaves with whatever the stream's end
+    // left pending. A client that stops reading (or disconnects) turns
+    // into a write error here; supervision cancels its job.
+    let mut out = Vec::new();
+    proto::push(&mut out, &Msg::Accepted { job_id });
+    let mut events = handle.events();
     let mut client_lost = false;
-    for event in handle.events() {
-        if proto::send(&mut stream, &Msg::Event { event }).is_err() {
-            client_lost = true;
-            handle.cancel();
-            break;
-        }
+    loop {
+        let event = match events.try_next() {
+            Ok(event) => Some(event),
+            Err(TryRecvError::Disconnected) => None,
+            Err(TryRecvError::Empty) => {
+                if stream.write_all(&out).is_err() {
+                    client_lost = true;
+                    handle.cancel();
+                    break;
+                }
+                out.clear();
+                events.next()
+            }
+        };
+        let Some(event) = event else { break };
+        proto::push(&mut out, &Msg::Event { event });
     }
     // `wait` also publishes the job's trained surrogate into the engine —
     // the serving process observes every job it runs.
     let result = handle.wait();
     lock_live(&inner.jobs).remove(&job_id);
     if !client_lost {
-        let _ = proto::send(&mut stream, &Msg::Done { result });
+        proto::push(&mut out, &Msg::Done { result });
+        let _ = stream.write_all(&out);
     }
 }
 
@@ -447,7 +459,7 @@ mod tests {
         proto::send(
             &mut stream,
             &Msg::ClientHello {
-                protocol: "HASCONET2".into(),
+                protocol: "HASCONET4".into(),
             },
         )
         .unwrap();

@@ -47,7 +47,7 @@ const SHARDS: usize = 16;
 /// is a sequence of sections, each `len: u64 ++ entries`; a section holds
 /// one cache's entries, each `len: u32 ++ stamp: u64 ++ (key, value)`, all
 /// laid out by [`Wire`]. Images of earlier versions load as a cold start.
-const PERSIST_MAGIC: &[u8; 8] = b"HASCOMC4";
+const PERSIST_MAGIC: &[u8; 8] = b"HASCOMC5";
 
 /// Seconds since the Unix epoch (0 if the clock is before the epoch).
 ///
@@ -301,21 +301,20 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     /// shards are independent.
     pub fn seed(&self, entries: &[(K, V, u64)]) {
         let now = now_secs();
-        let shards: Vec<usize> = entries
-            .iter()
-            .map(|(k, _, _)| self.shard_index(k))
-            .collect();
-        for idx in 0..SHARDS {
-            let count = shards.iter().filter(|&&s| s == idx).count();
-            if count == 0 {
+        // One pass sorts the entries into shards, each in batch order.
+        let mut by_shard: [Vec<&(K, V, u64)>; SHARDS] = Default::default();
+        for entry in entries {
+            by_shard[self.shard_index(&entry.0)].push(entry);
+        }
+        for (idx, batch) in by_shard.iter().enumerate() {
+            if batch.is_empty() {
                 continue;
             }
             let mut shard = self.shards[idx].lock().expect("shard poisoned");
-            let room = count.min(self.per_shard);
+            let room = batch.len().min(self.per_shard);
             shard.map.reserve(room);
             shard.order.reserve(room);
-            for ((key, value, stamp), _) in entries.iter().zip(&shards).filter(|&(_, &s)| s == idx)
-            {
+            for (key, value, stamp) in batch.iter().copied() {
                 let (key, value, stamp) = (key.clone(), value.clone(), (*stamp).min(now));
                 self.put_locked(&mut shard, idx, key, value, stamp, false);
             }

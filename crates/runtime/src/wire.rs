@@ -172,6 +172,19 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// A fixed-size array: its items back to back, with no length prefix.
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        for item in self {
+            item.encode(out);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let items: Vec<T> = (0..N).map(|_| T::decode(r)).collect::<Option<_>>()?;
+        items.try_into().ok()
+    }
+}
+
 /// An opaque byte string, for values kept encoded until they are needed.
 /// Its layout is `Vec<u8>`'s (a `u64` length, then the bytes), but it
 /// decodes in one copy instead of byte by byte.
@@ -367,6 +380,16 @@ mod tests {
         assert_roundtrip(&Option::<u64>::None);
         assert_roundtrip(&vec![1usize, 2, 3]);
         assert_roundtrip(&Result::<u32, String>::Err("bad".into()));
+    }
+
+    #[test]
+    fn arrays_lay_out_their_items_with_no_length() {
+        let state = [1u64, 2, u64::MAX, 0];
+        let bytes = to_bytes(&state);
+        assert_eq!(bytes.len(), 32);
+        assert_eq!(bytes[..8], 1u64.to_le_bytes());
+        assert_eq!(roundtrip(&state), state);
+        assert_eq!(from_bytes::<[u64; 4]>(&bytes[..31]), None);
     }
 
     #[test]

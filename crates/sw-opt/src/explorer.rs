@@ -9,9 +9,7 @@ use accel_model::{AnalyticBackend, CostBackend, CostModel, Metrics};
 use dse::progress::{BatchUpdate, Progress};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use runtime::{
-    Fingerprint, Fingerprinter, Key128, StableFingerprint, Telemetry, Timer, WorkerPool,
-};
+use runtime::{Fingerprinter, Key128, StableFingerprint, Telemetry, Timer, WorkerPool};
 use tensor_ir::intrinsics::Intrinsic;
 use tensor_ir::matching::{find_tensorize_choices, MatchOptions, TensorizeChoice};
 use tensor_ir::workload::Workload;
@@ -108,7 +106,7 @@ pub struct OptimizedSoftware {
 /// ([`SoftwareExplorer::with_backend`]), defaulting to the fast analytic
 /// tier. The backend changes which schedules look good and therefore the
 /// entire exploration trajectory, so memoization layers must key results
-/// by [`SoftwareExplorer::backend_fingerprint`] — and must re-read it
+/// by the backend's [`CostBackend::fingerprint`] — and must re-read it
 /// whenever the backend's internal state can legitimately move, as the
 /// self-improving surrogate tier's fingerprint advances with every
 /// training generation.
@@ -245,13 +243,6 @@ impl SoftwareExplorer {
     /// The cost backend pricing this explorer's schedules.
     pub fn backend(&self) -> &Arc<dyn CostBackend> {
         &self.backend
-    }
-
-    /// Stable identity of the cost backend, for memoization keys.
-    pub fn backend_fingerprint(&self) -> Fingerprint {
-        let mut fp = Fingerprinter::new();
-        self.backend.fingerprint_into(&mut fp);
-        fp.finish()
     }
 
     /// Evaluates candidate pools and per-round revision batches on the
@@ -585,9 +576,9 @@ mod tests {
     fn backend_fingerprints_distinguish_tiers_and_key_identically() {
         let a = SoftwareExplorer::new(0);
         let b = SoftwareExplorer::new(0).with_backend(accel_model::BackendKind::TraceSim.build());
-        assert_ne!(a.backend_fingerprint(), b.backend_fingerprint());
+        assert_ne!(a.backend().fingerprint(), b.backend().fingerprint());
         let a2 = SoftwareExplorer::new(7);
-        assert_eq!(a.backend_fingerprint(), a2.backend_fingerprint());
+        assert_eq!(a.backend().fingerprint(), a2.backend().fingerprint());
     }
 
     #[test]
@@ -617,10 +608,10 @@ mod tests {
         // stale-generation prices would be served as fresh ones.
         let explorer =
             SoftwareExplorer::new(0).with_backend(accel_model::BackendKind::Surrogate.build());
-        let before = explorer.backend_fingerprint();
+        let before = explorer.backend().fingerprint();
         let surrogate = explorer.backend().as_surrogate().expect("surrogate tier");
         assert!(surrogate.observe(&cfg()) > 0);
-        assert_ne!(before, explorer.backend_fingerprint());
+        assert_ne!(before, explorer.backend().fingerprint());
     }
 
     #[test]

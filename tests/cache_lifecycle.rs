@@ -3,10 +3,10 @@
 //! merged saves accumulate newest-wins across runs, interrupted saves
 //! (simulated partial writes) never destroy a loadable file, and
 //! concurrent savers interleave into a loadable, merged image, and the
-//! engine's three-section `HASCOMC4` image layout is pinned byte for byte
-//! (a two-section image written before the acquisition store existed
-//! still loads; an image of the retired `HASCOMC3` layout, or one with a
-//! section that does not decode, is a clean cold start).
+//! engine's three-section `HASCOMC5` image layout is pinned byte for byte
+//! (a two-section image still loads, with no acquisitions; an image of a
+//! retired layout, `HASCOMC3` or `HASCOMC4`, or one with a section that
+//! does not decode, is a clean cold start).
 
 use accel_model::Metrics;
 use dse::mobo::{Acquired, AcquisitionStore};
@@ -314,40 +314,80 @@ fn pinned_finals_section() -> Vec<u8> {
     finals
 }
 
+/// The RNG state of the pinned acquisition.
+const PINNED_STATE: [u64; 4] = [0x1111, 0x2222, 0x3333, 0x4444];
+
+/// The acquisition of the pinned engine image.
+fn pinned_acquired() -> Acquired {
+    Acquired {
+        chosen: Some(vec![2, 5]),
+        state: PINNED_STATE,
+    }
+}
+
 /// The acquisitions section of the pinned engine image: one stored MOBO
 /// acquisition, laid out like the final, whose encoded value is `chosen`
-/// (`tag u8`, then the point as `len u64 ++ coordinates u64`) and `draws
-/// u64`.
+/// (`tag u8`, then the point as `len u64 ++ coordinates u64`) and the RNG
+/// `state` as four `u64`s.
 fn pinned_acquisitions_section() -> Vec<u8> {
     let mut acquired = vec![1];
-    for word in [2u64, 2, 5, 28_600] {
+    for word in [2u64, 2, 5].into_iter().chain(PINNED_STATE) {
         acquired.extend_from_slice(&word.to_le_bytes());
     }
     assert_eq!(
         runtime::wire::from_bytes::<Acquired>(&acquired),
-        Some(Acquired {
-            chosen: Some(vec![2, 5]),
-            draws: 28_600
-        })
+        Some(pinned_acquired())
     );
+    acquisitions_section(&acquired)
+}
+
+/// One acquisition at key `(41, 42)` as an image section, its encoded
+/// value `acquired` laid out like the final.
+fn acquisitions_section(acquired: &[u8]) -> Vec<u8> {
     let mut acquisitions = Vec::new();
     acquisitions.extend_from_slice(&(16 + 8 + acquired.len() as u32).to_le_bytes());
     acquisitions.extend_from_slice(&4_000u64.to_le_bytes());
     acquisitions.extend_from_slice(&41u64.to_le_bytes());
     acquisitions.extend_from_slice(&42u64.to_le_bytes());
     acquisitions.extend_from_slice(&(acquired.len() as u64).to_le_bytes());
-    acquisitions.extend_from_slice(&acquired);
+    acquisitions.extend_from_slice(acquired);
     acquisitions
 }
 
 /// An engine memo image payload: each section `len u64 ++ entries`.
-fn memo_image(sections: &[&[u8]]) -> Vec<u8> {
+fn memo_payload(sections: &[&[u8]]) -> Vec<u8> {
     let mut payload = Vec::new();
     for section in sections {
         payload.extend_from_slice(&(section.len() as u64).to_le_bytes());
         payload.extend_from_slice(section);
     }
-    runtime::persist::frame(b"HASCOMC4", &payload)
+    payload
+}
+
+/// An engine memo image of `sections`.
+fn memo_image(sections: &[&[u8]]) -> Vec<u8> {
+    runtime::persist::frame(b"HASCOMC5", &memo_payload(sections))
+}
+
+/// An image of the previous layout, `HASCOMC4`: the same three sections,
+/// but an acquisition held the draws its scoring took (`u64`) instead of
+/// the RNG state, and the frame's checksum was the payload's
+/// `Fingerprinter` digest.
+fn hascomc4_image() -> Vec<u8> {
+    let (pairs, _) = pinned_pair_entries();
+    let mut acquired = vec![1];
+    for word in [2u64, 2, 5, 28_600] {
+        acquired.extend_from_slice(&word.to_le_bytes());
+    }
+    let acquisitions = acquisitions_section(&acquired);
+    let payload = memo_payload(&[&pairs, &pinned_finals_section(), &acquisitions]);
+    let mut image = b"HASCOMC4".to_vec();
+    image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    image.extend_from_slice(&payload);
+    let mut fp = runtime::Fingerprinter::new();
+    fp.write_bytes(&payload);
+    image.extend_from_slice(&fp.finish().0.to_le_bytes());
+    image
 }
 
 /// Runs `f` on a problem pricing one small GEMM, built the way a
@@ -402,13 +442,7 @@ fn engine_memo_image_layout_is_pinned() {
     );
     let stored = AcquisitionStore::new(64);
     stored.seed(&AcquisitionStore::parse_section(&loaded, 2).unwrap());
-    assert_eq!(
-        stored.get(&(41, 42)),
-        Some(Acquired {
-            chosen: Some(vec![2, 5]),
-            draws: 28_600
-        })
-    );
+    assert_eq!(stored.get(&(41, 42)), Some(pinned_acquired()));
 
     with_problem(|idle| {
         assert_eq!(idle.save_cache(&path).unwrap(), 2);
@@ -460,10 +494,9 @@ fn single_cache_saves_keep_the_other_sections() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A `HASCOMC4` image written before the acquisition store existed has
-/// two sections, pairs and finals. It loads both, with an empty
-/// acquisition store, and the engine's next save keeps them byte for byte
-/// and appends an empty third section.
+/// An image with two sections, pairs and finals, loads both, with an
+/// empty acquisition store, and the engine's next save keeps them byte for
+/// byte and appends an empty third section.
 #[test]
 fn two_section_image_loads_with_no_acquisitions() {
     let (pairs, _) = pinned_pair_entries();
@@ -509,7 +542,31 @@ fn hascomc3_image_is_a_clean_cold_start() {
         (0, 0, 0)
     );
     assert_eq!(engine.persist().unwrap(), 0);
-    assert_eq!(&std::fs::read(&path).unwrap()[..8], b"HASCOMC4");
+    assert_eq!(&std::fs::read(&path).unwrap()[..8], b"HASCOMC5");
+    drop(engine);
+    std::fs::remove_file(&path).ok();
+}
+
+/// An image of the previous `HASCOMC4` layout ([`hascomc4_image`]) is a
+/// clean cold start for the engine and for a lone problem, and the
+/// engine's next save replaces it.
+#[test]
+fn hascomc4_image_is_a_clean_cold_start() {
+    let path = temp_path("mc4", 0);
+    std::fs::write(&path, hascomc4_image()).unwrap();
+
+    assert_eq!(with_problem(|problem| problem.load_cache(&path)), 0);
+    let engine = Engine::new(EngineConfig::default().with_cache_path(&path));
+    assert_eq!(
+        (
+            engine.warm_entries(),
+            engine.final_entries(),
+            engine.acquisition_entries()
+        ),
+        (0, 0, 0)
+    );
+    assert_eq!(engine.persist().unwrap(), 0);
+    assert_eq!(&std::fs::read(&path).unwrap()[..8], b"HASCOMC5");
     drop(engine);
     std::fs::remove_file(&path).ok();
 }

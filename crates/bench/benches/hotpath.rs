@@ -389,10 +389,10 @@ fn bench_pool(c: &mut Criterion, quick: bool) {
     });
 }
 
-/// One `Client::ping` against a loopback `Server`: a fresh connection,
-/// the hello exchange, and a `Ping`/`Pong` round trip, all through the
-/// real socket setup and `proto::send`/`recv`. A healthy round trip is
-/// ~0.1 ms; a frame that waits out a delayed ACK costs ≥ 40 ms.
+/// One `Client::ping` against a loopback `Server`: a `Ping`/`Pong` round
+/// trip on the connection the client keeps from its hello, through the
+/// real sockets and `proto::send`/`recv`. A healthy round trip is tens
+/// of µs; a frame that waits out a delayed ACK costs ≥ 40 ms.
 fn bench_net(c: &mut Criterion) {
     let server = Server::bind(
         "127.0.0.1:0",

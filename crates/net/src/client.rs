@@ -1,20 +1,32 @@
 //! The serving client: a thin blocking façade that makes a remote
 //! engine feel like [`hasco::Engine`].
 //!
-//! A [`Client`] is just an address — every operation opens a fresh
-//! connection, completes the hello handshake, and speaks one
-//! request/response (or request/stream) conversation. There is no
-//! connection pooling to supervise and no shared mutable state; the
-//! warm state lives server-side, which is the whole point of serving.
+//! A [`Client`] is an address plus a pool of idle connections that have
+//! already passed the hello handshake. Every operation checks one out,
+//! or opens one when none is idle, speaks one request/response (or
+//! request/stream) conversation on it, and hands it back once the reply
+//! is complete. A warm job therefore pays neither a TCP connect nor a
+//! hello. A connection carries one conversation at a time, so two jobs
+//! in flight hold two connections, and the pool never holds more
+//! connections than the caller had conversations in flight at once. A
+//! connection whose conversation broke off (a job dropped or failed
+//! mid-stream) is closed, never pooled. Clones of a client share its
+//! pool; the warm state lives server-side, which is the whole point of
+//! serving.
+//!
+//! A pooled connection may have been closed by the server since its last
+//! use (the server shut down or restarted). That shows before the first
+//! reply frame: the send fails, or the stream ends or resets. The request
+//! is then sent once more, on a fresh connection.
 //!
 //! Everything a transport can get wrong surfaces as
 //! [`HascoError::Transport`]; errors the *engine* produced come back as
 //! their original variants, so a caller cannot tell a served run from an
 //! in-process one by its error shapes either.
 
-use std::io::BufReader;
+use std::io::{self, BufReader};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hasco::engine::{CampaignOutcome, CoDesignRequest};
 use hasco::event::RunEvent;
@@ -23,22 +35,43 @@ use hasco::HascoError;
 
 use crate::proto::{self, transport_err, Msg, PROTOCOL};
 
+/// A connection past the hello handshake. Replies are read through the
+/// buffer: the server hands several frames over in one write, one read
+/// takes them all, and the next frames come from the buffer.
+type Conn = BufReader<TcpStream>;
+
+/// Idle connections, shared by a client's clones and its jobs.
+type Pool = Arc<Mutex<Vec<Conn>>>;
+
+/// Locks a client-side structure, recovering from poisoning: the pool
+/// and a job's state are updated in whole-value steps, so a peer thread
+/// that panicked mid-call must not take this caller down too.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A handle to a serving front-end at a fixed address.
 #[derive(Debug, Clone)]
 pub struct Client {
     addr: String,
+    idle: Pool,
 }
 
 impl Client {
     /// Builds a client and verifies the server is reachable and speaks
-    /// our protocol (one hello round trip).
+    /// our protocol (one hello round trip). The verified connection
+    /// becomes the pool's first.
     ///
     /// # Errors
     /// [`HascoError::Transport`] when the server is unreachable or
     /// speaks a different protocol version.
     pub fn connect(addr: impl Into<String>) -> Result<Client, HascoError> {
-        let client = Client { addr: addr.into() };
-        drop(client.open()?);
+        let client = Client {
+            addr: addr.into(),
+            idle: Pool::default(),
+        };
+        let conn = client.open()?;
+        client.put_back(conn);
         Ok(client)
     }
 
@@ -48,7 +81,7 @@ impl Client {
     }
 
     /// Opens a fresh connection and completes the client hello.
-    fn open(&self) -> Result<TcpStream, HascoError> {
+    fn open(&self) -> Result<Conn, HascoError> {
         let mut stream = proto::connect(self.addr.as_str())
             .map_err(|e| transport_err(&format!("connect {}", self.addr), &e))?;
         proto::send(
@@ -58,11 +91,47 @@ impl Client {
             },
         )
         .map_err(|e| transport_err("hello send", &e))?;
-        match proto::recv_expect(&mut stream).map_err(|e| transport_err("hello recv", &e))? {
-            Msg::HelloOk => Ok(stream),
+        let mut conn = BufReader::new(stream);
+        match proto::recv_expect(&mut conn).map_err(|e| transport_err("hello recv", &e))? {
+            Msg::HelloOk => Ok(conn),
             Msg::Error { message } => Err(HascoError::Transport(message)),
             _ => Err(HascoError::Transport(
                 "server sent a non-hello reply".to_string(),
+            )),
+        }
+    }
+
+    /// The local ports of the idle connections, oldest first: a test's
+    /// view of which connections the pool keeps.
+    #[cfg(test)]
+    pub(crate) fn idle_ports(&self) -> Vec<u16> {
+        lock(&self.idle)
+            .iter()
+            .map(|conn| conn.get_ref().local_addr().map_or(0, |a| a.port()))
+            .collect()
+    }
+
+    /// Returns a connection whose conversation ended to the pool.
+    fn put_back(&self, conn: Conn) {
+        lock(&self.idle).push(conn);
+    }
+
+    /// Sends `msg` and reads the first reply frame, on an idle
+    /// connection when there is one. A pooled connection the server has
+    /// closed since is dropped, and the request goes out once more on a
+    /// fresh one.
+    fn request(&self, msg: &Msg) -> Result<(Msg, Conn), HascoError> {
+        let pooled = lock(&self.idle).pop();
+        if let Some(mut conn) = pooled {
+            if let Some(reply) = exchange(&mut conn, msg)? {
+                return Ok((reply, conn));
+            }
+        }
+        let mut conn = self.open()?;
+        match exchange(&mut conn, msg)? {
+            Some(reply) => Ok((reply, conn)),
+            None => Err(HascoError::Transport(
+                "server closed the connection before replying".to_string(),
             )),
         }
     }
@@ -74,37 +143,32 @@ impl Client {
     /// errors surface from [`RemoteJob::wait`], exactly like
     /// [`hasco::Engine::submit`] surfaces them from the handle.
     pub fn submit(&self, request: CoDesignRequest) -> Result<RemoteJob, HascoError> {
-        let mut stream = self.open()?;
-        proto::send(&mut stream, &Msg::Submit { request })
-            .map_err(|e| transport_err("submit send", &e))?;
-        // The server hands several frames over in one write: one read
-        // takes them all, and the next frames are read from the buffer.
-        let mut stream = BufReader::new(stream);
-        match proto::recv_expect(&mut stream).map_err(|e| transport_err("submit recv", &e))? {
-            Msg::Accepted { job_id } => Ok(RemoteJob {
-                addr: self.addr.clone(),
-                job_id,
-                shared: Arc::new(Mutex::new(JobShared {
-                    stream: Some(stream),
-                    result: None,
-                })),
-            }),
+        let (reply, conn) = self.request(&Msg::Submit { request })?;
+        let (job_id, stream, result) = match reply {
+            Msg::Accepted { job_id } => (job_id, Some(conn), None),
             // A rejected submission (validation error) arrives as an
             // immediate Done frame; hand back a pre-resolved job so the
             // caller's events()/wait() flow is uniform.
-            Msg::Done { result } => Ok(RemoteJob {
-                addr: self.addr.clone(),
-                job_id: u64::MAX,
-                shared: Arc::new(Mutex::new(JobShared {
-                    stream: None,
-                    result: Some(result),
-                })),
-            }),
-            Msg::Error { message } => Err(HascoError::Transport(message)),
-            _ => Err(HascoError::Transport(
-                "server sent a non-submit reply".to_string(),
-            )),
-        }
+            Msg::Done { result } => {
+                self.put_back(conn);
+                (u64::MAX, None, Some(result))
+            }
+            Msg::Error { message } => return Err(HascoError::Transport(message)),
+            _ => {
+                return Err(HascoError::Transport(
+                    "server sent a non-submit reply".to_string(),
+                ))
+            }
+        };
+        Ok(RemoteJob {
+            client: self.clone(),
+            job_id,
+            shared: Arc::new(Mutex::new(JobShared {
+                stream,
+                idle: Arc::clone(&self.idle),
+                result,
+            })),
+        })
     }
 
     /// Runs a campaign matrix to completion on the server: the served
@@ -164,10 +228,34 @@ impl Client {
         }
     }
 
+    /// One request and its one reply frame; the connection goes back to
+    /// the pool.
     fn round_trip(&self, msg: &Msg) -> Result<Msg, HascoError> {
-        let mut stream = self.open()?;
-        proto::send(&mut stream, msg).map_err(|e| transport_err("request send", &e))?;
-        proto::recv_expect(&mut stream).map_err(|e| transport_err("request recv", &e))
+        let (reply, conn) = self.request(msg)?;
+        self.put_back(conn);
+        Ok(reply)
+    }
+}
+
+/// Sends `msg` on `conn` and reads the first reply frame. `Ok(None)`
+/// means the peer had closed the connection before the request reached
+/// it: the send failed, or the stream ended or reset before a reply
+/// began.
+fn exchange(conn: &mut Conn, msg: &Msg) -> Result<Option<Msg>, HascoError> {
+    if proto::send(conn.get_mut(), msg).is_err() {
+        return Ok(None);
+    }
+    match proto::recv(conn) {
+        Ok(reply) => Ok(reply),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionAborted
+            ) =>
+        {
+            Ok(None)
+        }
+        Err(e) => Err(transport_err("reply recv", &e)),
     }
 }
 
@@ -175,35 +263,34 @@ impl Client {
 struct JobShared {
     /// The live connection; `None` once the terminal frame arrived (or
     /// the job came pre-resolved).
-    stream: Option<BufReader<TcpStream>>,
+    stream: Option<Conn>,
+    /// Where the connection goes after the terminal `Done` frame.
+    idle: Pool,
     result: Option<Result<Solution, HascoError>>,
 }
 
 impl JobShared {
     /// Reads frames until the next event. Returns `None` at (and after)
-    /// the terminal frame, stashing the result.
+    /// the terminal frame, stashing the result. After `Done` the
+    /// connection returns to the pool; after anything else it closes.
     fn next_event(&mut self) -> Option<RunEvent> {
         loop {
             let stream = self.stream.as_mut()?;
-            match proto::recv_expect(stream) {
+            let result = match proto::recv_expect(stream) {
                 Ok(Msg::Event { event }) => return Some(event),
                 Ok(Msg::Done { result }) => {
-                    self.result = Some(result);
-                    self.stream = None;
-                    return None;
+                    if let Some(conn) = self.stream.take() {
+                        lock(&self.idle).push(conn);
+                    }
+                    result
                 }
-                Ok(Msg::Error { message }) => {
-                    self.result = Some(Err(HascoError::Transport(message)));
-                    self.stream = None;
-                    return None;
-                }
+                Ok(Msg::Error { message }) => Err(HascoError::Transport(message)),
                 Ok(_) => continue,
-                Err(e) => {
-                    self.result = Some(Err(transport_err("event stream", &e)));
-                    self.stream = None;
-                    return None;
-                }
-            }
+                Err(e) => Err(transport_err("event stream", &e)),
+            };
+            self.result = Some(result);
+            self.stream = None;
+            return None;
         }
     }
 }
@@ -213,7 +300,7 @@ impl JobShared {
 /// `wait` / `cancel` surface, same event stream bits, same result bits.
 #[derive(Debug, Clone)]
 pub struct RemoteJob {
-    addr: String,
+    client: Client,
     job_id: u64,
     shared: Arc<Mutex<JobShared>>,
 }
@@ -242,10 +329,7 @@ impl RemoteJob {
     /// Exactly what `JobHandle::wait` would return in-process, plus
     /// [`HascoError::Transport`] when the connection died first.
     pub fn wait(&self) -> Result<Solution, HascoError> {
-        // A poisoned lock means a peer thread panicked mid-call;
-        // `JobShared` is updated in whole-value steps, so recover the
-        // guard rather than killing this caller too.
-        let mut shared = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut shared = lock(&self.shared);
         loop {
             if let Some(result) = shared.result.clone() {
                 return result;
@@ -254,21 +338,17 @@ impl RemoteJob {
         }
     }
 
-    /// Requests cancellation via a fresh connection (the event stream
-    /// occupies the original one). Best-effort, like in-process cancel:
-    /// losing the race to completion is a no-op.
+    /// Requests cancellation on a fresh connection, dropped afterwards:
+    /// the event stream occupies the job's own. Best-effort, like
+    /// in-process cancel: losing the race to completion is a no-op.
     pub fn cancel(&self) {
-        let client = Client {
-            addr: self.addr.clone(),
-        };
-        if let Ok(mut stream) = client.open() {
-            let _ = proto::send(
-                &mut stream,
+        if let Ok(mut conn) = self.client.open() {
+            let _ = exchange(
+                &mut conn,
                 &Msg::Cancel {
                     job_id: self.job_id,
                 },
             );
-            let _ = proto::recv(&mut stream);
         }
     }
 }
@@ -283,9 +363,140 @@ impl Iterator for RemoteEvents {
     type Item = RunEvent;
 
     fn next(&mut self) -> Option<RunEvent> {
-        self.shared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .next_event()
+        lock(&self.shared).next_event()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use hasco::engine::EngineConfig;
+
+    use super::*;
+    use crate::server::{Server, ServerOptions};
+    use crate::testing::{rejected_request, toy_request};
+
+    fn server(config: EngineConfig) -> Server {
+        Server::bind("127.0.0.1:0", config, ServerOptions::default()).expect("bind loopback")
+    }
+
+    #[test]
+    fn a_rejected_submit_and_an_error_reply_keep_the_connection() {
+        // Persisting into a directory that does not exist fails on the
+        // server, which answers with an `Error` frame.
+        let missing = std::env::temp_dir()
+            .join(format!("hasco-net-missing-{}", std::process::id()))
+            .join("memo.bin");
+        let server = server(
+            EngineConfig::default()
+                .with_job_slots(1)
+                .with_cache_path(&missing),
+        );
+        let client = Client::connect(server.addr().to_string()).unwrap();
+        let kept = client.idle_ports();
+        assert_eq!(kept.len(), 1);
+
+        let rejected = client.submit(rejected_request()).unwrap();
+        assert!(matches!(
+            rejected.wait(),
+            Err(HascoError::InvalidOptions(_))
+        ));
+        assert_eq!(client.idle_ports(), kept);
+
+        match client.persist() {
+            Err(HascoError::Transport(message)) => {
+                assert!(message.contains("persist failed"), "{message}");
+            }
+            other => panic!("expected a persist failure, got {other:?}"),
+        }
+        assert_eq!(client.idle_ports(), kept);
+
+        client.ping().unwrap();
+        assert_eq!(client.idle_ports(), kept);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_cancelled_job_returns_its_connection() {
+        let server = server(EngineConfig::default().with_job_slots(1));
+        let client = Client::connect(server.addr().to_string()).unwrap();
+        let kept = client.idle_ports();
+
+        let job = client.submit(toy_request(3)).unwrap();
+        assert!(
+            client.idle_ports().is_empty(),
+            "the job holds the connection"
+        );
+        job.cancel();
+        // The cancel may lose the race to completion; either way the
+        // job's stream ends in `Done` and its connection goes back.
+        match job.wait() {
+            Ok(_) | Err(HascoError::Cancelled) => {}
+            Err(e) => panic!("unexpected job error: {e}"),
+        }
+        assert_eq!(
+            client.idle_ports(),
+            kept,
+            "the cancel's connection is not kept"
+        );
+        client.ping().unwrap();
+        assert_eq!(client.idle_ports(), kept);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_job_dropped_mid_stream_closes_its_connection() {
+        let server = server(EngineConfig::default().with_job_slots(1));
+        let client = Client::connect(server.addr().to_string()).unwrap();
+        let kept = client.idle_ports();
+
+        let job = client.submit(toy_request(4)).unwrap();
+        let first = job.events().next();
+        assert!(first.is_some(), "a job streams at least one event");
+        drop(job);
+        assert!(client.idle_ports().is_empty());
+        client.ping().unwrap();
+        let fresh = client.idle_ports();
+        assert_eq!(fresh.len(), 1);
+        assert_ne!(fresh, kept, "a dropped job's connection is never pooled");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_restarted_server_costs_one_reconnect() {
+        let first = server(EngineConfig::default().with_job_slots(1));
+        let addr = first.addr();
+        let client = Client::connect(addr.to_string()).unwrap();
+        let stale = client.idle_ports();
+        first.shutdown();
+        drop(first);
+
+        // The listener closes once the accept loop sees the shutdown; the
+        // port is free a moment later.
+        let start = Instant::now();
+        let second = loop {
+            match Server::bind(
+                &addr.to_string(),
+                EngineConfig::default().with_job_slots(1),
+                ServerOptions::default(),
+            ) {
+                Ok(server) => break server,
+                Err(e) => {
+                    assert!(start.elapsed() < Duration::from_secs(5), "rebind: {e}");
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        };
+
+        let solution = client
+            .submit(toy_request(5))
+            .and_then(|job| job.wait())
+            .expect("the job runs on the restarted server");
+        assert!(!solution.per_workload.is_empty());
+        let fresh = client.idle_ports();
+        assert_eq!(fresh.len(), 1, "one reconnect, kept afterwards");
+        assert_ne!(fresh, stale);
+        second.shutdown();
     }
 }

@@ -16,6 +16,8 @@
 //!    engine's submit / events / campaign / persist surface over TCP.
 //!    A job streams its `RunEvent`s; a campaign is one request and one
 //!    reply (`CampaignPlan` → `CampaignDone`), with no stream of its own.
+//!    A client keeps its connections open and reuses them, one request
+//!    at a time, so a warm job pays no connect and no hello.
 //! 3. **[`dispatch`] / [`worker`]** — `hasco-worker` processes register
 //!    with the front-end and evaluate shards of screening/refinement
 //!    batches through the [`runtime::BatchEvaluator`] seam
@@ -43,3 +45,32 @@ pub use client::{Client, RemoteJob};
 pub use dispatch::{RemoteBatchEvaluator, WorkerRegistry};
 pub use server::{Server, ServerOptions};
 pub use worker::{WorkerHandle, WorkerOptions};
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use hasco::codesign::CoDesignOptions;
+    use hasco::input::{Constraints, GenerationMethod, InputDescription};
+    use hasco::CoDesignRequest;
+    use tensor_ir::suites::gemm_workload;
+    use tensor_ir::workload::TensorApp;
+
+    /// A small valid co-design request: one GEMM on a Gemmini template.
+    pub(crate) fn toy_request(seed: u64) -> CoDesignRequest {
+        CoDesignRequest::new(
+            InputDescription {
+                app: TensorApp::new("toy", vec![gemm_workload("g", 64, 32, 16)]),
+                method: GenerationMethod::Gemmini,
+                constraints: Constraints::default(),
+            },
+            CoDesignOptions::quick(seed),
+        )
+    }
+
+    /// The same request failing validation: the server rejects it at
+    /// submit with an immediate `Done`, and no job runs.
+    pub(crate) fn rejected_request() -> CoDesignRequest {
+        let mut request = toy_request(1);
+        request.options.hw_trials = 0;
+        request
+    }
+}

@@ -10,7 +10,10 @@
 //! is a protocol error — the connection is dropped, never "repaired".
 //!
 //! Both ends begin with a hello that carries [`PROTOCOL`]; a version
-//! mismatch is rejected before any work is exchanged.
+//! mismatch is rejected before any work is exchanged. A client
+//! connection then carries requests one at a time, each answered in
+//! full (a reply, or a job's event stream ending in `Done`) before the
+//! next, for as long as both ends keep it open.
 //!
 //! Every protocol socket runs with `TCP_NODELAY` ([`connect`] on the
 //! dialing side, the accept loop on the serving side), and each frame
@@ -35,7 +38,7 @@ pub const FRAME_MAGIC: &[u8; 8] = b"HASCONT1";
 
 /// Protocol version string exchanged in the hello handshake. Bump on any
 /// wire-format change — there is no cross-version negotiation.
-pub const PROTOCOL: &str = "HASCONET5";
+pub const PROTOCOL: &str = "HASCONET6";
 
 /// Upper bound on one frame's payload. Solutions and event frames are
 /// kilobytes; batch frames grow with the design-point batch but stay far
@@ -79,7 +82,8 @@ pub enum Msg {
         /// The job's outcome, exactly what `JobHandle::wait` returns.
         result: Result<Solution, HascoError>,
     },
-    /// Client → server (fresh connection): cancel a running job.
+    /// Client → server (on a fresh connection, not the job's): cancel a
+    /// running job.
     Cancel {
         /// The id from [`Msg::Accepted`].
         job_id: u64,
@@ -136,8 +140,9 @@ pub enum Msg {
     Shutdown,
     /// Server → peer: shutdown acknowledged / worker released.
     ShutdownOk,
-    /// Either direction: the peer violated the protocol or the request
-    /// failed before becoming a job. The connection closes after this.
+    /// Either direction: the peer violated the protocol, and the
+    /// connection closes after this; or a request failed before becoming
+    /// a job (a failed persist), and a client connection stays open.
     Error {
         /// Human-readable reason.
         message: String,
@@ -499,7 +504,7 @@ mod tests {
     /// [`representative_msgs`] order. A change here is a wire-format
     /// change: it must come with a [`PROTOCOL`] bump and a re-pin.
     const GOLDEN: [(u8, usize, u64); 22] = [
-        (0, 18, 0x9e828b141e3f109a),
+        (0, 18, 0x9e828a141e3f0ee7),
         (1, 18, 0xee3318cf5e3757bd),
         (2, 1, 0xaf63bf4c8601bb45),
         (3, 524, 0xcc1ad3bb5d96337c),
@@ -525,7 +530,7 @@ mod tests {
 
     #[test]
     fn representative_message_bytes_are_pinned() {
-        assert_eq!(PROTOCOL, "HASCONET5", "a protocol bump re-pins GOLDEN");
+        assert_eq!(PROTOCOL, "HASCONET6", "a protocol bump re-pins GOLDEN");
         let got: Vec<(u8, usize, u64)> = representative_msgs()
             .iter()
             .map(|msg| {

@@ -7,16 +7,21 @@
 //! and absorb expensive screening/refinement batches through the
 //! [`crate::dispatch::RemoteBatchEvaluator`] installed into the engine.
 //!
-//! Connection supervision is deliberately boring: one thread per
-//! connection, and a client that goes away mid-stream gets its job
-//! cancelled (best effort — a cancel that loses the race to completion
-//! is a no-op and the solution still lands in the warm store). Shutdown
-//! stops admitting connections, releases the worker fleet, and drains
-//! in-flight handlers up to a bounded grace period.
+//! Connection supervision is deliberately boring: one handler thread per
+//! connection. A client connection is kept open and serves one request
+//! at a time until the client hangs up, a reply cannot be written, or
+//! the server shuts down; a client that goes away mid-stream gets its
+//! job cancelled (best effort — a cancel that loses the race to
+//! completion is a no-op and the solution still lands in the warm
+//! store). A handler is busy only from reading a request to writing its
+//! reply. Shutdown stops admitting connections, releases the worker
+//! fleet, closes every idle connection, and waits up to a bounded grace
+//! period for the busy handlers to write their replies and for every
+//! handler to exit, so that no handler holds the engine once it returns.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::TryRecvError;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
@@ -46,7 +51,7 @@ pub struct ServerOptions {
     pub heartbeat_period: Duration,
     /// Socket timeout for one heartbeat ping/pong.
     pub heartbeat_timeout: Duration,
-    /// Grace period for in-flight connections at shutdown.
+    /// Grace period for in-flight requests at shutdown.
     pub drain_timeout: Duration,
 }
 
@@ -63,7 +68,7 @@ impl Default for ServerOptions {
     }
 }
 
-/// Locks a supervision structure (connection counters, the job table,
+/// Locks a supervision structure (the connection table, the job table,
 /// the stop latch), recovering from poisoning: every one of them is
 /// updated in single whole-value steps, and a handler that panicked
 /// must not take the server's shutdown path or cancel routing down
@@ -72,21 +77,86 @@ fn lock_live<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The connections a server's handlers hold open.
+#[derive(Default)]
+struct Connections {
+    /// The next connection's number.
+    next: u64,
+    /// A clone of each open connection's stream by number, and whether
+    /// its handler is busy: between reading a request and writing its
+    /// reply. An entry leaves when its handler exits.
+    open: BTreeMap<u64, (TcpStream, bool)>,
+}
+
+/// The connection table and its drain condvar. A handler holds this past
+/// its last use of the engine, so an empty table means that no handler
+/// holds the engine any more.
+#[derive(Default)]
+struct Drain {
+    conns: Mutex<Connections>,
+    drained: Condvar,
+}
+
+impl Drain {
+    /// Removes connection `id` as its handler exits.
+    fn untrack(&self, id: u64) {
+        let mut conns = lock_live(&self.conns);
+        conns.open.remove(&id);
+        if conns.open.is_empty() {
+            self.drained.notify_all();
+        }
+    }
+}
+
 struct ServerInner {
     engine: Engine,
     registry: Arc<WorkerRegistry>,
     opts: ServerOptions,
     addr: SocketAddr,
     shutdown: AtomicBool,
-    /// In-flight connection handlers, guarded for the drain condvar.
-    active: Mutex<usize>,
-    drained: Condvar,
+    /// Open connections, shared with their handlers.
+    drain: Arc<Drain>,
     /// Running jobs by engine id, so `Cancel` frames (which arrive on
-    /// fresh connections) can reach them.
+    /// other connections) can reach them.
     jobs: Mutex<BTreeMap<u64, JobHandle>>,
     /// Latched true once `shutdown` finished draining.
     stopped: Mutex<bool>,
     stopped_cv: Condvar,
+}
+
+impl ServerInner {
+    /// Enters a new connection into the table; `None` once shutdown
+    /// began (or the stream cannot be cloned), and the connection then
+    /// goes unserved.
+    fn track(&self, stream: &TcpStream) -> Option<u64> {
+        let clone = stream.try_clone().ok()?;
+        let mut conns = lock_live(&self.drain.conns);
+        // SeqCst pairs with the swap in `shutdown`, which sweeps the
+        // table under this lock: an entry made after the swap would be
+        // missed by the sweep.
+        if self.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        let id = conns.next;
+        conns.next += 1;
+        conns.open.insert(id, (clone, false));
+        Some(id)
+    }
+
+    /// Marks connection `id` busy or idle. False once shutdown began: a
+    /// request read then goes unserved, and a handler done with its reply
+    /// closes its connection, because the shutdown sweep has passed it by.
+    fn set_busy(&self, id: u64, busy: bool) -> bool {
+        let mut conns = lock_live(&self.drain.conns);
+        // SeqCst pairs with the swap in `shutdown`, as in `track`.
+        if self.shutdown.load(Ordering::SeqCst) {
+            return false;
+        }
+        if let Some(entry) = conns.open.get_mut(&id) {
+            entry.1 = busy;
+        }
+        true
+    }
 }
 
 /// A running serving front-end. Dropping the handle does **not** stop
@@ -113,8 +183,7 @@ impl Server {
             opts,
             addr: local,
             shutdown: AtomicBool::new(false),
-            active: Mutex::new(0),
-            drained: Condvar::new(),
+            drain: Arc::default(),
             jobs: Mutex::new(BTreeMap::new()),
             stopped: Mutex::new(false),
             stopped_cv: Condvar::new(),
@@ -158,8 +227,10 @@ impl Server {
     }
 
     /// Stops admitting connections, releases the worker fleet, persists
-    /// the engine's warm state (best effort), and waits up to the drain
-    /// timeout for in-flight handlers. Idempotent.
+    /// the engine's warm state (best effort), closes every idle
+    /// connection, and waits up to the drain timeout for the busy
+    /// handlers to write their replies and for every handler to exit.
+    /// Idempotent.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -169,23 +240,30 @@ impl Server {
         self.inner.registry.release_all();
         let _ = self.inner.engine.persist();
 
+        // An idle handler reads the end of its stream and exits; a busy
+        // one finds the flag once its reply is written and exits too.
+        let drain = &self.inner.drain;
+        let mut conns = lock_live(&drain.conns);
+        for (stream, busy) in conns.open.values() {
+            if !busy {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
         // Bounded drain without a wall clock: each pass waits up to the
-        // full grace period and a timed-out pass gives up. A handler
-        // finishing notifies the condvar, so the common case exits
+        // full grace period and a timed-out pass gives up. An exiting
+        // handler notifies the condvar, so the common case exits
         // immediately; only a genuine straggler costs the grace period.
-        let mut active = lock_live(&self.inner.active);
-        while *active > 0 {
-            let (guard, wait) = self
-                .inner
+        while !conns.open.is_empty() {
+            let (guard, wait) = drain
                 .drained
-                .wait_timeout(active, self.inner.opts.drain_timeout)
+                .wait_timeout(conns, self.inner.opts.drain_timeout)
                 .unwrap_or_else(PoisonError::into_inner);
-            active = guard;
+            conns = guard;
             if wait.timed_out() {
                 break;
             }
         }
-        drop(active);
+        drop(conns);
         *lock_live(&self.inner.stopped) = true;
         self.inner.stopped_cv.notify_all();
     }
@@ -219,20 +297,18 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
         if stream.set_nodelay(true).is_err() {
             continue;
         }
-        {
-            let mut active = lock_live(&inner.active);
-            *active += 1;
-        }
         let inner = Arc::clone(&inner);
         // One handler per connection; handlers only relay engine
         // results over the socket, never compute them.
         // detlint-allow(ambient): connection handlers relay, never compute
         thread::spawn(move || {
-            handle_connection(stream, &Arc::clone(&inner));
-            let mut active = lock_live(&inner.active);
-            *active = active.saturating_sub(1);
-            if *active == 0 {
-                inner.drained.notify_all();
+            if let Some(id) = inner.track(&stream) {
+                handle_connection(stream, &inner, id);
+                // Let go of the engine before leaving the table: the
+                // drain at shutdown ends only once no handler holds it.
+                let drain = Arc::clone(&inner.drain);
+                drop(inner);
+                drain.untrack(id);
             }
         });
     }
@@ -258,7 +334,7 @@ fn heartbeat_loop(inner: Weak<ServerInner>) {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, inner: &Arc<ServerInner>) {
+fn handle_connection(mut stream: TcpStream, inner: &Arc<ServerInner>, id: u64) {
     let hello = match proto::recv(&mut stream) {
         Ok(Some(msg)) => msg,
         _ => return,
@@ -283,7 +359,7 @@ fn handle_connection(mut stream: TcpStream, inner: &Arc<ServerInner>) {
             if proto::send(&mut stream, &Msg::HelloOk).is_err() {
                 return;
             }
-            serve_client(stream, inner);
+            serve_client(stream, inner, id);
         }
         _ => {
             let _ = proto::send(
@@ -302,13 +378,28 @@ fn protocol_mismatch(theirs: &str) -> Msg {
     }
 }
 
-/// Handles the one request a serving client sends after its hello.
-fn serve_client(mut stream: TcpStream, inner: &Arc<ServerInner>) {
-    let request = match proto::recv(&mut stream) {
-        Ok(Some(msg)) => msg,
-        _ => return,
-    };
+/// Serves a client's requests one at a time, until the client hangs up,
+/// sends something undecodable, a reply cannot be written, or the
+/// server shuts down.
+fn serve_client(stream: TcpStream, inner: &Arc<ServerInner>, id: u64) {
     let _ = stream.set_write_timeout(Some(inner.opts.client_write_timeout));
+    // A client sends its next request only after the last reply, so the
+    // buffer never holds more than the request being read.
+    let mut conn = BufReader::new(stream);
+    while let Ok(Some(request)) = proto::recv(&mut conn) {
+        if !inner.set_busy(id, true) {
+            return;
+        }
+        let kept = serve_request(conn.get_mut(), inner, request);
+        if !inner.set_busy(id, false) || !kept {
+            return;
+        }
+    }
+}
+
+/// Serves one request; returns whether the connection stays open for
+/// the next.
+fn serve_request(stream: &mut TcpStream, inner: &Arc<ServerInner>, request: Msg) -> bool {
     match request {
         Msg::Submit { request } => serve_submit(stream, inner, request),
         Msg::CampaignPlan { requests } => serve_campaign(stream, inner, requests),
@@ -317,7 +408,7 @@ fn serve_client(mut stream: TcpStream, inner: &Arc<ServerInner>) {
                 let jobs = lock_live(&inner.jobs);
                 jobs.get(&job_id).map(JobHandle::cancel).is_some()
             };
-            let _ = proto::send(&mut stream, &Msg::CancelOk { found });
+            proto::send(stream, &Msg::CancelOk { found }).is_ok()
         }
         Msg::Persist => {
             let reply = match inner.engine.persist() {
@@ -326,43 +417,44 @@ fn serve_client(mut stream: TcpStream, inner: &Arc<ServerInner>) {
                     message: format!("persist failed: {e}"),
                 },
             };
-            let _ = proto::send(&mut stream, &reply);
+            proto::send(stream, &reply).is_ok()
         }
-        Msg::Ping { nonce } => {
-            let _ = proto::send(&mut stream, &Msg::Pong { nonce });
-        }
+        Msg::Ping { nonce } => proto::send(stream, &Msg::Pong { nonce }).is_ok(),
         Msg::Shutdown => {
-            let _ = proto::send(&mut stream, &Msg::ShutdownOk);
+            let _ = proto::send(stream, &Msg::ShutdownOk);
             // Re-enter the public shutdown path on a detached thread: it
-            // waits for active handlers (this one included) to drain.
+            // waits for every handler, this one included, to exit.
             let server = Server {
                 inner: Arc::clone(inner),
             };
             // detlint-allow(ambient): shutdown choreography only, no results flow here
             thread::spawn(move || server.shutdown());
+            false
         }
         _ => {
             let _ = proto::send(
-                &mut stream,
+                stream,
                 &Msg::Error {
                     message: "expected a request frame".to_string(),
                 },
             );
+            false
         }
     }
 }
 
-fn serve_submit(mut stream: TcpStream, inner: &ServerInner, request: hasco::CoDesignRequest) {
+fn serve_submit(
+    stream: &mut TcpStream,
+    inner: &ServerInner,
+    request: hasco::CoDesignRequest,
+) -> bool {
     if !wait_for_workers(inner) {
-        let _ = proto::send(&mut stream, &shutting_down());
-        return;
+        let _ = proto::send(stream, &shutting_down());
+        return false;
     }
     let handle = match inner.engine.submit(request) {
         Ok(handle) => handle,
-        Err(e) => {
-            let _ = proto::send(&mut stream, &Msg::Done { result: Err(e) });
-            return;
-        }
+        Err(e) => return proto::send(stream, &Msg::Done { result: Err(e) }).is_ok(),
     };
     let job_id = handle.id();
     lock_live(&inner.jobs).insert(job_id, handle.clone());
@@ -396,23 +488,24 @@ fn serve_submit(mut stream: TcpStream, inner: &ServerInner, request: hasco::CoDe
     // the serving process observes every job it runs.
     let result = handle.wait();
     lock_live(&inner.jobs).remove(&job_id);
-    if !client_lost {
-        proto::push(&mut out, &Msg::Done { result });
-        let _ = stream.write_all(&out);
+    if client_lost {
+        return false;
     }
+    proto::push(&mut out, &Msg::Done { result });
+    stream.write_all(&out).is_ok()
 }
 
 fn serve_campaign(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     inner: &ServerInner,
     requests: Vec<hasco::CoDesignRequest>,
-) {
+) -> bool {
     if !wait_for_workers(inner) {
-        let _ = proto::send(&mut stream, &shutting_down());
-        return;
+        let _ = proto::send(stream, &shutting_down());
+        return false;
     }
     let result = inner.engine.campaign(requests);
-    let _ = proto::send(&mut stream, &Msg::CampaignDone { result });
+    proto::send(stream, &Msg::CampaignDone { result }).is_ok()
 }
 
 fn shutting_down() -> Msg {
@@ -439,11 +532,12 @@ fn wait_for_workers(inner: &ServerInner) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use hasco::codesign::CoDesignOptions;
-    use hasco::input::{Constraints, GenerationMethod, InputDescription};
-    use hasco::CoDesignRequest;
-    use tensor_ir::suites::gemm_workload;
-    use tensor_ir::workload::TensorApp;
+    use std::time::Instant;
+
+    use rand::{Rng, SeedableRng};
+
+    use crate::client::Client;
+    use crate::testing::{rejected_request, toy_request};
 
     use super::*;
 
@@ -459,7 +553,7 @@ mod tests {
         proto::send(
             &mut stream,
             &Msg::ClientHello {
-                protocol: "HASCONET4".into(),
+                protocol: "HASCONET5".into(),
             },
         )
         .unwrap();
@@ -468,17 +562,181 @@ mod tests {
             other => panic!("expected a protocol-mismatch error, got {other:?}"),
         }
         // A submit sent anyway is never read: the server hung up.
-        let request = CoDesignRequest::new(
-            InputDescription {
-                app: TensorApp::new("toy", vec![gemm_workload("g", 64, 32, 16)]),
-                method: GenerationMethod::Gemmini,
-                constraints: Constraints::default(),
+        let _ = proto::send(
+            &mut stream,
+            &Msg::Submit {
+                request: toy_request(1),
             },
-            CoDesignOptions::quick(1),
         );
-        let _ = proto::send(&mut stream, &Msg::Submit { request });
         assert!(!matches!(proto::recv(&mut stream), Ok(Some(_))));
         server.shutdown();
         assert_eq!(server.engine().jobs_executed(), 0);
+    }
+
+    /// `(open, busy)` connections in the server's table.
+    fn table(server: &Server) -> (usize, usize) {
+        let conns = lock_live(&server.inner.drain.conns);
+        let busy = conns.open.values().filter(|(_, busy)| *busy).count();
+        (conns.open.len(), busy)
+    }
+
+    /// Waits until the server's table shows `open` idle connections.
+    fn settle(server: &Server, open: usize) {
+        let start = Instant::now();
+        while table(server) != (open, 0) {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "table stuck at {:?}, want ({open}, 0)",
+                table(server)
+            );
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn garbage_on_a_kept_connection_closes_only_that_connection() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            EngineConfig::default().with_job_slots(1),
+            ServerOptions::default(),
+        )
+        .expect("bind loopback");
+        let bystander = Client::connect(server.addr().to_string()).unwrap();
+        let kept = bystander.idle_ports();
+        settle(&server, 1);
+
+        let mut frame_like = Vec::new();
+        proto::push(&mut frame_like, &Msg::Ping { nonce: 9 });
+        let mut cases: Vec<Vec<u8>> = vec![
+            // A whole valid frame whose checksum is off.
+            {
+                let mut f = frame_like.clone();
+                let last = f.len() - 1;
+                f[last] ^= 1;
+                f
+            },
+            // The magic and a length far past the payload bound.
+            [&proto::FRAME_MAGIC[..], &u64::MAX.to_le_bytes()[..]].concat(),
+            // A valid frame cut short, and one byte of a magic.
+            frame_like[..frame_like.len() - 3].to_vec(),
+            b"H".to_vec(),
+            // A checksummed frame of an unknown tag.
+            runtime::persist::frame(proto::FRAME_MAGIC, &[200]),
+        ];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(36);
+        for _ in 0..24 {
+            let len = rng.gen_range(1..96);
+            cases.push(
+                (0..len)
+                    .map(|_| rng.gen::<u64>().to_le_bytes()[0])
+                    .collect(),
+            );
+        }
+
+        for garbage in cases {
+            let mut stream = proto::connect(server.addr()).unwrap();
+            proto::send(
+                &mut stream,
+                &Msg::ClientHello {
+                    protocol: PROTOCOL.into(),
+                },
+            )
+            .unwrap();
+            assert!(matches!(proto::recv(&mut stream), Ok(Some(Msg::HelloOk))));
+            proto::send(&mut stream, &Msg::Ping { nonce: 3 }).unwrap();
+            assert!(matches!(
+                proto::recv(&mut stream),
+                Ok(Some(Msg::Pong { nonce: 3 }))
+            ));
+            stream.write_all(&garbage).unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            // The server answers nothing and hangs up.
+            match proto::recv(&mut stream) {
+                Ok(None) => {}
+                Err(e) => assert!(
+                    !matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ),
+                    "the server kept a connection that sent {garbage:?}"
+                ),
+                Ok(Some(msg)) => panic!("the server answered {garbage:?} with {msg:?}"),
+            }
+            // Its handler left the table; the bystander's stayed, idle.
+            settle(&server, 1);
+        }
+
+        bystander
+            .ping()
+            .expect("the bystander's connection still serves");
+        assert_eq!(bystander.idle_ports(), kept);
+        Client::connect(server.addr().to_string())
+            .and_then(|fresh| fresh.ping())
+            .expect("a fresh client is served");
+        let start = Instant::now();
+        server.shutdown();
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn shutdown_closes_idle_pooled_connections_instead_of_waiting_for_them() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            EngineConfig::default().with_job_slots(1),
+            ServerOptions {
+                drain_timeout: Duration::from_secs(30),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("bind loopback");
+        let addr = server.addr().to_string();
+        let clients = [
+            Client::connect(&addr).unwrap(),
+            Client::connect(&addr).unwrap(),
+        ];
+        for client in &clients {
+            // A job holds one connection while a ping opens a second;
+            // both end up idle in the pool.
+            let job = client.submit(toy_request(1)).unwrap();
+            client.ping().unwrap();
+            job.wait().expect("the toy job solves");
+            assert_eq!(client.idle_ports().len(), 2);
+        }
+        settle(&server, 4);
+
+        let start = Instant::now();
+        server.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "shutdown waited {:?} on idle connections",
+            start.elapsed()
+        );
+        assert_eq!(table(&server), (0, 0));
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submits: Vec<_> = clients
+            .into_iter()
+            .map(|client| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    let _ = tx.send(client.submit(rejected_request()).map(|_| ()));
+                })
+            })
+            .collect();
+        for _ in &submits {
+            let result = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a submit to a stopped server returns");
+            assert!(
+                matches!(result, Err(HascoError::Transport(_))),
+                "{result:?}"
+            );
+        }
+        for submit in submits {
+            submit.join().expect("a submit thread never panics");
+        }
     }
 }

@@ -1037,6 +1037,44 @@ mod network_serving {
     }
 
     #[test]
+    fn kept_connections_serve_jobs_in_turn_and_at_once_bit_identically() {
+        let expected = [reference(23), reference(29)];
+        let server = Server::bind(
+            "127.0.0.1:0",
+            EngineConfig::default().with_job_slots(2),
+            ServerOptions::default(),
+        )
+        .expect("bind loopback");
+        let client = Client::connect(server.addr().to_string()).expect("hello handshake");
+
+        // One after the other: both jobs run on the connection the hello
+        // opened.
+        for (seed, expected) in [23, 29].into_iter().zip(&expected) {
+            let job = client.submit(staged_request(seed)).expect("remote submit");
+            let events: Vec<RunEvent> = job.events().collect();
+            let solution = job.wait().expect("remote job solves");
+            assert_identical(
+                expected,
+                &solution,
+                &events,
+                &format!("in turn, seed {seed}"),
+            );
+        }
+        // Both at once: the second submit opens a second connection, and
+        // each stream is read after both jobs were admitted.
+        let jobs: Vec<_> = [23, 29]
+            .into_iter()
+            .map(|seed| client.submit(staged_request(seed)).expect("remote submit"))
+            .collect();
+        for (job, expected) in jobs.iter().zip(&expected) {
+            let events: Vec<RunEvent> = job.events().collect();
+            let solution = job.wait().expect("remote job solves");
+            assert_identical(expected, &solution, &events, "at once");
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn a_worker_dying_mid_batch_changes_nothing() {
         let expected = reference(23);
         // One healthy worker plus one that dies without replying to its

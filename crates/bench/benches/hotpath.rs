@@ -4,7 +4,8 @@
 //! acquisition and the generic hypervolume routine, the software
 //! explorer's DQN update and whole explorations, the trace-sim
 //! staged-plan recurrence, the memo cache under contention, steal-heavy
-//! staged pool batches, and one served round trip over loopback TCP — and
+//! staged pool batches, and a served ping and a warm served job over
+//! loopback TCP — and
 //! emits a versioned `BENCH_hotpath.json` at the repo root so the perf
 //! trajectory accumulates alongside `BENCH_table3.json`.
 //!
@@ -38,7 +39,8 @@ use dse::mobo::{AcquisitionStore, Ehvi, Mobo};
 use dse::pareto::pareto_indices;
 use dse::{Evaluation, Point, Problem, SearchSpace};
 use hasco::codesign::CoDesignOptions;
-use hasco::engine::EngineConfig;
+use hasco::engine::{CoDesignRequest, EngineConfig};
+use hasco::input::{Constraints, GenerationMethod, InputDescription};
 use hasco_net::{Client, Server, ServerOptions};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -49,6 +51,7 @@ use sw_opt::schedule::{Features, NUM_FEATURES, NUM_REVISIONS};
 use sw_opt::{ExplorerOptions, SoftwareExplorer};
 use tensor_ir::intrinsics::IntrinsicKind;
 use tensor_ir::suites;
+use tensor_ir::workload::TensorApp;
 
 /// A deterministic stream of uniform draws in [0, 1).
 fn unit_stream() -> impl FnMut() -> f64 {
@@ -392,7 +395,8 @@ fn bench_pool(c: &mut Criterion, quick: bool) {
 /// One `Client::ping` against a loopback `Server`: a `Ping`/`Pong` round
 /// trip on the connection the client keeps from its hello, through the
 /// real sockets and `proto::send`/`recv`. A healthy round trip is tens
-/// of µs; a frame that waits out a delayed ACK costs ≥ 40 ms.
+/// of µs; a frame that waits out a delayed ACK costs ≥ 40 ms. Then one
+/// warm served job (`net/submit_warm_loopback`), submit to `wait`.
 fn bench_net(c: &mut Criterion) {
     let server = Server::bind(
         "127.0.0.1:0",
@@ -404,6 +408,27 @@ fn bench_net(c: &mut Criterion) {
     c.bench_function("net/ping_loopback", |b| {
         b.iter(|| client.ping().expect("server answers pings"))
     });
+
+    // One warm served job, submit to `wait`, on the same kept
+    // connection: the request ran once before timing, so the server's
+    // stores hold every pair, final and acquisition it needs. The job
+    // runs on the connection's handler thread and answers in one write.
+    let request = CoDesignRequest::new(
+        InputDescription {
+            app: TensorApp::new("toy", vec![suites::gemm_workload("g", 64, 32, 16)]),
+            method: GenerationMethod::Gemmini,
+            constraints: Constraints::default(),
+        },
+        CoDesignOptions::quick(1),
+    );
+    let solve = || {
+        client
+            .submit(request.clone())
+            .and_then(|job| job.wait())
+            .expect("the served job solves")
+    };
+    solve();
+    c.bench_function("net/submit_warm_loopback", |b| b.iter(solve));
     server.shutdown();
 }
 

@@ -15,6 +15,13 @@
 //! campaign's progress is its outcomes, rolled up by
 //! [`CampaignStats::from_outcomes`](crate::report::CampaignStats::from_outcomes).
 //!
+//! A submitted job runs on one of the engine's executor threads, so its
+//! handle may be dropped or only watched. A caller that waits on its job
+//! anyway — the serving front-end's connection handler — can instead
+//! [`Engine::admit`] it and run it on its own thread, with its events
+//! going to a callback. Both kinds draw on one budget of
+//! [`EngineConfig::job_slots`]: at most that many jobs run at once.
+//!
 //! # Determinism
 //!
 //! The runtime invariant — *thread count, work-stealing, and concurrent
@@ -79,7 +86,8 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Engine construction knobs.
 #[derive(Clone)]
 pub struct EngineConfig {
-    /// Concurrent job slots (queued jobs wait FIFO for a free one).
+    /// Concurrent job slots, shared by submitted and admitted jobs
+    /// (queued jobs wait FIFO for a free one).
     pub job_slots: usize,
     /// Capacity of the shared cross-request memo store, and of each of the
     /// stores of completed final explorations and of MOBO acquisitions.
@@ -477,7 +485,8 @@ impl JobHandle {
 
     /// The job's [`RunEvent`] stream: a blocking iterator yielding events
     /// as the job emits them, ending after the terminal event. The live
-    /// stream can be taken once; later calls return an empty stream.
+    /// stream can be taken once; later calls return an empty stream. A
+    /// job [`Engine::admit`]ted with a callback has no stream.
     pub fn events(&self) -> EventStream {
         match lock_recover(&self.state.events).take() {
             Some(rx) => EventStream::live(rx),
@@ -526,6 +535,88 @@ impl JobHandle {
                 }
                 outcome.result.clone()
             }
+        }
+    }
+}
+
+/// An admitted job, ready to run on whichever thread takes it.
+struct JobBody {
+    request: CoDesignRequest,
+    ctx: ExecCtx,
+    state: Arc<JobState>,
+    shared: Arc<EngineShared>,
+}
+
+impl JobBody {
+    fn handle(&self) -> JobHandle {
+        JobHandle {
+            state: Arc::clone(&self.state),
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
+    /// Runs the job on the calling thread (which holds a slot) and
+    /// publishes its completion to the handles.
+    fn run(self) {
+        // A job cancelled while still waiting for a slot is discarded
+        // without executing (and without counting as an executed job).
+        // detlint-allow(atomics): cancel latch read; see JobHandle::cancel
+        if self.state.cancel.load(Ordering::Relaxed) {
+            return self.discard();
+        }
+        // detlint-allow(atomics): executed-jobs counter; each unique job increments exactly once
+        self.shared.jobs_executed.fetch_add(1, Ordering::Relaxed);
+        self.shared.telemetry.counter_add("engine.jobs_executed", 1);
+        let completion = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(&self.request.input, &self.request.options, &self.ctx)
+        })) {
+            Ok(outcome) => Completion::Done(Box::new(outcome)),
+            Err(payload) => Completion::Panicked(payload),
+        };
+        self.complete(completion);
+    }
+
+    /// Ends the job as cancelled without executing it.
+    fn discard(self) {
+        self.ctx.events.emit(RunEvent::Cancelled);
+        self.complete(Completion::Done(Box::new(ExecOutcome {
+            result: Err(HascoError::Cancelled),
+            surrogate: None,
+        })));
+    }
+
+    fn complete(self, completion: Completion) {
+        // The context (and with it the event sink) goes first, so a
+        // channel's stream ends no later than `wait` returns.
+        drop(self.ctx);
+        *lock_recover(&self.state.outcome) = Some(completion);
+        self.state.done.notify_all();
+    }
+}
+
+/// A job [`Engine::admit`] admitted and the caller runs. Dropping it
+/// without [`AdmittedJob::run`] discards the job: its handle reports
+/// [`HascoError::Cancelled`].
+pub struct AdmittedJob<'e> {
+    scheduler: &'e JobScheduler,
+    body: Option<JobBody>,
+}
+
+impl AdmittedJob<'_> {
+    /// Waits for a free slot (timed as `scheduler/queue_wait`), then runs
+    /// the job to completion on the calling thread. A job cancelled
+    /// while it waited does not execute.
+    pub fn run(mut self) {
+        if let Some(body) = self.body.take() {
+            self.scheduler.run_here(|| body.run());
+        }
+    }
+}
+
+impl Drop for AdmittedJob<'_> {
+    fn drop(&mut self) {
+        if let Some(body) = self.body.take() {
+            body.discard();
         }
     }
 }
@@ -657,7 +748,9 @@ impl Engine {
     /// that would silently degenerate ([`CoDesignOptions::validate`]) and
     /// [`HascoError::EmptyApp`] for an empty application.
     pub fn submit(&self, request: CoDesignRequest) -> Result<JobHandle, HascoError> {
-        self.submit_inner(request, true)
+        let (tx, rx) = channel();
+        let job = self.admit_inner(request, EventSink::new(tx), Some(rx), Arc::default())?;
+        Ok(self.spawn(job))
     }
 
     /// [`Engine::submit`] without an event channel, for the callers that
@@ -667,14 +760,58 @@ impl Engine {
     /// events nobody reads.
     /// [`JobHandle::events`] on the returned handle yields nothing.
     pub(crate) fn submit_quiet(&self, request: CoDesignRequest) -> Result<JobHandle, HascoError> {
-        self.submit_inner(request, false)
+        let job = self.admit_inner(request, EventSink::disabled(), None, Arc::default())?;
+        Ok(self.spawn(job))
     }
 
-    fn submit_inner(
+    /// Hands an admitted job to the executors.
+    fn spawn(&self, job: JobBody) -> JobHandle {
+        let handle = job.handle();
+        self.scheduler.spawn(Box::new(move || job.run()));
+        handle
+    }
+
+    /// Admits one request like [`Engine::submit`] — validation, the job
+    /// id, the surrogate fork and a [`JobHandle`] for cancel and wait —
+    /// but leaves running it to the caller: [`AdmittedJob::run`] waits
+    /// for a slot, from the same budget the executors draw on, and runs
+    /// the job on the calling thread. A serving handler that waits on its
+    /// job anyway saves the hand-off to an executor and back.
+    ///
+    /// Every event goes to `on_event`, on the running thread, and no
+    /// channel is opened ([`JobHandle::events`] yields nothing). When
+    /// `on_event` returns false (its listener is gone) the job is
+    /// cancelled, as by [`JobHandle::cancel`].
+    ///
+    /// # Errors
+    /// As [`Engine::submit`].
+    pub fn admit(
         &self,
         request: CoDesignRequest,
-        with_events: bool,
-    ) -> Result<JobHandle, HascoError> {
+        on_event: impl Fn(RunEvent) -> bool + Send + Sync + 'static,
+    ) -> Result<(JobHandle, AdmittedJob<'_>), HascoError> {
+        let cancel = Arc::new(AtomicBool::new(false));
+        let sink = EventSink::callback(Arc::new(on_event), Arc::clone(&cancel));
+        let body = self.admit_inner(request, sink, None, cancel)?;
+        Ok((
+            body.handle(),
+            AdmittedJob {
+                scheduler: &self.scheduler,
+                body: Some(body),
+            },
+        ))
+    }
+
+    /// Validates a request and builds its job: `sink` takes its events,
+    /// `events` is the channel its handle streams (if any), and `cancel`
+    /// is the flag its handle raises.
+    fn admit_inner(
+        &self,
+        request: CoDesignRequest,
+        sink: EventSink,
+        events: Option<Receiver<RunEvent>>,
+        cancel: Arc<AtomicBool>,
+    ) -> Result<JobBody, HascoError> {
         request.options.validate()?;
         if request.input.app.is_empty() {
             return Err(HascoError::EmptyApp);
@@ -701,60 +838,28 @@ impl Engine {
                 (None, None)
             };
 
-        let (sink, rx) = if with_events {
-            let (tx, rx) = channel();
-            (EventSink::new(tx), Some(rx))
-        } else {
-            (EventSink::disabled(), None)
-        };
         let state = Arc::new(JobState {
             // detlint-allow(atomics): fetch_add hands out unique ids under any ordering; ids follow the caller's submit program order
             id: self.shared.next_job_id.fetch_add(1, Ordering::Relaxed),
-            cancel: Arc::new(AtomicBool::new(false)),
+            cancel: Arc::clone(&cancel),
             outcome: Mutex::new(None),
             done: Condvar::new(),
-            events: Mutex::new(rx),
+            events: Mutex::new(events),
             published: AtomicBool::new(false),
             surrogate_key: job_surrogate_key,
         });
-
-        let job_state = Arc::clone(&state);
-        let shared = Arc::clone(&self.shared);
         let ctx = ExecCtx {
             label: request.label.clone(),
             events: sink,
-            cancel: Arc::clone(&state.cancel),
+            cancel,
             stores: Arc::clone(&self.shared.stores),
             screen_backend,
             telemetry: self.shared.telemetry.clone(),
             remote: self.shared.remote.clone(),
         };
-        self.scheduler.spawn(Box::new(move || {
-            // A job cancelled while still queued is discarded without
-            // executing (and without counting as an executed job).
-            // detlint-allow(atomics): cancel latch read; see JobHandle::cancel
-            let completion = if job_state.cancel.load(Ordering::Relaxed) {
-                ctx.events.emit(RunEvent::Cancelled);
-                Completion::Done(Box::new(ExecOutcome {
-                    result: Err(HascoError::Cancelled),
-                    surrogate: None,
-                }))
-            } else {
-                // detlint-allow(atomics): executed-jobs counter; each unique job increments exactly once
-                shared.jobs_executed.fetch_add(1, Ordering::Relaxed);
-                shared.telemetry.counter_add("engine.jobs_executed", 1);
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute(&request.input, &request.options, &ctx)
-                })) {
-                    Ok(outcome) => Completion::Done(Box::new(outcome)),
-                    Err(payload) => Completion::Panicked(payload),
-                }
-            };
-            *lock_recover(&job_state.outcome) = Some(completion);
-            job_state.done.notify_all();
-        }));
-
-        Ok(JobHandle {
+        Ok(JobBody {
+            request,
+            ctx,
             state,
             shared: Arc::clone(&self.shared),
         })

@@ -17,7 +17,9 @@
 //! never through events. Carrying a timestamp here would break the
 //! bit-identical contract on the first re-run.
 
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 
 /// One progress event of a co-design run. The stream of a successful job
 /// starts with [`RunEvent::Started`] and ends with a terminal event
@@ -123,34 +125,85 @@ runtime::wire_enum!(RunEvent {
 /// The emitting end of a job's event stream. Cloneable and cheap; a
 /// disabled sink ([`EventSink::disabled`]) swallows everything, so code
 /// paths shared with the one-shot API emit unconditionally.
-#[derive(Debug, Clone, Default)]
+///
+/// A sink feeds either a channel (read through [`EventStream`]) or a
+/// caller's callback, which runs on the emitting thread. A callback may
+/// block on I/O (the serving front-end writes events to a socket), so no
+/// caller of [`EventSink::emit`] may hold a lock.
+#[derive(Clone, Default)]
 pub struct EventSink {
-    tx: Option<Sender<RunEvent>>,
+    to: Option<Listener>,
+}
+
+#[derive(Clone)]
+enum Listener {
+    Channel(Sender<RunEvent>),
+    /// A callback returning whether anyone still listens; when it returns
+    /// false, the job's cancel flag rises.
+    Callback {
+        f: Arc<dyn Fn(RunEvent) -> bool + Send + Sync>,
+        cancel: Arc<AtomicBool>,
+    },
+}
+
+impl std::fmt::Debug for EventSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let to = match &self.to {
+            None => "disabled",
+            Some(Listener::Channel(_)) => "channel",
+            Some(Listener::Callback { .. }) => "callback",
+        };
+        f.debug_struct("EventSink").field("to", &to).finish()
+    }
 }
 
 impl EventSink {
     /// A sink that discards every event (the one-shot `CoDesigner` path).
     pub fn disabled() -> Self {
-        EventSink { tx: None }
+        EventSink { to: None }
     }
 
     /// A sink feeding the given channel.
     pub(crate) fn new(tx: Sender<RunEvent>) -> Self {
-        EventSink { tx: Some(tx) }
+        EventSink {
+            to: Some(Listener::Channel(tx)),
+        }
+    }
+
+    /// A sink calling `f` with each event; `f` returning false (its
+    /// listener is gone) raises `cancel`.
+    pub(crate) fn callback(
+        f: Arc<dyn Fn(RunEvent) -> bool + Send + Sync>,
+        cancel: Arc<AtomicBool>,
+    ) -> Self {
+        EventSink {
+            to: Some(Listener::Callback { f, cancel }),
+        }
     }
 
     /// Emits one event. Never fails: a dropped receiver (nobody is
-    /// listening) is not an error — the run continues.
+    /// listening) is not an error — the run continues. A callback that
+    /// reports its listener gone cancels the job instead.
     pub fn emit(&self, event: RunEvent) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(event);
+        match &self.to {
+            None => {}
+            Some(Listener::Channel(tx)) => {
+                let _ = tx.send(event);
+            }
+            Some(Listener::Callback { f, cancel }) => {
+                let listening = f(event);
+                if !listening {
+                    // detlint-allow(atomics): cancellation is a sticky one-way latch; a late observation only delays the cooperative exit
+                    cancel.store(true, Ordering::Relaxed);
+                }
+            }
         }
     }
 
     /// True when events go anywhere at all — observability-only work
     /// (e.g. the partition enumeration) is skipped for a disabled sink.
     pub fn is_enabled(&self) -> bool {
-        self.tx.is_some()
+        self.to.is_some()
     }
 }
 
@@ -164,30 +217,15 @@ pub struct EventStream {
 }
 
 impl EventStream {
-    /// A live stream over the given channel. Public for transport layers
-    /// (the network client) that rebuild a job's stream on the consuming
-    /// side of a connection; in-process callers obtain streams from
-    /// [`JobHandle::events`](crate::engine::JobHandle::events).
-    pub fn live(rx: Receiver<RunEvent>) -> Self {
+    /// A live stream over the given channel.
+    pub(crate) fn live(rx: Receiver<RunEvent>) -> Self {
         EventStream { rx: Some(rx) }
     }
 
-    /// A stream that yields nothing (the events were already taken).
+    /// A stream that yields nothing (the events were already taken, or
+    /// went to a callback).
     pub fn empty() -> Self {
         EventStream { rx: None }
-    }
-
-    /// The next event if the job already emitted it, without blocking:
-    /// [`TryRecvError::Empty`] while the job runs on without a new one,
-    /// [`TryRecvError::Disconnected`] once the stream ended.
-    ///
-    /// # Errors
-    /// The two cases above.
-    pub fn try_next(&mut self) -> Result<RunEvent, TryRecvError> {
-        self.rx
-            .as_ref()
-            .ok_or(TryRecvError::Disconnected)?
-            .try_recv()
     }
 }
 
@@ -258,6 +296,31 @@ mod tests {
         let sink = EventSink::new(tx);
         drop(rx);
         sink.emit(RunEvent::Cancelled); // must not panic
+    }
+
+    #[test]
+    fn a_callback_that_loses_its_listener_cancels_the_job() {
+        let cancel = Arc::new(AtomicBool::new(false));
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = {
+            let seen = Arc::clone(&seen);
+            EventSink::callback(
+                Arc::new(move |event: RunEvent| {
+                    let terminal = event.is_terminal();
+                    seen.lock().unwrap().push(event);
+                    !terminal
+                }),
+                Arc::clone(&cancel),
+            )
+        };
+        sink.emit(RunEvent::Tuned {
+            round: 0,
+            meets_constraints: true,
+        });
+        assert!(!cancel.load(Ordering::Relaxed));
+        sink.emit(RunEvent::Cancelled);
+        assert!(cancel.load(Ordering::Relaxed));
+        assert_eq!(seen.lock().unwrap().len(), 2);
     }
 
     #[test]

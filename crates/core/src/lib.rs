@@ -53,7 +53,7 @@ mod stores;
 pub mod tuning;
 
 pub use codesign::{CoDesignOptions, CoDesigner, OptimizerKind};
-pub use engine::{CampaignOutcome, CoDesignRequest, Engine, EngineConfig, JobHandle};
+pub use engine::{AdmittedJob, CampaignOutcome, CoDesignRequest, Engine, EngineConfig, JobHandle};
 pub use event::{EventStream, RunEvent};
 pub use input::{Constraints, GenerationMethod, InputDescription};
 pub use report::{CampaignStats, RunStats};

@@ -14,19 +14,28 @@
 //! pool; the warm state lives server-side, which is the whole point of
 //! serving.
 //!
+//! [`Client::submit`] writes the `Submit` frame and returns at once, so
+//! a caller can send its next request while the server runs this one.
+//! The job's first read — [`RemoteJob::events`], [`RemoteJob::wait`],
+//! [`RemoteJob::id`] or [`RemoteJob::cancel`] — takes the server's
+//! `Accepted`, or the immediate `Done` of a rejected submit. The server
+//! runs the job on the connection's own handler thread and writes its
+//! events and `Done` together, so a warm job costs one write each way.
+//!
 //! A pooled connection may have been closed by the server since its last
 //! use (the server shut down or restarted). That shows before the first
 //! reply frame: the send fails, or the stream ends or resets. The request
-//! is then sent once more, on a fresh connection.
+//! is then sent once more, on a fresh connection; a job keeps its encoded
+//! request until its first reply frame arrives for that.
 //!
 //! Everything a transport can get wrong surfaces as
 //! [`HascoError::Transport`]; errors the *engine* produced come back as
 //! their original variants, so a caller cannot tell a served run from an
 //! in-process one by its error shapes either.
 
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use hasco::engine::{CampaignOutcome, CoDesignRequest};
 use hasco::event::RunEvent;
@@ -101,73 +110,73 @@ impl Client {
         }
     }
 
-    /// The local ports of the idle connections, oldest first: a test's
-    /// view of which connections the pool keeps.
-    #[cfg(test)]
-    pub(crate) fn idle_ports(&self) -> Vec<u16> {
-        lock(&self.idle)
-            .iter()
-            .map(|conn| conn.get_ref().local_addr().map_or(0, |a| a.port()))
-            .collect()
-    }
-
     /// Returns a connection whose conversation ended to the pool.
     fn put_back(&self, conn: Conn) {
         lock(&self.idle).push(conn);
     }
 
-    /// Sends `msg` and reads the first reply frame, on an idle
-    /// connection when there is one. A pooled connection the server has
-    /// closed since is dropped, and the request goes out once more on a
-    /// fresh one.
-    fn request(&self, msg: &Msg) -> Result<(Msg, Conn), HascoError> {
+    /// Sends one encoded request, on an idle connection when there is
+    /// one and the send succeeds, else on a fresh one. Returns the
+    /// connection and whether it came from the pool.
+    fn send(&self, frame: &[u8]) -> Result<(Conn, bool), HascoError> {
         let pooled = lock(&self.idle).pop();
         if let Some(mut conn) = pooled {
-            if let Some(reply) = exchange(&mut conn, msg)? {
-                return Ok((reply, conn));
+            if conn.get_mut().write_all(frame).is_ok() {
+                return Ok((conn, true));
             }
         }
-        let mut conn = self.open()?;
-        match exchange(&mut conn, msg)? {
-            Some(reply) => Ok((reply, conn)),
-            None => Err(HascoError::Transport(
-                "server closed the connection before replying".to_string(),
-            )),
-        }
+        Ok((self.send_fresh(frame)?, false))
     }
 
-    /// Submits one job; returns a handle streaming its events live.
+    /// Sends one encoded request on a fresh connection.
+    fn send_fresh(&self, frame: &[u8]) -> Result<Conn, HascoError> {
+        let mut conn = self.open()?;
+        conn.get_mut()
+            .write_all(frame)
+            .map_err(|e| transport_err("request send", &e))?;
+        Ok(conn)
+    }
+
+    /// Reads the first reply frame to `frame`. On a pooled connection
+    /// the server has closed since, the stream ends or resets first: the
+    /// request then goes out once more, on a fresh connection that
+    /// replaces `conn`.
+    fn first_reply(&self, conn: &mut Conn, pooled: bool, frame: &[u8]) -> Result<Msg, HascoError> {
+        if let Some(reply) = read_reply(conn)? {
+            return Ok(reply);
+        }
+        if pooled {
+            *conn = self.send_fresh(frame)?;
+            if let Some(reply) = read_reply(conn)? {
+                return Ok(reply);
+            }
+        }
+        Err(HascoError::Transport(
+            "server closed the connection before replying".to_string(),
+        ))
+    }
+
+    /// Submits one job and returns as soon as the request is written;
+    /// the handle's first read takes the server's answer.
     ///
     /// # Errors
-    /// [`HascoError::Transport`] on connection failure; validation
-    /// errors surface from [`RemoteJob::wait`], exactly like
+    /// [`HascoError::Transport`] when the request cannot be sent;
+    /// validation errors surface from [`RemoteJob::wait`], exactly like
     /// [`hasco::Engine::submit`] surfaces them from the handle.
     pub fn submit(&self, request: CoDesignRequest) -> Result<RemoteJob, HascoError> {
-        let (reply, conn) = self.request(&Msg::Submit { request })?;
-        let (job_id, stream, result) = match reply {
-            Msg::Accepted { job_id } => (job_id, Some(conn), None),
-            // A rejected submission (validation error) arrives as an
-            // immediate Done frame; hand back a pre-resolved job so the
-            // caller's events()/wait() flow is uniform.
-            Msg::Done { result } => {
-                self.put_back(conn);
-                (u64::MAX, None, Some(result))
-            }
-            Msg::Error { message } => return Err(HascoError::Transport(message)),
-            _ => {
-                return Err(HascoError::Transport(
-                    "server sent a non-submit reply".to_string(),
-                ))
-            }
-        };
+        let mut frame = Vec::new();
+        proto::push(&mut frame, &Msg::Submit { request });
+        let (conn, pooled) = self.send(&frame)?;
         Ok(RemoteJob {
             client: self.clone(),
-            job_id,
-            shared: Arc::new(Mutex::new(JobShared {
-                stream,
-                idle: Arc::clone(&self.idle),
-                result,
-            })),
+            shared: Arc::new(JobShared {
+                id: OnceLock::new(),
+                stream: Mutex::new(JobStream {
+                    conn: Some(conn),
+                    request: Some((frame, pooled)),
+                    result: None,
+                }),
+            }),
         })
     }
 
@@ -231,20 +240,18 @@ impl Client {
     /// One request and its one reply frame; the connection goes back to
     /// the pool.
     fn round_trip(&self, msg: &Msg) -> Result<Msg, HascoError> {
-        let (reply, conn) = self.request(msg)?;
+        let mut frame = Vec::new();
+        proto::push(&mut frame, msg);
+        let (mut conn, pooled) = self.send(&frame)?;
+        let reply = self.first_reply(&mut conn, pooled, &frame)?;
         self.put_back(conn);
         Ok(reply)
     }
 }
 
-/// Sends `msg` on `conn` and reads the first reply frame. `Ok(None)`
-/// means the peer had closed the connection before the request reached
-/// it: the send failed, or the stream ended or reset before a reply
-/// began.
-fn exchange(conn: &mut Conn, msg: &Msg) -> Result<Option<Msg>, HascoError> {
-    if proto::send(conn.get_mut(), msg).is_err() {
-        return Ok(None);
-    }
+/// Reads one reply frame. `Ok(None)` means the peer had closed the
+/// connection before a reply began: the stream ended or reset.
+fn read_reply(conn: &mut Conn) -> Result<Option<Msg>, HascoError> {
     match proto::recv(conn) {
         Ok(reply) => Ok(reply),
         Err(e)
@@ -259,40 +266,26 @@ fn exchange(conn: &mut Conn, msg: &Msg) -> Result<Option<Msg>, HascoError> {
     }
 }
 
+/// The job id of a submit that never got one (rejected, or lost).
+const NO_JOB: u64 = u64::MAX;
+
+/// A job's state, shared by the clones of its handle.
 #[derive(Debug)]
 struct JobShared {
-    /// The live connection; `None` once the terminal frame arrived (or
-    /// the job came pre-resolved).
-    stream: Option<Conn>,
-    /// Where the connection goes after the terminal `Done` frame.
-    idle: Pool,
-    result: Option<Result<Solution, HascoError>>,
+    /// The server-side job id, set by the first read.
+    id: OnceLock<u64>,
+    stream: Mutex<JobStream>,
 }
 
-impl JobShared {
-    /// Reads frames until the next event. Returns `None` at (and after)
-    /// the terminal frame, stashing the result. After `Done` the
-    /// connection returns to the pool; after anything else it closes.
-    fn next_event(&mut self) -> Option<RunEvent> {
-        loop {
-            let stream = self.stream.as_mut()?;
-            let result = match proto::recv_expect(stream) {
-                Ok(Msg::Event { event }) => return Some(event),
-                Ok(Msg::Done { result }) => {
-                    if let Some(conn) = self.stream.take() {
-                        lock(&self.idle).push(conn);
-                    }
-                    result
-                }
-                Ok(Msg::Error { message }) => Err(HascoError::Transport(message)),
-                Ok(_) => continue,
-                Err(e) => Err(transport_err("event stream", &e)),
-            };
-            self.result = Some(result);
-            self.stream = None;
-            return None;
-        }
-    }
+#[derive(Debug)]
+struct JobStream {
+    /// The live connection; `None` once the terminal frame arrived (or
+    /// the job was resolved by its first read).
+    conn: Option<Conn>,
+    /// The encoded `Submit` and whether it went out on a pooled
+    /// connection, kept until the first reply frame is read.
+    request: Option<(Vec<u8>, bool)>,
+    result: Option<Result<Solution, HascoError>>,
 }
 
 /// A handle to a job running on a serving front-end. The remote
@@ -301,14 +294,19 @@ impl JobShared {
 #[derive(Debug, Clone)]
 pub struct RemoteJob {
     client: Client,
-    job_id: u64,
-    shared: Arc<Mutex<JobShared>>,
+    shared: Arc<JobShared>,
 }
 
 impl RemoteJob {
-    /// The server-side job id.
+    /// The server-side job id. The first read on the job: it waits for
+    /// the server's answer to the submit, which the server sends as soon
+    /// as it admits the job. A rejected submit has no id (`u64::MAX`).
     pub fn id(&self) -> u64 {
-        self.job_id
+        if let Some(&id) = self.shared.id.get() {
+            return id;
+        }
+        self.accept(&mut lock(&self.shared.stream));
+        self.shared.id.get().copied().unwrap_or(NO_JOB)
     }
 
     /// The job's live event stream: a blocking iterator ending after the
@@ -317,9 +315,7 @@ impl RemoteJob {
     /// stream is effectively consumed once — iterating after the
     /// terminal frame yields nothing.
     pub fn events(&self) -> RemoteEvents {
-        RemoteEvents {
-            shared: Arc::clone(&self.shared),
-        }
+        RemoteEvents { job: self.clone() }
     }
 
     /// Blocks until the job finishes (draining any unread events) and
@@ -329,12 +325,12 @@ impl RemoteJob {
     /// Exactly what `JobHandle::wait` would return in-process, plus
     /// [`HascoError::Transport`] when the connection died first.
     pub fn wait(&self) -> Result<Solution, HascoError> {
-        let mut shared = lock(&self.shared);
+        let mut stream = lock(&self.shared.stream);
         loop {
-            if let Some(result) = shared.result.clone() {
+            if let Some(result) = stream.result.clone() {
                 return result;
             }
-            shared.next_event();
+            self.next_event(&mut stream);
         }
     }
 
@@ -342,13 +338,73 @@ impl RemoteJob {
     /// the event stream occupies the job's own. Best-effort, like
     /// in-process cancel: losing the race to completion is a no-op.
     pub fn cancel(&self) {
+        let job_id = self.id();
+        if job_id == NO_JOB {
+            return;
+        }
         if let Ok(mut conn) = self.client.open() {
-            let _ = exchange(
-                &mut conn,
-                &Msg::Cancel {
-                    job_id: self.job_id,
-                },
-            );
+            if proto::send(conn.get_mut(), &Msg::Cancel { job_id }).is_ok() {
+                let _ = proto::recv(&mut conn);
+            }
+        }
+    }
+
+    /// Takes the first reply frame, unless a read already did: `Accepted`
+    /// sets the job id; a rejected submit's `Done` or a failure resolves
+    /// the job at once.
+    fn accept(&self, stream: &mut JobStream) {
+        let Some((frame, pooled)) = stream.request.take() else {
+            return;
+        };
+        let Some(conn) = stream.conn.as_mut() else {
+            return;
+        };
+        let result = match self.client.first_reply(conn, pooled, &frame) {
+            Ok(Msg::Accepted { job_id }) => {
+                let _ = self.shared.id.set(job_id);
+                return;
+            }
+            // A rejected submission (validation error) arrives as an
+            // immediate `Done`; the conversation is complete.
+            Ok(Msg::Done { result }) => {
+                if let Some(conn) = stream.conn.take() {
+                    self.client.put_back(conn);
+                }
+                result
+            }
+            Ok(Msg::Error { message }) => Err(HascoError::Transport(message)),
+            Ok(_) => Err(HascoError::Transport(
+                "server sent a non-submit reply".to_string(),
+            )),
+            Err(e) => Err(e),
+        };
+        let _ = self.shared.id.set(NO_JOB);
+        stream.conn = None;
+        stream.result = Some(result);
+    }
+
+    /// Reads frames until the next event. Returns `None` at (and after)
+    /// the terminal frame, stashing the result. After `Done` the
+    /// connection returns to the pool; after anything else it closes.
+    fn next_event(&self, stream: &mut JobStream) -> Option<RunEvent> {
+        self.accept(stream);
+        loop {
+            let conn = stream.conn.as_mut()?;
+            let result = match proto::recv_expect(conn) {
+                Ok(Msg::Event { event }) => return Some(event),
+                Ok(Msg::Done { result }) => {
+                    if let Some(conn) = stream.conn.take() {
+                        self.client.put_back(conn);
+                    }
+                    result
+                }
+                Ok(Msg::Error { message }) => Err(HascoError::Transport(message)),
+                Ok(_) => continue,
+                Err(e) => Err(transport_err("event stream", &e)),
+            };
+            stream.result = Some(result);
+            stream.conn = None;
+            return None;
         }
     }
 }
@@ -356,14 +412,14 @@ impl RemoteJob {
 /// Blocking iterator over a remote job's [`RunEvent`]s.
 #[derive(Debug)]
 pub struct RemoteEvents {
-    shared: Arc<Mutex<JobShared>>,
+    job: RemoteJob,
 }
 
 impl Iterator for RemoteEvents {
     type Item = RunEvent;
 
     fn next(&mut self) -> Option<RunEvent> {
-        lock(&self.shared).next_event()
+        self.job.next_event(&mut lock(&self.job.shared.stream))
     }
 }
 
@@ -376,6 +432,17 @@ mod tests {
     use super::*;
     use crate::server::{Server, ServerOptions};
     use crate::testing::{rejected_request, toy_request};
+
+    impl Client {
+        /// The local ports of the idle connections, oldest first: a
+        /// test's view of which connections the pool keeps.
+        pub(crate) fn idle_ports(&self) -> Vec<u16> {
+            lock(&self.idle)
+                .iter()
+                .map(|conn| conn.get_ref().local_addr().map_or(0, |a| a.port()))
+                .collect()
+        }
+    }
 
     fn server(config: EngineConfig) -> Server {
         Server::bind("127.0.0.1:0", config, ServerOptions::default()).expect("bind loopback")

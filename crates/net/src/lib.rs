@@ -17,7 +17,10 @@
 //!    A job streams its `RunEvent`s; a campaign is one request and one
 //!    reply (`CampaignPlan` → `CampaignDone`), with no stream of its own.
 //!    A client keeps its connections open and reuses them, one request
-//!    at a time, so a warm job pays no connect and no hello.
+//!    at a time, so a warm job pays no connect and no hello. A submit
+//!    only writes its request; the server runs the job on the
+//!    connection's handler thread and a warm job's reply leaves in one
+//!    write.
 //! 3. **[`dispatch`] / [`worker`]** — `hasco-worker` processes register
 //!    with the front-end and evaluate shards of screening/refinement
 //!    batches through the [`runtime::BatchEvaluator`] seam

@@ -10,25 +10,40 @@
 //! Connection supervision is deliberately boring: one handler thread per
 //! connection. A client connection is kept open and serves one request
 //! at a time until the client hangs up, a reply cannot be written, or
-//! the server shuts down; a client that goes away mid-stream gets its
-//! job cancelled (best effort — a cancel that loses the race to
-//! completion is a no-op and the solution still lands in the warm
-//! store). A handler is busy only from reading a request to writing its
-//! reply. Shutdown stops admitting connections, releases the worker
-//! fleet, closes every idle connection, and waits up to a bounded grace
-//! period for the busy handlers to write their replies and for every
-//! handler to exit, so that no handler holds the engine once it returns.
+//! the server shuts down. A handler is busy only from reading a request
+//! to writing its reply.
+//!
+//! A `Submit` runs on the handler's own thread ([`Engine::admit`]): the
+//! handler answers `Accepted` as soon as the job is admitted, waits for
+//! a slot from the engine's one `job_slots` budget (in-process
+//! submissions draw on it too), and runs the job. Its `Event` frames
+//! collect in one reply buffer that leaves with `Done`, so a warm job
+//! answers in one write; once a job has run for 1 ms
+//! (`FLUSH_AFTER`), each event is written as it is emitted, so a long
+//! job still streams. A client that goes away mid-stream gets its job
+//! cancelled at the next failed write (best effort — a cancel that
+//! loses the race to completion is a no-op and the solution still lands
+//! in the warm store). A client that stops reading without hanging up
+//! holds its job's slot until the write times out
+//! ([`ServerOptions::client_write_timeout`], 60 s by default).
+//!
+//! Shutdown stops admitting connections, releases the worker fleet,
+//! closes every idle connection, and waits up to a bounded grace period
+//! for the busy handlers to write their replies and for every handler to
+//! exit, so that no handler holds the engine once it returns. It also
+//! stops the heartbeat thread at once instead of letting it sleep out
+//! its period.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::TryRecvError;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
-use std::thread;
-use std::time::Duration;
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use hasco::engine::{Engine, EngineConfig, JobHandle};
+use hasco::event::RunEvent;
 use hasco::HascoError;
 
 use crate::dispatch::{RemoteBatchEvaluator, WorkerRegistry, DEFAULT_EXCHANGE_TIMEOUT};
@@ -45,7 +60,9 @@ pub struct ServerOptions {
     pub min_workers: usize,
     /// Socket timeout for one worker batch exchange.
     pub exchange_timeout: Duration,
-    /// Socket timeout for writes to serving clients (event streams).
+    /// Socket timeout for writes to serving clients (event streams). A
+    /// served job runs on its connection's thread, so a client that
+    /// stops reading holds the job's slot until this runs out.
     pub client_write_timeout: Duration,
     /// Heartbeat period for idle-worker liveness sweeps.
     pub heartbeat_period: Duration,
@@ -119,9 +136,44 @@ struct ServerInner {
     /// Running jobs by engine id, so `Cancel` frames (which arrive on
     /// other connections) can reach them.
     jobs: Mutex<BTreeMap<u64, JobHandle>>,
-    /// Latched true once `shutdown` finished draining.
-    stopped: Mutex<bool>,
-    stopped_cv: Condvar,
+    /// Set once `shutdown` finished draining; shared with the heartbeat,
+    /// which exits on it instead of sleeping out its period.
+    stopped: Arc<Latch>,
+    /// The heartbeat thread, joined by `shutdown`.
+    heartbeat: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// A one-way latch that threads can wait on.
+#[derive(Default)]
+struct Latch {
+    set: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Latch {
+    fn set(&self) {
+        *lock_live(&self.set) = true;
+        self.cv.notify_all();
+    }
+
+    /// Waits until the latch is set.
+    fn wait(&self) {
+        let set = lock_live(&self.set);
+        let _set = self
+            .cv
+            .wait_while(set, |set| !*set)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+
+    /// Waits at most `timeout` for the latch; returns whether it is set.
+    fn wait_timeout(&self, timeout: Duration) -> bool {
+        let set = lock_live(&self.set);
+        let (set, _) = self
+            .cv
+            .wait_timeout_while(set, timeout, |set| !*set)
+            .unwrap_or_else(PoisonError::into_inner);
+        *set
+    }
 }
 
 impl ServerInner {
@@ -185,8 +237,8 @@ impl Server {
             shutdown: AtomicBool::new(false),
             drain: Arc::default(),
             jobs: Mutex::new(BTreeMap::new()),
-            stopped: Mutex::new(false),
-            stopped_cv: Condvar::new(),
+            stopped: Arc::default(),
+            heartbeat: Mutex::new(None),
         });
 
         {
@@ -198,15 +250,17 @@ impl Server {
             thread::spawn(move || accept_loop(listener, inner));
         }
         {
-            // A weak handle: the sleeping heartbeat must not keep a shut
-            // down server's engine (and its warm stores) alive for a
-            // whole period.
-            let inner = Arc::downgrade(&inner);
+            // A weak handle: the waiting heartbeat must not keep the
+            // server's engine (and its warm stores) alive.
+            let weak = Arc::downgrade(&inner);
+            let stopped = Arc::clone(&inner.stopped);
+            let period = inner.opts.heartbeat_period;
             // Liveness sweeps drop dead worker connections; dispatch
             // treats a dropped worker and a never-registered one
             // identically, so sweep timing cannot reach results.
             // detlint-allow(ambient): heartbeat only drops dead connections
-            thread::spawn(move || heartbeat_loop(inner));
+            let heartbeat = thread::spawn(move || heartbeat_loop(&weak, &stopped, period));
+            *lock_live(&inner.heartbeat) = Some(heartbeat);
         }
         Ok(Server { inner })
     }
@@ -264,22 +318,18 @@ impl Server {
             }
         }
         drop(conns);
-        *lock_live(&self.inner.stopped) = true;
-        self.inner.stopped_cv.notify_all();
+        self.inner.stopped.set();
+        let heartbeat = lock_live(&self.inner.heartbeat).take();
+        if let Some(heartbeat) = heartbeat {
+            let _ = heartbeat.join();
+        }
     }
 
     /// Blocks until [`Server::shutdown`] ran to completion (locally or
     /// triggered by a client's `Shutdown` frame). The serve binary's
     /// main thread lives here.
     pub fn wait_for_shutdown(&self) {
-        let mut stopped = lock_live(&self.inner.stopped);
-        while !*stopped {
-            stopped = self
-                .inner
-                .stopped_cv
-                .wait(stopped)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.inner.stopped.wait();
     }
 }
 
@@ -314,13 +364,10 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
     }
 }
 
-fn heartbeat_loop(inner: Weak<ServerInner>) {
+/// Sweeps the worker fleet every `period` until the server stops.
+fn heartbeat_loop(inner: &Weak<ServerInner>, stopped: &Latch, period: Duration) {
     let mut nonce = 0u64;
-    loop {
-        let Some(period) = inner.upgrade().map(|i| i.opts.heartbeat_period) else {
-            return;
-        };
-        thread::sleep(period);
+    while !stopped.wait_timeout(period) {
         let Some(inner) = inner.upgrade() else {
             return;
         };
@@ -383,23 +430,30 @@ fn protocol_mismatch(theirs: &str) -> Msg {
 /// server shuts down.
 fn serve_client(stream: TcpStream, inner: &Arc<ServerInner>, id: u64) {
     let _ = stream.set_write_timeout(Some(inner.opts.client_write_timeout));
+    // Shared with a running job's reply, which writes its events.
+    let stream = Arc::new(stream);
     // A client sends its next request only after the last reply, so the
     // buffer never holds more than the request being read.
-    let mut conn = BufReader::new(stream);
+    let mut conn = BufReader::new(&*stream);
     while let Ok(Some(request)) = proto::recv(&mut conn) {
         if !inner.set_busy(id, true) {
             return;
         }
-        let kept = serve_request(conn.get_mut(), inner, request);
+        let kept = serve_request(&stream, inner, request);
         if !inner.set_busy(id, false) || !kept {
             return;
         }
     }
 }
 
+/// Writes one message; false once the client is gone.
+fn send(stream: &TcpStream, msg: &Msg) -> bool {
+    proto::send(&mut &*stream, msg).is_ok()
+}
+
 /// Serves one request; returns whether the connection stays open for
 /// the next.
-fn serve_request(stream: &mut TcpStream, inner: &Arc<ServerInner>, request: Msg) -> bool {
+fn serve_request(stream: &Arc<TcpStream>, inner: &Arc<ServerInner>, request: Msg) -> bool {
     match request {
         Msg::Submit { request } => serve_submit(stream, inner, request),
         Msg::CampaignPlan { requests } => serve_campaign(stream, inner, requests),
@@ -408,7 +462,7 @@ fn serve_request(stream: &mut TcpStream, inner: &Arc<ServerInner>, request: Msg)
                 let jobs = lock_live(&inner.jobs);
                 jobs.get(&job_id).map(JobHandle::cancel).is_some()
             };
-            proto::send(stream, &Msg::CancelOk { found }).is_ok()
+            send(stream, &Msg::CancelOk { found })
         }
         Msg::Persist => {
             let reply = match inner.engine.persist() {
@@ -417,11 +471,11 @@ fn serve_request(stream: &mut TcpStream, inner: &Arc<ServerInner>, request: Msg)
                     message: format!("persist failed: {e}"),
                 },
             };
-            proto::send(stream, &reply).is_ok()
+            send(stream, &reply)
         }
-        Msg::Ping { nonce } => proto::send(stream, &Msg::Pong { nonce }).is_ok(),
+        Msg::Ping { nonce } => send(stream, &Msg::Pong { nonce }),
         Msg::Shutdown => {
-            let _ = proto::send(stream, &Msg::ShutdownOk);
+            let _ = send(stream, &Msg::ShutdownOk);
             // Re-enter the public shutdown path on a detached thread: it
             // waits for every handler, this one included, to exit.
             let server = Server {
@@ -432,7 +486,7 @@ fn serve_request(stream: &mut TcpStream, inner: &Arc<ServerInner>, request: Msg)
             false
         }
         _ => {
-            let _ = proto::send(
+            let _ = send(
                 stream,
                 &Msg::Error {
                     message: "expected a request frame".to_string(),
@@ -443,69 +497,130 @@ fn serve_request(stream: &mut TcpStream, inner: &Arc<ServerInner>, request: Msg)
     }
 }
 
+/// How long a served job runs before its events leave as they are
+/// emitted. Until then they collect in the reply, so a job that ends
+/// sooner (every warm job) answers in one write, and a longer one still
+/// streams.
+const FLUSH_AFTER: Duration = Duration::from_millis(1);
+
+/// A served job's reply: `Event` frames collect here and leave with
+/// `Done`, or as they are emitted once the job has run for
+/// [`FLUSH_AFTER`]. Events are emitted on the handler thread, which runs
+/// the job; the lock is never held across a write.
+struct Reply {
+    stream: Arc<TcpStream>,
+    state: Mutex<Pending>,
+}
+
+/// What a reply has not written yet.
+#[derive(Default)]
+struct Pending {
+    out: Vec<u8>,
+    /// When the job emitted its first event.
+    since: Option<Instant>,
+    /// A write failed: the client is gone.
+    lost: bool,
+}
+
+impl Reply {
+    /// The job's event callback; false once the client is gone, which
+    /// cancels the job.
+    fn event(&self, event: RunEvent) -> bool {
+        let out = {
+            let mut pending = lock_live(&self.state);
+            if pending.lost {
+                return false;
+            }
+            proto::push(&mut pending.out, &Msg::Event { event });
+            // detlint-allow(wall-clock): the flush clock decides when reply bytes are written, never what they hold
+            let since = *pending.since.get_or_insert_with(Instant::now);
+            if since.elapsed() < FLUSH_AFTER {
+                return true;
+            }
+            std::mem::take(&mut pending.out)
+        };
+        self.write(&out)
+    }
+
+    /// Writes whatever is pending followed by `last`; false once the
+    /// client is gone.
+    fn finish(&self, last: &Msg) -> bool {
+        let out = {
+            let mut pending = lock_live(&self.state);
+            if pending.lost {
+                return false;
+            }
+            let mut out = std::mem::take(&mut pending.out);
+            proto::push(&mut out, last);
+            out
+        };
+        self.write(&out)
+    }
+
+    fn write(&self, out: &[u8]) -> bool {
+        let written = (&*self.stream).write_all(out).is_ok();
+        if !written {
+            lock_live(&self.state).lost = true;
+        }
+        written
+    }
+}
+
+/// Admits a job, answers `Accepted` at once, and runs the job on this
+/// handler's thread once a slot is free; the reply's events and `Done`
+/// follow by [`Reply`]'s flush rule. A client that stops reading (or
+/// disconnects) turns into a write error; the job is then cancelled.
 fn serve_submit(
-    stream: &mut TcpStream,
+    stream: &Arc<TcpStream>,
     inner: &ServerInner,
     request: hasco::CoDesignRequest,
 ) -> bool {
     if !wait_for_workers(inner) {
-        let _ = proto::send(stream, &shutting_down());
+        let _ = send(stream, &shutting_down());
         return false;
     }
-    let handle = match inner.engine.submit(request) {
-        Ok(handle) => handle,
-        Err(e) => return proto::send(stream, &Msg::Done { result: Err(e) }).is_ok(),
+    let reply = Arc::new(Reply {
+        stream: Arc::clone(stream),
+        state: Mutex::default(),
+    });
+    let on_event = {
+        let reply = Arc::clone(&reply);
+        move |event| reply.event(event)
+    };
+    let (handle, job) = match inner.engine.admit(request, on_event) {
+        Ok(admitted) => admitted,
+        Err(e) => return send(stream, &Msg::Done { result: Err(e) }),
     };
     let job_id = handle.id();
+    // Listed before `Accepted` leaves, so a `Cancel` the client sends on
+    // reading it finds the job.
     lock_live(&inner.jobs).insert(job_id, handle.clone());
-    // Stream events live. Frames collect in `out` and leave in one write
-    // as soon as the next event is not ready yet, so none waits while
-    // this handler blocks; `Done` leaves with whatever the stream's end
-    // left pending. A client that stops reading (or disconnects) turns
-    // into a write error here; supervision cancels its job.
-    let mut out = Vec::new();
-    proto::push(&mut out, &Msg::Accepted { job_id });
-    let mut events = handle.events();
-    let mut client_lost = false;
-    loop {
-        let event = match events.try_next() {
-            Ok(event) => Some(event),
-            Err(TryRecvError::Disconnected) => None,
-            Err(TryRecvError::Empty) => {
-                if stream.write_all(&out).is_err() {
-                    client_lost = true;
-                    handle.cancel();
-                    break;
-                }
-                out.clear();
-                events.next()
-            }
-        };
-        let Some(event) = event else { break };
-        proto::push(&mut out, &Msg::Event { event });
+    // `Accepted` leaves before the job waits for a slot, so the client's
+    // `id` and `cancel` never wait on the job's progress. On a failed
+    // write the unrun job is dropped, which discards it.
+    if send(stream, &Msg::Accepted { job_id }) {
+        job.run();
+    } else {
+        drop(job);
     }
     // `wait` also publishes the job's trained surrogate into the engine —
     // the serving process observes every job it runs.
     let result = handle.wait();
     lock_live(&inner.jobs).remove(&job_id);
-    if client_lost {
-        return false;
-    }
-    proto::push(&mut out, &Msg::Done { result });
-    stream.write_all(&out).is_ok()
+    reply.finish(&Msg::Done { result })
 }
 
 fn serve_campaign(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     inner: &ServerInner,
     requests: Vec<hasco::CoDesignRequest>,
 ) -> bool {
     if !wait_for_workers(inner) {
-        let _ = proto::send(stream, &shutting_down());
+        let _ = send(stream, &shutting_down());
         return false;
     }
     let result = inner.engine.campaign(requests);
-    proto::send(stream, &Msg::CampaignDone { result }).is_ok()
+    send(stream, &Msg::CampaignDone { result })
 }
 
 fn shutting_down() -> Msg {
@@ -536,7 +651,7 @@ mod tests {
 
     use rand::{Rng, SeedableRng};
 
-    use crate::client::Client;
+    use crate::client::{Client, RemoteJob};
     use crate::testing::{rejected_request, toy_request};
 
     use super::*;
@@ -682,6 +797,136 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_stops_the_heartbeat_without_waiting_out_its_period() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            EngineConfig::default().with_job_slots(1),
+            ServerOptions {
+                heartbeat_period: Duration::from_secs(10),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("bind loopback");
+        let start = Instant::now();
+        server.shutdown();
+        // `shutdown` joins the heartbeat: it returns only once the
+        // thread has exited, so the thread exits well inside a period.
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the heartbeat outlived shutdown by {:?}",
+            start.elapsed()
+        );
+        assert!(lock_live(&server.inner.heartbeat).is_none());
+    }
+
+    #[test]
+    fn served_and_in_process_jobs_share_one_slot() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            EngineConfig::default().with_job_slots(1),
+            ServerOptions::default(),
+        )
+        .expect("bind loopback");
+        let engine = server.engine();
+        // A caller-run job that holds the only slot from its `Started`
+        // event until the test lets it go.
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        let (gate, gate_job) = engine
+            .admit(toy_request(2), move |event| {
+                if matches!(event, RunEvent::Started { .. }) {
+                    let _ = started_tx.send(());
+                    let _ = lock_live(&released).recv();
+                }
+                true
+            })
+            .unwrap();
+        thread::scope(|scope| {
+            scope.spawn(move || gate_job.run());
+            started.recv_timeout(Duration::from_secs(10)).unwrap();
+
+            let addr = server.addr().to_string();
+            let clients = [
+                Client::connect(&addr).unwrap(),
+                Client::connect(&addr).unwrap(),
+            ];
+            let served: Vec<_> = clients
+                .iter()
+                .zip(3..)
+                .map(|(client, seed)| client.submit(toy_request(seed)).unwrap())
+                .collect();
+            // `Accepted` leaves at admission, before the slot wait.
+            let ids: Vec<u64> = served.iter().map(RemoteJob::id).collect();
+            assert!(ids.iter().all(|&id| id != u64::MAX), "{ids:?}");
+            let local = engine.submit(toy_request(5)).unwrap();
+
+            // While the gate holds the slot, none of the three starts.
+            thread::sleep(Duration::from_millis(150));
+            assert_eq!(engine.jobs_executed(), 1);
+            assert!(!local.is_finished());
+
+            release.send(()).unwrap();
+            gate.wait().expect("the gate job solves");
+            local.wait().expect("the in-process job solves");
+            for job in &served {
+                job.wait().expect("a served job solves");
+            }
+            assert_eq!(engine.jobs_executed(), 4);
+        });
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_cold_job_streams_events_before_done() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            EngineConfig::default().with_job_slots(1),
+            ServerOptions::default(),
+        )
+        .expect("bind loopback");
+        let mut request = toy_request(6);
+        request.options.hw_trials = 32;
+        let stream = proto::connect(server.addr()).unwrap();
+        let mut conn = BufReader::new(stream);
+        proto::send(
+            conn.get_mut(),
+            &Msg::ClientHello {
+                protocol: PROTOCOL.into(),
+            },
+        )
+        .unwrap();
+        assert!(matches!(proto::recv(&mut conn), Ok(Some(Msg::HelloOk))));
+        proto::send(conn.get_mut(), &Msg::Submit { request }).unwrap();
+        let Ok(Some(Msg::Accepted { job_id })) = proto::recv(&mut conn) else {
+            panic!("the submit is accepted");
+        };
+        // The first event frame arrives while the job still runs: past
+        // the flush deadline, events leave as they are emitted.
+        assert!(matches!(
+            proto::recv(&mut conn),
+            Ok(Some(Msg::Event { .. }))
+        ));
+        let running = lock_live(&server.inner.jobs)
+            .get(&job_id)
+            .is_some_and(|job| !job.is_finished());
+        assert!(running, "the first event waited for the end of the job");
+        let mut events = 1;
+        loop {
+            match proto::recv(&mut conn) {
+                Ok(Some(Msg::Event { .. })) => events += 1,
+                Ok(Some(Msg::Done { result })) => {
+                    result.expect("the job solves");
+                    break;
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        assert!(events > 3, "{events} events");
+        server.shutdown();
+    }
+
+    #[test]
     fn shutdown_closes_idle_pooled_connections_instead_of_waiting_for_them() {
         let server = Server::bind(
             "127.0.0.1:0",
@@ -722,7 +967,12 @@ mod tests {
             .map(|client| {
                 let tx = tx.clone();
                 thread::spawn(move || {
-                    let _ = tx.send(client.submit(rejected_request()).map(|_| ()));
+                    // The submit only writes; the job's first read finds
+                    // the server gone.
+                    let result = client
+                        .submit(rejected_request())
+                        .and_then(|job| job.wait().map(|_| ()));
+                    let _ = tx.send(result);
                 })
             })
             .collect();

@@ -2,14 +2,23 @@
 //!
 //! [`WorkerPool`](crate::WorkerPool) parallelizes *within* one evaluation
 //! batch; [`JobScheduler`] parallelizes *across* whole jobs — co-design
-//! requests submitted to a resident engine. It owns a fixed set of
-//! executor threads fed from one FIFO queue:
+//! requests submitted to a resident engine. It owns a budget of `slots`
+//! permits, a fixed set of executor threads fed from one FIFO queue, and
+//! a second way in for callers that run a job on their own thread:
 //!
 //! * submissions never block: [`JobScheduler::spawn`] enqueues and
 //!   returns; excess jobs wait for a free slot;
-//! * jobs start in submission order (a free executor always takes the
-//!   oldest queued job), so queued-job pickup is deterministic even
-//!   though completion order is not;
+//! * [`JobScheduler::run_here`] runs a job on the calling thread once a
+//!   slot is free. A serving handler that waits on its job anyway uses
+//!   it, so the job costs no hand-off to an executor and back;
+//! * executors and caller-run jobs draw on the one budget: each running
+//!   job holds a permit, so at most `slots` jobs run at once whichever
+//!   way they came in;
+//! * queued jobs start in submission order (a free executor always takes
+//!   the oldest queued job). An executor holds at most one permit, so
+//!   without caller-run jobs no queued job ever waits behind a permit;
+//!   executors and callers waiting for a permit are served in no
+//!   particular order among each other;
 //! * worker panics are contained: a panicking job poisons nothing and the
 //!   executor thread survives to run the next job. Callers that need the
 //!   panic re-raised should catch it inside the job closure and surface
@@ -20,7 +29,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::telemetry::Telemetry;
@@ -28,26 +37,68 @@ use crate::telemetry::Telemetry;
 /// A queued unit of work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// The slot budget: free permits and a condvar signalled on release.
+#[derive(Debug)]
+struct Permits {
+    free: Mutex<usize>,
+    released: Condvar,
+}
+
+impl Permits {
+    /// The free-permit count; a holder that panicked cannot have left it
+    /// torn (it is updated in single whole-value steps).
+    fn free(&self) -> MutexGuard<'_, usize> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until a permit is free and takes it.
+    fn acquire(&self) -> Permit<'_> {
+        let mut free = self
+            .released
+            .wait_while(self.free(), |free| *free == 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        *free -= 1;
+        Permit(self)
+    }
+}
+
+/// One running job's permit; dropping it (panics included) frees the slot.
+struct Permit<'a>(&'a Permits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self.0.free() += 1;
+        self.0.released.notify_one();
+    }
+}
+
 /// A fixed-slot FIFO job scheduler (see the module docs).
 #[derive(Debug)]
 pub struct JobScheduler {
     tx: Option<Sender<Job>>,
     executors: Vec<JoinHandle<()>>,
     slots: usize,
+    permits: Arc<Permits>,
     /// Out-of-band queue-wait observer (no-op by default).
     telemetry: Telemetry,
 }
 
 impl JobScheduler {
-    /// Creates a scheduler with `slots` executor threads (minimum 1):
-    /// at most `slots` jobs run concurrently, the rest queue FIFO.
+    /// Creates a scheduler with `slots` permits and as many executor
+    /// threads (minimum 1): at most `slots` jobs run concurrently, the
+    /// rest wait for a permit.
     pub fn new(slots: usize) -> Self {
         let slots = slots.max(1);
         let (tx, rx) = channel::<Job>();
         let rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(rx));
+        let permits = Arc::new(Permits {
+            free: Mutex::new(slots),
+            released: Condvar::new(),
+        });
         let executors = (0..slots)
             .map(|i| {
                 let rx = Arc::clone(&rx);
+                let permits = Arc::clone(&permits);
                 std::thread::Builder::new()
                     .name(format!("hasco-job-{i}"))
                     .spawn(move || loop {
@@ -59,6 +110,7 @@ impl JobScheduler {
                         };
                         match job {
                             Ok(job) => {
+                                let _permit = permits.acquire();
                                 // Contain panics: the executor must survive
                                 // to serve later jobs.
                                 let _ = catch_unwind(AssertUnwindSafe(job));
@@ -73,13 +125,13 @@ impl JobScheduler {
             tx: Some(tx),
             executors,
             slots,
+            permits,
             telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Attaches a telemetry handle; every spawned job then records how
-    /// long it waited in the queue before an executor picked it up
-    /// (`scheduler/queue_wait`).
+    /// Attaches a telemetry handle; every job then records how long it
+    /// waited for a slot (`scheduler/queue_wait`).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -90,8 +142,8 @@ impl JobScheduler {
         self.slots
     }
 
-    /// Enqueues a job; it starts as soon as an executor is free, in FIFO
-    /// order relative to other queued jobs.
+    /// Enqueues a job; it starts as soon as an executor and a permit are
+    /// free, in FIFO order relative to other queued jobs.
     pub fn spawn(&self, job: Job) {
         if let Some(tx) = &self.tx {
             // The wait closes when an executor starts the job.
@@ -103,6 +155,17 @@ impl JobScheduler {
                 job();
             }));
         }
+    }
+
+    /// Runs `job` on the calling thread once a permit is free, and frees
+    /// the permit when it returns or unwinds. The wait for the permit is
+    /// recorded like a queued job's (`scheduler/queue_wait`); a panic
+    /// propagates to the caller.
+    pub fn run_here<R>(&self, job: impl FnOnce() -> R) -> R {
+        let queued = self.telemetry.span("scheduler/queue_wait");
+        let _permit = self.permits.acquire();
+        drop(queued);
+        job()
     }
 }
 
@@ -172,6 +235,50 @@ mod tests {
             }
         }
         assert!(peak.load(Ordering::SeqCst) <= 2);
+    }
+
+    #[test]
+    fn caller_run_jobs_share_the_slot_budget_with_executors() {
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let work = {
+            let running = Arc::clone(&running);
+            let peak = Arc::clone(&peak);
+            move || {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                running.fetch_sub(1, Ordering::SeqCst);
+            }
+        };
+        let scheduler = JobScheduler::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                let work = work.clone();
+                let scheduler = &scheduler;
+                scope.spawn(move || {
+                    for _ in 0..4 {
+                        scheduler.run_here(work.clone());
+                    }
+                });
+            }
+            for _ in 0..8 {
+                scheduler.spawn(Box::new(work.clone()));
+            }
+        });
+        drop(scheduler);
+        assert_eq!(running.load(Ordering::SeqCst), 0);
+        assert!(peak.load(Ordering::SeqCst) <= 2, "more jobs ran than slots");
+    }
+
+    #[test]
+    fn a_panicking_caller_run_job_frees_its_slot() {
+        let scheduler = JobScheduler::new(1);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            scheduler.run_here(|| panic!("injected"))
+        }));
+        assert!(caught.is_err());
+        assert_eq!(scheduler.run_here(|| 7), 7, "the slot came back");
     }
 
     #[test]

@@ -111,12 +111,14 @@ impl CandidatePool {
         self.candidates.push(c);
     }
 
-    /// Indices of the top-k candidates by value (descending).
+    /// Indices of the top-k candidates by value (descending; ties keep
+    /// insertion order). Each value is computed once, not per comparison.
     pub fn top_k(&self, k: usize) -> Vec<usize> {
+        let values: Vec<f64> = self.candidates.iter().map(|c| self.value(c)).collect();
         let mut idx: Vec<usize> = (0..self.candidates.len()).collect();
         idx.sort_by(|&a, &b| {
-            self.value(&self.candidates[b])
-                .partial_cmp(&self.value(&self.candidates[a]))
+            values[b]
+                .partial_cmp(&values[a])
                 .expect("values are finite")
         });
         idx.truncate(k);

@@ -478,6 +478,13 @@ impl JobHandle {
         self.state.cancel.store(true, Ordering::Relaxed);
     }
 
+    /// True once [`JobHandle::cancel`] was called on any clone (or the
+    /// job's event listener went away).
+    pub fn is_cancelled(&self) -> bool {
+        // detlint-allow(atomics): cancel latch read; see JobHandle::cancel
+        self.state.cancel.load(Ordering::Relaxed)
+    }
+
     /// True once the job has a result (`wait` would not block).
     pub fn is_finished(&self) -> bool {
         lock_recover(&self.state.outcome).is_some()

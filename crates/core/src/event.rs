@@ -126,34 +126,24 @@ runtime::wire_enum!(RunEvent {
 /// disabled sink ([`EventSink::disabled`]) swallows everything, so code
 /// paths shared with the one-shot API emit unconditionally.
 ///
-/// A sink feeds either a channel (read through [`EventStream`]) or a
-/// caller's callback, which runs on the emitting thread. A callback may
+/// A sink calls a listener on the emitting thread: a channel's sender
+/// (read through [`EventStream`]) or a caller's callback. A callback may
 /// block on I/O (the serving front-end writes events to a socket), so no
 /// caller of [`EventSink::emit`] may hold a lock.
 #[derive(Clone, Default)]
 pub struct EventSink {
-    to: Option<Listener>,
+    /// The listener, returning whether anyone still listens, and the
+    /// cancel flag it raises when nobody does.
+    to: Option<(Listener, Arc<AtomicBool>)>,
 }
 
-#[derive(Clone)]
-enum Listener {
-    Channel(Sender<RunEvent>),
-    /// A callback returning whether anyone still listens; when it returns
-    /// false, the job's cancel flag rises.
-    Callback {
-        f: Arc<dyn Fn(RunEvent) -> bool + Send + Sync>,
-        cancel: Arc<AtomicBool>,
-    },
-}
+type Listener = Arc<dyn Fn(RunEvent) -> bool + Send + Sync>;
 
 impl std::fmt::Debug for EventSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let to = match &self.to {
-            None => "disabled",
-            Some(Listener::Channel(_)) => "channel",
-            Some(Listener::Callback { .. }) => "callback",
-        };
-        f.debug_struct("EventSink").field("to", &to).finish()
+        f.debug_struct("EventSink")
+            .field("enabled", &self.is_enabled())
+            .finish()
     }
 }
 
@@ -163,39 +153,33 @@ impl EventSink {
         EventSink { to: None }
     }
 
-    /// A sink feeding the given channel.
+    /// A sink feeding the given channel. A dropped receiver (nobody is
+    /// listening) is not an error — the run continues.
     pub(crate) fn new(tx: Sender<RunEvent>) -> Self {
-        EventSink {
-            to: Some(Listener::Channel(tx)),
-        }
+        Self::callback(
+            Arc::new(move |event| {
+                let _ = tx.send(event);
+                true
+            }),
+            Arc::default(),
+        )
     }
 
     /// A sink calling `f` with each event; `f` returning false (its
     /// listener is gone) raises `cancel`.
-    pub(crate) fn callback(
-        f: Arc<dyn Fn(RunEvent) -> bool + Send + Sync>,
-        cancel: Arc<AtomicBool>,
-    ) -> Self {
+    pub(crate) fn callback(f: Listener, cancel: Arc<AtomicBool>) -> Self {
         EventSink {
-            to: Some(Listener::Callback { f, cancel }),
+            to: Some((f, cancel)),
         }
     }
 
-    /// Emits one event. Never fails: a dropped receiver (nobody is
-    /// listening) is not an error — the run continues. A callback that
-    /// reports its listener gone cancels the job instead.
+    /// Emits one event. Never fails; a listener that reports itself gone
+    /// cancels the job.
     pub fn emit(&self, event: RunEvent) {
-        match &self.to {
-            None => {}
-            Some(Listener::Channel(tx)) => {
-                let _ = tx.send(event);
-            }
-            Some(Listener::Callback { f, cancel }) => {
-                let listening = f(event);
-                if !listening {
-                    // detlint-allow(atomics): cancellation is a sticky one-way latch; a late observation only delays the cooperative exit
-                    cancel.store(true, Ordering::Relaxed);
-                }
+        if let Some((f, cancel)) = &self.to {
+            if !f(event) {
+                // detlint-allow(atomics): cancellation is a sticky one-way latch; a late observation only delays the cooperative exit
+                cancel.store(true, Ordering::Relaxed);
             }
         }
     }

@@ -301,6 +301,11 @@ impl RemoteJob {
     /// The server-side job id. The first read on the job: it waits for
     /// the server's answer to the submit, which the server sends as soon
     /// as it admits the job. A rejected submit has no id (`u64::MAX`).
+    ///
+    /// Every read takes the answer here, under a lock of its own, before
+    /// it reads on: the stream lock it then holds for the rest of the
+    /// job is never held while the id is still unknown, so `id` and
+    /// `cancel` on a clone wait for the answer at most.
     pub fn id(&self) -> u64 {
         if let Some(&id) = self.shared.id.get() {
             return id;
@@ -325,6 +330,7 @@ impl RemoteJob {
     /// Exactly what `JobHandle::wait` would return in-process, plus
     /// [`HascoError::Transport`] when the connection died first.
     pub fn wait(&self) -> Result<Solution, HascoError> {
+        self.id();
         let mut stream = lock(&self.shared.stream);
         loop {
             if let Some(result) = stream.result.clone() {
@@ -351,7 +357,7 @@ impl RemoteJob {
 
     /// Takes the first reply frame, unless a read already did: `Accepted`
     /// sets the job id; a rejected submit's `Done` or a failure resolves
-    /// the job at once.
+    /// the job at once. Either way the id is set afterwards.
     fn accept(&self, stream: &mut JobStream) {
         let Some((frame, pooled)) = stream.request.take() else {
             return;
@@ -383,11 +389,11 @@ impl RemoteJob {
         stream.result = Some(result);
     }
 
-    /// Reads frames until the next event. Returns `None` at (and after)
-    /// the terminal frame, stashing the result. After `Done` the
-    /// connection returns to the pool; after anything else it closes.
+    /// Reads frames until the next event, once [`RemoteJob::id`] took the
+    /// first reply. Returns `None` at (and after) the terminal frame,
+    /// stashing the result. After `Done` the connection returns to the
+    /// pool; after anything else it closes.
     fn next_event(&self, stream: &mut JobStream) -> Option<RunEvent> {
-        self.accept(stream);
         loop {
             let conn = stream.conn.as_mut()?;
             let result = match proto::recv_expect(conn) {
@@ -419,6 +425,7 @@ impl Iterator for RemoteEvents {
     type Item = RunEvent;
 
     fn next(&mut self) -> Option<RunEvent> {
+        self.job.id();
         self.job.next_event(&mut lock(&self.job.shared.stream))
     }
 }

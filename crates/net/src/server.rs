@@ -15,12 +15,15 @@
 //!
 //! A `Submit` runs on the handler's own thread ([`Engine::admit`]): the
 //! handler answers `Accepted` as soon as the job is admitted, waits for
-//! a slot from the engine's one `job_slots` budget (in-process
-//! submissions draw on it too), and runs the job. Its `Event` frames
-//! collect in one reply buffer that leaves with `Done`, so a warm job
-//! answers in one write; once a job has run for 1 ms
+//! the worker gate ([`ServerOptions::min_workers`]) and a slot from the
+//! engine's one `job_slots` budget (in-process submissions draw on it
+//! too, and slots go out in arrival order), and runs the job. Its
+//! `Event` frames collect in one reply buffer that leaves with `Done`,
+//! so a warm job answers in one write; once a job has run for 1 ms
 //! (`FLUSH_AFTER`), each event is written as it is emitted, so a long
-//! job still streams. A client that goes away mid-stream gets its job
+//! job still streams. The rule is checked as events are emitted, so the
+//! events of a job's first millisecond wait for its next event (on a
+//! cold job, the end of its first DSE batch). A client that goes away mid-stream gets its job
 //! cancelled at the next failed write (best effort — a cancel that
 //! loses the race to completion is a no-op and the solution still lands
 //! in the warm store). A client that stops reading without hanging up
@@ -500,7 +503,9 @@ fn serve_request(stream: &Arc<TcpStream>, inner: &Arc<ServerInner>, request: Msg
 /// How long a served job runs before its events leave as they are
 /// emitted. Until then they collect in the reply, so a job that ends
 /// sooner (every warm job) answers in one write, and a longer one still
-/// streams.
+/// streams. The clock is read only when an event is emitted: events
+/// collected in the first `FLUSH_AFTER` leave with the next event, or
+/// with `Done`.
 const FLUSH_AFTER: Duration = Duration::from_millis(1);
 
 /// A served job's reply: `Event` frames collect here and leave with
@@ -567,18 +572,15 @@ impl Reply {
 }
 
 /// Admits a job, answers `Accepted` at once, and runs the job on this
-/// handler's thread once a slot is free; the reply's events and `Done`
-/// follow by [`Reply`]'s flush rule. A client that stops reading (or
-/// disconnects) turns into a write error; the job is then cancelled.
+/// handler's thread once the worker gate and a slot let it; the reply's
+/// events and `Done` follow by [`Reply`]'s flush rule. A client that
+/// stops reading (or disconnects) turns into a write error; the job is
+/// then cancelled.
 fn serve_submit(
     stream: &Arc<TcpStream>,
     inner: &ServerInner,
     request: hasco::CoDesignRequest,
 ) -> bool {
-    if !wait_for_workers(inner) {
-        let _ = send(stream, &shutting_down());
-        return false;
-    }
     let reply = Arc::new(Reply {
         stream: Arc::clone(stream),
         state: Mutex::default(),
@@ -595,13 +597,20 @@ fn serve_submit(
     // Listed before `Accepted` leaves, so a `Cancel` the client sends on
     // reading it finds the job.
     lock_live(&inner.jobs).insert(job_id, handle.clone());
-    // `Accepted` leaves before the job waits for a slot, so the client's
-    // `id` and `cancel` never wait on the job's progress. On a failed
-    // write the unrun job is dropped, which discards it.
-    if send(stream, &Msg::Accepted { job_id }) {
+    // `Accepted` leaves before the job waits for workers or a slot, so
+    // the client's `id` and `cancel` never wait on the job's progress. On
+    // a failed write the unrun job is dropped, which discards it.
+    if !send(stream, &Msg::Accepted { job_id }) {
+        drop(job);
+    } else if wait_for_workers(inner, Some(&handle)) {
         job.run();
     } else {
+        // Shutdown came first: the job is discarded unrun, and the
+        // client hears why.
         drop(job);
+        lock_live(&inner.jobs).remove(&job_id);
+        let _ = send(stream, &shutting_down());
+        return false;
     }
     // `wait` also publishes the job's trained surrogate into the engine —
     // the serving process observes every job it runs.
@@ -615,7 +624,7 @@ fn serve_campaign(
     inner: &ServerInner,
     requests: Vec<hasco::CoDesignRequest>,
 ) -> bool {
-    if !wait_for_workers(inner) {
+    if !wait_for_workers(inner, None) {
         let _ = send(stream, &shutting_down());
         return false;
     }
@@ -629,16 +638,19 @@ fn shutting_down() -> Msg {
     }
 }
 
-/// Blocks until the worker gate is satisfied (or shutdown). Returns
-/// false when the server is shutting down.
-fn wait_for_workers(inner: &ServerInner) -> bool {
+/// Blocks until the worker gate is satisfied, or `job` is cancelled
+/// (it then runs only to report that), or shutdown. Returns false when
+/// the server is shutting down.
+fn wait_for_workers(inner: &ServerInner, job: Option<&JobHandle>) -> bool {
     loop {
         // SeqCst pairs with the swap in `shutdown`: a gated job must
         // observe the flag so drain never waits on a parked handler.
         if inner.shutdown.load(Ordering::SeqCst) {
             return false;
         }
-        if inner.registry.live() >= inner.opts.min_workers {
+        if inner.registry.live() >= inner.opts.min_workers
+            || job.is_some_and(JobHandle::is_cancelled)
+        {
             return true;
         }
         thread::sleep(Duration::from_millis(25));
@@ -874,6 +886,49 @@ mod tests {
             }
             assert_eq!(engine.jobs_executed(), 4);
         });
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_clone_cancels_a_gated_job_while_another_thread_waits_on_it() {
+        // No worker ever registers, so the job waits at the worker gate
+        // until it is cancelled.
+        let server = Server::bind(
+            "127.0.0.1:0",
+            EngineConfig::default().with_job_slots(1),
+            ServerOptions {
+                min_workers: 1,
+                ..ServerOptions::default()
+            },
+        )
+        .expect("bind loopback");
+        let client = Client::connect(server.addr().to_string()).unwrap();
+        let job = client.submit(toy_request(3)).unwrap();
+        let (waited_tx, waited) = std::sync::mpsc::channel();
+        {
+            let job = job.clone();
+            thread::spawn(move || {
+                let _ = waited_tx.send(job.wait());
+            });
+        }
+        // Let the waiter take the job's stream before the clone cancels.
+        thread::sleep(Duration::from_millis(50));
+        let (cancelled_tx, cancelled) = std::sync::mpsc::channel();
+        {
+            let job = job.clone();
+            thread::spawn(move || {
+                job.cancel();
+                cancelled_tx.send(())
+            });
+        }
+        cancelled
+            .recv_timeout(Duration::from_secs(5))
+            .expect("cancel returns while the job waits at the gate");
+        let result = waited
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the cancelled job ends without a worker");
+        assert!(matches!(result, Err(HascoError::Cancelled)), "{result:?}");
+        assert_eq!(server.engine().jobs_executed(), 0);
         server.shutdown();
     }
 

@@ -17,8 +17,9 @@
 //! * queued jobs start in submission order (a free executor always takes
 //!   the oldest queued job). An executor holds at most one permit, so
 //!   without caller-run jobs no queued job ever waits behind a permit;
-//!   executors and callers waiting for a permit are served in no
-//!   particular order among each other;
+//!   executors and callers waiting for a permit take one in the order
+//!   they began to wait, so a waiting job's wait is bounded by the jobs
+//!   ahead of it;
 //! * worker panics are contained: a panicking job poisons nothing and the
 //!   executor thread survives to run the next job. Callers that need the
 //!   panic re-raised should catch it inside the job closure and surface
@@ -37,27 +38,59 @@ use crate::telemetry::Telemetry;
 /// A queued unit of work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// The slot budget: free permits and a condvar signalled on release.
+/// The slot budget: free permits handed out in arrival order, and a
+/// condvar signalled whenever the line moves.
 #[derive(Debug)]
 struct Permits {
-    free: Mutex<usize>,
-    released: Condvar,
+    line: Mutex<Line>,
+    moved: Condvar,
+}
+
+/// A ticket line in front of the free permits: each waiter draws the
+/// next ticket and takes a permit only when its ticket is served.
+#[derive(Debug)]
+struct Line {
+    free: usize,
+    /// The ticket the next arrival draws.
+    next: u64,
+    /// The ticket whose holder takes the next free permit.
+    serving: u64,
 }
 
 impl Permits {
-    /// The free-permit count; a holder that panicked cannot have left it
-    /// torn (it is updated in single whole-value steps).
-    fn free(&self) -> MutexGuard<'_, usize> {
-        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    fn new(slots: usize) -> Self {
+        Permits {
+            line: Mutex::new(Line {
+                free: slots,
+                next: 0,
+                serving: 0,
+            }),
+            moved: Condvar::new(),
+        }
     }
 
-    /// Blocks until a permit is free and takes it.
+    /// The line; a holder that panicked cannot have left it torn (it is
+    /// updated in whole steps under the lock).
+    fn line(&self) -> MutexGuard<'_, Line> {
+        self.line.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until this caller's turn comes and a permit is free, and
+    /// takes it.
     fn acquire(&self) -> Permit<'_> {
-        let mut free = self
-            .released
-            .wait_while(self.free(), |free| *free == 0)
+        let mut line = self.line();
+        let ticket = line.next;
+        line.next += 1;
+        let mut line = self
+            .moved
+            .wait_while(line, |line| line.serving != ticket || line.free == 0)
             .unwrap_or_else(PoisonError::into_inner);
-        *free -= 1;
+        line.free -= 1;
+        line.serving += 1;
+        if line.free > 0 {
+            // The next ticket may take a permit too.
+            self.moved.notify_all();
+        }
         Permit(self)
     }
 }
@@ -67,8 +100,8 @@ struct Permit<'a>(&'a Permits);
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        *self.0.free() += 1;
-        self.0.released.notify_one();
+        self.0.line().free += 1;
+        self.0.moved.notify_all();
     }
 }
 
@@ -91,10 +124,7 @@ impl JobScheduler {
         let slots = slots.max(1);
         let (tx, rx) = channel::<Job>();
         let rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(rx));
-        let permits = Arc::new(Permits {
-            free: Mutex::new(slots),
-            released: Condvar::new(),
-        });
+        let permits = Arc::new(Permits::new(slots));
         let executors = (0..slots)
             .map(|i| {
                 let rx = Arc::clone(&rx);
@@ -269,6 +299,40 @@ mod tests {
         drop(scheduler);
         assert_eq!(running.load(Ordering::SeqCst), 0);
         assert!(peak.load(Ordering::SeqCst) <= 2, "more jobs ran than slots");
+    }
+
+    #[test]
+    fn waiting_jobs_take_permits_in_arrival_order() {
+        let scheduler = JobScheduler::new(1);
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (order_tx, order_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let scheduler = &scheduler;
+            let drawn = || scheduler.permits.line().next;
+            // The first job holds the one slot until released.
+            scope.spawn(move || scheduler.run_here(|| release_rx.recv()));
+            for i in 1..=4u64 {
+                while drawn() < i {
+                    std::thread::yield_now();
+                }
+                let order_tx = order_tx.clone();
+                if i == 2 {
+                    // An executor's job waits in the same line.
+                    scheduler.spawn(Box::new(move || {
+                        let _ = order_tx.send(i);
+                    }));
+                } else {
+                    scope.spawn(move || scheduler.run_here(|| order_tx.send(i)));
+                }
+            }
+            while drawn() < 5 {
+                std::thread::yield_now();
+            }
+            release_tx.send(()).unwrap();
+        });
+        drop(scheduler);
+        drop(order_tx);
+        assert_eq!(order_rx.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -390,11 +390,6 @@ pub(crate) struct ExecCtx {
     /// was configured with metrics). Observation-only: nothing recorded
     /// through it feeds back into results, stats, or events.
     pub telemetry: Telemetry,
-    /// Engine-provided remote batch evaluator. Remote-eligible tiers
-    /// (see [`crate::remote::remote_eligible`]) dispatch their fresh
-    /// evaluations through it instead of the local worker pool; results
-    /// stay bit-identical either way.
-    pub remote: Option<crate::remote::SharedPairEvaluator>,
 }
 
 impl ExecCtx {
@@ -408,7 +403,6 @@ impl ExecCtx {
             stores: Arc::new(Stores::new(opts.cache_capacity)),
             screen_backend: None,
             telemetry: Telemetry::disabled(),
-            remote: None,
         }
     }
 }
@@ -524,19 +518,6 @@ fn execute_inner(
     } else {
         problem.with_refinement(refine_backend, opts.refine_top_k)
     };
-    // Remote dispatch, tier by tier: only backends reconstructible from
-    // (kind, tech) alone leave the process. A surrogate screen keeps its
-    // training local; the analytic tier is cheaper than a round trip.
-    if let Some(remote) = &ctx.remote {
-        let screen_hook =
-            crate::remote::remote_eligible(opts.backend).then(|| (opts.backend, opts.tech.clone()));
-        let refine_hook = (opts.refine_top_k > 0
-            && crate::remote::remote_eligible(opts.refine_backend))
-        .then(|| (opts.refine_backend, opts.tech.clone()));
-        if screen_hook.is_some() || refine_hook.is_some() {
-            problem = problem.with_remote_evaluator(Arc::clone(remote), screen_hook, refine_hook);
-        }
-    }
     problem = problem.with_telemetry(ctx.telemetry.clone());
 
     let observer = RunObserver {

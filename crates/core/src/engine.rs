@@ -84,7 +84,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Engine construction knobs.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Concurrent job slots, shared by submitted and admitted jobs
     /// (queued jobs wait FIFO for a free one).
@@ -112,25 +112,6 @@ pub struct EngineConfig {
     /// default; always out-of-band — enabling it never changes a result
     /// bit.
     pub metrics: Telemetry,
-    /// Remote batch evaluator for remote-eligible tiers
-    /// ([`EngineConfig::with_remote_evaluator`]). `None` (the default)
-    /// evaluates everything in-process. Dispatch routing only — results
-    /// are bit-identical with or without it, at any worker count.
-    pub remote: Option<crate::remote::SharedPairEvaluator>,
-}
-
-impl std::fmt::Debug for EngineConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineConfig")
-            .field("job_slots", &self.job_slots)
-            .field("cache_capacity", &self.cache_capacity)
-            .field("cache_path", &self.cache_path)
-            .field("cache_max_age", &self.cache_max_age)
-            .field("surrogate_store", &self.surrogate_store)
-            .field("metrics", &self.metrics)
-            .field("remote", &self.remote.as_ref().map(|_| "installed"))
-            .finish()
-    }
 }
 
 impl Default for EngineConfig {
@@ -142,7 +123,6 @@ impl Default for EngineConfig {
             cache_max_age: None,
             surrogate_store: None,
             metrics: Telemetry::disabled(),
-            remote: None,
         }
     }
 }
@@ -201,19 +181,6 @@ impl EngineConfig {
     /// streams, or persisted images.
     pub fn with_metrics(mut self, metrics: Telemetry) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Routes remote-eligible evaluation batches (trace-sim and
-    /// calibrated tiers — see [`crate::remote::remote_eligible`])
-    /// through the given [`crate::remote::PairEvaluator`] instead of the
-    /// in-process worker pool. The production evaluator is the network
-    /// crate's worker-sharding `RemoteBatchEvaluator`; because per-pair
-    /// evaluations are pure and batches reassemble in submission order,
-    /// installing one changes where the work runs, never what it
-    /// computes.
-    pub fn with_remote_evaluator(mut self, evaluator: crate::remote::SharedPairEvaluator) -> Self {
-        self.remote = Some(evaluator);
         self
     }
 }
@@ -343,9 +310,6 @@ struct EngineShared {
     /// The engine-wide telemetry handle (no-op unless the configuration
     /// attached an enabled one).
     telemetry: Telemetry,
-    /// Remote batch evaluator handed to every job's [`ExecCtx`] (see
-    /// [`EngineConfig::with_remote_evaluator`]).
-    remote: Option<crate::remote::SharedPairEvaluator>,
 }
 
 impl EngineShared {
@@ -476,13 +440,6 @@ impl JobHandle {
     pub fn cancel(&self) {
         // detlint-allow(atomics): cancellation is a sticky one-way latch; a late observation only delays the cooperative exit
         self.state.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`JobHandle::cancel`] was called on any clone (or the
-    /// job's event listener went away).
-    pub fn is_cancelled(&self) -> bool {
-        // detlint-allow(atomics): cancel latch read; see JobHandle::cancel
-        self.state.cancel.load(Ordering::Relaxed)
     }
 
     /// True once the job has a result (`wait` would not block).
@@ -700,7 +657,6 @@ impl Engine {
             jobs_executed: AtomicU64::new(0),
             next_job_id: AtomicU64::new(1),
             telemetry: config.metrics.clone(),
-            remote: config.remote,
         };
         Engine {
             shared: Arc::new(shared),
@@ -862,7 +818,6 @@ impl Engine {
             stores: Arc::clone(&self.shared.stores),
             screen_backend,
             telemetry: self.shared.telemetry.clone(),
-            remote: self.shared.remote.clone(),
         };
         Ok(JobBody {
             request,

@@ -46,7 +46,6 @@ mod finals;
 pub mod input;
 pub mod partition;
 mod pricing;
-pub mod remote;
 pub mod report;
 pub mod solution;
 mod stores;
@@ -77,7 +76,7 @@ pub enum HascoError {
     Software(String),
     /// Hardware generation failed.
     Hardware(String),
-    /// A network transport failure between a remote client/worker and the
+    /// A network transport failure between a remote client and the
     /// serving engine (connection loss, protocol violation). Never raised
     /// by in-process runs.
     Transport(String),

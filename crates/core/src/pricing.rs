@@ -6,14 +6,13 @@
 //! every fresh point; the optional refine tier re-prices the best-screened
 //! survivors of each batch at high fidelity. Both price alike
 //! ([`Tier::price`]): memo probes, in-batch deduplication, fan-out to the
-//! worker pool or a remote evaluator, and submission-order reassembly.
+//! worker pool, and submission-order reassembly.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use accel_model::arch::AcceleratorConfig;
-use accel_model::tech::TechParams;
-use accel_model::{BackendKind, CostBackend, Metrics};
+use accel_model::{CostBackend, Metrics};
 use dse::problem::{Point, Problem, SearchSpace};
 use dse::staged::AdaptiveTopK;
 use hw_gen::space::Generator;
@@ -22,7 +21,6 @@ use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
 use tensor_ir::workload::Workload;
 
 use crate::event::{EventSink, RunEvent};
-use crate::remote::{RemoteEvalRequest, SharedPairEvaluator};
 use crate::stores::Stores;
 
 /// Memoized per-(accelerator, workload) explorer outcomes; `None` records
@@ -62,17 +60,15 @@ impl PairInputs<'_> {
 }
 
 /// One pricing tier: an explorer over one cost backend, the memo-key
-/// bases derived from that backend, and where fresh evaluations run.
+/// bases derived from that backend, and the timer of its fresh
+/// evaluations.
 struct Tier {
     explorer: SoftwareExplorer,
     bases: Vec<Key128>,
     /// The backend fingerprint `bases` was computed from.
     fp: Fingerprint,
-    /// `sw_explore/<backend>`: times the tier's local fresh evaluations.
+    /// `sw_explore/<backend>`: times the tier's fresh evaluations.
     timer: Timer,
-    /// Remote dispatch for fresh evaluations, when installed and the
-    /// backend is remote-eligible.
-    remote: Option<RemoteTierHook>,
 }
 
 impl Tier {
@@ -83,7 +79,6 @@ impl Tier {
             fp,
             explorer,
             timer: Timer::default(),
-            remote: None,
         }
     }
 
@@ -162,35 +157,13 @@ impl Tier {
 
         // Only real (non-memoized) software explorations are timed, so
         // `sw_explore/<backend>` measures the backend, not the cache.
-        //
-        // With a remote hook installed, the deduplicated fresh jobs ship
-        // through the remote evaluator instead of the local pool. The
-        // evaluator contract (order-preserving, pure per item) makes the
-        // two paths bit-identical: everything around the dispatch — memo
-        // probes, duplicate resolution, reassembly — is shared code.
-        let outcomes = match &self.remote {
-            Some(hook) if !jobs.is_empty() => {
-                let items: Vec<RemoteEvalRequest> = jobs
-                    .iter()
-                    .map(|&(ci, wi, _)| RemoteEvalRequest {
-                        backend: hook.kind,
-                        tech: hook.tech.clone(),
-                        seed: pairs.seed,
-                        sw_opts: pairs.sw_opts.clone(),
-                        workload: pairs.workloads[wi].clone(),
-                        config: configs[ci].clone(),
-                    })
-                    .collect();
-                hook.evaluator.evaluate_batch(&items)
-            }
-            _ => workers.map(&jobs, |_, &(ci, wi, _)| {
-                self.timer.time(|| {
-                    self.explorer
-                        .best_metrics(&pairs.workloads[wi], configs[ci], &pairs.sw_opts)
-                        .ok()
-                })
-            }),
-        };
+        let outcomes = workers.map(&jobs, |_, &(ci, wi, _)| {
+            self.timer.time(|| {
+                self.explorer
+                    .best_metrics(&pairs.workloads[wi], configs[ci], &pairs.sw_opts)
+                    .ok()
+            })
+        });
 
         let mut fresh_outcomes: BTreeMap<(u64, u64), Option<Metrics>> = BTreeMap::new();
         for (&(ci, wi, key), outcome) in jobs.iter().zip(outcomes) {
@@ -225,16 +198,6 @@ struct RefineTier {
     /// on. Updated serially between batches, so its trajectory is a pure
     /// function of batch content.
     controller: Option<AdaptiveTopK>,
-}
-
-/// One tier's remote-dispatch hook: the evaluator that ships batches out
-/// of process, plus the `(backend, tech)` recipe workers rebuild the
-/// tier's cost backend from. Results are bit-identical to the in-process
-/// path because per-pair evaluations are pure (see [`crate::remote`]).
-struct RemoteTierHook {
-    evaluator: SharedPairEvaluator,
-    kind: BackendKind,
-    tech: TechParams,
 }
 
 /// The hardware design space wrapped as a [`dse::problem::Problem`].
@@ -377,32 +340,6 @@ impl<'a> HwProblem<'a> {
             };
             (tier, policy)
         });
-        self
-    }
-
-    /// Installs remote batch dispatch: fresh (non-memoized) evaluations
-    /// of a tier whose `(BackendKind, TechParams)` recipe is given flow
-    /// through `evaluator` instead of the local worker pool. Call after
-    /// [`HwProblem::with_backend`] / [`HwProblem::with_refinement`] so
-    /// the hooks attach to the installed tiers. Memo probing, in-batch
-    /// deduplication, and submission-order reassembly are unchanged, and
-    /// per-pair evaluations are pure, so results are bit-identical to
-    /// local execution at any worker count.
-    pub fn with_remote_evaluator(
-        mut self,
-        evaluator: SharedPairEvaluator,
-        screen: Option<(BackendKind, TechParams)>,
-        refine: Option<(BackendKind, TechParams)>,
-    ) -> Self {
-        let hook = |(kind, tech): (BackendKind, TechParams)| RemoteTierHook {
-            evaluator: Arc::clone(&evaluator),
-            kind,
-            tech,
-        };
-        self.screen.remote = screen.map(hook);
-        if let Some((tier, _)) = &mut self.refine {
-            tier.remote = refine.map(hook);
-        }
         self
     }
 

@@ -106,8 +106,7 @@ pub trait Problem {
     fn evaluate(&mut self, point: &Point) -> Option<Vec<f64>>;
 
     /// Evaluates a batch of points, returning objective vectors **in
-    /// submission order** — the [`runtime::BatchEvaluator`] seam as seen
-    /// by optimizers. The default runs serially; problems backed by a
+    /// submission order**. The default runs serially; problems backed by a
     /// parallel evaluation runtime (e.g. the co-design `HwProblem`)
     /// override this to fan the batch out to worker threads. Overrides
     /// must return exactly what repeated [`Problem::evaluate`] calls

@@ -2,12 +2,10 @@
 //!
 //! Wraps a long-lived engine (shared memo cache, surrogate store) behind
 //! a TCP listener so submits, event streams, and campaigns work across
-//! processes, and shards expensive evaluation batches across registered
-//! `hasco-worker` processes.
+//! processes.
 //!
 //! ```text
-//! hasco-serve --listen 127.0.0.1:4477 --workers-remote 2 \
-//!             --cache /var/lib/hasco/memo.bin --job-slots 2
+//! hasco-serve --listen 127.0.0.1:4477 --cache /var/lib/hasco/memo.bin --job-slots 2
 //! ```
 
 use std::process::ExitCode;
@@ -28,7 +26,6 @@ OPTIONS:
     --cache PATH            Persistent memo-cache image
     --cache-max-age SECS    Age GC for the persisted image
     --surrogate-store PATH  Persistent surrogate-registry image
-    --workers-remote N      Hold jobs until N workers registered (default 0)
     --help                  Show this help
 ";
 
@@ -41,7 +38,6 @@ fn fail(msg: &str) -> ExitCode {
 fn main() -> ExitCode {
     let mut listen = "127.0.0.1:4477".to_string();
     let mut config = EngineConfig::default();
-    let mut opts = ServerOptions::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -67,10 +63,6 @@ fn main() -> ExitCode {
                 Ok(v) => config = config.with_surrogate_store(v),
                 Err(e) => return fail(&e),
             },
-            "--workers-remote" => match value("--workers-remote").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) => opts.min_workers = n,
-                _ => return fail("--workers-remote needs an integer"),
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -79,7 +71,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let server = match Server::bind(&listen, config, opts) {
+    let server = match Server::bind(&listen, config, ServerOptions::default()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("hasco-serve: bind {listen}: {e}");

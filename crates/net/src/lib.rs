@@ -1,8 +1,7 @@
 //! Network serving for the HASCO engine: a front-end process that owns
-//! the warm state, serving clients that submit work to it, and worker
-//! processes that absorb the expensive evaluation batches.
+//! the warm state, and serving clients that submit work to it.
 //!
-//! Three layers, std-only (no async runtime, no serialization crates):
+//! Two layers, std-only (no async runtime, no serialization crates):
 //!
 //! 1. **[`proto`]** — the protocol messages, encoded by the workspace's
 //!    one binary codec ([`runtime::wire::Wire`], which every crate
@@ -21,33 +20,21 @@
 //!    only writes its request; the server runs the job on the
 //!    connection's handler thread and a warm job's reply leaves in one
 //!    write.
-//! 3. **[`dispatch`] / [`worker`]** — `hasco-worker` processes register
-//!    with the front-end and evaluate shards of screening/refinement
-//!    batches through the [`runtime::BatchEvaluator`] seam
-//!    ([`dispatch::RemoteBatchEvaluator`]).
 //!
 //! **The determinism contract survives the network.** A served run is
 //! bit-identical to an in-process run of the same request — the whole
 //! `Solution`, `RunStats` included (it holds no thread- or
-//! timing-dependent field), and the event stream — at any thread or
-//! worker count, including workers dying mid-batch. The argument is
-//! short: remote work is restricted to items whose result is a pure
-//! function of the shipped request (fresh explorer, fresh RNG, backend
-//! rebuilt from its parameters — see [`hasco::remote`]), every item has
-//! a fixed reassembly slot, and anything the fleet fails to answer is
-//! evaluated in-process by the very same function. Sharding and worker death only
-//! decide *where* each pure function runs.
+//! timing-dependent field), and the event stream — at any thread count.
+//! The server runs the very request the client sent on the engine's own
+//! pricing path; the wire only carries it there and the result back, and
+//! every value round-trips through the codec bit for bit.
 
 pub mod client;
-pub mod dispatch;
 pub mod proto;
 pub mod server;
-pub mod worker;
 
 pub use client::{Client, RemoteJob};
-pub use dispatch::{RemoteBatchEvaluator, WorkerRegistry};
 pub use server::{Server, ServerOptions};
-pub use worker::{WorkerHandle, WorkerOptions};
 
 #[cfg(test)]
 pub(crate) mod testing {

@@ -1,5 +1,5 @@
-//! The framed message protocol spoken between clients, workers, and the
-//! serving front-end.
+//! The framed message protocol spoken between clients and the serving
+//! front-end.
 //!
 //! Every message is one [`runtime::persist`] frame on the stream:
 //! `magic ++ payload-length ++ payload ++ fingerprint-checksum`, exactly
@@ -9,9 +9,9 @@
 //! checksum, overruns the payload bound, or decodes with leftover bytes
 //! is a protocol error — the connection is dropped, never "repaired".
 //!
-//! Both ends begin with a hello that carries [`PROTOCOL`]; a version
-//! mismatch is rejected before any work is exchanged. A client
-//! connection then carries requests one at a time, each answered in
+//! A client begins with a hello that carries [`PROTOCOL`]; a version
+//! mismatch is rejected before any work is exchanged. The connection
+//! then carries requests one at a time, each answered in
 //! full (a reply, or a job's event stream ending in `Done`) before the
 //! next, for as long as both ends keep it open.
 //!
@@ -24,10 +24,8 @@
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use accel_model::Metrics;
 use hasco::engine::{CampaignOutcome, CoDesignRequest};
 use hasco::event::RunEvent;
-use hasco::remote::RemoteEvalRequest;
 use hasco::solution::Solution;
 use hasco::HascoError;
 use runtime::persist;
@@ -38,11 +36,11 @@ pub const FRAME_MAGIC: &[u8; 8] = b"HASCONT1";
 
 /// Protocol version string exchanged in the hello handshake. Bump on any
 /// wire-format change — there is no cross-version negotiation.
-pub const PROTOCOL: &str = "HASCONET6";
+pub const PROTOCOL: &str = "HASCONET7";
 
 /// Upper bound on one frame's payload. Solutions and event frames are
-/// kilobytes; batch frames grow with the design-point batch but stay far
-/// below this. The bound exists so a corrupt or hostile length field
+/// kilobytes; campaign frames grow with the matrix but stay far below
+/// this. The bound exists so a corrupt or hostile length field
 /// cannot drive allocation.
 pub const MAX_PAYLOAD: u64 = 256 * 1024 * 1024;
 
@@ -53,11 +51,6 @@ pub enum Msg {
     /// [`PROTOCOL`].
     ClientHello {
         /// The client's protocol version string.
-        protocol: String,
-    },
-    /// First frame from an evaluation worker offering its capacity.
-    WorkerHello {
-        /// The worker's protocol version string.
         protocol: String,
     },
     /// Handshake accepted.
@@ -111,22 +104,7 @@ pub enum Msg {
         /// Memo-cache entries written (0 when no store is configured).
         entries: u64,
     },
-    /// Server → worker: evaluate a shard of design points.
-    BatchRequest {
-        /// Server-side dispatch sequence number, echoed in the reply.
-        batch: u64,
-        /// The shard, in submission order.
-        items: Vec<RemoteEvalRequest>,
-    },
-    /// Worker → server: the shard's results, index-aligned with the
-    /// request items.
-    BatchResult {
-        /// Echo of [`Msg::BatchRequest::batch`].
-        batch: u64,
-        /// One result per requested item, in order.
-        results: Vec<Option<Metrics>>,
-    },
-    /// Liveness probe (server → worker between batches).
+    /// Client → server: a liveness probe that runs nothing.
     Ping {
         /// Opaque nonce echoed back.
         nonce: u64,
@@ -138,9 +116,9 @@ pub enum Msg {
     },
     /// Client → server: stop accepting work, drain, and exit.
     Shutdown,
-    /// Server → peer: shutdown acknowledged / worker released.
+    /// Server → client: shutdown acknowledged.
     ShutdownOk,
-    /// Either direction: the peer violated the protocol, and the
+    /// Server → client: the client violated the protocol, and the
     /// connection closes after this; or a request failed before becoming
     /// a job (a failed persist), and a client connection stays open.
     Error {
@@ -149,10 +127,10 @@ pub enum Msg {
     },
 }
 
-// Tag 10 is retired (see `Msg::CampaignDone`).
+// Tag 10 is retired (see `Msg::CampaignDone`), and so are tags 1, 14
+// and 15, the remote workers' hello and batch frames before `HASCONET7`.
 runtime::wire_enum!(Msg {
     0 => ClientHello { protocol },
-    1 => WorkerHello { protocol },
     2 => HelloOk,
     3 => Submit { request },
     4 => Accepted { job_id },
@@ -164,8 +142,6 @@ runtime::wire_enum!(Msg {
     11 => CampaignDone { result },
     12 => Persist,
     13 => PersistOk { entries },
-    14 => BatchRequest { batch, items },
-    15 => BatchResult { batch, results },
     16 => Ping { nonce },
     17 => Pong { nonce },
     18 => Shutdown,
@@ -229,6 +205,7 @@ pub fn transport_err(context: &str, err: &io::Error) -> HascoError {
 
 #[cfg(test)]
 mod tests {
+    use accel_model::Metrics;
     use proptest::prelude::*;
 
     use super::*;
@@ -347,13 +324,11 @@ mod tests {
         use std::collections::BTreeMap;
 
         use accel_model::arch::AcceleratorConfig;
-        use accel_model::tech::TechParams;
         use accel_model::BackendKind;
         use dse::problem::{Evaluation, OptimizerResult};
         use hasco::codesign::CoDesignOptions;
         use hasco::input::{Constraints, GenerationMethod, InputDescription};
         use hasco::{RunStats, WorkloadSolution};
-        use sw_opt::explorer::ExplorerOptions;
         use sw_opt::schedule::Schedule;
         use tensor_ir::index::IndexId;
         use tensor_ir::intrinsics::IntrinsicKind;
@@ -361,10 +336,9 @@ mod tests {
         use tensor_ir::suites::gemm_workload;
         use tensor_ir::workload::TensorApp;
 
-        let workload = gemm_workload("g", 64, 32, 16);
         let request = CoDesignRequest::new(
             InputDescription {
-                app: TensorApp::new("toy", vec![workload.clone()]),
+                app: TensorApp::new("toy", vec![gemm_workload("g", 64, 32, 16)]),
                 method: GenerationMethod::Chisel(IntrinsicKind::Gemm),
                 constraints: Constraints::latency_power(4.0, 900.0),
             },
@@ -376,7 +350,7 @@ mod tests {
             .build()
             .unwrap();
         let solution = Solution {
-            accelerator: accelerator.clone(),
+            accelerator,
             per_workload: vec![WorkloadSolution {
                 workload: "g".into(),
                 schedule: Schedule {
@@ -420,20 +394,9 @@ mod tests {
             evaluated: 8,
             feasible: 7,
         };
-        let eval = RemoteEvalRequest {
-            backend: BackendKind::Analytic,
-            tech: TechParams::default(),
-            seed: 11,
-            sw_opts: ExplorerOptions::default(),
-            workload,
-            config: accelerator,
-        };
         vec![
             Msg::ClientHello {
                 protocol: PROTOCOL.into(),
-            },
-            Msg::WorkerHello {
-                protocol: "HASCONET?".into(),
             },
             Msg::HelloOk,
             Msg::Submit {
@@ -464,14 +427,6 @@ mod tests {
             },
             Msg::Persist,
             Msg::PersistOk { entries: 42 },
-            Msg::BatchRequest {
-                batch: 9,
-                items: vec![eval.clone(), eval],
-            },
-            Msg::BatchResult {
-                batch: 9,
-                results: vec![Some(metrics(3.0)), None],
-            },
             Msg::Ping { nonce: 1 },
             Msg::Pong { nonce: 1 },
             Msg::Shutdown,
@@ -486,8 +441,22 @@ mod tests {
     fn every_message_survives_the_wire_bit_for_bit() {
         let msgs = representative_msgs();
         let tags: std::collections::BTreeSet<u8> = msgs.iter().map(|m| to_bytes(m)[0]).collect();
-        assert_eq!(tags.len(), 20, "one message per tag 0..=20 but 10");
-        assert!(!tags.contains(&10), "tag 10 is retired");
+        assert_eq!(
+            tags.len(),
+            17,
+            "one message per tag 0..=20 but 1, 10, 14, 15"
+        );
+        // Retired tags are never sent, and a frame carrying one fails to
+        // decode instead of panicking.
+        for retired in [1, 10, 14, 15] {
+            assert!(!tags.contains(&retired), "tag {retired} is retired");
+            let mut frame = Vec::new();
+            persist::write_frame(&mut frame, FRAME_MAGIC, &[retired, 0, 0, 0, 0]).unwrap();
+            assert_eq!(
+                recv(&mut &frame[..]).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
         let mut stream = Vec::new();
         for msg in &msgs {
             send(&mut stream, msg).unwrap();
@@ -503,9 +472,8 @@ mod tests {
     /// `(tag, length, digest)` of each representative message's bytes, in
     /// [`representative_msgs`] order. A change here is a wire-format
     /// change: it must come with a [`PROTOCOL`] bump and a re-pin.
-    const GOLDEN: [(u8, usize, u64); 22] = [
-        (0, 18, 0x9e828a141e3f0ee7),
-        (1, 18, 0xee3318cf5e3757bd),
+    const GOLDEN: [(u8, usize, u64); 19] = [
+        (0, 18, 0x9e8289141e3f0d34),
         (2, 1, 0xaf63bf4c8601bb45),
         (3, 524, 0xcc1ad3bb5d96337c),
         (4, 9, 0x1fe014435e865deb),
@@ -519,8 +487,6 @@ mod tests {
         (11, 3, 0x2745cd18983a0a49),
         (12, 1, 0xaf63c14c8601beab),
         (13, 9, 0x0709f6fb42dc0b12),
-        (14, 941, 0x4e6e4f451d0612f6),
-        (15, 75, 0x068592f3f079f7c4),
         (16, 9, 0xfdaf110a635040ce),
         (17, 9, 0xa83a49bee493defd),
         (18, 1, 0xaf63cf4c8601d675),
@@ -530,7 +496,7 @@ mod tests {
 
     #[test]
     fn representative_message_bytes_are_pinned() {
-        assert_eq!(PROTOCOL, "HASCONET6", "a protocol bump re-pins GOLDEN");
+        assert_eq!(PROTOCOL, "HASCONET7", "a protocol bump re-pins GOLDEN");
         let got: Vec<(u8, usize, u64)> = representative_msgs()
             .iter()
             .map(|msg| {
@@ -745,7 +711,7 @@ mod tests {
 
         #[test]
         fn recv_never_panics_on_mutated_messages(
-            pick in 0usize..22,
+            pick in 0usize..19,
             edits in prop::collection::vec((any::<u64>(), any::<u8>()), 1..4),
             cut in any::<u64>(),
         ) {

@@ -3,9 +3,8 @@
 //! One serving process owns the warm state that makes co-design cheap —
 //! the shared memo store and the trained surrogate registry — and makes
 //! it reachable from other processes: serving clients submit jobs and
-//! campaigns over [`crate::proto`] frames, evaluation workers register
-//! and absorb expensive screening/refinement batches through the
-//! [`crate::dispatch::RemoteBatchEvaluator`] installed into the engine.
+//! campaigns over [`crate::proto`] frames, and every job prices on the
+//! engine's own worker pools.
 //!
 //! Connection supervision is deliberately boring: one handler thread per
 //! connection. A client connection is kept open and serves one request
@@ -15,9 +14,9 @@
 //!
 //! A `Submit` runs on the handler's own thread ([`Engine::admit`]): the
 //! handler answers `Accepted` as soon as the job is admitted, waits for
-//! the worker gate ([`ServerOptions::min_workers`]) and a slot from the
-//! engine's one `job_slots` budget (in-process submissions draw on it
-//! too, and slots go out in arrival order), and runs the job. Its
+//! a slot from the engine's one `job_slots` budget (in-process
+//! submissions draw on it too, and slots go out in arrival order), and
+//! runs the job. Its
 //! `Event` frames collect in one reply buffer that leaves with `Done`,
 //! so a warm job answers in one write; once a job has run for 1 ms
 //! (`FLUSH_AFTER`), each event is written as it is emitted, so a long
@@ -30,47 +29,31 @@
 //! holds its job's slot until the write times out
 //! ([`ServerOptions::client_write_timeout`], 60 s by default).
 //!
-//! Shutdown stops admitting connections, releases the worker fleet,
-//! closes every idle connection, and waits up to a bounded grace period
-//! for the busy handlers to write their replies and for every handler to
-//! exit, so that no handler holds the engine once it returns. It also
-//! stops the heartbeat thread at once instead of letting it sleep out
-//! its period.
+//! Shutdown stops admitting connections, closes every idle connection,
+//! and waits up to a bounded grace period for the busy handlers to write
+//! their replies and for every handler to exit, so that no handler holds
+//! the engine once it returns.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use hasco::engine::{Engine, EngineConfig, JobHandle};
 use hasco::event::RunEvent;
-use hasco::HascoError;
 
-use crate::dispatch::{RemoteBatchEvaluator, WorkerRegistry, DEFAULT_EXCHANGE_TIMEOUT};
 use crate::proto::{self, Msg, PROTOCOL};
 
 /// Tuning knobs of one serving process.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Hold submitted jobs until this many workers are registered.
-    /// `0` (the default) runs immediately, evaluating in-process until
-    /// workers show up. The gate makes "N-worker run" reproducible from
-    /// scripts that start the fleet asynchronously — results never
-    /// depend on it (see the dispatch module docs), only throughput.
-    pub min_workers: usize,
-    /// Socket timeout for one worker batch exchange.
-    pub exchange_timeout: Duration,
     /// Socket timeout for writes to serving clients (event streams). A
     /// served job runs on its connection's thread, so a client that
     /// stops reading holds the job's slot until this runs out.
     pub client_write_timeout: Duration,
-    /// Heartbeat period for idle-worker liveness sweeps.
-    pub heartbeat_period: Duration,
-    /// Socket timeout for one heartbeat ping/pong.
-    pub heartbeat_timeout: Duration,
     /// Grace period for in-flight requests at shutdown.
     pub drain_timeout: Duration,
 }
@@ -78,11 +61,7 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            min_workers: 0,
-            exchange_timeout: DEFAULT_EXCHANGE_TIMEOUT,
             client_write_timeout: Duration::from_secs(60),
-            heartbeat_period: Duration::from_secs(10),
-            heartbeat_timeout: Duration::from_secs(5),
             drain_timeout: Duration::from_secs(30),
         }
     }
@@ -130,7 +109,6 @@ impl Drain {
 
 struct ServerInner {
     engine: Engine,
-    registry: Arc<WorkerRegistry>,
     opts: ServerOptions,
     addr: SocketAddr,
     shutdown: AtomicBool,
@@ -139,11 +117,8 @@ struct ServerInner {
     /// Running jobs by engine id, so `Cancel` frames (which arrive on
     /// other connections) can reach them.
     jobs: Mutex<BTreeMap<u64, JobHandle>>,
-    /// Set once `shutdown` finished draining; shared with the heartbeat,
-    /// which exits on it instead of sleeping out its period.
-    stopped: Arc<Latch>,
-    /// The heartbeat thread, joined by `shutdown`.
-    heartbeat: Mutex<Option<JoinHandle<()>>>,
+    /// Set once `shutdown` finished draining.
+    stopped: Latch,
 }
 
 /// A one-way latch that threads can wait on.
@@ -166,16 +141,6 @@ impl Latch {
             .cv
             .wait_while(set, |set| !*set)
             .unwrap_or_else(PoisonError::into_inner);
-    }
-
-    /// Waits at most `timeout` for the latch; returns whether it is set.
-    fn wait_timeout(&self, timeout: Duration) -> bool {
-        let set = lock_live(&self.set);
-        let (set, _) = self
-            .cv
-            .wait_timeout_while(set, timeout, |set| !*set)
-            .unwrap_or_else(PoisonError::into_inner);
-        *set
     }
 }
 
@@ -222,49 +187,27 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`), installs remote dispatch
-    /// into `config`, starts the engine plus the accept and heartbeat
-    /// threads, and returns immediately.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"`), starts the engine and the
+    /// accept thread, and returns immediately.
     pub fn bind(addr: &str, config: EngineConfig, opts: ServerOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let registry = Arc::new(WorkerRegistry::new());
-        let evaluator = RemoteBatchEvaluator::new(Arc::clone(&registry))
-            .with_exchange_timeout(opts.exchange_timeout);
-        let engine = Engine::new(config.with_remote_evaluator(Arc::new(evaluator)));
         let inner = Arc::new(ServerInner {
-            engine,
-            registry,
+            engine: Engine::new(config),
             opts,
             addr: local,
             shutdown: AtomicBool::new(false),
             drain: Arc::default(),
             jobs: Mutex::new(BTreeMap::new()),
-            stopped: Arc::default(),
-            heartbeat: Mutex::new(None),
+            stopped: Latch::default(),
         });
 
-        {
-            let inner = Arc::clone(&inner);
-            // The accept loop only routes connections; every
-            // result-bearing computation happens in the engine under its
-            // own determinism discipline.
-            // detlint-allow(ambient): accept loop routes connections, computes nothing
-            thread::spawn(move || accept_loop(listener, inner));
-        }
-        {
-            // A weak handle: the waiting heartbeat must not keep the
-            // server's engine (and its warm stores) alive.
-            let weak = Arc::downgrade(&inner);
-            let stopped = Arc::clone(&inner.stopped);
-            let period = inner.opts.heartbeat_period;
-            // Liveness sweeps drop dead worker connections; dispatch
-            // treats a dropped worker and a never-registered one
-            // identically, so sweep timing cannot reach results.
-            // detlint-allow(ambient): heartbeat only drops dead connections
-            let heartbeat = thread::spawn(move || heartbeat_loop(&weak, &stopped, period));
-            *lock_live(&inner.heartbeat) = Some(heartbeat);
-        }
+        let accept = Arc::clone(&inner);
+        // The accept loop only routes connections; every result-bearing
+        // computation happens in the engine under its own determinism
+        // discipline.
+        // detlint-allow(ambient): accept loop routes connections, computes nothing
+        thread::spawn(move || accept_loop(listener, accept));
         Ok(Server { inner })
     }
 
@@ -273,28 +216,21 @@ impl Server {
         self.inner.addr
     }
 
-    /// Currently registered workers.
-    pub fn workers(&self) -> usize {
-        self.inner.registry.live()
-    }
-
     /// The engine this server fronts (tests compare warm state).
     pub fn engine(&self) -> &Engine {
         &self.inner.engine
     }
 
-    /// Stops admitting connections, releases the worker fleet, persists
-    /// the engine's warm state (best effort), closes every idle
-    /// connection, and waits up to the drain timeout for the busy
-    /// handlers to write their replies and for every handler to exit.
-    /// Idempotent.
+    /// Stops admitting connections, persists the engine's warm state
+    /// (best effort), closes every idle connection, and waits up to the
+    /// drain timeout for the busy handlers to write their replies and for
+    /// every handler to exit. Idempotent.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         // Unblock the blocking accept loop with a no-op connection.
         let _ = TcpStream::connect(self.inner.addr);
-        self.inner.registry.release_all();
         let _ = self.inner.engine.persist();
 
         // An idle handler reads the end of its stream and exits; a busy
@@ -322,10 +258,6 @@ impl Server {
         }
         drop(conns);
         self.inner.stopped.set();
-        let heartbeat = lock_live(&self.inner.heartbeat).take();
-        if let Some(heartbeat) = heartbeat {
-            let _ = heartbeat.join();
-        }
     }
 
     /// Blocks until [`Server::shutdown`] ran to completion (locally or
@@ -367,40 +299,12 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
     }
 }
 
-/// Sweeps the worker fleet every `period` until the server stops.
-fn heartbeat_loop(inner: &Weak<ServerInner>, stopped: &Latch, period: Duration) {
-    let mut nonce = 0u64;
-    while !stopped.wait_timeout(period) {
-        let Some(inner) = inner.upgrade() else {
-            return;
-        };
-        // SeqCst pairs with the swap in `shutdown`: the next tick after
-        // shutdown must see the flag rather than sweep released workers.
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        nonce += 1;
-        inner.registry.sweep(nonce, inner.opts.heartbeat_timeout);
-    }
-}
-
 fn handle_connection(mut stream: TcpStream, inner: &Arc<ServerInner>, id: u64) {
     let hello = match proto::recv(&mut stream) {
         Ok(Some(msg)) => msg,
         _ => return,
     };
     match hello {
-        Msg::WorkerHello { protocol } => {
-            if protocol != PROTOCOL {
-                let _ = proto::send(&mut stream, &protocol_mismatch(&protocol));
-                return;
-            }
-            if proto::send(&mut stream, &Msg::HelloOk).is_ok() {
-                // Ownership of the stream moves to the registry; this
-                // handler is done (dispatch threads do the talking).
-                inner.registry.register(stream);
-            }
-        }
         Msg::ClientHello { protocol } => {
             if protocol != PROTOCOL {
                 let _ = proto::send(&mut stream, &protocol_mismatch(&protocol));
@@ -572,10 +476,9 @@ impl Reply {
 }
 
 /// Admits a job, answers `Accepted` at once, and runs the job on this
-/// handler's thread once the worker gate and a slot let it; the reply's
-/// events and `Done` follow by [`Reply`]'s flush rule. A client that
-/// stops reading (or disconnects) turns into a write error; the job is
-/// then cancelled.
+/// handler's thread once a slot is free; the reply's events and `Done`
+/// follow by [`Reply`]'s flush rule. A client that stops reading (or
+/// disconnects) turns into a write error; the job is then cancelled.
 fn serve_submit(
     stream: &Arc<TcpStream>,
     inner: &ServerInner,
@@ -597,20 +500,13 @@ fn serve_submit(
     // Listed before `Accepted` leaves, so a `Cancel` the client sends on
     // reading it finds the job.
     lock_live(&inner.jobs).insert(job_id, handle.clone());
-    // `Accepted` leaves before the job waits for workers or a slot, so
-    // the client's `id` and `cancel` never wait on the job's progress. On
-    // a failed write the unrun job is dropped, which discards it.
-    if !send(stream, &Msg::Accepted { job_id }) {
-        drop(job);
-    } else if wait_for_workers(inner, Some(&handle)) {
+    // `Accepted` leaves before the job waits for a slot, so the client's
+    // `id` and `cancel` never wait on the job's progress. On a failed
+    // write the unrun job is dropped, which discards it.
+    if send(stream, &Msg::Accepted { job_id }) {
         job.run();
     } else {
-        // Shutdown came first: the job is discarded unrun, and the
-        // client hears why.
         drop(job);
-        lock_live(&inner.jobs).remove(&job_id);
-        let _ = send(stream, &shutting_down());
-        return false;
     }
     // `wait` also publishes the job's trained surrogate into the engine —
     // the serving process observes every job it runs.
@@ -624,43 +520,15 @@ fn serve_campaign(
     inner: &ServerInner,
     requests: Vec<hasco::CoDesignRequest>,
 ) -> bool {
-    if !wait_for_workers(inner, None) {
-        let _ = send(stream, &shutting_down());
-        return false;
-    }
     let result = inner.engine.campaign(requests);
     send(stream, &Msg::CampaignDone { result })
-}
-
-fn shutting_down() -> Msg {
-    Msg::Done {
-        result: Err(HascoError::Transport("server is shutting down".to_string())),
-    }
-}
-
-/// Blocks until the worker gate is satisfied, or `job` is cancelled
-/// (it then runs only to report that), or shutdown. Returns false when
-/// the server is shutting down.
-fn wait_for_workers(inner: &ServerInner, job: Option<&JobHandle>) -> bool {
-    loop {
-        // SeqCst pairs with the swap in `shutdown`: a gated job must
-        // observe the flag so drain never waits on a parked handler.
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
-        if inner.registry.live() >= inner.opts.min_workers
-            || job.is_some_and(JobHandle::is_cancelled)
-        {
-            return true;
-        }
-        thread::sleep(Duration::from_millis(25));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::time::Instant;
 
+    use hasco::HascoError;
     use rand::{Rng, SeedableRng};
 
     use crate::client::{Client, RemoteJob};
@@ -680,7 +548,7 @@ mod tests {
         proto::send(
             &mut stream,
             &Msg::ClientHello {
-                protocol: "HASCONET5".into(),
+                protocol: "HASCONET6".into(),
             },
         )
         .unwrap();
@@ -809,29 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_stops_the_heartbeat_without_waiting_out_its_period() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            EngineConfig::default().with_job_slots(1),
-            ServerOptions {
-                heartbeat_period: Duration::from_secs(10),
-                ..ServerOptions::default()
-            },
-        )
-        .expect("bind loopback");
-        let start = Instant::now();
-        server.shutdown();
-        // `shutdown` joins the heartbeat: it returns only once the
-        // thread has exited, so the thread exits well inside a period.
-        assert!(
-            start.elapsed() < Duration::from_secs(1),
-            "the heartbeat outlived shutdown by {:?}",
-            start.elapsed()
-        );
-        assert!(lock_live(&server.inner.heartbeat).is_none());
-    }
-
-    #[test]
     fn served_and_in_process_jobs_share_one_slot() {
         let server = Server::bind(
             "127.0.0.1:0",
@@ -840,24 +685,9 @@ mod tests {
         )
         .expect("bind loopback");
         let engine = server.engine();
-        // A caller-run job that holds the only slot from its `Started`
-        // event until the test lets it go.
-        let (started_tx, started) = std::sync::mpsc::channel();
-        let (release, released) = std::sync::mpsc::channel::<()>();
-        let released = Mutex::new(released);
-        let (gate, gate_job) = engine
-            .admit(toy_request(2), move |event| {
-                if matches!(event, RunEvent::Started { .. }) {
-                    let _ = started_tx.send(());
-                    let _ = lock_live(&released).recv();
-                }
-                true
-            })
-            .unwrap();
         thread::scope(|scope| {
-            scope.spawn(move || gate_job.run());
-            started.recv_timeout(Duration::from_secs(10)).unwrap();
-
+            // A caller-run job holds the only slot until the test lets it go.
+            let (gate, release) = hold_the_slot(scope, engine);
             let addr = server.addr().to_string();
             let clients = [
                 Client::connect(&addr).unwrap(),
@@ -889,46 +719,72 @@ mod tests {
         server.shutdown();
     }
 
+    /// Admits a caller-run job, run on a `scope` thread, that holds the
+    /// only slot of `engine` from its `Started` event until the returned
+    /// sender is used or dropped.
+    fn hold_the_slot<'s>(
+        scope: &'s thread::Scope<'s, '_>,
+        engine: &'s Engine,
+    ) -> (JobHandle, std::sync::mpsc::Sender<()>) {
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        let (gate, gate_job) = engine
+            .admit(toy_request(2), move |event| {
+                if matches!(event, RunEvent::Started { .. }) {
+                    let _ = started_tx.send(());
+                    let _ = lock_live(&released).recv();
+                }
+                true
+            })
+            .unwrap();
+        scope.spawn(move || gate_job.run());
+        started.recv_timeout(Duration::from_secs(10)).unwrap();
+        (gate, release)
+    }
+
     #[test]
     fn a_clone_cancels_a_gated_job_while_another_thread_waits_on_it() {
-        // No worker ever registers, so the job waits at the worker gate
-        // until it is cancelled.
+        // The job waits for the slot an in-process job holds.
         let server = Server::bind(
             "127.0.0.1:0",
             EngineConfig::default().with_job_slots(1),
-            ServerOptions {
-                min_workers: 1,
-                ..ServerOptions::default()
-            },
+            ServerOptions::default(),
         )
         .expect("bind loopback");
-        let client = Client::connect(server.addr().to_string()).unwrap();
-        let job = client.submit(toy_request(3)).unwrap();
-        let (waited_tx, waited) = std::sync::mpsc::channel();
-        {
-            let job = job.clone();
-            thread::spawn(move || {
-                let _ = waited_tx.send(job.wait());
-            });
-        }
-        // Let the waiter take the job's stream before the clone cancels.
-        thread::sleep(Duration::from_millis(50));
-        let (cancelled_tx, cancelled) = std::sync::mpsc::channel();
-        {
-            let job = job.clone();
-            thread::spawn(move || {
-                job.cancel();
-                cancelled_tx.send(())
-            });
-        }
-        cancelled
-            .recv_timeout(Duration::from_secs(5))
-            .expect("cancel returns while the job waits at the gate");
-        let result = waited
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the cancelled job ends without a worker");
-        assert!(matches!(result, Err(HascoError::Cancelled)), "{result:?}");
-        assert_eq!(server.engine().jobs_executed(), 0);
+        thread::scope(|scope| {
+            let (gate, release) = hold_the_slot(scope, server.engine());
+            let client = Client::connect(server.addr().to_string()).unwrap();
+            let job = client.submit(toy_request(3)).unwrap();
+            let (waited_tx, waited) = std::sync::mpsc::channel();
+            {
+                let job = job.clone();
+                thread::spawn(move || {
+                    let _ = waited_tx.send(job.wait());
+                });
+            }
+            // Let the waiter take the job's stream before the clone cancels.
+            thread::sleep(Duration::from_millis(50));
+            let (cancelled_tx, cancelled) = std::sync::mpsc::channel();
+            {
+                let job = job.clone();
+                thread::spawn(move || {
+                    job.cancel();
+                    cancelled_tx.send(())
+                });
+            }
+            cancelled
+                .recv_timeout(Duration::from_secs(5))
+                .expect("cancel returns while the job waits for the slot");
+            release.send(()).unwrap();
+            gate.wait().expect("the gate job solves");
+            let result = waited
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the cancelled job ends once the slot frees");
+            assert!(matches!(result, Err(HascoError::Cancelled)), "{result:?}");
+        });
+        // Only the gate job executed.
+        assert_eq!(server.engine().jobs_executed(), 1);
         server.shutdown();
     }
 

@@ -16,8 +16,6 @@
 //! * [`fingerprint`] — stable structural hashing ([`StableFingerprint`])
 //!   used to key the cache by accelerator config + workload + explorer
 //!   options;
-//! * [`batch::BatchEvaluator`] — the seam optimizers program against: "give
-//!   me the responses for this slice of requests, in order";
 //! * [`persist`] — shared warm-state image machinery (atomic replacement,
 //!   checksummed framing, corruption-tolerant loading) used by memo-cache
 //!   images and the engine's surrogate-registry store;
@@ -42,17 +40,16 @@
 //! # Example
 //!
 //! ```
-//! use runtime::{BatchEvaluator, MemoCache, WorkerPool};
+//! use runtime::{MemoCache, WorkerPool};
 //!
 //! struct Squarer {
 //!     pool: WorkerPool,
 //!     cache: MemoCache<u64, u64>,
 //! }
 //!
-//! impl BatchEvaluator for Squarer {
-//!     type Request = u64;
-//!     type Response = u64;
-//!     fn evaluate_batch(&self, batch: &[u64]) -> Vec<u64> {
+//! impl Squarer {
+//!     /// Squares every item on the pool, in input order, memoized.
+//!     fn square_all(&self, batch: &[u64]) -> Vec<u64> {
 //!         self.pool.map(batch, |_, &x| {
 //!             self.cache.get(&x).unwrap_or_else(|| {
 //!                 let y = x * x;
@@ -64,16 +61,15 @@
 //! }
 //!
 //! let sq = Squarer { pool: WorkerPool::new(4), cache: MemoCache::new(128) };
-//! assert_eq!(sq.evaluate_batch(&[3, 4, 3]), vec![9, 16, 9]);
+//! assert_eq!(sq.square_all(&[3, 4, 3]), vec![9, 16, 9]);
 //! // Workers racing on the same key may both miss, so within a batch the
 //! // hit count depends on the interleaving; a second batch hits every key.
 //! let first = sq.cache.stats();
 //! assert_eq!(first.hits + first.misses, 3);
-//! assert_eq!(sq.evaluate_batch(&[4, 3]), vec![16, 9]);
+//! assert_eq!(sq.square_all(&[4, 3]), vec![16, 9]);
 //! assert_eq!(sq.cache.stats().hits, first.hits + 2);
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod fingerprint;
 pub mod jobs;
@@ -83,18 +79,12 @@ pub mod store;
 pub mod telemetry;
 pub mod wire;
 
-pub use batch::BatchEvaluator;
 pub use cache::{CacheStats, Image, MemoCache};
 pub use fingerprint::{Fingerprint, Fingerprinter, Key128, StableFingerprint};
 pub use jobs::JobScheduler;
 pub use pool::{PoolStats, WorkerPool};
 pub use store::EncodedStore;
 pub use telemetry::{Telemetry, TelemetrySnapshot, Timer, TELEMETRY_SCHEMA};
-
-/// A point in a discrete search space (one choice index per dimension) —
-/// mirrors `dse::problem::Point` so the batch seam does not depend on the
-/// optimizer crate.
-pub type Point = Vec<usize>;
 
 /// Resolves a requested thread count: `0` means "use all available cores".
 pub fn resolve_threads(requested: usize) -> usize {

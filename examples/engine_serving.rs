@@ -179,11 +179,11 @@ fn main() {
 
     // --- Network serving ------------------------------------------------
     // The same engine shape behind a TCP front-end: `hasco-serve` wraps a
-    // resident engine, worker processes register to absorb the expensive
-    // trace-sim batches, and a thin client submits jobs from another
-    // process. Here everything runs over loopback in one process, but the
-    // wire is the real one — and the solution is bit-identical to running
-    // the request in-process, because sharding only moves pure functions.
+    // resident engine and a thin client submits jobs from another
+    // process. Here both run over loopback in one process, but the wire
+    // is the real one — and the solution is bit-identical to running the
+    // request in-process, because the server runs the very request the
+    // client sent.
     println!("\n== network serving ==");
     let staged = || {
         CoDesignRequest::new(
@@ -199,19 +199,14 @@ fn main() {
         .wait()
         .expect("local leg succeeds");
 
-    // Served leg: front-end + one remote worker + client, all loopback.
+    // Served leg: front-end + client, both loopback.
     let server = hasco_net::Server::bind(
         "127.0.0.1:0",
         EngineConfig::default(),
-        hasco_net::ServerOptions {
-            min_workers: 1,
-            ..hasco_net::ServerOptions::default()
-        },
+        hasco_net::ServerOptions::default(),
     )
     .expect("bind loopback");
-    let addr = server.addr().to_string();
-    let worker = hasco_net::WorkerHandle::spawn(&addr);
-    let client = hasco_net::Client::connect(&addr).expect("reach server");
+    let client = hasco_net::Client::connect(server.addr().to_string()).expect("reach server");
 
     let job = client.submit(staged()).expect("server accepts");
     let mut served_batches = 0;
@@ -222,18 +217,15 @@ fn main() {
     }
     let served = job.wait().expect("served leg succeeds");
     server.shutdown();
-    let worker_batches = worker.join().expect("worker exits cleanly");
 
-    assert_eq!(served.accelerator, local.accelerator);
+    assert_eq!(served, local, "serving must be bit-identical to in-process");
     assert_eq!(
         served.total.latency_ms.to_bits(),
         local.total.latency_ms.to_bits(),
-        "remote dispatch must be bit-identical to in-process evaluation"
+        "serving must be bit-identical to in-process"
     );
-    assert!(worker_batches > 0, "the worker should have served batches");
     println!(
-        "served: {} ({} DSE batches streamed, {} evaluation shards on the worker) \
-         — bit-identical to the in-process run",
-        served.accelerator, served_batches, worker_batches
+        "served: {} ({} DSE batches streamed) — bit-identical to the in-process run",
+        served.accelerator, served_batches
     );
 }

@@ -927,25 +927,26 @@ mod engine_concurrency {
 }
 
 mod network_serving {
-    //! The network extension of the invariant: *remote worker dispatch
-    //! never changes any job's results*. A campaign served over TCP with
-    //! expensive batches sharded across worker processes — any number of
-    //! them, including one dying mid-batch — is bit-identical to the
-    //! same requests run in-process: solutions, `RunStats`, and event
-    //! streams.
+    //! The network extension of the invariant: *serving never changes
+    //! any job's results*. Jobs and campaigns served over TCP are
+    //! bit-identical to the same requests run in-process: solutions,
+    //! `RunStats`, and event streams.
+
+    use std::collections::BTreeMap;
 
     use super::mixed_input;
+    use accel_model::BackendKind;
     use hasco::codesign::CoDesignOptions;
     use hasco::engine::{CoDesignRequest, Engine, EngineConfig};
     use hasco::event::RunEvent;
-    use hasco_net::{Client, Server, ServerOptions, WorkerHandle};
+    use hasco_net::{Client, Server, ServerOptions};
+    use runtime::Telemetry;
 
-    /// A staged run whose refine tier (TraceSim) is remote-eligible, so
-    /// served legs actually ship batches to workers.
+    /// A staged run: an analytic screen refined on the trace simulator.
     fn staged_request(seed: u64) -> CoDesignRequest {
         CoDesignRequest::new(
             mixed_input(2),
-            CoDesignOptions::quick(seed).with_refinement(accel_model::BackendKind::TraceSim, 2),
+            CoDesignOptions::quick(seed).with_refinement(BackendKind::TraceSim, 2),
         )
         .with_label("net-probe")
     }
@@ -955,43 +956,6 @@ mod network_serving {
         let handle = engine.submit(staged_request(seed)).unwrap();
         let events: Vec<RunEvent> = handle.events().collect();
         (handle.wait().unwrap(), events)
-    }
-
-    /// Runs the same request through a fresh server with the given
-    /// worker fleet; returns (solution, events, batches the fleet
-    /// actually served).
-    fn served(seed: u64, workers: usize, flaky: bool) -> (hasco::Solution, Vec<RunEvent>, u64) {
-        let opts = ServerOptions {
-            min_workers: workers + usize::from(flaky),
-            ..ServerOptions::default()
-        };
-        let server = Server::bind(
-            "127.0.0.1:0",
-            EngineConfig::default().with_job_slots(1),
-            opts,
-        )
-        .expect("bind loopback");
-        let addr = server.addr().to_string();
-        let mut fleet = Vec::new();
-        if flaky {
-            // Reads its first BatchRequest, then drops the connection
-            // without replying: a deterministic mid-batch death.
-            fleet.push(WorkerHandle::spawn_flaky(&addr, 0));
-        }
-        for _ in 0..workers {
-            fleet.push(WorkerHandle::spawn(&addr));
-        }
-
-        let client = Client::connect(&addr).expect("hello handshake");
-        let job = client.submit(staged_request(seed)).expect("remote submit");
-        let events: Vec<RunEvent> = job.events().collect();
-        let solution = job.wait().expect("remote job solves");
-        server.shutdown();
-        let batches = fleet
-            .into_iter()
-            .map(|w| w.join().unwrap_or(0))
-            .sum::<u64>();
-        (solution, events, batches)
     }
 
     fn assert_identical(
@@ -1017,23 +981,6 @@ mod network_serving {
             );
         }
         assert_eq!(expected_events, &events, "event stream diverged: {leg}");
-    }
-
-    #[test]
-    fn remote_dispatch_is_bit_identical_at_any_worker_count() {
-        let expected = reference(23);
-        assert!(expected.0.stats.refine_explorations > 0);
-
-        for workers in [0, 1, 3] {
-            let (solution, events, batches) = served(23, workers, false);
-            assert_identical(&expected, &solution, &events, &format!("{workers} workers"));
-            if workers > 0 {
-                assert!(
-                    batches > 0,
-                    "{workers}-worker leg never dispatched remotely"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1075,17 +1022,6 @@ mod network_serving {
     }
 
     #[test]
-    fn a_worker_dying_mid_batch_changes_nothing() {
-        let expected = reference(23);
-        // One healthy worker plus one that dies without replying to its
-        // first batch: the dead worker's shard re-dispatches to the
-        // survivor (or in-process), bit-identically.
-        let (solution, events, batches) = served(23, 1, true);
-        assert_identical(&expected, &solution, &events, "flaky leg");
-        assert!(batches > 0, "survivor served nothing");
-    }
-
-    #[test]
     fn served_campaigns_match_in_process_campaigns_bit_for_bit() {
         // A matrix with a deduplicated scenario, served vs in-process.
         let matrix = || {
@@ -1093,8 +1029,7 @@ mod network_serving {
                 staged_request(23),
                 CoDesignRequest::new(
                     mixed_input(1),
-                    CoDesignOptions::quick(7)
-                        .with_refinement(accel_model::BackendKind::TraceSim, 2),
+                    CoDesignOptions::quick(7).with_refinement(BackendKind::TraceSim, 2),
                 )
                 .with_label("small"),
                 staged_request(23).with_label("dup-of-net-probe"),
@@ -1107,19 +1042,12 @@ mod network_serving {
         let server = Server::bind(
             "127.0.0.1:0",
             EngineConfig::default().with_job_slots(1),
-            ServerOptions {
-                min_workers: 2,
-                ..ServerOptions::default()
-            },
+            ServerOptions::default(),
         )
         .expect("bind loopback");
-        let addr = server.addr().to_string();
-        let fleet = [WorkerHandle::spawn(&addr), WorkerHandle::spawn(&addr)];
-        let client = Client::connect(&addr).expect("hello handshake");
+        let client = Client::connect(server.addr().to_string()).expect("hello handshake");
         let outcomes = client.campaign(matrix()).expect("remote campaign");
         server.shutdown();
-        let batches: u64 = fleet.into_iter().map(|w| w.join().unwrap_or(0)).sum();
-        assert!(batches > 0, "campaign never dispatched remotely");
 
         assert_eq!(expected.len(), outcomes.len());
         assert_eq!(
@@ -1134,6 +1062,71 @@ mod network_serving {
             assert_eq!(
                 a.solution.total.latency_cycles.to_bits(),
                 b.solution.total.latency_cycles.to_bits()
+            );
+        }
+    }
+
+    /// Count of every `sw_explore/<tier>` span in a metrics snapshot.
+    fn tier_spans(snapshot: Option<runtime::TelemetrySnapshot>) -> BTreeMap<String, u64> {
+        let snapshot = snapshot.expect("metrics-on engine snapshots");
+        snapshot
+            .timings
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("sw_explore/"))
+            .map(|(name, timing)| (name, timing.count))
+            .collect()
+    }
+
+    #[test]
+    fn served_sim_tier_jobs_price_on_the_job_pool_like_in_process() {
+        // A sim screen, and an analytic screen refined on the simulator,
+        // each at two threads per job.
+        let requests = [
+            CoDesignRequest::new(
+                mixed_input(2),
+                CoDesignOptions::quick(31)
+                    .with_backend(BackendKind::TraceSim)
+                    .with_threads(2),
+            )
+            .with_label("sim-screen"),
+            CoDesignRequest::new(
+                mixed_input(2),
+                CoDesignOptions::quick(23)
+                    .with_refinement(BackendKind::TraceSim, 2)
+                    .with_threads(2),
+            )
+            .with_label("sim-refine"),
+        ];
+        let config = || {
+            EngineConfig::default()
+                .with_job_slots(1)
+                .with_metrics(Telemetry::enabled())
+        };
+        for request in requests {
+            let leg = request.label.clone();
+            let engine = Engine::new(config());
+            let expected = engine.submit(request.clone()).unwrap().wait().unwrap();
+            let expected_spans = tier_spans(engine.metrics());
+            assert!(
+                expected_spans.get("sw_explore/sim").is_some_and(|&n| n > 0),
+                "{leg}: {expected_spans:?}"
+            );
+
+            let server = Server::bind("127.0.0.1:0", config(), ServerOptions::default())
+                .expect("bind loopback");
+            let client = Client::connect(server.addr().to_string()).expect("hello handshake");
+            let solution = client
+                .submit(request)
+                .and_then(|job| job.wait())
+                .expect("remote job solves");
+            server.shutdown();
+            assert_eq!(expected, solution, "{leg}");
+            // The served job prices every fresh pair through the same
+            // timed pool as the in-process one.
+            assert_eq!(
+                expected_spans,
+                tier_spans(server.engine().metrics()),
+                "{leg}"
             );
         }
     }

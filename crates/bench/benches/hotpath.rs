@@ -4,8 +4,8 @@
 //! acquisition and the generic hypervolume routine, the software
 //! explorer's DQN update and whole explorations, the trace-sim
 //! staged-plan recurrence, the memo cache under contention, steal-heavy
-//! staged pool batches, and a served ping and a warm served job over
-//! loopback TCP — and
+//! staged pool batches, a warm job in-process, and a served ping and
+//! the same warm job served over loopback TCP — and
 //! emits a versioned `BENCH_hotpath.json` at the repo root so the perf
 //! trajectory accumulates alongside `BENCH_table3.json`.
 //!
@@ -39,7 +39,7 @@ use dse::mobo::{AcquisitionStore, Ehvi, Mobo};
 use dse::pareto::pareto_indices;
 use dse::{Evaluation, Point, Problem, SearchSpace};
 use hasco::codesign::CoDesignOptions;
-use hasco::engine::{CoDesignRequest, EngineConfig};
+use hasco::engine::{CoDesignRequest, Engine, EngineConfig};
 use hasco::input::{Constraints, GenerationMethod, InputDescription};
 use hasco_net::{Client, Server, ServerOptions};
 use rand::rngs::SmallRng;
@@ -392,6 +392,36 @@ fn bench_pool(c: &mut Criterion, quick: bool) {
     });
 }
 
+/// The request both warm-job benches repeat: a one-workload quick
+/// co-design.
+fn warm_request() -> CoDesignRequest {
+    CoDesignRequest::new(
+        InputDescription {
+            app: TensorApp::new("toy", vec![suites::gemm_workload("g", 64, 32, 16)]),
+            method: GenerationMethod::Gemmini,
+            constraints: Constraints::default(),
+        },
+        CoDesignOptions::quick(1),
+    )
+}
+
+/// `net/submit_warm_loopback`'s request in-process, submit to `wait`, on
+/// a 1-slot `Engine` that already ran it: every pair, final and
+/// acquisition is a store hit, so this times what a warm job does besides
+/// crossing the wire (its partition walk, set-up, lookups and rendering).
+fn bench_engine(c: &mut Criterion) {
+    let engine = Engine::new(EngineConfig::default().with_job_slots(1));
+    let request = warm_request();
+    let solve = || {
+        engine
+            .submit(request.clone())
+            .and_then(|job| job.wait())
+            .expect("the job solves")
+    };
+    solve();
+    c.bench_function("engine/warm_job", |b| b.iter(solve));
+}
+
 /// One `Client::ping` against a loopback `Server`: a `Ping`/`Pong` round
 /// trip on the connection the client keeps from its hello, through the
 /// real sockets and `proto::send`/`recv`. A healthy round trip is tens
@@ -413,14 +443,7 @@ fn bench_net(c: &mut Criterion) {
     // connection: the request ran once before timing, so the server's
     // stores hold every pair, final and acquisition it needs. The job
     // runs on the connection's handler thread and answers in one write.
-    let request = CoDesignRequest::new(
-        InputDescription {
-            app: TensorApp::new("toy", vec![suites::gemm_workload("g", 64, 32, 16)]),
-            method: GenerationMethod::Gemmini,
-            constraints: Constraints::default(),
-        },
-        CoDesignOptions::quick(1),
-    );
+    let request = warm_request();
     let solve = || {
         client
             .submit(request.clone())
@@ -468,6 +491,7 @@ fn main() {
     bench_sim(&mut c);
     bench_cache(&mut c, quick);
     bench_pool(&mut c, quick);
+    bench_engine(&mut c);
     bench_net(&mut c);
 
     let json = bench_json(&c, quick);

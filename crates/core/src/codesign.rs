@@ -24,8 +24,6 @@ use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
 use runtime::{resolve_threads, Telemetry, WorkerPool};
 use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
-use sw_opt::schedule::ScheduleContext;
-use tensor_ir::intrinsics::{intrinsic_for, IntrinsicKind};
 
 use crate::engine::{CoDesignRequest, Engine, EngineConfig};
 use crate::event::{EventSink, RunEvent};
@@ -472,23 +470,15 @@ fn execute_inner(
     if ctx.events.is_enabled() {
         let partition_span = ctx.telemetry.span("job/partition");
         for w in &input.app.workloads {
-            let choices = IntrinsicKind::ALL
-                .iter()
-                .map(|&kind| {
-                    ctx.stores
-                        .choices
-                        .choices(w, &intrinsic_for(kind, 64))
-                        .len()
-                })
-                .sum();
             ctx.events.emit(RunEvent::Partitioned {
-                choices,
+                choices: ctx.stores.choices.count(w),
                 workload: w.name.clone(),
             });
         }
         drop(partition_span);
     }
 
+    let setup_span = ctx.telemetry.span("job/setup");
     let generator = CoDesigner::make_generator(input.method);
     let workers = WorkerPool::new(resolve_threads(opts.threads))
         .with_stealing(opts.work_stealing)
@@ -503,15 +493,15 @@ fn execute_inner(
         .clone()
         .unwrap_or_else(|| opts.backend.build_with(opts.tech.clone()));
     let refine_backend = opts.refine_backend.build_with(opts.tech.clone());
-    let mut problem = HwProblem::new(
+    let mut problem = HwProblem::on_stores(
         generator.as_ref(),
         &input.app.workloads,
         opts.sw_inner.clone(),
         opts.seed,
+        Arc::clone(&ctx.stores),
+        Arc::clone(&screen),
     )
     .with_workers(workers)
-    .with_stores(Arc::clone(&ctx.stores))
-    .with_backend(Arc::clone(&screen))
     .with_events(ctx.events.clone());
     problem = if opts.adaptive_refinement {
         problem.with_adaptive_refinement(refine_backend, opts.refine_top_k)
@@ -531,6 +521,7 @@ fn execute_inner(
         &ctx.telemetry,
         Some(&ctx.stores.acquisitions),
     );
+    drop(setup_span);
     let dse_span = ctx.telemetry.span("job/hw_dse");
     let mut history = optimizer.run_with_progress(&mut problem, opts.hw_trials, &observer);
     drop(dse_span);
@@ -636,7 +627,9 @@ fn select_and_finalize(
     let cfg = generator
         .generate(&chosen)
         .map_err(|e| HascoError::Hardware(e.to_string()))?;
-    finalize_solution(opts, input, cfg, history.clone(), ctx)
+    // The job's solution reports its merged history (see `execute_inner`),
+    // so this one carries none.
+    finalize_solution(opts, input, cfg, Default::default(), ctx)
 }
 
 /// Optimizes the software thoroughly for a fixed accelerator and
@@ -680,8 +673,9 @@ fn finalize_solution(
     }
     let mut explored = Vec::new();
     if !missed.is_empty() {
-        // Built here, on the job thread, with its untrained Q-learner: a
-        // learner built lazily on a pool worker costs resident memory.
+        // Built here, and its untrained Q-learner forced, on the job
+        // thread: a learner first built on a pool worker costs resident
+        // memory (see `SoftwareExplorer::learner`).
         // The explorer watches the cancel flag between revision rounds (its observer
         // forwards no events: these rounds run on worker threads, where
         // emission order would depend on scheduling).
@@ -695,6 +689,7 @@ fn finalize_solution(
                 cancel: Arc::clone(cancel),
                 forward: false,
             }));
+        explorer.learner();
         let workers = WorkerPool::new(resolve_threads(opts.threads))
             .with_stealing(opts.work_stealing)
             .with_telemetry(telemetry.clone());
@@ -742,10 +737,7 @@ fn finalize_solution(
             rounds: done.rounds,
             latency_ms: done.metrics.latency_ms,
         });
-        let program = sw_opt::codegen::render(
-            &done.schedule,
-            &ScheduleContext::of_schedule(w, &intrinsic, &done.schedule),
-        );
+        let program = sw_opt::codegen::render(&done.schedule, w, &intrinsic);
         parts.push(done.metrics);
         per_workload.push(WorkloadSolution {
             workload: w.name.clone(),
@@ -836,6 +828,7 @@ mod tests {
     use super::*;
     use crate::input::Constraints;
     use dse::problem::{Point, Problem};
+    use tensor_ir::intrinsics::IntrinsicKind;
     use tensor_ir::suites;
     use tensor_ir::workload::TensorApp;
 
@@ -1268,6 +1261,13 @@ mod tests {
             let found = snapshot.gauges.iter().find(|(n, _)| n == name);
             found.unwrap_or_else(|| panic!("no {name} gauge")).1
         };
+        // Every job times its set-up as a child of its `job` span.
+        let spans = |name: &str| {
+            let found = snapshot.timings.iter().find(|(n, _)| n == name);
+            found.map_or(0, |(_, h)| h.count)
+        };
+        assert_eq!(spans("job/setup"), 2);
+        assert_eq!(spans("job"), 2);
         let budget = warm_solution.stats.refine_topk_trajectory.last();
         assert_eq!(Some(gauge("staging.topk_budget") as usize), budget.copied());
         assert!(gauge("staging.rank_disagreement_milli") <= 1000);

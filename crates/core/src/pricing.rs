@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use accel_model::arch::AcceleratorConfig;
-use accel_model::{CostBackend, Metrics};
+use accel_model::{AnalyticBackend, CostBackend, Metrics};
 use dse::problem::{Point, Problem, SearchSpace};
 use dse::staged::AdaptiveTopK;
 use hw_gen::space::Generator;
@@ -155,6 +155,12 @@ impl Tier {
             }
         }
 
+        // An all-hit batch builds no learner; otherwise this thread builds
+        // it before the pool's workers clone it (see
+        // `SoftwareExplorer::learner`).
+        if !jobs.is_empty() {
+            self.explorer.learner();
+        }
         // Only real (non-memoized) software explorations are timed, so
         // `sw_explore/<backend>` measures the backend, not the cache.
         let outcomes = workers.map(&jobs, |_, &(ci, wi, _)| {
@@ -260,14 +266,38 @@ impl<'a> HwProblem<'a> {
         sw_opts: ExplorerOptions,
         seed: u64,
     ) -> Self {
+        HwProblem::on_stores(
+            generator,
+            workloads,
+            sw_opts,
+            seed,
+            Arc::new(Stores::new(4096)),
+            Arc::new(AnalyticBackend::default()),
+        )
+    }
+
+    /// Like [`HwProblem::new`], but pricing and matching through `stores`
+    /// and screening through `screen`: an engine hands every job its
+    /// shared stores, read and written live. Entries are pure values, so
+    /// which job computed one, and when it became visible, changes wall
+    /// time only.
+    pub(crate) fn on_stores(
+        generator: &'a dyn Generator,
+        workloads: &'a [Workload],
+        sw_opts: ExplorerOptions,
+        seed: u64,
+        stores: Arc<Stores>,
+        screen: Arc<dyn CostBackend>,
+    ) -> Self {
         let dim_sizes = generator.space().dims.iter().map(|d| d.len()).collect();
         let pairs = PairInputs {
             workloads,
             sw_opts,
             seed,
         };
-        let stores = Arc::new(Stores::new(4096));
-        let explorer = SoftwareExplorer::new(seed).with_choice_memo(Arc::clone(&stores.choices));
+        let explorer = SoftwareExplorer::new(seed)
+            .with_backend(screen)
+            .with_choice_memo(Arc::clone(&stores.choices));
         HwProblem {
             generator,
             space: SearchSpace::new(dim_sizes),
@@ -293,15 +323,8 @@ impl<'a> HwProblem<'a> {
 
     /// Bounds the memoizing evaluation cache (call before
     /// [`HwProblem::load_cache`] — resizing resets the cache).
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        self.with_stores(Arc::new(Stores::new(capacity)))
-    }
-
-    /// Prices and matches through `stores` instead of stores of its own:
-    /// an engine hands every job its shared stores, read and written live.
-    /// Entries are pure values, so which job computed one, and when it
-    /// became visible, changes wall time only.
-    pub(crate) fn with_stores(mut self, stores: Arc<Stores>) -> Self {
+    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
+        let stores = Arc::new(Stores::new(capacity));
         let share = |tier: Tier| Tier {
             explorer: tier.explorer.with_choice_memo(Arc::clone(&stores.choices)),
             ..tier
@@ -321,8 +344,8 @@ impl<'a> HwProblem<'a> {
     }
 
     /// Screens every candidate evaluation through the given cost backend.
-    /// The screen explorer is kept (with its untrained Q-learner); only
-    /// its backend and the memo-key bases change.
+    /// The screen explorer is kept; only its backend and the memo-key
+    /// bases change.
     pub fn with_backend(mut self, backend: Arc<dyn CostBackend>) -> Self {
         self.screen = Tier::new(self.screen.explorer.with_backend(backend), &self.pairs);
         self

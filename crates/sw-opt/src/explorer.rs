@@ -1,8 +1,9 @@
 //! The software DSE driver: heuristic top-k selection + Q-learning
 //! revisions (§VI-B, Fig. 5(d)/(e)).
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use accel_model::arch::AcceleratorConfig;
 use accel_model::{AnalyticBackend, CostBackend, CostModel, Metrics};
@@ -10,7 +11,7 @@ use dse::progress::{BatchUpdate, Progress};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use runtime::{Fingerprinter, Key128, StableFingerprint, Telemetry, Timer, WorkerPool};
-use tensor_ir::intrinsics::Intrinsic;
+use tensor_ir::intrinsics::{intrinsic_for, Intrinsic, IntrinsicKind};
 use tensor_ir::matching::{find_tensorize_choices, MatchOptions, TensorizeChoice};
 use tensor_ir::workload::Workload;
 
@@ -76,7 +77,7 @@ runtime::wire_struct!(ExplorerOptions {
 });
 
 /// The result of software optimization for one workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizedSoftware {
     /// The best schedule found.
     pub schedule: Schedule,
@@ -98,7 +99,9 @@ pub struct OptimizedSoftware {
 /// by every exploration: the tensorize choices of each (loop nest,
 /// intrinsic kind) pair — HASCO's step 1, which reads structure, never PE
 /// geometry — in a [`ChoiceMemo`] that other explorers may share, and the
-/// untrained Q-learner every exploration starts from. Both are pure
+/// untrained Q-learner every exploration starts from, built at the first
+/// exploration (or the first [`SoftwareExplorer::learner`] call), so an
+/// explorer that never explores never builds one. Both are pure
 /// functions of their keys, so sharing them changes no result, whichever
 /// explorations ran first.
 ///
@@ -125,11 +128,8 @@ pub struct SoftwareExplorer {
     /// with other explorers ([`SoftwareExplorer::with_choice_memo`]).
     choices: Arc<ChoiceMemo>,
     /// The untrained Q-learner; each exploration trains its own clone.
-    /// Built with the explorer, on the thread that builds it: first
-    /// allocated by a pool worker, this long-lived block would pin that
-    /// worker's malloc arena (+0.4 MB peak RSS on perfbench `sw-staged`,
-    /// measured on a 2-vCPU x86-64 VM).
-    learner: QLearner,
+    /// Built on first use (see [`SoftwareExplorer::learner`]).
+    learner: OnceLock<QLearner>,
 }
 
 /// HASCO's step 1, memoized: the tensorize choices of each (loop nest,
@@ -137,12 +137,14 @@ pub struct SoftwareExplorer {
 /// the intrinsic's structure, never its PE geometry, so one entry serves
 /// every accelerator of that kind; the matcher runs outside the lock, so
 /// concurrent first uses may both match — they find the same choices and
-/// the first one stored is kept.
+/// the first one stored is kept. [`ChoiceMemo::count`] walks one loop
+/// nest against every kind: it fingerprints the nest once and builds an
+/// intrinsic only for a kind it has not matched yet.
 ///
 /// One memo can serve many explorers (an engine hands one to every
 /// explorer of every job). It is never evicted: it holds one entry per
 /// distinct (loop nest, intrinsic kind) pair ever matched, so at most
-/// [`IntrinsicKind::ALL`](tensor_ir::intrinsics::IntrinsicKind::ALL)`.len()`
+/// [`IntrinsicKind::ALL`]`.len()`
 /// entries per distinct loop nest, each that pair's choice list (empty
 /// when the pair cannot be tensorized). The three CNN suites and the GEMM
 /// suite together have 65 distinct loop nests, so a memo that has seen
@@ -155,15 +157,46 @@ pub struct ChoiceMemo {
 /// One memoized choice list, shared by every context built from it.
 type Choices = Arc<[TensorizeChoice]>;
 
+/// The memo key of `workload`'s loop nest on intrinsics of `kind`:
+/// `nest` is [`Key128::of`] the nest alone, extended here by the kind.
+fn choice_key(nest: &Key128, kind: IntrinsicKind) -> (u64, u64) {
+    let mut key = nest.clone();
+    key.feed(|fp| kind.fingerprint_into(fp));
+    key.finish()
+}
+
 impl ChoiceMemo {
     /// The tensorize choices of `workload` on intrinsics of `intrinsic`'s
     /// kind, matched on first use.
     pub fn choices(&self, workload: &Workload, intrinsic: &Intrinsic) -> Choices {
-        let key = Key128::of(|fp| {
-            workload.comp.fingerprint_into(fp);
-            intrinsic.kind.fingerprint_into(fp);
-        })
-        .finish();
+        let nest = Key128::of(|fp| workload.comp.fingerprint_into(fp));
+        self.lookup(choice_key(&nest, intrinsic.kind), workload, || intrinsic)
+    }
+
+    /// The number of tensorize choices of `workload` summed over every
+    /// [`IntrinsicKind`]: the sum of [`ChoiceMemo::choices`]`.len()` over
+    /// [`IntrinsicKind::ALL`], matching a kind first seen against its
+    /// 64-PE intrinsic.
+    pub fn count(&self, workload: &Workload) -> usize {
+        let nest = Key128::of(|fp| workload.comp.fingerprint_into(fp));
+        IntrinsicKind::ALL
+            .iter()
+            .map(|&kind| {
+                self.lookup(choice_key(&nest, kind), workload, || {
+                    intrinsic_for(kind, 64)
+                })
+                .len()
+            })
+            .sum()
+    }
+
+    /// The entry at `key`, matched against `intrinsic()` on a miss.
+    fn lookup<I: Borrow<Intrinsic>>(
+        &self,
+        key: (u64, u64),
+        workload: &Workload,
+        intrinsic: impl FnOnce() -> I,
+    ) -> Choices {
         let map = || self.map.lock().expect("choice memo poisoned");
         let cached = map().get(&key).cloned();
         match cached {
@@ -171,7 +204,7 @@ impl ChoiceMemo {
             None => {
                 let found: Choices = find_tensorize_choices(
                     &workload.comp,
-                    &intrinsic.comp,
+                    &intrinsic().borrow().comp,
                     &MatchOptions::default(),
                 )
                 .into();
@@ -213,7 +246,7 @@ impl SoftwareExplorer {
             progress: None,
             phases: PhaseTimers::default(),
             choices: Arc::default(),
-            learner: QLearner::new(seed ^ 0x9e3779b97f4a7c15),
+            learner: OnceLock::new(),
         }
     }
 
@@ -268,7 +301,8 @@ impl SoftwareExplorer {
 
     /// Times each phase of every exploration into `telemetry`, named
     /// under `scope`: `{scope}/context` (schedule-space construction and
-    /// the exploration's clone of the explorer's untrained Q-learner),
+    /// the exploration's clone of the explorer's untrained Q-learner,
+    /// which the first exploration also builds unless it exists),
     /// `{scope}/pool_init` (the priced initial candidate pool), and per
     /// revision round `{scope}/propose` (Q-network proposals),
     /// `{scope}/lower` (lowering and pricing the proposals) and
@@ -286,6 +320,17 @@ impl SoftwareExplorer {
             learn: timer("learn"),
         };
         self
+    }
+
+    /// The untrained Q-learner every exploration clones, built by the
+    /// first call (or the first exploration) on the calling thread. A
+    /// caller that fans explorations out to a pool calls this first, on
+    /// its own thread: first allocated by a pool worker, this long-lived
+    /// block would pin that worker's malloc arena (+0.4 MB peak RSS on
+    /// perfbench `sw-staged`, measured on a 2-vCPU x86-64 VM).
+    pub fn learner(&self) -> &QLearner {
+        self.learner
+            .get_or_init(|| QLearner::new(self.seed ^ 0x9e3779b97f4a7c15))
     }
 
     /// The schedule space of `workload` on `cfg`: equal to
@@ -325,7 +370,7 @@ impl SoftwareExplorer {
                     ctx.choices.push(choice.clone());
                 }
             }
-            Ok::<_, SwError>((ctx, self.learner.clone()))
+            Ok::<_, SwError>((ctx, self.learner().clone()))
         })?;
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut pool = self.phases.pool_init.time(|| {
@@ -825,6 +870,87 @@ mod tests {
                 (got, want) => assert_eq!(got.err(), want.err()),
             }
         }
+    }
+
+    #[test]
+    fn a_new_explorer_holds_no_learner() {
+        let explorer = SoftwareExplorer::new(5);
+        assert!(explorer.learner.get().is_none());
+        let wl = suites::gemm_workload("g", 64, 64, 64);
+        explorer.context(&wl, &cfg()).unwrap();
+        assert!(
+            explorer.learner.get().is_none(),
+            "matching builds no learner"
+        );
+        explorer.optimize(&wl, &cfg(), &quick_opts()).unwrap();
+        assert!(explorer.learner.get().is_some(), "exploring builds it");
+    }
+
+    #[test]
+    fn a_forced_learner_changes_no_exploration() {
+        let wl = suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3);
+        let fresh = SoftwareExplorer::new(17);
+        let forced = SoftwareExplorer::new(17);
+        forced.learner();
+        assert_eq!(
+            fresh.optimize(&wl, &cfg(), &quick_opts()).unwrap(),
+            forced.optimize(&wl, &cfg(), &quick_opts()).unwrap()
+        );
+    }
+
+    #[test]
+    fn the_forced_learner_is_the_seeded_untrained_one() {
+        let wl = suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3);
+        let ctx = ScheduleContext::new(&wl, &cfg().intrinsic_comp()).unwrap();
+        let mut rng = SmallRng::seed_from_u64(3);
+        for seed in [0, 17, u64::MAX] {
+            let mut forced = SoftwareExplorer::new(seed).learner().clone();
+            let mut want = QLearner::new(seed ^ 0x9e3779b97f4a7c15);
+            for _ in 0..4 {
+                let sched = ctx.random_schedule(&mut rng);
+                let bits = |q: &[f64]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(forced.q_values(&sched, &ctx)),
+                    bits(want.q_values(&sched, &ctx)),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn count_sums_the_choices_of_every_kind() {
+        let workloads = [
+            suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3),
+            suites::gemm_workload("g", 64, 64, 64),
+            suites::mttkrp_workload("m", 64, 64, 64, 64),
+        ];
+        let want = |w: &Workload| -> usize {
+            IntrinsicKind::ALL
+                .iter()
+                .map(|&kind| {
+                    ChoiceMemo::default()
+                        .choices(w, &intrinsic_for(kind, 64))
+                        .len()
+                })
+                .sum()
+        };
+        // Cold, then warm from its own walk, then warm from `choices` at
+        // another geometry.
+        let memo = ChoiceMemo::default();
+        for w in &workloads {
+            assert_eq!(memo.count(w), want(w), "cold {}", w.name);
+            assert_eq!(memo.count(w), want(w), "warm {}", w.name);
+        }
+        assert_eq!(memo.len(), workloads.len() * IntrinsicKind::ALL.len());
+        let warmed = ChoiceMemo::default();
+        for w in &workloads {
+            for kind in IntrinsicKind::ALL {
+                warmed.choices(w, &cfg_at(kind, 8, 8).intrinsic_comp());
+            }
+            assert_eq!(warmed.count(w), want(w), "warmed {}", w.name);
+        }
+        assert_eq!(warmed.len(), memo.len());
     }
 
     #[test]

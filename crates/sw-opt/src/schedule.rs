@@ -16,6 +16,23 @@ use tensor_ir::IndexId;
 use crate::primitives::{PrimitiveSequence, SwPrimitive};
 use crate::SwError;
 
+/// The extent of `intrinsic`'s widest loop that `choice` maps onto
+/// `compute_idx`, 1 when none does (see
+/// [`ScheduleContext::intrinsic_extent`]).
+pub(crate) fn intrinsic_extent(
+    intrinsic: &Intrinsic,
+    choice: &TensorizeChoice,
+    compute_idx: IndexId,
+) -> u64 {
+    choice
+        .var_map
+        .iter()
+        .filter(|&&(_, c)| c == compute_idx)
+        .map(|&(q, _)| intrinsic.comp.index(q).extent)
+        .max()
+        .unwrap_or(1)
+}
+
 /// Maximum loop dimensions supported by the fixed-size feature encoding.
 pub const MAX_DIMS: usize = 8;
 
@@ -100,29 +117,10 @@ impl ScheduleContext {
         })
     }
 
-    /// The context a finished schedule of `workload` renders through
-    /// ([`crate::codegen::render`]): the schedule's own choice is its only
-    /// one, so the matcher does not run. Rendering reads the workload, the
-    /// intrinsic's extents and the schedule's choice, all of which this
-    /// context holds as [`ScheduleContext::new`]'s would.
-    pub fn of_schedule(workload: &Workload, intrinsic: &Intrinsic, schedule: &Schedule) -> Self {
-        ScheduleContext {
-            workload: workload.clone(),
-            intrinsic: intrinsic.clone(),
-            choices: vec![schedule.choice.clone()],
-        }
-    }
-
     /// The intrinsic extent bound to a tensorized compute loop under a
     /// choice (the PE-array-imposed stride of that loop).
     pub fn intrinsic_extent(&self, choice: &TensorizeChoice, compute_idx: IndexId) -> u64 {
-        choice
-            .var_map
-            .iter()
-            .filter(|&&(_, c)| c == compute_idx)
-            .map(|&(q, _)| self.intrinsic.comp.index(q).extent)
-            .max()
-            .unwrap_or(1)
+        intrinsic_extent(&self.intrinsic, choice, compute_idx)
     }
 
     /// Generates a random schedule for a random choice.

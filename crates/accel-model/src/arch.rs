@@ -419,7 +419,7 @@ mod tests {
             .pe_array(1, 64)
             .build()
             .unwrap();
-        assert_eq!(cfg.intrinsic_comp().macs_per_call(), 64);
+        assert_eq!(cfg.intrinsic_comp().comp.iteration_points(), 64);
         assert!(cfg.pe.is_linear());
     }
 

@@ -1,11 +1,11 @@
-//! Pluggable cost backends: one evaluation contract, four fidelity tiers.
+//! Pluggable cost backends: one evaluation contract, three fidelity tiers.
 //!
 //! Every layer of the co-design loop ultimately asks the same question —
 //! "what do this accelerator and this execution plan cost?" — but the
 //! right way to answer it depends on where the caller sits: DSE inner
 //! loops need microsecond estimates, final Pareto candidates deserve the
-//! trace simulator's pipeline model, and everything in between benefits
-//! from an analytic model corrected toward the simulator. [`CostBackend`]
+//! trace simulator's pipeline model, and a learned screen can sit in
+//! between, corrected toward the simulator as it trains. [`CostBackend`]
 //! is that seam; callers hold a `&dyn CostBackend` (or an
 //! `Arc<dyn CostBackend>`) and stay agnostic of the tier:
 //!
@@ -14,10 +14,6 @@
 //!   through the [`TraceSimulator`]'s two-buffer pipeline recurrence
 //!   ([`TraceSimulator::run_plan_cycles`]): stage-level fidelity at
 //!   roughly 50–100x the analytic cost;
-//! * [`CalibratedBackend`] — the analytic model multiplied by per-regime
-//!   correction factors fitted, once per accelerator configuration, from
-//!   trace-sim runs on canonical calibration plans: analytic speed,
-//!   sim-informed accuracy;
 //! * [`SurrogateBackend`] — a self-improving screen tier: the analytic
 //!   model corrected by a Gaussian process ([`dse::gp`]) trained online
 //!   from the expensive tier it wraps, serving predictions only once its
@@ -32,8 +28,8 @@
 //! answer.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock, RwLock};
 
 use dse::gp::{GaussianProcess, IncrementalGp, PredictScratch};
 use runtime::{Fingerprint, Fingerprinter, Key128, StableFingerprint, Telemetry};
@@ -51,8 +47,7 @@ use crate::tech::TechParams;
 /// backend's answer depends only on its construction parameters, the
 /// arguments, and whatever state its fingerprint exposes.
 pub trait CostBackend: std::fmt::Debug + Send + Sync {
-    /// Short stable identifier (`"analytic"`, `"sim"`, `"calibrated"`,
-    /// `"surrogate"`).
+    /// Short stable identifier (`"analytic"`, `"sim"`, `"surrogate"`).
     fn name(&self) -> &'static str;
 
     /// Full evaluation: latency, energy, power, area, throughput.
@@ -91,8 +86,6 @@ pub enum BackendKind {
     Analytic,
     /// The stage-level trace simulator ([`TraceSimBackend`]).
     TraceSim,
-    /// Analytic with sim-fitted correction factors ([`CalibratedBackend`]).
-    Calibrated,
     /// Analytic corrected by a GP trained online from the trace simulator
     /// ([`SurrogateBackend`]).
     Surrogate,
@@ -102,9 +95,8 @@ impl BackendKind {
     /// Every tier, in ascending fidelity order (the surrogate starts as
     /// the analytic tier and converges toward the simulator as it
     /// trains).
-    pub const ALL: [BackendKind; 4] = [
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::Analytic,
-        BackendKind::Calibrated,
         BackendKind::Surrogate,
         BackendKind::TraceSim,
     ];
@@ -120,7 +112,6 @@ impl BackendKind {
         match self {
             BackendKind::Analytic => Arc::new(AnalyticBackend::new(model)),
             BackendKind::TraceSim => Arc::new(TraceSimBackend::new(model)),
-            BackendKind::Calibrated => Arc::new(CalibratedBackend::new(model)),
             BackendKind::Surrogate => {
                 let inner = Arc::new(TraceSimBackend::new(model.clone()));
                 Arc::new(SurrogateBackend::new(model, inner))
@@ -134,7 +125,6 @@ impl std::fmt::Display for BackendKind {
         let s = match self {
             BackendKind::Analytic => "analytic",
             BackendKind::TraceSim => "sim",
-            BackendKind::Calibrated => "calibrated",
             BackendKind::Surrogate => "surrogate",
         };
         write!(f, "{s}")
@@ -148,10 +138,9 @@ impl std::str::FromStr for BackendKind {
         match s.to_ascii_lowercase().as_str() {
             "analytic" | "model" => Ok(BackendKind::Analytic),
             "sim" | "tracesim" | "trace-sim" => Ok(BackendKind::TraceSim),
-            "calibrated" => Ok(BackendKind::Calibrated),
             "surrogate" | "gp" => Ok(BackendKind::Surrogate),
             other => Err(format!(
-                "unknown backend `{other}` (expected analytic | sim | calibrated | surrogate)"
+                "unknown backend `{other}` (expected analytic | sim | surrogate)"
             )),
         }
     }
@@ -162,16 +151,16 @@ impl runtime::StableFingerprint for BackendKind {
         fp.write_str(match self {
             BackendKind::Analytic => "analytic",
             BackendKind::TraceSim => "sim",
-            BackendKind::Calibrated => "calibrated",
             BackendKind::Surrogate => "surrogate",
         });
     }
 }
 
+// Tag 2, the calibrated tier before `HASCONET8`, is retired: a peer that
+// still sends it fails to decode instead of naming another tier.
 runtime::wire_enum!(BackendKind {
     0 => Analytic,
     1 => TraceSim,
-    2 => Calibrated,
     3 => Surrogate,
 });
 
@@ -204,7 +193,7 @@ impl CostBackend for AnalyticBackend {
     }
 }
 
-/// Tier 3: stage-level trace simulation of the plan.
+/// Tier 2: stage-level trace simulation of the plan.
 ///
 /// The plan is split into staged load/compute/store work and streamed
 /// through the [`TraceSimulator`]'s two-buffer pipeline recurrence,
@@ -282,7 +271,7 @@ fn replace_latency(metrics: &mut Metrics, cfg: &AcceleratorConfig, cycles: f64, 
 /// count and scratchpad so every regime is actually exercised on that
 /// hardware: compute-bound, balanced and memory-bound, each in a double-
 /// and a single-buffered variant with different stage counts. The
-/// learned tiers fit their sim/analytic corrections on these plans.
+/// surrogate fits its sim/analytic corrections on these plans.
 fn probe_plans(cfg: &AcceleratorConfig) -> [ExecutionPlan; 6] {
     let spad = cfg.scratchpad_bytes;
     // `[macs_per_pe, calls]` of work and `[reads, writes, run]` of
@@ -315,112 +304,11 @@ fn probe_plans(cfg: &AcceleratorConfig) -> [ExecutionPlan; 6] {
     ]
 }
 
-/// Which engine dominates a plan's analytic latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Regime {
-    /// On-chip work (PE array or scratchpad ports) dominates.
-    Compute = 0,
-    /// Neither engine dominates by 2x.
-    Balanced = 1,
-    /// DMA traffic dominates.
-    Memory = 2,
-}
-
-/// Tier 2: the analytic model, corrected toward the simulator.
-///
-/// For each accelerator configuration, three canonical calibration plans
-/// — compute-bound, balanced, memory-bound — are priced by both the
-/// analytic model and the trace simulator, giving one correction factor
-/// per regime. An evaluation classifies its plan's regime from the
-/// analytic engine cycles and scales the analytic latency by the fitted
-/// factor. Factors are a pure function of the configuration, so they are
-/// memoized per config fingerprint; concurrent fits of the same config
-/// arrive at identical factors, keeping results thread-count-independent.
-#[derive(Debug, Default)]
-pub struct CalibratedBackend {
-    /// The analytic model being corrected.
-    pub model: CostModel,
-    sim: TraceSimBackend,
-    factors: Mutex<BTreeMap<(u64, u64), [f64; 3]>>,
-}
-
-impl CalibratedBackend {
-    /// Wraps a cost model (the simulator reuses its tech constants).
-    pub fn new(model: CostModel) -> Self {
-        CalibratedBackend {
-            sim: TraceSimBackend::new(model.clone()),
-            model,
-            factors: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn classify(&self, cfg: &AcceleratorConfig, plan: &ExecutionPlan) -> Regime {
-        let (onchip, dma) = self.model.engine_cycles(cfg, plan);
-        if onchip >= 2.0 * dma {
-            Regime::Compute
-        } else if dma >= 2.0 * onchip {
-            Regime::Memory
-        } else {
-            Regime::Balanced
-        }
-    }
-
-    /// Correction factors for a configuration (fitted on first use).
-    fn factors_for(&self, cfg: &AcceleratorConfig) -> [f64; 3] {
-        let key = config_key(cfg);
-        if let Some(f) = self
-            .factors
-            .lock()
-            .expect("factor cache poisoned")
-            .get(&key)
-        {
-            return *f;
-        }
-        // One calibration plan per regime: its double-buffered probe, the
-        // memory-bound one over 32 stages instead of 64.
-        let [compute, _, balanced, _, mut memory, _] = probe_plans(cfg);
-        memory.stages = 32;
-        let mut fitted = [1.0f64; 3];
-        for (slot, plan) in fitted.iter_mut().zip([compute, balanced, memory].iter()) {
-            let analytic = self.model.evaluate(cfg, plan).latency_cycles;
-            let simulated = self.sim.evaluate(cfg, plan).latency_cycles;
-            // Clamp to a sane band: a wildly off ratio means the
-            // calibration plan degenerated on this config, and a bounded
-            // correction beats an absurd one.
-            *slot = (simulated / analytic.max(1.0)).clamp(0.25, 4.0);
-        }
-        self.factors
-            .lock()
-            .expect("factor cache poisoned")
-            .insert(key, fitted);
-        fitted
-    }
-}
-
-impl CostBackend for CalibratedBackend {
-    fn name(&self) -> &'static str {
-        "calibrated"
-    }
-
-    fn evaluate(&self, cfg: &AcceleratorConfig, plan: &ExecutionPlan) -> Metrics {
-        let factor = self.factors_for(cfg)[self.classify(cfg, plan) as usize];
-        let mut metrics = self.model.evaluate(cfg, plan);
-        let corrected = metrics.latency_cycles * factor;
-        replace_latency(&mut metrics, cfg, corrected, plan.macs_useful);
-        metrics
-    }
-
-    fn fingerprint_into(&self, fp: &mut Fingerprinter) {
-        fp.write_str(self.name());
-        self.model.tech.fingerprint_into(fp);
-    }
-}
-
 /// Stable 128-bit per-configuration cache key (a [`Key128`], like the
 /// co-design memo keys), so a 64-bit fingerprint collision between two
-/// configurations degrades to a refit/re-observation instead of silently
-/// applying another configuration's data. Shared by the calibrated tier's
-/// factor cache and the surrogate's observation set.
+/// configurations degrades to a re-observation instead of silently
+/// applying another configuration's data: the surrogate's observation
+/// set is keyed by it.
 fn config_key(cfg: &AcceleratorConfig) -> (u64, u64) {
     Key128::of(|fp| cfg.fingerprint_into(fp)).finish()
 }
@@ -946,8 +834,9 @@ impl SurrogateSnapshot {
     }
 }
 
-/// Clamp band for learned log-ratios and predicted correction factors
-/// (mirrors the calibrated tier's `[0.25, 4.0]` sanity band).
+/// Clamp band for learned log-ratios and predicted correction factors: a
+/// correction outside `[0.25, 4.0]` means a degenerate fit, and a bounded
+/// one beats an absurd one.
 const LOG_FACTOR_MIN: f64 = -1.386_294_361_119_890_6; // ln(0.25)
 const LOG_FACTOR_MAX: f64 = 1.386_294_361_119_890_6; // ln(4.0)
 
@@ -1076,34 +965,13 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_lands_between_or_near_the_other_tiers() {
-        let (c, p) = (cfg(), traffic_plan());
-        let analytic = BackendKind::Analytic
-            .build()
-            .evaluate(&c, &p)
-            .latency_cycles;
-        let calibrated = BackendKind::Calibrated
-            .build()
-            .evaluate(&c, &p)
-            .latency_cycles;
-        // The correction factor is bounded by construction.
-        assert!(calibrated >= analytic * 0.25 && calibrated <= analytic * 4.0);
-    }
-
-    #[test]
-    fn calibrated_factor_cache_is_consistent_across_threads() {
-        let backend = Arc::new(CalibratedBackend::new(CostModel::default()));
-        let (c, p) = (cfg(), traffic_plan());
-        let reference = backend.evaluate(&c, &p);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let backend = Arc::clone(&backend);
-                let (c, p) = (c.clone(), p.clone());
-                s.spawn(move || {
-                    assert_eq!(backend.evaluate(&c, &p), reference);
-                });
-            }
-        });
+    fn the_retired_calibrated_tier_neither_decodes_nor_parses() {
+        // Tag 2 named the calibrated tier up to protocol `HASCONET7`.
+        assert_eq!(from_bytes::<BackendKind>(&[2]), None);
+        for kind in BackendKind::ALL {
+            assert_eq!(from_bytes::<BackendKind>(&to_bytes(&kind)), Some(kind));
+        }
+        assert!("calibrated".parse::<BackendKind>().is_err());
     }
 
     #[test]
@@ -1424,15 +1292,10 @@ mod tests {
 
     #[test]
     fn shared_cost_rules_are_pinned_bit_for_bit() {
-        // The learned tiers fit the sim/analytic ratio on these plans, so
-        // a shared engine formula, split or recurrence that moves one bit
+        // The surrogate fits the sim/analytic ratio on these plans, so a
+        // shared engine formula, split or recurrence that moves one bit
         // would be absorbed as a silent "correction"; pin both sides.
         let c = cfg();
-        let factors = CalibratedBackend::new(CostModel::default()).factors_for(&c);
-        assert_eq!(
-            factors.map(f64::to_bits),
-            [0x3fefce8270056a3b, 0x3fee956daa7ceb12, 0x3feeff870eb63162]
-        );
         let sim = TraceSimulator::default();
         let priced = probe_plans(&c).map(|plan| {
             (

@@ -45,8 +45,7 @@ pub mod tech;
 
 pub use arch::{AcceleratorConfig, Dataflow, Interconnect, PeArray};
 pub use backend::{
-    AnalyticBackend, BackendKind, CalibratedBackend, CostBackend, SurrogateBackend,
-    SurrogateSnapshot, TraceSimBackend,
+    AnalyticBackend, BackendKind, CostBackend, SurrogateBackend, SurrogateSnapshot, TraceSimBackend,
 };
 pub use cost::CostModel;
 pub use metrics::Metrics;

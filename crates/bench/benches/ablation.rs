@@ -33,7 +33,12 @@ fn ablate_mobo_acquisition() {
         let mobo = Mobo::new(seed).with_prior_samples(5).run(&mut p1, 14);
         let mut p2 = HwProblem::new(&generator, &workloads, sw.clone(), seed);
         let rand = RandomSearch::new(seed).run(&mut p2, 14);
-        let best = |h: &dse::problem::OptimizerResult| h.best_objective(0).unwrap_or(f64::NAN);
+        let best = |h: &dse::problem::OptimizerResult| {
+            h.evaluations
+                .iter()
+                .map(|e| e.objectives[0])
+                .fold(f64::NAN, f64::min)
+        };
         ratios.push(best(&rand) / best(&mobo));
         println!(
             "  seed {seed}: best latency mobo {:.3e}, random {:.3e} (random/mobo = {:.2}X)",

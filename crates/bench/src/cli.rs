@@ -8,7 +8,7 @@
 //!   two jobs at once, so `--threads 1` there means one thread per job.
 //!   Thread count changes wall-clock time only, never results;
 //! * `--backend B` — cost backend tier (`analytic` | `sim` |
-//!   `calibrated` | `surrogate`, default `analytic`);
+//!   `surrogate`, default `analytic`);
 //! * `--refine-top-k K` — fidelity staging: re-evaluate the `K`
 //!   best-screened candidates of every DSE batch with the trace-sim tier
 //!   (default 0 = off; `auto` enables the adaptive controller);
@@ -36,9 +36,6 @@
 //! `--cache`, `--surrogate-store` and `--connect` apply to the binaries
 //! that run co-design jobs: fig10, table2 and table3. To serve an engine
 //! over the network, run `hasco-serve`.
-//!
-//! `HASCO_THREADS` is honored when `--threads` is absent, so
-//! `cargo bench` runs can be parallelized without changing argv.
 
 use accel_model::BackendKind;
 
@@ -57,7 +54,7 @@ fn usage(bin: &str, artifact: &str) -> String {
          \x20   --threads N       evaluation worker threads per job (0 = all cores,\n\
          \x20                     default 1; fig10, table2 and table3 run 2 jobs at\n\
          \x20                     once); results are identical at any thread count\n\
-         \x20   --backend B       cost backend: analytic | sim | calibrated | surrogate\n\
+         \x20   --backend B       cost backend: analytic | sim | surrogate\n\
          \x20                     (default analytic; surrogate = analytic + a GP trained\n\
          \x20                     online from the refine tier)\n\
          \x20   --refine-top-k K  re-evaluate the K best-screened DSE candidates per batch\n\
@@ -94,7 +91,6 @@ fn bail(bin: &str, artifact: &str, msg: &str) -> ! {
 /// the run's [`Config`].
 pub fn parse(bin: &str, artifact: &str) -> Config {
     let mut cfg = Config::at(Scale::Paper);
-    let mut threads: Option<usize> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -102,7 +98,7 @@ pub fn parse(bin: &str, artifact: &str) -> Config {
             "--quick" => cfg.scale = Scale::Quick,
             "--paper" => cfg.scale = Scale::Paper,
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => threads = Some(n),
+                Some(n) => cfg.threads = n,
                 None => bail(bin, artifact, "--threads expects a number"),
             },
             "--backend" => match it.next().map(|v| v.parse::<BackendKind>()) {
@@ -111,7 +107,7 @@ pub fn parse(bin: &str, artifact: &str) -> Config {
                 None => bail(
                     bin,
                     artifact,
-                    "--backend expects analytic | sim | calibrated | surrogate",
+                    "--backend expects analytic | sim | surrogate",
                 ),
             },
             "--refine-top-k" => match it.next() {
@@ -151,13 +147,6 @@ pub fn parse(bin: &str, artifact: &str) -> Config {
             other => bail(bin, artifact, &format!("unknown option `{other}`")),
         }
     }
-    cfg.threads = threads
-        .or_else(|| {
-            std::env::var("HASCO_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(1);
     // Adaptive staging needs a nonzero starting budget even when only
     // `--adaptive` / `--refine-top-k auto` was given.
     if cfg.adaptive && cfg.refine_top_k == 0 {

@@ -309,7 +309,7 @@ impl CoDesignOptions {
             return invalid(
                 "the surrogate cannot be the refine tier — it trains from refine-tier \
                  observations, so wrapping it around itself is self-referential; use sim \
-                 or calibrated as the refine backend",
+                 as the refine backend",
             );
         }
         if self.adaptive_refinement && self.refine_top_k == 0 {

@@ -19,15 +19,6 @@ impl WorkloadPartition {
     pub fn total_choices(&self) -> usize {
         self.per_intrinsic.iter().map(|(_, v)| v.len()).sum()
     }
-
-    /// The intrinsics that can implement at least one sub-workload.
-    pub fn viable_intrinsics(&self) -> Vec<IntrinsicKind> {
-        self.per_intrinsic
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(k, _)| *k)
-            .collect()
-    }
 }
 
 /// Enumerates the partition space of an application against the four
@@ -59,6 +50,15 @@ mod tests {
     use tensor_ir::suites;
     use tensor_ir::workload::TensorApp;
 
+    /// The intrinsics that can implement at least one sub-workload.
+    fn viable_kinds(p: &WorkloadPartition) -> Vec<IntrinsicKind> {
+        p.per_intrinsic
+            .iter()
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(k, _)| *k)
+            .collect()
+    }
+
     #[test]
     fn conv_app_partitions_against_all_intrinsics() {
         let app = TensorApp::new(
@@ -70,7 +70,7 @@ mod tests {
         let p = &parts[0];
         // §VII-B: conv can be tiled into DOT, GEMV, GEMM, and CONV2D
         // sub-workloads.
-        assert_eq!(p.viable_intrinsics().len(), 4);
+        assert_eq!(viable_kinds(p).len(), 4);
         assert!(p.total_choices() > 6);
     }
 
@@ -78,7 +78,7 @@ mod tests {
     fn gemm_app_cannot_use_conv2d_intrinsic() {
         let app = TensorApp::new("t", vec![suites::gemm_workload("g", 64, 64, 64)]);
         let parts = partition_app(&app, &IntrinsicKind::ALL, 64);
-        let viable = parts[0].viable_intrinsics();
+        let viable = viable_kinds(&parts[0]);
         assert!(viable.contains(&IntrinsicKind::Dot));
         assert!(viable.contains(&IntrinsicKind::Gemv));
         assert!(viable.contains(&IntrinsicKind::Gemm));
@@ -93,13 +93,13 @@ mod tests {
         // for stage 1 (§VII-B).
         let fused = TensorApp::new("t", vec![suites::mttkrp_workload("m", 64, 64, 64, 64)]);
         let parts = partition_app(&fused, &[IntrinsicKind::Gemv, IntrinsicKind::Gemm], 64);
-        let viable = parts[0].viable_intrinsics();
+        let viable = viable_kinds(&parts[0]);
         assert!(viable.contains(&IntrinsicKind::Gemv));
         assert!(!viable.contains(&IntrinsicKind::Gemm));
         let (s1, _) = suites::mttkrp_stages("m", 64, 64, 64, 64);
         let staged = TensorApp::new("t", vec![s1]);
         let parts = partition_app(&staged, &[IntrinsicKind::Gemv, IntrinsicKind::Gemm], 64);
-        assert!(parts[0].viable_intrinsics().contains(&IntrinsicKind::Gemm));
+        assert!(viable_kinds(&parts[0]).contains(&IntrinsicKind::Gemm));
     }
 
     #[test]

@@ -33,17 +33,6 @@ impl Matrix {
         }
         m
     }
-
-    /// Matrix-vector product.
-    ///
-    /// # Panics
-    /// Panics when `v.len() != self.cols`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols);
-        (0..self.rows)
-            .map(|r| (0..self.cols).map(|c| self[(r, c)] * v[c]).sum())
-            .collect()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -273,7 +262,9 @@ mod tests {
         let a = spd3();
         let l = cholesky(&a).unwrap();
         let x_true = vec![1.0, -2.0, 0.5];
-        let b = a.matvec(&x_true);
+        let b: Vec<f64> = (0..3)
+            .map(|r| (0..3).map(|c| a[(r, c)] * x_true[c]).sum())
+            .collect();
         let x = cholesky_solve(&l, &b);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9);
@@ -305,12 +296,6 @@ mod tests {
         let y = solve_upper_transposed(&l, &[5.0, 6.0]);
         // Lᵀ y = b: [2 1; 0 3] y = [5, 6] → y1 = 2, y0 = (5-2)/2 = 1.5
         assert_eq!(y, vec![1.5, 2.0]);
-    }
-
-    #[test]
-    fn matvec_works() {
-        let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64);
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![3.0, 12.0]);
     }
 
     #[test]

@@ -186,17 +186,6 @@ impl OptimizerResult {
         }
         out
     }
-
-    /// The best (minimum) value of a single objective across the history.
-    pub fn best_objective(&self, idx: usize) -> Option<f64> {
-        self.evaluations
-            .iter()
-            .map(|e| e.objectives[idx])
-            .fold(None, |acc, v| match acc {
-                None => Some(v),
-                Some(a) => Some(a.min(v)),
-            })
-    }
 }
 
 #[cfg(test)]
@@ -260,8 +249,6 @@ mod tests {
             objectives: vec![3.0, 3.0],
         });
         assert_eq!(r.pareto_indices(), vec![0, 1]);
-        assert_eq!(r.best_objective(0), Some(1.0));
-        assert_eq!(r.best_objective(1), Some(1.0));
         assert_eq!(r.pareto_front().len(), 2);
     }
 

@@ -181,18 +181,6 @@ impl ArchDescription {
         }
         b.build()
     }
-
-    /// Renders the sequence as the paper's pseudo-Python (Listing 2 style).
-    pub fn to_script(&self) -> String {
-        let mut s = format!(
-            "acc = createArch(method = \"{}\", intrinsic = {})\n",
-            self.method, self.intrinsic
-        );
-        for p in &self.primitives {
-            s.push_str(&format!("acc.{p}\n"));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -239,16 +227,6 @@ mod tests {
         let mut acc = listing2();
         acc.reshape_array(0, 16);
         assert!(acc.to_config().is_err());
-    }
-
-    #[test]
-    fn script_rendering_matches_paper_style() {
-        let script = listing2().to_script();
-        assert!(script.contains("createArch(method = \"chisel\", intrinsic = gemm)"));
-        assert!(script.contains("acc.reshapeArray(16, 16)"));
-        assert!(script.contains("acc.linkPEs(\"systolic\")"));
-        assert!(script.contains("acc.addCache(262144)"));
-        assert!(script.contains("acc.burstTransfer(64, 128)"));
     }
 
     #[test]

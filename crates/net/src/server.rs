@@ -548,7 +548,7 @@ mod tests {
         proto::send(
             &mut stream,
             &Msg::ClientHello {
-                protocol: "HASCONET6".into(),
+                protocol: "HASCONET7".into(),
             },
         )
         .unwrap();

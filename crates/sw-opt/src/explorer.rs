@@ -268,11 +268,6 @@ impl SoftwareExplorer {
         self
     }
 
-    /// The choice memo this explorer matches through.
-    pub fn choice_memo(&self) -> &Arc<ChoiceMemo> {
-        &self.choices
-    }
-
     /// The cost backend pricing this explorer's schedules.
     pub fn backend(&self) -> &Arc<dyn CostBackend> {
         &self.backend

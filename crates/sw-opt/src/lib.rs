@@ -3,9 +3,11 @@
 //! A [`schedule::Schedule`] fixes a tensorize choice, the tensorized tile
 //! sizes, the outer loop order, and outer-loop fusion — exactly the factors
 //! of the paper's software primitives (`split`, `reorder`, `fuse`,
-//! `tensorize`). Schedules lower to [`accel_model::ExecutionPlan`]s through
-//! a classic tile-reuse analysis ([`lowering`]) and to accelerator
-//! instruction streams ([`interface`], §VI-C).
+//! `tensorize`), so the schedule itself is the paper's primitive sequence
+//! (Fig. 5(c)) and [`codegen`] renders programs from it. Schedules lower
+//! to [`accel_model::ExecutionPlan`]s through a classic tile-reuse
+//! analysis ([`lowering`]) and to accelerator instruction streams
+//! ([`interface`], §VI-C).
 //!
 //! The design space is explored the paper's way (§VI-B): a pool of random
 //! candidate schedules is maintained; the heuristic step picks the top-k by
@@ -35,7 +37,6 @@ pub mod heuristic;
 pub mod interface;
 pub mod lowering;
 pub mod nn;
-pub mod primitives;
 pub mod qlearn;
 pub mod schedule;
 

@@ -328,7 +328,7 @@ pub fn lower(
 }
 
 /// Convenience: lower and price in one step, through any cost backend
-/// (analytic, trace-sim, or calibrated — see [`accel_model::backend`]).
+/// (analytic, trace-sim, or surrogate — see [`accel_model::backend`]).
 ///
 /// # Errors
 /// Propagates lowering errors.

@@ -13,7 +13,6 @@ use tensor_ir::matching::{find_tensorize_choices, MatchOptions, TensorizeChoice}
 use tensor_ir::workload::Workload;
 use tensor_ir::IndexId;
 
-use crate::primitives::{PrimitiveSequence, SwPrimitive};
 use crate::SwError;
 
 /// The extent of `intrinsic`'s widest loop that `choice` maps onto
@@ -241,31 +240,6 @@ impl Schedule {
     /// tensorized loops, 1 otherwise (outer loops are fixed per call).
     pub fn inner_extent(&self, idx: IndexId) -> u64 {
         self.tiles.get(&idx).copied().unwrap_or(1)
-    }
-
-    /// The paper's Fig. 5(c) view: the primitive sequence of this schedule.
-    pub fn primitive_sequence(&self, ctx: &ScheduleContext) -> PrimitiveSequence {
-        let mut primitives = Vec::new();
-        for (&idx, &tile) in &self.tiles {
-            primitives.push(SwPrimitive::Split {
-                index: idx,
-                outer: self.trip_count(ctx, idx),
-                inner: tile,
-            });
-        }
-        primitives.push(SwPrimitive::Reorder {
-            order: self.outer_order.clone(),
-        });
-        if self.fuse_outer > 0 {
-            primitives.push(SwPrimitive::Fuse {
-                count: self.fuse_outer,
-            });
-        }
-        primitives.push(SwPrimitive::Tensorize {
-            tiles: self.tiles.iter().map(|(&i, &t)| (i, t)).collect(),
-            intrinsic: self.choice.intrinsic.clone(),
-        });
-        PrimitiveSequence { primitives }
     }
 
     /// Fixed-size feature vector for the Q-network: per-dimension log tile
@@ -641,19 +615,5 @@ mod tests {
             assert_eq!(f.len(), NUM_FEATURES);
             assert!(f.iter().all(|&x| (0.0..=1.0).contains(&x)), "{f:?}");
         }
-    }
-
-    #[test]
-    fn primitive_sequence_has_expected_skeleton() {
-        let c = ctx();
-        let mut rng = SmallRng::seed_from_u64(12);
-        let mut s = c.random_schedule(&mut rng);
-        s.fuse_outer = 1;
-        let seq = s.primitive_sequence(&c);
-        let skel = seq.skeleton();
-        assert!(skel.contains(&"split"));
-        assert!(skel.contains(&"reorder"));
-        assert!(skel.contains(&"fuse"));
-        assert_eq!(*skel.last().unwrap(), "tensorize");
     }
 }

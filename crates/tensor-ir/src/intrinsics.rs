@@ -77,13 +77,6 @@ pub struct Intrinsic {
     pub comp: Computation,
 }
 
-impl Intrinsic {
-    /// Number of multiply-accumulate operations one intrinsic call performs.
-    pub fn macs_per_call(&self) -> u64 {
-        self.comp.iteration_points()
-    }
-}
-
 impl std::fmt::Display for Intrinsic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.kind, self.comp.notation())
@@ -202,11 +195,12 @@ mod tests {
 
     #[test]
     fn macs_per_call() {
-        assert_eq!(dot_intrinsic(64).macs_per_call(), 64);
-        assert_eq!(gemm_intrinsic(16, 16, 16).macs_per_call(), 4096);
-        assert_eq!(gemv_intrinsic(8, 4).macs_per_call(), 32);
+        // One call performs one MAC per iteration point.
+        assert_eq!(dot_intrinsic(64).comp.iteration_points(), 64);
+        assert_eq!(gemm_intrinsic(16, 16, 16).comp.iteration_points(), 4096);
+        assert_eq!(gemv_intrinsic(8, 4).comp.iteration_points(), 32);
         assert_eq!(
-            conv2d_intrinsic(8, 8, 3, 3).macs_per_call(),
+            conv2d_intrinsic(8, 8, 3, 3).comp.iteration_points(),
             8 * 4 * 4 * 8 * 9
         );
     }
@@ -227,7 +221,7 @@ mod tests {
             Some(8)
         );
         let d = intrinsic_for(IntrinsicKind::Dot, 64);
-        assert_eq!(d.macs_per_call(), 64);
+        assert_eq!(d.comp.iteration_points(), 64);
         let v = intrinsic_for(IntrinsicKind::Gemv, 64);
         assert_eq!(v.kind, IntrinsicKind::Gemv);
         let c = intrinsic_for(IntrinsicKind::Conv2d, 64);

@@ -111,14 +111,6 @@ impl TensorizeChoice {
         v
     }
 
-    /// The compute variable assigned to a given intrinsic variable, if any.
-    pub fn image_of(&self, intrinsic_var: IndexId) -> Option<IndexId> {
-        self.var_map
-            .iter()
-            .find(|&&(q, _)| q == intrinsic_var)
-            .map(|&(_, c)| c)
-    }
-
     /// Human-readable description, e.g. `gemm{i<-k, j<-x, k<-c}`.
     pub fn describe(&self, compute: &Computation, intrinsic: &Computation) -> String {
         let pairs: Vec<String> = self
@@ -239,20 +231,6 @@ pub fn find_tensorize_choices_with_stats(
         }
     }
     (out, stats)
-}
-
-/// The full partition space: all legal tensorize choices of `compute`
-/// against each of the given intrinsics (§IV-B: "the partition space of each
-/// intrinsic is included in the software design space").
-pub fn partition_space(
-    compute: &Computation,
-    intrinsics: &[&Computation],
-    opts: &MatchOptions,
-) -> Vec<TensorizeChoice> {
-    intrinsics
-        .iter()
-        .flat_map(|q| find_tensorize_choices(compute, q, opts))
-        .collect()
 }
 
 fn fold_key(
@@ -517,6 +495,15 @@ mod tests {
         suites::conv2d_workload("conv", 64, 64, 56, 56, 3, 3).comp
     }
 
+    /// The compute variable `choice` assigns to an intrinsic variable.
+    fn image_of(choice: &TensorizeChoice, intrinsic_var: IndexId) -> Option<IndexId> {
+        choice
+            .var_map
+            .iter()
+            .find(|&&(q, _)| q == intrinsic_var)
+            .map(|&(_, c)| c)
+    }
+
     #[test]
     fn combinations_count_is_binomial() {
         assert_eq!(Combinations::new(9, 4).count(), 126);
@@ -563,7 +550,7 @@ mod tests {
         let conv = conv();
         let gk = gemm.comp.index_by_name("k").unwrap();
         for ch in find_tensorize_choices(&conv, &gemm.comp, &MatchOptions::default()) {
-            let image = ch.image_of(gk).unwrap();
+            let image = image_of(&ch, gk).unwrap();
             assert!(
                 conv.index(image).is_reduction(),
                 "choice {ch:?} maps reduction to spatial"
@@ -621,7 +608,7 @@ mod tests {
         let gj = gemv.comp.index_by_name("j").unwrap();
         let gk = gemm_wl.comp.index_by_name("k").unwrap();
         for ch in &choices {
-            assert_eq!(ch.image_of(gj), Some(gk));
+            assert_eq!(image_of(ch, gj), Some(gk));
         }
     }
 
@@ -715,25 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_space_unions_intrinsics() {
-        let gemm = intrinsics::gemm_intrinsic(16, 16, 16);
-        let gemv = intrinsics::gemv_intrinsic(16, 16);
-        let dot = intrinsics::dot_intrinsic(64);
-        let conv = conv();
-        let all = partition_space(
-            &conv,
-            &[&gemm.comp, &gemv.comp, &dot.comp],
-            &MatchOptions::default(),
-        );
-        let per: usize = [&gemm.comp, &gemv.comp, &dot.comp]
-            .iter()
-            .map(|q| find_tensorize_choices(&conv, q, &MatchOptions::default()).len())
-            .sum();
-        assert_eq!(all.len(), per);
-        assert!(all.len() > 6);
-    }
-
-    #[test]
     fn describe_is_informative() {
         let gemm = intrinsics::gemm_intrinsic(16, 16, 16);
         let conv = conv();
@@ -764,12 +732,13 @@ mod tests {
         let wi = gemm_wl.comp.index_by_name("i").unwrap();
         let wj = gemm_wl.comp.index_by_name("j").unwrap();
         let wk = gemm_wl.comp.index_by_name("k").unwrap();
-        let spatial_images: BTreeSet<_> = choices.iter().map(|c| c.image_of(gi).unwrap()).collect();
+        let spatial_images: BTreeSet<_> =
+            choices.iter().map(|c| image_of(c, gi).unwrap()).collect();
         assert_eq!(spatial_images, BTreeSet::from([wi, wj]));
         for c in &choices {
             // The GEMV reduction always contracts GEMM's k — never the
             // spatial j (Fig. 4's illegal choice #2).
-            assert_eq!(c.image_of(gj), Some(wk));
+            assert_eq!(image_of(c, gj), Some(wk));
         }
     }
 
@@ -788,7 +757,7 @@ mod tests {
         assert!(!choices.is_empty());
         let ai = axpy.index_by_name("i").unwrap();
         for c in &choices {
-            let img = c.image_of(ai).unwrap();
+            let img = image_of(c, ai).unwrap();
             assert!(gemm_wl.comp.index(img).is_spatial(), "{c:?}");
         }
     }

@@ -241,23 +241,6 @@ impl Tst {
         a
     }
 
-    /// The tensor name of the `Access` node enclosing a leaf, if any.
-    pub fn enclosing_tensor(&self, leaf: usize) -> Option<&str> {
-        let mut n = leaf;
-        while let Some(p) = self.parent[n] {
-            if let TstNode::Internal {
-                op: TstOp::Access,
-                tensor,
-                ..
-            } = &self.nodes[p]
-            {
-                return tensor.as_deref();
-            }
-            n = p;
-        }
-        None
-    }
-
     /// Renders the tree as an s-expression, useful in test failures.
     pub fn to_sexpr(&self, comp: &Computation) -> String {
         fn rec(t: &Tst, comp: &Computation, n: usize, out: &mut String) {
@@ -374,15 +357,6 @@ mod tests {
         let cc = leaves[0];
         let y = leaves[3];
         assert_eq!(t.op(t.lca(cc, y)), TstOp::Access);
-    }
-
-    #[test]
-    fn enclosing_tensor_resolves_through_add_nodes() {
-        let c = conv();
-        let t = Tst::from_computation(&c);
-        let leaves = t.leaves();
-        assert_eq!(t.enclosing_tensor(leaves[2]), Some("A")); // r inside x+r
-        assert_eq!(t.enclosing_tensor(leaves[5]), Some("B")); // k in B
     }
 
     #[test]
